@@ -211,27 +211,33 @@ def row_sum(a: Matrix) -> Matrix:
     return _node(a.value.sum(axis=1, keepdims=True), (a,), lambda g: (np.repeat(g, cols, axis=1),))
 
 
-def row_slice(a: Matrix, start: int, stop: int) -> Matrix:
-    shape = a.value.shape
+def segment_weighted_sum(values: Matrix, weights: Matrix, lengths: Sequence[int]) -> Matrix:
+    """Position-weighted sum over consecutive row segments; shape [len(lengths), cols].
+
+    ``values`` stacks the segments' rows, ``lengths[i]`` rows for segment
+    i, and ``weights`` is a [max_length, 1] column of per-position
+    weights, so row i of the result is
+    sum over t < lengths[i] of weights[t] * values[offset_i + t].
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1:
+        raise ValueError("segment_weighted_sum needs one or more segments, each of length >= 1")
+    if int(lengths.sum()) != values.rows:
+        raise ValueError(f"segment lengths sum to {int(lengths.sum())}, but values has {values.rows} rows")
+    if weights.cols != 1 or weights.rows < lengths.max():
+        raise ValueError(f"weights must be a column of at least {int(lengths.max())} rows, "
+                         f"got {weights.shape}")
+    starts = np.cumsum(lengths) - lengths
+    position = np.arange(values.rows) - np.repeat(starts, lengths)
+    vv, row_w = values.value, weights.value[position]
 
     def vjp(g):
-        full = np.zeros(shape)
-        full[start:stop, :] = g
-        return (full,)
+        spread = np.repeat(g, lengths, axis=0)
+        dw = np.zeros(weights.value.shape)
+        np.add.at(dw[:, 0], position, (spread * vv).sum(axis=1))
+        return spread * row_w, dw
 
-    return _node(a.value[start:stop, :], (a,), vjp)
-
-
-def stack_rows(parts: Sequence[Matrix]) -> Matrix:
-    if not parts:
-        raise ValueError("stack_rows needs at least one matrix")
-    sizes = [p.rows for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        return tuple(g[offsets[i]:offsets[i + 1], :] for i in range(len(parts)))
-
-    return _node(np.vstack([p.value for p in parts]), tuple(parts), vjp)
+    return _node(np.add.reduceat(vv * row_w, starts, axis=0), (values, weights), vjp)
 
 
 def softmax_rows(a: Matrix, temperature: float = 1.0) -> Matrix:

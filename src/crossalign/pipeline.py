@@ -32,6 +32,8 @@ METRICS_HEADER = [
 ]
 
 CHECKPOINT_VERSION = 1
+# caption columns ranked at once by recalls_from_similarity
+RANK_BLOCK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -688,34 +690,56 @@ def recalls_from_similarity(scores: np.ndarray, caption_image: np.ndarray) -> Ev
     """Recall@{1,5,10} both ways from a [n_images x n_captions] score matrix.
 
     ``caption_image[j]`` is the row index of caption j's ground-truth
-    image. Ties rank the lower candidate index first.
+    image. Ties rank the lower candidate index first, so a rank is
+    counted rather than sorted: rank = #(s > s_gt) + #(s == s_gt and
+    idx < gt). Text to image ranks caption j's image within column j.
+    Image to text ranks an image by its best caption, the one with its
+    highest score and the lowest index among ties, within the image's
+    row; an image with no caption never hits. A NaN candidate never
+    ranks ahead, and a NaN ground-truth score is an error. Columns are
+    scanned ``RANK_BLOCK`` at a time, so extra memory is
+    O(n_images x RANK_BLOCK) on top of the scores.
     """
     scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2:
+        raise ValueError(f"scores must be a 2-D [n_images x n_captions] matrix, got {scores.ndim}-D")
     caption_image = np.asarray(caption_image, dtype=np.int64)
     n_img, n_cap = scores.shape
     if caption_image.shape != (n_cap,):
         raise ValueError("need one ground-truth image per caption column")
+    bad = np.flatnonzero((caption_image < 0) | (caption_image >= n_img))
+    if bad.size:
+        j = int(bad[0])
+        raise ValueError(f"caption column {j} names image {caption_image[j]}, outside [0, {n_img})")
 
-    text_hits = np.zeros(3)
-    for i in range(n_img):
-        order = np.argsort(-scores[i], kind="stable")
-        best = np.flatnonzero(caption_image[order] == i)
-        if best.size == 0:
-            continue
-        rank = best[0]
-        for idx, k in enumerate((1, 5, 10)):
-            text_hits[idx] += rank < k
+    cap_index = np.arange(n_cap)
+    gt_score = scores[caption_image, cap_index]
+    nan = np.flatnonzero(np.isnan(gt_score))
+    if nan.size:
+        raise ValueError(f"caption column {int(nan[0])} has a NaN ground-truth score")
+    best_score = np.full(n_img, -np.inf)
+    np.maximum.at(best_score, caption_image, gt_score)
+    is_best = gt_score == best_score[caption_image]
+    best_cap = np.full(n_img, n_cap)
+    np.minimum.at(best_cap, caption_image[is_best], cap_index[is_best])
 
-    image_hits = np.zeros(3)
-    for j in range(n_cap):
-        order = np.argsort(-scores[:, j], kind="stable")
-        rank = int(np.flatnonzero(order == caption_image[j])[0])
-        for idx, k in enumerate((1, 5, 10)):
-            image_hits[idx] += rank < k
+    img_index = np.arange(n_img)[:, None]
+    best, best_col = best_score[:, None], best_cap[:, None]
+    text_rank = np.zeros(n_img, dtype=np.int64)
+    image_rank = np.empty(n_cap, dtype=np.int64)
+    for lo in range(0, n_cap, RANK_BLOCK):
+        hi = min(lo + RANK_BLOCK, n_cap)
+        block = scores[:, lo:hi]
+        gt, gt_img = gt_score[lo:hi], caption_image[lo:hi]
+        image_rank[lo:hi] = (np.count_nonzero(block > gt, axis=0)
+                             + np.count_nonzero((block == gt) & (img_index < gt_img), axis=0))
+        text_rank += (np.count_nonzero(block > best, axis=1)
+                      + np.count_nonzero((block == best) & (cap_index[lo:hi] < best_col), axis=1))
 
-    text = 100.0 * text_hits / n_img
-    image = 100.0 * image_hits / n_cap
-    return EvalResult(text[0], text[1], text[2], image[0], image[1], image[2])
+    has_caption = best_cap < n_cap
+    text = [100.0 * np.count_nonzero(has_caption & (text_rank < k)) / n_img for k in (1, 5, 10)]
+    image = [100.0 * np.count_nonzero(image_rank < k) / n_cap for k in (1, 5, 10)]
+    return EvalResult(*text, *image)
 
 
 def embed_for_retrieval(state: TrainState, data: PairedDataset):
@@ -726,8 +750,9 @@ def embed_for_retrieval(state: TrainState, data: PairedDataset):
     v = _embed_chunked(model.embed_images, img_seqs)
     w = _embed_chunked(model.embed_captions, cap_seqs)
     basis = model.concept_basis()
-    vc = _embed_chunked(lambda s: model.concept_embed(
-        model.embed_images(s), basis, "visual")[0], img_seqs)
+    # the visual concept query is the instance embedding, chunk for chunk
+    vc = _embed_chunked(lambda rows: model.concept_embed(
+        Matrix(rows), basis, "visual")[0], v)
     wc = _embed_chunked(lambda s: model.concept_embed(
         model.embed_captions_concept(s), basis, "textual")[0], cap_seqs)
     return image_ids, caption_image, v, w, vc, wc
@@ -743,19 +768,6 @@ def evaluate(state: TrainState, data: PairedDataset, beta: float | None = None) 
     _, caption_image, v, w, vc, wc = embed_for_retrieval(state, data)
     scores = beta * (v @ w.T) + (1.0 - beta) * (vc @ wc.T)
     return recalls_from_similarity(scores, caption_image)
-
-
-def blended_similarity(v_inst, w_inst, v_concept, w_concept, beta: float) -> float:
-    """beta-weighted sum of instance-level and concept-level cosine similarity."""
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must lie in [0, 1]")
-
-    def cos(a, b) -> float:
-        a = np.asarray(a.value if isinstance(a, Matrix) else a, dtype=np.float64).ravel()
-        b = np.asarray(b.value if isinstance(b, Matrix) else b, dtype=np.float64).ravel()
-        return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
-
-    return beta * cos(v_inst, w_inst) + (1.0 - beta) * cos(v_concept, w_concept)
 
 
 # ---------------------------------------------------------------------------

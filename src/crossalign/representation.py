@@ -77,19 +77,16 @@ class FeatureAggregator:
         h = nm.relu(pe @ p["dec_w1"] + p["dec_b1"])
         return h @ p["dec_w2"] + p["dec_b2"]
 
-    def pool(self, seq: np.ndarray, weights: Matrix, params=None) -> Matrix:
-        """Weighted sum of projected rows, unit-normalized; shape [1, out_dim]."""
-        p = self._resolve(params)
-        seq = np.asarray(seq, dtype=np.float64)
-        projected = Matrix(seq) @ p["proj"]
-        return nm.l2_normalize_rows(weights.T @ projected)
-
     def aggregate_batch(self, seqs, params=None) -> Matrix:
         """Embed several sequences at once; returns [len(seqs), out_dim].
 
-        The pooling-weight perceptron runs once for the longest sequence
-        and shorter ones take a row prefix, which is exact because the
-        weights depend only on position.
+        All sequences are stacked into one [sum of lengths, d_in] array
+        and projected with a single matmul; one segment-weighted sum then
+        pools each sequence's rows and the result is unit-normalized. The
+        pooling-weight perceptron runs once for the longest sequence and
+        shorter ones use a prefix of its weights, which is exact because
+        the weights depend only on position. The graph therefore has the
+        same number of nodes for any number of sequences.
         """
         if len(seqs) == 0:
             raise ValueError("aggregate_batch needs at least one sequence")
@@ -102,12 +99,10 @@ class FeatureAggregator:
                 raise ValueError(f"sequence feature dim {arr.shape[1]} != aggregator d_in {self.d_in}")
             arrs.append(arr)
         p = self._resolve(params)
-        theta = self.pooling_weights(max(a.shape[0] for a in arrs), params=p)
-        pooled = []
-        for arr in arrs:
-            w = nm.row_slice(theta, 0, arr.shape[0])
-            pooled.append(w.T @ (Matrix(arr) @ p["proj"]))
-        return nm.l2_normalize_rows(nm.stack_rows(pooled))
+        lengths = [a.shape[0] for a in arrs]
+        theta = self.pooling_weights(max(lengths), params=p)
+        projected = Matrix(np.concatenate(arrs)) @ p["proj"]
+        return nm.l2_normalize_rows(nm.segment_weighted_sum(projected, theta, lengths))
 
     def aggregate(self, seq, params=None) -> Matrix:
         """Embed one sequence; returns [1, out_dim]."""

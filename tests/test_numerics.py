@@ -196,12 +196,47 @@ def test_grad_check_elementary_ops(seed):
         lambda p: nm.sum_all(nm.log_softmax_rows(p) * other),
         lambda p: nm.sum_all(nm.l2_normalize_rows(p + offset) * other),
         lambda p: nm.sum_all(nm.row_sum(p) * nm.row_sum(other)),
-        lambda p: nm.sum_all(nm.row_slice(p, 1, 3)),
-        lambda p: nm.sum_all(nm.stack_rows([p, p * 2.0]) * 0.5),
         lambda p: nm.sum_all(p.T @ other),
     ]
     for fn in cases:
         assert grad_check(fn, probe, h=1e-5) <= 1e-4
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_grad_check_segment_weighted_sum(seed):
+    rng = rng_from_seed(seed, 8)
+    lengths = [2, 4, 1, 3]
+    values = Matrix(rng.standard_normal((10, 3)))
+    weights = Matrix(rng.standard_normal((4, 1)))
+    probe = Matrix(rng.standard_normal((4, 3)))
+    assert grad_check(lambda p: nm.sum_all(nm.segment_weighted_sum(p, weights, lengths) * probe),
+                      values, h=1e-5) <= 1e-4
+    assert grad_check(lambda p: nm.sum_all(nm.segment_weighted_sum(values, p, lengths) * probe),
+                      weights, h=1e-5) <= 1e-4
+
+
+def test_segment_weighted_sum_against_loop():
+    rng = rng_from_seed(9)
+    lengths = [3, 1, 5, 2]
+    values = rng.standard_normal((11, 4))
+    weights = rng.standard_normal((6, 1))
+    out = nm.segment_weighted_sum(Matrix(values), Matrix(weights), lengths).value
+    start = 0
+    for i, n in enumerate(lengths):
+        want = sum(weights[t, 0] * values[start + t] for t in range(n))
+        assert np.max(np.abs(out[i] - want)) <= 1e-12
+        start += n
+
+
+@pytest.mark.parametrize("lengths, weight_rows, match", [
+    ([], 3, "segments"),
+    ([2, 0, 3], 3, "segments"),
+    ([2, 2], 3, "sum to 4"),
+    ([2, 3], 2, "at least 3 rows"),
+])
+def test_segment_weighted_sum_rejects_bad_shapes(lengths, weight_rows, match):
+    with pytest.raises(ValueError, match=match):
+        nm.segment_weighted_sum(Matrix(np.ones((5, 2))), Matrix(np.ones((weight_rows, 1))), lengths)
 
 
 def test_grad_check_rejects_non_finite_loss():
