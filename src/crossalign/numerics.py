@@ -20,7 +20,8 @@ class Matrix:
     """Immutable 2-D float64 value, optionally a node in a reverse-mode graph.
 
     ``value`` is a non-writeable row-major ndarray. ``grad`` is filled by
-    :func:`backward` and holds d(result)/d(self) with the same shape.
+    :func:`backward` and holds d(result)/d(self) with the same shape; it
+    may be the same array as another node's grad, so it is read-only.
     """
 
     __slots__ = ("value", "grad", "_parents", "_vjp", "_spent")
@@ -297,6 +298,13 @@ def sigmoid(x: float) -> float:
 def backward(result: Matrix) -> None:
     """Fill ``grad`` on every node that fed into the 1x1 ``result``.
 
+    Buffers are lazy: each reached node's ``grad`` is reset to ``None``,
+    its first contribution is stored as given and later ones are added
+    into a new array. A grad can therefore be the very array another
+    node holds (``add`` hands one array to both parents, ``transpose`` a
+    view of its own), so grads are read-only: never write into one in
+    place. Nodes the result does not reach keep their ``grad``.
+
     A second backward on the same result (without rebuilding the forward
     graph) is an error: intermediate grads would silently double.
     """
@@ -323,13 +331,13 @@ def backward(result: Matrix) -> None:
                 stack.append((parent, False))
 
     for node in order:
-        node.grad = np.zeros_like(node.value)
+        node.grad = None
     result.grad = np.ones((1, 1))
     for node in reversed(order):
         if node._vjp is None:
             continue
         for parent, g in zip(node._parents, node._vjp(node.grad)):
-            parent.grad = parent.grad + g
+            parent.grad = g if parent.grad is None else parent.grad + g
 
 
 class GradTape:

@@ -72,18 +72,16 @@ class DiversityScores:
     estimator: str
 
 
-def _negative_rows(sim: SimilarityMatrix) -> list[np.ndarray]:
+def _negative_rows(sim: SimilarityMatrix) -> np.ndarray:
+    """Each anchor's negative similarities, [N, Q-1], or all of them, [N, Q], without positives."""
     vals = sim.scores.value
-    rows = []
-    for n in range(vals.shape[0]):
-        if sim.positive_index is None:
-            negs = vals[n]
-        else:
-            negs = np.delete(vals[n], sim.positive_index[n])
-        if negs.size == 0:
-            raise ValueError(f"anchor {n} has no negative candidates")
-        rows.append(negs)
-    return rows
+    if sim.positive_index is not None:
+        keep = np.ones(vals.shape, dtype=bool)
+        keep[np.arange(vals.shape[0]), sim.positive_index] = False
+        vals = vals[keep].reshape(vals.shape[0], -1)
+    if vals.shape[1] == 0:
+        raise ValueError("the anchors have no negative candidates")
+    return vals
 
 
 def _sigmoid_vec(x: np.ndarray) -> np.ndarray:
@@ -101,10 +99,8 @@ def diversity_std(sim: SimilarityMatrix, eps: float = 0.1) -> DiversityScores:
     """Diversity from the population standard deviation of negative similarities."""
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    spread = np.array([
-        np.sqrt(max(float(np.mean(negs ** 2) - np.mean(negs) ** 2), 0.0))
-        for negs in _negative_rows(sim)
-    ])
+    negs = _negative_rows(sim)
+    spread = np.sqrt(np.maximum(np.mean(negs ** 2, axis=1) - np.mean(negs, axis=1) ** 2, 0.0))
     return _weights_from_spread(spread, eps, "std")
 
 
@@ -112,12 +108,11 @@ def diversity_entropy(sim: SimilarityMatrix, eps: float = 0.1) -> DiversityScore
     """Diversity from the base-2 entropy of the softmax over negative similarities."""
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    spread = []
-    for negs in _negative_rows(sim):
-        z = negs - negs.max()
-        p = np.exp(z) / np.exp(z).sum()
-        spread.append(float(-(p * np.log2(np.where(p > 0, p, 1.0))).sum()))
-    return _weights_from_spread(np.array(spread), eps, "entropy")
+    negs = _negative_rows(sim)
+    z = negs - negs.max(axis=1, keepdims=True)
+    p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+    spread = -(p * np.log2(np.where(p > 0, p, 1.0))).sum(axis=1)
+    return _weights_from_spread(spread, eps, "entropy")
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +256,13 @@ def m_dcl_loss(batch_v: Matrix, batch_w: Matrix, momentum_pos_v, momentum_pos_w,
 
 @dataclass
 class PrototypeState:
-    """K-means output used as pseudo labels, plus the classifier that predicts them."""
+    """K-means output used as pseudo labels."""
 
     k: int
     centroids: np.ndarray
     labels: np.ndarray
     inertia: float
     inertia_path: list[float] = field(default_factory=list)
-    classifier: Matrix | None = None
 
 
 def _plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -295,15 +289,35 @@ def _plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centroids
 
 
+def _assign(pts: np.ndarray, pt_sq: np.ndarray, centroids: np.ndarray):
+    """Nearest centroid per point (lowest index on ties) and its squared distance.
+
+    The expansion |x|^2 - 2 x.c + |c|^2 costs one matmul but can round
+    far from the direct sum of squares, so it only screens. Per point,
+    ``slack`` bounds the gap between the two forms for every centroid,
+    so no centroid more than twice that above the row's smallest
+    expansion can be nearest. The survivors are measured again as
+    ((x - c)^2).sum(), which alone decides the label and the cost,
+    exactly as a direct search over all point-centroid pairs.
+    """
+    c_sq = (centroids ** 2).sum(axis=1)
+    approx = pt_sq[:, None] - 2.0 * (pts @ centroids.T) + c_sq
+    slack = 4.0 * (pts.shape[1] + 3) * np.finfo(np.float64).eps \
+        * (np.sqrt(pt_sq) + np.sqrt(c_sq.max())) ** 2
+    rows, cols = np.nonzero(approx <= approx.min(axis=1, keepdims=True) + 2.0 * slack[:, None])
+    dists = np.full(approx.shape, np.inf)
+    dists[rows, cols] = ((pts[rows] - centroids[cols]) ** 2).sum(axis=1)
+    labels = dists.argmin(axis=1)
+    return labels, dists[np.arange(pts.shape[0]), labels]
+
+
 def _lloyd(pts: np.ndarray, k: int, centroids: np.ndarray, max_iters: int):
-    m = pts.shape[0]
-    labels = np.full(m, -1, dtype=np.int64)
+    labels = np.full(pts.shape[0], -1, dtype=np.int64)
+    pt_sq = (pts ** 2).sum(axis=1)
     inertia_path: list[float] = []
     inertia = 0.0
     for _ in range(max(max_iters, 1)):
-        dists = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_labels = dists.argmin(axis=1)
-        point_cost = dists[np.arange(m), new_labels]
+        new_labels, point_cost = _assign(pts, pt_sq, centroids)
         inertia = float(point_cost.sum())
         inertia_path.append(inertia)
         if np.array_equal(new_labels, labels):
@@ -316,7 +330,6 @@ def _lloyd(pts: np.ndarray, k: int, centroids: np.ndarray, max_iters: int):
             else:
                 far = int(point_cost.argmax())
                 centroids[j] = pts[far]
-                point_cost = point_cost.copy()
                 point_cost[far] = 0.0
     return centroids, labels, inertia, inertia_path
 
@@ -331,6 +344,13 @@ def kmeans_cluster(points, k: int, max_iters: int = 100, seed: int = 0,
     are reseeded to the point currently farthest from its assigned
     centroid. ``inertia_path`` records the winning run's inertia after
     each assignment step.
+
+    Each assignment first screens the centroids with the matmul
+    expansion of the squared distance and its rounding bound, then
+    decides among the few survivors with exact sums of squared
+    differences. Labels (lowest index on ties), costs, inertia and
+    reseeds are therefore the same as a direct search over all
+    point-centroid pairs, without its [points, k, dim] array.
     """
     pts = points.value if isinstance(points, Matrix) else np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:

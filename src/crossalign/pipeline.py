@@ -473,20 +473,21 @@ def triplet_baseline_loss(sim: SimilarityMatrix, margin: float) -> Matrix:
     return direction(sim.scores) + direction(nm.transpose(sim.scores))
 
 
-def _diversity_pair(sim: SimilarityMatrix, estimator: str, eps: float):
-    fwd = obj.diversity_std(sim, eps) if estimator == "std" else obj.diversity_entropy(sim, eps)
-    flipped = sim.transposed()
-    bwd = obj.diversity_std(flipped, eps) if estimator == "std" else obj.diversity_entropy(flipped, eps)
-    return fwd, bwd
+def _dcl(cfg: TrainConfig, sim: SimilarityMatrix) -> Matrix:
+    """DCL with diversities estimated in both directions; DCL-I for a one-pair batch."""
+    if sim.scores.rows == 1:
+        return obj.dcl_i_loss(sim, cfg.mu, cfg.gamma)
+    div_f = obj._estimate(sim, cfg.diversity_estimator, cfg.eps_div)
+    div_b = obj._estimate(sim.transposed(), cfg.diversity_estimator, cfg.eps_div)
+    return obj.dcl_loss(sim, div_f, div_b, cfg.mu, cfg.gamma)
 
 
 def _instance_loss(cfg: TrainConfig, sim: SimilarityMatrix) -> Matrix:
     if cfg.instance_loss == "triplet":
         return triplet_baseline_loss(sim, cfg.triplet_margin)
-    if cfg.instance_loss == "dcl_i" or sim.scores.rows == 1:
+    if cfg.instance_loss == "dcl_i":
         return obj.dcl_i_loss(sim, cfg.mu, cfg.gamma)
-    div_f, div_b = _diversity_pair(sim, cfg.diversity_estimator, cfg.eps_div)
-    return obj.dcl_loss(sim, div_f, div_b, cfg.mu, cfg.gamma)
+    return _dcl(cfg, sim)
 
 
 def batch_losses(state: TrainState, records: list[PairedRecord],
@@ -519,12 +520,7 @@ def batch_losses(state: TrainState, records: list[PairedRecord],
         v_concept, _ = model.concept_embed(v_inst, basis, "visual")
         w_query = model.embed_captions_concept(cap_seqs)
         w_concept, _ = model.concept_embed(w_query, basis, "textual")
-        sim_c = obj.cosine_matrix(v_concept, w_concept)
-        if sim_c.scores.rows == 1:
-            concept = obj.dcl_i_loss(sim_c, cfg.mu, cfg.gamma)
-        else:
-            div_f, div_b = _diversity_pair(sim_c, cfg.diversity_estimator, cfg.eps_div)
-            concept = obj.dcl_loss(sim_c, div_f, div_b, cfg.mu, cfg.gamma)
+        concept = _dcl(cfg, obj.cosine_matrix(v_concept, w_concept))
         if labels is not None:
             pgc = obj.pgc_loss(v_concept, w_concept, model.extra["classifier"], labels)
 
@@ -628,7 +624,6 @@ def train(cfg: TrainConfig, data: PairedDataset, val_data: PairedDataset | None 
             if state.prototypes is not None and state.prototypes.k == k_eff:
                 fresh = _align_cluster_ids(fresh, state.prototypes.centroids)
             state.prototypes = fresh
-            state.prototypes.classifier = state.model.extra["classifier"]
             labels_all = state.prototypes.labels
 
         order = shuffle_rng.permutation(len(data))

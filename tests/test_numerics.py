@@ -163,6 +163,18 @@ def test_shared_node_gradients_accumulate():
     assert x.grad == pytest.approx(np.array([[7.0]]))
 
 
+def test_backward_fan_out_keeps_grads_separate():
+    x = Matrix([[1.0, 2.0]])
+    y = x * 3.0
+    z = nm.add(y, y)  # one node feeds both inputs; its two grads arrive as one array
+    unreached = x * 5.0
+    backward(nm.sum_all(z * z))  # z feeds both inputs of mul as well
+    assert np.array_equal(z.grad, np.array([[12.0, 24.0]]))
+    assert np.array_equal(y.grad, np.array([[24.0, 48.0]]))
+    assert np.array_equal(x.grad, np.array([[72.0, 144.0]]))
+    assert unreached.grad is None
+
+
 def test_grad_check_linear():
     err = grad_check(lambda p: nm.sum_all(p), Matrix(np.ones((3, 4))), h=1e-5)
     assert err <= 1e-10

@@ -10,6 +10,7 @@ from crossalign.numerics import Matrix, grad_check, rng_from_seed
 from crossalign.objective import (
     DiversityScores,
     SimilarityMatrix,
+    _plusplus_init,
     cosine_matrix,
     dcl_i_loss,
     dcl_loss,
@@ -120,6 +121,37 @@ def test_diversity_monotone_in_spread_at_equal_mean():
     )
     pre = diversity_std(sim).pre_norm
     assert pre[0] <= pre[1] <= pre[2]
+
+
+def _loop_spreads(sim):
+    """Per-row reference: (std spread, entropy spread) of each anchor's negatives."""
+    std, ent = [], []
+    for n, row in enumerate(sim.scores.value):
+        negs = row if sim.positive_index is None else np.delete(row, sim.positive_index[n])
+        std.append(np.sqrt(max(float(np.mean(negs ** 2) - np.mean(negs) ** 2), 0.0)))
+        z = negs - negs.max()
+        p = np.exp(z) / np.exp(z).sum()
+        ent.append(float(-(p * np.log2(np.where(p > 0, p, 1.0))).sum()))
+    return np.array(std), np.array(ent)
+
+
+@pytest.mark.parametrize("shape, positive", [
+    ((6, 6), "auto"),                   # square, diagonal positives
+    ((4, 9), np.array([8, 0, 3, 3])),   # non-square with positives
+    ((5, 7), None),                     # every candidate is a negative
+    ((3, 2), np.array([1, 0, 1])),      # a single negative per anchor
+    ((32, 128), None),                  # memory-bank sized
+])
+@pytest.mark.parametrize("seed", range(3))
+def test_diversity_matches_per_row_loop(shape, positive, seed):
+    sim = _sim(rng_from_seed(seed, 46).uniform(-1.0, 1.0, size=shape), positive)
+    std, ent = _loop_spreads(sim)
+    for got, spread in ((diversity_std(sim, eps=0.1), std), (diversity_entropy(sim, eps=0.1), ent)):
+        assert got.spread.shape == (shape[0],)
+        np.testing.assert_allclose(got.spread, spread, rtol=1e-12, atol=0.0)
+        pre = np.where(spread > 0, 1.0 + np.exp(-0.1 / np.where(spread > 0, spread, 1.0)), 1.0)
+        np.testing.assert_allclose(got.pre_norm, pre, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got.values, pre / pre.max(), rtol=1e-12, atol=0.0)
 
 
 def test_diversity_entropy_uniform_negatives():
@@ -399,6 +431,57 @@ def test_kmeans_inertia_non_increasing_and_assignment_optimal(seed):
     assert all(path[i + 1] <= path[i] + 1e-9 for i in range(len(path) - 1))
     dists = ((pts[:, None, :] - state.centroids[None, :, :]) ** 2).sum(axis=2)
     assert np.array_equal(state.labels, dists.argmin(axis=1))
+
+
+def _direct_kmeans(pts, k, seed, n_init=10, max_iters=100):
+    """Reference k-means: the same seeded starts, assignment over the full [m, k, d] array."""
+    best = None
+    for restart in range(n_init):
+        centroids = _plusplus_init(pts, k, rng_from_seed(seed, 77, restart))
+        labels = np.full(pts.shape[0], -1)
+        path = []
+        for _ in range(max_iters):
+            dists = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+            new_labels = dists.argmin(axis=1)
+            point_cost = dists[np.arange(pts.shape[0]), new_labels]
+            path.append(float(point_cost.sum()))
+            if np.array_equal(new_labels, labels):
+                break
+            labels = new_labels
+            for j in range(k):
+                members = pts[labels == j]
+                if members.shape[0] > 0:
+                    centroids[j] = members.mean(axis=0)
+                else:
+                    far = int(point_cost.argmax())
+                    centroids[j] = pts[far]
+                    point_cost[far] = 0.0
+        if best is None or path[-1] < best[2][-1]:
+            best = (labels, centroids, path)
+    return best
+
+
+def _kmeans_data(kind, seed):
+    rng = rng_from_seed(seed, 47)
+    if kind == "gaussian":
+        return rng.standard_normal((60, 5)) + 3.0 * rng.integers(0, 4, size=(60, 1))
+    if kind == "offset":  # the expansion |x|^2 - 2x.c + |c|^2 loses the 0.01 scale here
+        return 1e5 + 0.01 * rng.standard_normal((40, 3))
+    # small-integer grid: many points sit exactly halfway between centroids
+    return rng.integers(-2, 3, size=(50, 2)).astype(np.float64)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "offset", "grid"])
+@pytest.mark.parametrize("k", [2, 5, 9])
+@pytest.mark.parametrize("seed", range(3))
+def test_kmeans_matches_direct_distances(kind, k, seed):
+    pts = _kmeans_data(kind, seed)
+    labels, centroids, path = _direct_kmeans(pts, k, seed)
+    state = kmeans_cluster(pts, k, seed=seed)
+    assert np.array_equal(state.labels, labels)
+    assert np.array_equal(state.centroids, centroids)
+    assert state.inertia_path == path
+    assert state.inertia == path[-1]
 
 
 def test_kmeans_matches_exhaustive_two_partition_search():

@@ -31,6 +31,18 @@ def test_positional_encoding_bounded(index, half_dim):
     assert np.all(out >= -1.0) and np.all(out <= 1.0)
 
 
+@pytest.mark.parametrize("d_p", [2, 8, 32])
+@pytest.mark.parametrize("length", [1, 5, 64])
+def test_positional_table_equals_stacked_rows(d_p, length):
+    rows = np.stack([positional_encoding(i, d_p) for i in range(length)])
+    u = 1.0 / (10000.0 ** (2.0 * np.arange(d_p // 2) / d_p))
+    formula = np.stack([np.stack([np.sin(u * i), np.cos(u * i)], axis=1).ravel() for i in range(length)])
+    table = positional_encoding_table(length, d_p)
+    assert table.shape == (length, d_p)
+    assert np.array_equal(table, rows)
+    assert np.array_equal(table, formula)
+
+
 def test_positional_encoding_rejects_odd_dim():
     with pytest.raises(ValueError, match="even"):
         positional_encoding(3, 5)
