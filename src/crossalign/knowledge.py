@@ -8,7 +8,6 @@ represents itself as the softmax-weighted combination of concept rows.
 """
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -21,8 +20,6 @@ from .numerics import Matrix
 DEFAULT_STOPLIST = frozenset(
     "a an and are as at by for in is it of on or the to with".split()
 )
-
-CONCEPT_FILE_VERSION = 1
 
 
 @dataclass
@@ -176,52 +173,3 @@ def concept_query(head: ConceptQueryHead, query: Matrix, basis: Matrix,
     attention = nm.softmax_rows(scores)
     combined = nm.l2_normalize_rows(attention @ basis)
     return combined, attention
-
-
-# ---------------------------------------------------------------------------
-# concept-basis file
-# ---------------------------------------------------------------------------
-
-def save_concept_basis(path, vocab: ConceptVocabulary, stats: CooccurrenceStats,
-                       adjacency: np.ndarray, eps_t: float, scc: np.ndarray | None = None) -> None:
-    """Write the concept vocabulary, graph statistics, and optional basis as JSON."""
-    blob = {
-        "version": CONCEPT_FILE_VERSION,
-        "concepts": vocab.concepts,
-        "x_seed": vocab.seed,
-        "embed_dim": int(vocab.init_embeddings.shape[1]),
-        "eps_t": eps_t,
-        "appearances": stats.appearances.tolist(),
-        "cooccurrence": stats.counts.tolist(),
-        "conditional": stats.conditional.tolist(),
-        "adjacency": adjacency.tolist(),
-        "scc": None if scc is None else np.asarray(scc).tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(blob, fh)
-
-
-def load_concept_basis(path) -> dict:
-    """Read a concept-basis file back into arrays; regenerates the seeded embeddings."""
-    with open(path) as fh:
-        blob = json.load(fh)
-    if blob.get("version") != CONCEPT_FILE_VERSION:
-        raise ValueError(f"unsupported concept file version {blob.get('version')!r}")
-    concepts = list(blob["concepts"])
-    vocab = ConceptVocabulary(
-        concepts,
-        concept_embeddings(len(concepts), int(blob["embed_dim"]), int(blob["x_seed"])),
-        int(blob["x_seed"]),
-    )
-    stats = CooccurrenceStats(
-        np.asarray(blob["cooccurrence"], dtype=np.int64),
-        np.asarray(blob["appearances"], dtype=np.int64),
-        np.asarray(blob["conditional"], dtype=np.float64),
-    )
-    return {
-        "vocab": vocab,
-        "stats": stats,
-        "adjacency": np.asarray(blob["adjacency"], dtype=np.int64),
-        "eps_t": float(blob["eps_t"]),
-        "scc": None if blob["scc"] is None else np.asarray(blob["scc"], dtype=np.float64),
-    }

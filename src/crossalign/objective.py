@@ -266,9 +266,18 @@ class PrototypeState:
 
 
 def _plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Greedy k-means++: sample a few candidates per step, keep the best one."""
+    """Greedy k-means++: sample a few candidates per step, keep the best one.
+
+    All candidates of a step are scored in one [candidates, points] pass,
+    and the first with the lowest total cost wins. A point's distance to a
+    candidate is measured exactly, as ((x - c)^2).sum(), only where the
+    screen of ``_expansion`` leaves it possibly below the point's current
+    distance; elsewhere the current distance stands, as it would in the
+    element-wise minimum, so the costs are those of exact measurement.
+    """
     m = points.shape[0]
     n_candidates = 2 + int(np.log2(k)) if k > 1 else 1
+    pt_sq = (points ** 2).sum(axis=1)
     centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[int(rng.integers(m))]
     dist_sq = ((points - centroids[0]) ** 2).sum(axis=1)
@@ -278,32 +287,40 @@ def _plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
             candidates = rng.choice(m, size=n_candidates, p=dist_sq / total)
         else:
             candidates = rng.integers(m, size=n_candidates)
-        best_idx, best_cost, best_dist = -1, np.inf, dist_sq
-        for idx in candidates:
-            trial = np.minimum(dist_sq, ((points - points[int(idx)]) ** 2).sum(axis=1))
-            cost = trial.sum()
-            if cost < best_cost:
-                best_idx, best_cost, best_dist = int(idx), cost, trial
-        centroids[i] = points[best_idx]
-        dist_sq = best_dist
+        approx, slack = _expansion(points, pt_sq, points[candidates])
+        rows, cols = np.nonzero(approx <= (dist_sq + slack)[:, None])
+        exact = ((points[rows] - points[candidates[cols]]) ** 2).sum(axis=1)
+        trials = np.tile(dist_sq, (n_candidates, 1))
+        trials[cols, rows] = np.minimum(dist_sq[rows], exact)
+        best = int(trials.sum(axis=1).argmin())
+        centroids[i] = points[candidates[best]]
+        dist_sq = trials[best]
     return centroids
 
 
-def _assign(pts: np.ndarray, pt_sq: np.ndarray, centroids: np.ndarray):
-    """Nearest centroid per point (lowest index on ties) and its squared distance.
+def _expansion(pts: np.ndarray, pt_sq: np.ndarray, centroids: np.ndarray):
+    """|x|^2 - 2 x.c + |c|^2 for every point-centroid pair, and its rounding bound.
 
-    The expansion |x|^2 - 2 x.c + |c|^2 costs one matmul but can round
-    far from the direct sum of squares, so it only screens. Per point,
-    ``slack`` bounds the gap between the two forms for every centroid,
-    so no centroid more than twice that above the row's smallest
-    expansion can be nearest. The survivors are measured again as
-    ((x - c)^2).sum(), which alone decides the label and the cost,
-    exactly as a direct search over all point-centroid pairs.
+    The expansion costs one matmul but can round far from the direct sum
+    of squares, so it only screens: per point, ``slack`` bounds the gap
+    between the two forms for every centroid.
     """
     c_sq = (centroids ** 2).sum(axis=1)
     approx = pt_sq[:, None] - 2.0 * (pts @ centroids.T) + c_sq
     slack = 4.0 * (pts.shape[1] + 3) * np.finfo(np.float64).eps \
         * (np.sqrt(pt_sq) + np.sqrt(c_sq.max())) ** 2
+    return approx, slack
+
+
+def _assign(pts: np.ndarray, pt_sq: np.ndarray, centroids: np.ndarray):
+    """Nearest centroid per point (lowest index on ties) and its squared distance.
+
+    No centroid whose expansion lies more than twice ``slack`` above the
+    row's smallest can be nearest. The survivors are measured again as
+    ((x - c)^2).sum(), which alone decides the label and the cost,
+    exactly as a direct search over all point-centroid pairs.
+    """
+    approx, slack = _expansion(pts, pt_sq, centroids)
     rows, cols = np.nonzero(approx <= approx.min(axis=1, keepdims=True) + 2.0 * slack[:, None])
     dists = np.full(approx.shape, np.inf)
     dists[rows, cols] = ((pts[rows] - centroids[cols]) ** 2).sum(axis=1)

@@ -1,20 +1,35 @@
 """Dataset synthesis and IO, the two-branch trainer, and retrieval evaluation.
 
 Records are caption-granular: each carries its caption's token list and
-feature sequence plus a copy of its image's feature sequence, so an image
-with r captions appears in r records. Training runs both branches per
-batch (instance embeddings with in-batch and memory-bank contrastive
-losses; concept embeddings with their own contrastive loss and a
-pseudo-label classification loss), updates all parameters with Adam,
-moves the momentum mirror, and feeds the momentum embeddings into the
-queues. Evaluation ranks with the beta-blend of instance-level and
-concept-level cosine similarity.
+feature sequence plus its image's feature sequence, so an image with r
+captions appears in r records. Those records may share one image array
+(``generate_synthetic`` and ``load_dataset`` both do so), and feature
+arrays are read-only by convention.
+
+A dataset file is JSONL, one record per line::
+
+    {"pair_id": str, "image_id": str,
+     "image_features": blob, "caption_tokens": [str, ...],
+     "caption_features": blob}
+
+where a blob is ``{"shape": [L, d], "data": <base64 of little-endian
+float64>}``, the same array form the checkpoints use. ``pair_id`` is
+unique, every sequence has 1 to ``max_seq_len`` finite rows, and all
+image sequences share one width d_img, all caption sequences one d_txt.
+
+Training runs both branches per batch (instance embeddings with in-batch
+and memory-bank contrastive losses; concept embeddings with their own
+contrastive loss and a pseudo-label classification loss), updates all
+parameters with Adam, moves the momentum mirror, and feeds the momentum
+embeddings into the queues. Evaluation ranks with the beta-blend of
+instance-level and concept-level cosine similarity.
 """
 from __future__ import annotations
 
 import base64
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -274,46 +289,115 @@ def generate_synthetic(n_images: int, captions_per_image: int = 1, latent_classe
 
 
 # ---------------------------------------------------------------------------
-# dataset files (JSONL, one record per caption)
+# array blobs and dataset files (JSONL, one record per caption)
 # ---------------------------------------------------------------------------
 
+BLOB_FORM = '{"shape": [...], "data": <base64 of little-endian float64>}'
+
+
+def _encode(arr: np.ndarray) -> dict:
+    arr = np.ascontiguousarray(arr, dtype="<f8")
+    return {"shape": list(arr.shape), "data": base64.b64encode(arr.tobytes()).decode("ascii")}
+
+
+def _decode(blob, where: str, shared: dict | None = None) -> np.ndarray:
+    """The finite float64 array an ``_encode`` blob holds; ``where`` names it in errors.
+
+    With ``shared``, a blob whose shape and data equal an earlier one's
+    returns that earlier array instead of a new copy.
+    """
+    if not isinstance(blob, dict):
+        raise ValueError(f"{where} must be {BLOB_FORM}, got a {type(blob).__name__}")
+    if blob.keys() != {"shape", "data"}:
+        raise ValueError(f"{where} must be {BLOB_FORM}, got keys {sorted(blob)}")
+    shape, data = blob["shape"], blob["data"]
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise ValueError(f"{where}: shape must be a list of non-negative ints, got {shape!r}")
+    if not isinstance(data, str):
+        raise ValueError(f"{where}: data must be a base64 string, got {type(data).__name__}")
+    key = (data, *shape)
+    if shared is not None and key in shared:
+        return shared[key]
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as e:
+        raise ValueError(f"{where}: data is not strict base64 ({e})") from None
+    nbytes = 8 * math.prod(shape)
+    if len(raw) != nbytes:
+        raise ValueError(f"{where}: data holds {len(raw)} bytes but shape {shape} needs {nbytes}")
+    arr = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{where} contains non-finite values")
+    if shared is not None:
+        shared[key] = arr
+    return arr
+
+
 def save_dataset(data: PairedDataset, path) -> None:
+    """Write one JSON object per record and line.
+
+    Its keys are ``pair_id``, ``image_id``, ``caption_tokens`` and the two
+    feature sequences ``image_features`` and ``caption_features``, each as
+    an ``_encode`` blob ``{"shape": [L, d], "data": <base64 of
+    little-endian float64>}``; the module docstring states the rules.
+    """
     with open(path, "w") as fh:
         for r in data.records:
             fh.write(json.dumps({
                 "pair_id": r.pair_id,
                 "image_id": r.image_id,
-                "image_features": r.image_features.tolist(),
+                "image_features": _encode(r.image_features),
                 "caption_tokens": r.caption_tokens,
-                "caption_features": r.caption_features.tolist(),
+                "caption_features": _encode(r.caption_features),
             }) + "\n")
 
 
-def _validate_record(raw: dict, line_no: int, max_seq_len: int) -> PairedRecord:
-    pair_id = raw.get("pair_id")
+def _validate_record(raw: dict, line_no: int, max_seq_len: int, widths: dict[str, int],
+                     images: dict) -> PairedRecord:
+    """One record from its parsed JSON line.
+
+    ``widths`` holds the feature widths of the first record and is filled
+    by it; ``images`` maps image blobs already decoded to their arrays.
+    """
+    pair_id = raw.get("pair_id") if isinstance(raw, dict) else None
     if not isinstance(pair_id, str) or not pair_id:
         raise ValueError(f"line {line_no}: record has no pair_id")
     for key in ("image_id", "image_features", "caption_tokens", "caption_features"):
         if key not in raw:
             raise ValueError(f"record {pair_id!r}: missing field {key!r}")
-    image = np.asarray(raw["image_features"], dtype=np.float64)
-    caption = np.asarray(raw["caption_features"], dtype=np.float64)
-    for name, arr in (("image_features", image), ("caption_features", caption)):
+    arrays = {}
+    for name, shared in (("image_features", images), ("caption_features", None)):
+        where = f"record {pair_id!r}: {name}"
+        arr = _decode(raw[name], where, shared)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"record {pair_id!r}: {name} must be a nonempty 2-D array")
+            raise ValueError(f"{where} must be a nonempty 2-D array, got shape {list(arr.shape)}")
         if arr.shape[0] > max_seq_len:
-            raise ValueError(f"record {pair_id!r}: {name} longer than max_seq_len={max_seq_len}")
-        if not np.isfinite(arr).all():
-            raise ValueError(f"record {pair_id!r}: {name} contains non-finite values")
+            raise ValueError(f"{where} longer than max_seq_len={max_seq_len}")
+        width = widths.setdefault(name, arr.shape[1])
+        if arr.shape[1] != width:
+            raise ValueError(f"{where} has width {arr.shape[1]} but the first record's has {width}")
+        arrays[name] = arr
     tokens = raw["caption_tokens"]
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise ValueError(f"record {pair_id!r}: caption_tokens must be a list of strings")
-    return PairedRecord(pair_id, str(raw["image_id"]), image, tokens, caption)
+    return PairedRecord(pair_id, str(raw["image_id"]), arrays["image_features"], tokens,
+                        arrays["caption_features"])
 
 
 def load_dataset(path, split: str | None = None, max_seq_len: int = 64) -> PairedDataset:
-    """Read and validate a JSONL dataset; errors carry line or record ids."""
+    """Read and validate a JSONL dataset written by ``save_dataset``.
+
+    Each line holds one record whose feature fields are ``{"shape": [L,
+    d], "data": <base64 of little-endian float64>}`` blobs; nested lists
+    are rejected. Errors name the line, or the record and the field.
+    Records whose image blobs are identical share one image array, which
+    is read-only by convention.
+    """
     records: list[PairedRecord] = []
+    seen: set[str] = set()
+    counts: dict[str, int] = {}
+    widths: dict[str, int] = {}
+    images: dict = {}
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -322,17 +406,14 @@ def load_dataset(path, split: str | None = None, max_seq_len: int = 64) -> Paire
                 raw = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ValueError(f"parse error at line {line_no}: {e.msg}") from e
-            records.append(_validate_record(raw, line_no, max_seq_len))
+            r = _validate_record(raw, line_no, max_seq_len, widths, images)
+            if r.pair_id in seen:
+                raise ValueError(f"record {r.pair_id!r}: duplicate pair_id")
+            seen.add(r.pair_id)
+            counts[r.image_id] = counts.get(r.image_id, 0) + 1
+            records.append(r)
     if not records:
         raise ValueError(f"dataset {path} has no records")
-    seen = set()
-    for r in records:
-        if r.pair_id in seen:
-            raise ValueError(f"record {r.pair_id!r}: duplicate pair_id")
-        seen.add(r.pair_id)
-    counts: dict[str, int] = {}
-    for r in records:
-        counts[r.image_id] = counts.get(r.image_id, 0) + 1
     if split is None:
         stem = str(path).rsplit("/", 1)[-1]
         split = stem.split(".")[0]
@@ -769,16 +850,6 @@ def evaluate(state: TrainState, data: PairedDataset, beta: float | None = None) 
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def _encode(arr: np.ndarray) -> dict:
-    arr = np.ascontiguousarray(arr, dtype="<f8")
-    return {"shape": list(arr.shape), "data": base64.b64encode(arr.tobytes()).decode("ascii")}
-
-
-def _decode(blob: dict) -> np.ndarray:
-    arr = np.frombuffer(base64.b64decode(blob["data"]), dtype="<f8")
-    return arr.reshape(blob["shape"]).copy()
-
-
 def save_checkpoint(path, state: TrainState, which: str = "best") -> None:
     """Serialize parameters, momentum mirror, config, and concept assets.
 
@@ -828,10 +899,10 @@ def load_checkpoint(path) -> TrainState:
     model = AlignmentModel(cfg, int(blob["dims"]["d_img"]), int(blob["dims"]["d_txt"]),
                            vocab, np.asarray(concepts["adjacency"], dtype=np.int64))
     for name, enc in blob["params"].items():
-        model.set_param(name, Matrix(_decode(enc)))
+        model.set_param(name, Matrix(_decode(enc, f"checkpoint params {name!r}")))
     model.encoder_pair = EncoderPair({"vis": model.vis_agg.p, "txt": model.txt_agg.p})
     for name, enc in blob["momentum"].items():
-        model.encoder_pair.momentum[name] = _decode(enc)
+        model.encoder_pair.momentum[name] = _decode(enc, f"checkpoint momentum {name!r}")
     adam = {name: AdamState(m.rows, m.cols, cfg.lr) for name, m in model.param_items()}
     state = TrainState(cfg, model, adam,
                        MemoryBank(cfg.bank_capacity, cfg.embed_dim),

@@ -11,9 +11,7 @@ from crossalign.knowledge import (
     build_vocabulary,
     concept_query,
     gcn_forward,
-    load_concept_basis,
     normalized_adjacency,
-    save_concept_basis,
 )
 from crossalign.numerics import Matrix, grad_check, rng_from_seed
 
@@ -260,25 +258,3 @@ def test_grad_check_through_query_and_convolution(target):
     start = w_sc if target == "w_sc" else head.p[target]
     assert grad_check(loss_fn, start, h=1e-5) <= 1e-4
 
-
-def test_concept_basis_file_round_trip(tmp_path):
-    vocab = build_vocabulary(TOY_CORPUS, 2, stoplist=set(), embed_dim=8, seed=3)
-    stats = build_cooccurrence(TOY_CORPUS, vocab)
-    edges = binarize(stats.conditional, 0.3)
-    path = tmp_path / "concepts.json"
-    save_concept_basis(path, vocab, stats, edges, eps_t=0.3, scc=np.ones((2, 8)))
-    loaded = load_concept_basis(path)
-    assert loaded["vocab"].concepts == vocab.concepts
-    assert np.array_equal(loaded["vocab"].init_embeddings, vocab.init_embeddings)
-    assert np.array_equal(loaded["stats"].counts, stats.counts)
-    assert np.array_equal(loaded["stats"].appearances, stats.appearances)
-    assert np.array_equal(loaded["adjacency"], edges)
-    assert loaded["eps_t"] == 0.3
-    assert np.array_equal(loaded["scc"], np.ones((2, 8)))
-
-
-def test_concept_basis_rejects_unknown_version(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"version": 99}')
-    with pytest.raises(ValueError, match="version"):
-        load_concept_basis(path)

@@ -433,11 +433,35 @@ def test_kmeans_inertia_non_increasing_and_assignment_optimal(seed):
     assert np.array_equal(state.labels, dists.argmin(axis=1))
 
 
+def _loop_plusplus_init(points, k, rng):
+    """Reference greedy k-means++: candidates scored one at a time, first lowest cost kept."""
+    m = points.shape[0]
+    n_candidates = 2 + int(np.log2(k)) if k > 1 else 1
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[int(rng.integers(m))]
+    dist_sq = ((points - centroids[0]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        total = dist_sq.sum()
+        if total > 0.0:
+            candidates = rng.choice(m, size=n_candidates, p=dist_sq / total)
+        else:
+            candidates = rng.integers(m, size=n_candidates)
+        best_idx, best_cost, best_dist = -1, np.inf, dist_sq
+        for idx in candidates:
+            trial = np.minimum(dist_sq, ((points - points[int(idx)]) ** 2).sum(axis=1))
+            cost = trial.sum()
+            if cost < best_cost:
+                best_idx, best_cost, best_dist = int(idx), cost, trial
+        centroids[i] = points[best_idx]
+        dist_sq = best_dist
+    return centroids
+
+
 def _direct_kmeans(pts, k, seed, n_init=10, max_iters=100):
-    """Reference k-means: the same seeded starts, assignment over the full [m, k, d] array."""
+    """Reference k-means: the loop seeding, assignment over the full [m, k, d] array."""
     best = None
     for restart in range(n_init):
-        centroids = _plusplus_init(pts, k, rng_from_seed(seed, 77, restart))
+        centroids = _loop_plusplus_init(pts, k, rng_from_seed(seed, 77, restart))
         labels = np.full(pts.shape[0], -1)
         path = []
         for _ in range(max_iters):
@@ -467,15 +491,20 @@ def _kmeans_data(kind, seed):
         return rng.standard_normal((60, 5)) + 3.0 * rng.integers(0, 4, size=(60, 1))
     if kind == "offset":  # the expansion |x|^2 - 2x.c + |c|^2 loses the 0.01 scale here
         return 1e5 + 0.01 * rng.standard_normal((40, 3))
+    if kind == "far_offset":  # its rounding here is a hundred times the distances
+        return 1e7 + 0.01 * rng.standard_normal((40, 3))
     # small-integer grid: many points sit exactly halfway between centroids
     return rng.integers(-2, 3, size=(50, 2)).astype(np.float64)
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "offset", "grid"])
+@pytest.mark.parametrize("kind", ["gaussian", "offset", "far_offset", "grid"])
 @pytest.mark.parametrize("k", [2, 5, 9])
 @pytest.mark.parametrize("seed", range(3))
 def test_kmeans_matches_direct_distances(kind, k, seed):
     pts = _kmeans_data(kind, seed)
+    for restart in range(3):
+        assert np.array_equal(_plusplus_init(pts, k, rng_from_seed(seed, 77, restart)),
+                              _loop_plusplus_init(pts, k, rng_from_seed(seed, 77, restart)))
     labels, centroids, path = _direct_kmeans(pts, k, seed)
     state = kmeans_cluster(pts, k, seed=seed)
     assert np.array_equal(state.labels, labels)

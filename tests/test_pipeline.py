@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -146,3 +149,148 @@ def test_embed_for_retrieval_reuses_image_chunks_exactly():
     assert np.array_equal(caption_image, want_caption_image)
     assert np.array_equal(v, want_v)
     assert np.array_equal(vc, want_vc)
+
+
+# ---------------------------------------------------------------------------
+# dataset files and checkpoints
+# ---------------------------------------------------------------------------
+
+def _bits(arr) -> bytes:
+    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
+
+
+def test_dataset_round_trip_is_bit_exact(tmp_path):
+    data = pl.generate_synthetic(6, 3, 4, seed=2, split="train")
+    extremes = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, -5e-324]
+    data.records[0].image_features[0, :5] = extremes  # shared by the image's three records
+    data.records[4].caption_features[-1, :5] = extremes
+    path = tmp_path / "train.jsonl"
+    pl.save_dataset(data, path)
+    loaded = pl.load_dataset(path)
+    assert (loaded.split, loaded.captions_per_image, len(loaded)) == ("train", 3, 18)
+    for got, want in zip(loaded.records, data.records):
+        assert (got.pair_id, got.image_id, got.caption_tokens) == \
+            (want.pair_id, want.image_id, want.caption_tokens)
+        for name in ("image_features", "caption_features"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == np.float64 and a.shape == b.shape and _bits(a) == _bits(b)
+    assert np.signbit(loaded.records[1].image_features[0, 0])
+
+
+def test_records_of_one_image_share_its_array(tmp_path):
+    path = tmp_path / "val.jsonl"
+    pl.save_dataset(pl.generate_synthetic(5, 4, 4, seed=3, split="val"), path)
+    loaded = pl.load_dataset(path)
+    by_image: dict[str, set[int]] = {}
+    for r in loaded.records:
+        by_image.setdefault(r.image_id, set()).add(id(r.image_features))
+    assert len(by_image) == 5 and all(len(ids) == 1 for ids in by_image.values())
+    assert len({id(r.caption_features) for r in loaded.records}) == 20
+
+
+def _raw(pair_id="p", image=None, caption=None, tokens=("red", "car")) -> dict:
+    image = np.ones((2, 3)) if image is None else image
+    caption = np.ones((1, 4)) if caption is None else caption
+    return {"pair_id": pair_id, "image_id": "img", "image_features": pl._encode(image),
+            "caption_tokens": list(tokens), "caption_features": pl._encode(caption)}
+
+
+def _write(path, *lines):
+    path.write_text("".join((line if isinstance(line, str) else json.dumps(line)) + "\n"
+                            for line in lines))
+    return path
+
+
+def _with(field, value, **kwargs):
+    raw = _raw(**kwargs)
+    raw[field] = value
+    return raw
+
+
+def _without(field):
+    raw = _raw()
+    del raw[field]
+    return raw
+
+
+BAD_DATASETS = {
+    # name: (lines of the file, expected message)
+    "parse_error": ([_raw("a"), '{"pair_id": "b",'], r"parse error at line 2: "),
+    "no_pair_id": ([_raw("a"), _without("pair_id")], r"line 2: record has no pair_id"),
+    "not_an_object": (["[1, 2]"], r"line 1: record has no pair_id"),
+    "missing_field": ([_without("caption_tokens")], r"record 'p': missing field 'caption_tokens'"),
+    "nested_list": ([_with("image_features", [[1.0, 2.0, 3.0]])],
+                    r"record 'p': image_features must be \{\"shape\": \[\.\.\.\], \"data\": "
+                    r"<base64 of little-endian float64>\}, got a list"),
+    "extra_blob_key": ([_with("caption_features", {"shape": [1, 1], "data": "", "dtype": "f8"})],
+                       r"record 'p': caption_features must be .*got keys \['data', 'dtype', 'shape'\]"),
+    "float_shape": ([_with("image_features", {"shape": [1.0, 1], "data": "AAAAAAAA8D8="})],
+                    r"record 'p': image_features: shape must be a list of non-negative ints"),
+    "bad_base64": ([_with("image_features", {"shape": [1, 1], "data": "AAAA AAA8D8="})],
+                   r"record 'p': image_features: data is not strict base64"),
+    "byte_count": ([_with("caption_features", {"shape": [2, 3], "data": "AAAAAAAA8D8="})],
+                   r"record 'p': caption_features: data holds 8 bytes but shape \[2, 3\] needs 48"),
+    "one_d": ([_raw(image=np.ones(3))], r"record 'p': image_features must be a nonempty 2-D array"),
+    "empty": ([_raw(caption=np.ones((0, 4)))],
+              r"record 'p': caption_features must be a nonempty 2-D array, got shape \[0, 4\]"),
+    "too_long": ([_raw(image=np.ones((65, 3)))], r"record 'p': image_features longer than max_seq_len=64"),
+    "non_finite": ([_raw(caption=np.array([[1.0, np.nan, 0.0, 0.0]]))],
+                   r"record 'p': caption_features contains non-finite values"),
+    "non_string_token": ([_raw(tokens=("red", 3))],
+                         r"record 'p': caption_tokens must be a list of strings"),
+    "duplicate": ([_raw("a"), _raw("b"), _raw("a")], r"record 'a': duplicate pair_id"),
+    "no_records": (["", "  "], r"has no records"),
+    "image_width": ([_raw("a"), _raw("b", image=np.ones((2, 5)))],
+                    r"record 'b': image_features has width 5 but the first record's has 3"),
+    "caption_width": ([_raw("a"), _raw("b", caption=np.ones((3, 2)))],
+                      r"record 'b': caption_features has width 2 but the first record's has 4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DATASETS))
+def test_load_dataset_rejects_bad_records(case, tmp_path):
+    lines, match = BAD_DATASETS[case]
+    path = _write(tmp_path / "bad.jsonl", *lines)
+    with pytest.raises(ValueError, match=match):
+        pl.load_dataset(path)
+
+
+def test_load_dataset_counts_captions_and_names_the_split(tmp_path):
+    path = _write(tmp_path / "dev.v2.jsonl", _raw("a"), "", _raw("b"),
+                  dict(_raw("c"), image_id="other"))
+    loaded = pl.load_dataset(path)
+    assert (loaded.split, loaded.captions_per_image, len(loaded)) == ("dev", 2, 3)
+    assert pl.load_dataset(path, split="val", max_seq_len=2).split == "val"
+
+
+def _tiny_state():
+    return pl.build_state(pl.TrainConfig(seed=0, epochs=1), pl.generate_synthetic(8, 2, 4, seed=1))
+
+
+def test_checkpoint_round_trip_is_bit_exact(tmp_path):
+    state = _tiny_state()
+    path = tmp_path / "ckpt.json"
+    pl.save_checkpoint(path, state, which="final")
+    loaded = pl.load_checkpoint(path)
+    want = dict(state.model.param_items())
+    got = dict(loaded.model.param_items())
+    assert got.keys() == want.keys()
+    assert all(_bits(got[k].value) == _bits(want[k].value) for k in want)
+    momentum = state.model.encoder_pair.momentum
+    assert all(_bits(loaded.model.encoder_pair.momentum[k]) == _bits(momentum[k]) for k in momentum)
+
+
+@pytest.mark.parametrize("section, corrupt, match", [
+    ("params", lambda blob: dict(blob, data=blob["data"][:-12]), r"needs \d+"),
+    ("momentum", lambda blob: dict(blob, data=blob["data"][:-1]), "not strict base64"),
+    ("params", lambda blob: blob["shape"], "must be"),
+], ids=["truncated", "bad_padding", "not_a_blob"])
+def test_load_checkpoint_names_a_corrupt_blob(section, corrupt, match, tmp_path):
+    path = tmp_path / "ckpt.json"
+    pl.save_checkpoint(path, _tiny_state(), which="final")
+    blob = json.loads(path.read_text())
+    name = sorted(blob[section])[0]
+    blob[section][name] = corrupt(blob[section][name])
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ValueError, match=rf"checkpoint {section} '{re.escape(name)}'.*{match}"):
+        pl.load_checkpoint(path)
