@@ -340,28 +340,6 @@ def backward(result: Matrix) -> None:
             parent.grad = g if parent.grad is None else parent.grad + g
 
 
-class GradTape:
-    """Named-parameter view over one forward/backward cycle.
-
-    Register parameter leaves, build a scalar loss from them, then call
-    :meth:`gradients` exactly once per forward pass.
-    """
-
-    def __init__(self, params: dict[str, Matrix] | None = None):
-        self._params: dict[str, Matrix] = dict(params) if params else {}
-
-    def watch(self, name: str, param: Matrix) -> Matrix:
-        self._params[name] = param
-        return param
-
-    def gradients(self, loss: Matrix) -> dict[str, np.ndarray]:
-        backward(loss)
-        out = {}
-        for name, p in self._params.items():
-            out[name] = p.grad if p.grad is not None else np.zeros_like(p.value)
-        return out
-
-
 # ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------

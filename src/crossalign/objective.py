@@ -25,37 +25,42 @@ from .representation import MemoryBank
 
 @dataclass
 class SimilarityMatrix:
-    """Similarity scores [N x Q] plus each anchor's positive column (or None).
+    """Similarity scores [N x Q]; with ``diagonal``, anchor n's positive is candidate n.
 
-    ``positive_index[n]`` names anchor n's matching candidate; ``None``
-    means every candidate is a negative (memory-bank case).
+    Without ``diagonal`` every candidate is a negative (memory-bank case).
+    In-batch positives are always the diagonal of a square matrix.
     """
 
     scores: Matrix
-    positive_index: np.ndarray | None
+    diagonal: bool
+
+    def __post_init__(self):
+        if self.diagonal and self.scores.rows != self.scores.cols:
+            raise ValueError(f"diagonal positives need a square matrix, got "
+                             f"{self.scores.rows}x{self.scores.cols}")
 
     def transposed(self) -> "SimilarityMatrix":
-        if self.positive_index is None or self.scores.rows != self.scores.cols:
-            raise ValueError("transposed() needs a square matrix with diagonal positives")
-        if not np.array_equal(self.positive_index, np.arange(self.scores.rows)):
-            raise ValueError("transposed() needs diagonal positives")
-        return SimilarityMatrix(nm.transpose(self.scores), self.positive_index.copy())
+        _require_diagonal(self)
+        return SimilarityMatrix(nm.transpose(self.scores), True)
 
 
-def cosine_matrix(a: Matrix, b: Matrix, positive_index="auto") -> SimilarityMatrix:
+def _require_diagonal(sim: SimilarityMatrix) -> int:
+    """The batch size of an in-batch similarity matrix; rejects any other."""
+    if not sim.diagonal:
+        raise ValueError("need a square similarity matrix with diagonal positives")
+    return sim.scores.rows
+
+
+def cosine_matrix(a: Matrix, b: Matrix) -> SimilarityMatrix:
     """All-pairs cosine similarities; equals the dot product for unit rows.
 
-    With ``positive_index="auto"`` a square result is assumed to pair
-    anchor n with candidate n.
+    Equal row counts pair anchor n with candidate n (in-batch positives);
+    otherwise every candidate is a negative.
     """
     if a.cols != b.cols:
         raise ValueError(f"embedding dims differ: {a.cols} vs {b.cols}")
     scores = nm.l2_normalize_rows(a) @ nm.l2_normalize_rows(b).T
-    if isinstance(positive_index, str) and positive_index == "auto":
-        positive_index = np.arange(a.rows) if a.rows == b.rows else None
-    elif positive_index is not None:
-        positive_index = np.asarray(positive_index, dtype=np.int64)
-    return SimilarityMatrix(scores, positive_index)
+    return SimilarityMatrix(scores, a.rows == b.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -69,16 +74,13 @@ class DiversityScores:
     values: np.ndarray
     pre_norm: np.ndarray
     spread: np.ndarray
-    estimator: str
 
 
 def _negative_rows(sim: SimilarityMatrix) -> np.ndarray:
-    """Each anchor's negative similarities, [N, Q-1], or all of them, [N, Q], without positives."""
+    """Each anchor's negative similarities: [N, N-1] without the diagonal, or all [N, Q]."""
     vals = sim.scores.value
-    if sim.positive_index is not None:
-        keep = np.ones(vals.shape, dtype=bool)
-        keep[np.arange(vals.shape[0]), sim.positive_index] = False
-        vals = vals[keep].reshape(vals.shape[0], -1)
+    if sim.diagonal:
+        vals = vals[~np.eye(vals.shape[0], dtype=bool)].reshape(vals.shape[0], -1)
     if vals.shape[1] == 0:
         raise ValueError("the anchors have no negative candidates")
     return vals
@@ -89,10 +91,10 @@ def _sigmoid_vec(x: np.ndarray) -> np.ndarray:
                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
 
-def _weights_from_spread(spread: np.ndarray, eps: float, estimator: str) -> DiversityScores:
+def _weights_from_spread(spread: np.ndarray, eps: float) -> DiversityScores:
     # zero spread is the limit eps/spread -> inf, where the weight is 1
     pre = np.where(spread > 0.0, 1.0 / _sigmoid_vec(eps / np.where(spread > 0.0, spread, 1.0)), 1.0)
-    return DiversityScores(pre / pre.max(), pre, spread, estimator)
+    return DiversityScores(pre / pre.max(), pre, spread)
 
 
 def diversity_std(sim: SimilarityMatrix, eps: float = 0.1) -> DiversityScores:
@@ -101,7 +103,7 @@ def diversity_std(sim: SimilarityMatrix, eps: float = 0.1) -> DiversityScores:
         raise ValueError("eps must be positive")
     negs = _negative_rows(sim)
     spread = np.sqrt(np.maximum(np.mean(negs ** 2, axis=1) - np.mean(negs, axis=1) ** 2, 0.0))
-    return _weights_from_spread(spread, eps, "std")
+    return _weights_from_spread(spread, eps)
 
 
 def diversity_entropy(sim: SimilarityMatrix, eps: float = 0.1) -> DiversityScores:
@@ -112,7 +114,7 @@ def diversity_entropy(sim: SimilarityMatrix, eps: float = 0.1) -> DiversityScore
     z = negs - negs.max(axis=1, keepdims=True)
     p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
     spread = -(p * np.log2(np.where(p > 0, p, 1.0))).sum(axis=1)
-    return _weights_from_spread(spread, eps, "entropy")
+    return _weights_from_spread(spread, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -140,66 +142,61 @@ def _contrastive_direction(scores: Matrix, positives: Matrix, neg_mask: np.ndarr
     return nm.sum_all(per_anchor) * (mu / n)
 
 
-def _check_square_diagonal(sim: SimilarityMatrix) -> int:
-    n = sim.scores.rows
-    if sim.scores.cols != n:
-        raise ValueError("need a square similarity matrix")
-    if sim.positive_index is None or not np.array_equal(sim.positive_index, np.arange(n)):
-        raise ValueError("need diagonal positives")
-    return n
-
-
 def _diag_column(scores: Matrix) -> Matrix:
     eye = np.eye(scores.rows)
     return nm.row_sum(scores * Matrix(eye))
 
 
-def dcl_i_loss(sim: SimilarityMatrix, mu: float, gamma: float) -> Matrix:
-    """Diversity-insensitive bidirectional contrastive loss on in-batch pairs."""
-    if not mu > 0.0:
-        raise ValueError("temperature mu must be positive")
-    n = _check_square_diagonal(sim)
-    off_diag = 1.0 - np.eye(n)
-    fwd = _contrastive_direction(sim.scores, _diag_column(sim.scores), off_diag, None, mu, gamma)
-    flipped = nm.transpose(sim.scores)
-    bwd = _contrastive_direction(flipped, _diag_column(flipped), off_diag, None, mu, gamma)
-    return fwd + bwd
-
-
-def dcl_loss(sim: SimilarityMatrix, div_anchor_fwd: DiversityScores,
-             div_anchor_bwd: DiversityScores, mu: float, gamma: float) -> Matrix:
+def dcl_loss(sim: SimilarityMatrix, div_anchor_fwd: DiversityScores | None,
+             div_anchor_bwd: DiversityScores | None, mu: float, gamma: float) -> Matrix:
     """Bidirectional contrastive loss with per-anchor diversity temperatures.
 
     Forward anchors (rows) use ``div_anchor_fwd``; the transposed
-    direction uses ``div_anchor_bwd``. With all-ones diversity this
-    reduces exactly to :func:`dcl_i_loss`.
+    direction uses ``div_anchor_bwd``. ``None`` weights every anchor of
+    that direction 1, which is :func:`dcl_i_loss`.
     """
     if not mu > 0.0:
         raise ValueError("temperature mu must be positive")
-    n = _check_square_diagonal(sim)
-    off_diag = 1.0 - np.eye(n)
-    fwd = _contrastive_direction(sim.scores, _diag_column(sim.scores), off_diag,
-                                 div_anchor_fwd.values, mu, gamma)
-    flipped = nm.transpose(sim.scores)
-    bwd = _contrastive_direction(flipped, _diag_column(flipped), off_diag,
-                                 div_anchor_bwd.values, mu, gamma)
-    return fwd + bwd
+    off_diag = 1.0 - np.eye(_require_diagonal(sim))
+
+    def direction(scores: Matrix, div: DiversityScores | None) -> Matrix:
+        return _contrastive_direction(scores, _diag_column(scores), off_diag,
+                                      None if div is None else div.values, mu, gamma)
+
+    return direction(sim.scores, div_anchor_fwd) + direction(nm.transpose(sim.scores), div_anchor_bwd)
+
+
+def dcl_i_loss(sim: SimilarityMatrix, mu: float, gamma: float) -> Matrix:
+    """Diversity-insensitive bidirectional contrastive loss on in-batch pairs."""
+    return dcl_loss(sim, None, None, mu, gamma)
+
+
+def triplet_baseline_loss(sim: SimilarityMatrix, margin: float) -> Matrix:
+    """VSE++-style bidirectional hinge on every negative, summed per anchor, mean over anchors."""
+    if margin < 0:
+        raise ValueError("margin must be non-negative")
+    n = _require_diagonal(sim)
+    off_diag = Matrix(1.0 - np.eye(n))
+
+    def direction(scores: Matrix) -> Matrix:
+        hinge = nm.relu((scores - _diag_column(scores)) + margin) * off_diag
+        return nm.sum_all(hinge) * (1.0 / n)
+
+    return direction(sim.scores) + direction(nm.transpose(sim.scores))
 
 
 def _estimate(sim: SimilarityMatrix, estimator: str, eps: float) -> DiversityScores:
+    """Diversity weights by the named estimator.
+
+    A one-pair batch has no negatives; its weight is the zero-spread limit 1.
+    """
+    if sim.diagonal and sim.scores.rows == 1:
+        return _weights_from_spread(np.zeros(1), eps)
     if estimator == "std":
         return diversity_std(sim, eps)
     if estimator == "entropy":
         return diversity_entropy(sim, eps)
     raise ValueError(f"unknown diversity estimator {estimator!r}")
-
-
-def _batch_level_diversity(batch_a: Matrix, batch_b: Matrix, estimator: str, eps: float) -> np.ndarray:
-    # a single-pair batch has no in-batch negatives; use the limit weight 1
-    if batch_a.rows == 1:
-        return np.ones(1)
-    sim = cosine_matrix(Matrix(batch_a.value), Matrix(batch_b.value))
-    return _estimate(sim, estimator, eps).values
 
 
 def m_dcl_loss(batch_v: Matrix, batch_w: Matrix, momentum_pos_v, momentum_pos_w,
@@ -237,8 +234,9 @@ def m_dcl_loss(batch_v: Matrix, batch_w: Matrix, momentum_pos_v, momentum_pos_w,
         positives = nm.row_sum(anchors_unit * Matrix(pos_unit))
 
         if pinned_div is None:
-            div_batch = _batch_level_diversity(anchors, counterpart, estimator, eps)
-            div_bank = _estimate(SimilarityMatrix(Matrix(bank_sims.value), None), estimator, eps).values
+            in_batch = cosine_matrix(Matrix(anchors.value), Matrix(counterpart.value))
+            div_batch = _estimate(in_batch, estimator, eps).values
+            div_bank = _estimate(SimilarityMatrix(Matrix(bank_sims.value), False), estimator, eps).values
             div = (div_batch + div_bank) / 2.0
         else:
             div = pinned_div

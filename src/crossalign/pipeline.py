@@ -39,7 +39,7 @@ from . import numerics as nm
 from . import objective as obj
 from .numerics import AdamState, Matrix, adam_step, backward, rng_from_seed
 from .objective import PrototypeState, SimilarityMatrix
-from .representation import EncoderPair, FeatureAggregator, MemoryBank
+from .representation import EncoderPair, FeatureAggregator, MemoryBank, named_params
 
 METRICS_HEADER = [
     "epoch", "l_dcl_i", "l_mdcl", "l_dcl_c", "l_pgc", "total",
@@ -469,9 +469,7 @@ class AlignmentModel:
         self.encoder_pair = EncoderPair({"vis": self.vis_agg.p, "txt": self.txt_agg.p})
 
     def param_items(self):
-        for prefix, d in self.groups.items():
-            for k, m in d.items():
-                yield f"{prefix}.{k}", m
+        return named_params(self.groups)
 
     def set_param(self, name: str, value: Matrix) -> None:
         prefix, key = name.split(".", 1)
@@ -536,28 +534,8 @@ def build_state(cfg: TrainConfig, data: PairedDataset) -> TrainState:
 # losses for one batch
 # ---------------------------------------------------------------------------
 
-def triplet_baseline_loss(sim: SimilarityMatrix, margin: float) -> Matrix:
-    """Bidirectional hinge on every negative, summed per anchor, mean over anchors."""
-    if margin < 0:
-        raise ValueError("margin must be non-negative")
-    n = sim.scores.rows
-    if sim.scores.cols != n or sim.positive_index is None or \
-            not np.array_equal(sim.positive_index, np.arange(n)):
-        raise ValueError("need a square similarity matrix with diagonal positives")
-    off_diag = Matrix(1.0 - np.eye(n))
-
-    def direction(scores: Matrix) -> Matrix:
-        pos = nm.row_sum(scores * Matrix(np.eye(n)))
-        hinge = nm.relu((scores - pos) + margin) * off_diag
-        return nm.sum_all(hinge) * (1.0 / n)
-
-    return direction(sim.scores) + direction(nm.transpose(sim.scores))
-
-
 def _dcl(cfg: TrainConfig, sim: SimilarityMatrix) -> Matrix:
-    """DCL with diversities estimated in both directions; DCL-I for a one-pair batch."""
-    if sim.scores.rows == 1:
-        return obj.dcl_i_loss(sim, cfg.mu, cfg.gamma)
+    """DCL with diversities estimated in both directions."""
     div_f = obj._estimate(sim, cfg.diversity_estimator, cfg.eps_div)
     div_b = obj._estimate(sim.transposed(), cfg.diversity_estimator, cfg.eps_div)
     return obj.dcl_loss(sim, div_f, div_b, cfg.mu, cfg.gamma)
@@ -565,7 +543,7 @@ def _dcl(cfg: TrainConfig, sim: SimilarityMatrix) -> Matrix:
 
 def _instance_loss(cfg: TrainConfig, sim: SimilarityMatrix) -> Matrix:
     if cfg.instance_loss == "triplet":
-        return triplet_baseline_loss(sim, cfg.triplet_margin)
+        return obj.triplet_baseline_loss(sim, cfg.triplet_margin)
     if cfg.instance_loss == "dcl_i":
         return obj.dcl_i_loss(sim, cfg.mu, cfg.gamma)
     return _dcl(cfg, sim)
@@ -882,6 +860,24 @@ def save_checkpoint(path, state: TrainState, which: str = "best") -> None:
         json.dump(blob, fh)
 
 
+def _decode_section(section: dict, model_arrays: dict[str, np.ndarray], kind: str):
+    """The arrays of one checkpoint section, which must name and shape exactly the model's."""
+    missing = sorted(model_arrays.keys() - section.keys())
+    if missing:
+        raise ValueError(f"checkpoint {kind} {missing[0]!r}: missing from the file")
+    out = {}
+    for name, enc in section.items():
+        where = f"checkpoint {kind} {name!r}"
+        if name not in model_arrays:
+            raise ValueError(f"{where}: not a parameter of this model")
+        arr = _decode(enc, where)
+        if arr.shape != model_arrays[name].shape:
+            raise ValueError(f"{where}: shape {list(arr.shape)} but the model's is "
+                             f"{list(model_arrays[name].shape)}")
+        out[name] = arr
+    return out
+
+
 def load_checkpoint(path) -> TrainState:
     """Rebuild a state whose evaluation reproduces the saved one bit-for-bit."""
     with open(path) as fh:
@@ -898,11 +894,11 @@ def load_checkpoint(path) -> TrainState:
     )
     model = AlignmentModel(cfg, int(blob["dims"]["d_img"]), int(blob["dims"]["d_txt"]),
                            vocab, np.asarray(concepts["adjacency"], dtype=np.int64))
-    for name, enc in blob["params"].items():
-        model.set_param(name, Matrix(_decode(enc, f"checkpoint params {name!r}")))
-    model.encoder_pair = EncoderPair({"vis": model.vis_agg.p, "txt": model.txt_agg.p})
-    for name, enc in blob["momentum"].items():
-        model.encoder_pair.momentum[name] = _decode(enc, f"checkpoint momentum {name!r}")
+    params = {name: m.value for name, m in model.param_items()}
+    for name, arr in _decode_section(blob["params"], params, "params").items():
+        model.set_param(name, Matrix(arr))
+    model.encoder_pair.momentum = _decode_section(blob["momentum"], model.encoder_pair.momentum,
+                                                  "momentum")
     adam = {name: AdamState(m.rows, m.cols, cfg.lr) for name, m in model.param_items()}
     state = TrainState(cfg, model, adam,
                        MemoryBank(cfg.bank_capacity, cfg.embed_dim),

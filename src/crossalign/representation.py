@@ -115,6 +115,13 @@ class FeatureAggregator:
         return self.aggregate_batch([seq], params=params)
 
 
+def named_params(groups: dict[str, dict[str, Matrix]]):
+    """Yield ``("prefix.key", parameter)`` for every parameter of every group."""
+    for prefix, d in groups.items():
+        for k, m in d.items():
+            yield f"{prefix}.{k}", m
+
+
 class EncoderPair:
     """Trainable encoder parameters plus a gradient-free momentum mirror.
 
@@ -127,19 +134,14 @@ class EncoderPair:
     def __init__(self, groups: dict[str, dict[str, Matrix]]):
         self.groups = groups
         self.momentum: dict[str, np.ndarray] = {
-            f"{prefix}.{k}": m.value.copy() for prefix, d in groups.items() for k, m in d.items()
+            name: m.value.copy() for name, m in named_params(groups)
         }
-
-    def main_items(self):
-        for prefix, d in self.groups.items():
-            for k, m in d.items():
-                yield f"{prefix}.{k}", m
 
     def momentum_update(self, m: float) -> "EncoderPair":
         """Move every momentum parameter toward its main one: mom <- m*mom + (1-m)*main."""
         if not 0.0 <= m <= 1.0:
             raise ValueError(f"momentum coefficient must be in [0, 1], got {m}")
-        for name, main in self.main_items():
+        for name, main in named_params(self.groups):
             self.momentum[name] = m * self.momentum[name] + (1.0 - m) * main.value
         return self
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from crossalign import numerics as nm
 from crossalign.numerics import (
     AdamState,
-    GradTape,
     Matrix,
     adam_step,
     backward,
@@ -144,16 +143,6 @@ def test_backward_twice_is_an_error():
     assert x.grad == pytest.approx(np.array([[4.0]]))
     with pytest.raises(RuntimeError, match="already ran"):
         backward(loss)
-
-
-def test_gradtape_shapes_and_unreached_params():
-    used = Matrix(np.ones((2, 3)))
-    unused = Matrix(np.ones((4, 1)))
-    tape = GradTape({"used": used, "unused": unused})
-    grads = tape.gradients(nm.sum_all(used))
-    assert grads["used"].shape == used.value.shape
-    assert np.array_equal(grads["used"], np.ones((2, 3)))
-    assert np.array_equal(grads["unused"], np.zeros((4, 1)))
 
 
 def test_shared_node_gradients_accumulate():

@@ -10,6 +10,7 @@ from crossalign.numerics import Matrix, grad_check, rng_from_seed
 from crossalign.objective import (
     DiversityScores,
     SimilarityMatrix,
+    _estimate,
     _plusplus_init,
     cosine_matrix,
     dcl_i_loss,
@@ -20,17 +21,19 @@ from crossalign.objective import (
     m_dcl_loss,
     pgc_loss,
     total_loss,
+    triplet_baseline_loss,
 )
 from crossalign.representation import MemoryBank
 
 MU, GAMMA = 0.1, 0.3
 
 
-def _sim(values, positive="auto"):
+def _sim(values, diagonal=None):
+    """Scores as a SimilarityMatrix; diagonal positives when square unless told otherwise."""
     arr = np.asarray(values, dtype=np.float64)
-    if isinstance(positive, str) and positive == "auto":
-        positive = np.arange(arr.shape[0]) if arr.shape[0] == arr.shape[1] else None
-    return SimilarityMatrix(Matrix(arr), positive)
+    if diagonal is None:
+        diagonal = arr.shape[0] == arr.shape[1]
+    return SimilarityMatrix(Matrix(arr), diagonal)
 
 
 def _unit_rows(rng, n, dim):
@@ -46,7 +49,7 @@ def test_cosine_identical_orthogonal_and_diagonal_pairs():
     a = Matrix(np.array([[1.0, 0.0], [0.0, 2.0]]))
     sim = cosine_matrix(a, Matrix(np.array([[3.0, 0.0], [0.0, 1.0]])))
     assert sim.scores.value == pytest.approx(np.eye(2))
-    assert np.array_equal(sim.positive_index, np.arange(2))
+    assert sim.diagonal
 
 
 def test_cosine_forty_five_degrees():
@@ -62,8 +65,17 @@ def test_cosine_rejects_zero_row():
 def test_cosine_rectangular_has_no_positive_map():
     rng = rng_from_seed(1)
     sim = cosine_matrix(Matrix(rng.standard_normal((2, 4))), Matrix(rng.standard_normal((5, 4))))
-    assert sim.positive_index is None
+    assert not sim.diagonal
     assert np.all(np.abs(sim.scores.value) <= 1.0 + 1e-9)
+
+
+def test_diagonal_needs_a_square_matrix():
+    with pytest.raises(ValueError, match="square"):
+        _sim(np.ones((2, 3)), diagonal=True)
+    with pytest.raises(ValueError, match="diagonal positives"):
+        _sim(np.ones((2, 2)), diagonal=False).transposed()
+    flipped = _sim([[0.9, 0.1], [0.4, 0.8]]).transposed()
+    assert flipped.diagonal and np.array_equal(flipped.scores.value, [[0.9, 0.4], [0.1, 0.8]])
 
 
 # ---------------------------------------------------------------------------
@@ -71,32 +83,36 @@ def test_cosine_rectangular_has_no_positive_map():
 # ---------------------------------------------------------------------------
 
 def test_diversity_std_zero_spread_limit():
-    sim = _sim([[1.0, 0.5, 0.5]], positive=np.array([0]))
+    sim = _sim([[0.5, 0.5]], diagonal=False)
     out = diversity_std(sim)
     assert out.spread[0] == 0.0
     assert out.pre_norm[0] == 1.0
 
 
 def test_diversity_std_reference_value():
-    sim = _sim([[1.0, 0.5, 0.7]], positive=np.array([0]))
+    sim = _sim([[0.5, 0.7]], diagonal=False)
     out = diversity_std(sim, eps=0.1)
     assert out.spread[0] == pytest.approx(0.1, abs=1e-12)
     assert out.pre_norm[0] == pytest.approx(1.367879441171, abs=1e-9)
 
 
 def test_diversity_std_normalized_pair():
-    sim = _sim([[1.0, 0.5, 0.5], [1.0, 0.5, 0.7]], positive=np.array([0, 0]))
+    sim = _sim([[0.5, 0.5], [0.5, 0.7]], diagonal=False)
     out = diversity_std(sim, eps=0.1)
     assert out.values == pytest.approx(np.array([0.731058578630, 1.0]), abs=1e-9)
     assert out.values.max() == 1.0
 
 
 def test_diversity_requires_negatives():
-    sim = _sim([[1.0]], positive=np.array([0]))
+    sim = _sim([[1.0]])
     with pytest.raises(ValueError, match="no negative"):
         diversity_std(sim)
     with pytest.raises(ValueError, match="no negative"):
         diversity_entropy(sim)
+    # a one-pair batch gets the zero-spread limit weight instead
+    for estimator in ("std", "entropy"):
+        out = _estimate(sim, estimator, 0.1)
+        assert [out.values.tolist(), out.pre_norm.tolist(), out.spread.tolist()] == [[1.0], [1.0], [0.0]]
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -115,10 +131,7 @@ def test_diversity_std_closed_form_and_range(seed):
 
 def test_diversity_monotone_in_spread_at_equal_mean():
     # same negative mean 0.5, spreads 0.0 < 0.1 < 0.3
-    sim = _sim(
-        [[1.0, 0.5, 0.5], [1.0, 0.4, 0.6], [1.0, 0.2, 0.8]],
-        positive=np.array([0, 0, 0]),
-    )
+    sim = _sim([[0.5, 0.5], [0.4, 0.6], [0.2, 0.8]], diagonal=False)
     pre = diversity_std(sim).pre_norm
     assert pre[0] <= pre[1] <= pre[2]
 
@@ -127,7 +140,7 @@ def _loop_spreads(sim):
     """Per-row reference: (std spread, entropy spread) of each anchor's negatives."""
     std, ent = [], []
     for n, row in enumerate(sim.scores.value):
-        negs = row if sim.positive_index is None else np.delete(row, sim.positive_index[n])
+        negs = np.delete(row, n) if sim.diagonal else row
         std.append(np.sqrt(max(float(np.mean(negs ** 2) - np.mean(negs) ** 2), 0.0)))
         z = negs - negs.max()
         p = np.exp(z) / np.exp(z).sum()
@@ -135,16 +148,15 @@ def _loop_spreads(sim):
     return np.array(std), np.array(ent)
 
 
-@pytest.mark.parametrize("shape, positive", [
-    ((6, 6), "auto"),                   # square, diagonal positives
-    ((4, 9), np.array([8, 0, 3, 3])),   # non-square with positives
-    ((5, 7), None),                     # every candidate is a negative
-    ((3, 2), np.array([1, 0, 1])),      # a single negative per anchor
-    ((32, 128), None),                  # memory-bank sized
-])
+@pytest.mark.parametrize("shape, diagonal", [
+    ((6, 6), True),      # square, diagonal positives
+    ((5, 7), False),     # every candidate is a negative
+    ((32, 128), False),  # memory-bank sized
+    ((2, 2), True),      # a single negative per anchor
+], ids=["shape0-auto", "shape2-None", "shape4-None", "one-negative"])
 @pytest.mark.parametrize("seed", range(3))
-def test_diversity_matches_per_row_loop(shape, positive, seed):
-    sim = _sim(rng_from_seed(seed, 46).uniform(-1.0, 1.0, size=shape), positive)
+def test_diversity_matches_per_row_loop(shape, diagonal, seed):
+    sim = _sim(rng_from_seed(seed, 46).uniform(-1.0, 1.0, size=shape), diagonal)
     std, ent = _loop_spreads(sim)
     for got, spread in ((diversity_std(sim, eps=0.1), std), (diversity_entropy(sim, eps=0.1), ent)):
         assert got.spread.shape == (shape[0],)
@@ -155,20 +167,20 @@ def test_diversity_matches_per_row_loop(shape, positive, seed):
 
 
 def test_diversity_entropy_uniform_negatives():
-    sim = _sim([[1.0, 0.3, 0.3]], positive=np.array([0]))
+    sim = _sim([[0.3, 0.3]], diagonal=False)
     out = diversity_entropy(sim)
     assert out.spread[0] == pytest.approx(1.0, abs=1e-12)  # one bit
 
 
 def test_diversity_entropy_single_negative_limit():
-    sim = _sim([[1.0, 0.4]], positive=np.array([0]))
+    sim = _sim([[0.4]], diagonal=False)
     out = diversity_entropy(sim)
     assert out.spread[0] == 0.0
     assert out.pre_norm[0] == 1.0
 
 
 def test_diversity_entropy_reference_value():
-    sim = _sim([[1.0, 2.0, 0.0]], positive=np.array([0]))
+    sim = _sim([[2.0, 0.0]], diagonal=False)
     out = diversity_entropy(sim, eps=0.1)
     assert out.spread[0] == pytest.approx(0.527065341003, abs=1e-9)
 
@@ -206,7 +218,7 @@ def test_dcl_i_rejects_bad_positive_and_temperature():
 
 
 def _ones_div(n):
-    return DiversityScores(np.ones(n), np.ones(n), np.zeros(n), "std")
+    return DiversityScores(np.ones(n), np.ones(n), np.zeros(n))
 
 
 def test_dcl_reduces_to_insensitive_with_unit_diversity():
@@ -232,7 +244,7 @@ def test_dcl_single_negative_batches_degenerate_to_insensitive():
 
 def test_dcl_reference_value_with_halved_anchor_weight():
     sim = _sim(np.eye(2))
-    fwd_div = DiversityScores(np.array([0.5, 1.0]), np.ones(2), np.zeros(2), "std")
+    fwd_div = DiversityScores(np.array([0.5, 1.0]), np.ones(2), np.zeros(2))
     loss = dcl_loss(sim, fwd_div, _ones_div(2), MU, GAMMA)
     assert loss.item() == pytest.approx(-0.131217549119, abs=1e-9)
     # forward direction alone, via subtraction of the known backward value
@@ -242,7 +254,7 @@ def test_dcl_reference_value_with_halved_anchor_weight():
 
 
 def test_dcl_rejects_nonpositive_diversity():
-    bad = DiversityScores(np.array([0.0, 1.0]), np.ones(2), np.zeros(2), "std")
+    bad = DiversityScores(np.array([0.0, 1.0]), np.ones(2), np.zeros(2))
     with pytest.raises(ValueError, match="diversity"):
         dcl_loss(_sim(np.eye(2)), bad, _ones_div(2), MU, GAMMA)
 
@@ -258,13 +270,28 @@ def test_losses_are_permutation_equivariant(seed):
         dcl_i_loss(_sim(s), MU, GAMMA).item(), abs=1e-12
     )
     div_f, div_b = diversity_std(_sim(s)), diversity_std(_sim(s).transposed())
-    div_fp = DiversityScores(div_f.values[perm], div_f.pre_norm[perm], div_f.spread[perm], "std")
-    div_bp = DiversityScores(div_b.values[perm], div_b.pre_norm[perm], div_b.spread[perm], "std")
+    div_fp = DiversityScores(div_f.values[perm], div_f.pre_norm[perm], div_f.spread[perm])
+    div_bp = DiversityScores(div_b.values[perm], div_b.pre_norm[perm], div_b.spread[perm])
     assert dcl_loss(_sim(sp), div_fp, div_bp, MU, GAMMA).item() == pytest.approx(
         dcl_loss(_sim(s), div_f, div_b, MU, GAMMA).item(), abs=1e-12
     )
     # permuted diversity equals diversity of the permuted matrix
     assert np.max(np.abs(diversity_std(_sim(sp)).values - div_fp.values)) <= 1e-12
+
+
+def test_triplet_reference_value():
+    loss = triplet_baseline_loss(_sim([[0.9, 0.8], [0.1, 0.7]]), 0.2)
+    # scripts/golden_values.py: triplet_example
+    assert loss.item() == pytest.approx(0.2, abs=1e-9)
+
+
+def test_triplet_rejects_off_diagonal_positives_and_negative_margin():
+    with pytest.raises(ValueError, match="diagonal positives"):
+        triplet_baseline_loss(_sim(np.ones((2, 3))), 0.2)
+    with pytest.raises(ValueError, match="diagonal positives"):
+        triplet_baseline_loss(_sim(np.eye(2), diagonal=False), 0.2)
+    with pytest.raises(ValueError, match="margin"):
+        triplet_baseline_loss(_sim(np.eye(2)), -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +304,7 @@ def _mem_diversity(v, w, pos_v, pos_w, bank):
         unit = anchors.value / np.linalg.norm(anchors.value, axis=1, keepdims=True)
         bank_unit = bank.view() / np.linalg.norm(bank.view(), axis=1, keepdims=True)
         batch = diversity_std(cosine_matrix(anchors, counterpart)).values
-        bank_div = diversity_std(SimilarityMatrix(Matrix(unit @ bank_unit.T), None)).values
+        bank_div = diversity_std(SimilarityMatrix(Matrix(unit @ bank_unit.T), False)).values
         return (batch + bank_div) / 2.0
 
     return one(v, w), one(w, v)

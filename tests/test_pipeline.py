@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -280,17 +281,48 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert all(_bits(loaded.model.encoder_pair.momentum[k]) == _bits(momentum[k]) for k in momentum)
 
 
-@pytest.mark.parametrize("section, corrupt, match", [
-    ("params", lambda blob: dict(blob, data=blob["data"][:-12]), r"needs \d+"),
-    ("momentum", lambda blob: dict(blob, data=blob["data"][:-1]), "not strict base64"),
-    ("params", lambda blob: blob["shape"], "must be"),
-], ids=["truncated", "bad_padding", "not_a_blob"])
-def test_load_checkpoint_names_a_corrupt_blob(section, corrupt, match, tmp_path):
+@pytest.mark.parametrize("section, name, corrupt, match", [
+    ("params", "extra.classifier",
+     lambda sec, n: sec[n].update(data=sec[n]["data"][:-12]), r"needs \d+"),
+    ("momentum", "txt.dec_b1",
+     lambda sec, n: sec[n].update(data=sec[n]["data"][:-1]), "not strict base64"),
+    ("params", "extra.classifier", lambda sec, n: sec.update({n: sec[n]["shape"]}), "must be"),
+    ("params", "extra.classifier", lambda sec, n: sec.pop(n), "missing from the file"),
+    ("momentum", "vis.proj", lambda sec, n: sec.pop(n), "missing from the file"),
+    ("params", "vis.bogus", lambda sec, n: sec.update({n: sec["vis.proj"]}),
+     "not a parameter of this model"),
+    ("params", "bogus.w", lambda sec, n: sec.update({n: sec["vis.proj"]}),
+     "not a parameter of this model"),
+    ("params", "txt.proj", lambda sec, n: sec.update({n: pl._encode(np.zeros((3, 3)))}),
+     r"shape \[3, 3\] but the model's is \[48, 32\]"),
+], ids=["truncated", "bad_padding", "not_a_blob", "missing", "missing_momentum",
+        "unknown_name", "unknown_group", "wrong_shape"])
+def test_load_checkpoint_names_a_corrupt_blob(section, name, corrupt, match, tmp_path):
     path = tmp_path / "ckpt.json"
     pl.save_checkpoint(path, _tiny_state(), which="final")
     blob = json.loads(path.read_text())
-    name = sorted(blob[section])[0]
-    blob[section][name] = corrupt(blob[section][name])
+    corrupt(blob[section], name)
     path.write_text(json.dumps(blob))
     with pytest.raises(ValueError, match=rf"checkpoint {section} '{re.escape(name)}'.*{match}"):
         pl.load_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# training
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("instance_loss", ["dcl", "dcl_i", "triplet"])
+def test_train_runs_every_branch_deterministically(instance_loss):
+    # 33 pairs in batches of 16 leave a one-pair final batch, and 40
+    # clusters exceed the 33 records
+    cfg = pl.TrainConfig(seed=0, epochs=2, batch_size=16, k_clusters=40,
+                         instance_loss=instance_loss)
+    data = pl.generate_synthetic(33, 1, 4, seed=5)
+    val = pl.generate_synthetic(6, 2, 4, seed=5, split="val")
+    state, rows = pl.train(cfg, data, val)
+    assert [row["epoch"] for row in rows] == [0, 1] and state.epochs_run == 2
+    assert state.prototypes.k == 33
+    for row in rows:
+        assert all(math.isfinite(row[k]) for k in ("l_dcl_i", "l_mdcl", "l_dcl_c", "l_pgc", "total"))
+    assert rows[-1]["l_mdcl"] != 0.0
+    assert pl.train(cfg, data, val)[1] == rows

@@ -9,6 +9,7 @@ from crossalign.representation import (
     EncoderPair,
     FeatureAggregator,
     MemoryBank,
+    named_params,
     positional_encoding,
     positional_encoding_table,
 )
@@ -147,7 +148,7 @@ def test_momentum_update_extremes():
         assert np.array_equal(pair.momentum[k], before[k])
 
     pair.momentum_update(0.0)
-    for name, main in pair.main_items():
+    for name, main in named_params(pair.groups):
         assert np.array_equal(pair.momentum[name], main.value)
 
 
@@ -181,7 +182,7 @@ def test_momentum_closed_form_ema():
 
 def test_momentum_shapes_match_main():
     _, pair = _pair()
-    for name, main in pair.main_items():
+    for name, main in named_params(pair.groups):
         assert pair.momentum[name].shape == main.value.shape
 
 
@@ -200,7 +201,7 @@ def test_momentum_forward_leaves_main_gradients_untouched():
     seq = rng_from_seed(13).standard_normal((3, 6))
     out = agg.aggregate(seq, params=pair.momentum_group("enc"))
     backward(nm.sum_all(out))
-    assert all(m.grad is None for _, m in pair.main_items())
+    assert all(m.grad is None for _, m in named_params(pair.groups))
 
 
 # ---------------------------------------------------------------------------
