@@ -21,8 +21,13 @@ Training runs both branches per batch (instance embeddings with in-batch
 and memory-bank contrastive losses; concept embeddings with their own
 contrastive loss and a pseudo-label classification loss), updates all
 parameters with Adam, moves the momentum mirror, and feeds the momentum
-embeddings into the queues. Evaluation ranks with the beta-blend of
-instance-level and concept-level cosine similarity.
+embeddings into the queues.
+
+Evaluation ranks with the beta-blend of instance-level and concept-level
+cosine similarity. Its canonical form is one matmul of stacked factors,
+``[beta*v | (1-beta)*vc] @ [w | wc].T``, formed and ranked one block of
+``RANK_BLOCK`` captions at a time, so no [n_images x n_captions] matrix
+is ever held: extra memory is O(n_images x RANK_BLOCK).
 """
 from __future__ import annotations
 
@@ -740,7 +745,47 @@ def write_metrics(path, rows: list[dict]) -> None:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def recalls_from_similarity(scores: np.ndarray, caption_image: np.ndarray) -> EvalResult:
+class StackedScores:
+    """The score matrix ``left @ right.T``, formed one column block at a time.
+
+    Indexing as ``scores[:, lo:hi]`` returns that block as one matmul,
+    so ``recalls_from_similarity`` can rank from the factors without the
+    dense [n_left x n_right] product. Every read of a block forms it the
+    same way, so both ranking passes see the same scores.
+    """
+
+    ndim = 2
+
+    def __init__(self, left: np.ndarray, right: np.ndarray):
+        self.left, self.right = left, right
+        self.shape = (left.shape[0], right.shape[0])
+        self.size = self.shape[0] * self.shape[1]
+
+    def __getitem__(self, key) -> np.ndarray:
+        rows, cols = key
+        return self.left[rows] @ self.right[cols].T
+
+
+def _count_ahead(block: np.ndarray, target: np.ndarray, lower: np.ndarray, axis: int) -> np.ndarray:
+    """Cells of ``block`` ranked ahead of ``target``, counted along ``axis``.
+
+    A cell is ahead when it scores above the target, or equal to it with
+    ``lower`` set (a lower index than the target's own). For a target t
+    above -inf that is one comparison per cell: s > nextafter(t, -inf)
+    where ``lower`` is set and s > t elsewhere. nextafter(-inf, -inf) is
+    -inf, so the lower-index ties of a -inf target are counted apart. A
+    NaN cell is never ahead.
+    """
+    threshold = np.where(lower, np.nextafter(target, -np.inf), target)
+    ahead = np.count_nonzero(block > threshold, axis=axis)
+    floor = np.isneginf(target)
+    if floor.any():
+        ahead += np.count_nonzero(lower & floor & (block == -np.inf), axis=axis)
+    return ahead
+
+
+def recalls_from_similarity(scores: np.ndarray | StackedScores,
+                            caption_image: np.ndarray) -> EvalResult:
     """Recall@{1,5,10} both ways from a [n_images x n_captions] score matrix.
 
     ``caption_image[j]`` is the row index of caption j's ground-truth
@@ -750,11 +795,17 @@ def recalls_from_similarity(scores: np.ndarray, caption_image: np.ndarray) -> Ev
     Image to text ranks an image by its best caption, the one with its
     highest score and the lowest index among ties, within the image's
     row; an image with no caption never hits. A NaN candidate never
-    ranks ahead, and a NaN ground-truth score is an error. Columns are
-    scanned ``RANK_BLOCK`` at a time, so extra memory is
-    O(n_images x RANK_BLOCK) on top of the scores.
+    ranks ahead, and a NaN ground-truth score is an error.
+
+    ``scores`` is a dense array or a ``StackedScores``; either way it is
+    read only as column blocks ``scores[:, lo:hi]`` of ``RANK_BLOCK``
+    captions, in two passes. The first takes each caption's ground-truth
+    score from its block and counts the text-to-image ranks; the second
+    counts the image-to-text ranks against each image's best caption.
+    Extra memory is O(n_images x RANK_BLOCK) in total.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    if not isinstance(scores, StackedScores):
+        scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
         raise ValueError(f"scores must be a 2-D [n_images x n_captions] matrix, got {scores.ndim}-D")
     caption_image = np.asarray(caption_image, dtype=np.int64)
@@ -766,29 +817,30 @@ def recalls_from_similarity(scores: np.ndarray, caption_image: np.ndarray) -> Ev
         j = int(bad[0])
         raise ValueError(f"caption column {j} names image {caption_image[j]}, outside [0, {n_img})")
 
+    img_index = np.arange(n_img)[:, None]
     cap_index = np.arange(n_cap)
-    gt_score = scores[caption_image, cap_index]
-    nan = np.flatnonzero(np.isnan(gt_score))
-    if nan.size:
-        raise ValueError(f"caption column {int(nan[0])} has a NaN ground-truth score")
+    blocks = [(lo, min(lo + RANK_BLOCK, n_cap)) for lo in range(0, n_cap, RANK_BLOCK)]
+    gt_score = np.empty(n_cap)
+    image_rank = np.empty(n_cap, dtype=np.int64)
+    for lo, hi in blocks:
+        block, gt_img = scores[:, lo:hi], caption_image[lo:hi]
+        gt = block[gt_img, cap_index[:hi - lo]]
+        nan = np.flatnonzero(np.isnan(gt))
+        if nan.size:
+            raise ValueError(f"caption column {lo + int(nan[0])} has a NaN ground-truth score")
+        gt_score[lo:hi] = gt
+        image_rank[lo:hi] = _count_ahead(block, gt, img_index < gt_img, axis=0)
+
     best_score = np.full(n_img, -np.inf)
     np.maximum.at(best_score, caption_image, gt_score)
     is_best = gt_score == best_score[caption_image]
     best_cap = np.full(n_img, n_cap)
     np.minimum.at(best_cap, caption_image[is_best], cap_index[is_best])
 
-    img_index = np.arange(n_img)[:, None]
     best, best_col = best_score[:, None], best_cap[:, None]
     text_rank = np.zeros(n_img, dtype=np.int64)
-    image_rank = np.empty(n_cap, dtype=np.int64)
-    for lo in range(0, n_cap, RANK_BLOCK):
-        hi = min(lo + RANK_BLOCK, n_cap)
-        block = scores[:, lo:hi]
-        gt, gt_img = gt_score[lo:hi], caption_image[lo:hi]
-        image_rank[lo:hi] = (np.count_nonzero(block > gt, axis=0)
-                             + np.count_nonzero((block == gt) & (img_index < gt_img), axis=0))
-        text_rank += (np.count_nonzero(block > best, axis=1)
-                      + np.count_nonzero((block == best) & (cap_index[lo:hi] < best_col), axis=1))
+    for lo, hi in blocks:
+        text_rank += _count_ahead(scores[:, lo:hi], best, cap_index[lo:hi] < best_col, axis=1)
 
     has_caption = best_cap < n_cap
     text = [100.0 * np.count_nonzero(has_caption & (text_rank < k)) / n_img for k in (1, 5, 10)]
@@ -813,14 +865,21 @@ def embed_for_retrieval(state: TrainState, data: PairedDataset):
 
 
 def evaluate(state: TrainState, data: PairedDataset, beta: float | None = None) -> EvalResult:
-    """Blend both branches' cosine similarities and score retrieval recalls."""
+    """Retrieval recalls under the beta-blend of both branches' cosine similarities.
+
+    The blend is scored as ``L @ R.T`` with ``L = [beta*v | (1-beta)*vc]``
+    and ``R = [w | wc]``, which differs from ``beta*(v @ w.T) +
+    (1-beta)*(vc @ wc.T)`` only in the last bits. ``recalls_from_similarity``
+    forms it one ``RANK_BLOCK``-caption block at a time, in two passes,
+    so extra memory is O(n_images x RANK_BLOCK) besides the embeddings.
+    """
     if len(data) == 0:
         raise ValueError("evaluation split is empty")
     beta = state.config.beta if beta is None else beta
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
     _, caption_image, v, w, vc, wc = embed_for_retrieval(state, data)
-    scores = beta * (v @ w.T) + (1.0 - beta) * (vc @ wc.T)
+    scores = StackedScores(np.hstack([beta * v, (1.0 - beta) * vc]), np.hstack([w, wc]))
     return recalls_from_similarity(scores, caption_image)
 
 
@@ -884,6 +943,9 @@ def load_checkpoint(path) -> TrainState:
         blob = json.load(fh)
     if blob.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {blob.get('version')!r}")
+    for section in ("epoch", "config", "dims", "params", "momentum", "concepts"):
+        if section not in blob:
+            raise ValueError(f"checkpoint: missing section {section!r}")
     cfg = TrainConfig.from_dict(blob["config"])
     concepts = blob["concepts"]
     vocab = kn.ConceptVocabulary(

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,64 @@ def test_recalls_nan_candidate_ranks_last_like_the_sort():
     assert pl.recalls_from_similarity(scores, caption_image) == reference_recalls(scores, caption_image)
 
 
+def _integer_factors(rng, n, d=2):
+    """Small integer factors: exact products, so ties are exact in any summation order."""
+    return rng.integers(-1, 2, size=(n, d)).astype(np.float64)
+
+
+@pytest.mark.parametrize("block", [3, pl.RANK_BLOCK])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("case", sorted(RANKING_CASES))
+def test_stacked_scores_match_argsort_reference(case, seed, block, monkeypatch):
+    monkeypatch.setattr(pl, "RANK_BLOCK", block)
+    n_img, n_cap, how = RANKING_CASES[case]
+    rng = rng_from_seed(seed, 37)
+    caption_image = _caption_image(rng, n_img, n_cap, how)
+    v, vc = _integer_factors(rng, n_img), _integer_factors(rng, n_img)
+    w, wc = _integer_factors(rng, n_cap), _integer_factors(rng, n_cap)
+    blend = 0.5 * (v @ w.T) + 0.5 * (vc @ wc.T)
+    scores = pl.StackedScores(np.hstack([0.5 * v, 0.5 * vc]), np.hstack([w, wc]))
+    assert scores.shape == blend.shape and scores.size == blend.size and scores.ndim == 2
+    assert np.array_equal(scores[:, 0:n_cap], blend)
+    assert pl.recalls_from_similarity(scores, caption_image) == reference_recalls(blend, caption_image)
+
+
+@pytest.mark.parametrize("block", [3, pl.RANK_BLOCK])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("case", sorted(RANKING_CASES))
+def test_recalls_with_infinite_scores_match_argsort_reference(case, seed, block, monkeypatch):
+    # nextafter(-inf, -inf) is -inf, so a -inf ground truth's lower-index
+    # ties are counted apart from the threshold comparison
+    monkeypatch.setattr(pl, "RANK_BLOCK", block)
+    n_img, n_cap, how = RANKING_CASES[case]
+    rng = rng_from_seed(seed, 41)
+    caption_image = _caption_image(rng, n_img, n_cap, how)
+    scores = _tied_scores(rng, n_img, n_cap, levels=3)
+    draw = rng.random(scores.shape)
+    scores[draw < 0.3] = -np.inf
+    scores[draw > 0.8] = np.inf
+    scores[caption_image[0], caption_image == caption_image[0]] = -np.inf  # a -inf best caption
+    off_target = np.ones_like(scores, dtype=bool)
+    off_target[caption_image, np.arange(n_cap)] = False
+    scores[off_target & (rng.random(scores.shape) < 0.1)] = np.nan
+    assert np.isneginf(scores[caption_image, np.arange(n_cap)]).any()
+    got = pl.recalls_from_similarity(scores, caption_image)
+    assert got == reference_recalls(scores, caption_image)
+
+
+def test_recalls_name_the_global_column_of_a_nan_ground_truth(monkeypatch):
+    monkeypatch.setattr(pl, "RANK_BLOCK", 3)
+    caption_image = np.array([0, 1, 2, 0, 1, 2, 0, 1])
+    scores = np.zeros((3, 8))
+    scores[caption_image[6], 6] = np.nan
+    with pytest.raises(ValueError, match="caption column 6 has a NaN ground-truth score"):
+        pl.recalls_from_similarity(scores, caption_image)
+    left, right = np.ones((3, 2)), np.ones((8, 2))
+    right[7, 0] = np.nan
+    with pytest.raises(ValueError, match="caption column 7 has a NaN ground-truth score"):
+        pl.recalls_from_similarity(pl.StackedScores(left, right), caption_image)
+
+
 @pytest.mark.parametrize("scores, caption_image, match", [
     (np.zeros(4), np.zeros(4, dtype=int), "2-D"),
     (np.zeros((2, 2, 2)), np.zeros(2, dtype=int), "2-D"),
@@ -150,6 +209,48 @@ def test_embed_for_retrieval_reuses_image_chunks_exactly():
     assert np.array_equal(caption_image, want_caption_image)
     assert np.array_equal(v, want_v)
     assert np.array_equal(vc, want_vc)
+
+
+# ---------------------------------------------------------------------------
+# evaluation
+# ---------------------------------------------------------------------------
+
+def _eval_split(n_images=60, per_image=5):
+    return pl.generate_synthetic(n_images, per_image, 4, seed=3, split="val")
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 0.9, 1.0])
+def test_evaluate_equals_ranking_the_dense_blend(beta):
+    state = _tiny_state()
+    val = _eval_split()  # 300 captions: two RANK_BLOCK blocks
+    _, caption_image, v, w, vc, wc = pl.embed_for_retrieval(state, val)
+    dense = beta * (v @ w.T) + (1.0 - beta) * (vc @ wc.T)
+    assert pl.evaluate(state, val, beta) == pl.recalls_from_similarity(dense, caption_image)
+
+
+@pytest.mark.parametrize("records, beta, match", [
+    (0, 0.9, "evaluation split is empty"),
+    (10, -0.1, r"beta must lie in \[0, 1\]"),
+    (10, 1.5, r"beta must lie in \[0, 1\]"),
+    (10, float("nan"), r"beta must lie in \[0, 1\]"),
+])
+def test_evaluate_rejects_an_empty_split_and_beta_outside_unit_interval(records, beta, match):
+    val = _eval_split(5, 2)
+    val.records = val.records[:records]
+    with pytest.raises(ValueError, match=match):
+        pl.evaluate(_tiny_state(), val, beta)
+
+
+def test_evaluate_peak_memory_stays_below_one_dense_score_matrix():
+    state = _tiny_state()
+    val = _eval_split(400, 5)
+    tracemalloc.start()
+    try:
+        pl.evaluate(state, val)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * len(val) * np.dtype(np.float64).itemsize  # one dense [400, 2000] matrix
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +380,26 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert all(_bits(got[k].value) == _bits(want[k].value) for k in want)
     momentum = state.model.encoder_pair.momentum
     assert all(_bits(loaded.model.encoder_pair.momentum[k]) == _bits(momentum[k]) for k in momentum)
+
+
+def test_loaded_checkpoint_evaluates_exactly_like_the_saved_state(tmp_path):
+    cfg = pl.TrainConfig(seed=0, epochs=1, batch_size=16)
+    state, _ = pl.train(cfg, pl.generate_synthetic(33, 1, 4, seed=5))
+    path = tmp_path / "ckpt.json"
+    pl.save_checkpoint(path, state, which="final")
+    val = _eval_split()
+    assert pl.evaluate(pl.load_checkpoint(path), val) == pl.evaluate(state, val)
+
+
+@pytest.mark.parametrize("section", ["epoch", "config", "dims", "params", "momentum", "concepts"])
+def test_load_checkpoint_names_a_missing_section(section, tmp_path):
+    path = tmp_path / "ckpt.json"
+    pl.save_checkpoint(path, _tiny_state(), which="final")
+    blob = json.loads(path.read_text())
+    del blob[section]
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ValueError, match=f"checkpoint: missing section '{section}'"):
+        pl.load_checkpoint(path)
 
 
 @pytest.mark.parametrize("section, name, corrupt, match", [
