@@ -17,9 +17,9 @@ def show(name, value):
         print(f"{name:44s} = {value:.12f}")
 
 
-def softmax(xs, temperature=1.0):
-    m = max(x / temperature for x in xs)
-    ex = [math.exp(x / temperature - m) for x in xs]
+def softmax(xs):
+    m = max(xs)
+    ex = [math.exp(x - m) for x in xs]
     s = sum(ex)
     return [e / s for e in ex]
 

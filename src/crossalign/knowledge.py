@@ -28,7 +28,6 @@ class ConceptVocabulary:
 
     concepts: list[str]
     init_embeddings: np.ndarray
-    seed: int
 
     def __post_init__(self):
         if len(self.concepts) != len(set(self.concepts)):
@@ -76,7 +75,7 @@ def build_vocabulary(corpus: Sequence[Sequence[str]], g: int,
         raise ValueError(f"requested {g} concepts but corpus has only {len(freq)} distinct non-stop tokens")
     ranked = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))
     concepts = [tok for tok, _ in ranked[:g]]
-    return ConceptVocabulary(concepts, concept_embeddings(g, embed_dim, seed), seed)
+    return ConceptVocabulary(concepts, concept_embeddings(g, embed_dim, seed))
 
 
 def build_cooccurrence(corpus: Sequence[Sequence[str]], vocab: ConceptVocabulary) -> CooccurrenceStats:
@@ -122,8 +121,8 @@ def normalized_adjacency(adjacency: np.ndarray) -> np.ndarray:
     return h * inv_row[:, None] * inv_col[None, :] + np.eye(h.shape[0])
 
 
-def gcn_forward(x, adjacency, w: Matrix, activation: str = "relu") -> Matrix:
-    """One graph convolution: activation(normalized_adjacency @ x @ w).
+def gcn_forward(x, adjacency, w: Matrix) -> Matrix:
+    """One graph convolution: relu(normalized_adjacency @ x @ w).
 
     ``x`` and ``adjacency`` are constants; gradients flow through ``w``.
     """
@@ -133,12 +132,7 @@ def gcn_forward(x, adjacency, w: Matrix, activation: str = "relu") -> Matrix:
         raise ValueError(f"adjacency has {a_norm.shape[0]} nodes but x has {x_arr.shape[0]} rows")
     if w.rows != x_arr.shape[1]:
         raise ValueError(f"weight rows {w.rows} != feature dim {x_arr.shape[1]}")
-    pre = Matrix(a_norm @ x_arr) @ w
-    if activation == "relu":
-        return nm.relu(pre)
-    if activation == "leaky_relu":
-        return nm.leaky_relu(pre, 0.2)
-    raise ValueError(f"unknown activation {activation!r}")
+    return nm.relu(Matrix(a_norm @ x_arr) @ w)
 
 
 class ConceptQueryHead:

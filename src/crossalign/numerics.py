@@ -196,12 +196,6 @@ def relu(a: Matrix) -> Matrix:
     return _node(np.where(mask, a.value, 0.0), (a,), lambda g: (g * mask,))
 
 
-def leaky_relu(a: Matrix, negative_slope: float = 0.2) -> Matrix:
-    mask = a.value > 0.0
-    slope = np.where(mask, 1.0, negative_slope)
-    return _node(a.value * slope, (a,), lambda g: (g * slope,))
-
-
 def sum_all(a: Matrix) -> Matrix:
     shape = a.value.shape
     return _node(np.array([[a.value.sum()]]), (a,), lambda g: (np.full(shape, g[0, 0]),))
@@ -241,18 +235,15 @@ def segment_weighted_sum(values: Matrix, weights: Matrix, lengths: Sequence[int]
     return _node(np.add.reduceat(vv * row_w, starts, axis=0), (values, weights), vjp)
 
 
-def softmax_rows(a: Matrix, temperature: float = 1.0) -> Matrix:
-    """Row-wise softmax of ``a / temperature`` with max-subtraction."""
-    if not temperature > 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    z = a.value / temperature
-    z = z - z.max(axis=1, keepdims=True)
+def softmax_rows(a: Matrix) -> Matrix:
+    """Row-wise softmax with max-subtraction."""
+    z = a.value - a.value.max(axis=1, keepdims=True)
     e = np.exp(z)
     out = e / e.sum(axis=1, keepdims=True)
 
     def vjp(g):
         inner = (g * out).sum(axis=1, keepdims=True)
-        return (out * (g - inner) / temperature,)
+        return (out * (g - inner),)
 
     return _node(out, (a,), vjp)
 
@@ -270,8 +261,11 @@ def log_softmax_rows(a: Matrix) -> Matrix:
 
 
 def l2_normalize_rows(a: Matrix) -> Matrix:
-    """Scale every row to unit Euclidean norm; rejects zero rows."""
-    norms = np.linalg.norm(a.value, axis=1, keepdims=True)
+    """Scale every row to unit Euclidean norm; rejects zero rows and overflowing norms."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(a.value, axis=1, keepdims=True)
+    if not np.isfinite(norms).all():
+        raise NonFiniteError("l2_normalize_rows: a row norm overflows float64")
     if np.any(norms == 0.0):
         raise ValueError("cannot normalize a zero row")
     out = a.value / norms
@@ -281,14 +275,6 @@ def l2_normalize_rows(a: Matrix) -> Matrix:
         return ((g - out * inner) / norms,)
 
     return _node(out, (a,), vjp)
-
-
-def sigmoid(x: float) -> float:
-    """Scalar logistic function, stable on both tails."""
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
 
 
 # ---------------------------------------------------------------------------
@@ -344,17 +330,15 @@ def backward(result: Matrix) -> None:
 # Adam
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 class AdamState:
     """First/second moment buffers and step counter for one parameter."""
 
-    __slots__ = ("lr", "beta1", "beta2", "eps", "m", "v", "step")
+    __slots__ = ("lr", "m", "v", "step")
 
-    def __init__(self, rows: int, cols: int, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, rows: int, cols: int, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = np.zeros((rows, cols))
         self.v = np.zeros((rows, cols))
         self.step = 0
@@ -369,11 +353,11 @@ def adam_step(state: AdamState, params: Matrix, grads: Matrix | np.ndarray) -> M
             f"grads {g.shape}, state {state.m.shape}"
         )
     state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = state.m / (1.0 - state.beta1 ** state.step)
-    v_hat = state.v / (1.0 - state.beta2 ** state.step)
-    return Matrix(params.value - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.step)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.step)
+    return Matrix(params.value - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
 
 
 # ---------------------------------------------------------------------------

@@ -423,7 +423,6 @@ class LossReport:
     l_mdcl: float
     l_dcl_c: float
     l_pgc: float
-    lambda_weight: float
     total: Matrix
 
 
@@ -436,4 +435,4 @@ def total_loss(l_dcl_i: Matrix | None, l_mdcl: Matrix | None, l_dcl_c: Matrix | 
     c = l_dcl_c if l_dcl_c is not None else zero
     d = l_pgc if l_pgc is not None else zero
     total = a * lambda_weight + b + c + d
-    return LossReport(a.item(), b.item(), c.item(), d.item(), lambda_weight, total)
+    return LossReport(a.item(), b.item(), c.item(), d.item(), total)

@@ -32,7 +32,6 @@ is ever held: extra memory is O(n_images x RANK_BLOCK).
 from __future__ import annotations
 
 import base64
-import csv
 import json
 import math
 from dataclasses import asdict, dataclass, fields
@@ -46,12 +45,7 @@ from .numerics import AdamState, Matrix, adam_step, backward, rng_from_seed
 from .objective import PrototypeState, SimilarityMatrix
 from .representation import EncoderPair, FeatureAggregator, MemoryBank, named_params
 
-METRICS_HEADER = [
-    "epoch", "l_dcl_i", "l_mdcl", "l_dcl_c", "l_pgc", "total",
-    "r1_t", "r5_t", "r10_t", "r1_i", "r5_i", "r10_i", "rsum",
-]
-
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 # caption columns ranked at once by recalls_from_similarity
 RANK_BLOCK = 256
 
@@ -72,8 +66,6 @@ class PairedRecord:
 @dataclass
 class PairedDataset:
     records: list[PairedRecord]
-    split: str = "train"
-    captions_per_image: int = 1
 
     def __len__(self) -> int:
         return len(self.records)
@@ -235,11 +227,6 @@ def build_world(latent_classes: int, seed: int, *, d_img: int = 48, d_txt: int =
                           proj_img, proj_txt)
 
 
-def synthetic_class_of(image_id: str) -> int:
-    """Recover the latent class encoded in a synthetic image id."""
-    return int(image_id.split("-")[1][1:])
-
-
 def generate_synthetic(n_images: int, captions_per_image: int = 1, latent_classes: int = 8,
                        noise: float = 0.1, seed: int = 0, *, split: str = "train",
                        world: SyntheticWorld | None = None, attrs_per_image: int = 3,
@@ -290,7 +277,7 @@ def generate_synthetic(n_images: int, captions_per_image: int = 1, latent_classe
                     token_latents.append(world.distractor_latents[DISTRACTOR_TOKENS.index(tok)])
             caption = np.stack(token_latents) @ world.proj_txt
             records.append(PairedRecord(f"{image_id}-cap{k}", image_id, image, tokens, caption))
-    return PairedDataset(records, split, captions_per_image)
+    return PairedDataset(records)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +376,7 @@ def _validate_record(raw: dict, line_no: int, max_seq_len: int, widths: dict[str
                         arrays["caption_features"])
 
 
-def load_dataset(path, split: str | None = None, max_seq_len: int = 64) -> PairedDataset:
+def load_dataset(path, max_seq_len: int = 64) -> PairedDataset:
     """Read and validate a JSONL dataset written by ``save_dataset``.
 
     Each line holds one record whose feature fields are ``{"shape": [L,
@@ -400,7 +387,6 @@ def load_dataset(path, split: str | None = None, max_seq_len: int = 64) -> Paire
     """
     records: list[PairedRecord] = []
     seen: set[str] = set()
-    counts: dict[str, int] = {}
     widths: dict[str, int] = {}
     images: dict = {}
     with open(path) as fh:
@@ -415,14 +401,10 @@ def load_dataset(path, split: str | None = None, max_seq_len: int = 64) -> Paire
             if r.pair_id in seen:
                 raise ValueError(f"record {r.pair_id!r}: duplicate pair_id")
             seen.add(r.pair_id)
-            counts[r.image_id] = counts.get(r.image_id, 0) + 1
             records.append(r)
     if not records:
         raise ValueError(f"dataset {path} has no records")
-    if split is None:
-        stem = str(path).rsplit("/", 1)[-1]
-        split = stem.split(".")[0]
-    return PairedDataset(records, split, max(counts.values()))
+    return PairedDataset(records)
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +422,8 @@ class AlignmentModel:
     """
 
     def __init__(self, cfg: TrainConfig, d_img: int, d_txt: int,
-                 vocab: kn.ConceptVocabulary, adjacency: np.ndarray,
-                 rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else rng_from_seed(cfg.seed, 11)
+                 vocab: kn.ConceptVocabulary, adjacency: np.ndarray):
+        rng = rng_from_seed(cfg.seed, 11)
         f = cfg.embed_dim
         self.cfg = cfg
         self.d_img = d_img
@@ -659,8 +640,8 @@ def _align_cluster_ids(new: PrototypeState, prev_centroids: np.ndarray) -> Proto
     return PrototypeState(k, centroids, labels, new.inertia, new.inertia_path)
 
 
-def train(cfg: TrainConfig, data: PairedDataset, val_data: PairedDataset | None = None,
-          metrics_path=None) -> tuple[TrainState, list[dict]]:
+def train(cfg: TrainConfig, data: PairedDataset,
+          val_data: PairedDataset | None = None) -> tuple[TrainState, list[dict]]:
     """Run the full two-branch loop; returns the final state and per-epoch rows.
 
     Per epoch: recluster prototypes from the summed instance embeddings,
@@ -668,7 +649,8 @@ def train(cfg: TrainConfig, data: PairedDataset, val_data: PairedDataset | None 
     take one Adam step, move the momentum mirror, and enqueue the
     momentum embeddings. The memory loss stays off until both queues hold
     at least one full batch. Evaluates on ``val_data`` every epoch and
-    keeps the best-rsum parameter snapshot.
+    keeps the best-rsum parameter snapshot. A ``NonFiniteError`` becomes a
+    ``RuntimeError`` that names the epoch and the batch or the clustering.
     """
     state = build_state(cfg, data)
     rows: list[dict] = []
@@ -682,7 +664,10 @@ def train(cfg: TrainConfig, data: PairedDataset, val_data: PairedDataset | None 
 
         labels_all = None
         if cfg.use_concept_losses:
-            points = _instance_sums(state, data.records)
+            try:
+                points = _instance_sums(state, data.records)
+            except nm.NonFiniteError as e:
+                raise RuntimeError(f"non-finite value at epoch {epoch}, clustering: {e}") from e
             k_eff = min(cfg.k_clusters, len(data))
             fresh = obj.kmeans_cluster(points, k_eff, seed=cfg.seed, n_init=4)
             if state.prototypes is not None and state.prototypes.k == k_eff:
@@ -727,18 +712,7 @@ def train(cfg: TrainConfig, data: PairedDataset, val_data: PairedDataset | None 
                         ("r1_t", "r5_t", "r10_t", "r1_i", "r5_i", "r10_i", "rsum")})
         rows.append(row)
         state.epochs_run = epoch + 1
-
-    if metrics_path is not None:
-        write_metrics(metrics_path, rows)
     return state, rows
-
-
-def write_metrics(path, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=METRICS_HEADER)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k, "") for k in METRICS_HEADER})
 
 
 # ---------------------------------------------------------------------------
@@ -888,9 +862,10 @@ def evaluate(state: TrainState, data: PairedDataset, beta: float | None = None) 
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path, state: TrainState, which: str = "best") -> None:
-    """Serialize parameters, momentum mirror, config, and concept assets.
+    """Serialize parameters, momentum mirror, config, and concept tokens and adjacency.
 
-    ``which="best"`` uses the best-validation snapshot when one exists,
+    Every array is an ``_encode`` blob; the concept vectors are rebuilt from
+    ``config``. ``which="best"`` uses the best-validation snapshot when one exists,
     otherwise the current parameters.
     """
     if which not in ("best", "final"):
@@ -902,7 +877,6 @@ def save_checkpoint(path, state: TrainState, which: str = "best") -> None:
         epoch = state.best["epoch"]
     blob = {
         "version": CHECKPOINT_VERSION,
-        "seed": state.config.seed,
         "epoch": epoch,
         "config": asdict(state.config),
         "dims": {"d_img": state.model.d_img, "d_txt": state.model.d_txt},
@@ -910,9 +884,7 @@ def save_checkpoint(path, state: TrainState, which: str = "best") -> None:
         "momentum": {name: _encode(arr) for name, arr in state.model.encoder_pair.momentum.items()},
         "concepts": {
             "tokens": state.model.vocab.concepts,
-            "x_seed": state.model.vocab.seed,
-            "embed_dim": int(state.model.vocab.init_embeddings.shape[1]),
-            "adjacency": state.model.adjacency.tolist(),
+            "adjacency": _encode(state.model.adjacency),
         },
     }
     with open(path, "w") as fh:
@@ -937,25 +909,44 @@ def _decode_section(section: dict, model_arrays: dict[str, np.ndarray], kind: st
     return out
 
 
+def _entry(section: dict, kind: str, name: str, want: type):
+    """``section[name]``, which must be a JSON value of type ``want``; errors name it."""
+    where = f"checkpoint {kind} {name!r}"
+    if name not in section:
+        raise ValueError(f"{where}: missing from the file")
+    if type(section[name]) is not want:
+        raise ValueError(f"{where} must be of type {want.__name__}, got {type(section[name]).__name__}")
+    return section[name]
+
+
 def load_checkpoint(path) -> TrainState:
-    """Rebuild a state whose evaluation reproduces the saved one bit-for-bit."""
+    """Rebuild a state that evaluates as the saved one did, bit for bit; errors name the entry."""
     with open(path) as fh:
         blob = json.load(fh)
+    if type(blob) is not dict:
+        raise ValueError(f"checkpoint: the top level must be an object, got {type(blob).__name__}")
     if blob.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {blob.get('version')!r}")
-    for section in ("epoch", "config", "dims", "params", "momentum", "concepts"):
+    for section, want in (("epoch", int), ("config", dict), ("dims", dict), ("params", dict),
+                          ("momentum", dict), ("concepts", dict)):
         if section not in blob:
             raise ValueError(f"checkpoint: missing section {section!r}")
+        _entry(blob, "section", section, want)
     cfg = TrainConfig.from_dict(blob["config"])
+    dims = blob["dims"]
+    for key in ("d_img", "d_txt"):
+        if _entry(dims, "dims", key, int) < 1:
+            raise ValueError(f"checkpoint dims {key!r} must be positive, got {dims[key]}")
     concepts = blob["concepts"]
-    vocab = kn.ConceptVocabulary(
-        list(concepts["tokens"]),
-        kn.concept_embeddings(len(concepts["tokens"]), int(concepts["embed_dim"]),
-                              int(concepts["x_seed"])),
-        int(concepts["x_seed"]),
-    )
-    model = AlignmentModel(cfg, int(blob["dims"]["d_img"]), int(blob["dims"]["d_txt"]),
-                           vocab, np.asarray(concepts["adjacency"], dtype=np.int64))
+    tokens = _entry(concepts, "concepts", "tokens", list)
+    if not tokens or not all(type(t) is str for t in tokens):
+        raise ValueError("checkpoint concepts 'tokens' must be a non-empty list of strings")
+    where, g = "checkpoint concepts 'adjacency'", len(tokens)
+    adjacency = _decode(_entry(concepts, "concepts", "adjacency", dict), where)
+    if adjacency.shape != (g, g) or not np.isin(adjacency, (0.0, 1.0)).all():
+        raise ValueError(f"{where} must be a [{g}, {g}] matrix of 0s and 1s for {g} tokens")
+    vocab = kn.ConceptVocabulary(tokens, kn.concept_embeddings(g, cfg.embed_dim, cfg.seed))
+    model = AlignmentModel(cfg, dims["d_img"], dims["d_txt"], vocab, adjacency)
     params = {name: m.value for name, m in model.param_items()}
     for name, arr in _decode_section(blob["params"], params, "params").items():
         model.set_param(name, Matrix(arr))
@@ -965,5 +956,5 @@ def load_checkpoint(path) -> TrainState:
     state = TrainState(cfg, model, adam,
                        MemoryBank(cfg.bank_capacity, cfg.embed_dim),
                        MemoryBank(cfg.bank_capacity, cfg.embed_dim))
-    state.epochs_run = int(blob["epoch"])
+    state.epochs_run = blob["epoch"]
     return state

@@ -14,33 +14,19 @@ from . import numerics as nm
 from .numerics import Matrix
 
 
-def _encode_positions(positions: np.ndarray, d_p: int) -> np.ndarray:
-    """Rows of sin(u_j * p) (even columns) and cos(u_j * p) (odd columns), u_j = 10000^(-2j / d_p)."""
+def positional_encoding_table(length: int, d_p: int) -> np.ndarray:
+    """Row p < length: sin(u_j * p) in even and cos(u_j * p) in odd columns, u_j = 10000^(-2j / d_p)."""
+    if length < 1:
+        raise ValueError("table length must be at least 1")
     if d_p % 2 != 0 or d_p <= 0:
         raise ValueError(f"positional dimension must be a positive even number, got {d_p}")
     j = np.arange(d_p // 2)
     u = 1.0 / (10000.0 ** (2.0 * j / d_p))
-    angles = positions[:, None] * u
-    out = np.empty((positions.shape[0], d_p))
+    angles = np.arange(length)[:, None] * u
+    out = np.empty((length, d_p))
     out[:, 0::2] = np.sin(angles)
     out[:, 1::2] = np.cos(angles)
     return out
-
-
-def positional_encoding(index: int, d_p: int) -> np.ndarray:
-    """Sin/cos encoding of one position index as a length-``d_p`` vector.
-
-    Even components are sin(u_j * index), odd ones cos(u_j * index), with
-    u_j = 10000^(-2j / d_p).
-    """
-    return _encode_positions(np.array([index]), d_p)[0]
-
-
-def positional_encoding_table(length: int, d_p: int) -> np.ndarray:
-    """Encodings for positions 0..length-1 stacked as rows."""
-    if length < 1:
-        raise ValueError("table length must be at least 1")
-    return _encode_positions(np.arange(length), d_p)
 
 
 class FeatureAggregator:
@@ -109,10 +95,6 @@ class FeatureAggregator:
         theta = self.pooling_weights(max(lengths), params=p)
         projected = Matrix(np.concatenate(arrs)) @ p["proj"]
         return nm.l2_normalize_rows(nm.segment_weighted_sum(projected, theta, lengths))
-
-    def aggregate(self, seq, params=None) -> Matrix:
-        """Embed one sequence; returns [1, out_dim]."""
-        return self.aggregate_batch([seq], params=params)
 
 
 def named_params(groups: dict[str, dict[str, Matrix]]):

@@ -174,10 +174,10 @@ def test_gcn_rejects_shape_mismatch():
         gcn_forward(np.ones((2, 4)), np.zeros((2, 2)), Matrix(np.ones((3, 3))))
 
 
-def test_gcn_leaky_relu_variant():
+def test_gcn_clamps_negative_outputs_to_zero():
     x = np.array([[-1.0, 2.0]])
-    out = gcn_forward(x, np.zeros((1, 1)), Matrix(np.eye(2)), activation="leaky_relu")
-    assert out.value == pytest.approx(np.array([[-0.2, 2.0]]))
+    out = gcn_forward(x, np.zeros((1, 1)), Matrix(np.eye(2)))
+    assert np.array_equal(out.value, np.array([[0.0, 2.0]]))
 
 
 # ---------------------------------------------------------------------------

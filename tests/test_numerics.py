@@ -75,12 +75,19 @@ def test_l2_normalize_zero_row_rejected():
         nm.l2_normalize_rows(Matrix([[0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("row", [[1e200, 1e200], [1.0, -1e155], [1.7e308, 1.7e308]])
+def test_l2_normalize_overflowing_norm_is_named_not_zeroed(row):
+    # the squared norm overflows float64; dividing by an inf norm would give a zero row
+    with pytest.raises(nm.NonFiniteError, match="l2_normalize_rows"):
+        nm.l2_normalize_rows(Matrix([[1.0, 1.0], row]))
+
+
 def test_softmax_symmetric_row():
     assert nm.softmax_rows(Matrix([[0.0, 0.0]])).value == pytest.approx(np.array([[0.5, 0.5]]))
 
 
 def test_softmax_extreme_row_is_stable():
-    out = nm.softmax_rows(Matrix([[1000.0, 0.0]]), temperature=1.0).value
+    out = nm.softmax_rows(Matrix([[1000.0, 0.0]])).value
     assert out == pytest.approx(np.array([[1.0, 0.0]]), abs=1e-12)
 
 
@@ -91,27 +98,15 @@ def test_softmax_reference_row():
     )
 
 
-def test_softmax_rejects_nonpositive_temperature():
-    with pytest.raises(ValueError, match="temperature"):
-        nm.softmax_rows(Matrix([[1.0]]), temperature=0.0)
-
-
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=50, deadline=None)
 def test_softmax_rows_sum_to_one(seed):
     rng = rng_from_seed(seed, 2)
     shape = (int(rng.integers(1, 6)), int(rng.integers(1, 8)))
-    vals = rng.uniform(-50.0, 50.0, size=shape)
-    out = nm.softmax_rows(Matrix(vals), temperature=float(rng.uniform(0.05, 5.0)))
+    vals = rng.uniform(-50.0, 50.0, size=shape) / rng.uniform(0.05, 5.0)
+    out = nm.softmax_rows(Matrix(vals))
     assert np.max(np.abs(out.value.sum(axis=1) - 1.0)) <= 1e-9
     assert np.all(out.value >= 0.0)
-
-
-def test_sigmoid_scalar():
-    assert nm.sigmoid(0.0) == 0.5
-    assert nm.sigmoid(1e6) == pytest.approx(1.0, abs=1e-12)
-    assert nm.sigmoid(1.0) == pytest.approx(0.731058578630, abs=1e-9)
-    assert nm.sigmoid(-1e6) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_matrix_rejects_non_finite():
@@ -192,8 +187,7 @@ def test_grad_check_elementary_ops(seed):
         lambda p: nm.sum_all(nm.exp(p * 0.3)),
         lambda p: nm.sum_all(nm.log(p * 0.1 + offset)),
         lambda p: nm.sum_all(nm.relu(p + offset) * other),
-        lambda p: nm.sum_all(nm.leaky_relu(p + offset) * other),
-        lambda p: nm.sum_all(nm.softmax_rows(p, temperature=0.7) * other),
+        lambda p: nm.sum_all(nm.softmax_rows(p * 1.4) * other),
         lambda p: nm.sum_all(nm.log_softmax_rows(p) * other),
         lambda p: nm.sum_all(nm.l2_normalize_rows(p + offset) * other),
         lambda p: nm.sum_all(nm.row_sum(p) * nm.row_sum(other)),

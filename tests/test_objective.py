@@ -12,6 +12,7 @@ from crossalign.objective import (
     SimilarityMatrix,
     _estimate,
     _plusplus_init,
+    _sigmoid_vec,
     cosine_matrix,
     dcl_i_loss,
     dcl_loss,
@@ -101,6 +102,12 @@ def test_diversity_std_normalized_pair():
     out = diversity_std(sim, eps=0.1)
     assert out.values == pytest.approx(np.array([0.731058578630, 1.0]), abs=1e-9)
     assert out.values.max() == 1.0
+
+
+def test_sigmoid_vec_reference_values_and_stable_tails():
+    out = _sigmoid_vec(np.array([0.0, 1.0, -1.0, 1e6, -1e6]))
+    assert out[0] == 0.5 and out[3] == 1.0 and out[4] == 0.0
+    assert out[1:3] == pytest.approx([0.731058578630, 0.268941421370], abs=1e-9)
 
 
 def test_diversity_requires_negatives():

@@ -269,7 +269,7 @@ def test_dataset_round_trip_is_bit_exact(tmp_path):
     path = tmp_path / "train.jsonl"
     pl.save_dataset(data, path)
     loaded = pl.load_dataset(path)
-    assert (loaded.split, loaded.captions_per_image, len(loaded)) == ("train", 3, 18)
+    assert len(loaded) == 18
     for got, want in zip(loaded.records, data.records):
         assert (got.pair_id, got.image_id, got.caption_tokens) == \
             (want.pair_id, want.image_id, want.caption_tokens)
@@ -357,12 +357,13 @@ def test_load_dataset_rejects_bad_records(case, tmp_path):
         pl.load_dataset(path)
 
 
-def test_load_dataset_counts_captions_and_names_the_split(tmp_path):
-    path = _write(tmp_path / "dev.v2.jsonl", _raw("a"), "", _raw("b"),
+def test_load_dataset_skips_blank_lines_and_takes_max_seq_len(tmp_path):
+    path = _write(tmp_path / "dev.jsonl", _raw("a"), "", _raw("b"),
                   dict(_raw("c"), image_id="other"))
-    loaded = pl.load_dataset(path)
-    assert (loaded.split, loaded.captions_per_image, len(loaded)) == ("dev", 2, 3)
-    assert pl.load_dataset(path, split="val", max_seq_len=2).split == "val"
+    loaded = pl.load_dataset(path, max_seq_len=2)
+    assert [(r.pair_id, r.image_id) for r in loaded.records] == [("a", "img"), ("b", "img"), ("c", "other")]
+    with pytest.raises(ValueError, match=r"record 'a': image_features longer than max_seq_len=1"):
+        pl.load_dataset(path, max_seq_len=1)
 
 
 def _tiny_state():
@@ -382,13 +383,32 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert all(_bits(loaded.model.encoder_pair.momentum[k]) == _bits(momentum[k]) for k in momentum)
 
 
-def test_loaded_checkpoint_evaluates_exactly_like_the_saved_state(tmp_path):
+@pytest.mark.parametrize("d_img, d_txt", [(48, 48), (40, 24)])
+def test_loaded_checkpoint_evaluates_exactly_like_the_saved_state(d_img, d_txt, tmp_path):
+    # unequal widths skip the symmetric start, so each aggregator keeps its own draw
     cfg = pl.TrainConfig(seed=0, epochs=1, batch_size=16)
-    state, _ = pl.train(cfg, pl.generate_synthetic(33, 1, 4, seed=5))
+    state, rows = pl.train(cfg, pl.generate_synthetic(33, 1, 4, seed=5, d_img=d_img, d_txt=d_txt))
+    assert all(math.isfinite(rows[0][k]) for k in ("l_dcl_i", "l_mdcl", "l_dcl_c", "l_pgc", "total"))
     path = tmp_path / "ckpt.json"
     pl.save_checkpoint(path, state, which="final")
-    val = _eval_split()
-    assert pl.evaluate(pl.load_checkpoint(path), val) == pl.evaluate(state, val)
+    loaded = pl.load_checkpoint(path)
+    assert (loaded.model.d_img, loaded.model.d_txt) == (d_img, d_txt)
+    val = pl.generate_synthetic(60, 5, 4, seed=3, split="val", d_img=d_img, d_txt=d_txt)
+    assert pl.evaluate(loaded, val) == pl.evaluate(state, val)
+
+
+@pytest.mark.parametrize("corrupt, match", [
+    (lambda blob: [blob], "checkpoint: the top level must be an object, got list"),
+    (lambda blob: dict(blob, version=1), "unsupported checkpoint version 1"),
+    (lambda blob: dict(blob, params=[]), "checkpoint section 'params' must be of type dict, got list"),
+    (lambda blob: dict(blob, epoch="1"), "checkpoint section 'epoch' must be of type int, got str"),
+], ids=["list", "version_1", "params_list", "epoch_string"])
+def test_load_checkpoint_names_a_bad_top_level(corrupt, match, tmp_path):
+    path = tmp_path / "ckpt.json"
+    pl.save_checkpoint(path, _tiny_state(), which="final")
+    path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+    with pytest.raises(ValueError, match=match):
+        pl.load_checkpoint(path)
 
 
 @pytest.mark.parametrize("section", ["epoch", "config", "dims", "params", "momentum", "concepts"])
@@ -416,8 +436,24 @@ def test_load_checkpoint_names_a_missing_section(section, tmp_path):
      "not a parameter of this model"),
     ("params", "txt.proj", lambda sec, n: sec.update({n: pl._encode(np.zeros((3, 3)))}),
      r"shape \[3, 3\] but the model's is \[48, 32\]"),
+    ("dims", "d_img", lambda sec, n: sec.pop(n), "missing from the file"),
+    ("dims", "d_img", lambda sec, n: sec.update({n: "48"}), "must be of type int, got str"),
+    ("dims", "d_txt", lambda sec, n: sec.update({n: 0}), "must be positive, got 0"),
+    ("concepts", "tokens", lambda sec, n: sec.pop(n), "missing from the file"),
+    ("concepts", "tokens", lambda sec, n: sec.update({n: ["red", 3]}), "list of strings"),
+    ("concepts", "adjacency", lambda sec, n: sec.pop(n), "missing from the file"),
+    ("concepts", "adjacency", lambda sec, n: sec.update({n: [[0, 1], [1]]}),
+     "must be of type dict, got list"),
+    ("concepts", "adjacency", lambda sec, n: sec.update({n: pl._encode(np.zeros((2, 3)))}),
+     r"must be a \[(\d+), \1\] matrix of 0s and 1s"),
+    ("concepts", "adjacency", lambda sec, n: sec.update({n: pl._encode(2.0 * pl._decode(sec[n], n))}),
+     r"must be a \[(\d+), \1\] matrix of 0s and 1s"),
+    ("concepts", "adjacency", lambda sec, n: sec[n].update(data=sec[n]["data"][:-12]), r"needs \d+"),
 ], ids=["truncated", "bad_padding", "not_a_blob", "missing", "missing_momentum",
-        "unknown_name", "unknown_group", "wrong_shape"])
+        "unknown_name", "unknown_group", "wrong_shape", "missing_d_img", "string_d_img",
+        "zero_d_txt", "missing_tokens", "non_string_token", "missing_adjacency",
+        "ragged_list_adjacency", "non_square_adjacency", "non_binary_adjacency",
+        "truncated_adjacency"])
 def test_load_checkpoint_names_a_corrupt_blob(section, name, corrupt, match, tmp_path):
     path = tmp_path / "ckpt.json"
     pl.save_checkpoint(path, _tiny_state(), which="final")
@@ -447,3 +483,14 @@ def test_train_runs_every_branch_deterministically(instance_loss):
         assert all(math.isfinite(row[k]) for k in ("l_dcl_i", "l_mdcl", "l_dcl_c", "l_pgc", "total"))
     assert rows[-1]["l_mdcl"] != 0.0
     assert pl.train(cfg, data, val)[1] == rows
+
+
+@pytest.mark.parametrize("use_concept_losses, where", [(True, "epoch 0, clustering"),
+                                                       (False, "epoch 0, batch 0")])
+def test_train_names_where_a_row_norm_overflows(use_concept_losses, where):
+    data = pl.generate_synthetic(33, 1, 4, seed=5)
+    for r in data.records:
+        r.image_features = r.image_features * 1e200
+    cfg = pl.TrainConfig(seed=0, epochs=1, batch_size=16, use_concept_losses=use_concept_losses)
+    with pytest.raises(RuntimeError, match=f"{where}: l2_normalize_rows: a row norm overflows"):
+        pl.train(cfg, data)

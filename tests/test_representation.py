@@ -10,32 +10,32 @@ from crossalign.representation import (
     FeatureAggregator,
     MemoryBank,
     named_params,
-    positional_encoding,
     positional_encoding_table,
 )
 
 
 def test_positional_encoding_at_zero():
-    out = positional_encoding(0, 8)
+    out = positional_encoding_table(1, 8)[0]
     assert np.array_equal(out, np.array([0.0, 1.0] * 4))
 
 
 def test_positional_encoding_reference_value():
-    out = positional_encoding(1, 2)
+    out = positional_encoding_table(2, 2)[1]
     assert out == pytest.approx([0.841470984808, 0.540302305868], abs=1e-10)
 
 
 @given(st.integers(min_value=0, max_value=5000), st.integers(min_value=1, max_value=16))
 @settings(max_examples=40, deadline=None)
 def test_positional_encoding_bounded(index, half_dim):
-    out = positional_encoding(index, 2 * half_dim)
+    out = positional_encoding_table(index + 1, 2 * half_dim)[index]
     assert np.all(out >= -1.0) and np.all(out <= 1.0)
 
 
 @pytest.mark.parametrize("d_p", [2, 8, 32])
 @pytest.mark.parametrize("length", [1, 5, 64])
 def test_positional_table_equals_stacked_rows(d_p, length):
-    rows = np.stack([positional_encoding(i, d_p) for i in range(length)])
+    # row i of any longer table, so rows do not depend on the table length
+    rows = np.stack([positional_encoding_table(i + 1, d_p)[i] for i in range(length)])
     u = 1.0 / (10000.0 ** (2.0 * np.arange(d_p // 2) / d_p))
     formula = np.stack([np.stack([np.sin(u * i), np.cos(u * i)], axis=1).ravel() for i in range(length)])
     table = positional_encoding_table(length, d_p)
@@ -46,7 +46,7 @@ def test_positional_table_equals_stacked_rows(d_p, length):
 
 def test_positional_encoding_rejects_odd_dim():
     with pytest.raises(ValueError, match="even"):
-        positional_encoding(3, 5)
+        positional_encoding_table(4, 5)
 
 
 def _aggregator(seed=0, d_in=6, out_dim=8):
@@ -59,7 +59,7 @@ def test_aggregate_identical_features_collapse_to_projection():
     seq = np.tile(feature, (5, 1))
     theta = agg.pooling_weights(5).value
     assert theta.sum() > 0  # fresh decoder starts near sum pooling
-    out = agg.aggregate(seq).value
+    out = agg.aggregate_batch([seq]).value
     expected = nm.l2_normalize_rows(Matrix(feature.reshape(1, -1)) @ agg.p["proj"]).value
     assert np.max(np.abs(out - expected)) <= 1e-10
 
@@ -67,7 +67,7 @@ def test_aggregate_identical_features_collapse_to_projection():
 def test_aggregate_single_feature():
     agg = _aggregator(seed=3)
     feature = rng_from_seed(4).standard_normal((1, 6))
-    out = agg.aggregate(feature).value
+    out = agg.aggregate_batch([feature]).value
     expected = nm.l2_normalize_rows(Matrix(feature) @ agg.p["proj"]).value
     assert np.max(np.abs(out - expected)) <= 1e-12
 
@@ -96,13 +96,13 @@ def test_aggregate_rejects_empty_input():
     with pytest.raises(ValueError):
         agg.aggregate_batch([])
     with pytest.raises(ValueError):
-        agg.aggregate(np.zeros((0, 6)))
+        agg.aggregate_batch([np.zeros((0, 6))])
 
 
 def test_aggregate_rejects_wrong_feature_dim():
     agg = _aggregator()
     with pytest.raises(ValueError, match="d_in"):
-        agg.aggregate(np.ones((3, 5)))
+        agg.aggregate_batch([np.ones((3, 5))])
 
 
 @pytest.mark.parametrize("name", ["proj", "dec_w1", "dec_b1", "dec_w2", "dec_b2"])
@@ -125,7 +125,7 @@ def test_batch_and_single_aggregation_agree():
     rng = rng_from_seed(10)
     seqs = [rng.standard_normal((int(rng.integers(1, 6)), 6)) for _ in range(5)]
     batched = agg.aggregate_batch(seqs).value
-    singles = np.vstack([agg.aggregate(s).value for s in seqs])
+    singles = np.vstack([agg.aggregate_batch([s]).value for s in seqs])
     assert np.max(np.abs(batched - singles)) <= 1e-12
 
 
@@ -191,15 +191,15 @@ def test_momentum_forward_matches_main_after_full_copy():
     agg.p["proj"] = Matrix(agg.p["proj"].value * 0.5)
     pair.momentum_update(0.0)
     seq = rng_from_seed(12).standard_normal((4, 6))
-    main_out = agg.aggregate(seq).value
-    mom_out = agg.aggregate(seq, params=pair.momentum_group("enc")).value
+    main_out = agg.aggregate_batch([seq]).value
+    mom_out = agg.aggregate_batch([seq], params=pair.momentum_group("enc")).value
     assert np.array_equal(main_out, mom_out)
 
 
 def test_momentum_forward_leaves_main_gradients_untouched():
     agg, pair = _pair()
     seq = rng_from_seed(13).standard_normal((3, 6))
-    out = agg.aggregate(seq, params=pair.momentum_group("enc"))
+    out = agg.aggregate_batch([seq], params=pair.momentum_group("enc"))
     backward(nm.sum_all(out))
     assert all(m.grad is None for _, m in named_params(pair.groups))
 
