@@ -157,8 +157,9 @@ def concept_query(head: ConceptQueryHead, query: Matrix, basis: Matrix,
                   modality: str) -> tuple[Matrix, Matrix]:
     """Soft combination of concept rows selected by a scaled bilinear score.
 
-    Returns the unit-normalized combined embedding [N, F] and the
-    attention weights [N, g] (each row a probability distribution).
+    Returns the unit-normalized combined embedding [N, F], scored by plain
+    dot products downstream, and the attention weights [N, g] (each row a
+    probability distribution).
     """
     if modality not in ("visual", "textual"):
         raise ValueError(f"modality must be 'visual' or 'textual', got {modality!r}")

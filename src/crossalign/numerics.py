@@ -260,15 +260,32 @@ def log_softmax_rows(a: Matrix) -> Matrix:
     return _node(out, (a,), vjp)
 
 
+# below this norm a row's squares can underflow: sqrt of the smallest normal float64
+_SMALL_NORM = math.sqrt(np.finfo(np.float64).tiny)
+
+
 def l2_normalize_rows(a: Matrix) -> Matrix:
-    """Scale every row to unit Euclidean norm; rejects zero rows and overflowing norms."""
+    """Scale every row to unit Euclidean norm; rejects zero rows and overflowing norms.
+
+    A row whose norm is below ``_SMALL_NORM`` would lose bits to (or
+    vanish in) the underflowing squares, so it is first divided by its
+    largest magnitude; every other row is divided by its norm directly.
+    """
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(a.value, axis=1, keepdims=True)
     if not np.isfinite(norms).all():
         raise NonFiniteError("l2_normalize_rows: a row norm overflows float64")
-    if np.any(norms == 0.0):
-        raise ValueError("cannot normalize a zero row")
-    out = a.value / norms
+    scaled, scaled_norms = a.value, norms
+    small = norms < _SMALL_NORM
+    if small.any():
+        # dividing the other rows by 1.0 leaves their bits as they were
+        peak = np.where(small, np.abs(a.value).max(axis=1, keepdims=True), 1.0)
+        if np.any(peak == 0.0):
+            raise ValueError("cannot normalize a zero row")
+        scaled = a.value / peak
+        scaled_norms = np.linalg.norm(scaled, axis=1, keepdims=True)
+        norms = peak * scaled_norms
+    out = scaled / scaled_norms
 
     def vjp(g):
         inner = (g * out).sum(axis=1, keepdims=True)

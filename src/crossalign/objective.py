@@ -52,15 +52,14 @@ def _require_diagonal(sim: SimilarityMatrix) -> int:
 
 
 def cosine_matrix(a: Matrix, b: Matrix) -> SimilarityMatrix:
-    """All-pairs cosine similarities; equals the dot product for unit rows.
+    """All-pairs cosines as plain dot products ``a @ b.T``; rows must be unit-norm encoder outputs.
 
     Equal row counts pair anchor n with candidate n (in-batch positives);
     otherwise every candidate is a negative.
     """
     if a.cols != b.cols:
         raise ValueError(f"embedding dims differ: {a.cols} vs {b.cols}")
-    scores = nm.l2_normalize_rows(a) @ nm.l2_normalize_rows(b).T
-    return SimilarityMatrix(scores, a.rows == b.rows)
+    return SimilarityMatrix(a @ b.T, a.rows == b.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -200,18 +199,20 @@ def _estimate(sim: SimilarityMatrix, estimator: str, eps: float) -> DiversitySco
 
 
 def m_dcl_loss(batch_v: Matrix, batch_w: Matrix, momentum_pos_v, momentum_pos_w,
-               bank_v: MemoryBank, bank_w: MemoryBank, mu: float, gamma: float,
+               bank_v: MemoryBank, bank_w: MemoryBank, div_anchor_fwd: DiversityScores,
+               div_anchor_bwd: DiversityScores, mu: float, gamma: float,
                *, estimator: str = "std", eps: float = 0.1,
                fixed_diversity: tuple[np.ndarray, np.ndarray] | None = None) -> Matrix:
     """Contrastive loss of in-batch anchors against memory-bank negatives.
 
     Each anchor's positive is the momentum-encoded embedding of its own
-    cross-modal counterpart; every bank row is a negative. Only in-batch
-    rows act as anchors. Per anchor, the diversity weight is the mean of
-    the in-batch estimate and the bank-level estimate. No gradient flows
-    into bank rows, momentum positives, or diversity weights;
-    ``fixed_diversity`` pins the per-direction weights outright, which the
-    finite-difference checks rely on.
+    cross-modal counterpart; every bank row is a negative, and all rows
+    are unit-norm encoder outputs scored by dot product. Per anchor, the
+    diversity weight is the mean of the bank-level estimate and the
+    in-batch pair ``dcl_loss`` takes too. No gradient flows into bank
+    rows, momentum positives, or diversity weights; ``fixed_diversity``
+    pins the per-direction weights outright, which the finite-difference
+    checks rely on.
     """
     if not mu > 0.0:
         raise ValueError("temperature mu must be positive")
@@ -220,32 +221,25 @@ def m_dcl_loss(batch_v: Matrix, batch_w: Matrix, momentum_pos_v, momentum_pos_w,
     if batch_v.rows != batch_w.rows:
         raise ValueError(f"batch sizes differ: {batch_v.rows} vs {batch_w.rows}")
 
-    def one_direction(anchors: Matrix, counterpart: Matrix, momentum_pos, bank: MemoryBank,
-                      pinned_div: np.ndarray | None) -> Matrix:
-        anchors_unit = nm.l2_normalize_rows(anchors)
-        bank_rows = np.asarray(bank.view(), dtype=np.float64)
-        bank_unit = bank_rows / np.linalg.norm(bank_rows, axis=1, keepdims=True)
+    def one_direction(anchors: Matrix, momentum_pos, bank: MemoryBank,
+                      div_batch: DiversityScores, pinned_div: np.ndarray | None) -> Matrix:
         pos_rows = momentum_pos.value if isinstance(momentum_pos, Matrix) else np.asarray(momentum_pos)
-        pos_unit = pos_rows / np.linalg.norm(pos_rows, axis=1, keepdims=True)
-        if pos_unit.shape != (anchors.rows, anchors.cols):
+        if pos_rows.shape != (anchors.rows, anchors.cols):
             raise ValueError("momentum positives must match the anchor batch shape")
 
-        bank_sims = anchors_unit @ Matrix(bank_unit).T
-        positives = nm.row_sum(anchors_unit * Matrix(pos_unit))
+        bank_sims = anchors @ Matrix(bank.view()).T
+        positives = nm.row_sum(anchors * Matrix(pos_rows))
 
         if pinned_div is None:
-            in_batch = cosine_matrix(Matrix(anchors.value), Matrix(counterpart.value))
-            div_batch = _estimate(in_batch, estimator, eps).values
-            div_bank = _estimate(SimilarityMatrix(Matrix(bank_sims.value), False), estimator, eps).values
-            div = (div_batch + div_bank) / 2.0
+            div_bank = _estimate(SimilarityMatrix(bank_sims.detach(), False), estimator, eps).values
+            div = (div_batch.values + div_bank) / 2.0
         else:
             div = pinned_div
         return _contrastive_direction(bank_sims, positives, None, div, mu, gamma)
 
-    pin_v = fixed_diversity[0] if fixed_diversity is not None else None
-    pin_w = fixed_diversity[1] if fixed_diversity is not None else None
-    return (one_direction(batch_v, batch_w, momentum_pos_w, bank_w, pin_v)
-            + one_direction(batch_w, batch_v, momentum_pos_v, bank_v, pin_w))
+    pin_v, pin_w = fixed_diversity if fixed_diversity is not None else (None, None)
+    return (one_direction(batch_v, momentum_pos_w, bank_w, div_anchor_fwd, pin_v)
+            + one_direction(batch_w, momentum_pos_v, bank_v, div_anchor_bwd, pin_w))
 
 
 # ---------------------------------------------------------------------------

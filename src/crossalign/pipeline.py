@@ -45,7 +45,7 @@ from .numerics import AdamState, Matrix, adam_step, backward, rng_from_seed
 from .objective import PrototypeState, SimilarityMatrix
 from .representation import EncoderPair, FeatureAggregator, MemoryBank, named_params
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 # caption columns ranked at once by recalls_from_similarity
 RANK_BLOCK = 256
 
@@ -132,7 +132,6 @@ class TrainConfig:
     use_memory_loss: bool = True
     use_concept_losses: bool = True
     triplet_margin: float = 0.2
-    max_seq_len: int = 64
 
     def validate(self) -> None:
         checks = [
@@ -161,7 +160,6 @@ class TrainConfig:
             (self.instance_loss in ("dcl", "dcl_i", "triplet"),
              "instance_loss must be 'dcl', 'dcl_i', or 'triplet'"),
             (self.triplet_margin >= 0, "triplet_margin must be non-negative"),
-            (self.max_seq_len >= 1, "max_seq_len must be positive"),
         ]
         for ok, message in checks:
             if not ok:
@@ -169,13 +167,23 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, values: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(values) - known)
+        """A validated config from JSON values; a float field also takes an int, an int field no bool."""
+        kinds = {f.name: f.type for f in fields(cls)}
+        unknown = sorted(set(values) - kinds.keys())
         if unknown:
             raise ValueError(f"unknown config fields: {', '.join(unknown)}")
+        for name, value in values.items():
+            if type(value) not in _JSON_TYPES[kinds[name]]:
+                raise ValueError(f"invalid config: {name} must be {kinds[name]}, "
+                                 f"got {type(value).__name__} {value!r}")
         cfg = cls(**values)
         cfg.validate()
         return cfg
+
+
+# the exact JSON value types each TrainConfig annotation accepts
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,),
+               "int | None": (int, type(None))}
 
 
 # ---------------------------------------------------------------------------
@@ -520,19 +528,18 @@ def build_state(cfg: TrainConfig, data: PairedDataset) -> TrainState:
 # losses for one batch
 # ---------------------------------------------------------------------------
 
-def _dcl(cfg: TrainConfig, sim: SimilarityMatrix) -> Matrix:
-    """DCL with diversities estimated in both directions."""
-    div_f = obj._estimate(sim, cfg.diversity_estimator, cfg.eps_div)
-    div_b = obj._estimate(sim.transposed(), cfg.diversity_estimator, cfg.eps_div)
-    return obj.dcl_loss(sim, div_f, div_b, cfg.mu, cfg.gamma)
+def _diversities(cfg: TrainConfig, sim: SimilarityMatrix):
+    """Diversity weights of both directions: rows as anchors, then columns."""
+    return (obj._estimate(sim, cfg.diversity_estimator, cfg.eps_div),
+            obj._estimate(sim.transposed(), cfg.diversity_estimator, cfg.eps_div))
 
 
-def _instance_loss(cfg: TrainConfig, sim: SimilarityMatrix) -> Matrix:
+def _instance_loss(cfg: TrainConfig, sim: SimilarityMatrix, div) -> Matrix:
     if cfg.instance_loss == "triplet":
         return obj.triplet_baseline_loss(sim, cfg.triplet_margin)
     if cfg.instance_loss == "dcl_i":
         return obj.dcl_i_loss(sim, cfg.mu, cfg.gamma)
-    return _dcl(cfg, sim)
+    return obj.dcl_loss(sim, *div, cfg.mu, cfg.gamma)
 
 
 def batch_losses(state: TrainState, records: list[PairedRecord],
@@ -549,13 +556,15 @@ def batch_losses(state: TrainState, records: list[PairedRecord],
     w_mom = model.embed_captions(cap_seqs, momentum=True).detach()
 
     sim = obj.cosine_matrix(v_inst, w_inst)
-    instance = _instance_loss(cfg, sim)
+    # DCL and the memory loss share one diversity estimate; both queues fill together
+    memory_on = cfg.use_memory_loss and len(state.bank_v) >= cfg.batch_size
+    div = _diversities(cfg, sim) if cfg.instance_loss == "dcl" or memory_on else None
+    instance = _instance_loss(cfg, sim, div)
 
     memory = None
-    if cfg.use_memory_loss and len(state.bank_v) >= cfg.batch_size \
-            and len(state.bank_w) >= cfg.batch_size:
+    if memory_on:
         memory = obj.m_dcl_loss(v_inst, w_inst, v_mom.value, w_mom.value,
-                                state.bank_v, state.bank_w, cfg.mu, cfg.gamma,
+                                state.bank_v, state.bank_w, *div, cfg.mu, cfg.gamma,
                                 estimator=cfg.diversity_estimator, eps=cfg.eps_div)
 
     concept = None
@@ -565,7 +574,8 @@ def batch_losses(state: TrainState, records: list[PairedRecord],
         v_concept, _ = model.concept_embed(v_inst, basis, "visual")
         w_query = model.embed_captions_concept(cap_seqs)
         w_concept, _ = model.concept_embed(w_query, basis, "textual")
-        concept = _dcl(cfg, obj.cosine_matrix(v_concept, w_concept))
+        concept_sim = obj.cosine_matrix(v_concept, w_concept)
+        concept = obj.dcl_loss(concept_sim, *_diversities(cfg, concept_sim), cfg.mu, cfg.gamma)
         if labels is not None:
             pgc = obj.pgc_loss(v_concept, w_concept, model.extra["classifier"], labels)
 

@@ -2,9 +2,10 @@
 
 An image or caption arrives as a short sequence of local feature vectors.
 The aggregator projects each vector into the joint space, weights it by a
-scalar derived from its position, sums, and unit-normalizes. A momentum
-copy of the encoder parameters follows the trainable ones by exponential
-moving average and feeds the FIFO memory banks.
+scalar derived from its position, sums, and unit-normalizes; it and
+``knowledge.concept_query`` alone normalize, so similarities downstream
+are plain dot products. A momentum copy of the encoder parameters
+follows the trainable ones by EMA and feeds the FIFO memory banks.
 """
 from __future__ import annotations
 
@@ -136,8 +137,8 @@ class EncoderPair:
 class MemoryBank:
     """Fixed-capacity FIFO queue of embedding rows, oldest first.
 
-    Callers are expected to push unit-norm rows; the queue itself only
-    enforces capacity, order, and the embedding dimension.
+    Callers push unit-norm encoder rows, which ``m_dcl_loss`` scores by
+    dot product; the queue only enforces capacity, order, and dimension.
     """
 
     def __init__(self, capacity: int, dim: int):

@@ -75,6 +75,34 @@ def test_l2_normalize_zero_row_rejected():
         nm.l2_normalize_rows(Matrix([[0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("tiny", [1e-200, 1e-160])
+def test_l2_normalize_tiny_row_is_rescaled_not_zeroed(tiny):
+    # 1e-200 squared underflows to 0; 1e-160 squared is subnormal and loses bits
+    row = np.array([[1.0, -3.0]])
+    ref = nm.l2_normalize_rows(Matrix(row))
+    small = nm.l2_normalize_rows(Matrix(tiny * row))
+    assert small.value == pytest.approx(ref.value, rel=1e-15)
+    assert nm.l2_normalize_rows(Matrix([[tiny, tiny]])).value == pytest.approx(
+        np.full((1, 2), np.sqrt(0.5)), rel=1e-15)
+
+    def grad_at(x):
+        leaf = Matrix(x)
+        nm.backward(nm.sum_all(nm.l2_normalize_rows(leaf) * Matrix([[0.3, -0.7]])))
+        return leaf.grad
+
+    # the Jacobian of x / |x| scales as 1 / |x|
+    assert grad_at(tiny * row) * tiny == pytest.approx(grad_at(row), rel=1e-12)
+
+
+def test_l2_normalize_small_row_leaves_other_rows_bits():
+    rng = rng_from_seed(6)
+    rows = rng.standard_normal((5, 7))
+    alone = nm.l2_normalize_rows(Matrix(rows)).value
+    mixed = nm.l2_normalize_rows(Matrix(np.vstack([rows, 1e-200 * rows[:1]]))).value
+    assert np.array_equal(mixed[:5], alone)
+    assert mixed[5] == pytest.approx(alone[0], rel=1e-15)
+
+
 @pytest.mark.parametrize("row", [[1e200, 1e200], [1.0, -1e155], [1.7e308, 1.7e308]])
 def test_l2_normalize_overflowing_norm_is_named_not_zeroed(row):
     # the squared norm overflows float64; dividing by an inf norm would give a zero row

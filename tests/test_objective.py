@@ -47,25 +47,19 @@ def _unit_rows(rng, n, dim):
 # ---------------------------------------------------------------------------
 
 def test_cosine_identical_orthogonal_and_diagonal_pairs():
-    a = Matrix(np.array([[1.0, 0.0], [0.0, 2.0]]))
-    sim = cosine_matrix(a, Matrix(np.array([[3.0, 0.0], [0.0, 1.0]])))
+    sim = cosine_matrix(Matrix(np.eye(2)), Matrix(np.eye(2)))
     assert sim.scores.value == pytest.approx(np.eye(2))
     assert sim.diagonal
 
 
 def test_cosine_forty_five_degrees():
-    sim = cosine_matrix(Matrix([[1.0, 1.0]]), Matrix([[1.0, 0.0]]))
+    sim = cosine_matrix(Matrix([[np.sqrt(0.5), np.sqrt(0.5)]]), Matrix([[1.0, 0.0]]))
     assert sim.scores.item() == pytest.approx(0.707107, abs=1e-6)
-
-
-def test_cosine_rejects_zero_row():
-    with pytest.raises(ValueError, match="zero row"):
-        cosine_matrix(Matrix([[0.0, 0.0]]), Matrix([[1.0, 0.0]]))
 
 
 def test_cosine_rectangular_has_no_positive_map():
     rng = rng_from_seed(1)
-    sim = cosine_matrix(Matrix(rng.standard_normal((2, 4))), Matrix(rng.standard_normal((5, 4))))
+    sim = cosine_matrix(Matrix(_unit_rows(rng, 2, 4)), Matrix(_unit_rows(rng, 5, 4)))
     assert not sim.diagonal
     assert np.all(np.abs(sim.scores.value) <= 1.0 + 1e-9)
 
@@ -305,23 +299,28 @@ def test_triplet_rejects_off_diagonal_positives_and_negative_margin():
 # memory-bank contrastive loss
 # ---------------------------------------------------------------------------
 
-def _mem_diversity(v, w, pos_v, pos_w, bank):
-    """Per-direction diversity exactly as the memory loss averages it."""
-    def one(anchors, counterpart):
-        unit = anchors.value / np.linalg.norm(anchors.value, axis=1, keepdims=True)
-        bank_unit = bank.view() / np.linalg.norm(bank.view(), axis=1, keepdims=True)
-        batch = diversity_std(cosine_matrix(anchors, counterpart)).values
-        bank_div = diversity_std(SimilarityMatrix(Matrix(unit @ bank_unit.T), False)).values
-        return (batch + bank_div) / 2.0
+def _batch_div(v, w):
+    """The in-batch diversity pair of unit rows v, w, as DCL and the memory loss share it."""
+    sim = cosine_matrix(v, w)
+    return _estimate(sim, "std", 0.1), _estimate(sim.transposed(), "std", 0.1)
 
-    return one(v, w), one(w, v)
+
+def _mem_diversity(v, w, bank):
+    """Per-direction diversity exactly as the memory loss averages it."""
+    def one(anchors, batch):
+        bank_div = diversity_std(SimilarityMatrix(Matrix(anchors.value @ bank.view().T), False)).values
+        return (batch.values + bank_div) / 2.0
+
+    fwd, bwd = _batch_div(v, w)
+    return one(v, fwd), one(w, bwd)
 
 
 def test_m_dcl_single_anchor_orthogonal_bank():
     anchor = Matrix([[1.0, 0.0]])
     bank_v = MemoryBank(4, 2).enqueue(np.array([[0.0, 1.0]]))
     bank_w = MemoryBank(4, 2).enqueue(np.array([[0.0, 1.0]]))
-    loss = m_dcl_loss(anchor, anchor, anchor, anchor, bank_v, bank_w, MU, GAMMA)
+    loss = m_dcl_loss(anchor, anchor, anchor, anchor, bank_v, bank_w,
+                      *_batch_div(anchor, anchor), MU, GAMMA)
     assert loss.item() == pytest.approx(2 * -0.064455982899, abs=1e-9)
 
 
@@ -336,7 +335,8 @@ def test_m_dcl_matches_in_batch_loss_on_degenerate_batch():
     batch_w = Matrix(np.tile(w_row, (n, 1)))
     bank_v = MemoryBank(16, 6).enqueue(np.tile(v_row, (n - 1, 1)))
     bank_w = MemoryBank(16, 6).enqueue(np.tile(w_row, (n - 1, 1)))
-    mem = m_dcl_loss(batch_v, batch_w, batch_v, batch_w, bank_v, bank_w, MU, GAMMA)
+    mem = m_dcl_loss(batch_v, batch_w, batch_v, batch_w, bank_v, bank_w,
+                     *_batch_div(batch_v, batch_w), MU, GAMMA)
     sim = cosine_matrix(batch_v, batch_w)
     plain = dcl_loss(sim, diversity_std(sim), diversity_std(sim.transposed()), MU, GAMMA)
     assert mem.item() == pytest.approx(plain.item(), abs=1e-12)
@@ -347,7 +347,8 @@ def test_m_dcl_saturated_easy_negatives_vanishing_neg_term():
     far = np.array([[-1.0, 0.0]] * 4)
     bank_v = MemoryBank(8, 2).enqueue(far)
     bank_w = MemoryBank(8, 2).enqueue(far)
-    loss = m_dcl_loss(anchor, anchor, anchor, anchor, bank_v, bank_w, MU, GAMMA)
+    loss = m_dcl_loss(anchor, anchor, anchor, anchor, bank_v, bank_w,
+                      *_batch_div(anchor, anchor), MU, GAMMA)
     # both directions: negative term ~ log(1 + 4 e^{-13}) ~ 0, positive -mu*log 2
     assert loss.item() == pytest.approx(2 * -MU * np.log(2.0), abs=1e-4)
 
@@ -355,11 +356,12 @@ def test_m_dcl_saturated_easy_negatives_vanishing_neg_term():
 def test_m_dcl_rejects_empty_bank_and_size_mismatch():
     anchor = Matrix([[1.0, 0.0]])
     filled = MemoryBank(4, 2).enqueue(np.array([[0.0, 1.0]]))
+    div = _batch_div(anchor, anchor)
     with pytest.raises(ValueError, match="non-empty"):
-        m_dcl_loss(anchor, anchor, anchor, anchor, MemoryBank(4, 2), filled, MU, GAMMA)
+        m_dcl_loss(anchor, anchor, anchor, anchor, MemoryBank(4, 2), filled, *div, MU, GAMMA)
     two = Matrix(np.eye(2))
     with pytest.raises(ValueError, match="batch sizes"):
-        m_dcl_loss(anchor, two, anchor, two, filled, filled, MU, GAMMA)
+        m_dcl_loss(anchor, two, anchor, two, filled, filled, *div, MU, GAMMA)
 
 
 def test_m_dcl_bank_rows_receive_no_gradient():
@@ -368,7 +370,8 @@ def test_m_dcl_bank_rows_receive_no_gradient():
     batch_w = Matrix(_unit_rows(rng, 3, 4))
     bank = MemoryBank(8, 4)
     bank.enqueue(_unit_rows(rng, 5, 4))
-    loss = m_dcl_loss(batch_v, batch_w, batch_v.detach(), batch_w.detach(), bank, bank, MU, GAMMA)
+    loss = m_dcl_loss(batch_v, batch_w, batch_v.detach(), batch_w.detach(), bank, bank,
+                      *_batch_div(batch_v, batch_w), MU, GAMMA)
     nm.backward(loss)
     assert batch_v.grad is not None and np.any(batch_v.grad != 0.0)
     assert batch_w.grad is not None and np.any(batch_w.grad != 0.0)
@@ -384,14 +387,16 @@ def test_grad_checks_through_losses(seed):
     n, f = 5, 6
     v = Matrix(rng.standard_normal((n, f)))
     w = Matrix(rng.standard_normal((n, f)))
-    sim0 = cosine_matrix(v, w)
+    # the losses take unit rows; the checks differentiate through the normalisation
+    v_unit, w_unit = nm.l2_normalize_rows(v).detach(), nm.l2_normalize_rows(w).detach()
+    sim0 = cosine_matrix(v_unit, w_unit)
     div_f, div_b = diversity_std(sim0), diversity_std(sim0.transposed())
 
     def dcl_i_of_v(p):
-        return dcl_i_loss(cosine_matrix(p, w), MU, GAMMA)
+        return dcl_i_loss(cosine_matrix(nm.l2_normalize_rows(p), w_unit), MU, GAMMA)
 
     def dcl_of_w(p):
-        return dcl_loss(cosine_matrix(v, p), div_f, div_b, MU, GAMMA)
+        return dcl_loss(cosine_matrix(v_unit, nm.l2_normalize_rows(p)), div_f, div_b, MU, GAMMA)
 
     assert grad_check(dcl_i_of_v, v, h=1e-5) <= 1e-4
     assert grad_check(dcl_of_w, w, h=1e-5) <= 1e-4
@@ -399,14 +404,16 @@ def test_grad_checks_through_losses(seed):
     bank = MemoryBank(16, f)
     bank.enqueue(_unit_rows(rng, 7, f))
     pos_v, pos_w = _unit_rows(rng, n, f), _unit_rows(rng, n, f)
-    base = m_dcl_loss(v, w, pos_v, pos_w, bank, bank, MU, GAMMA)
-    pinned = _mem_diversity(v, w, pos_v, pos_w, bank)
+    div = _batch_div(v_unit, w_unit)
+    base = m_dcl_loss(v_unit, w_unit, pos_v, pos_w, bank, bank, *div, MU, GAMMA)
+    pinned = _mem_diversity(v_unit, w_unit, bank)
 
     def mem_of_v(p):
-        return m_dcl_loss(p, w, pos_v, pos_w, bank, bank, MU, GAMMA, fixed_diversity=pinned)
+        return m_dcl_loss(nm.l2_normalize_rows(p), w_unit, pos_v, pos_w, bank, bank, *div, MU, GAMMA,
+                          fixed_diversity=pinned)
 
     # the pinned weights must reproduce the unpinned loss at the base point
-    assert m_dcl_loss(v, w, pos_v, pos_w, bank, bank, MU, GAMMA,
+    assert m_dcl_loss(v_unit, w_unit, pos_v, pos_w, bank, bank, *div, MU, GAMMA,
                       fixed_diversity=pinned).item() == pytest.approx(base.item(), abs=1e-15)
     assert grad_check(mem_of_v, v, h=1e-5) <= 1e-4
 

@@ -400,15 +400,47 @@ def test_loaded_checkpoint_evaluates_exactly_like_the_saved_state(d_img, d_txt, 
 @pytest.mark.parametrize("corrupt, match", [
     (lambda blob: [blob], "checkpoint: the top level must be an object, got list"),
     (lambda blob: dict(blob, version=1), "unsupported checkpoint version 1"),
+    (lambda blob: dict(blob, version=2), "unsupported checkpoint version 2"),
     (lambda blob: dict(blob, params=[]), "checkpoint section 'params' must be of type dict, got list"),
     (lambda blob: dict(blob, epoch="1"), "checkpoint section 'epoch' must be of type int, got str"),
-], ids=["list", "version_1", "params_list", "epoch_string"])
+], ids=["list", "version_1", "version_2", "params_list", "epoch_string"])
 def test_load_checkpoint_names_a_bad_top_level(corrupt, match, tmp_path):
     path = tmp_path / "ckpt.json"
     pl.save_checkpoint(path, _tiny_state(), which="final")
     path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
     with pytest.raises(ValueError, match=match):
         pl.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name, value, kind", [
+    ("embed_dim", "x", "int"),
+    ("use_memory_loss", "no", "bool"),
+    ("epochs", 2.5, "int"),
+    ("seed", True, "int"),
+    ("mu", "0.1", "float"),
+    ("mu", False, "float"),
+    ("lr_drop_epoch", 1.0, "int | None"),
+    ("diversity_estimator", 1, "str"),
+])
+@pytest.mark.parametrize("via", ["from_dict", "load_checkpoint"])
+def test_config_names_a_mistyped_field(via, name, value, kind, tmp_path):
+    match = rf"invalid config: {name} must be {re.escape(kind)}, got {type(value).__name__}"
+    if via == "from_dict":
+        with pytest.raises(ValueError, match=match):
+            pl.TrainConfig.from_dict({name: value})
+        return
+    path = tmp_path / "ckpt.json"
+    pl.save_checkpoint(path, _tiny_state(), which="final")
+    blob = json.loads(path.read_text())
+    blob["config"][name] = value
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ValueError, match=match):
+        pl.load_checkpoint(path)
+
+
+def test_config_takes_an_int_for_a_float_field():
+    cfg = pl.TrainConfig.from_dict({"mu": 1, "lr": 1, "lr_drop_epoch": None})
+    assert (cfg.mu, cfg.lr, cfg.lr_drop_epoch) == (1.0, 1.0, None)
 
 
 @pytest.mark.parametrize("section", ["epoch", "config", "dims", "params", "momentum", "concepts"])
@@ -469,7 +501,7 @@ def test_load_checkpoint_names_a_corrupt_blob(section, name, corrupt, match, tmp
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("instance_loss", ["dcl", "dcl_i", "triplet"])
-def test_train_runs_every_branch_deterministically(instance_loss):
+def test_train_runs_every_branch_deterministically(instance_loss, tmp_path):
     # 33 pairs in batches of 16 leave a one-pair final batch, and 40
     # clusters exceed the 33 records
     cfg = pl.TrainConfig(seed=0, epochs=2, batch_size=16, k_clusters=40,
@@ -483,6 +515,18 @@ def test_train_runs_every_branch_deterministically(instance_loss):
         assert all(math.isfinite(row[k]) for k in ("l_dcl_i", "l_mdcl", "l_dcl_c", "l_pgc", "total"))
     assert rows[-1]["l_mdcl"] != 0.0
     assert pl.train(cfg, data, val)[1] == rows
+    # the best epoch is the first to reach the top held-out rsum, and a
+    # default save keeps its parameters
+    best = max(row["rsum"] for row in rows)
+    assert state.best["rsum"] == best
+    assert state.best["epoch"] == next(row["epoch"] for row in rows if row["rsum"] == best)
+    path = tmp_path / "best.json"
+    pl.save_checkpoint(path, state)
+    loaded = pl.load_checkpoint(path)
+    assert loaded.epochs_run == state.best["epoch"]
+    params = {name: m.value for name, m in loaded.model.param_items()}
+    assert all(np.array_equal(params[k], v) for k, v in state.best["params"].items())
+    assert pl.evaluate(loaded, val).rsum == best
 
 
 @pytest.mark.parametrize("use_concept_losses, where", [(True, "epoch 0, clustering"),
