@@ -4,6 +4,8 @@ Everything downstream builds on this module. A :class:`Matrix` is an
 immutable 2-D float64 value; operations return new matrices that remember
 their parents and a vector-Jacobian closure, so running :func:`backward`
 on a scalar result fills ``grad`` on every node that fed into it.
+Every op returns through :func:`node`, which other modules also use for
+a fused op with a hand-written VJP (``objective._contrastive_direction``).
 
 Matrix values are safe to read from any thread once constructed. Graph
 construction and backward passes are single-owner, single-threaded.
@@ -109,7 +111,14 @@ def _check_finite(arr: np.ndarray) -> None:
         raise NonFiniteError("matrix contains non-finite entries")
 
 
-def _node(values: np.ndarray, parents: tuple[Matrix, ...], vjp) -> Matrix:
+def node(values: np.ndarray, parents: tuple[Matrix, ...], vjp) -> Matrix:
+    """A graph node holding ``values``: the one constructor every differentiable op returns through.
+
+    ``vjp(g)`` maps the grad of the result to one grad per parent, in
+    ``parents`` order and each in its parent's shape. ``values`` must be
+    finite; it becomes the node's read-only row-major float64 value
+    (copied only when it is not one already).
+    """
     out = Matrix.__new__(Matrix)
     arr = np.ascontiguousarray(values, dtype=np.float64)
     _check_finite(arr)
@@ -148,11 +157,11 @@ def add(a: Matrix, b: Matrix) -> Matrix:
     def vjp(g):
         return _unbroadcast(g, av.shape), _unbroadcast(g, bv.shape)
 
-    return _node(av + bv, (a, b), vjp)
+    return node(av + bv, (a, b), vjp)
 
 
 def neg(a: Matrix) -> Matrix:
-    return _node(-a.value, (a,), lambda g: (-g,))
+    return node(-a.value, (a,), lambda g: (-g,))
 
 
 def mul(a: Matrix, b: Matrix) -> Matrix:
@@ -161,7 +170,7 @@ def mul(a: Matrix, b: Matrix) -> Matrix:
     def vjp(g):
         return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
 
-    return _node(av * bv, (a, b), vjp)
+    return node(av * bv, (a, b), vjp)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -172,38 +181,31 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     def vjp(g):
         return g @ bv.T, av.T @ g
 
-    return _node(av @ bv, (a, b), vjp)
+    return node(av @ bv, (a, b), vjp)
 
 
 def transpose(a: Matrix) -> Matrix:
-    return _node(a.value.T, (a,), lambda g: (g.T,))
+    return node(a.value.T, (a,), lambda g: (g.T,))
 
 
 def exp(a: Matrix) -> Matrix:
     out = np.exp(a.value)
-    return _node(out, (a,), lambda g: (g * out,))
-
-
-def log(a: Matrix) -> Matrix:
-    if np.any(a.value <= 0.0):
-        raise ValueError("log of a non-positive entry")
-    av = a.value
-    return _node(np.log(av), (a,), lambda g: (g / av,))
+    return node(out, (a,), lambda g: (g * out,))
 
 
 def relu(a: Matrix) -> Matrix:
     mask = a.value > 0.0
-    return _node(np.where(mask, a.value, 0.0), (a,), lambda g: (g * mask,))
+    return node(np.where(mask, a.value, 0.0), (a,), lambda g: (g * mask,))
 
 
 def sum_all(a: Matrix) -> Matrix:
     shape = a.value.shape
-    return _node(np.array([[a.value.sum()]]), (a,), lambda g: (np.full(shape, g[0, 0]),))
+    return node(np.array([[a.value.sum()]]), (a,), lambda g: (np.full(shape, g[0, 0]),))
 
 
 def row_sum(a: Matrix) -> Matrix:
     cols = a.cols
-    return _node(a.value.sum(axis=1, keepdims=True), (a,), lambda g: (np.repeat(g, cols, axis=1),))
+    return node(a.value.sum(axis=1, keepdims=True), (a,), lambda g: (np.repeat(g, cols, axis=1),))
 
 
 def segment_weighted_sum(values: Matrix, weights: Matrix, lengths: Sequence[int]) -> Matrix:
@@ -232,7 +234,7 @@ def segment_weighted_sum(values: Matrix, weights: Matrix, lengths: Sequence[int]
         np.add.at(dw[:, 0], position, (spread * vv).sum(axis=1))
         return spread * row_w, dw
 
-    return _node(np.add.reduceat(vv * row_w, starts, axis=0), (values, weights), vjp)
+    return node(np.add.reduceat(vv * row_w, starts, axis=0), (values, weights), vjp)
 
 
 def softmax_rows(a: Matrix) -> Matrix:
@@ -245,7 +247,7 @@ def softmax_rows(a: Matrix) -> Matrix:
         inner = (g * out).sum(axis=1, keepdims=True)
         return (out * (g - inner),)
 
-    return _node(out, (a,), vjp)
+    return node(out, (a,), vjp)
 
 
 def log_softmax_rows(a: Matrix) -> Matrix:
@@ -257,7 +259,7 @@ def log_softmax_rows(a: Matrix) -> Matrix:
     def vjp(g):
         return (g - soft * g.sum(axis=1, keepdims=True),)
 
-    return _node(out, (a,), vjp)
+    return node(out, (a,), vjp)
 
 
 # below this norm a row's squares can underflow: sqrt of the smallest normal float64
@@ -291,7 +293,7 @@ def l2_normalize_rows(a: Matrix) -> Matrix:
         inner = (g * out).sum(axis=1, keepdims=True)
         return ((g - out * inner) / norms,)
 
-    return _node(out, (a,), vjp)
+    return node(out, (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +352,11 @@ def backward(result: Matrix) -> None:
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 class AdamState:
-    """First/second moment buffers and step counter for one parameter."""
+    """First/second moment buffers and step counter for one parameter array.
+
+    The trainer keeps one state over all its parameters, flattened into a
+    single [1, total] row, and steps them with one call.
+    """
 
     __slots__ = ("lr", "m", "v", "step")
 
@@ -362,19 +368,24 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: Matrix, grads: Matrix | np.ndarray) -> Matrix:
-    """One bias-corrected Adam update; returns the new parameter value."""
+    """One bias-corrected Adam update; returns the new parameter value.
+
+    A non-finite result raises ``NonFiniteError`` and leaves ``state`` as it was.
+    """
     g = grads.value if isinstance(grads, Matrix) else np.asarray(grads, dtype=np.float64)
     if g.shape != params.value.shape or state.m.shape != params.value.shape:
         raise ValueError(
             f"adam_step shape mismatch: params {params.value.shape}, "
             f"grads {g.shape}, state {state.m.shape}"
         )
-    state.step += 1
-    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
-    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
-    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.step)
-    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.step)
-    return Matrix(params.value - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+    step = state.step + 1
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1 ** step)
+    v_hat = v / (1.0 - ADAM_BETA2 ** step)
+    out = Matrix(params.value - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+    state.m, state.v, state.step = m, v, step
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 The contrastive family shares one direction primitive: a margin-shifted
 log-sum-exp over negatives minus the log-shifted positive, averaged over
-anchors and scaled by the temperature. The diversity-aware variant
+anchors and scaled by the temperature. Each direction is one graph node
+with a hand-written VJP, so a training step's six directions (two
+in-batch per branch, two against the memory banks) add six nodes to the
+graph. The diversity-aware variant
 divides each anchor's negative exponent by ``temperature * div(anchor)``
 where ``div`` measures how spread out the anchor's negative similarities
 are; anchors whose negatives all sit at the same distance get a sharper
@@ -120,9 +123,23 @@ def diversity_entropy(sim: SimilarityMatrix, eps: float = 0.1) -> DiversityScore
 # contrastive losses
 # ---------------------------------------------------------------------------
 
-def _contrastive_direction(scores: Matrix, positives: Matrix, neg_mask: np.ndarray | None,
-                           div: np.ndarray | None, mu: float, gamma: float) -> Matrix:
-    """(mu/N) * sum_n [log(sum_negs exp((s - gamma)/(mu*div_n)) + 1) - log(pos_n + 1)]."""
+def _contrastive_direction(scores: Matrix, positives: Matrix | None, div: np.ndarray | None,
+                           mu: float, gamma: float) -> Matrix:
+    """(mu/N) * sum_n [log(sum_negs exp((s - gamma)/(mu*div_n)) + 1) - log(pos_n + 1)], as one node.
+
+    With ``positives`` None this is the in-batch form: anchor n's positive
+    is ``scores[n, n]``, the diagonal is masked out of the negatives, and
+    ``scores`` is the node's only parent. Otherwise every column is a
+    negative, ``positives`` is an [N, 1] column, and the parents are
+    ``(scores, positives)``. ``div`` None weights every anchor 1.
+
+    The VJP is hand-written: with c = g*mu/N, denom_n = sum_negs z + 1 and
+    z the masked exponentials, d scores = (c/denom) * z / (mu*div), and
+    d pos = -c/(pos + 1), which the in-batch form adds to the diagonal.
+    Forward and VJP keep the operation order of the same function composed
+    of elementary ops, so they reproduce its value and grads bit for bit;
+    the tests compare against that composition.
+    """
     n = scores.rows
     if div is None:
         div = np.ones(n)
@@ -131,14 +148,35 @@ def _contrastive_direction(scores: Matrix, positives: Matrix, neg_mask: np.ndarr
         raise ValueError(f"need one diversity value per anchor, got {div.shape} for {n} anchors")
     if np.any(div <= 0.0):
         raise ValueError("diversity weights must be positive")
-    if np.any(positives.value <= -1.0):
+    in_batch = positives is None
+    pos = np.diagonal(scores.value).reshape(n, 1) if in_batch else positives.value
+    if np.any(pos <= -1.0):
         raise ValueError("a positive similarity is at or below -1; its log term is undefined")
-    inv_temp = Matrix((1.0 / (mu * div)).reshape(n, 1))
-    z = nm.exp((scores - gamma) * inv_temp)
-    if neg_mask is not None:
-        z = z * Matrix(neg_mask)
-    per_anchor = nm.log(nm.row_sum(z) + 1.0) - nm.log(positives + 1.0)
-    return nm.sum_all(per_anchor) * (mu / n)
+    inv_temp = (1.0 / (mu * div)).reshape(n, 1)
+    with np.errstate(over="ignore"):
+        exponent = (scores.value - gamma) * inv_temp
+        z = np.exp(exponent)
+        overflow = not np.isfinite(z).all()
+        if in_batch:
+            z[np.diag_indices(n)] = 0.0
+        denom = z.sum(axis=1, keepdims=True) + 1.0
+    if overflow or not np.isfinite(denom).all():
+        raise nm.NonFiniteError(f"_contrastive_direction: exp overflows float64 (largest exponent "
+                                f"{exponent.max():.4g}, mu {mu:g}, gamma {gamma:g})")
+    pos_shifted = pos + 1.0
+    per_anchor = np.log(denom) - np.log(pos_shifted)
+
+    def vjp(g):
+        c = g[0, 0] * (mu / n)
+        d_pos = -c / pos_shifted
+        d_scores = (c / denom) * z * inv_temp
+        if in_batch:
+            d_scores[np.diag_indices(n)] += d_pos[:, 0]
+            return (d_scores,)
+        return d_scores, d_pos
+
+    parents = (scores,) if in_batch else (scores, positives)
+    return nm.node(np.array([[per_anchor.sum()]]) * (mu / n), parents, vjp)
 
 
 def _diag_column(scores: Matrix) -> Matrix:
@@ -156,11 +194,10 @@ def dcl_loss(sim: SimilarityMatrix, div_anchor_fwd: DiversityScores | None,
     """
     if not mu > 0.0:
         raise ValueError("temperature mu must be positive")
-    off_diag = 1.0 - np.eye(_require_diagonal(sim))
+    _require_diagonal(sim)
 
     def direction(scores: Matrix, div: DiversityScores | None) -> Matrix:
-        return _contrastive_direction(scores, _diag_column(scores), off_diag,
-                                      None if div is None else div.values, mu, gamma)
+        return _contrastive_direction(scores, None, None if div is None else div.values, mu, gamma)
 
     return direction(sim.scores, div_anchor_fwd) + direction(nm.transpose(sim.scores), div_anchor_bwd)
 
@@ -235,7 +272,7 @@ def m_dcl_loss(batch_v: Matrix, batch_w: Matrix, momentum_pos_v, momentum_pos_w,
             div = (div_batch.values + div_bank) / 2.0
         else:
             div = pinned_div
-        return _contrastive_direction(bank_sims, positives, None, div, mu, gamma)
+        return _contrastive_direction(bank_sims, positives, div, mu, gamma)
 
     pin_v, pin_w = fixed_diversity if fixed_diversity is not None else (None, None)
     return (one_direction(batch_v, momentum_pos_w, bank_w, div_anchor_fwd, pin_v)

@@ -20,8 +20,8 @@ image sequences share one width d_img, all caption sequences one d_txt.
 Training runs both branches per batch (instance embeddings with in-batch
 and memory-bank contrastive losses; concept embeddings with their own
 contrastive loss and a pseudo-label classification loss), updates all
-parameters with Adam, moves the momentum mirror, and feeds the momentum
-embeddings into the queues.
+parameters with one Adam step over their concatenation, moves the
+momentum mirror, and feeds the momentum embeddings into the queues.
 
 Evaluation ranks with the beta-blend of instance-level and concept-level
 cosine similarity. Its canonical form is one matmul of stacked factors,
@@ -489,16 +489,26 @@ class AlignmentModel:
 
 @dataclass
 class TrainState:
-    """Everything training accumulates: parameters, mirrors, queues, prototypes."""
+    """Everything training accumulates: parameters, mirrors, queues, prototypes.
+
+    ``adam`` is one state over all parameters, flattened and concatenated
+    in ``model.param_items()`` order. ``best`` holds the best held-out
+    rsum, the ``epochs_run`` when it was reached and that epoch's
+    parameters.
+    """
 
     config: TrainConfig
     model: AlignmentModel
-    adam: dict[str, AdamState]
+    adam: AdamState
     bank_v: MemoryBank
     bank_w: MemoryBank
     prototypes: PrototypeState | None = None
     epochs_run: int = 0
     best: dict | None = None
+
+
+def _flat_adam(model: AlignmentModel, lr: float) -> AdamState:
+    return AdamState(1, sum(m.value.size for _, m in model.param_items()), lr)
 
 
 def build_state(cfg: TrainConfig, data: PairedDataset) -> TrainState:
@@ -518,8 +528,7 @@ def build_state(cfg: TrainConfig, data: PairedDataset) -> TrainState:
     stats = kn.build_cooccurrence(corpus, vocab)
     adjacency = kn.binarize(stats.conditional, cfg.eps_t)
     model = AlignmentModel(cfg, d_img, d_txt, vocab, adjacency)
-    adam = {name: AdamState(m.rows, m.cols, cfg.lr) for name, m in model.param_items()}
-    return TrainState(cfg, model, adam,
+    return TrainState(cfg, model, _flat_adam(model, cfg.lr),
                       MemoryBank(cfg.bank_capacity, cfg.embed_dim),
                       MemoryBank(cfg.bank_capacity, cfg.embed_dim))
 
@@ -613,6 +622,22 @@ def _instance_sums(state: TrainState, records: list[PairedRecord]) -> np.ndarray
     return v[caption_image] + w
 
 
+def _adam_update(state: TrainState) -> None:
+    """One Adam step over every parameter as one flat vector; a parameter with no grad gets zeros.
+
+    ``adam_step`` rejects a non-finite result before any parameter is set.
+    """
+    items = list(state.model.param_items())
+    flat = Matrix(np.concatenate([m.value.ravel() for _, m in items]).reshape(1, -1))
+    grads = np.concatenate([np.zeros(m.value.size) if m.grad is None else m.grad.ravel()
+                            for _, m in items]).reshape(1, -1)
+    new = adam_step(state.adam, flat, grads).value[0]
+    offset = 0
+    for name, m in items:
+        state.model.set_param(name, Matrix(new[offset:offset + m.value.size].reshape(m.shape)))
+        offset += m.value.size
+
+
 def _snapshot(state: TrainState) -> dict[str, np.ndarray]:
     return {name: m.value.copy() for name, m in state.model.param_items()}
 
@@ -669,8 +694,7 @@ def train(cfg: TrainConfig, data: PairedDataset,
 
     for epoch in range(cfg.epochs):
         lr = cfg.lr * (cfg.lr_drop_factor if epoch >= drop_at else 1.0)
-        for adam_state in state.adam.values():
-            adam_state.lr = lr
+        state.adam.lr = lr
 
         labels_all = None
         if cfg.use_concept_losses:
@@ -695,12 +719,10 @@ def train(cfg: TrainConfig, data: PairedDataset,
             try:
                 report, v_mom, w_mom = batch_losses(state, records, labels)
                 backward(report.total)
+                _adam_update(state)
             except nm.NonFiniteError as e:
                 raise RuntimeError(
-                    f"non-finite loss at epoch {epoch}, batch {n_batches}: {e}") from e
-            for name, param in list(state.model.param_items()):
-                grad = param.grad if param.grad is not None else np.zeros_like(param.value)
-                state.model.set_param(name, adam_step(state.adam[name], param, grad))
+                    f"non-finite value at epoch {epoch}, batch {n_batches}: {e}") from e
             state.model.encoder_pair.momentum_update(cfg.momentum)
             state.bank_v.enqueue(v_mom.value)
             state.bank_w.enqueue(w_mom.value)
@@ -716,7 +738,8 @@ def train(cfg: TrainConfig, data: PairedDataset,
             result = evaluate(state, val_data, cfg.beta)
             row.update(result.as_row())
             if state.best is None or result.rsum > state.best["rsum"]:
-                state.best = {"rsum": result.rsum, "epoch": epoch, "params": _snapshot(state)}
+                state.best = {"rsum": result.rsum, "epochs_run": epoch + 1,
+                              "params": _snapshot(state)}
         else:
             row.update({k: float("nan") for k in
                         ("r1_t", "r5_t", "r10_t", "r1_i", "r5_i", "r10_i", "rsum")})
@@ -876,7 +899,8 @@ def save_checkpoint(path, state: TrainState, which: str = "best") -> None:
 
     Every array is an ``_encode`` blob; the concept vectors are rebuilt from
     ``config``. ``which="best"`` uses the best-validation snapshot when one exists,
-    otherwise the current parameters.
+    otherwise the current parameters. ``epoch`` is the number of epochs run
+    when the saved parameters were taken, for either kind of save.
     """
     if which not in ("best", "final"):
         raise ValueError("which must be 'best' or 'final'")
@@ -884,7 +908,7 @@ def save_checkpoint(path, state: TrainState, which: str = "best") -> None:
     epoch = state.epochs_run
     if which == "best" and state.best is not None:
         params = state.best["params"]
-        epoch = state.best["epoch"]
+        epoch = state.best["epochs_run"]
     blob = {
         "version": CHECKPOINT_VERSION,
         "epoch": epoch,
@@ -962,8 +986,7 @@ def load_checkpoint(path) -> TrainState:
         model.set_param(name, Matrix(arr))
     model.encoder_pair.momentum = _decode_section(blob["momentum"], model.encoder_pair.momentum,
                                                   "momentum")
-    adam = {name: AdamState(m.rows, m.cols, cfg.lr) for name, m in model.param_items()}
-    state = TrainState(cfg, model, adam,
+    state = TrainState(cfg, model, _flat_adam(model, cfg.lr),
                        MemoryBank(cfg.bank_capacity, cfg.embed_dim),
                        MemoryBank(cfg.bank_capacity, cfg.embed_dim))
     state.epochs_run = blob["epoch"]

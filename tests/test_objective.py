@@ -10,6 +10,7 @@ from crossalign.numerics import Matrix, grad_check, rng_from_seed
 from crossalign.objective import (
     DiversityScores,
     SimilarityMatrix,
+    _contrastive_direction,
     _estimate,
     _plusplus_init,
     _sigmoid_vec,
@@ -425,6 +426,97 @@ def test_grad_checks_through_losses(seed):
 
     assert grad_check(pgc_of_classifier, classifier, h=1e-5) <= 1e-4
     assert grad_check(lambda p: pgc_loss(p, w, classifier, labels), v, h=1e-5) <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# the fused contrastive direction against the composed graph it replaces
+# ---------------------------------------------------------------------------
+
+def _log(a):
+    av = a.value
+    return nm.node(np.log(av), (a,), lambda g: (g / av,))
+
+
+def _composed_direction(scores, positives, neg_mask, div, mu, gamma):
+    """The direction as the elementary-op graph the fused node must reproduce bit for bit."""
+    n = scores.rows
+    inv_temp = Matrix((1.0 / (mu * div)).reshape(n, 1))
+    z = nm.exp((scores - gamma) * inv_temp)
+    if neg_mask is not None:
+        z = z * Matrix(neg_mask)
+    per_anchor = _log(nm.row_sum(z) + 1.0) - _log(positives + 1.0)
+    return nm.sum_all(per_anchor) * (mu / n)
+
+
+def _direction_case(seed, n, q):
+    rng = rng_from_seed(seed, 44)
+    scores = rng.uniform(-0.3, 0.7, size=(n, q))
+    positives = rng.uniform(-0.5, 0.9, size=(n, 1))
+    div = rng.uniform(0.5, 1.0, size=n)
+    return scores, positives, div
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fused_direction_equals_composed_graph_in_batch(seed):
+    scores, _, div = _direction_case(seed, 6, 6)
+    fused_s, ref_s = Matrix(scores), Matrix(scores)
+    fused = _contrastive_direction(fused_s, None, div, MU, GAMMA)
+    eye = np.eye(6)
+    ref = _composed_direction(ref_s, nm.row_sum(ref_s * Matrix(eye)), 1.0 - eye, div, MU, GAMMA)
+    assert fused.value.tobytes() == ref.value.tobytes()
+    assert fused._parents == (fused_s,)
+    # a non-unit upstream grad exercises the scale c = g * mu / N
+    nm.backward(fused * 1.7)
+    nm.backward(ref * 1.7)
+    assert fused_s.grad.tobytes() == ref_s.grad.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fused_direction_equals_composed_graph_bank(seed):
+    scores, positives, div = _direction_case(seed, 5, 9)
+    fused_s, fused_p = Matrix(scores), Matrix(positives)
+    ref_s, ref_p = Matrix(scores), Matrix(positives)
+    fused = _contrastive_direction(fused_s, fused_p, div, MU, GAMMA)
+    ref = _composed_direction(ref_s, ref_p, None, div, MU, GAMMA)
+    assert fused.value.tobytes() == ref.value.tobytes()
+    assert fused._parents == (fused_s, fused_p)
+    nm.backward(fused * -0.6)
+    nm.backward(ref * -0.6)
+    assert fused_s.grad.tobytes() == ref_s.grad.tobytes()
+    assert fused_p.grad.tobytes() == ref_p.grad.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_grad_check_fused_direction(seed):
+    scores, positives, div = _direction_case(seed, 5, 7)
+    square = Matrix(scores[:, :5])
+    assert not np.allclose(div, 1.0)
+    assert grad_check(lambda p: _contrastive_direction(p, None, div, MU, GAMMA), square,
+                      h=1e-5) <= 1e-4
+    bank, pos = Matrix(scores), Matrix(positives)
+    assert grad_check(lambda p: _contrastive_direction(p, pos, div, MU, GAMMA), bank,
+                      h=1e-5) <= 1e-4
+    assert grad_check(lambda p: _contrastive_direction(bank, p, div, MU, GAMMA), pos,
+                      h=1e-5) <= 1e-4
+
+
+def test_fused_direction_input_checks_and_overflow():
+    scores = Matrix([[0.5, 0.1, -0.2], [0.0, 0.3, 0.4]])
+    with pytest.raises(ValueError, match="one diversity value per anchor"):
+        _contrastive_direction(scores, Matrix([[0.5], [0.5]]), np.ones(3), MU, GAMMA)
+    with pytest.raises(ValueError, match="diversity weights must be positive"):
+        _contrastive_direction(scores, Matrix([[0.5], [0.5]]), np.array([1.0, -0.5]), MU, GAMMA)
+    with pytest.raises(ValueError, match="positive similarity is at or below -1"):
+        _contrastive_direction(scores, Matrix([[0.5], [-1.0]]), None, MU, GAMMA)
+    # 0.5 / 1e-3 = 500 is finite to exp, 0.8 / 1e-3 = 800 is not
+    assert np.isfinite(_contrastive_direction(scores, Matrix([[0.5], [0.5]]), None,
+                                              1e-3, 0.0).item())
+    hot = Matrix([[0.8, 0.1, -0.2], [0.0, 0.3, 0.4]])
+    with pytest.raises(nm.NonFiniteError, match="_contrastive_direction: exp overflows"):
+        _contrastive_direction(hot, Matrix([[0.5], [0.5]]), None, 1e-3, 0.0)
+    # the in-batch form checks the masked diagonal too, as the composed graph did
+    with pytest.raises(nm.NonFiniteError, match="_contrastive_direction: exp overflows"):
+        _contrastive_direction(Matrix([[0.8, 0.1], [0.0, 0.3]]), None, None, 1e-3, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from crossalign import pipeline as pl
-from crossalign.numerics import rng_from_seed
+from crossalign.numerics import AdamState, NonFiniteError, adam_step, rng_from_seed
 from crossalign.representation import FeatureAggregator
 
 
@@ -516,17 +516,92 @@ def test_train_runs_every_branch_deterministically(instance_loss, tmp_path):
     assert rows[-1]["l_mdcl"] != 0.0
     assert pl.train(cfg, data, val)[1] == rows
     # the best epoch is the first to reach the top held-out rsum, and a
-    # default save keeps its parameters
+    # default save keeps its parameters and the number of epochs run then
     best = max(row["rsum"] for row in rows)
+    best_epochs_run = next(row["epoch"] for row in rows if row["rsum"] == best) + 1
     assert state.best["rsum"] == best
-    assert state.best["epoch"] == next(row["epoch"] for row in rows if row["rsum"] == best)
+    assert state.best["epochs_run"] == best_epochs_run
     path = tmp_path / "best.json"
     pl.save_checkpoint(path, state)
     loaded = pl.load_checkpoint(path)
-    assert loaded.epochs_run == state.best["epoch"]
+    assert loaded.epochs_run == best_epochs_run
     params = {name: m.value for name, m in loaded.model.param_items()}
     assert all(np.array_equal(params[k], v) for k, v in state.best["params"].items())
     assert pl.evaluate(loaded, val).rsum == best
+
+
+def test_train_names_an_overflowing_contrastive_direction():
+    # at mu 1e-4 any score above 709e-4 overflows exp in the first step
+    data = pl.generate_synthetic(33, 1, 4, seed=5)
+    cfg = pl.TrainConfig(seed=0, epochs=1, batch_size=16, mu=1e-4, gamma=0.0)
+    with pytest.raises(RuntimeError,
+                       match="epoch 0, batch 0: _contrastive_direction: exp overflows"):
+        pl.train(cfg, data)
+
+
+def test_flat_adam_step_equals_per_parameter_steps():
+    state = _tiny_state()
+    params = dict(state.model.param_items())
+    assert len({m.shape for m in params.values()}) > 1
+    per_param = {name: AdamState(m.rows, m.cols, state.adam.lr) for name, m in params.items()}
+    rng = rng_from_seed(3)
+    for _ in range(3):
+        # a parameter with no grad steps on zeros
+        grads = {name: None if name == "extra.classifier" else rng.standard_normal(m.shape)
+                 for name, m in state.model.param_items()}
+        for name, m in state.model.param_items():
+            m.grad = grads[name]
+        pl._adam_update(state)
+        for name, m in params.items():
+            g = np.zeros(m.shape) if grads[name] is None else grads[name]
+            params[name] = adam_step(per_param[name], m, g)
+    assert state.adam.step == 3
+    for name, m in state.model.param_items():
+        assert _bits(m.value) == _bits(params[name].value)
+
+
+def test_flat_adam_step_rejects_a_nan_grad_before_any_parameter_changes():
+    state = _tiny_state()
+    before = dict(state.model.param_items())
+    for m in before.values():
+        m.grad = np.ones(m.shape)
+    # the last parameter, so a per-parameter loop would already have moved the others
+    last = list(before.values())[-1]
+    last.grad = np.full(last.shape, np.nan)
+    with pytest.raises(NonFiniteError):
+        pl._adam_update(state)
+    assert all(m is before[name] for name, m in state.model.param_items())
+    assert state.adam.step == 0 and not state.adam.m.any() and not state.adam.v.any()
+
+
+def _graph_nodes(root) -> int:
+    """Distinct nodes reachable from ``root`` through their parents."""
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+# A step with every loss on builds 116 nodes on this fixture, six of them
+# the contrastive directions. A direction composed of elementary ops
+# costs about 20 nodes, so a single such one exceeds the budget.
+GRAPH_NODE_BUDGET = 120
+
+
+def test_one_training_step_stays_within_its_graph_node_budget():
+    data = pl.generate_synthetic(8, 2, 4, seed=1)
+    state = pl.build_state(pl.TrainConfig(seed=0, epochs=1, batch_size=8), data)
+    rng = rng_from_seed(4)
+    for bank in (state.bank_v, state.bank_w):
+        rows = rng.standard_normal((8, state.config.embed_dim))
+        bank.enqueue(rows / np.linalg.norm(rows, axis=1, keepdims=True))
+    report, _, _ = pl.batch_losses(state, data.records[:8], np.arange(8) % 4)
+    # the memory and label losses are in the graph
+    assert report.l_mdcl != 0.0 and report.l_pgc != 0.0
+    assert _graph_nodes(report.total) <= GRAPH_NODE_BUDGET
 
 
 @pytest.mark.parametrize("use_concept_losses, where", [(True, "epoch 0, clustering"),
