@@ -358,35 +358,44 @@ def _assign(pts: np.ndarray, pt_sq: np.ndarray, centroids: np.ndarray):
 
 
 def _lloyd(pts: np.ndarray, k: int, centroids: np.ndarray, max_iters: int):
-    labels = np.full(pts.shape[0], -1, dtype=np.int64)
+    """Lloyd iterations from ``centroids``, updated in place.
+
+    Centroids move only between assignments, so the returned labels,
+    centroids and inertia always describe one assignment, also when
+    ``max_iters`` stops the run before the labels settle.
+    """
     pt_sq = (pts ** 2).sum(axis=1)
+    labels = None
     inertia_path: list[float] = []
-    inertia = 0.0
-    for _ in range(max(max_iters, 1)):
+    for step in range(max(max_iters, 1)):
+        if step:
+            for j in range(k):
+                members = pts[labels == j]
+                if members.shape[0] > 0:
+                    centroids[j] = members.mean(axis=0)
+                else:
+                    far = int(point_cost.argmax())
+                    centroids[j] = pts[far]
+                    point_cost[far] = 0.0
         new_labels, point_cost = _assign(pts, pt_sq, centroids)
-        inertia = float(point_cost.sum())
-        inertia_path.append(inertia)
-        if np.array_equal(new_labels, labels):
+        inertia_path.append(float(point_cost.sum()))
+        if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for j in range(k):
-            members = pts[labels == j]
-            if members.shape[0] > 0:
-                centroids[j] = members.mean(axis=0)
-            else:
-                far = int(point_cost.argmax())
-                centroids[j] = pts[far]
-                point_cost[far] = 0.0
-    return centroids, labels, inertia, inertia_path
+    return centroids, labels, inertia_path[-1], inertia_path
 
 
 def kmeans_cluster(points, k: int, max_iters: int = 100, seed: int = 0,
-                   n_init: int = 10) -> PrototypeState:
-    """Best of ``n_init`` seeded k-means++ starts, each run to a fixpoint.
+                   n_init: int = 10, start_centroids=None) -> PrototypeState:
+    """Best of ``n_init`` seeded k-means++ starts, or one run from ``start_centroids``.
 
     Every restart draws its initial centroids from a stream derived from
     ``seed``, runs Lloyd iterations until the assignment stops changing
-    (or ``max_iters``), and the lowest-inertia run wins. Empty clusters
+    (or ``max_iters``), and the lowest-inertia run wins. Given
+    ``start_centroids``, a finite [k, dim] array that is never written,
+    one Lloyd run refines a copy of it instead: no seeding, no restarts,
+    and cluster j starts from row j, so ids carry over from the run that
+    produced the start. Empty clusters
     are reseeded to the point currently farthest from its assigned
     centroid. ``inertia_path`` records the winning run's inertia after
     each assignment step.
@@ -407,12 +416,21 @@ def kmeans_cluster(points, k: int, max_iters: int = 100, seed: int = 0,
     if k > m:
         raise ValueError(f"cannot form {k} clusters from {m} points")
 
+    if start_centroids is not None:
+        start = np.array(start_centroids, dtype=np.float64)
+        if start.shape != (k, pts.shape[1]):
+            raise ValueError(f"start_centroids must have shape {(k, pts.shape[1])}, "
+                             f"got {start.shape}")
+        if not np.isfinite(start).all():
+            raise ValueError("start_centroids must be finite")
+        return PrototypeState(k, *_lloyd(pts, k, start, max_iters))
+
     best: PrototypeState | None = None
     for restart in range(max(n_init, 1)):
-        rng = nm.rng_from_seed(seed, 77, restart)
-        centroids, labels, inertia, path = _lloyd(pts, k, _plusplus_init(pts, k, rng), max_iters)
-        if best is None or inertia < best.inertia:
-            best = PrototypeState(k, centroids, labels, inertia, path)
+        init = _plusplus_init(pts, k, nm.rng_from_seed(seed, 77, restart))
+        run = PrototypeState(k, *_lloyd(pts, k, init, max_iters))
+        if best is None or run.inertia < best.inertia:
+            best = run
     return best
 
 

@@ -642,50 +642,20 @@ def _snapshot(state: TrainState) -> dict[str, np.ndarray]:
     return {name: m.value.copy() for name, m in state.model.param_items()}
 
 
-def _align_cluster_ids(new: PrototypeState, prev_centroids: np.ndarray) -> PrototypeState:
-    """Relabel clusters to match the nearest previous centroids.
-
-    Cluster ids are otherwise arbitrary per run, which would force the
-    label classifier to relearn its output mapping after every epoch's
-    reclustering. Greedy nearest-pair matching keeps ids stable.
-    """
-    k = new.k
-    if prev_centroids.shape != new.centroids.shape:
-        return new
-    dists = ((new.centroids[:, None, :] - prev_centroids[None, :, :]) ** 2).sum(axis=2)
-    assignment = np.full(k, -1, dtype=np.int64)
-    used_new, used_prev = set(), set()
-    flat_order = np.argsort(dists, axis=None, kind="stable")
-    for flat in flat_order:
-        i, j = divmod(int(flat), k)
-        if i in used_new or j in used_prev:
-            continue
-        assignment[i] = j
-        used_new.add(i)
-        used_prev.add(j)
-        if len(used_new) == k:
-            break
-    remaining = sorted(set(range(k)) - used_prev)
-    for i in range(k):
-        if assignment[i] < 0:
-            assignment[i] = remaining.pop(0)
-    centroids = np.empty_like(new.centroids)
-    centroids[assignment] = new.centroids
-    labels = assignment[new.labels]
-    return PrototypeState(k, centroids, labels, new.inertia, new.inertia_path)
-
-
 def train(cfg: TrainConfig, data: PairedDataset,
           val_data: PairedDataset | None = None) -> tuple[TrainState, list[dict]]:
     """Run the full two-branch loop; returns the final state and per-epoch rows.
 
-    Per epoch: recluster prototypes from the summed instance embeddings,
-    shuffle caption records, and per batch compute all enabled losses,
-    take one Adam step, move the momentum mirror, and enqueue the
-    momentum embeddings. The memory loss stays off until both queues hold
-    at least one full batch. Evaluates on ``val_data`` every epoch and
-    keeps the best-rsum parameter snapshot. A ``NonFiniteError`` becomes a
-    ``RuntimeError`` that names the epoch and the batch or the clustering.
+    Per epoch: cluster the summed instance embeddings into prototypes
+    (seed once, then refine: k-means++ seeds them in epoch 0 only, and
+    each later epoch runs Lloyd from the last epoch's centroids, so
+    cluster ids stay stable), shuffle caption records, and per batch
+    compute all enabled losses, take one Adam step, move the momentum
+    mirror, and enqueue the momentum embeddings. The memory loss stays
+    off until both queues hold at least one full batch. Evaluates on
+    ``val_data`` every epoch and keeps the best-rsum parameter snapshot.
+    A ``NonFiniteError`` becomes a ``RuntimeError`` that names the epoch
+    and the batch or the clustering.
     """
     state = build_state(cfg, data)
     rows: list[dict] = []
@@ -702,11 +672,9 @@ def train(cfg: TrainConfig, data: PairedDataset,
                 points = _instance_sums(state, data.records)
             except nm.NonFiniteError as e:
                 raise RuntimeError(f"non-finite value at epoch {epoch}, clustering: {e}") from e
-            k_eff = min(cfg.k_clusters, len(data))
-            fresh = obj.kmeans_cluster(points, k_eff, seed=cfg.seed, n_init=4)
-            if state.prototypes is not None and state.prototypes.k == k_eff:
-                fresh = _align_cluster_ids(fresh, state.prototypes.centroids)
-            state.prototypes = fresh
+            start = state.prototypes.centroids if state.prototypes is not None else None
+            state.prototypes = obj.kmeans_cluster(points, min(cfg.k_clusters, len(data)),
+                                                  seed=cfg.seed, n_init=4, start_centroids=start)
             labels_all = state.prototypes.labels
 
         order = shuffle_rng.permutation(len(data))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossalign import numerics as nm
+from crossalign import objective
 from crossalign.numerics import Matrix, grad_check, rng_from_seed
 from crossalign.objective import (
     DiversityScores,
@@ -590,21 +591,12 @@ def _loop_plusplus_init(points, k, rng):
     return centroids
 
 
-def _direct_kmeans(pts, k, seed, n_init=10, max_iters=100):
-    """Reference k-means: the loop seeding, assignment over the full [m, k, d] array."""
-    best = None
-    for restart in range(n_init):
-        centroids = _loop_plusplus_init(pts, k, rng_from_seed(seed, 77, restart))
-        labels = np.full(pts.shape[0], -1)
-        path = []
-        for _ in range(max_iters):
-            dists = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-            new_labels = dists.argmin(axis=1)
-            point_cost = dists[np.arange(pts.shape[0]), new_labels]
-            path.append(float(point_cost.sum()))
-            if np.array_equal(new_labels, labels):
-                break
-            labels = new_labels
+def _direct_lloyd(pts, k, centroids, max_iters=100):
+    """Reference Lloyd: assignment over the full [m, k, d] array, no update after the last."""
+    labels = None
+    path = []
+    for step in range(max_iters):
+        if step:
             for j in range(k):
                 members = pts[labels == j]
                 if members.shape[0] > 0:
@@ -613,8 +605,24 @@ def _direct_kmeans(pts, k, seed, n_init=10, max_iters=100):
                     far = int(point_cost.argmax())
                     centroids[j] = pts[far]
                     point_cost[far] = 0.0
-        if best is None or path[-1] < best[2][-1]:
-            best = (labels, centroids, path)
+        dists = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_labels = dists.argmin(axis=1)
+        point_cost = dists[np.arange(pts.shape[0]), new_labels]
+        path.append(float(point_cost.sum()))
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    return labels, centroids, path
+
+
+def _direct_kmeans(pts, k, seed, n_init=10, max_iters=100):
+    """Reference k-means: the loop seeding, then the direct Lloyd; first lowest inertia wins."""
+    best = None
+    for restart in range(n_init):
+        centroids = _loop_plusplus_init(pts, k, rng_from_seed(seed, 77, restart))
+        run = _direct_lloyd(pts, k, centroids, max_iters)
+        if best is None or run[2][-1] < best[2][-1]:
+            best = run
     return best
 
 
@@ -644,6 +652,79 @@ def test_kmeans_matches_direct_distances(kind, k, seed):
     assert np.array_equal(state.centroids, centroids)
     assert state.inertia_path == path
     assert state.inertia == path[-1]
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "offset", "grid"])
+@pytest.mark.parametrize("max_iters", [1, 2, 3])
+def test_kmeans_capped_run_describes_one_assignment(kind, max_iters):
+    pts = _kmeans_data(kind, 0)
+    state = kmeans_cluster(pts, 5, max_iters=max_iters, n_init=1, seed=0)
+    dists = ((pts[:, None, :] - state.centroids[None, :, :]) ** 2).sum(axis=2)
+    assert np.array_equal(state.labels, dists.argmin(axis=1))
+    assert state.inertia == float(dists[np.arange(pts.shape[0]), state.labels].sum())
+    assert state.inertia == state.inertia_path[-1]
+    assert len(state.inertia_path) <= max_iters
+    labels, centroids, path = _direct_kmeans(pts, 5, 0, n_init=1, max_iters=max_iters)
+    assert np.array_equal(state.labels, labels)
+    assert np.array_equal(state.centroids, centroids)
+    assert state.inertia_path == path
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "offset", "far_offset", "grid"])
+@pytest.mark.parametrize("k", [2, 5, 9])
+def test_kmeans_warm_start_matches_direct_lloyd(kind, k):
+    pts = _kmeans_data(kind, 1)
+    # start from another draw's centroids, as training does from last epoch's
+    start = kmeans_cluster(_kmeans_data(kind, 2), k, seed=2).centroids
+    state = kmeans_cluster(pts, k, start_centroids=start)
+    labels, centroids, path = _direct_lloyd(pts, k, start.copy())
+    assert np.array_equal(state.labels, labels)
+    assert np.array_equal(state.centroids, centroids)
+    assert state.inertia_path == path
+    assert state.inertia == path[-1]
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "offset", "grid"])
+def test_kmeans_warm_start_from_a_fixpoint_stays_there(kind):
+    pts = _kmeans_data(kind, 0)
+    cold = kmeans_cluster(pts, 5, seed=0)
+    warm = kmeans_cluster(pts, 5, start_centroids=cold.centroids)
+    assert np.array_equal(warm.labels, cold.labels)
+    assert warm.centroids.tobytes() == cold.centroids.tobytes()
+    assert warm.inertia == cold.inertia
+    assert len(warm.inertia_path) == 2
+
+
+def test_kmeans_warm_start_never_writes_the_callers_array():
+    pts = _kmeans_data("gaussian", 0)
+    start = pts[:5].copy()
+    before = start.copy()
+    state = kmeans_cluster(pts, 5, start_centroids=start)
+    assert np.array_equal(start, before)
+    assert not np.array_equal(state.centroids, before)
+    assert not np.shares_memory(state.centroids, start)
+
+
+@pytest.mark.parametrize("start, match", [
+    (np.zeros((4, 5)), r"start_centroids must have shape \(5, 5\), got \(4, 5\)"),
+    (np.zeros((5, 4)), r"start_centroids must have shape \(5, 5\), got \(5, 4\)"),
+    (np.zeros(25), r"start_centroids must have shape \(5, 5\), got \(25,\)"),
+    (np.full((5, 5), np.nan), "start_centroids must be finite"),
+    (np.full((5, 5), np.inf), "start_centroids must be finite"),
+])
+def test_kmeans_rejects_a_bad_start(start, match):
+    with pytest.raises(ValueError, match=match):
+        kmeans_cluster(_kmeans_data("gaussian", 0), 5, start_centroids=start)
+
+
+def test_kmeans_warm_start_never_seeds(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("k-means++ seeding ran on a warm start")
+
+    monkeypatch.setattr(objective, "_plusplus_init", forbidden)
+    pts = _kmeans_data("gaussian", 0)
+    state = kmeans_cluster(pts, 5, n_init=4, start_centroids=pts[:5])
+    assert state.k == 5 and state.labels.shape == (pts.shape[0],)
 
 
 def test_kmeans_matches_exhaustive_two_partition_search():

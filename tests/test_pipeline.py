@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from crossalign import objective as obj
 from crossalign import pipeline as pl
 from crossalign.numerics import AdamState, NonFiniteError, adam_step, rng_from_seed
 from crossalign.representation import FeatureAggregator
@@ -528,6 +529,35 @@ def test_train_runs_every_branch_deterministically(instance_loss, tmp_path):
     params = {name: m.value for name, m in loaded.model.param_items()}
     assert all(np.array_equal(params[k], v) for k, v in state.best["params"].items())
     assert pl.evaluate(loaded, val).rsum == best
+
+
+def test_train_seeds_prototypes_once_then_refines_them(monkeypatch):
+    seedings, runs = [], []
+    plusplus, kmeans = obj._plusplus_init, obj.kmeans_cluster
+
+    def spy_plusplus(*args, **kwargs):
+        seedings.append(len(runs) - 1)  # the k-means call it seeds
+        return plusplus(*args, **kwargs)
+
+    def spy_kmeans(points, k, **kwargs):
+        start = kwargs.get("start_centroids")
+        runs.append({"start": None if start is None else start.copy()})
+        runs[-1]["result"] = result = kmeans(points, k, **kwargs)
+        runs[-1]["centroids"] = result.centroids.copy()
+        return result
+
+    monkeypatch.setattr(obj, "_plusplus_init", spy_plusplus)
+    monkeypatch.setattr(obj, "kmeans_cluster", spy_kmeans)
+    cfg = pl.TrainConfig(seed=0, epochs=3, batch_size=16, k_clusters=6)
+    state, _ = pl.train(cfg, pl.generate_synthetic(33, 1, 4, seed=5))
+    # k-means++ seeds each of epoch 0's restarts and never runs again
+    assert len(runs) == 3 and seedings == [0, 0, 0, 0]
+    assert runs[0]["start"] is None
+    for prev, run in zip(runs, runs[1:]):
+        assert run["start"].tobytes() == prev["centroids"].tobytes()
+        # the previous state's centroids were refined in a copy, not in place
+        assert prev["result"].centroids.tobytes() == prev["centroids"].tobytes()
+    assert state.prototypes is runs[-1]["result"]
 
 
 def test_train_names_an_overflowing_contrastive_direction():
