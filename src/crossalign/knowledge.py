@@ -121,12 +121,12 @@ def normalized_adjacency(adjacency: np.ndarray) -> np.ndarray:
     return h * inv_row[:, None] * inv_col[None, :] + np.eye(h.shape[0])
 
 
-def gcn_forward(x, adjacency, w: Matrix) -> Matrix:
+def gcn_forward(x: np.ndarray, adjacency, w: Matrix) -> Matrix:
     """One graph convolution: relu(normalized_adjacency @ x @ w).
 
-    ``x`` and ``adjacency`` are constants; gradients flow through ``w``.
+    ``x`` and ``adjacency`` are constant arrays; gradients flow through ``w``.
     """
-    x_arr = x.value if isinstance(x, Matrix) else np.asarray(x, dtype=np.float64)
+    x_arr = np.asarray(x, dtype=np.float64)
     a_norm = normalized_adjacency(adjacency)
     if x_arr.shape[0] != a_norm.shape[0]:
         raise ValueError(f"adjacency has {a_norm.shape[0]} nodes but x has {x_arr.shape[0]} rows")
@@ -135,36 +135,18 @@ def gcn_forward(x, adjacency, w: Matrix) -> Matrix:
     return nm.relu(Matrix(a_norm @ x_arr) @ w)
 
 
-class ConceptQueryHead:
-    """Bilinear scorer mapping a query embedding to attention over concepts.
-
-    One square weight matrix per modality; both start as the identity so
-    the initial score is a plain dot product between query and concept.
-    """
-
-    def __init__(self, dim: int, smoothness: float):
-        if not smoothness > 0.0:
-            raise ValueError("smoothness must be positive")
-        self.dim = dim
-        self.smoothness = smoothness
-        self.p: dict[str, Matrix] = {
-            "w_visual": Matrix(np.eye(dim)),
-            "w_textual": Matrix(np.eye(dim)),
-        }
-
-
-def concept_query(head: ConceptQueryHead, query: Matrix, basis: Matrix,
-                  modality: str) -> tuple[Matrix, Matrix]:
+def concept_query(query: Matrix, w: Matrix, basis: Matrix,
+                  smoothness: float) -> tuple[Matrix, Matrix]:
     """Soft combination of concept rows selected by a scaled bilinear score.
 
+    ``w`` is the modality's square query weight (the model starts it at
+    the identity, so the first score is a plain dot product between query
+    and concept) and ``smoothness`` scales the scores before the softmax.
     Returns the unit-normalized combined embedding [N, F], scored by plain
     dot products downstream, and the attention weights [N, g] (each row a
     probability distribution).
     """
-    if modality not in ("visual", "textual"):
-        raise ValueError(f"modality must be 'visual' or 'textual', got {modality!r}")
-    w = head.p["w_visual" if modality == "visual" else "w_textual"]
-    scores = (query @ w) @ basis.T * head.smoothness
+    scores = (query @ w) @ basis.T * smoothness
     attention = nm.softmax_rows(scores)
     combined = nm.l2_normalize_rows(attention @ basis)
     return combined, attention

@@ -61,10 +61,6 @@ class Matrix:
             raise ValueError(f"item() needs a 1x1 matrix, got {self.value.shape}")
         return float(self.value[0, 0])
 
-    def detach(self) -> "Matrix":
-        """Same value as a fresh leaf; gradients stop here."""
-        return Matrix(self.value)
-
     @property
     def T(self) -> "Matrix":
         return transpose(self)
@@ -367,12 +363,12 @@ class AdamState:
         self.step = 0
 
 
-def adam_step(state: AdamState, params: Matrix, grads: Matrix | np.ndarray) -> Matrix:
+def adam_step(state: AdamState, params: Matrix, grads: np.ndarray) -> Matrix:
     """One bias-corrected Adam update; returns the new parameter value.
 
     A non-finite result raises ``NonFiniteError`` and leaves ``state`` as it was.
     """
-    g = grads.value if isinstance(grads, Matrix) else np.asarray(grads, dtype=np.float64)
+    g = np.asarray(grads, dtype=np.float64)
     if g.shape != params.value.shape or state.m.shape != params.value.shape:
         raise ValueError(
             f"adam_step shape mismatch: params {params.value.shape}, "

@@ -11,9 +11,9 @@ where ``div`` measures how spread out the anchor's negative similarities
 are; anchors whose negatives all sit at the same distance get a sharper
 effective temperature and therefore a harder penalty.
 
-Diversity scores are always computed from detached similarity values and
-enter the losses as constants: the batch-max normalization they include
-is not differentiable at ties.
+Diversity scores are computed from the similarity values alone and enter
+the losses as constants, never as graph nodes: the batch-max normalization
+they include is not differentiable at ties.
 """
 from __future__ import annotations
 
@@ -235,7 +235,8 @@ def _estimate(sim: SimilarityMatrix, estimator: str, eps: float) -> DiversitySco
     raise ValueError(f"unknown diversity estimator {estimator!r}")
 
 
-def m_dcl_loss(batch_v: Matrix, batch_w: Matrix, momentum_pos_v, momentum_pos_w,
+def m_dcl_loss(batch_v: Matrix, batch_w: Matrix, momentum_pos_v: np.ndarray,
+               momentum_pos_w: np.ndarray,
                bank_v: MemoryBank, bank_w: MemoryBank, div_anchor_fwd: DiversityScores,
                div_anchor_bwd: DiversityScores, mu: float, gamma: float,
                *, estimator: str = "std", eps: float = 0.1,
@@ -243,13 +244,13 @@ def m_dcl_loss(batch_v: Matrix, batch_w: Matrix, momentum_pos_v, momentum_pos_w,
     """Contrastive loss of in-batch anchors against memory-bank negatives.
 
     Each anchor's positive is the momentum-encoded embedding of its own
-    cross-modal counterpart; every bank row is a negative, and all rows
-    are unit-norm encoder outputs scored by dot product. Per anchor, the
-    diversity weight is the mean of the bank-level estimate and the
-    in-batch pair ``dcl_loss`` takes too. No gradient flows into bank
-    rows, momentum positives, or diversity weights; ``fixed_diversity``
-    pins the per-direction weights outright, which the finite-difference
-    checks rely on.
+    cross-modal counterpart, one row of an array; every bank row is a
+    negative, and all rows are unit-norm encoder outputs scored by dot
+    product. Per anchor, the diversity weight is the mean of the estimate
+    over the anchor's bank scores and the in-batch pair ``dcl_loss`` takes
+    too. No gradient flows into bank rows, momentum positives, or
+    diversity weights; ``fixed_diversity`` pins the per-direction weights
+    outright, which the finite-difference checks rely on.
     """
     if not mu > 0.0:
         raise ValueError("temperature mu must be positive")
@@ -258,9 +259,9 @@ def m_dcl_loss(batch_v: Matrix, batch_w: Matrix, momentum_pos_v, momentum_pos_w,
     if batch_v.rows != batch_w.rows:
         raise ValueError(f"batch sizes differ: {batch_v.rows} vs {batch_w.rows}")
 
-    def one_direction(anchors: Matrix, momentum_pos, bank: MemoryBank,
+    def one_direction(anchors: Matrix, momentum_pos: np.ndarray, bank: MemoryBank,
                       div_batch: DiversityScores, pinned_div: np.ndarray | None) -> Matrix:
-        pos_rows = momentum_pos.value if isinstance(momentum_pos, Matrix) else np.asarray(momentum_pos)
+        pos_rows = np.asarray(momentum_pos, dtype=np.float64)
         if pos_rows.shape != (anchors.rows, anchors.cols):
             raise ValueError("momentum positives must match the anchor batch shape")
 
@@ -268,7 +269,7 @@ def m_dcl_loss(batch_v: Matrix, batch_w: Matrix, momentum_pos_v, momentum_pos_w,
         positives = nm.row_sum(anchors * Matrix(pos_rows))
 
         if pinned_div is None:
-            div_bank = _estimate(SimilarityMatrix(bank_sims.detach(), False), estimator, eps).values
+            div_bank = _estimate(SimilarityMatrix(bank_sims, False), estimator, eps).values
             div = (div_batch.values + div_bank) / 2.0
         else:
             div = pinned_div
@@ -385,17 +386,17 @@ def _lloyd(pts: np.ndarray, k: int, centroids: np.ndarray, max_iters: int):
     return centroids, labels, inertia_path[-1], inertia_path
 
 
-def kmeans_cluster(points, k: int, max_iters: int = 100, seed: int = 0,
+def kmeans_cluster(points: np.ndarray, k: int, max_iters: int = 100, seed: int = 0,
                    n_init: int = 10, start_centroids=None) -> PrototypeState:
     """Best of ``n_init`` seeded k-means++ starts, or one run from ``start_centroids``.
 
-    Every restart draws its initial centroids from a stream derived from
-    ``seed``, runs Lloyd iterations until the assignment stops changing
-    (or ``max_iters``), and the lowest-inertia run wins. Given
-    ``start_centroids``, a finite [k, dim] array that is never written,
-    one Lloyd run refines a copy of it instead: no seeding, no restarts,
-    and cluster j starts from row j, so ids carry over from the run that
-    produced the start. Empty clusters
+    ``points`` is a finite [m, dim] array. Every restart draws its initial
+    centroids from a stream derived from ``seed``, runs Lloyd iterations
+    until the assignment stops changing (or ``max_iters``), and the
+    lowest-inertia run wins. Given ``start_centroids``, a finite [k, dim]
+    array that is never written, one Lloyd run refines a copy of it
+    instead: no seeding, no restarts, and cluster j starts from row j, so
+    ids carry over from the run that produced the start. Empty clusters
     are reseeded to the point currently farthest from its assigned
     centroid. ``inertia_path`` records the winning run's inertia after
     each assignment step.
@@ -407,9 +408,12 @@ def kmeans_cluster(points, k: int, max_iters: int = 100, seed: int = 0,
     reseeds are therefore the same as a direct search over all
     point-centroid pairs, without its [points, k, dim] array.
     """
-    pts = points.value if isinstance(points, Matrix) else np.asarray(points, dtype=np.float64)
+    pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-D array")
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        raise ValueError(f"points must be finite, but row {int(bad[0])} is not")
     m = pts.shape[0]
     if k < 1:
         raise ValueError("cluster count must be at least 1")
@@ -459,29 +463,3 @@ def pgc_loss(vc: Matrix, wc: Matrix, classifier: Matrix, labels) -> Matrix:
 
     return ce(vc) + ce(wc)
 
-
-# ---------------------------------------------------------------------------
-# combined objective
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LossReport:
-    """Scalar components of one training step and the combined graph node."""
-
-    l_dcl_i: float
-    l_mdcl: float
-    l_dcl_c: float
-    l_pgc: float
-    total: Matrix
-
-
-def total_loss(l_dcl_i: Matrix | None, l_mdcl: Matrix | None, l_dcl_c: Matrix | None,
-               l_pgc: Matrix | None, lambda_weight: float) -> LossReport:
-    """lambda * in-batch instance loss + memory loss + concept loss + label loss."""
-    zero = Matrix([[0.0]])
-    a = l_dcl_i if l_dcl_i is not None else zero
-    b = l_mdcl if l_mdcl is not None else zero
-    c = l_dcl_c if l_dcl_c is not None else zero
-    d = l_pgc if l_pgc is not None else zero
-    total = a * lambda_weight + b + c + d
-    return LossReport(a.item(), b.item(), c.item(), d.item(), total)

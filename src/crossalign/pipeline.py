@@ -2,7 +2,9 @@
 
 Records are caption-granular: each carries its caption's token list and
 feature sequence plus its image's feature sequence, so an image with r
-captions appears in r records. Those records may share one image array
+captions appears in r records. Records with one ``image_id`` describe
+one image and must carry the same image features; evaluation and
+clustering embed each image once. Those records share one image array
 (``generate_synthetic`` and ``load_dataset`` both do so), and feature
 arrays are read-only by convention.
 
@@ -14,8 +16,10 @@ A dataset file is JSONL, one record per line::
 
 where a blob is ``{"shape": [L, d], "data": <base64 of little-endian
 float64>}``, the same array form the checkpoints use. ``pair_id`` is
-unique, every sequence has 1 to ``max_seq_len`` finite rows, and all
-image sequences share one width d_img, all caption sequences one d_txt.
+unique, ``image_id`` a non-empty string, records that share an
+``image_id`` hold identical ``image_features``, every sequence has 1 to
+``max_seq_len`` finite rows, and all image sequences share one width
+d_img, all caption sequences one d_txt.
 
 Training runs both branches per batch (instance embeddings with in-batch
 and memory-bank contrastive losses; concept embeddings with their own
@@ -34,6 +38,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -61,17 +66,6 @@ class PairedRecord:
     image_features: np.ndarray
     caption_tokens: list[str]
     caption_features: np.ndarray
-
-
-@dataclass
-class PairedDataset:
-    records: list[PairedRecord]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def corpus(self) -> list[list[str]]:
-        return [r.caption_tokens for r in self.records]
 
 
 @dataclass
@@ -134,6 +128,11 @@ class TrainConfig:
     triplet_margin: float = 0.2
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # false for inf, NaN and an int beyond the float64 range alike
+            if f.type == "float" and not abs(value) <= sys.float_info.max:
+                raise ValueError(f"invalid config: {f.name} must be finite, got {value!r}")
         checks = [
             (self.embed_dim >= 2, "embed_dim must be at least 2"),
             (self.d_p > 0 and self.d_p % 2 == 0, "d_p must be a positive even number"),
@@ -238,7 +237,7 @@ def build_world(latent_classes: int, seed: int, *, d_img: int = 48, d_txt: int =
 def generate_synthetic(n_images: int, captions_per_image: int = 1, latent_classes: int = 8,
                        noise: float = 0.1, seed: int = 0, *, split: str = "train",
                        world: SyntheticWorld | None = None, attrs_per_image: int = 3,
-                       d_img: int = 48, d_txt: int = 48) -> PairedDataset:
+                       d_img: int = 48, d_txt: int = 48) -> list[PairedRecord]:
     """Deterministic paired dataset over shared latent classes.
 
     Every image shows a per-image subset of its class's attribute latents
@@ -285,7 +284,7 @@ def generate_synthetic(n_images: int, captions_per_image: int = 1, latent_classe
                     token_latents.append(world.distractor_latents[DISTRACTOR_TOKENS.index(tok)])
             caption = np.stack(token_latents) @ world.proj_txt
             records.append(PairedRecord(f"{image_id}-cap{k}", image_id, image, tokens, caption))
-    return PairedDataset(records)
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +332,7 @@ def _decode(blob, where: str, shared: dict | None = None) -> np.ndarray:
     return arr
 
 
-def save_dataset(data: PairedDataset, path) -> None:
+def save_dataset(data: list[PairedRecord], path) -> None:
     """Write one JSON object per record and line.
 
     Its keys are ``pair_id``, ``image_id``, ``caption_tokens`` and the two
@@ -342,7 +341,7 @@ def save_dataset(data: PairedDataset, path) -> None:
     little-endian float64>}``; the module docstring states the rules.
     """
     with open(path, "w") as fh:
-        for r in data.records:
+        for r in data:
             fh.write(json.dumps({
                 "pair_id": r.pair_id,
                 "image_id": r.image_id,
@@ -365,6 +364,9 @@ def _validate_record(raw: dict, line_no: int, max_seq_len: int, widths: dict[str
     for key in ("image_id", "image_features", "caption_tokens", "caption_features"):
         if key not in raw:
             raise ValueError(f"record {pair_id!r}: missing field {key!r}")
+    image_id = raw["image_id"]
+    if not isinstance(image_id, str) or not image_id:
+        raise ValueError(f"record {pair_id!r}: image_id must be a non-empty string, got {image_id!r}")
     arrays = {}
     for name, shared in (("image_features", images), ("caption_features", None)):
         where = f"record {pair_id!r}: {name}"
@@ -380,23 +382,26 @@ def _validate_record(raw: dict, line_no: int, max_seq_len: int, widths: dict[str
     tokens = raw["caption_tokens"]
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise ValueError(f"record {pair_id!r}: caption_tokens must be a list of strings")
-    return PairedRecord(pair_id, str(raw["image_id"]), arrays["image_features"], tokens,
+    return PairedRecord(pair_id, image_id, arrays["image_features"], tokens,
                         arrays["caption_features"])
 
 
-def load_dataset(path, max_seq_len: int = 64) -> PairedDataset:
+def load_dataset(path, max_seq_len: int = 64) -> list[PairedRecord]:
     """Read and validate a JSONL dataset written by ``save_dataset``.
 
     Each line holds one record whose feature fields are ``{"shape": [L,
     d], "data": <base64 of little-endian float64>}`` blobs; nested lists
     are rejected. Errors name the line, or the record and the field.
     Records whose image blobs are identical share one image array, which
-    is read-only by convention.
+    is read-only by convention; records that share an ``image_id`` must
+    share that array, so an error names both records when they do not.
     """
     records: list[PairedRecord] = []
     seen: set[str] = set()
     widths: dict[str, int] = {}
     images: dict = {}
+    # image_id -> the first record that named it
+    first_of_image: dict[str, PairedRecord] = {}
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -409,10 +414,14 @@ def load_dataset(path, max_seq_len: int = 64) -> PairedDataset:
             if r.pair_id in seen:
                 raise ValueError(f"record {r.pair_id!r}: duplicate pair_id")
             seen.add(r.pair_id)
+            first = first_of_image.setdefault(r.image_id, r)
+            if first.image_features is not r.image_features:
+                raise ValueError(f"record {r.pair_id!r}: image_features differ from those of record "
+                                 f"{first.pair_id!r}, which has the same image_id {r.image_id!r}")
             records.append(r)
     if not records:
         raise ValueError(f"dataset {path} has no records")
-    return PairedDataset(records)
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +435,8 @@ class AlignmentModel:
     the concept-branch query; the textual side uses separate aggregators
     for the two roles. Concept vectors and the thresholded adjacency are
     frozen constants; only the convolution weight, the two query
-    matrices, and the classifier train on the concept side.
+    matrices (``query``, one per modality, both starting at the
+    identity), and the classifier train on the concept side.
     """
 
     def __init__(self, cfg: TrainConfig, d_img: int, d_txt: int,
@@ -447,7 +457,8 @@ class AlignmentModel:
             for k, m in self.vis_agg.p.items():
                 self.txt_agg.p[k] = Matrix(m.value)
                 self.txt_concept_agg.p[k] = Matrix(m.value)
-        self.query_head = kn.ConceptQueryHead(f, cfg.concept_smoothness)
+        self.query: dict[str, Matrix] = {"w_visual": Matrix(np.eye(f)),
+                                         "w_textual": Matrix(np.eye(f))}
         d_c = vocab.init_embeddings.shape[1]
         self.extra: dict[str, Matrix] = {
             "w_sc": Matrix(rng.standard_normal((d_c, f)) / np.sqrt(d_c)),
@@ -457,7 +468,7 @@ class AlignmentModel:
             "vis": self.vis_agg.p,
             "txt": self.txt_agg.p,
             "txtc": self.txt_concept_agg.p,
-            "query": self.query_head.p,
+            "query": self.query,
             "extra": self.extra,
         }
         self.encoder_pair = EncoderPair({"vis": self.vis_agg.p, "txt": self.txt_agg.p})
@@ -483,8 +494,9 @@ class AlignmentModel:
     def concept_basis(self) -> Matrix:
         return kn.gcn_forward(self.vocab.init_embeddings, self.adjacency, self.extra["w_sc"])
 
-    def concept_embed(self, query: Matrix, basis: Matrix, modality: str):
-        return kn.concept_query(self.query_head, query, basis, modality)
+    def concept_embed(self, query: Matrix, basis: Matrix, weight: str) -> Matrix:
+        """The unit concept embedding of ``query`` under ``self.query[weight]``."""
+        return kn.concept_query(query, self.query[weight], basis, self.cfg.concept_smoothness)[0]
 
 
 @dataclass
@@ -511,14 +523,14 @@ def _flat_adam(model: AlignmentModel, lr: float) -> AdamState:
     return AdamState(1, sum(m.value.size for _, m in model.param_items()), lr)
 
 
-def build_state(cfg: TrainConfig, data: PairedDataset) -> TrainState:
+def build_state(cfg: TrainConfig, data: list[PairedRecord]) -> TrainState:
     """Initialize model, optimizer states, and queues from a training set."""
     cfg.validate()
-    if len(data) == 0:
+    if not data:
         raise ValueError("training dataset is empty")
-    d_img = data.records[0].image_features.shape[1]
-    d_txt = data.records[0].caption_features.shape[1]
-    corpus = data.corpus()
+    d_img = data[0].image_features.shape[1]
+    d_txt = data[0].caption_features.shape[1]
+    corpus = [r.caption_tokens for r in data]
     stop = kn.DEFAULT_STOPLIST
     available = len({t for cap in corpus for t in cap if t not in stop})
     if available < 1:
@@ -551,9 +563,15 @@ def _instance_loss(cfg: TrainConfig, sim: SimilarityMatrix, div) -> Matrix:
     return obj.dcl_loss(sim, *div, cfg.mu, cfg.gamma)
 
 
-def batch_losses(state: TrainState, records: list[PairedRecord],
-                 labels: np.ndarray | None) -> tuple[obj.LossReport, Matrix, Matrix]:
-    """Forward both branches on one batch; returns the report and momentum embeddings."""
+def batch_losses(state: TrainState, records: list[PairedRecord], labels: np.ndarray | None
+                 ) -> tuple[Matrix, dict[str, float], np.ndarray, np.ndarray]:
+    """Forward both branches on one batch.
+
+    Returns the loss ``lambda_weight * l_dcl_i + l_mdcl + l_dcl_c + l_pgc``
+    as one graph node, where each of the last three is added only when it
+    is on; each part's value by name, 0.0 for a part that is off; and the
+    batch's momentum embeddings of images and captions.
+    """
     cfg = state.config
     model = state.model
     img_seqs = [r.image_features for r in records]
@@ -561,35 +579,36 @@ def batch_losses(state: TrainState, records: list[PairedRecord],
 
     v_inst = model.embed_images(img_seqs)
     w_inst = model.embed_captions(cap_seqs)
-    v_mom = model.embed_images(img_seqs, momentum=True).detach()
-    w_mom = model.embed_captions(cap_seqs, momentum=True).detach()
+    v_mom = model.embed_images(img_seqs, momentum=True).value
+    w_mom = model.embed_captions(cap_seqs, momentum=True).value
 
     sim = obj.cosine_matrix(v_inst, w_inst)
     # DCL and the memory loss share one diversity estimate; both queues fill together
     memory_on = cfg.use_memory_loss and len(state.bank_v) >= cfg.batch_size
     div = _diversities(cfg, sim) if cfg.instance_loss == "dcl" or memory_on else None
-    instance = _instance_loss(cfg, sim, div)
-
-    memory = None
+    # each part in the order the total adds it
+    losses = {"l_dcl_i": _instance_loss(cfg, sim, div)}
     if memory_on:
-        memory = obj.m_dcl_loss(v_inst, w_inst, v_mom.value, w_mom.value,
-                                state.bank_v, state.bank_w, *div, cfg.mu, cfg.gamma,
-                                estimator=cfg.diversity_estimator, eps=cfg.eps_div)
-
-    concept = None
-    pgc = None
+        losses["l_mdcl"] = obj.m_dcl_loss(v_inst, w_inst, v_mom, w_mom, state.bank_v, state.bank_w,
+                                          *div, cfg.mu, cfg.gamma,
+                                          estimator=cfg.diversity_estimator, eps=cfg.eps_div)
     if cfg.use_concept_losses:
         basis = model.concept_basis()
-        v_concept, _ = model.concept_embed(v_inst, basis, "visual")
-        w_query = model.embed_captions_concept(cap_seqs)
-        w_concept, _ = model.concept_embed(w_query, basis, "textual")
+        v_concept = model.concept_embed(v_inst, basis, "w_visual")
+        w_concept = model.concept_embed(model.embed_captions_concept(cap_seqs), basis, "w_textual")
         concept_sim = obj.cosine_matrix(v_concept, w_concept)
-        concept = obj.dcl_loss(concept_sim, *_diversities(cfg, concept_sim), cfg.mu, cfg.gamma)
+        losses["l_dcl_c"] = obj.dcl_loss(concept_sim, *_diversities(cfg, concept_sim),
+                                         cfg.mu, cfg.gamma)
         if labels is not None:
-            pgc = obj.pgc_loss(v_concept, w_concept, model.extra["classifier"], labels)
+            losses["l_pgc"] = obj.pgc_loss(v_concept, w_concept, model.extra["classifier"], labels)
 
-    report = obj.total_loss(instance, memory, concept, pgc, cfg.lambda_weight)
-    return report, v_mom, w_mom
+    instance, *others = losses.values()
+    total = instance * cfg.lambda_weight
+    for loss in others:
+        total = total + loss
+    parts = dict.fromkeys(("l_dcl_i", "l_mdcl", "l_dcl_c", "l_pgc"), 0.0)
+    parts.update({name: loss.item() for name, loss in losses.items()})
+    return total, parts, v_mom, w_mom
 
 
 # ---------------------------------------------------------------------------
@@ -642,8 +661,8 @@ def _snapshot(state: TrainState) -> dict[str, np.ndarray]:
     return {name: m.value.copy() for name, m in state.model.param_items()}
 
 
-def train(cfg: TrainConfig, data: PairedDataset,
-          val_data: PairedDataset | None = None) -> tuple[TrainState, list[dict]]:
+def train(cfg: TrainConfig, data: list[PairedRecord],
+          val_data: list[PairedRecord] | None = None) -> tuple[TrainState, list[dict]]:
     """Run the full two-branch loop; returns the final state and per-epoch rows.
 
     Per epoch: cluster the summed instance embeddings into prototypes
@@ -669,7 +688,7 @@ def train(cfg: TrainConfig, data: PairedDataset,
         labels_all = None
         if cfg.use_concept_losses:
             try:
-                points = _instance_sums(state, data.records)
+                points = _instance_sums(state, data)
             except nm.NonFiniteError as e:
                 raise RuntimeError(f"non-finite value at epoch {epoch}, clustering: {e}") from e
             start = state.prototypes.centroids if state.prototypes is not None else None
@@ -682,21 +701,19 @@ def train(cfg: TrainConfig, data: PairedDataset,
         n_batches = 0
         for start in range(0, len(order), cfg.batch_size):
             batch_idx = order[start:start + cfg.batch_size]
-            records = [data.records[i] for i in batch_idx]
+            records = [data[i] for i in batch_idx]
             labels = labels_all[batch_idx] if labels_all is not None else None
             try:
-                report, v_mom, w_mom = batch_losses(state, records, labels)
-                backward(report.total)
+                total, parts, v_mom, w_mom = batch_losses(state, records, labels)
+                backward(total)
                 _adam_update(state)
             except nm.NonFiniteError as e:
                 raise RuntimeError(
                     f"non-finite value at epoch {epoch}, batch {n_batches}: {e}") from e
             state.model.encoder_pair.momentum_update(cfg.momentum)
-            state.bank_v.enqueue(v_mom.value)
-            state.bank_w.enqueue(w_mom.value)
-            for key, value in (("l_dcl_i", report.l_dcl_i), ("l_mdcl", report.l_mdcl),
-                               ("l_dcl_c", report.l_dcl_c), ("l_pgc", report.l_pgc),
-                               ("total", report.total.item())):
+            state.bank_v.enqueue(v_mom)
+            state.bank_w.enqueue(w_mom)
+            for key, value in (*parts.items(), ("total", total.item())):
                 sums[key] += value
             n_batches += 1
 
@@ -823,23 +840,22 @@ def recalls_from_similarity(scores: np.ndarray | StackedScores,
     return EvalResult(*text, *image)
 
 
-def embed_for_retrieval(state: TrainState, data: PairedDataset):
+def embed_for_retrieval(state: TrainState, data: list[PairedRecord]):
     """Instance and concept embeddings for every unique image and caption."""
     model = state.model
-    image_ids, img_seqs, caption_image = _unique_images(data.records)
-    cap_seqs = [r.caption_features for r in data.records]
+    image_ids, img_seqs, caption_image = _unique_images(data)
+    cap_seqs = [r.caption_features for r in data]
     v = _embed_chunked(model.embed_images, img_seqs)
     w = _embed_chunked(model.embed_captions, cap_seqs)
     basis = model.concept_basis()
     # the visual concept query is the instance embedding, chunk for chunk
-    vc = _embed_chunked(lambda rows: model.concept_embed(
-        Matrix(rows), basis, "visual")[0], v)
+    vc = _embed_chunked(lambda rows: model.concept_embed(Matrix(rows), basis, "w_visual"), v)
     wc = _embed_chunked(lambda s: model.concept_embed(
-        model.embed_captions_concept(s), basis, "textual")[0], cap_seqs)
+        model.embed_captions_concept(s), basis, "w_textual"), cap_seqs)
     return image_ids, caption_image, v, w, vc, wc
 
 
-def evaluate(state: TrainState, data: PairedDataset, beta: float | None = None) -> EvalResult:
+def evaluate(state: TrainState, data: list[PairedRecord], beta: float | None = None) -> EvalResult:
     """Retrieval recalls under the beta-blend of both branches' cosine similarities.
 
     The blend is scored as ``L @ R.T`` with ``L = [beta*v | (1-beta)*vc]``
@@ -848,7 +864,7 @@ def evaluate(state: TrainState, data: PairedDataset, beta: float | None = None) 
     forms it one ``RANK_BLOCK``-caption block at a time, in two passes,
     so extra memory is O(n_images x RANK_BLOCK) besides the embeddings.
     """
-    if len(data) == 0:
+    if not data:
         raise ValueError("evaluation split is empty")
     beta = state.config.beta if beta is None else beta
     if not 0.0 <= beta <= 1.0:
@@ -934,6 +950,8 @@ def load_checkpoint(path) -> TrainState:
         if section not in blob:
             raise ValueError(f"checkpoint: missing section {section!r}")
         _entry(blob, "section", section, want)
+    if blob["epoch"] < 0:
+        raise ValueError(f"checkpoint section 'epoch' must be non-negative, got {blob['epoch']}")
     cfg = TrainConfig.from_dict(blob["config"])
     dims = blob["dims"]
     for key in ("d_img", "d_txt"):

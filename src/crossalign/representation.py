@@ -151,9 +151,9 @@ class MemoryBank:
     def __len__(self) -> int:
         return self._rows.shape[0]
 
-    def enqueue(self, rows) -> "MemoryBank":
+    def enqueue(self, rows: np.ndarray) -> "MemoryBank":
         """Append rows newest-last, evicting from the front past capacity."""
-        arr = rows.value if isinstance(rows, Matrix) else np.asarray(rows, dtype=np.float64)
+        arr = np.asarray(rows, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != self.dim:
             raise ValueError(f"expected rows of dim {self.dim}, got shape {arr.shape}")
         self._rows = np.vstack([self._rows, arr])[-self.capacity:]

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from crossalign import numerics as nm
 from crossalign.knowledge import (
-    ConceptQueryHead,
     binarize,
     build_cooccurrence,
     build_vocabulary,
@@ -185,20 +184,18 @@ def test_gcn_clamps_negative_outputs_to_zero():
 # ---------------------------------------------------------------------------
 
 def test_concept_query_single_concept():
-    head = ConceptQueryHead(4, smoothness=3.0)
     basis = Matrix(rng_from_seed(5).standard_normal((1, 4)))
     query = Matrix(rng_from_seed(6).standard_normal((2, 4)))
-    emb, attn = concept_query(head, query, basis, "visual")
+    emb, attn = concept_query(query, Matrix(np.eye(4)), basis, 3.0)
     assert attn.value == pytest.approx(np.ones((2, 1)))
     unit = basis.value / np.linalg.norm(basis.value)
     assert np.max(np.abs(emb.value - np.vstack([unit, unit]))) <= 1e-12
 
 
 def test_concept_query_flat_smoothness_approaches_uniform():
-    head = ConceptQueryHead(4, smoothness=1e-9)
     basis = Matrix(rng_from_seed(7).standard_normal((5, 4)))
     query = Matrix(rng_from_seed(8).standard_normal((1, 4)))
-    emb, attn = concept_query(head, query, basis, "textual")
+    emb, attn = concept_query(query, Matrix(np.eye(4)), basis, 1e-9)
     assert attn.value == pytest.approx(np.full((1, 5), 0.2), abs=1e-9)
     mean_dir = basis.value.mean(axis=0, keepdims=True)
     mean_dir = mean_dir / np.linalg.norm(mean_dir)
@@ -206,55 +203,39 @@ def test_concept_query_flat_smoothness_approaches_uniform():
 
 
 def test_concept_query_sharp_smoothness_selects_top_concept():
-    head = ConceptQueryHead(2, smoothness=100.0)
     basis = Matrix(np.array([[1.0, 0.0], [0.2, np.sqrt(1 - 0.04)]]))
     query = Matrix(np.array([[1.0, 0.0]]))  # raw scores (1.0, 0.2)
-    emb, attn = concept_query(head, query, basis, "visual")
+    emb, attn = concept_query(query, Matrix(np.eye(2)), basis, 100.0)
     assert attn.value == pytest.approx(np.array([[1.0, 0.0]]), abs=1e-6)
     assert np.max(np.abs(emb.value - basis.value[:1])) <= 1e-6
-
-
-def test_concept_query_rejects_unknown_modality():
-    head = ConceptQueryHead(2, smoothness=1.0)
-    with pytest.raises(ValueError, match="modality"):
-        concept_query(head, Matrix(np.ones((1, 2))), Matrix(np.ones((1, 2))), "audio")
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_concept_attention_rows_are_distributions(seed):
     rng = rng_from_seed(seed, 33)
-    head = ConceptQueryHead(6, smoothness=float(rng.uniform(0.5, 20.0)))
+    smoothness = float(rng.uniform(0.5, 20.0))
     basis = Matrix(rng.standard_normal((7, 6)))
     query = Matrix(rng.standard_normal((4, 6)))
-    _, attn = concept_query(head, query, basis, "visual")
+    _, attn = concept_query(query, Matrix(np.eye(6)), basis, smoothness)
     assert np.max(np.abs(attn.value.sum(axis=1) - 1.0)) <= 1e-9
     assert np.all(attn.value >= 0.0)
 
 
-@pytest.mark.parametrize("target", ["w_visual", "w_textual", "w_sc"])
+@pytest.mark.parametrize("target", ["w_query", "w_sc"])
 def test_grad_check_through_query_and_convolution(target):
     rng = rng_from_seed(9)
     g, d_c, f = 5, 6, 6
     x = rng.standard_normal((g, d_c))
     adjacency = (rng.uniform(size=(g, g)) > 0.5).astype(float)
-    head = ConceptQueryHead(f, smoothness=4.0)
+    w_query = Matrix(np.eye(f))
     w_sc = Matrix(rng.standard_normal((d_c, f)))
     query = Matrix(rng.standard_normal((3, f)))
     probe = Matrix(rng.standard_normal((3, f)))
-    modality = "textual" if target == "w_textual" else "visual"
 
     def loss_fn(p):
-        local_head = ConceptQueryHead(f, smoothness=4.0)
-        local_head.p = dict(head.p)
-        w = w_sc
-        if target == "w_sc":
-            w = p
-        else:
-            local_head.p[target] = p
-        basis = gcn_forward(x, adjacency, w)
-        emb, _ = concept_query(local_head, query, basis, modality)
+        basis = gcn_forward(x, adjacency, p if target == "w_sc" else w_sc)
+        emb, _ = concept_query(query, p if target == "w_query" else w_query, basis, 4.0)
         return nm.sum_all(emb * probe)
 
-    start = w_sc if target == "w_sc" else head.p[target]
-    assert grad_check(loss_fn, start, h=1e-5) <= 1e-4
+    assert grad_check(loss_fn, w_sc if target == "w_sc" else w_query, h=1e-5) <= 1e-4
 

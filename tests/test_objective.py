@@ -23,7 +23,6 @@ from crossalign.objective import (
     kmeans_cluster,
     m_dcl_loss,
     pgc_loss,
-    total_loss,
     triplet_baseline_loss,
 )
 from crossalign.representation import MemoryBank
@@ -321,7 +320,7 @@ def test_m_dcl_single_anchor_orthogonal_bank():
     anchor = Matrix([[1.0, 0.0]])
     bank_v = MemoryBank(4, 2).enqueue(np.array([[0.0, 1.0]]))
     bank_w = MemoryBank(4, 2).enqueue(np.array([[0.0, 1.0]]))
-    loss = m_dcl_loss(anchor, anchor, anchor, anchor, bank_v, bank_w,
+    loss = m_dcl_loss(anchor, anchor, anchor.value, anchor.value, bank_v, bank_w,
                       *_batch_div(anchor, anchor), MU, GAMMA)
     assert loss.item() == pytest.approx(2 * -0.064455982899, abs=1e-9)
 
@@ -337,7 +336,7 @@ def test_m_dcl_matches_in_batch_loss_on_degenerate_batch():
     batch_w = Matrix(np.tile(w_row, (n, 1)))
     bank_v = MemoryBank(16, 6).enqueue(np.tile(v_row, (n - 1, 1)))
     bank_w = MemoryBank(16, 6).enqueue(np.tile(w_row, (n - 1, 1)))
-    mem = m_dcl_loss(batch_v, batch_w, batch_v, batch_w, bank_v, bank_w,
+    mem = m_dcl_loss(batch_v, batch_w, batch_v.value, batch_w.value, bank_v, bank_w,
                      *_batch_div(batch_v, batch_w), MU, GAMMA)
     sim = cosine_matrix(batch_v, batch_w)
     plain = dcl_loss(sim, diversity_std(sim), diversity_std(sim.transposed()), MU, GAMMA)
@@ -349,7 +348,7 @@ def test_m_dcl_saturated_easy_negatives_vanishing_neg_term():
     far = np.array([[-1.0, 0.0]] * 4)
     bank_v = MemoryBank(8, 2).enqueue(far)
     bank_w = MemoryBank(8, 2).enqueue(far)
-    loss = m_dcl_loss(anchor, anchor, anchor, anchor, bank_v, bank_w,
+    loss = m_dcl_loss(anchor, anchor, anchor.value, anchor.value, bank_v, bank_w,
                       *_batch_div(anchor, anchor), MU, GAMMA)
     # both directions: negative term ~ log(1 + 4 e^{-13}) ~ 0, positive -mu*log 2
     assert loss.item() == pytest.approx(2 * -MU * np.log(2.0), abs=1e-4)
@@ -360,10 +359,11 @@ def test_m_dcl_rejects_empty_bank_and_size_mismatch():
     filled = MemoryBank(4, 2).enqueue(np.array([[0.0, 1.0]]))
     div = _batch_div(anchor, anchor)
     with pytest.raises(ValueError, match="non-empty"):
-        m_dcl_loss(anchor, anchor, anchor, anchor, MemoryBank(4, 2), filled, *div, MU, GAMMA)
+        m_dcl_loss(anchor, anchor, anchor.value, anchor.value, MemoryBank(4, 2), filled, *div,
+                   MU, GAMMA)
     two = Matrix(np.eye(2))
     with pytest.raises(ValueError, match="batch sizes"):
-        m_dcl_loss(anchor, two, anchor, two, filled, filled, *div, MU, GAMMA)
+        m_dcl_loss(anchor, two, anchor.value, two.value, filled, filled, *div, MU, GAMMA)
 
 
 def test_m_dcl_bank_rows_receive_no_gradient():
@@ -372,7 +372,7 @@ def test_m_dcl_bank_rows_receive_no_gradient():
     batch_w = Matrix(_unit_rows(rng, 3, 4))
     bank = MemoryBank(8, 4)
     bank.enqueue(_unit_rows(rng, 5, 4))
-    loss = m_dcl_loss(batch_v, batch_w, batch_v.detach(), batch_w.detach(), bank, bank,
+    loss = m_dcl_loss(batch_v, batch_w, batch_v.value, batch_w.value, bank, bank,
                       *_batch_div(batch_v, batch_w), MU, GAMMA)
     nm.backward(loss)
     assert batch_v.grad is not None and np.any(batch_v.grad != 0.0)
@@ -390,7 +390,7 @@ def test_grad_checks_through_losses(seed):
     v = Matrix(rng.standard_normal((n, f)))
     w = Matrix(rng.standard_normal((n, f)))
     # the losses take unit rows; the checks differentiate through the normalisation
-    v_unit, w_unit = nm.l2_normalize_rows(v).detach(), nm.l2_normalize_rows(w).detach()
+    v_unit, w_unit = Matrix(nm.l2_normalize_rows(v).value), Matrix(nm.l2_normalize_rows(w).value)
     sim0 = cosine_matrix(v_unit, w_unit)
     div_f, div_b = diversity_std(sim0), diversity_std(sim0.transposed())
 
@@ -717,6 +717,14 @@ def test_kmeans_rejects_a_bad_start(start, match):
         kmeans_cluster(_kmeans_data("gaussian", 0), 5, start_centroids=start)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kmeans_rejects_non_finite_points(bad):
+    pts = _kmeans_data("gaussian", 0)
+    pts[3, 1] = bad
+    with pytest.raises(ValueError, match="points must be finite, but row 3 is not"):
+        kmeans_cluster(pts, 5, seed=0)
+
+
 def test_kmeans_warm_start_never_seeds(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("k-means++ seeding ran on a warm start")
@@ -789,25 +797,3 @@ def test_pgc_permutation_equivariance():
     b = pgc_loss(Matrix(vc.value[perm]), Matrix(wc.value[perm]), classifier, labels[perm]).item()
     assert a == pytest.approx(b, abs=1e-12)
 
-
-# ---------------------------------------------------------------------------
-# combined objective
-# ---------------------------------------------------------------------------
-
-def test_total_loss_weighted_sum():
-    parts = [Matrix([[v]]) for v in (1.0, 2.0, 3.0, 4.0)]
-    report = total_loss(*parts, lambda_weight=3.0)
-    assert report.total.item() == 12.0
-    assert (report.l_dcl_i, report.l_mdcl, report.l_dcl_c, report.l_pgc) == (1.0, 2.0, 3.0, 4.0)
-
-
-def test_total_loss_masking():
-    report = total_loss(Matrix([[5.0]]), None, None, Matrix([[2.5]]), lambda_weight=0.0)
-    assert report.total.item() == 2.5
-
-
-def test_total_loss_recomposition():
-    rng = rng_from_seed(9)
-    vals = rng.standard_normal(4)
-    report = total_loss(*[Matrix([[v]]) for v in vals], lambda_weight=3.0)
-    assert report.total.item() == pytest.approx(3.0 * vals[0] + vals[1] + vals[2] + vals[3], abs=1e-12)

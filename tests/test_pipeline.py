@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -200,12 +201,12 @@ def test_embed_for_retrieval_reuses_image_chunks_exactly():
 
     _, caption_image, v, _, vc, _ = pl.embed_for_retrieval(state, val)
 
-    _, img_seqs, want_caption_image = pl._unique_images(val.records)
+    _, img_seqs, want_caption_image = pl._unique_images(val)
     basis = model.concept_basis()
     chunks = [img_seqs[i:i + 128] for i in range(0, len(img_seqs), 128)]
     assert len(chunks) == 2
     want_v = np.vstack([model.embed_images(c).value for c in chunks])
-    want_vc = np.vstack([model.concept_embed(model.embed_images(c), basis, "visual")[0].value
+    want_vc = np.vstack([model.concept_embed(model.embed_images(c), basis, "w_visual").value
                          for c in chunks])
     assert np.array_equal(caption_image, want_caption_image)
     assert np.array_equal(v, want_v)
@@ -236,8 +237,7 @@ def test_evaluate_equals_ranking_the_dense_blend(beta):
     (10, float("nan"), r"beta must lie in \[0, 1\]"),
 ])
 def test_evaluate_rejects_an_empty_split_and_beta_outside_unit_interval(records, beta, match):
-    val = _eval_split(5, 2)
-    val.records = val.records[:records]
+    val = _eval_split(5, 2)[:records]
     with pytest.raises(ValueError, match=match):
         pl.evaluate(_tiny_state(), val, beta)
 
@@ -265,19 +265,19 @@ def _bits(arr) -> bytes:
 def test_dataset_round_trip_is_bit_exact(tmp_path):
     data = pl.generate_synthetic(6, 3, 4, seed=2, split="train")
     extremes = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, -5e-324]
-    data.records[0].image_features[0, :5] = extremes  # shared by the image's three records
-    data.records[4].caption_features[-1, :5] = extremes
+    data[0].image_features[0, :5] = extremes  # shared by the image's three records
+    data[4].caption_features[-1, :5] = extremes
     path = tmp_path / "train.jsonl"
     pl.save_dataset(data, path)
     loaded = pl.load_dataset(path)
     assert len(loaded) == 18
-    for got, want in zip(loaded.records, data.records):
+    for got, want in zip(loaded, data):
         assert (got.pair_id, got.image_id, got.caption_tokens) == \
             (want.pair_id, want.image_id, want.caption_tokens)
         for name in ("image_features", "caption_features"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == np.float64 and a.shape == b.shape and _bits(a) == _bits(b)
-    assert np.signbit(loaded.records[1].image_features[0, 0])
+    assert np.signbit(loaded[1].image_features[0, 0])
 
 
 def test_records_of_one_image_share_its_array(tmp_path):
@@ -285,10 +285,10 @@ def test_records_of_one_image_share_its_array(tmp_path):
     pl.save_dataset(pl.generate_synthetic(5, 4, 4, seed=3, split="val"), path)
     loaded = pl.load_dataset(path)
     by_image: dict[str, set[int]] = {}
-    for r in loaded.records:
+    for r in loaded:
         by_image.setdefault(r.image_id, set()).add(id(r.image_features))
     assert len(by_image) == 5 and all(len(ids) == 1 for ids in by_image.values())
-    assert len({id(r.caption_features) for r in loaded.records}) == 20
+    assert len({id(r.caption_features) for r in loaded}) == 20
 
 
 def _raw(pair_id="p", image=None, caption=None, tokens=("red", "car")) -> dict:
@@ -347,6 +347,14 @@ BAD_DATASETS = {
                     r"record 'b': image_features has width 5 but the first record's has 3"),
     "caption_width": ([_raw("a"), _raw("b", caption=np.ones((3, 2)))],
                       r"record 'b': caption_features has width 2 but the first record's has 4"),
+    "null_image_id": ([_with("image_id", None)],
+                      r"record 'p': image_id must be a non-empty string, got None"),
+    "empty_image_id": ([_with("image_id", "")],
+                       r"record 'p': image_id must be a non-empty string, got ''"),
+    "int_image_id": ([_with("image_id", 7)], r"record 'p': image_id must be a non-empty string, got 7"),
+    "image_differs": ([_raw("a"), _raw("b"), _raw("c", image=np.zeros((2, 3)))],
+                      r"record 'c': image_features differ from those of record 'a', "
+                      r"which has the same image_id 'img'"),
 }
 
 
@@ -362,7 +370,7 @@ def test_load_dataset_skips_blank_lines_and_takes_max_seq_len(tmp_path):
     path = _write(tmp_path / "dev.jsonl", _raw("a"), "", _raw("b"),
                   dict(_raw("c"), image_id="other"))
     loaded = pl.load_dataset(path, max_seq_len=2)
-    assert [(r.pair_id, r.image_id) for r in loaded.records] == [("a", "img"), ("b", "img"), ("c", "other")]
+    assert [(r.pair_id, r.image_id) for r in loaded] == [("a", "img"), ("b", "img"), ("c", "other")]
     with pytest.raises(ValueError, match=r"record 'a': image_features longer than max_seq_len=1"):
         pl.load_dataset(path, max_seq_len=1)
 
@@ -404,7 +412,10 @@ def test_loaded_checkpoint_evaluates_exactly_like_the_saved_state(d_img, d_txt, 
     (lambda blob: dict(blob, version=2), "unsupported checkpoint version 2"),
     (lambda blob: dict(blob, params=[]), "checkpoint section 'params' must be of type dict, got list"),
     (lambda blob: dict(blob, epoch="1"), "checkpoint section 'epoch' must be of type int, got str"),
-], ids=["list", "version_1", "version_2", "params_list", "epoch_string"])
+    (lambda blob: dict(blob, epoch=-1), "checkpoint section 'epoch' must be non-negative, got -1"),
+    (lambda blob: dict(blob, epoch=-5), "checkpoint section 'epoch' must be non-negative, got -5"),
+], ids=["list", "version_1", "version_2", "params_list", "epoch_string", "epoch_minus_one",
+        "epoch_minus_five"])
 def test_load_checkpoint_names_a_bad_top_level(corrupt, match, tmp_path):
     path = tmp_path / "ckpt.json"
     pl.save_checkpoint(path, _tiny_state(), which="final")
@@ -436,6 +447,28 @@ def test_config_names_a_mistyped_field(via, name, value, kind, tmp_path):
     blob["config"][name] = value
     path.write_text(json.dumps(blob))
     with pytest.raises(ValueError, match=match):
+        pl.load_checkpoint(path)
+
+
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(pl.TrainConfig) if f.type == "float"]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -10 ** 400],
+                         ids=["inf", "-inf", "nan", "huge_int"])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_config_names_a_non_finite_float_field(name, value):
+    with pytest.raises(ValueError, match=rf"invalid config: {name} must be finite, got {value!r}"):
+        pl.TrainConfig(**{name: value}).validate()
+
+
+def test_load_checkpoint_rejects_a_json_infinity_in_the_config(tmp_path):
+    path = tmp_path / "ckpt.json"
+    pl.save_checkpoint(path, _tiny_state(), which="final")
+    blob = json.loads(path.read_text())
+    blob["config"]["lr"] = math.inf
+    path.write_text(json.dumps(blob))
+    assert '"lr": Infinity' in path.read_text()
+    with pytest.raises(ValueError, match="invalid config: lr must be finite, got inf"):
         pl.load_checkpoint(path)
 
 
@@ -628,17 +661,38 @@ def test_one_training_step_stays_within_its_graph_node_budget():
     for bank in (state.bank_v, state.bank_w):
         rows = rng.standard_normal((8, state.config.embed_dim))
         bank.enqueue(rows / np.linalg.norm(rows, axis=1, keepdims=True))
-    report, _, _ = pl.batch_losses(state, data.records[:8], np.arange(8) % 4)
+    total, parts, _, _ = pl.batch_losses(state, data[:8], np.arange(8) % 4)
     # the memory and label losses are in the graph
-    assert report.l_mdcl != 0.0 and report.l_pgc != 0.0
-    assert _graph_nodes(report.total) <= GRAPH_NODE_BUDGET
+    assert parts["l_mdcl"] != 0.0 and parts["l_pgc"] != 0.0
+    assert _graph_nodes(total) <= GRAPH_NODE_BUDGET
+
+
+@pytest.mark.parametrize("off", [(), ("l_mdcl",), ("l_pgc",), ("l_dcl_c", "l_pgc")],
+                         ids=["all_on", "memory_off", "labels_off", "concepts_off"])
+def test_batch_losses_total_is_the_weighted_sum_of_its_parts(off):
+    data = pl.generate_synthetic(8, 2, 4, seed=1)
+    cfg = pl.TrainConfig(seed=0, epochs=1, batch_size=8, lambda_weight=2.5,
+                         use_memory_loss="l_mdcl" not in off,
+                         use_concept_losses="l_dcl_c" not in off)
+    state = pl.build_state(cfg, data)
+    rng = rng_from_seed(4)
+    for bank in (state.bank_v, state.bank_w):
+        rows = rng.standard_normal((8, cfg.embed_dim))
+        bank.enqueue(rows / np.linalg.norm(rows, axis=1, keepdims=True))
+    labels = None if "l_pgc" in off else np.arange(8) % 4
+    total, parts, v_mom, w_mom = pl.batch_losses(state, data[:8], labels)
+    assert list(parts) == ["l_dcl_i", "l_mdcl", "l_dcl_c", "l_pgc"]
+    assert all((parts[name] == 0.0) == (name in off) for name in parts)
+    assert total.item() == (2.5 * parts["l_dcl_i"] + parts["l_mdcl"] + parts["l_dcl_c"]
+                            + parts["l_pgc"])
+    assert isinstance(v_mom, np.ndarray) and v_mom.shape == w_mom.shape == (8, cfg.embed_dim)
 
 
 @pytest.mark.parametrize("use_concept_losses, where", [(True, "epoch 0, clustering"),
                                                        (False, "epoch 0, batch 0")])
 def test_train_names_where_a_row_norm_overflows(use_concept_losses, where):
     data = pl.generate_synthetic(33, 1, 4, seed=5)
-    for r in data.records:
+    for r in data:
         r.image_features = r.image_features * 1e200
     cfg = pl.TrainConfig(seed=0, epochs=1, batch_size=16, use_concept_losses=use_concept_losses)
     with pytest.raises(RuntimeError, match=f"{where}: l2_normalize_rows: a row norm overflows"):
