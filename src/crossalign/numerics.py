@@ -5,7 +5,8 @@ immutable 2-D float64 value; operations return new matrices that remember
 their parents and a vector-Jacobian closure, so running :func:`backward`
 on a scalar result fills ``grad`` on every node that fed into it.
 Every op returns through :func:`node`, which other modules also use for
-a fused op with a hand-written VJP (``objective._contrastive_direction``).
+a fused op with a hand-written VJP (``objective._contrastive_direction``,
+``representation.FeatureAggregator.aggregate_batch``).
 
 Matrix values are safe to read from any thread once constructed. Graph
 construction and backward passes are single-owner, single-threaded.
@@ -113,11 +114,19 @@ def node(values: np.ndarray, parents: tuple[Matrix, ...], vjp) -> Matrix:
     ``vjp(g)`` maps the grad of the result to one grad per parent, in
     ``parents`` order and each in its parent's shape. ``values`` must be
     finite; it becomes the node's read-only row-major float64 value
-    (copied only when it is not one already).
+    (copied only when it is not one already). A non-finite value raises
+    ``NonFiniteError`` naming the op, the function ``vjp`` was defined in.
     """
-    out = Matrix.__new__(Matrix)
     arr = np.ascontiguousarray(values, dtype=np.float64)
-    _check_finite(arr)
+    if not np.isfinite(arr).all():
+        op = getattr(vjp, "__qualname__", "node").split(".<locals>", 1)[0]
+        raise NonFiniteError(f"{op}: result contains non-finite entries")
+    return _wrap(arr, parents, vjp)
+
+
+def _wrap(arr: np.ndarray, parents: tuple[Matrix, ...], vjp) -> Matrix:
+    """A node holding the finite row-major float64 ``arr`` itself, made read-only; nothing is checked."""
+    out = Matrix.__new__(Matrix)
     arr.setflags(write=False)
     out.value = arr
     out.grad = None
@@ -125,6 +134,21 @@ def node(values: np.ndarray, parents: tuple[Matrix, ...], vjp) -> Matrix:
     out._vjp = vjp
     out._spent = False
     return out
+
+
+def split_leaves(flat: Matrix, shapes: Sequence[tuple[int, int]]) -> list[Matrix]:
+    """Leaves holding consecutive slices of ``flat``'s values, one per shape, in order.
+
+    Each leaf's value is a read-only view of ``flat.value``, neither
+    copied nor checked again: the values of a Matrix are finite already.
+    """
+    values = flat.value.reshape(-1)
+    sizes = [rows * cols for rows, cols in shapes]
+    if sum(sizes) != values.size:
+        raise ValueError(f"shapes hold {sum(sizes)} values, but flat has {values.size}")
+    ends = np.cumsum(sizes)
+    return [_wrap(values[end - size:end].reshape(shape), (), None)
+            for shape, size, end in zip(shapes, sizes, ends)]
 
 
 def _as_matrix(x) -> Matrix:
@@ -204,35 +228,6 @@ def row_sum(a: Matrix) -> Matrix:
     return node(a.value.sum(axis=1, keepdims=True), (a,), lambda g: (np.repeat(g, cols, axis=1),))
 
 
-def segment_weighted_sum(values: Matrix, weights: Matrix, lengths: Sequence[int]) -> Matrix:
-    """Position-weighted sum over consecutive row segments; shape [len(lengths), cols].
-
-    ``values`` stacks the segments' rows, ``lengths[i]`` rows for segment
-    i, and ``weights`` is a [max_length, 1] column of per-position
-    weights, so row i of the result is
-    sum over t < lengths[i] of weights[t] * values[offset_i + t].
-    """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1:
-        raise ValueError("segment_weighted_sum needs one or more segments, each of length >= 1")
-    if int(lengths.sum()) != values.rows:
-        raise ValueError(f"segment lengths sum to {int(lengths.sum())}, but values has {values.rows} rows")
-    if weights.cols != 1 or weights.rows < lengths.max():
-        raise ValueError(f"weights must be a column of at least {int(lengths.max())} rows, "
-                         f"got {weights.shape}")
-    starts = np.cumsum(lengths) - lengths
-    position = np.arange(values.rows) - np.repeat(starts, lengths)
-    vv, row_w = values.value, weights.value[position]
-
-    def vjp(g):
-        spread = np.repeat(g, lengths, axis=0)
-        dw = np.zeros(weights.value.shape)
-        np.add.at(dw[:, 0], position, (spread * vv).sum(axis=1))
-        return spread * row_w, dw
-
-    return node(np.add.reduceat(vv * row_w, starts, axis=0), (values, weights), vjp)
-
-
 def softmax_rows(a: Matrix) -> Matrix:
     """Row-wise softmax with max-subtraction."""
     z = a.value - a.value.max(axis=1, keepdims=True)
@@ -262,34 +257,42 @@ def log_softmax_rows(a: Matrix) -> Matrix:
 _SMALL_NORM = math.sqrt(np.finfo(np.float64).tiny)
 
 
-def l2_normalize_rows(a: Matrix) -> Matrix:
-    """Scale every row to unit Euclidean norm; rejects zero rows and overflowing norms.
+def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every row of ``x`` scaled to unit Euclidean norm, and the norms [rows, 1].
 
-    A row whose norm is below ``_SMALL_NORM`` would lose bits to (or
-    vanish in) the underflowing squares, so it is first divided by its
-    largest magnitude; every other row is divided by its norm directly.
+    The array core of :func:`l2_normalize_rows`; rejects zero rows and
+    overflowing norms. A row whose norm is below ``_SMALL_NORM`` would
+    lose bits to (or vanish in) the underflowing squares, so it is first
+    divided by its largest magnitude; every other row is divided by its
+    norm directly.
     """
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(a.value, axis=1, keepdims=True)
+        norms = np.linalg.norm(x, axis=1, keepdims=True)
     if not np.isfinite(norms).all():
         raise NonFiniteError("l2_normalize_rows: a row norm overflows float64")
-    scaled, scaled_norms = a.value, norms
+    scaled, scaled_norms = x, norms
     small = norms < _SMALL_NORM
     if small.any():
         # dividing the other rows by 1.0 leaves their bits as they were
-        peak = np.where(small, np.abs(a.value).max(axis=1, keepdims=True), 1.0)
+        peak = np.where(small, np.abs(x).max(axis=1, keepdims=True), 1.0)
         if np.any(peak == 0.0):
             raise ValueError("cannot normalize a zero row")
-        scaled = a.value / peak
+        scaled = x / peak
         scaled_norms = np.linalg.norm(scaled, axis=1, keepdims=True)
         norms = peak * scaled_norms
-    out = scaled / scaled_norms
+    return scaled / scaled_norms, norms
 
-    def vjp(g):
-        inner = (g * out).sum(axis=1, keepdims=True)
-        return ((g - out * inner) / norms,)
 
-    return node(out, (a,), vjp)
+def unit_rows_vjp(g: np.ndarray, out: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """The grad of the input of :func:`unit_rows` from the grad ``g`` of its output ``out``."""
+    inner = (g * out).sum(axis=1, keepdims=True)
+    return (g - out * inner) / norms
+
+
+def l2_normalize_rows(a: Matrix) -> Matrix:
+    """Scale every row to unit Euclidean norm, as :func:`unit_rows` does."""
+    out, norms = unit_rows(a.value)
+    return node(out, (a,), lambda g: (unit_rows_vjp(g, out, norms),))
 
 
 # ---------------------------------------------------------------------------

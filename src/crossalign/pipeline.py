@@ -480,13 +480,11 @@ class AlignmentModel:
         prefix, key = name.split(".", 1)
         self.groups[prefix][key] = value
 
-    def embed_images(self, seqs, momentum: bool = False) -> Matrix:
-        params = self.encoder_pair.momentum_group("vis") if momentum else None
-        return self.vis_agg.aggregate_batch(seqs, params=params)
+    def embed_images(self, seqs) -> Matrix:
+        return self.vis_agg.aggregate_batch(seqs)
 
-    def embed_captions(self, seqs, momentum: bool = False) -> Matrix:
-        params = self.encoder_pair.momentum_group("txt") if momentum else None
-        return self.txt_agg.aggregate_batch(seqs, params=params)
+    def embed_captions(self, seqs) -> Matrix:
+        return self.txt_agg.aggregate_batch(seqs)
 
     def embed_captions_concept(self, seqs) -> Matrix:
         return self.txt_concept_agg.aggregate_batch(seqs)
@@ -579,8 +577,9 @@ def batch_losses(state: TrainState, records: list[PairedRecord], labels: np.ndar
 
     v_inst = model.embed_images(img_seqs)
     w_inst = model.embed_captions(cap_seqs)
-    v_mom = model.embed_images(img_seqs, momentum=True).value
-    w_mom = model.embed_captions(cap_seqs, momentum=True).value
+    # the momentum encoders take no gradient, so they build no graph
+    v_mom = model.vis_agg.forward(img_seqs, model.encoder_pair.momentum_group("vis"))
+    w_mom = model.txt_agg.forward(cap_seqs, model.encoder_pair.momentum_group("txt"))
 
     sim = obj.cosine_matrix(v_inst, w_inst)
     # DCL and the memory loss share one diversity estimate; both queues fill together
@@ -629,32 +628,30 @@ def _unique_images(records: list[PairedRecord]):
 
 
 def _embed_chunked(embed_fn, seqs, chunk: int = 128) -> np.ndarray:
-    parts = [embed_fn(seqs[i:i + chunk]).value for i in range(0, len(seqs), chunk)]
-    return np.vstack(parts)
+    return np.vstack([embed_fn(seqs[i:i + chunk]) for i in range(0, len(seqs), chunk)])
 
 
 def _instance_sums(state: TrainState, records: list[PairedRecord]) -> np.ndarray:
     """v + w per record from the main encoders, for prototype clustering."""
     _, img_seqs, caption_image = _unique_images(records)
-    v = _embed_chunked(state.model.embed_images, img_seqs)
-    w = _embed_chunked(state.model.embed_captions, [r.caption_features for r in records])
+    v = _embed_chunked(state.model.vis_agg.forward, img_seqs)
+    w = _embed_chunked(state.model.txt_agg.forward, [r.caption_features for r in records])
     return v[caption_image] + w
 
 
 def _adam_update(state: TrainState) -> None:
     """One Adam step over every parameter as one flat vector; a parameter with no grad gets zeros.
 
-    ``adam_step`` rejects a non-finite result before any parameter is set.
+    ``adam_step`` rejects a non-finite result before any parameter is set;
+    each new parameter is then a read-only view of that one checked result.
     """
     items = list(state.model.param_items())
     flat = Matrix(np.concatenate([m.value.ravel() for _, m in items]).reshape(1, -1))
     grads = np.concatenate([np.zeros(m.value.size) if m.grad is None else m.grad.ravel()
                             for _, m in items]).reshape(1, -1)
-    new = adam_step(state.adam, flat, grads).value[0]
-    offset = 0
-    for name, m in items:
-        state.model.set_param(name, Matrix(new[offset:offset + m.value.size].reshape(m.shape)))
-        offset += m.value.size
+    new = adam_step(state.adam, flat, grads)
+    for (name, _), leaf in zip(items, nm.split_leaves(new, [m.shape for _, m in items])):
+        state.model.set_param(name, leaf)
 
 
 def _snapshot(state: TrainState) -> dict[str, np.ndarray]:
@@ -845,13 +842,13 @@ def embed_for_retrieval(state: TrainState, data: list[PairedRecord]):
     model = state.model
     image_ids, img_seqs, caption_image = _unique_images(data)
     cap_seqs = [r.caption_features for r in data]
-    v = _embed_chunked(model.embed_images, img_seqs)
-    w = _embed_chunked(model.embed_captions, cap_seqs)
+    v = _embed_chunked(model.vis_agg.forward, img_seqs)
+    w = _embed_chunked(model.txt_agg.forward, cap_seqs)
     basis = model.concept_basis()
     # the visual concept query is the instance embedding, chunk for chunk
-    vc = _embed_chunked(lambda rows: model.concept_embed(Matrix(rows), basis, "w_visual"), v)
+    vc = _embed_chunked(lambda rows: model.concept_embed(Matrix(rows), basis, "w_visual").value, v)
     wc = _embed_chunked(lambda s: model.concept_embed(
-        model.embed_captions_concept(s), basis, "w_textual"), cap_seqs)
+        Matrix(model.txt_concept_agg.forward(s)), basis, "w_textual").value, cap_seqs)
     return image_ids, caption_image, v, w, vc, wc
 
 

@@ -4,8 +4,12 @@ An image or caption arrives as a short sequence of local feature vectors.
 The aggregator projects each vector into the joint space, weights it by a
 scalar derived from its position, sums, and unit-normalizes; it and
 ``knowledge.concept_query`` alone normalize, so similarities downstream
-are plain dot products. A momentum copy of the encoder parameters
-follows the trainable ones by EMA and feeds the FIFO memory banks.
+are plain dot products. One plain-numpy pass computes all of that:
+``FeatureAggregator.aggregate_batch`` wraps it in a single graph node
+with a hand-written VJP for training, and ``FeatureAggregator.forward``
+returns its embeddings with no node for the encoders that take no
+gradient. A momentum copy of the encoder parameters follows the
+trainable ones by EMA and feeds the FIFO memory banks.
 """
 from __future__ import annotations
 
@@ -28,6 +32,10 @@ def positional_encoding_table(length: int, d_p: int) -> np.ndarray:
     out[:, 0::2] = np.sin(angles)
     out[:, 1::2] = np.cos(angles)
     return out
+
+
+# the order of aggregate_batch's parents and of the grads its VJP returns
+PARAM_NAMES = ("proj", "dec_w1", "dec_b1", "dec_w2", "dec_b2")
 
 
 class FeatureAggregator:
@@ -58,29 +66,8 @@ class FeatureAggregator:
             "dec_b2": Matrix(np.ones((1, 1))),
         }
 
-    def _resolve(self, params) -> dict[str, Matrix]:
-        if params is None:
-            return self.p
-        return {k: v if isinstance(v, Matrix) else Matrix(v) for k, v in params.items()}
-
-    def pooling_weights(self, length: int, params=None) -> Matrix:
-        """Per-position pooling weights for positions 0..length-1, shape [length, 1]."""
-        p = self._resolve(params)
-        pe = Matrix(positional_encoding_table(length, self.d_p))
-        h = nm.relu(pe @ p["dec_w1"] + p["dec_b1"])
-        return h @ p["dec_w2"] + p["dec_b2"]
-
-    def aggregate_batch(self, seqs, params=None) -> Matrix:
-        """Embed several sequences at once; returns [len(seqs), out_dim].
-
-        All sequences are stacked into one [sum of lengths, d_in] array
-        and projected with a single matmul; one segment-weighted sum then
-        pools each sequence's rows and the result is unit-normalized. The
-        pooling-weight perceptron runs once for the longest sequence and
-        shorter ones use a prefix of its weights, which is exact because
-        the weights depend only on position. The graph therefore has the
-        same number of nodes for any number of sequences.
-        """
+    def _stack(self, seqs) -> tuple[np.ndarray, np.ndarray]:
+        """The sequences' rows stacked into one [sum of lengths, d_in] array, and the lengths."""
         if len(seqs) == 0:
             raise ValueError("aggregate_batch needs at least one sequence")
         arrs = []
@@ -91,11 +78,85 @@ class FeatureAggregator:
             if arr.shape[1] != self.d_in:
                 raise ValueError(f"sequence feature dim {arr.shape[1]} != aggregator d_in {self.d_in}")
             arrs.append(arr)
-        p = self._resolve(params)
-        lengths = [a.shape[0] for a in arrs]
-        theta = self.pooling_weights(max(lengths), params=p)
-        projected = Matrix(np.concatenate(arrs)) @ p["proj"]
-        return nm.l2_normalize_rows(nm.segment_weighted_sum(projected, theta, lengths))
+        return np.concatenate(arrs), np.array([a.shape[0] for a in arrs], dtype=np.int64)
+
+    def forward(self, seqs, params: dict[str, np.ndarray] | None = None) -> np.ndarray:
+        """Unit embeddings [len(seqs), out_dim] as a plain array, with no graph node.
+
+        For encoders that take no gradient: the momentum mirror (its
+        arrays as ``params``), clustering and evaluation. ``params`` None
+        uses the values of the trainable parameters. The result is
+        bit for bit the value of ``aggregate_batch``.
+        """
+        if params is None:
+            params = {k: m.value for k, m in self.p.items()}
+        return _forward(*self._stack(seqs), params, self.d_p)[0]
+
+    def aggregate_batch(self, seqs, params: dict[str, Matrix] | None = None) -> Matrix:
+        """Embed several sequences at once as one graph node; returns [len(seqs), out_dim].
+
+        All sequences are stacked into one [sum of lengths, d_in] array
+        and projected with a single matmul; each sequence's projected rows
+        are summed with per-position weights and the sums are
+        unit-normalized. The pooling-weight perceptron runs once for the
+        longest sequence and shorter ones use a prefix of its weights,
+        which is exact because the weights depend only on position.
+
+        The node's parents are the five parameters (``params``, default
+        ``self.p``) and its VJP is hand-written. Forward and VJP repeat,
+        op for op, the graph the same pass composed of elementary ops
+        would build, so value and grads equal that graph's bit for bit;
+        the tests compare against it.
+        """
+        p = self.p if params is None else params
+        x, lengths = self._stack(seqs)
+        out, (pe, pre, hidden, row_w, position, projected, norms) = _forward(
+            x, lengths, {k: m.value for k, m in p.items()}, self.d_p)
+        w2 = p["dec_w2"].value
+
+        def vjp(g):
+            g_pooled = nm.unit_rows_vjp(g, out, norms)
+            spread = np.repeat(g_pooled, lengths, axis=0)
+            g_theta = np.zeros((pe.shape[0], 1))
+            np.add.at(g_theta[:, 0], position, (spread * projected).sum(axis=1))
+            g_pre = (g_theta @ w2.T) * (pre > 0.0)
+            return (x.T @ (spread * row_w), pe.T @ g_pre, g_pre.sum(axis=0, keepdims=True),
+                    hidden.T @ g_theta, g_theta.sum(axis=0, keepdims=True))
+
+        return nm.node(out, tuple(p[k] for k in PARAM_NAMES), vjp)
+
+
+def _finite(stage: str, arr: np.ndarray) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise nm.NonFiniteError(f"aggregate_batch: {stage} has non-finite entries")
+    return arr
+
+
+def _forward(x: np.ndarray, lengths: np.ndarray, p: dict[str, np.ndarray], d_p: int):
+    """The aggregator's pass over the stacked rows ``x`` of sequences of ``lengths``, in plain numpy.
+
+    Returns the unit embeddings and the intermediates the VJP of
+    ``FeatureAggregator.aggregate_batch`` reads. Every array the
+    composed graph would hold is checked, so a ``NonFiniteError`` names
+    ``aggregate_batch`` and the stage that is not finite: the
+    pre-activation before ``relu`` could hide a ``-inf`` or NaN in it,
+    and a non-finite parameter in the stage that uses it. The positional
+    table and the ``relu`` output are finite by construction, and the
+    normalisation raises as ``numerics.l2_normalize_rows`` does.
+    """
+    _finite("input", x)
+    pe = positional_encoding_table(int(lengths.max()), d_p)
+    pre = _finite("pooling pre-activation", _finite("pooling layer 1", pe @ p["dec_w1"]) + p["dec_b1"])
+    hidden = np.where(pre > 0.0, pre, 0.0)
+    theta = _finite("pooling weights",
+                    _finite("pooling layer 2", hidden @ p["dec_w2"]) + p["dec_b2"])
+    projected = _finite("projection", x @ p["proj"])
+    starts = np.cumsum(lengths) - lengths
+    position = np.arange(x.shape[0]) - np.repeat(starts, lengths)
+    row_w = theta[position]
+    pooled = _finite("pooled sum", np.add.reduceat(projected * row_w, starts, axis=0))
+    out, norms = nm.unit_rows(pooled)
+    return out, (pe, pre, hidden, row_w, position, projected, norms)
 
 
 def named_params(groups: dict[str, dict[str, Matrix]]):

@@ -220,41 +220,30 @@ def test_grad_check_elementary_ops(seed):
         assert grad_check(fn, probe, h=1e-5) <= 1e-4
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_grad_check_segment_weighted_sum(seed):
-    rng = rng_from_seed(seed, 8)
-    lengths = [2, 4, 1, 3]
-    values = Matrix(rng.standard_normal((10, 3)))
-    weights = Matrix(rng.standard_normal((4, 1)))
-    probe = Matrix(rng.standard_normal((4, 3)))
-    assert grad_check(lambda p: nm.sum_all(nm.segment_weighted_sum(p, weights, lengths) * probe),
-                      values, h=1e-5) <= 1e-4
-    assert grad_check(lambda p: nm.sum_all(nm.segment_weighted_sum(values, p, lengths) * probe),
-                      weights, h=1e-5) <= 1e-4
-
-
-def test_segment_weighted_sum_against_loop():
-    rng = rng_from_seed(9)
-    lengths = [3, 1, 5, 2]
-    values = rng.standard_normal((11, 4))
-    weights = rng.standard_normal((6, 1))
-    out = nm.segment_weighted_sum(Matrix(values), Matrix(weights), lengths).value
-    start = 0
-    for i, n in enumerate(lengths):
-        want = sum(weights[t, 0] * values[start + t] for t in range(n))
-        assert np.max(np.abs(out[i] - want)) <= 1e-12
-        start += n
-
-
-@pytest.mark.parametrize("lengths, weight_rows, match", [
-    ([], 3, "segments"),
-    ([2, 0, 3], 3, "segments"),
-    ([2, 2], 3, "sum to 4"),
-    ([2, 3], 2, "at least 3 rows"),
+@pytest.mark.parametrize("op, build", [
+    ("matmul", lambda big: big @ big.T),
+    ("add", lambda big: big + big),
+    ("mul", lambda big: big * big),
+    ("exp", lambda big: nm.exp(big)),
+    ("sum_all", lambda big: nm.sum_all(big)),
+    ("row_sum", lambda big: nm.row_sum(big)),
 ])
-def test_segment_weighted_sum_rejects_bad_shapes(lengths, weight_rows, match):
-    with pytest.raises(ValueError, match=match):
-        nm.segment_weighted_sum(Matrix(np.ones((5, 2))), Matrix(np.ones((weight_rows, 1))), lengths)
+def test_a_non_finite_node_value_names_its_op(op, build):
+    big = Matrix(np.full((2, 2), 1e308))
+    with np.errstate(over="ignore"), pytest.raises(nm.NonFiniteError, match=f"^{op}: result contains non-finite entries"):
+        build(big)
+
+
+def test_split_leaves_view_the_flat_values_in_order():
+    flat = Matrix(np.arange(11.0).reshape(1, -1))
+    leaves = nm.split_leaves(flat, [(2, 3), (1, 1), (4, 1)])
+    assert [leaf.value.tolist() for leaf in leaves] == [
+        [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]], [[6.0]], [[7.0], [8.0], [9.0], [10.0]]]
+    for leaf in leaves:
+        assert np.shares_memory(leaf.value, flat.value) and not leaf.value.flags.writeable
+        assert leaf.grad is None and leaf._parents == () and leaf._vjp is None
+    with pytest.raises(ValueError, match="shapes hold 10 values, but flat has 11"):
+        nm.split_leaves(flat, [(2, 5)])
 
 
 def test_grad_check_rejects_non_finite_loss():

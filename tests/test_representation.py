@@ -1,11 +1,16 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossalign import numerics as nm
+from crossalign import pipeline as pl
 from crossalign.numerics import Matrix, backward, grad_check, rng_from_seed
 from crossalign.representation import (
+    PARAM_NAMES,
     EncoderPair,
     FeatureAggregator,
     MemoryBank,
@@ -53,11 +58,142 @@ def _aggregator(seed=0, d_in=6, out_dim=8):
     return FeatureAggregator(d_in, out_dim, d_p=8, hidden=4, rng=rng_from_seed(seed))
 
 
+# ---------------------------------------------------------------------------
+# the composed aggregator: the reference the fused node must equal bit for bit
+# ---------------------------------------------------------------------------
+
+def _segment_weighted_sum(values: Matrix, weights: Matrix, lengths) -> Matrix:
+    """Row i: sum over t < lengths[i] of weights[t] * values[offset_i + t], as one elementary op."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    position = np.arange(values.rows) - np.repeat(starts, lengths)
+    vv, row_w = values.value, weights.value[position]
+
+    def vjp(g):
+        spread = np.repeat(g, lengths, axis=0)
+        dw = np.zeros(weights.value.shape)
+        np.add.at(dw[:, 0], position, (spread * vv).sum(axis=1))
+        return spread * row_w, dw
+
+    return nm.node(np.add.reduceat(vv * row_w, starts, axis=0), (values, weights), vjp)
+
+
+def _composed_pooling_weights(agg, length, p) -> Matrix:
+    pe = Matrix(positional_encoding_table(length, agg.d_p))
+    h = nm.relu(pe @ p["dec_w1"] + p["dec_b1"])
+    return h @ p["dec_w2"] + p["dec_b2"]
+
+
+def composed_aggregate(agg, seqs, params=None) -> Matrix:
+    """``agg.aggregate_batch`` built from elementary ops, one graph node per op."""
+    p = agg.p if params is None else {k: v if isinstance(v, Matrix) else Matrix(v)
+                                      for k, v in params.items()}
+    arrs = [np.asarray(seq, dtype=np.float64) for seq in seqs]
+    lengths = [a.shape[0] for a in arrs]
+    theta = _composed_pooling_weights(agg, max(lengths), p)
+    projected = Matrix(np.concatenate(arrs)) @ p["proj"]
+    return nm.l2_normalize_rows(_segment_weighted_sum(projected, theta, lengths))
+
+
+def _loop_aggregate(agg, seqs) -> np.ndarray:
+    """One sequence and one position at a time."""
+    p = {k: m.value for k, m in agg.p.items()}
+    rows = []
+    for seq in seqs:
+        pe = positional_encoding_table(len(seq), agg.d_p)
+        theta = np.maximum(pe @ p["dec_w1"] + p["dec_b1"], 0.0) @ p["dec_w2"] + p["dec_b2"]
+        pooled = sum(theta[t, 0] * (seq[t] @ p["proj"]) for t in range(len(seq)))
+        rows.append(pooled / np.linalg.norm(pooled))
+    return np.stack(rows)
+
+
+def _batch(kind, rng):
+    if kind == "seeded":
+        return [rng.standard_normal((int(rng.integers(1, 7)), 6)) for _ in range(5)]
+    if kind == "lengths_1_to_L":
+        return [rng.standard_normal((n, 6)) for n in range(1, 9)]
+    if kind == "one_sequence":
+        return [rng.standard_normal((4, 6))]
+    # the second row's pooled norm is below numerics._SMALL_NORM
+    return [rng.standard_normal((3, 6)), 1e-160 * rng.standard_normal((2, 6)),
+            rng.standard_normal((1, 6))]
+
+
+BATCH_KINDS = ["seeded", "lengths_1_to_L", "one_sequence", "small_norm_row"]
+
+
+@pytest.mark.parametrize("kind", BATCH_KINDS)
+@pytest.mark.parametrize("seed", range(3))
+def test_aggregate_batch_equals_the_composed_graph_bit_for_bit(kind, seed):
+    agg = _aggregator(seed=seed)
+    rng = rng_from_seed(seed, 23)
+    # a trained decoder: some pooling pre-activations fall below zero
+    agg.p["dec_b1"] = Matrix(rng.standard_normal((1, 4)))
+    seqs = _batch(kind, rng)
+    probe = Matrix(rng.standard_normal((len(seqs), 8)))
+    outs, grads = [], []
+    for build in (FeatureAggregator.aggregate_batch, composed_aggregate):
+        params = {k: Matrix(m.value) for k, m in agg.p.items()}
+        out = build(agg, seqs, params)
+        backward(nm.sum_all(out * probe))
+        outs.append(out.value.tobytes())
+        grads.append([params[k].grad.tobytes() for k in PARAM_NAMES])
+    if kind == "small_norm_row":
+        pooled = composed_aggregate(agg, seqs)._parents[0].value
+        assert np.linalg.norm(pooled[1]) < nm._SMALL_NORM
+    assert outs[0] == outs[1]
+    assert grads[0] == grads[1]
+
+
+@pytest.mark.parametrize("kind", BATCH_KINDS)
+def test_forward_equals_the_node_value_bit_for_bit(kind):
+    agg, pair = _pair()
+    seqs = _batch(kind, rng_from_seed(24))
+    assert agg.forward(seqs).tobytes() == agg.aggregate_batch(seqs).value.tobytes()
+    agg.p["proj"] = Matrix(agg.p["proj"].value * 0.5)
+    pair.momentum_update(0.7)
+    momentum = pair.momentum_group("enc")
+    want = agg.aggregate_batch(seqs, {k: Matrix(v) for k, v in momentum.items()}).value
+    assert agg.forward(seqs, momentum).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_forward_against_loop(seed):
+    agg = _aggregator(seed=seed)
+    rng = rng_from_seed(seed, 25)
+    agg.p["dec_b1"] = Matrix(rng.standard_normal((1, 4)))
+    seqs = [rng.standard_normal((int(rng.integers(1, 7)), 6)) for _ in range(6)]
+    assert np.max(np.abs(agg.forward(seqs) - _loop_aggregate(agg, seqs))) <= 1e-12
+
+
+def _train_digest(cfg, data, val) -> str:
+    state, rows = pl.train(cfg, data, val)
+    h = hashlib.sha256(json.dumps(rows).encode())
+    for _, m in state.model.param_items():
+        h.update(m.value.tobytes())
+    for arr in (*state.model.encoder_pair.momentum.values(), state.bank_v.view(),
+                state.bank_w.view(), state.prototypes.labels, state.prototypes.centroids):
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("instance_loss", ["dcl", "triplet"])
+def test_seeded_training_is_bit_identical_with_the_composed_aggregator(instance_loss, monkeypatch):
+    cfg = pl.TrainConfig(seed=0, epochs=2, batch_size=16, k_clusters=6, instance_loss=instance_loss)
+    data = pl.generate_synthetic(40, 1, 4, seed=5)
+    val = pl.generate_synthetic(8, 2, 4, seed=5, split="val")
+    fused = _train_digest(cfg, data, val)
+    monkeypatch.setattr(FeatureAggregator, "aggregate_batch", composed_aggregate)
+    monkeypatch.setattr(FeatureAggregator, "forward",
+                        lambda agg, seqs, params=None: composed_aggregate(agg, seqs, params).value)
+    assert _train_digest(cfg, data, val) == fused
+
+
 def test_aggregate_identical_features_collapse_to_projection():
     agg = _aggregator()
     feature = rng_from_seed(1).standard_normal(6)
     seq = np.tile(feature, (5, 1))
-    theta = agg.pooling_weights(5).value
+    theta = _composed_pooling_weights(agg, 5, agg.p).value
     assert theta.sum() > 0  # fresh decoder starts near sum pooling
     out = agg.aggregate_batch([seq]).value
     expected = nm.l2_normalize_rows(Matrix(feature.reshape(1, -1)) @ agg.p["proj"]).value
@@ -76,7 +212,7 @@ def test_pool_with_first_position_weight_only():
     agg = _aggregator(seed=5)
     seq = rng_from_seed(6).standard_normal((4, 6))
     weights = Matrix(np.array([[1.0], [0.0], [0.0], [0.0]]))
-    pooled = nm.segment_weighted_sum(Matrix(seq) @ agg.p["proj"], weights, [4])
+    pooled = _segment_weighted_sum(Matrix(seq) @ agg.p["proj"], weights, [4])
     out = nm.l2_normalize_rows(pooled).value
     expected = nm.l2_normalize_rows(Matrix(seq[:1]) @ agg.p["proj"]).value
     assert np.max(np.abs(out - expected)) <= 1e-10
@@ -91,21 +227,61 @@ def test_aggregate_output_is_unit_norm(seed):
     assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) <= 1e-12
 
 
-def test_aggregate_rejects_empty_input():
-    agg = _aggregator()
-    with pytest.raises(ValueError):
-        agg.aggregate_batch([])
-    with pytest.raises(ValueError):
-        agg.aggregate_batch([np.zeros((0, 6))])
+@pytest.mark.parametrize("method", ["aggregate_batch", "forward"])
+def test_aggregate_rejects_empty_input(method):
+    embed = getattr(_aggregator(), method)
+    with pytest.raises(ValueError, match="at least one sequence"):
+        embed([])
+    for bad in (np.zeros((0, 6)), np.ones(6), np.ones((2, 3, 6))):
+        with pytest.raises(ValueError, match="nonempty 2-D array"):
+            embed([np.ones((2, 6)), bad])
 
 
-def test_aggregate_rejects_wrong_feature_dim():
-    agg = _aggregator()
+@pytest.mark.parametrize("method", ["aggregate_batch", "forward"])
+def test_aggregate_rejects_wrong_feature_dim(method):
+    embed = getattr(_aggregator(), method)
     with pytest.raises(ValueError, match="d_in"):
-        agg.aggregate_batch([np.ones((3, 5))])
+        embed([np.ones((3, 5))])
 
 
-@pytest.mark.parametrize("name", ["proj", "dec_w1", "dec_b1", "dec_w2", "dec_b2"])
+def _overflowing(stage):
+    """A sequence and parameter overrides under which ``stage`` is the first non-finite array."""
+    seq, p = np.ones((2, 6)), {}
+    if stage == "input":
+        seq[1, 2] = np.nan
+    elif stage == "pooling layer 1":
+        p["dec_w1"] = np.full((8, 4), 1e308)
+    elif stage == "pooling pre-activation":
+        # finite after layer 1 and -inf after the bias, which relu would turn into 0
+        w1 = np.zeros((8, 4))
+        w1[1] = -1e308
+        p["dec_w1"], p["dec_b1"] = w1, np.full((1, 4), -1e308)
+    elif stage == "pooling layer 2":
+        p["dec_b1"], p["dec_w2"] = np.full((1, 4), 10.0), np.full((4, 1), 1e308)
+    elif stage == "pooling weights":
+        p["dec_w2"], p["dec_b2"] = np.full((4, 1), 1e307), np.full((1, 1), 1.7e308)
+    elif stage == "projection":
+        p["proj"] = np.full((6, 8), 1e308)
+    else:  # projected rows near the float64 maximum, weighted by about 100
+        p["proj"], p["dec_b2"] = np.full((6, 8), 1.5e307), np.full((1, 1), 100.0)
+    return seq, p
+
+
+@pytest.mark.parametrize("stage", ["input", "pooling layer 1", "pooling pre-activation",
+                                   "pooling layer 2", "pooling weights", "projection", "pooled sum"])
+def test_non_finite_stage_is_named(stage):
+    agg = _aggregator()
+    seq, override = _overflowing(stage)
+    params = {k: m.value for k, m in agg.p.items()} | override
+    match = f"^aggregate_batch: {stage} has non-finite entries"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(nm.NonFiniteError, match=match):
+            agg.forward([seq], params)
+        with pytest.raises(nm.NonFiniteError, match=match):
+            agg.aggregate_batch([seq], {k: Matrix(v) for k, v in params.items()})
+
+
+@pytest.mark.parametrize("name", PARAM_NAMES)
 def test_gradients_flow_through_aggregate(name):
     agg = _aggregator(seed=7)
     rng = rng_from_seed(8)
@@ -192,15 +368,20 @@ def test_momentum_forward_matches_main_after_full_copy():
     pair.momentum_update(0.0)
     seq = rng_from_seed(12).standard_normal((4, 6))
     main_out = agg.aggregate_batch([seq]).value
-    mom_out = agg.aggregate_batch([seq], params=pair.momentum_group("enc")).value
+    mom_out = agg.forward([seq], pair.momentum_group("enc"))
     assert np.array_equal(main_out, mom_out)
 
 
-def test_momentum_forward_leaves_main_gradients_untouched():
+def test_momentum_forward_builds_no_graph_node(monkeypatch):
     agg, pair = _pair()
+    built = []
+    node = nm.node
+    monkeypatch.setattr(nm, "node", lambda *args: built.append(args) or node(*args))
     seq = rng_from_seed(13).standard_normal((3, 6))
-    out = agg.aggregate_batch([seq], params=pair.momentum_group("enc"))
-    backward(nm.sum_all(out))
+    out = agg.forward([seq], pair.momentum_group("enc"))
+    assert type(out) is np.ndarray and out.shape == (1, 8) and built == []
+    agg.aggregate_batch([seq])
+    assert len(built) == 1  # the spy sees the node that the trainable encoder builds
     assert all(m.grad is None for _, m in named_params(pair.groups))
 
 
