@@ -1,15 +1,16 @@
 """Concept branch: co-occurrence graph over frequent tokens and soft concept queries.
 
 A vocabulary of the most frequent caption tokens becomes a graph whose
-edges are thresholded conditional co-occurrence probabilities. One graph
-convolution turns seeded random concept vectors into a concept basis;
-each modality then queries that basis with a learned bilinear score and
-represents itself as the softmax-weighted combination of concept rows.
+edges are thresholded conditional co-occurrence probabilities. The
+normalized graph times seeded random concept vectors is a constant,
+formed once; one graph convolution of it with a learned weight gives the
+concept basis. Each modality then queries that basis with a learned
+bilinear score and represents itself as the softmax-weighted combination
+of concept rows.
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,79 +23,40 @@ DEFAULT_STOPLIST = frozenset(
 )
 
 
-@dataclass
-class ConceptVocabulary:
-    """Ordered concept tokens plus their frozen seeded embeddings (unit rows)."""
-
-    concepts: list[str]
-    init_embeddings: np.ndarray
-
-    def __post_init__(self):
-        if len(self.concepts) != len(set(self.concepts)):
-            raise ValueError("concept tokens must be unique")
-        if self.init_embeddings.shape[0] != len(self.concepts):
-            raise ValueError("one embedding row per concept required")
-
-    @property
-    def size(self) -> int:
-        return len(self.concepts)
-
-
-@dataclass
-class CooccurrenceStats:
-    """Caption-level co-occurrence counts and conditional probabilities.
-
-    ``counts[i, j]`` is the number of captions containing both concepts
-    (zero on the diagonal), ``appearances[i]`` the number of captions
-    containing concept i, and ``conditional[i, j] = counts[i, j] /
-    appearances[i]`` with zero rows where a concept never appears.
-    """
-
-    counts: np.ndarray
-    appearances: np.ndarray
-    conditional: np.ndarray
-
-
-def concept_embeddings(count: int, dim: int, seed: int) -> np.ndarray:
-    """Seeded random unit rows used as frozen initial concept vectors."""
-    rows = nm.rng_from_seed(seed, 101).standard_normal((count, dim))
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
-
-
 def build_vocabulary(corpus: Sequence[Sequence[str]], g: int,
-                     stoplist: Iterable[str] = DEFAULT_STOPLIST,
-                     *, embed_dim: int = 32, seed: int = 0) -> ConceptVocabulary:
-    """Pick the ``g`` most frequent non-stop tokens, ties broken lexicographically."""
+                     stoplist: Iterable[str] = DEFAULT_STOPLIST) -> list[str]:
+    """The at most ``g`` most frequent non-stop tokens, ties broken lexicographically."""
     if not corpus:
         raise ValueError("corpus is empty")
     if g < 1:
         raise ValueError("need at least one concept")
     stop = set(stoplist)
     freq = Counter(tok for caption in corpus for tok in caption if tok not in stop)
-    if g > len(freq):
-        raise ValueError(f"requested {g} concepts but corpus has only {len(freq)} distinct non-stop tokens")
+    if not freq:
+        raise ValueError("no non-stop tokens available for the concept vocabulary")
     ranked = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))
-    concepts = [tok for tok, _ in ranked[:g]]
-    return ConceptVocabulary(concepts, concept_embeddings(g, embed_dim, seed))
+    return [tok for tok, _ in ranked[:g]]
 
 
-def build_cooccurrence(corpus: Sequence[Sequence[str]], vocab: ConceptVocabulary) -> CooccurrenceStats:
-    """Count caption-level appearances and pairwise co-occurrences, once per caption."""
-    g = vocab.size
-    index = {tok: i for i, tok in enumerate(vocab.concepts)}
-    counts = np.zeros((g, g), dtype=np.int64)
-    appearances = np.zeros(g, dtype=np.int64)
-    for caption in corpus:
-        present = sorted({index[t] for t in caption if t in index})
-        for i in present:
-            appearances[i] += 1
-        for a in range(len(present)):
-            for b in range(a + 1, len(present)):
-                counts[present[a], present[b]] += 1
-                counts[present[b], present[a]] += 1
+def build_cooccurrence(corpus: Sequence[Sequence[str]], concepts: Sequence[str]) -> np.ndarray:
+    """Conditional co-occurrence: entry (i, j) is the share of captions holding concept i that hold j.
+
+    One [captions x concepts] presence matrix P counts each concept at
+    most once per caption; ``P.T @ P`` holds the pair counts off its
+    diagonal and each concept's caption count on it. The diagonal of the
+    result is zero, and so is the row of a concept that never appears.
+    """
+    index = {tok: i for i, tok in enumerate(concepts)}
+    if len(index) != len(concepts):
+        raise ValueError("concept tokens must be unique")
+    presence = np.zeros((len(corpus), len(concepts)))
+    for row, caption in enumerate(corpus):
+        presence[row, [index[t] for t in caption if t in index]] = 1.0
+    counts = presence.T @ presence
+    appearances = np.diag(counts).copy()
+    np.fill_diagonal(counts, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        conditional = np.where(appearances[:, None] > 0, counts / appearances[:, None], 0.0)
-    return CooccurrenceStats(counts, appearances, conditional)
+        return np.where(appearances[:, None] > 0, counts / appearances[:, None], 0.0)
 
 
 def binarize(conditional: np.ndarray, eps_t: float) -> np.ndarray:
@@ -121,18 +83,26 @@ def normalized_adjacency(adjacency: np.ndarray) -> np.ndarray:
     return h * inv_row[:, None] * inv_col[None, :] + np.eye(h.shape[0])
 
 
-def gcn_forward(x: np.ndarray, adjacency, w: Matrix) -> Matrix:
-    """One graph convolution: relu(normalized_adjacency @ x @ w).
+def concept_inputs(adjacency: np.ndarray, dim: int, seed: int) -> np.ndarray:
+    """The concept branch's frozen input: ``normalized_adjacency(adjacency) @ X``.
 
-    ``x`` and ``adjacency`` are constant arrays; gradients flow through ``w``.
+    ``X`` holds one seeded random unit row of width ``dim`` per graph
+    node. Graph and rows are constants and only the convolution weight
+    learns, so the product is formed once, when the graph is built.
     """
-    x_arr = np.asarray(x, dtype=np.float64)
     a_norm = normalized_adjacency(adjacency)
-    if x_arr.shape[0] != a_norm.shape[0]:
-        raise ValueError(f"adjacency has {a_norm.shape[0]} nodes but x has {x_arr.shape[0]} rows")
-    if w.rows != x_arr.shape[1]:
-        raise ValueError(f"weight rows {w.rows} != feature dim {x_arr.shape[1]}")
-    return nm.relu(Matrix(a_norm @ x_arr) @ w)
+    rows = nm.rng_from_seed(seed, 101).standard_normal((a_norm.shape[0], dim))
+    return a_norm @ (rows / np.linalg.norm(rows, axis=1, keepdims=True))
+
+
+def gcn_forward(inputs: Matrix, w: Matrix) -> Matrix:
+    """One graph convolution of the constant ``concept_inputs`` leaf: relu(inputs @ w).
+
+    Gradients flow through ``w``.
+    """
+    if w.rows != inputs.cols:
+        raise ValueError(f"weight rows {w.rows} != feature dim {inputs.cols}")
+    return nm.relu(inputs @ w)
 
 
 def concept_query(query: Matrix, w: Matrix, basis: Matrix,

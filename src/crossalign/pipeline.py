@@ -50,7 +50,7 @@ from .numerics import AdamState, Matrix, adam_step, backward, rng_from_seed
 from .objective import PrototypeState, SimilarityMatrix
 from .representation import EncoderPair, FeatureAggregator, MemoryBank, named_params
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 # caption columns ranked at once by recalls_from_similarity
 RANK_BLOCK = 256
 
@@ -433,21 +433,20 @@ class AlignmentModel:
 
     The visual aggregator is shared between the instance embedding and
     the concept-branch query; the textual side uses separate aggregators
-    for the two roles. Concept vectors and the thresholded adjacency are
-    frozen constants; only the convolution weight, the two query
-    matrices (``query``, one per modality, both starting at the
-    identity), and the classifier train on the concept side.
+    for the two roles. ``concept_inputs``, the graph's
+    ``knowledge.concept_inputs`` array, is a frozen constant leaf; only
+    the convolution weight, the two query matrices (``query``, one per
+    modality, both starting at the identity), and the classifier train
+    on the concept side.
     """
 
-    def __init__(self, cfg: TrainConfig, d_img: int, d_txt: int,
-                 vocab: kn.ConceptVocabulary, adjacency: np.ndarray):
+    def __init__(self, cfg: TrainConfig, d_img: int, d_txt: int, concept_inputs: np.ndarray):
         rng = rng_from_seed(cfg.seed, 11)
         f = cfg.embed_dim
         self.cfg = cfg
         self.d_img = d_img
         self.d_txt = d_txt
-        self.vocab = vocab
-        self.adjacency = np.asarray(adjacency, dtype=np.int64)
+        self.concept_inputs = Matrix(concept_inputs)
         self.vis_agg = FeatureAggregator(d_img, f, cfg.d_p, cfg.decoder_hidden, rng)
         self.txt_agg = FeatureAggregator(d_txt, f, cfg.d_p, cfg.decoder_hidden, rng)
         self.txt_concept_agg = FeatureAggregator(d_txt, f, cfg.d_p, cfg.decoder_hidden, rng)
@@ -459,7 +458,7 @@ class AlignmentModel:
                 self.txt_concept_agg.p[k] = Matrix(m.value)
         self.query: dict[str, Matrix] = {"w_visual": Matrix(np.eye(f)),
                                          "w_textual": Matrix(np.eye(f))}
-        d_c = vocab.init_embeddings.shape[1]
+        d_c = self.concept_inputs.cols
         self.extra: dict[str, Matrix] = {
             "w_sc": Matrix(rng.standard_normal((d_c, f)) / np.sqrt(d_c)),
             "classifier": Matrix(0.01 * rng.standard_normal((cfg.k_clusters, f))),
@@ -490,7 +489,7 @@ class AlignmentModel:
         return self.txt_concept_agg.aggregate_batch(seqs)
 
     def concept_basis(self) -> Matrix:
-        return kn.gcn_forward(self.vocab.init_embeddings, self.adjacency, self.extra["w_sc"])
+        return kn.gcn_forward(self.concept_inputs, self.extra["w_sc"])
 
     def concept_embed(self, query: Matrix, basis: Matrix, weight: str) -> Matrix:
         """The unit concept embedding of ``query`` under ``self.query[weight]``."""
@@ -517,8 +516,12 @@ class TrainState:
     best: dict | None = None
 
 
-def _flat_adam(model: AlignmentModel, lr: float) -> AdamState:
-    return AdamState(1, sum(m.value.size for _, m in model.param_items()), lr)
+def _fresh_state(cfg: TrainConfig, model: AlignmentModel) -> TrainState:
+    """A state around ``model`` with a zeroed flat Adam state and empty queues."""
+    size = sum(m.value.size for _, m in model.param_items())
+    return TrainState(cfg, model, AdamState(1, size, cfg.lr),
+                      MemoryBank(cfg.bank_capacity, cfg.embed_dim),
+                      MemoryBank(cfg.bank_capacity, cfg.embed_dim))
 
 
 def build_state(cfg: TrainConfig, data: list[PairedRecord]) -> TrainState:
@@ -529,18 +532,10 @@ def build_state(cfg: TrainConfig, data: list[PairedRecord]) -> TrainState:
     d_img = data[0].image_features.shape[1]
     d_txt = data[0].caption_features.shape[1]
     corpus = [r.caption_tokens for r in data]
-    stop = kn.DEFAULT_STOPLIST
-    available = len({t for cap in corpus for t in cap if t not in stop})
-    if available < 1:
-        raise ValueError("no non-stop tokens available for the concept vocabulary")
-    vocab = kn.build_vocabulary(corpus, min(cfg.concepts, available), stop,
-                                embed_dim=cfg.embed_dim, seed=cfg.seed)
-    stats = kn.build_cooccurrence(corpus, vocab)
-    adjacency = kn.binarize(stats.conditional, cfg.eps_t)
-    model = AlignmentModel(cfg, d_img, d_txt, vocab, adjacency)
-    return TrainState(cfg, model, _flat_adam(model, cfg.lr),
-                      MemoryBank(cfg.bank_capacity, cfg.embed_dim),
-                      MemoryBank(cfg.bank_capacity, cfg.embed_dim))
+    concepts = kn.build_vocabulary(corpus, cfg.concepts)
+    adjacency = kn.binarize(kn.build_cooccurrence(corpus, concepts), cfg.eps_t)
+    inputs = kn.concept_inputs(adjacency, cfg.embed_dim, cfg.seed)
+    return _fresh_state(cfg, AlignmentModel(cfg, d_img, d_txt, inputs))
 
 
 # ---------------------------------------------------------------------------
@@ -876,10 +871,10 @@ def evaluate(state: TrainState, data: list[PairedRecord], beta: float | None = N
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path, state: TrainState, which: str = "best") -> None:
-    """Serialize parameters, momentum mirror, config, and concept tokens and adjacency.
+    """Serialize parameters, momentum mirror, config, and the concept branch's frozen input.
 
-    Every array is an ``_encode`` blob; the concept vectors are rebuilt from
-    ``config``. ``which="best"`` uses the best-validation snapshot when one exists,
+    Every array is an ``_encode`` blob, ``concept_inputs`` among them, so
+    a load redraws nothing from the config's seed. ``which="best"`` uses the best-validation snapshot when one exists,
     otherwise the current parameters. ``epoch`` is the number of epochs run
     when the saved parameters were taken, for either kind of save.
     """
@@ -897,10 +892,7 @@ def save_checkpoint(path, state: TrainState, which: str = "best") -> None:
         "dims": {"d_img": state.model.d_img, "d_txt": state.model.d_txt},
         "params": {name: _encode(arr) for name, arr in params.items()},
         "momentum": {name: _encode(arr) for name, arr in state.model.encoder_pair.momentum.items()},
-        "concepts": {
-            "tokens": state.model.vocab.concepts,
-            "adjacency": _encode(state.model.adjacency),
-        },
+        "concept_inputs": _encode(state.model.concept_inputs.value),
     }
     with open(path, "w") as fh:
         json.dump(blob, fh)
@@ -943,7 +935,7 @@ def load_checkpoint(path) -> TrainState:
     if blob.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {blob.get('version')!r}")
     for section, want in (("epoch", int), ("config", dict), ("dims", dict), ("params", dict),
-                          ("momentum", dict), ("concepts", dict)):
+                          ("momentum", dict), ("concept_inputs", dict)):
         if section not in blob:
             raise ValueError(f"checkpoint: missing section {section!r}")
         _entry(blob, "section", section, want)
@@ -954,23 +946,17 @@ def load_checkpoint(path) -> TrainState:
     for key in ("d_img", "d_txt"):
         if _entry(dims, "dims", key, int) < 1:
             raise ValueError(f"checkpoint dims {key!r} must be positive, got {dims[key]}")
-    concepts = blob["concepts"]
-    tokens = _entry(concepts, "concepts", "tokens", list)
-    if not tokens or not all(type(t) is str for t in tokens):
-        raise ValueError("checkpoint concepts 'tokens' must be a non-empty list of strings")
-    where, g = "checkpoint concepts 'adjacency'", len(tokens)
-    adjacency = _decode(_entry(concepts, "concepts", "adjacency", dict), where)
-    if adjacency.shape != (g, g) or not np.isin(adjacency, (0.0, 1.0)).all():
-        raise ValueError(f"{where} must be a [{g}, {g}] matrix of 0s and 1s for {g} tokens")
-    vocab = kn.ConceptVocabulary(tokens, kn.concept_embeddings(g, cfg.embed_dim, cfg.seed))
-    model = AlignmentModel(cfg, dims["d_img"], dims["d_txt"], vocab, adjacency)
+    where = "checkpoint section 'concept_inputs'"
+    inputs = _decode(blob["concept_inputs"], where)
+    if inputs.ndim != 2 or not 1 <= inputs.shape[0] <= cfg.concepts or inputs.shape[1] != cfg.embed_dim:
+        raise ValueError(f"{where} must have 1 to {cfg.concepts} rows of width {cfg.embed_dim}, "
+                         f"got shape {list(inputs.shape)}")
+    model = AlignmentModel(cfg, dims["d_img"], dims["d_txt"], inputs)
     params = {name: m.value for name, m in model.param_items()}
     for name, arr in _decode_section(blob["params"], params, "params").items():
         model.set_param(name, Matrix(arr))
     model.encoder_pair.momentum = _decode_section(blob["momentum"], model.encoder_pair.momentum,
                                                   "momentum")
-    state = TrainState(cfg, model, _flat_adam(model, cfg.lr),
-                       MemoryBank(cfg.bank_capacity, cfg.embed_dim),
-                       MemoryBank(cfg.bank_capacity, cfg.embed_dim))
+    state = _fresh_state(cfg, model)
     state.epochs_run = blob["epoch"]
     return state

@@ -8,6 +8,7 @@ from crossalign.knowledge import (
     binarize,
     build_cooccurrence,
     build_vocabulary,
+    concept_inputs,
     concept_query,
     gcn_forward,
     normalized_adjacency,
@@ -17,60 +18,65 @@ from crossalign.numerics import Matrix, grad_check, rng_from_seed
 
 def test_vocabulary_unique_maximum():
     corpus = [["a", "dog", "runs"], ["a", "dog", "sleeps"]]
-    vocab = build_vocabulary(corpus, 1, stoplist={"a"})
-    assert vocab.concepts == ["dog"]
+    assert build_vocabulary(corpus, 1, stoplist={"a"}) == ["dog"]
 
 
 def test_vocabulary_exhaustive_is_frequency_sorted():
     corpus = [["dog", "cat"], ["dog", "bird"], ["dog"]]
-    vocab = build_vocabulary(corpus, 3, stoplist=set())
-    assert vocab.concepts == ["dog", "bird", "cat"]
+    assert build_vocabulary(corpus, 3, stoplist=set()) == ["dog", "bird", "cat"]
 
 
 def test_vocabulary_tie_breaks_lexicographically():
     corpus = [["cat"], ["dog"]]
-    vocab = build_vocabulary(corpus, 1, stoplist=set())
-    assert vocab.concepts == ["cat"]
+    assert build_vocabulary(corpus, 1, stoplist=set()) == ["cat"]
 
 
-def test_vocabulary_rejects_oversized_request():
-    with pytest.raises(ValueError, match="distinct"):
-        build_vocabulary([["dog"]], 2, stoplist=set())
+def test_vocabulary_returns_every_token_when_fewer_than_requested():
+    assert build_vocabulary([["dog", "a"], ["dog"]], 5) == ["dog"]
 
 
-def test_vocabulary_embeddings_are_seeded_unit_rows():
-    corpus = [["dog", "cat", "bird"]]
-    a = build_vocabulary(corpus, 3, stoplist=set(), embed_dim=16, seed=5)
-    b = build_vocabulary(corpus, 3, stoplist=set(), embed_dim=16, seed=5)
-    assert np.array_equal(a.init_embeddings, b.init_embeddings)
-    assert np.max(np.abs(np.linalg.norm(a.init_embeddings, axis=1) - 1.0)) <= 1e-12
+def test_vocabulary_rejects_a_corpus_of_stop_words():
+    with pytest.raises(ValueError, match="no non-stop tokens"):
+        build_vocabulary([["a", "the"], ["of"]], 3)
 
 
 TOY_CORPUS = [["c1"], ["c1"], ["c1", "c2"], ["c1", "c2"]]
+TOY_CONCEPTS = ["c1", "c2"]
 
 
-def _toy_vocab():
-    return build_vocabulary(TOY_CORPUS, 2, stoplist=set(), embed_dim=8, seed=0)
-
-
-def test_cooccurrence_toy_counts():
-    stats = build_cooccurrence(TOY_CORPUS, _toy_vocab())
-    i1 = _toy_vocab().concepts.index("c1")
-    i2 = _toy_vocab().concepts.index("c2")
-    assert stats.appearances[i1] == 4 and stats.appearances[i2] == 2
-    assert stats.counts[i1, i2] == 2 == stats.counts[i2, i1]
-    assert stats.conditional[i1, i2] == 0.5
-    assert stats.conditional[i2, i1] == 1.0
-    # asymmetry of the conditional matrix on a symmetric count matrix
-    assert stats.conditional[i1, i2] != stats.conditional[i2, i1]
+def test_cooccurrence_toy_conditionals():
+    # c1 in 4 captions, c2 in 2, both in 2: asymmetric conditionals from symmetric counts
+    conditional = build_cooccurrence(TOY_CORPUS, TOY_CONCEPTS)
+    assert np.array_equal(conditional, np.array([[0.0, 0.5], [1.0, 0.0]]))
 
 
 def test_cooccurrence_isolated_concept_has_zero_row():
     corpus = [["solo"], ["c1", "c2"], ["c1", "c2"]]
-    vocab = build_vocabulary(corpus, 3, stoplist=set(), embed_dim=4, seed=0)
-    stats = build_cooccurrence(corpus, vocab)
-    i = vocab.concepts.index("solo")
-    assert np.all(stats.conditional[i] == 0.0)
+    concepts = build_vocabulary(corpus, 3, stoplist=set())
+    conditional = build_cooccurrence(corpus, concepts)
+    assert np.all(conditional[concepts.index("solo")] == 0.0)
+
+
+def test_cooccurrence_rejects_repeated_concepts():
+    with pytest.raises(ValueError, match="unique"):
+        build_cooccurrence(TOY_CORPUS, ["c1", "c1"])
+
+
+def _pair_loop_conditional(corpus, concepts):
+    """Conditional co-occurrence by counting each caption's concept pairs one by one."""
+    index = {tok: i for i, tok in enumerate(concepts)}
+    counts = np.zeros((len(concepts), len(concepts)), dtype=np.int64)
+    appearances = np.zeros(len(concepts), dtype=np.int64)
+    for caption in corpus:
+        present = sorted({index[t] for t in caption if t in index})
+        for i in present:
+            appearances[i] += 1
+        for a in range(len(present)):
+            for b in range(a + 1, len(present)):
+                counts[present[a], present[b]] += 1
+                counts[present[b], present[a]] += 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(appearances[:, None] > 0, counts / appearances[:, None], 0.0)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -78,33 +84,29 @@ def test_cooccurrence_isolated_concept_has_zero_row():
 def test_cooccurrence_invariants_on_random_corpora(seed):
     rng = rng_from_seed(seed, 31)
     tokens = [f"t{i}" for i in range(6)]
+    # repeated tokens within a caption count once
     corpus = [
-        list(rng.choice(tokens, size=int(rng.integers(1, 5)), replace=False))
+        list(rng.choice(tokens, size=int(rng.integers(1, 6)), replace=True))
         for _ in range(int(rng.integers(1, 12)))
     ]
-    distinct = len({t for cap in corpus for t in cap})
-    vocab = build_vocabulary(corpus, distinct, stoplist=set(), embed_dim=4, seed=0)
-    stats = build_cooccurrence(corpus, vocab)
-    assert np.array_equal(stats.counts, stats.counts.T)
-    assert np.all(np.diag(stats.counts) == 0)
-    assert np.all(stats.conditional >= 0.0) and np.all(stats.conditional <= 1.0)
+    # some concepts may never appear, and some tokens are not concepts
+    concepts = list(rng.permutation(tokens)[:int(rng.integers(1, 7))])
+    conditional = build_cooccurrence(corpus, concepts)
+    assert np.array_equal(conditional, _pair_loop_conditional(corpus, concepts))
+    assert np.all(np.diag(conditional) == 0.0)
+    assert np.all(conditional >= 0.0) and np.all(conditional <= 1.0)
 
 
 def test_binarize_continues_toy_example():
-    stats = build_cooccurrence(TOY_CORPUS, _toy_vocab())
-    edges = binarize(stats.conditional, 0.6)
-    i1 = _toy_vocab().concepts.index("c1")
-    i2 = _toy_vocab().concepts.index("c2")
-    assert edges[i1, i2] == 0
-    assert edges[i2, i1] == 1  # boundary: probability 1.0 >= any threshold
+    edges = binarize(build_cooccurrence(TOY_CORPUS, TOY_CONCEPTS), 0.6)
+    assert edges[0, 1] == 0
+    assert edges[1, 0] == 1  # boundary: probability 1.0 >= any threshold
 
 
 def test_binarize_all_zero_above_max():
-    corpus = [["c1", "c2"], ["c1"], ["c2"]]
-    vocab = build_vocabulary(corpus, 2, stoplist=set(), embed_dim=4, seed=0)
-    stats = build_cooccurrence(corpus, vocab)
-    assert stats.conditional.max() == 0.5
-    assert np.all(binarize(stats.conditional, 0.51) == 0)
+    conditional = build_cooccurrence([["c1", "c2"], ["c1"], ["c2"]], ["c1", "c2"])
+    assert conditional.max() == 0.5
+    assert np.all(binarize(conditional, 0.51) == 0)
 
 
 def test_binarize_rejects_bad_threshold():
@@ -130,9 +132,26 @@ def test_binarize_is_monotone_in_threshold(seed, low, bump):
 # graph convolution
 # ---------------------------------------------------------------------------
 
-def test_gcn_empty_graph_is_identity_on_nonnegative_input():
+def _seeded_unit_rows(count, dim, seed):
+    rows = rng_from_seed(seed, 101).standard_normal((count, dim))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def test_concept_inputs_of_an_empty_graph_are_the_seeded_unit_rows():
+    assert np.array_equal(concept_inputs(np.zeros((4, 4)), 16, 5), _seeded_unit_rows(4, 16, 5))
+
+
+def test_concept_inputs_propagate_the_unit_rows_over_the_graph():
+    h = (rng_from_seed(2).uniform(size=(5, 5)) > 0.5).astype(np.int64)
+    h[2, :] = 0  # a zero-degree row
+    got = concept_inputs(h, 6, 3)
+    assert np.array_equal(got, normalized_adjacency(h) @ _seeded_unit_rows(5, 6, 3))
+    assert np.all(np.isfinite(got))
+
+
+def test_gcn_identity_weight_keeps_nonnegative_input():
     x = np.abs(rng_from_seed(1).standard_normal((4, 4)))
-    out = gcn_forward(x, np.zeros((4, 4)), Matrix(np.eye(4)))
+    out = gcn_forward(Matrix(x), Matrix(np.eye(4)))
     assert np.max(np.abs(out.value - x)) <= 1e-12
 
 
@@ -159,23 +178,13 @@ def test_normalized_adjacency_matches_per_entry_oracle():
     assert np.all(np.isfinite(a_norm))
 
 
-def test_gcn_zero_degree_nodes_stay_finite():
-    x = rng_from_seed(3).standard_normal((5, 6))
-    w = Matrix(rng_from_seed(4).standard_normal((6, 7)))
-    out = gcn_forward(x, np.zeros((5, 5)), w)
-    assert np.all(np.isfinite(out.value))
-
-
 def test_gcn_rejects_shape_mismatch():
-    with pytest.raises(ValueError):
-        gcn_forward(np.ones((3, 4)), np.zeros((2, 2)), Matrix(np.ones((4, 4))))
-    with pytest.raises(ValueError):
-        gcn_forward(np.ones((2, 4)), np.zeros((2, 2)), Matrix(np.ones((3, 3))))
+    with pytest.raises(ValueError, match="weight rows 3 != feature dim 4"):
+        gcn_forward(Matrix(np.ones((2, 4))), Matrix(np.ones((3, 3))))
 
 
 def test_gcn_clamps_negative_outputs_to_zero():
-    x = np.array([[-1.0, 2.0]])
-    out = gcn_forward(x, np.zeros((1, 1)), Matrix(np.eye(2)))
+    out = gcn_forward(Matrix(np.array([[-1.0, 2.0]])), Matrix(np.eye(2)))
     assert np.array_equal(out.value, np.array([[0.0, 2.0]]))
 
 
@@ -225,15 +234,15 @@ def test_concept_attention_rows_are_distributions(seed):
 def test_grad_check_through_query_and_convolution(target):
     rng = rng_from_seed(9)
     g, d_c, f = 5, 6, 6
-    x = rng.standard_normal((g, d_c))
     adjacency = (rng.uniform(size=(g, g)) > 0.5).astype(float)
+    inputs = Matrix(concept_inputs(adjacency, d_c, 0))
     w_query = Matrix(np.eye(f))
     w_sc = Matrix(rng.standard_normal((d_c, f)))
     query = Matrix(rng.standard_normal((3, f)))
     probe = Matrix(rng.standard_normal((3, f)))
 
     def loss_fn(p):
-        basis = gcn_forward(x, adjacency, p if target == "w_sc" else w_sc)
+        basis = gcn_forward(inputs, p if target == "w_sc" else w_sc)
         emb, _ = concept_query(query, p if target == "w_query" else w_query, basis, 4.0)
         return nm.sum_all(emb * probe)
 

@@ -382,6 +382,7 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert all(_bits(got[k].value) == _bits(want[k].value) for k in want)
     momentum = state.model.encoder_pair.momentum
     assert all(_bits(loaded.model.encoder_pair.momentum[k]) == _bits(momentum[k]) for k in momentum)
+    assert _bits(loaded.model.concept_inputs.value) == _bits(state.model.concept_inputs.value)
 
 
 @pytest.mark.parametrize("d_img, d_txt", [(48, 48), (40, 24)])
@@ -402,11 +403,12 @@ def test_loaded_checkpoint_evaluates_exactly_like_the_saved_state(d_img, d_txt, 
     (lambda blob: [blob], "checkpoint: the top level must be an object, got list"),
     (lambda blob: dict(blob, version=1), "unsupported checkpoint version 1"),
     (lambda blob: dict(blob, version=2), "unsupported checkpoint version 2"),
+    (lambda blob: dict(blob, version=3), "unsupported checkpoint version 3"),
     (lambda blob: dict(blob, params=[]), "checkpoint section 'params' must be of type dict, got list"),
     (lambda blob: dict(blob, epoch="1"), "checkpoint section 'epoch' must be of type int, got str"),
     (lambda blob: dict(blob, epoch=-1), "checkpoint section 'epoch' must be non-negative, got -1"),
     (lambda blob: dict(blob, epoch=-5), "checkpoint section 'epoch' must be non-negative, got -5"),
-], ids=["list", "version_1", "version_2", "params_list", "epoch_string", "epoch_minus_one",
+], ids=["list", "version_1", "version_2", "version_3", "params_list", "epoch_string", "epoch_minus_one",
         "epoch_minus_five"])
 def test_load_checkpoint_names_a_bad_top_level(corrupt, match, tmp_path):
     path = tmp_path / "ckpt.json"
@@ -469,7 +471,8 @@ def test_config_takes_an_int_for_a_float_field():
     assert (cfg.mu, cfg.lr, cfg.lr_drop_epoch) == (1.0, 1.0, None)
 
 
-@pytest.mark.parametrize("section", ["epoch", "config", "dims", "params", "momentum", "concepts"])
+@pytest.mark.parametrize("section", ["epoch", "config", "dims", "params", "momentum",
+                                     "concept_inputs"])
 def test_load_checkpoint_names_a_missing_section(section, tmp_path):
     path = tmp_path / "ckpt.json"
     pl.save_checkpoint(path, _tiny_state(), which="final")
@@ -497,21 +500,9 @@ def test_load_checkpoint_names_a_missing_section(section, tmp_path):
     ("dims", "d_img", lambda sec, n: sec.pop(n), "missing from the file"),
     ("dims", "d_img", lambda sec, n: sec.update({n: "48"}), "must be of type int, got str"),
     ("dims", "d_txt", lambda sec, n: sec.update({n: 0}), "must be positive, got 0"),
-    ("concepts", "tokens", lambda sec, n: sec.pop(n), "missing from the file"),
-    ("concepts", "tokens", lambda sec, n: sec.update({n: ["red", 3]}), "list of strings"),
-    ("concepts", "adjacency", lambda sec, n: sec.pop(n), "missing from the file"),
-    ("concepts", "adjacency", lambda sec, n: sec.update({n: [[0, 1], [1]]}),
-     "must be of type dict, got list"),
-    ("concepts", "adjacency", lambda sec, n: sec.update({n: pl._encode(np.zeros((2, 3)))}),
-     r"must be a \[(\d+), \1\] matrix of 0s and 1s"),
-    ("concepts", "adjacency", lambda sec, n: sec.update({n: pl._encode(2.0 * pl._decode(sec[n], n))}),
-     r"must be a \[(\d+), \1\] matrix of 0s and 1s"),
-    ("concepts", "adjacency", lambda sec, n: sec[n].update(data=sec[n]["data"][:-12]), r"needs \d+"),
 ], ids=["truncated", "bad_padding", "not_a_blob", "missing", "missing_momentum",
         "unknown_name", "unknown_group", "wrong_shape", "missing_d_img", "string_d_img",
-        "zero_d_txt", "missing_tokens", "non_string_token", "missing_adjacency",
-        "ragged_list_adjacency", "non_square_adjacency", "non_binary_adjacency",
-        "truncated_adjacency"])
+        "zero_d_txt"])
 def test_load_checkpoint_names_a_corrupt_blob(section, name, corrupt, match, tmp_path):
     path = tmp_path / "ckpt.json"
     pl.save_checkpoint(path, _tiny_state(), which="final")
@@ -519,6 +510,35 @@ def test_load_checkpoint_names_a_corrupt_blob(section, name, corrupt, match, tmp
     corrupt(blob[section], name)
     path.write_text(json.dumps(blob))
     with pytest.raises(ValueError, match=rf"checkpoint {section} '{re.escape(name)}'.*{match}"):
+        pl.load_checkpoint(path)
+
+
+def _inputs_rows(blob) -> int:
+    return blob["concept_inputs"]["shape"][0]
+
+
+@pytest.mark.parametrize("corrupt, match", [
+    (lambda b: b.update(concept_inputs=pl._encode(np.zeros((_inputs_rows(b), 31)))),
+     r"must have 1 to 24 rows of width 32, got shape \[\d+, 31\]"),
+    (lambda b: b.update(concept_inputs=pl._encode(np.zeros((0, 32)))),
+     r"must have 1 to 24 rows of width 32, got shape \[0, 32\]"),
+    (lambda b: b.update(concept_inputs=pl._encode(np.zeros((25, 32)))),
+     r"must have 1 to 24 rows of width 32, got shape \[25, 32\]"),
+    (lambda b: b.update(concept_inputs=pl._encode(np.zeros(32))),
+     r"must have 1 to 24 rows of width 32, got shape \[32\]"),
+    (lambda b: b.update(concept_inputs=pl._encode(np.full((2, 32), np.inf))),
+     "contains non-finite values"),
+    (lambda b: b["concept_inputs"].update(data=b["concept_inputs"]["data"][:-12]), r"needs \d+"),
+    (lambda b: b.update(concept_inputs=[[0.0] * 32]), "must be of type dict, got list"),
+], ids=["wrong_width", "zero_rows", "more_rows_than_concepts", "one_dimensional", "non_finite",
+        "truncated", "not_a_blob"])
+def test_load_checkpoint_names_bad_concept_inputs(corrupt, match, tmp_path):
+    path = tmp_path / "ckpt.json"
+    pl.save_checkpoint(path, _tiny_state(), which="final")
+    blob = json.loads(path.read_text())
+    corrupt(blob)
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ValueError, match=rf"checkpoint section 'concept_inputs'.*{match}"):
         pl.load_checkpoint(path)
 
 
