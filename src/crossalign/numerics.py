@@ -369,7 +369,8 @@ class AdamState:
 def adam_step(state: AdamState, params: Matrix, grads: np.ndarray) -> Matrix:
     """One bias-corrected Adam update; returns the new parameter value.
 
-    A non-finite result raises ``NonFiniteError`` and leaves ``state`` as it was.
+    A non-finite result raises ``NonFiniteError`` naming ``adam_step`` and
+    leaves ``state`` as it was.
     """
     g = np.asarray(grads, dtype=np.float64)
     if g.shape != params.value.shape or state.m.shape != params.value.shape:
@@ -382,9 +383,11 @@ def adam_step(state: AdamState, params: Matrix, grads: np.ndarray) -> Matrix:
     v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
     m_hat = m / (1.0 - ADAM_BETA1 ** step)
     v_hat = v / (1.0 - ADAM_BETA2 ** step)
-    out = Matrix(params.value - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+    out = params.value - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    if not np.isfinite(out).all():
+        raise NonFiniteError("adam_step: update contains non-finite entries")
     state.m, state.v, state.step = m, v, step
-    return out
+    return _wrap(out, (), None)
 
 
 # ---------------------------------------------------------------------------

@@ -479,15 +479,6 @@ class AlignmentModel:
         prefix, key = name.split(".", 1)
         self.groups[prefix][key] = value
 
-    def embed_images(self, seqs) -> Matrix:
-        return self.vis_agg.aggregate_batch(seqs)
-
-    def embed_captions(self, seqs) -> Matrix:
-        return self.txt_agg.aggregate_batch(seqs)
-
-    def embed_captions_concept(self, seqs) -> Matrix:
-        return self.txt_concept_agg.aggregate_batch(seqs)
-
     def concept_basis(self) -> Matrix:
         return kn.gcn_forward(self.concept_inputs, self.extra["w_sc"])
 
@@ -570,8 +561,8 @@ def batch_losses(state: TrainState, records: list[PairedRecord], labels: np.ndar
     img_seqs = [r.image_features for r in records]
     cap_seqs = [r.caption_features for r in records]
 
-    v_inst = model.embed_images(img_seqs)
-    w_inst = model.embed_captions(cap_seqs)
+    v_inst = model.vis_agg.aggregate_batch(img_seqs)
+    w_inst = model.txt_agg.aggregate_batch(cap_seqs)
     # the momentum encoders take no gradient, so they build no graph
     v_mom = model.vis_agg.forward(img_seqs, model.encoder_pair.momentum_group("vis"))
     w_mom = model.txt_agg.forward(cap_seqs, model.encoder_pair.momentum_group("txt"))
@@ -589,7 +580,8 @@ def batch_losses(state: TrainState, records: list[PairedRecord], labels: np.ndar
     if cfg.use_concept_losses:
         basis = model.concept_basis()
         v_concept = model.concept_embed(v_inst, basis, "w_visual")
-        w_concept = model.concept_embed(model.embed_captions_concept(cap_seqs), basis, "w_textual")
+        w_concept = model.concept_embed(model.txt_concept_agg.aggregate_batch(cap_seqs), basis,
+                                        "w_textual")
         concept_sim = obj.cosine_matrix(v_concept, w_concept)
         losses["l_dcl_c"] = obj.dcl_loss(concept_sim, *_diversities(cfg, concept_sim),
                                          cfg.mu, cfg.gamma)

@@ -197,8 +197,8 @@ def test_embed_for_retrieval_reuses_image_chunks_exactly():
     basis = model.concept_basis()
     chunks = [img_seqs[i:i + 128] for i in range(0, len(img_seqs), 128)]
     assert len(chunks) == 2
-    want_v = np.vstack([model.embed_images(c).value for c in chunks])
-    want_vc = np.vstack([model.concept_embed(model.embed_images(c), basis, "w_visual").value
+    want_v = np.vstack([model.vis_agg.aggregate_batch(c).value for c in chunks])
+    want_vc = np.vstack([model.concept_embed(model.vis_agg.aggregate_batch(c), basis, "w_visual").value
                          for c in chunks])
     assert np.array_equal(caption_image, want_caption_image)
     assert np.array_equal(v, want_v)
@@ -663,7 +663,7 @@ def test_flat_adam_step_rejects_a_nan_grad_before_any_parameter_changes():
     # the last parameter, so a per-parameter loop would already have moved the others
     last = list(before.values())[-1]
     last.grad = np.full(last.shape, np.nan)
-    with pytest.raises(NonFiniteError):
+    with pytest.raises(NonFiniteError, match="^adam_step: update contains non-finite entries"):
         pl._adam_update(state)
     assert all(m is before[name] for name, m in state.model.param_items())
     assert state.adam.step == 0 and not state.adam.m.any() and not state.adam.v.any()
