@@ -51,8 +51,8 @@ def contrastive_direction(scores, positives, temps, mu, gamma):
     total = 0.0
     for negs, pos, temp in zip(scores, positives, temps):
         neg_term = math.log(sum(math.exp((s - gamma) / temp) for s in negs) + 1.0)
-        total += neg_term - math.log(pos + 1.0)
-    return mu / n_anchors * total
+        total += mu * neg_term - math.log(pos + 1.0)
+    return total / n_anchors
 
 
 def main():

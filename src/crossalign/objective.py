@@ -1,8 +1,8 @@
 """Alignment objectives: diversity-weighted contrastive losses and prototypes.
 
 The contrastive family shares one direction primitive: a margin-shifted
-log-sum-exp over negatives minus the log-shifted positive, averaged over
-anchors and scaled by the temperature. Each direction is one graph node
+log-sum-exp over negatives, scaled by the temperature, minus the
+log-shifted positive, averaged over anchors. Each direction is one graph node
 with a hand-written VJP, so a training step's six directions (two
 in-batch per branch, two against the memory banks) add six nodes to the
 graph. The diversity-aware variant
@@ -125,7 +125,7 @@ def diversity_entropy(sim: SimilarityMatrix, eps: float = 0.1) -> DiversityScore
 
 def _contrastive_direction(scores: Matrix, positives: Matrix | None, div: np.ndarray | None,
                            mu: float, gamma: float) -> Matrix:
-    """(mu/N) * sum_n [log(sum_negs exp((s - gamma)/(mu*div_n)) + 1) - log(pos_n + 1)], as one node.
+    """(1/N) * sum_n [mu * log(sum_negs exp((s - gamma)/(mu*div_n)) + 1) - log(pos_n + 1)], as one node.
 
     With ``positives`` None this is the in-batch form: anchor n's positive
     is ``scores[n, n]``, the diagonal is masked out of the negatives, and
@@ -133,9 +133,11 @@ def _contrastive_direction(scores: Matrix, positives: Matrix | None, div: np.nda
     negative, ``positives`` is an [N, 1] column, and the parents are
     ``(scores, positives)``. ``div`` None weights every anchor 1.
 
-    The VJP is hand-written: with c = g*mu/N, denom_n = sum_negs z + 1 and
-    z the masked exponentials, d scores = (c/denom) * z / (mu*div), and
-    d pos = -c/(pos + 1), which the in-batch form adds to the diagonal.
+    Only the negatives' term carries the temperature weight mu; the
+    positive's term has weight 1. The VJP is hand-written: with c = g/N,
+    denom_n = sum_negs z + 1 and z the masked exponentials, d scores =
+    (c*mu/denom) * z / (mu*div), and d pos = -c/(pos + 1), which the
+    in-batch form adds to the diagonal.
     Forward and VJP keep the operation order of the same function composed
     of elementary ops, so they reproduce its value and grads bit for bit;
     the tests compare against that composition.
@@ -164,19 +166,19 @@ def _contrastive_direction(scores: Matrix, positives: Matrix | None, div: np.nda
         raise nm.NonFiniteError(f"_contrastive_direction: exp overflows float64 (largest exponent "
                                 f"{exponent.max():.4g}, mu {mu:g}, gamma {gamma:g})")
     pos_shifted = pos + 1.0
-    per_anchor = np.log(denom) - np.log(pos_shifted)
+    per_anchor = np.log(denom) * mu - np.log(pos_shifted)
 
     def vjp(g):
-        c = g[0, 0] * (mu / n)
+        c = g[0, 0] * (1.0 / n)
         d_pos = -c / pos_shifted
-        d_scores = (c / denom) * z * inv_temp
+        d_scores = (c * mu / denom) * z * inv_temp
         if in_batch:
             d_scores[np.diag_indices(n)] += d_pos[:, 0]
             return (d_scores,)
         return d_scores, d_pos
 
     parents = (scores,) if in_batch else (scores, positives)
-    return nm.node(np.array([[per_anchor.sum()]]) * (mu / n), parents, vjp)
+    return nm.node(np.array([[per_anchor.sum()]]) * (1.0 / n), parents, vjp)
 
 
 def _diag_column(scores: Matrix) -> Matrix:

@@ -193,12 +193,12 @@ def test_diversity_entropy_reference_value():
 
 def test_dcl_i_single_pair():
     loss = dcl_i_loss(_sim([[1.0]]), MU, GAMMA)
-    assert loss.item() == pytest.approx(-0.138629436112, abs=1e-9)
+    assert loss.item() == pytest.approx(-1.386294361120, abs=1e-9)
 
 
 def test_dcl_i_identity_two():
     loss = dcl_i_loss(_sim(np.eye(2)), MU, GAMMA)
-    assert loss.item() == pytest.approx(-0.128911965797, abs=1e-9)
+    assert loss.item() == pytest.approx(-1.376576890805, abs=1e-9)
 
 
 def test_dcl_i_increases_when_a_negative_rises():
@@ -248,10 +248,10 @@ def test_dcl_reference_value_with_halved_anchor_weight():
     sim = _sim(np.eye(2))
     fwd_div = DiversityScores(np.array([0.5, 1.0]), np.ones(2), np.zeros(2))
     loss = dcl_loss(sim, fwd_div, _ones_div(2), MU, GAMMA)
-    assert loss.item() == pytest.approx(-0.131217549119, abs=1e-9)
+    assert loss.item() == pytest.approx(-1.378882474127, abs=1e-9)
     # forward direction alone, via subtraction of the known backward value
     assert loss.item() - dcl_i_loss(_sim(np.eye(2)), MU, GAMMA).item() / 2 == pytest.approx(
-        -0.066761566220, abs=1e-9
+        -0.690594028724, abs=1e-9
     )
 
 
@@ -322,7 +322,7 @@ def test_m_dcl_single_anchor_orthogonal_bank():
     bank_w = MemoryBank(4, 2).enqueue(np.array([[0.0, 1.0]]))
     loss = m_dcl_loss(anchor, anchor, anchor.value, anchor.value, bank_v, bank_w,
                       *_batch_div(anchor, anchor), MU, GAMMA)
-    assert loss.item() == pytest.approx(2 * -0.064455982899, abs=1e-9)
+    assert loss.item() == pytest.approx(2 * -0.688288445403, abs=1e-9)
 
 
 def test_m_dcl_matches_in_batch_loss_on_degenerate_batch():
@@ -350,8 +350,8 @@ def test_m_dcl_saturated_easy_negatives_vanishing_neg_term():
     bank_w = MemoryBank(8, 2).enqueue(far)
     loss = m_dcl_loss(anchor, anchor, anchor.value, anchor.value, bank_v, bank_w,
                       *_batch_div(anchor, anchor), MU, GAMMA)
-    # both directions: negative term ~ log(1 + 4 e^{-13}) ~ 0, positive -mu*log 2
-    assert loss.item() == pytest.approx(2 * -MU * np.log(2.0), abs=1e-4)
+    # both directions: negative term ~ mu*log(1 + 4 e^{-13}) ~ 0, positive -log 2
+    assert loss.item() == pytest.approx(2 * -np.log(2.0), abs=1e-4)
 
 
 def test_m_dcl_rejects_empty_bank_and_size_mismatch():
@@ -445,8 +445,8 @@ def _composed_direction(scores, positives, neg_mask, div, mu, gamma):
     z = nm.exp((scores - gamma) * inv_temp)
     if neg_mask is not None:
         z = z * Matrix(neg_mask)
-    per_anchor = _log(nm.row_sum(z) + 1.0) - _log(positives + 1.0)
-    return nm.sum_all(per_anchor) * (mu / n)
+    per_anchor = _log(nm.row_sum(z) + 1.0) * mu - _log(positives + 1.0)
+    return nm.sum_all(per_anchor) * (1.0 / n)
 
 
 def _direction_case(seed, n, q):
