@@ -55,6 +55,16 @@ def contrastive_direction(scores, positives, temps, mu, gamma):
     return total / n_anchors
 
 
+def triplet_hardest(s, margin):
+    """Both directions of the hinge on each anchor's largest negative score, mean over anchors."""
+    n = len(s)
+    fw = sum(max(0.0, margin - s[a][a] + max(s[a][q] for q in range(n) if q != a))
+             for a in range(n)) / n
+    bw = sum(max(0.0, margin - s[q][q] + max(s[a][q] for a in range(n) if a != q))
+             for q in range(n)) / n
+    return fw + bw
+
+
 def main():
     mu, gamma, eps = 0.1, 0.3, 0.1
 
@@ -108,12 +118,11 @@ def main():
     # K=2, true class 0, logits (1, 0) in both modalities
     show("label_loss_logits_1_0", 2 * -math.log(sigmoid(1.0)))
 
-    # -- triplet baseline ----------------------------------------------------
-    s = [[0.9, 0.8], [0.1, 0.7]]
-    margin = 0.2
-    fw = sum(max(0.0, margin - s[n][n] + s[n][q]) for n in (0, 1) for q in (0, 1) if q != n) / 2
-    bw = sum(max(0.0, margin - s[q][q] + s[n][q]) for q in (0, 1) for n in (0, 1) if n != q) / 2
-    show("triplet_example", fw + bw)
+    # -- triplet baseline: hinge on each anchor's hardest negative (VSE++) ------
+    show("triplet_example", triplet_hardest([[0.9, 0.8], [0.1, 0.7]], 0.2))
+    # three pairs: the hardest negative differs from the sum over negatives
+    show("triplet_example_3x3", triplet_hardest(
+        [[0.9, 0.8, 0.6], [0.3, 0.7, 0.65], [0.5, 0.2, 0.4]], 0.2))
 
     # -- graph propagation ----------------------------------------------------
     # fully connected 2-node graph incl. self loops: each degree 2,

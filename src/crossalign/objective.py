@@ -210,14 +210,23 @@ def dcl_i_loss(sim: SimilarityMatrix, mu: float, gamma: float) -> Matrix:
 
 
 def triplet_baseline_loss(sim: SimilarityMatrix, margin: float) -> Matrix:
-    """VSE++-style bidirectional hinge on every negative, summed per anchor, mean over anchors."""
+    """VSE++ bidirectional hinge on each anchor's hardest negative, mean over anchors.
+
+    Per anchor and direction only the negative with the highest score
+    enters the hinge, which is the largest violation; among tied scores
+    the lowest index wins. The choice is a constant mask, so the gradient
+    reaches the positive and that one negative. A one-pair batch has no
+    negative and adds nothing.
+    """
     if margin < 0:
         raise ValueError("margin must be non-negative")
     n = _require_diagonal(sim)
-    off_diag = Matrix(1.0 - np.eye(n))
+    diagonal = np.eye(n, dtype=bool)
 
     def direction(scores: Matrix) -> Matrix:
-        hinge = nm.relu((scores - _diag_column(scores)) + margin) * off_diag
+        negs = np.where(diagonal, -np.inf, scores.value)
+        hardest = (np.arange(n) == negs.argmax(axis=1)[:, None]) & ~diagonal
+        hinge = nm.relu((scores - _diag_column(scores)) + margin) * Matrix(hardest)
         return nm.sum_all(hinge) * (1.0 / n)
 
     return direction(sim.scores) + direction(nm.transpose(sim.scores))

@@ -287,6 +287,41 @@ def test_triplet_reference_value():
     assert loss.item() == pytest.approx(0.2, abs=1e-9)
 
 
+def test_triplet_hinges_on_each_anchors_hardest_negative():
+    loss = triplet_baseline_loss(_sim([[0.9, 0.8, 0.6], [0.3, 0.7, 0.65], [0.5, 0.2, 0.4]]), 0.2)
+    # scripts/golden_values.py: triplet_example_3x3; the sum over all negatives is 0.5667
+    assert loss.item() == pytest.approx(0.433333333333, abs=1e-9)
+    # a one-pair batch has no negative
+    assert triplet_baseline_loss(_sim([[0.3]]), 0.2).item() == 0.0
+
+
+def test_triplet_hardest_negative_tie_goes_to_the_lowest_index():
+    scores = Matrix([[0.9, 0.5, 0.5], [0.1, 0.9, 0.1], [0.0, 0.0, 0.9]])
+    nm.backward(triplet_baseline_loss(SimilarityMatrix(scores, True), 1.0))
+    # rows pick columns 1, 0, 0 and columns pick rows 1, 0, 0; each pick weighs 1/3
+    picks = np.array([[0, 2, 1], [2, 0, 0], [1, 0, 0]]) / 3.0
+    off_diag = ~np.eye(3, dtype=bool)
+    assert scores.grad[off_diag] == pytest.approx(picks[off_diag], abs=1e-15)
+
+
+def _hardest_margins(scores, margin):
+    """Per anchor, both ways: the gap to the second-hardest negative and the hinge argument."""
+    out = []
+    for s in (scores, scores.T):
+        negs = np.sort(s[~np.eye(len(s), dtype=bool)].reshape(len(s), -1), axis=1)
+        out += [negs[:, -1] - negs[:, -2], margin - np.diagonal(s) + negs[:, -1]]
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_grad_check_triplet_away_from_ties(seed):
+    scores = rng_from_seed(seed, 45).uniform(-0.5, 0.5, size=(5, 5)) + np.eye(5) * 0.3
+    # a finite-difference step moves no choice of hardest negative and crosses no hinge kink
+    assert np.min(np.abs(_hardest_margins(scores, 0.2))) > 1e-3
+    assert grad_check(lambda p: triplet_baseline_loss(SimilarityMatrix(p, True), 0.2),
+                      Matrix(scores), h=1e-6) <= 1e-4
+
+
 def test_triplet_rejects_off_diagonal_positives_and_negative_margin():
     with pytest.raises(ValueError, match="diagonal positives"):
         triplet_baseline_loss(_sim(np.ones((2, 3))), 0.2)

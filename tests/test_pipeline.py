@@ -737,8 +737,8 @@ def test_train_names_where_a_row_norm_overflows(use_concept_losses, where):
 # ---------------------------------------------------------------------------
 
 # Set-up of the gate: 8 latent classes, 300x2 training and 150x2 held-out
-# pairs, 8 epochs. DCL-I beats DCL on every seed, a deviation from the
-# paper that is not gated.
+# pairs, 8 epochs. Two deviations from the paper are not gated: DCL-I
+# beats DCL on every seed, and so does the VSE++ triplet baseline.
 GATE_CONFIG = dict(seed=0, bank_capacity=128, lr=2e-4, epochs=8)
 
 
