@@ -39,7 +39,7 @@ def build_vocabulary(corpus: Sequence[Sequence[str]], g: int,
 
 
 def build_cooccurrence(corpus: Sequence[Sequence[str]], concepts: Sequence[str]) -> np.ndarray:
-    """Conditional co-occurrence: entry (i, j) is the share of captions holding concept i that hold j.
+    """Conditional co-occurrence: of the captions that hold concept i, the share that hold j.
 
     One [captions x concepts] presence matrix P counts each concept at
     most once per caption; ``P.T @ P`` holds the pair counts off its

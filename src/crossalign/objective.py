@@ -2,8 +2,8 @@
 
 The contrastive family shares one direction primitive: a margin-shifted
 log-sum-exp over negatives, scaled by the temperature, minus the
-log-shifted positive, averaged over anchors. Each direction is one graph node
-with a hand-written VJP, so a training step's six directions (two
+log-shifted positive, averaged over anchors. Each direction is one graph
+node with a hand-written VJP, so a training step's six directions (two
 in-batch per branch, two against the memory banks) add six nodes to the
 graph. The diversity-aware variant
 divides each anchor's negative exponent by ``temperature * div(anchor)``
@@ -125,7 +125,7 @@ def diversity_entropy(sim: SimilarityMatrix, eps: float = 0.1) -> DiversityScore
 
 def _contrastive_direction(scores: Matrix, positives: Matrix | None, div: np.ndarray | None,
                            mu: float, gamma: float) -> Matrix:
-    """(1/N) * sum_n [mu * log(sum_negs exp((s - gamma)/(mu*div_n)) + 1) - log(pos_n + 1)], as one node.
+    """(1/N) sum_n [mu log(sum_negs exp((s - gamma)/(mu div_n)) + 1) - log(pos_n + 1)], one node.
 
     With ``positives`` None this is the in-batch form: anchor n's positive
     is ``scores[n, n]``, the diagonal is masked out of the negatives, and

@@ -866,9 +866,10 @@ def save_checkpoint(path, state: TrainState, which: str = "best") -> None:
     """Serialize parameters, momentum mirror, config, and the concept branch's frozen input.
 
     Every array is an ``_encode`` blob, ``concept_inputs`` among them, so
-    a load redraws nothing from the config's seed. ``which="best"`` uses the best-validation snapshot when one exists,
-    otherwise the current parameters. ``epoch`` is the number of epochs run
-    when the saved parameters were taken, for either kind of save.
+    a load redraws nothing from the config's seed. ``which="best"`` uses
+    the best-validation snapshot when one exists, otherwise the current
+    parameters. ``epoch`` is the number of epochs run when the saved
+    parameters were taken, for either kind of save.
     """
     if which not in ("best", "final"):
         raise ValueError("which must be 'best' or 'final'")
@@ -940,7 +941,8 @@ def load_checkpoint(path) -> TrainState:
             raise ValueError(f"checkpoint dims {key!r} must be positive, got {dims[key]}")
     where = "checkpoint section 'concept_inputs'"
     inputs = _decode(blob["concept_inputs"], where)
-    if inputs.ndim != 2 or not 1 <= inputs.shape[0] <= cfg.concepts or inputs.shape[1] != cfg.embed_dim:
+    if (inputs.ndim != 2 or not 1 <= inputs.shape[0] <= cfg.concepts
+            or inputs.shape[1] != cfg.embed_dim):
         raise ValueError(f"{where} must have 1 to {cfg.concepts} rows of width {cfg.embed_dim}, "
                          f"got shape {list(inputs.shape)}")
     model = AlignmentModel(cfg, dims["d_img"], dims["d_txt"], inputs)

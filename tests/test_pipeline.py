@@ -198,8 +198,9 @@ def test_embed_for_retrieval_reuses_image_chunks_exactly():
     chunks = [img_seqs[i:i + 128] for i in range(0, len(img_seqs), 128)]
     assert len(chunks) == 2
     want_v = np.vstack([model.vis_agg.aggregate_batch(c).value for c in chunks])
-    want_vc = np.vstack([model.concept_embed(model.vis_agg.aggregate_batch(c), basis, "w_visual").value
-                         for c in chunks])
+    want_vc = np.vstack([
+        model.concept_embed(model.vis_agg.aggregate_batch(c), basis, "w_visual").value
+        for c in chunks])
     assert np.array_equal(caption_image, want_caption_image)
     assert np.array_equal(v, want_v)
     assert np.array_equal(vc, want_vc)
@@ -408,8 +409,8 @@ def test_loaded_checkpoint_evaluates_exactly_like_the_saved_state(d_img, d_txt, 
     (lambda blob: dict(blob, epoch="1"), "checkpoint section 'epoch' must be of type int, got str"),
     (lambda blob: dict(blob, epoch=-1), "checkpoint section 'epoch' must be non-negative, got -1"),
     (lambda blob: dict(blob, epoch=-5), "checkpoint section 'epoch' must be non-negative, got -5"),
-], ids=["list", "version_1", "version_2", "version_3", "params_list", "epoch_string", "epoch_minus_one",
-        "epoch_minus_five"])
+], ids=["list", "version_1", "version_2", "version_3", "params_list", "epoch_string",
+        "epoch_minus_one", "epoch_minus_five"])
 def test_load_checkpoint_names_a_bad_top_level(corrupt, match, tmp_path):
     path = tmp_path / "ckpt.json"
     pl.save_checkpoint(path, _tiny_state(), which="final")
