@@ -514,12 +514,8 @@ def test_load_checkpoint_names_a_corrupt_blob(section, name, corrupt, match, tmp
         pl.load_checkpoint(path)
 
 
-def _inputs_rows(blob) -> int:
-    return blob["concept_inputs"]["shape"][0]
-
-
 @pytest.mark.parametrize("corrupt, match", [
-    (lambda b: b.update(concept_inputs=pl._encode(np.zeros((_inputs_rows(b), 31)))),
+    (lambda b: b.update(concept_inputs=pl._encode(np.zeros((b["concept_inputs"]["shape"][0], 31)))),
      r"must have 1 to 24 rows of width 32, got shape \[\d+, 31\]"),
     (lambda b: b.update(concept_inputs=pl._encode(np.zeros((0, 32)))),
      r"must have 1 to 24 rows of width 32, got shape \[0, 32\]"),
