@@ -31,7 +31,11 @@ Evaluation ranks with the beta-blend of instance-level and concept-level
 cosine similarity. Its canonical form is one matmul of stacked factors,
 ``[beta*v | (1-beta)*vc] @ [w | wc].T``, formed and ranked one block of
 ``RANK_BLOCK`` captions at a time, so no [n_images x n_captions] matrix
-is ever held: extra memory is O(n_images x RANK_BLOCK).
+is ever held: extra memory is O(n_images x RANK_BLOCK). Ranks are
+counted, not sorted: a cell with score s is ahead of a target t when
+s > t, or when s == t at a lower index. Both counting passes form each
+block the same way, so every count and every target reads the same
+canonical cell values.
 """
 from __future__ import annotations
 
@@ -733,6 +737,9 @@ class StackedScores:
     ndim = 2
 
     def __init__(self, left: np.ndarray, right: np.ndarray):
+        if left.ndim != 2 or right.ndim != 2 or left.shape[1] != right.shape[1]:
+            raise ValueError("StackedScores needs two 2-D factors of equal width, "
+                             f"got shapes {left.shape} and {right.shape}")
         self.left, self.right = left, right
         self.shape = (left.shape[0], right.shape[0])
         self.size = self.shape[0] * self.shape[1]
@@ -742,22 +749,9 @@ class StackedScores:
         return self.left[rows] @ self.right[cols].T
 
 
-def _count_ahead(block: np.ndarray, target: np.ndarray, lower: np.ndarray, axis: int) -> np.ndarray:
-    """Cells of ``block`` ranked ahead of ``target``, counted along ``axis``.
-
-    A cell is ahead when it scores above the target, or equal to it with
-    ``lower`` set (a lower index than the target's own). For a target t
-    above -inf that is one comparison per cell: s > nextafter(t, -inf)
-    where ``lower`` is set and s > t elsewhere. nextafter(-inf, -inf) is
-    -inf, so the lower-index ties of a -inf target are counted apart. A
-    NaN cell is never ahead.
-    """
-    threshold = np.where(lower, np.nextafter(target, -np.inf), target)
-    ahead = np.count_nonzero(block > threshold, axis=axis)
-    floor = np.isneginf(target)
-    if floor.any():
-        ahead += np.count_nonzero(lower & floor & (block == -np.inf), axis=axis)
-    return ahead
+def _count(mask: np.ndarray, axis: int) -> np.ndarray:
+    """True cells of a boolean ``mask`` along ``axis``, as uint64."""
+    return np.add.reduce(mask.view(np.uint8), axis=axis)
 
 
 def recalls_from_similarity(scores: np.ndarray | StackedScores,
@@ -765,27 +759,38 @@ def recalls_from_similarity(scores: np.ndarray | StackedScores,
     """Recall@{1,5,10} both ways from a [n_images x n_captions] score matrix.
 
     ``caption_image[j]`` is the row index of caption j's ground-truth
-    image. Ties rank the lower candidate index first, so a rank is
-    counted rather than sorted: rank = #(s > s_gt) + #(s == s_gt and
-    idx < gt). Text to image ranks caption j's image within column j.
-    Image to text ranks an image by its best caption, the one with its
-    highest score and the lowest index among ties, within the image's
-    row; an image with no caption never hits. A NaN candidate never
-    ranks ahead, and a NaN ground-truth score is an error.
+    image. A rank is counted, not sorted: a candidate with score s is
+    ahead of a target with score t when s > t, or when s == t and the
+    candidate has the lower index, so ties rank the lower index first.
+    Text to image ranks caption j's image within column j. Image to text
+    ranks an image by its best caption, the one with its highest score
+    and the lowest index among ties, within the image's row; an image
+    with no caption never hits. A NaN candidate is never ahead, and a
+    NaN ground-truth score is an error, as is a matrix with no image or
+    no caption.
 
     ``scores`` is a dense array or a ``StackedScores``; either way it is
     read only as column blocks ``scores[:, lo:hi]`` of ``RANK_BLOCK``
-    captions, in two passes. The first takes each caption's ground-truth
-    score from its block and counts the text-to-image ranks; the second
-    counts the image-to-text ranks against each image's best caption.
-    Extra memory is O(n_images x RANK_BLOCK) in total.
+    captions, in two passes over the same blocks, so every count and
+    every target comes from the one canonical cell value. The first pass
+    takes each caption's ground-truth score t from its block and counts
+    s > t down the column; only a column with a tie besides its own cell
+    also counts its equal cells in lower rows. The second pass compares
+    each image's row with one scalar: s >= best in the blocks before its
+    best caption's, s > best after it (as s > nextafter(best, -inf) and
+    s > best). Only the rows whose best caption lies in the block, or
+    whose best is -inf (where nextafter cannot step lower), add their
+    lower-index ties exactly. Extra memory is O(n_images x RANK_BLOCK)
+    in total.
     """
     if not isinstance(scores, StackedScores):
         scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
         raise ValueError(f"scores must be a 2-D [n_images x n_captions] matrix, got {scores.ndim}-D")
-    caption_image = np.asarray(caption_image, dtype=np.int64)
     n_img, n_cap = scores.shape
+    if scores.size == 0:
+        raise ValueError(f"scores must hold at least one image and one caption, got shape {scores.shape}")
+    caption_image = np.asarray(caption_image, dtype=np.int64)
     if caption_image.shape != (n_cap,):
         raise ValueError("need one ground-truth image per caption column")
     bad = np.flatnonzero((caption_image < 0) | (caption_image >= n_img))
@@ -797,7 +802,7 @@ def recalls_from_similarity(scores: np.ndarray | StackedScores,
     cap_index = np.arange(n_cap)
     blocks = [(lo, min(lo + RANK_BLOCK, n_cap)) for lo in range(0, n_cap, RANK_BLOCK)]
     gt_score = np.empty(n_cap)
-    image_rank = np.empty(n_cap, dtype=np.int64)
+    image_rank = np.empty(n_cap, dtype=np.uint64)
     for lo, hi in blocks:
         block, gt_img = scores[:, lo:hi], caption_image[lo:hi]
         gt = block[gt_img, cap_index[:hi - lo]]
@@ -805,7 +810,11 @@ def recalls_from_similarity(scores: np.ndarray | StackedScores,
         if nan.size:
             raise ValueError(f"caption column {lo + int(nan[0])} has a NaN ground-truth score")
         gt_score[lo:hi] = gt
-        image_rank[lo:hi] = _count_ahead(block, gt, img_index < gt_img, axis=0)
+        ahead = _count(block > gt, axis=0)
+        tied = np.flatnonzero(_count(block >= gt, axis=0) - ahead > 1)
+        if tied.size:
+            ahead[tied] += _count((block[:, tied] == gt[tied]) & (img_index < gt_img[tied]), axis=0)
+        image_rank[lo:hi] = ahead
 
     best_score = np.full(n_img, -np.inf)
     np.maximum.at(best_score, caption_image, gt_score)
@@ -813,12 +822,18 @@ def recalls_from_similarity(scores: np.ndarray | StackedScores,
     best_cap = np.full(n_img, n_cap)
     np.minimum.at(best_cap, caption_image[is_best], cap_index[is_best])
 
-    best, best_col = best_score[:, None], best_cap[:, None]
-    text_rank = np.zeros(n_img, dtype=np.int64)
-    for lo, hi in blocks:
-        text_rank += _count_ahead(scores[:, lo:hi], best, cap_index[lo:hi] < best_col, axis=1)
-
     has_caption = best_cap < n_cap
+    below_best = np.nextafter(best_score, -np.inf)
+    floor = has_caption & np.isneginf(best_score)
+    text_rank = np.zeros(n_img, dtype=np.uint64)
+    for lo, hi in blocks:
+        block = scores[:, lo:hi]
+        text_rank += _count(block > np.where(best_cap >= hi, below_best, best_score)[:, None], axis=1)
+        exact = np.flatnonzero((best_cap >= lo) & ((best_cap < hi) | floor))
+        if exact.size:
+            ties = block[exact] == best_score[exact, None]
+            text_rank[exact] += _count(ties & (cap_index[lo:hi] < best_cap[exact, None]), axis=1)
+
     text = [100.0 * np.count_nonzero(has_caption & (text_rank < k)) / n_img for k in (1, 5, 10)]
     image = [100.0 * np.count_nonzero(image_rank < k) / n_cap for k in (1, 5, 10)]
     return EvalResult(*text, *image)
@@ -844,9 +859,12 @@ def evaluate(state: TrainState, data: list[PairedRecord], beta: float | None = N
 
     The blend is scored as ``L @ R.T`` with ``L = [beta*v | (1-beta)*vc]``
     and ``R = [w | wc]``, which differs from ``beta*(v @ w.T) +
-    (1-beta)*(vc @ wc.T)`` only in the last bits. ``recalls_from_similarity``
-    forms it one ``RANK_BLOCK``-caption block at a time, in two passes,
-    so extra memory is O(n_images x RANK_BLOCK) besides the embeddings.
+    (1-beta)*(vc @ wc.T)`` only in the last bits; that block product is
+    the canonical score. ``recalls_from_similarity`` forms it one
+    ``RANK_BLOCK``-caption block at a time, the same way in both of its
+    passes, and counts each rank: a cell is ahead of the ground truth
+    when s > t, or when s == t at a lower index. Extra memory is
+    O(n_images x RANK_BLOCK) besides the embeddings.
     """
     if not data:
         raise ValueError("evaluation split is empty")

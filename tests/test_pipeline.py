@@ -164,10 +164,92 @@ def test_recalls_name_the_global_column_of_a_nan_ground_truth(monkeypatch):
     (np.zeros((3, 4)), np.array([0, 1, -1, 2]), "caption column 2 names image -1"),
     (np.zeros((3, 4)), np.array([0, 3, 5, 2]), r"caption column 1 names image 3, outside \[0, 3\)"),
     (np.array([[0.0, np.nan], [1.0, 1.0]]), np.array([0, 0]), "caption column 1 has a NaN"),
+    (np.zeros((3, 0)), np.zeros(0, dtype=int), r"at least one image and one caption, got shape \(3, 0\)"),
+    (np.zeros((0, 2)), np.zeros(2, dtype=int), r"at least one image and one caption, got shape \(0, 2\)"),
+    (pl.StackedScores(np.zeros((0, 2)), np.zeros((4, 2))), np.zeros(4, dtype=int), r"got shape \(0, 4\)"),
 ])
 def test_recalls_reject_bad_input(scores, caption_image, match):
     with pytest.raises(ValueError, match=match):
         pl.recalls_from_similarity(scores, caption_image)
+
+
+@pytest.mark.parametrize("left, right", [
+    (np.zeros((3, 2)), np.zeros((4, 3))),
+    (np.zeros(3), np.zeros((4, 1))),
+    (np.zeros((3, 2)), np.zeros((4, 2, 1))),
+])
+def test_stacked_scores_reject_factors_that_do_not_multiply(left, right):
+    with pytest.raises(ValueError, match=r"StackedScores needs two 2-D factors of equal width"):
+        pl.StackedScores(left, right)
+
+
+TIE_CASES = ("duplicate_captions", "duplicate_images", "best_at_block_edges", "neg_inf_best",
+             "images_without_captions")
+
+
+def _planted_ties(case, block, seed):
+    """Scores with exact ties planted on both sides of block boundaries.
+
+    Three blocks and one column: [0, block), [block, 2 block),
+    [2 block, 3 block), [3 block]. Image rows are nonzero integers, so a
+    caption row of 20x an image's row tops that image's row; image rows
+    of norm 10 sqrt(2) also top the column of such a caption. Returns the
+    ``StackedScores`` of integer factors, or a dense matrix for the -inf
+    case, whose products would otherwise be NaN, and the dense scores.
+    """
+    rng = rng_from_seed(seed, 43)
+    n_img, n_cap = 9, 3 * block + 1
+    left = (rng.integers(1, 10, size=(n_img, 2)) * rng.choice([-1, 1], size=(n_img, 2))).astype(np.float64)
+    right = rng.integers(-9, 10, size=(n_cap, 2)).astype(np.float64)
+    caption_image = rng.integers(0, n_img, size=n_cap)
+
+    if case == "duplicate_captions":
+        # a lower-index twin of another image scores level with its best caption
+        for a, b in ((0, 1), (block - 1, block), (block + 1, n_cap - 1)):
+            right[a] = right[b] = 20 * left[caption_image[b]]
+    elif case == "duplicate_images":
+        # twin images and twin captions: ties down the column and along the row
+        for i1, i2, c1, c2 in ((0, 1, 0, 1), (2, 3, block - 1, block)):
+            left[i1] = left[i2] = 10 * rng.choice([-1, 1], size=2)
+            caption_image[[c1, c2]] = i1, i2
+            right[c1] = right[c2] = 20 * left[i1]
+    elif case == "best_at_block_edges":
+        # each image's one caption, tied by the columns either side of it
+        for i, c in ((0, block), (1, 3 * block - 1)):
+            caption_image[caption_image == i] = n_img - 1
+            caption_image[c] = i
+            right[c - 1] = right[c] = right[c + 1] = 20 * left[i]
+    elif case == "images_without_captions":
+        # images 0-3 have none; image 0 twins image 4 above it in 4's column
+        caption_image = rng.integers(4, n_img, size=n_cap)
+        left[0] = left[4] = 10 * rng.choice([-1, 1], size=2)
+        caption_image[block] = 4
+        right[block] = 20 * left[4]
+    dense = left @ right.T
+    if case != "neg_inf_best":
+        return pl.StackedScores(left, right), dense, caption_image
+    # rows of NaN, which is never ahead, so only the -inf cells set rank these images
+    caption_image[np.isin(caption_image, (0, 2))] = 3
+    dense[[0, 2]] = np.nan
+    # image 0's captions score -inf in the third block, as do two cells in
+    # earlier blocks (rank 2) and one after them
+    caption_image[[2 * block, 2 * block + 1]] = 0
+    dense[0, [1, block, 2 * block, 2 * block + 1, n_cap - 1]] = -np.inf
+    # image 2's one caption scores -inf in the first block, as do one cell
+    # before it (rank 1) and two after it
+    caption_image[1] = 2
+    dense[2, [0, 1, block + 1, n_cap - 1]] = -np.inf
+    return dense, dense, caption_image
+
+
+@pytest.mark.parametrize("block", [3, pl.RANK_BLOCK])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", TIE_CASES)
+def test_planted_ties_match_argsort_reference(case, seed, block, monkeypatch):
+    monkeypatch.setattr(pl, "RANK_BLOCK", block)
+    scores, dense, caption_image = _planted_ties(case, block, seed)
+    assert np.array_equal(scores[:, 0:dense.shape[1]], dense, equal_nan=True)
+    assert pl.recalls_from_similarity(scores, caption_image) == reference_recalls(dense, caption_image)
 
 
 # ---------------------------------------------------------------------------
