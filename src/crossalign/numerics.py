@@ -37,7 +37,7 @@ class Matrix:
             arr = arr.reshape(1, -1)
         if arr.ndim != 2:
             raise ValueError(f"Matrix must be 2-D, got {arr.ndim}-D input")
-        _check_finite(arr)
+        _check_finite(arr, "Matrix")
         arr.setflags(write=False)
         self.value = arr
         self.grad: np.ndarray | None = None
@@ -103,9 +103,9 @@ class NonFiniteError(ValueError):
     """An operation produced or received NaN/Inf entries."""
 
 
-def _check_finite(arr: np.ndarray) -> None:
+def _check_finite(arr: np.ndarray, op: str) -> None:
     if not np.isfinite(arr).all():
-        raise NonFiniteError("matrix contains non-finite entries")
+        raise NonFiniteError(f"{op}: matrix contains non-finite entries")
 
 
 def node(values: np.ndarray, parents: tuple[Matrix, ...], vjp) -> Matrix:
@@ -405,7 +405,7 @@ def grad_check(loss_fn: Callable[[Matrix], Matrix], params: Matrix, h: float = 1
         raise ValueError("step size h must be positive")
     leaf = Matrix(params.value)
     out = loss_fn(leaf)
-    _check_finite(out.value)
+    _check_finite(out.value, "grad_check")
     backward(out)
     analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
 

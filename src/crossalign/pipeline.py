@@ -28,10 +28,15 @@ parameters with one Adam step over their concatenation, moves the
 momentum mirror, and feeds the momentum embeddings into the queues.
 
 Evaluation ranks with the beta-blend of instance-level and concept-level
-cosine similarity. Its canonical form is one matmul of stacked factors,
+cosine similarity. Images and captions are embedded in chunks of at most
+``EMBED_ROWS`` stacked feature rows; each caption chunk is stacked once
+for both caption encoders and its concept query follows. The canonical
+score is one matmul of stacked factors,
 ``[beta*v | (1-beta)*vc] @ [w | wc].T``, formed and ranked one block of
 ``RANK_BLOCK`` captions at a time, so no [n_images x n_captions] matrix
-is ever held: extra memory is O(n_images x RANK_BLOCK). Ranks are
+is ever held: besides the embeddings, extra memory is
+O(n_images x RANK_BLOCK) for ranking plus O(EMBED_ROWS x d) for
+embedding, d the widest feature or embedding row. Ranks are
 counted, not sorted: a cell with score s is ahead of a target t when
 s > t, or when s == t at a lower index. Both counting passes form each
 block the same way, so every count and every target reads the same
@@ -57,6 +62,8 @@ from .representation import EncoderPair, FeatureAggregator, MemoryBank, named_pa
 CHECKPOINT_VERSION = 4
 # caption columns ranked at once by recalls_from_similarity
 RANK_BLOCK = 256
+# stacked feature rows embedded at once by embed_for_retrieval and _instance_sums
+EMBED_ROWS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +139,16 @@ class TrainConfig:
     triplet_margin: float = 0.2
 
     def validate(self) -> None:
+        """Raise ``ValueError`` naming the first field not of its annotated type or out of range.
+
+        A bool is no int, and an int is a float.
+        """
         for f in fields(self):
             value = getattr(self, f.name)
+            kinds = _TYPES[f.type]
+            if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+                raise ValueError(f"invalid config: {f.name} must be {f.type}, "
+                                 f"got {type(value).__name__} {value!r}")
             # false for inf, NaN and an int beyond the float64 range alike
             if f.type == "float" and not abs(value) <= sys.float_info.max:
                 raise ValueError(f"invalid config: {f.name} must be finite, got {value!r}")
@@ -171,22 +186,17 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, values: dict) -> "TrainConfig":
         """A validated config from JSON values; a float field also takes an int, an int field no bool."""
-        kinds = {f.name: f.type for f in fields(cls)}
-        unknown = sorted(set(values) - kinds.keys())
+        unknown = sorted(set(values) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config fields: {', '.join(unknown)}")
-        for name, value in values.items():
-            if type(value) not in _JSON_TYPES[kinds[name]]:
-                raise ValueError(f"invalid config: {name} must be {kinds[name]}, "
-                                 f"got {type(value).__name__} {value!r}")
         cfg = cls(**values)
         cfg.validate()
         return cfg
 
 
-# the exact JSON value types each TrainConfig annotation accepts
-_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,),
-               "int | None": (int, type(None))}
+# the value types each TrainConfig annotation accepts
+_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,),
+          "int | None": (int, type(None))}
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +578,10 @@ def batch_losses(state: TrainState, records: list[PairedRecord], labels: np.ndar
     v_inst = model.vis_agg.aggregate_batch(img_seqs)
     w_inst = model.txt_agg.aggregate_batch(cap_seqs)
     # the momentum encoders take no gradient, so they build no graph
-    v_mom = model.vis_agg.forward(img_seqs, model.encoder_pair.momentum_group("vis"))
-    w_mom = model.txt_agg.forward(cap_seqs, model.encoder_pair.momentum_group("txt"))
+    v_mom = model.vis_agg.forward(model.vis_agg.stack(img_seqs),
+                                  model.encoder_pair.momentum_group("vis"))
+    w_mom = model.txt_agg.forward(model.txt_agg.stack(cap_seqs),
+                                  model.encoder_pair.momentum_group("txt"))
 
     sim = obj.cosine_matrix(v_inst, w_inst)
     # DCL and the memory loss share one diversity estimate; both queues fill together
@@ -618,15 +630,28 @@ def _unique_images(records: list[PairedRecord]):
     return order, seqs, caption_image
 
 
-def _embed_chunked(embed_fn, seqs, chunk: int = 128) -> np.ndarray:
-    return np.vstack([embed_fn(seqs[i:i + chunk]) for i in range(0, len(seqs), chunk)])
+def _stacks(agg: FeatureAggregator, seqs):
+    """``agg.stack`` of each run of consecutive ``seqs`` holding at most ``EMBED_ROWS`` rows, lazily.
+
+    A run ends before the sequence that would take it past the budget, so
+    a sequence longer than the budget is a run of its own.
+    """
+    start = rows = 0
+    for i, seq in enumerate(seqs):
+        if rows and rows + len(seq) > EMBED_ROWS:
+            yield agg.stack(seqs[start:i])
+            start, rows = i, 0
+        rows += len(seq)
+    yield agg.stack(seqs[start:])
 
 
 def _instance_sums(state: TrainState, records: list[PairedRecord]) -> np.ndarray:
     """v + w per record from the main encoders, for prototype clustering."""
+    model = state.model
     _, img_seqs, caption_image = _unique_images(records)
-    v = _embed_chunked(state.model.vis_agg.forward, img_seqs)
-    w = _embed_chunked(state.model.txt_agg.forward, [r.caption_features for r in records])
+    v = np.vstack([model.vis_agg.forward(stacked) for stacked in _stacks(model.vis_agg, img_seqs)])
+    w = np.vstack([model.txt_agg.forward(stacked) for stacked in
+                   _stacks(model.txt_agg, [r.caption_features for r in records])])
     return v[caption_image] + w
 
 
@@ -840,18 +865,28 @@ def recalls_from_similarity(scores: np.ndarray | StackedScores,
 
 
 def embed_for_retrieval(state: TrainState, data: list[PairedRecord]):
-    """Instance and concept embeddings for every unique image and caption."""
+    """Instance and concept embeddings for every unique image and caption.
+
+    Returns ``(image_ids, caption_image, v, w, vc, wc)``. Sequences are
+    embedded in runs of at most ``EMBED_ROWS`` stacked feature rows
+    (``_stacks``): each caption run is stacked once and read by both
+    caption encoders, and each run's concept query follows its encoders.
+    Besides the embeddings, extra memory is O(EMBED_ROWS x d), d the
+    widest feature or embedding row.
+    """
     model = state.model
     image_ids, img_seqs, caption_image = _unique_images(data)
-    cap_seqs = [r.caption_features for r in data]
-    v = _embed_chunked(model.vis_agg.forward, img_seqs)
-    w = _embed_chunked(model.txt_agg.forward, cap_seqs)
     basis = model.concept_basis()
-    # the visual concept query is the instance embedding, chunk for chunk
-    vc = _embed_chunked(lambda rows: model.concept_embed(Matrix(rows), basis, "w_visual").value, v)
-    wc = _embed_chunked(lambda s: model.concept_embed(
-        Matrix(model.txt_concept_agg.forward(s)), basis, "w_textual").value, cap_seqs)
-    return image_ids, caption_image, v, w, vc, wc
+    v, w, vc, wc = [], [], [], []
+    for stacked in _stacks(model.vis_agg, img_seqs):
+        v.append(model.vis_agg.forward(stacked))
+        # the visual concept query is the instance embedding
+        vc.append(model.concept_embed(Matrix(v[-1]), basis, "w_visual").value)
+    for stacked in _stacks(model.txt_agg, [r.caption_features for r in data]):
+        w.append(model.txt_agg.forward(stacked))
+        wc.append(model.concept_embed(Matrix(model.txt_concept_agg.forward(stacked)), basis,
+                                      "w_textual").value)
+    return image_ids, caption_image, *(np.vstack(parts) for parts in (v, w, vc, wc))
 
 
 def evaluate(state: TrainState, data: list[PairedRecord], beta: float | None = None) -> EvalResult:
@@ -863,8 +898,9 @@ def evaluate(state: TrainState, data: list[PairedRecord], beta: float | None = N
     the canonical score. ``recalls_from_similarity`` forms it one
     ``RANK_BLOCK``-caption block at a time, the same way in both of its
     passes, and counts each rank: a cell is ahead of the ground truth
-    when s > t, or when s == t at a lower index. Extra memory is
-    O(n_images x RANK_BLOCK) besides the embeddings.
+    when s > t, or when s == t at a lower index. Besides the embeddings,
+    extra memory is O(n_images x RANK_BLOCK) for ranking plus
+    O(EMBED_ROWS x d) for embedding (``embed_for_retrieval``).
     """
     if not data:
         raise ValueError("evaluation split is empty")

@@ -8,10 +8,15 @@ are plain dot products. One plain-numpy pass computes all of that:
 ``FeatureAggregator.aggregate_batch`` wraps it in a single graph node
 with a hand-written VJP for training, and ``FeatureAggregator.forward``
 returns its embeddings with no node for the encoders that take no
-gradient. A momentum copy of the encoder parameters follows the
+gradient. ``FeatureAggregator.stack`` is the one check and stacking of
+input sequences: ``aggregate_batch`` stacks its list itself, and
+``forward`` takes a ``stack`` result, so encoders of one input width can
+share one stack. A momentum copy of the encoder parameters follows the
 trainable ones by EMA and feeds the FIFO memory banks.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -19,8 +24,12 @@ from . import numerics as nm
 from .numerics import Matrix
 
 
+@functools.lru_cache(maxsize=64)
 def positional_encoding_table(length: int, d_p: int) -> np.ndarray:
-    """Row p < length: sin(u_j * p) in even and cos(u_j * p) in odd columns, u_j = 10000^(-2j / d_p)."""
+    """Row p < length: sin(u_j * p) in even and cos(u_j * p) in odd columns, u_j = 10000^(-2j / d_p).
+
+    Computed once per ``(length, d_p)``; the table is read-only.
+    """
     if length < 1:
         raise ValueError("table length must be at least 1")
     if d_p % 2 != 0 or d_p <= 0:
@@ -31,6 +40,7 @@ def positional_encoding_table(length: int, d_p: int) -> np.ndarray:
     out = np.empty((length, d_p))
     out[:, 0::2] = np.sin(angles)
     out[:, 1::2] = np.cos(angles)
+    out.setflags(write=False)
     return out
 
 
@@ -66,8 +76,11 @@ class FeatureAggregator:
             "dec_b2": Matrix(np.ones((1, 1))),
         }
 
-    def _stack(self, seqs) -> tuple[np.ndarray, np.ndarray]:
-        """The sequences' rows stacked into one [sum of lengths, d_in] array, and the lengths."""
+    def stack(self, seqs) -> tuple[np.ndarray, np.ndarray]:
+        """The sequences' rows stacked into one [sum of lengths, d_in] array, and the lengths.
+
+        Each sequence must be a nonempty 2-D array of width ``d_in``.
+        """
         if len(seqs) == 0:
             raise ValueError("aggregate_batch needs at least one sequence")
         arrs = []
@@ -80,17 +93,22 @@ class FeatureAggregator:
             arrs.append(arr)
         return np.concatenate(arrs), np.array([a.shape[0] for a in arrs], dtype=np.int64)
 
-    def forward(self, seqs, params: dict[str, np.ndarray] | None = None) -> np.ndarray:
-        """Unit embeddings [len(seqs), out_dim] as a plain array, with no graph node.
+    def forward(self, stacked: tuple[np.ndarray, np.ndarray],
+                params: dict[str, np.ndarray] | None = None) -> np.ndarray:
+        """Unit embeddings [n, out_dim] of the n sequences in a ``stack`` result, with no graph node.
 
         For encoders that take no gradient: the momentum mirror (its
         arrays as ``params``), clustering and evaluation. ``params`` None
         uses the values of the trainable parameters. The result is
-        bit for bit the value of ``aggregate_batch``.
+        bit for bit the value of ``aggregate_batch`` on the stacked
+        sequences, which any aggregator of the same ``d_in`` may stack.
         """
+        x, lengths = stacked
+        if x.shape[1] != self.d_in:
+            raise ValueError(f"stacked feature dim {x.shape[1]} != aggregator d_in {self.d_in}")
         if params is None:
             params = {k: m.value for k, m in self.p.items()}
-        return _forward(*self._stack(seqs), params, self.d_p)[0]
+        return _forward(x, lengths, params, self.d_p)[0]
 
     def aggregate_batch(self, seqs, params: dict[str, Matrix] | None = None) -> Matrix:
         """Embed several sequences at once as one graph node; returns [len(seqs), out_dim].
@@ -109,7 +127,7 @@ class FeatureAggregator:
         the tests compare against it.
         """
         p = self.p if params is None else params
-        x, lengths = self._stack(seqs)
+        x, lengths = self.stack(seqs)
         out, (pe, pre, hidden, row_w, position, projected, norms) = _forward(
             x, lengths, {k: m.value for k, m in p.items()}, self.d_p)
         w2 = p["dec_w2"].value

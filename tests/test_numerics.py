@@ -138,9 +138,9 @@ def test_softmax_rows_sum_to_one(seed):
 
 
 def test_matrix_rejects_non_finite():
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(nm.NonFiniteError, match="^Matrix: matrix contains non-finite entries"):
         Matrix([[np.nan, 1.0]])
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(nm.NonFiniteError, match="^Matrix: "):
         Matrix([[np.inf]])
 
 

@@ -288,6 +288,53 @@ def test_embed_for_retrieval_reuses_image_chunks_exactly():
     assert np.array_equal(vc, want_vc)
 
 
+def test_embed_for_retrieval_stacks_each_row_budget_chunk_once(monkeypatch):
+    budget = 30
+    monkeypatch.setattr(pl, "EMBED_ROWS", budget)
+    world = pl.build_world(4, 0)
+    state = pl.build_state(pl.TrainConfig(seed=0, epochs=1),
+                           pl.generate_synthetic(20, 2, 4, seed=1, world=world))
+    model = state.model
+    val = pl.generate_synthetic(12, 3, 4, seed=2, split="val", world=world)
+    long_caption = rng_from_seed(3).standard_normal((budget + 15, 48))
+    val[7].caption_features = long_caption
+    stacked = []
+    stack = FeatureAggregator.stack
+    monkeypatch.setattr(FeatureAggregator, "stack",
+                        lambda agg, seqs: stacked.append((agg, seqs)) or stack(agg, seqs))
+
+    _, caption_image, v, w, vc, wc = pl.embed_for_retrieval(state, val)
+
+    img_chunks = [seqs for agg, seqs in stacked if agg is model.vis_agg]
+    cap_chunks = [seqs for agg, seqs in stacked if agg is model.txt_agg]
+    # one stack per chunk: the concept encoder reads the caption encoder's
+    assert len(img_chunks) + len(cap_chunks) == len(stacked)
+    _, img_seqs, _ = pl._unique_images(val)
+    for chunks, seqs in ((img_chunks, img_seqs), (cap_chunks, [r.caption_features for r in val])):
+        flat = [seq for chunk in chunks for seq in chunk]
+        assert len(flat) == len(seqs) and all(a is b for a, b in zip(flat, seqs))
+        rows = [sum(len(seq) for seq in chunk) for chunk in chunks]
+        assert all(n <= budget or len(chunk) == 1 for n, chunk in zip(rows, chunks))
+        # a chunk ends only where its next sequence would take it past the budget
+        assert all(n + len(after[0]) > budget for n, after in zip(rows, chunks[1:]))
+        assert len(chunks) >= 2 and rows[-1] < budget
+    assert any(len(chunk) == 1 and chunk[0] is long_caption for chunk in cap_chunks)
+
+    basis = model.concept_basis()
+
+    def per_chunk(agg, chunks, weight=None):
+        parts = [agg.aggregate_batch(chunk) for chunk in chunks]
+        if weight is not None:
+            parts = [model.concept_embed(part, basis, weight) for part in parts]
+        return np.vstack([part.value for part in parts])
+
+    assert np.array_equal(v, per_chunk(model.vis_agg, img_chunks))
+    assert np.array_equal(w, per_chunk(model.txt_agg, cap_chunks))
+    assert np.array_equal(vc, per_chunk(model.vis_agg, img_chunks, "w_visual"))
+    assert np.array_equal(wc, per_chunk(model.txt_concept_agg, cap_chunks, "w_textual"))
+    assert np.array_equal(pl._instance_sums(state, val), v[caption_image] + w)
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -510,10 +557,17 @@ def test_load_checkpoint_names_a_bad_top_level(corrupt, match, tmp_path):
     ("mu", False, "float"),
     ("lr_drop_epoch", 1.0, "int | None"),
     ("diversity_estimator", 1, "str"),
+    ("batch_size", 32.0, "int"),
+    ("epochs", True, "int"),
+    ("lr_drop_epoch", 2.5, "int | None"),
 ])
-@pytest.mark.parametrize("via", ["from_dict", "load_checkpoint"])
+@pytest.mark.parametrize("via", ["validate", "from_dict", "load_checkpoint"])
 def test_config_names_a_mistyped_field(via, name, value, kind, tmp_path):
     match = rf"invalid config: {name} must be {re.escape(kind)}, got {type(value).__name__}"
+    if via == "validate":
+        with pytest.raises(ValueError, match=match):
+            pl.TrainConfig(**{name: value}).validate()
+        return
     if via == "from_dict":
         with pytest.raises(ValueError, match=match):
             pl.TrainConfig.from_dict({name: value})

@@ -49,6 +49,12 @@ def test_positional_table_equals_stacked_rows(d_p, length):
     assert np.array_equal(table, formula)
 
 
+def test_positional_table_is_computed_once_per_shape_and_read_only():
+    table = positional_encoding_table(7, 8)
+    assert positional_encoding_table(7, 8) is table and not table.flags.writeable
+    assert positional_encoding_table(7, 4) is not table
+
+
 def test_positional_encoding_rejects_odd_dim():
     with pytest.raises(ValueError, match="even"):
         positional_encoding_table(4, 5)
@@ -149,12 +155,12 @@ def test_aggregate_batch_equals_the_composed_graph_bit_for_bit(kind, seed):
 def test_forward_equals_the_node_value_bit_for_bit(kind):
     agg, pair = _pair()
     seqs = _batch(kind, rng_from_seed(24))
-    assert agg.forward(seqs).tobytes() == agg.aggregate_batch(seqs).value.tobytes()
+    assert agg.forward(agg.stack(seqs)).tobytes() == agg.aggregate_batch(seqs).value.tobytes()
     agg.p["proj"] = Matrix(agg.p["proj"].value * 0.5)
     pair.momentum_update(0.7)
     momentum = pair.momentum_group("enc")
     want = agg.aggregate_batch(seqs, {k: Matrix(v) for k, v in momentum.items()}).value
-    assert agg.forward(seqs, momentum).tobytes() == want.tobytes()
+    assert agg.forward(agg.stack(seqs), momentum).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -163,7 +169,7 @@ def test_forward_against_loop(seed):
     rng = rng_from_seed(seed, 25)
     agg.p["dec_b1"] = Matrix(rng.standard_normal((1, 4)))
     seqs = [rng.standard_normal((int(rng.integers(1, 7)), 6)) for _ in range(6)]
-    assert np.max(np.abs(agg.forward(seqs) - _loop_aggregate(agg, seqs))) <= 1e-12
+    assert np.max(np.abs(agg.forward(agg.stack(seqs)) - _loop_aggregate(agg, seqs))) <= 1e-12
 
 
 def _train_digest(cfg, data, val) -> str:
@@ -184,8 +190,9 @@ def test_seeded_training_is_bit_identical_with_the_composed_aggregator(instance_
     val = pl.generate_synthetic(8, 2, 4, seed=5, split="val")
     fused = _train_digest(cfg, data, val)
     monkeypatch.setattr(FeatureAggregator, "aggregate_batch", composed_aggregate)
-    monkeypatch.setattr(FeatureAggregator, "forward",
-                        lambda agg, seqs, params=None: composed_aggregate(agg, seqs, params).value)
+    monkeypatch.setattr(FeatureAggregator, "forward", lambda agg, stacked, params=None:
+                        composed_aggregate(agg, np.split(stacked[0], np.cumsum(stacked[1])[:-1]),
+                                           params).value)
     assert _train_digest(cfg, data, val) == fused
 
 
@@ -227,7 +234,7 @@ def test_aggregate_output_is_unit_norm(seed):
     assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) <= 1e-12
 
 
-@pytest.mark.parametrize("method", ["aggregate_batch", "forward"])
+@pytest.mark.parametrize("method", ["aggregate_batch", "stack"])
 def test_aggregate_rejects_empty_input(method):
     embed = getattr(_aggregator(), method)
     with pytest.raises(ValueError, match="at least one sequence"):
@@ -237,11 +244,17 @@ def test_aggregate_rejects_empty_input(method):
             embed([np.ones((2, 6)), bad])
 
 
-@pytest.mark.parametrize("method", ["aggregate_batch", "forward"])
+@pytest.mark.parametrize("method", ["aggregate_batch", "stack"])
 def test_aggregate_rejects_wrong_feature_dim(method):
     embed = getattr(_aggregator(), method)
     with pytest.raises(ValueError, match="d_in"):
         embed([np.ones((3, 5))])
+
+
+def test_forward_rejects_a_stack_of_another_width():
+    stacked = _aggregator(d_in=5).stack([np.ones((3, 5))])
+    with pytest.raises(ValueError, match="stacked feature dim 5 != aggregator d_in 6"):
+        _aggregator().forward(stacked)
 
 
 def _overflowing(stage):
@@ -276,7 +289,7 @@ def test_non_finite_stage_is_named(stage):
     match = f"^aggregate_batch: {stage} has non-finite entries"
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(nm.NonFiniteError, match=match):
-            agg.forward([seq], params)
+            agg.forward(agg.stack([seq]), params)
         with pytest.raises(nm.NonFiniteError, match=match):
             agg.aggregate_batch([seq], {k: Matrix(v) for k, v in params.items()})
 
@@ -368,7 +381,7 @@ def test_momentum_forward_matches_main_after_full_copy():
     pair.momentum_update(0.0)
     seq = rng_from_seed(12).standard_normal((4, 6))
     main_out = agg.aggregate_batch([seq]).value
-    mom_out = agg.forward([seq], pair.momentum_group("enc"))
+    mom_out = agg.forward(agg.stack([seq]), pair.momentum_group("enc"))
     assert np.array_equal(main_out, mom_out)
 
 
@@ -378,7 +391,7 @@ def test_momentum_forward_builds_no_graph_node(monkeypatch):
     node = nm.node
     monkeypatch.setattr(nm, "node", lambda *args: built.append(args) or node(*args))
     seq = rng_from_seed(13).standard_normal((3, 6))
-    out = agg.forward([seq], pair.momentum_group("enc"))
+    out = agg.forward(agg.stack([seq]), pair.momentum_group("enc"))
     assert type(out) is np.ndarray and out.shape == (1, 8) and built == []
     agg.aggregate_batch([seq])
     assert len(built) == 1  # the spy sees the node that the trainable encoder builds
