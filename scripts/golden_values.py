@@ -87,6 +87,9 @@ def main():
     h = -sum(q * math.log2(q) for q in p)
     show("entropy_bits_2_0", h)
     show("div_ent_pre_norm_2_0", diversity_pre_norm(h, eps))
+    # the weight of a zero-entropy anchor (pre-norm 1) beside one of h bits is 1/pre(h)
+    show("div_ent_zero_beside_2_0", pre_flat / diversity_pre_norm(h, eps))
+    show("div_ent_zero_beside_1_bit", pre_flat / diversity_pre_norm(1.0, eps))
     # entropy column values for the two-anchor diversity report fixture
     h_flat = -sum(q * math.log2(q) for q in softmax([0.5, 0.5]))
     h_spread = -sum(q * math.log2(q) for q in softmax([0.5, 0.7]))

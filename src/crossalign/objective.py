@@ -69,15 +69,6 @@ def cosine_matrix(a: Matrix, b: Matrix) -> SimilarityMatrix:
 # diversity estimation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DiversityScores:
-    """Per-anchor diversity weights in (0, 1] with their raw ingredients."""
-
-    values: np.ndarray
-    pre_norm: np.ndarray
-    spread: np.ndarray
-
-
 def _negative_rows(sim: SimilarityMatrix) -> np.ndarray:
     """Each anchor's negative similarities: [N, N-1] without the diagonal, or all [N, Q]."""
     vals = sim.scores.value
@@ -93,13 +84,14 @@ def _sigmoid_vec(x: np.ndarray) -> np.ndarray:
                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
 
-def _weights_from_spread(spread: np.ndarray, eps: float) -> DiversityScores:
+def _weights_from_spread(spread: np.ndarray, eps: float) -> np.ndarray:
+    """Per-anchor weights in (0, 1]: 1 / sigmoid(eps / spread), divided by its batch max."""
     # zero spread is the limit eps/spread -> inf, where the weight is 1
     pre = np.where(spread > 0.0, 1.0 / _sigmoid_vec(eps / np.where(spread > 0.0, spread, 1.0)), 1.0)
-    return DiversityScores(pre / pre.max(), pre, spread)
+    return pre / pre.max()
 
 
-def diversity_std(sim: SimilarityMatrix, eps: float = 0.1) -> DiversityScores:
+def diversity_std(sim: SimilarityMatrix, eps: float = 0.1) -> np.ndarray:
     """Diversity from the population standard deviation of negative similarities."""
     if not eps > 0.0:
         raise ValueError("eps must be positive")
@@ -108,7 +100,7 @@ def diversity_std(sim: SimilarityMatrix, eps: float = 0.1) -> DiversityScores:
     return _weights_from_spread(spread, eps)
 
 
-def diversity_entropy(sim: SimilarityMatrix, eps: float = 0.1) -> DiversityScores:
+def diversity_entropy(sim: SimilarityMatrix, eps: float = 0.1) -> np.ndarray:
     """Diversity from the base-2 entropy of the softmax over negative similarities."""
     if not eps > 0.0:
         raise ValueError("eps must be positive")
@@ -186,8 +178,8 @@ def _diag_column(scores: Matrix) -> Matrix:
     return nm.row_sum(scores * Matrix(eye))
 
 
-def dcl_loss(sim: SimilarityMatrix, div_anchor_fwd: DiversityScores | None,
-             div_anchor_bwd: DiversityScores | None, mu: float, gamma: float) -> Matrix:
+def dcl_loss(sim: SimilarityMatrix, div_anchor_fwd: np.ndarray | None,
+             div_anchor_bwd: np.ndarray | None, mu: float, gamma: float) -> Matrix:
     """Bidirectional contrastive loss with per-anchor diversity temperatures.
 
     Forward anchors (rows) use ``div_anchor_fwd``; the transposed
@@ -197,11 +189,8 @@ def dcl_loss(sim: SimilarityMatrix, div_anchor_fwd: DiversityScores | None,
     if not mu > 0.0:
         raise ValueError("temperature mu must be positive")
     _require_diagonal(sim)
-
-    def direction(scores: Matrix, div: DiversityScores | None) -> Matrix:
-        return _contrastive_direction(scores, None, None if div is None else div.values, mu, gamma)
-
-    return direction(sim.scores, div_anchor_fwd) + direction(nm.transpose(sim.scores), div_anchor_bwd)
+    return (_contrastive_direction(sim.scores, None, div_anchor_fwd, mu, gamma)
+            + _contrastive_direction(nm.transpose(sim.scores), None, div_anchor_bwd, mu, gamma))
 
 
 def dcl_i_loss(sim: SimilarityMatrix, mu: float, gamma: float) -> Matrix:
@@ -232,13 +221,13 @@ def triplet_baseline_loss(sim: SimilarityMatrix, margin: float) -> Matrix:
     return direction(sim.scores) + direction(nm.transpose(sim.scores))
 
 
-def _estimate(sim: SimilarityMatrix, estimator: str, eps: float) -> DiversityScores:
+def _estimate(sim: SimilarityMatrix, estimator: str, eps: float) -> np.ndarray:
     """Diversity weights by the named estimator.
 
     A one-pair batch has no negatives; its weight is the zero-spread limit 1.
     """
     if sim.diagonal and sim.scores.rows == 1:
-        return _weights_from_spread(np.zeros(1), eps)
+        return np.ones(1)
     if estimator == "std":
         return diversity_std(sim, eps)
     if estimator == "entropy":
@@ -248,10 +237,9 @@ def _estimate(sim: SimilarityMatrix, estimator: str, eps: float) -> DiversitySco
 
 def m_dcl_loss(batch_v: Matrix, batch_w: Matrix, momentum_pos_v: np.ndarray,
                momentum_pos_w: np.ndarray,
-               bank_v: MemoryBank, bank_w: MemoryBank, div_anchor_fwd: DiversityScores,
-               div_anchor_bwd: DiversityScores, mu: float, gamma: float,
-               *, estimator: str = "std", eps: float = 0.1,
-               fixed_diversity: tuple[np.ndarray, np.ndarray] | None = None) -> Matrix:
+               bank_v: MemoryBank, bank_w: MemoryBank, div_anchor_fwd: np.ndarray,
+               div_anchor_bwd: np.ndarray, mu: float, gamma: float,
+               *, estimator: str = "std", eps: float = 0.1) -> Matrix:
     """Contrastive loss of in-batch anchors against memory-bank negatives.
 
     Each anchor's positive is the momentum-encoded embedding of its own
@@ -260,8 +248,7 @@ def m_dcl_loss(batch_v: Matrix, batch_w: Matrix, momentum_pos_v: np.ndarray,
     product. Per anchor, the diversity weight is the mean of the estimate
     over the anchor's bank scores and the in-batch pair ``dcl_loss`` takes
     too. No gradient flows into bank rows, momentum positives, or
-    diversity weights; ``fixed_diversity`` pins the per-direction weights
-    outright, which the finite-difference checks rely on.
+    diversity weights.
     """
     if not mu > 0.0:
         raise ValueError("temperature mu must be positive")
@@ -271,7 +258,7 @@ def m_dcl_loss(batch_v: Matrix, batch_w: Matrix, momentum_pos_v: np.ndarray,
         raise ValueError(f"batch sizes differ: {batch_v.rows} vs {batch_w.rows}")
 
     def one_direction(anchors: Matrix, momentum_pos: np.ndarray, bank: MemoryBank,
-                      div_batch: DiversityScores, pinned_div: np.ndarray | None) -> Matrix:
+                      div_batch: np.ndarray) -> Matrix:
         pos_rows = np.asarray(momentum_pos, dtype=np.float64)
         if pos_rows.shape != (anchors.rows, anchors.cols):
             raise ValueError("momentum positives must match the anchor batch shape")
@@ -279,16 +266,11 @@ def m_dcl_loss(batch_v: Matrix, batch_w: Matrix, momentum_pos_v: np.ndarray,
         bank_sims = anchors @ Matrix(bank.view()).T
         positives = nm.row_sum(anchors * Matrix(pos_rows))
 
-        if pinned_div is None:
-            div_bank = _estimate(SimilarityMatrix(bank_sims, False), estimator, eps).values
-            div = (div_batch.values + div_bank) / 2.0
-        else:
-            div = pinned_div
+        div = (div_batch + _estimate(SimilarityMatrix(bank_sims, False), estimator, eps)) / 2.0
         return _contrastive_direction(bank_sims, positives, div, mu, gamma)
 
-    pin_v, pin_w = fixed_diversity if fixed_diversity is not None else (None, None)
-    return (one_direction(batch_v, momentum_pos_w, bank_w, div_anchor_fwd, pin_v)
-            + one_direction(batch_w, momentum_pos_v, bank_v, div_anchor_bwd, pin_w))
+    return (one_direction(batch_v, momentum_pos_w, bank_w, div_anchor_fwd)
+            + one_direction(batch_w, momentum_pos_v, bank_v, div_anchor_bwd))
 
 
 # ---------------------------------------------------------------------------

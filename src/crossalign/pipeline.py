@@ -212,7 +212,6 @@ class SyntheticWorld:
 
     latent_classes: int
     attrs_per_class: int
-    d_latent: int
     attr_latents: np.ndarray          # [classes, attrs_per_class, d_latent]
     distractor_latents: np.ndarray    # [len(DISTRACTOR_TOKENS), d_latent]
     proj_img: np.ndarray              # [d_latent, d_img]
@@ -244,8 +243,7 @@ def build_world(latent_classes: int, seed: int, *, d_img: int = 48, d_txt: int =
     if d_img == d_txt:
         a = modality_alignment
         proj_txt = a * proj_img + np.sqrt(1.0 - a * a) * proj_txt
-    return SyntheticWorld(latent_classes, attrs_per_class, d_latent, attr, distract,
-                          proj_img, proj_txt)
+    return SyntheticWorld(latent_classes, attrs_per_class, attr, distract, proj_img, proj_txt)
 
 
 def generate_synthetic(n_images: int, captions_per_image: int = 1, latent_classes: int = 8,
@@ -283,20 +281,15 @@ def generate_synthetic(n_images: int, captions_per_image: int = 1, latent_classe
         image = image + noise * rng.standard_normal(image.shape)
         image_id = f"{split}-c{cls}-i{i:05d}"
         for k in range(captions_per_image):
-            tokens = [world.attr_token(cls, int(s)) for s in slots]
             n_distract = int(rng.integers(1, 3))
             picks = rng.choice(len(DISTRACTOR_TOKENS), size=n_distract, replace=False)
-            tokens = tokens + [DISTRACTOR_TOKENS[int(p)] for p in picks]
+            tokens = ([world.attr_token(cls, int(s)) for s in slots]
+                      + [DISTRACTOR_TOKENS[int(p)] for p in picks])
+            # each token's latent row, shuffled together with the tokens
+            token_latents = np.concatenate([latents, world.distractor_latents[picks]])
             order = rng.permutation(len(tokens))
             tokens = [tokens[int(o)] for o in order]
-            token_latents = []
-            for tok in tokens:
-                if tok.startswith("cls"):
-                    c, s = tok[3:].split("attr")
-                    token_latents.append(world.attr_latents[int(c), int(s)])
-                else:
-                    token_latents.append(world.distractor_latents[DISTRACTOR_TOKENS.index(tok)])
-            caption = np.stack(token_latents) @ world.proj_txt
+            caption = token_latents[order] @ world.proj_txt
             records.append(PairedRecord(f"{image_id}-cap{k}", image_id, image, tokens, caption))
     return records
 
@@ -874,6 +867,8 @@ def embed_for_retrieval(state: TrainState, data: list[PairedRecord]):
     Besides the embeddings, extra memory is O(EMBED_ROWS x d), d the
     widest feature or embedding row.
     """
+    if not data:
+        raise ValueError("evaluation split is empty")
     model = state.model
     image_ids, img_seqs, caption_image = _unique_images(data)
     basis = model.concept_basis()
@@ -902,8 +897,6 @@ def evaluate(state: TrainState, data: list[PairedRecord], beta: float | None = N
     extra memory is O(n_images x RANK_BLOCK) for ranking plus
     O(EMBED_ROWS x d) for embedding (``embed_for_retrieval``).
     """
-    if not data:
-        raise ValueError("evaluation split is empty")
     beta = state.config.beta if beta is None else beta
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
@@ -979,8 +972,10 @@ def load_checkpoint(path) -> TrainState:
         blob = json.load(fh)
     if type(blob) is not dict:
         raise ValueError(f"checkpoint: the top level must be an object, got {type(blob).__name__}")
-    if blob.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {blob.get('version')!r}")
+    version = blob.get("version")
+    # 4.0 == 4, so the type is checked too
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version!r}")
     for section, want in (("epoch", int), ("config", dict), ("dims", dict), ("params", dict),
                           ("momentum", dict), ("concept_inputs", dict)):
         if section not in blob:

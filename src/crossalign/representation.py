@@ -65,9 +65,7 @@ class FeatureAggregator:
             raise ValueError("positional dimension must be even")
         rng = rng if rng is not None else nm.rng_from_seed(0)
         self.d_in = d_in
-        self.out_dim = out_dim
         self.d_p = d_p
-        self.hidden = hidden
         self.p: dict[str, Matrix] = {
             "proj": Matrix(rng.standard_normal((d_in, out_dim)) / np.sqrt(d_in)),
             "dec_w1": Matrix(rng.standard_normal((d_p, hidden)) / np.sqrt(d_p)),
@@ -82,7 +80,7 @@ class FeatureAggregator:
         Each sequence must be a nonempty 2-D array of width ``d_in``.
         """
         if len(seqs) == 0:
-            raise ValueError("aggregate_batch needs at least one sequence")
+            raise ValueError("stack needs at least one sequence")
         arrs = []
         for seq in seqs:
             arr = np.asarray(seq, dtype=np.float64)
@@ -110,7 +108,7 @@ class FeatureAggregator:
             params = {k: m.value for k, m in self.p.items()}
         return _forward(x, lengths, params, self.d_p)[0]
 
-    def aggregate_batch(self, seqs, params: dict[str, Matrix] | None = None) -> Matrix:
+    def aggregate_batch(self, seqs) -> Matrix:
         """Embed several sequences at once as one graph node; returns [len(seqs), out_dim].
 
         All sequences are stacked into one [sum of lengths, d_in] array
@@ -120,17 +118,16 @@ class FeatureAggregator:
         longest sequence and shorter ones use a prefix of its weights,
         which is exact because the weights depend only on position.
 
-        The node's parents are the five parameters (``params``, default
-        ``self.p``) and its VJP is hand-written. Forward and VJP repeat,
-        op for op, the graph the same pass composed of elementary ops
-        would build, so value and grads equal that graph's bit for bit;
-        the tests compare against it.
+        The node's parents are the five parameters in ``self.p`` and its
+        VJP is hand-written. Forward and VJP repeat, op for op, the graph
+        the same pass composed of elementary ops would build, so value
+        and grads equal that graph's bit for bit; the tests compare
+        against it.
         """
-        p = self.p if params is None else params
         x, lengths = self.stack(seqs)
         out, (pe, pre, hidden, row_w, position, projected, norms) = _forward(
-            x, lengths, {k: m.value for k, m in p.items()}, self.d_p)
-        w2 = p["dec_w2"].value
+            x, lengths, {k: m.value for k, m in self.p.items()}, self.d_p)
+        w2 = self.p["dec_w2"].value
 
         def vjp(g):
             g_pooled = nm.unit_rows_vjp(g, out, norms)
@@ -141,7 +138,7 @@ class FeatureAggregator:
             return (x.T @ (spread * row_w), pe.T @ g_pre, g_pre.sum(axis=0, keepdims=True),
                     hidden.T @ g_theta, g_theta.sum(axis=0, keepdims=True))
 
-        return nm.node(out, tuple(p[k] for k in PARAM_NAMES), vjp)
+        return nm.node(out, tuple(self.p[k] for k in PARAM_NAMES), vjp)
 
 
 def _finite(stage: str, arr: np.ndarray) -> np.ndarray:

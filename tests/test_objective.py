@@ -9,7 +9,6 @@ from crossalign import numerics as nm
 from crossalign import objective
 from crossalign.numerics import Matrix, grad_check, rng_from_seed
 from crossalign.objective import (
-    DiversityScores,
     SimilarityMatrix,
     _contrastive_direction,
     _estimate,
@@ -79,24 +78,23 @@ def test_diagonal_needs_a_square_matrix():
 # ---------------------------------------------------------------------------
 
 def test_diversity_std_zero_spread_limit():
-    sim = _sim([[0.5, 0.5]], diagonal=False)
-    out = diversity_std(sim)
-    assert out.spread[0] == 0.0
-    assert out.pre_norm[0] == 1.0
+    assert diversity_std(_sim([[0.5, 0.5]], diagonal=False)).tolist() == [1.0]
+    assert diversity_std(_sim([[0.5, 0.5], [0.2, 0.2]], diagonal=False)).tolist() == [1.0, 1.0]
 
 
 def test_diversity_std_reference_value():
-    sim = _sim([[0.5, 0.7]], diagonal=False)
-    out = diversity_std(sim, eps=0.1)
-    assert out.spread[0] == pytest.approx(0.1, abs=1e-12)
-    assert out.pre_norm[0] == pytest.approx(1.367879441171, abs=1e-9)
+    # spread 0.1 beside a zero-spread anchor, whose weight before normalisation is 1
+    out = diversity_std(_sim([[0.5, 0.7], [0.5, 0.5]], diagonal=False), eps=0.1)
+    assert out[0] == 1.0
+    # scripts/golden_values.py: div_pre_norm_sd_0.1
+    assert 1.0 / out[1] == pytest.approx(1.367879441171, abs=1e-9)
 
 
 def test_diversity_std_normalized_pair():
     sim = _sim([[0.5, 0.5], [0.5, 0.7]], diagonal=False)
     out = diversity_std(sim, eps=0.1)
-    assert out.values == pytest.approx(np.array([0.731058578630, 1.0]), abs=1e-9)
-    assert out.values.max() == 1.0
+    assert out == pytest.approx(np.array([0.731058578630, 1.0]), abs=1e-9)
+    assert out.max() == 1.0
 
 
 def test_sigmoid_vec_reference_values_and_stable_tails():
@@ -113,8 +111,7 @@ def test_diversity_requires_negatives():
         diversity_entropy(sim)
     # a one-pair batch gets the zero-spread limit weight instead
     for estimator in ("std", "entropy"):
-        out = _estimate(sim, estimator, 0.1)
-        assert [out.values.tolist(), out.pre_norm.tolist(), out.spread.tolist()] == [[1.0], [1.0], [0.0]]
+        assert _estimate(sim, estimator, 0.1).tolist() == [1.0]
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -124,18 +121,19 @@ def test_diversity_std_closed_form_and_range(seed):
     n, q = int(rng.integers(2, 7)), int(rng.integers(2, 9))
     sim = _sim(rng.uniform(-1.0, 1.0, size=(n, max(n, q))))
     out = diversity_std(sim, eps=0.1)
-    closed = np.where(out.spread > 0, 1.0 + np.exp(-0.1 / np.where(out.spread > 0, out.spread, 1.0)), 1.0)
-    assert np.max(np.abs(out.pre_norm - closed)) <= 1e-12
-    assert out.values.max() == 1.0
-    assert np.all(out.values > 0.0) and np.all(out.values <= 1.0)
-    assert np.all(out.pre_norm >= 1.0) and np.all(out.pre_norm < 2.0)
+    spread = _loop_spreads(sim)[0]
+    closed = np.where(spread > 0, 1.0 + np.exp(-0.1 / np.where(spread > 0, spread, 1.0)), 1.0)
+    assert np.max(np.abs(out - closed / closed.max())) <= 1e-12
+    assert out.max() == 1.0
+    # the weights before normalisation lie in [1, 2), so none falls to 1/2
+    assert np.all(out > 0.5) and np.all(out <= 1.0)
 
 
 def test_diversity_monotone_in_spread_at_equal_mean():
     # same negative mean 0.5, spreads 0.0 < 0.1 < 0.3
     sim = _sim([[0.5, 0.5], [0.4, 0.6], [0.2, 0.8]], diagonal=False)
-    pre = diversity_std(sim).pre_norm
-    assert pre[0] <= pre[1] <= pre[2]
+    out = diversity_std(sim)
+    assert out[0] <= out[1] <= out[2]
 
 
 def _loop_spreads(sim):
@@ -161,30 +159,33 @@ def test_diversity_matches_per_row_loop(shape, diagonal, seed):
     sim = _sim(rng_from_seed(seed, 46).uniform(-1.0, 1.0, size=shape), diagonal)
     std, ent = _loop_spreads(sim)
     for got, spread in ((diversity_std(sim, eps=0.1), std), (diversity_entropy(sim, eps=0.1), ent)):
-        assert got.spread.shape == (shape[0],)
-        np.testing.assert_allclose(got.spread, spread, rtol=1e-12, atol=0.0)
+        assert got.shape == (shape[0],)
         pre = np.where(spread > 0, 1.0 + np.exp(-0.1 / np.where(spread > 0, spread, 1.0)), 1.0)
-        np.testing.assert_allclose(got.pre_norm, pre, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(got.values, pre / pre.max(), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got, pre / pre.max(), rtol=1e-12, atol=0.0)
+
+
+# exp(-1000) underflows to 0, so this anchor's softmax puts all its mass on
+# one negative: zero bits, and a weight of 1 before normalisation
+ZERO_ENTROPY_ROW = [0.0, -1000.0]
 
 
 def test_diversity_entropy_uniform_negatives():
-    sim = _sim([[0.3, 0.3]], diagonal=False)
-    out = diversity_entropy(sim)
-    assert out.spread[0] == pytest.approx(1.0, abs=1e-12)  # one bit
+    out = diversity_entropy(_sim([[0.3, 0.3], ZERO_ENTROPY_ROW], diagonal=False), eps=0.1)
+    assert out[0] == 1.0
+    # one bit; scripts/golden_values.py: div_ent_zero_beside_1_bit
+    assert out[1] == pytest.approx(0.524979187479, abs=1e-9)
 
 
 def test_diversity_entropy_single_negative_limit():
-    sim = _sim([[0.4]], diagonal=False)
-    out = diversity_entropy(sim)
-    assert out.spread[0] == 0.0
-    assert out.pre_norm[0] == 1.0
+    assert diversity_entropy(_sim([[0.4]], diagonal=False)).tolist() == [1.0]
+    assert diversity_entropy(_sim([[0.4], [0.9]], diagonal=False)).tolist() == [1.0, 1.0]
 
 
 def test_diversity_entropy_reference_value():
-    sim = _sim([[2.0, 0.0]], diagonal=False)
-    out = diversity_entropy(sim, eps=0.1)
-    assert out.spread[0] == pytest.approx(0.527065341003, abs=1e-9)
+    out = diversity_entropy(_sim([[2.0, 0.0], ZERO_ENTROPY_ROW], diagonal=False), eps=0.1)
+    assert out[0] == 1.0
+    # 0.527065341003 bits; scripts/golden_values.py: div_ent_zero_beside_2_0
+    assert out[1] == pytest.approx(0.547290672460, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -219,16 +220,12 @@ def test_dcl_i_rejects_bad_positive_and_temperature():
         dcl_i_loss(_sim(np.ones((2, 3))), MU, GAMMA)
 
 
-def _ones_div(n):
-    return DiversityScores(np.ones(n), np.ones(n), np.zeros(n))
-
-
 def test_dcl_reduces_to_insensitive_with_unit_diversity():
     rng = rng_from_seed(2)
     for _ in range(20):
         n = int(rng.integers(2, 9))
         sim = _sim(rng.uniform(-0.9, 0.9, size=(n, n)) + np.eye(n) * 0.5)
-        full = dcl_loss(sim, _ones_div(n), _ones_div(n), MU, GAMMA).item()
+        full = dcl_loss(sim, np.ones(n), np.ones(n), MU, GAMMA).item()
         plain = dcl_i_loss(sim, MU, GAMMA).item()
         assert abs(full - plain) <= 1e-12
 
@@ -239,15 +236,14 @@ def test_dcl_single_negative_batches_degenerate_to_insensitive():
     sim = _sim(rng.uniform(-0.5, 0.5, size=(2, 2)) + np.eye(2) * 0.4)
     div_f = diversity_std(sim)
     div_b = diversity_std(sim.transposed())
-    assert np.array_equal(div_f.values, np.ones(2))
+    assert np.array_equal(div_f, np.ones(2))
     full = dcl_loss(sim, div_f, div_b, MU, GAMMA).item()
     assert full == pytest.approx(dcl_i_loss(sim, MU, GAMMA).item(), abs=1e-15)
 
 
 def test_dcl_reference_value_with_halved_anchor_weight():
     sim = _sim(np.eye(2))
-    fwd_div = DiversityScores(np.array([0.5, 1.0]), np.ones(2), np.zeros(2))
-    loss = dcl_loss(sim, fwd_div, _ones_div(2), MU, GAMMA)
+    loss = dcl_loss(sim, np.array([0.5, 1.0]), np.ones(2), MU, GAMMA)
     assert loss.item() == pytest.approx(-1.378882474127, abs=1e-9)
     # forward direction alone, via subtraction of the known backward value
     assert loss.item() - dcl_i_loss(_sim(np.eye(2)), MU, GAMMA).item() / 2 == pytest.approx(
@@ -256,9 +252,8 @@ def test_dcl_reference_value_with_halved_anchor_weight():
 
 
 def test_dcl_rejects_nonpositive_diversity():
-    bad = DiversityScores(np.array([0.0, 1.0]), np.ones(2), np.zeros(2))
     with pytest.raises(ValueError, match="diversity"):
-        dcl_loss(_sim(np.eye(2)), bad, _ones_div(2), MU, GAMMA)
+        dcl_loss(_sim(np.eye(2)), np.array([0.0, 1.0]), np.ones(2), MU, GAMMA)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -272,13 +267,11 @@ def test_losses_are_permutation_equivariant(seed):
         dcl_i_loss(_sim(s), MU, GAMMA).item(), abs=1e-12
     )
     div_f, div_b = diversity_std(_sim(s)), diversity_std(_sim(s).transposed())
-    div_fp = DiversityScores(div_f.values[perm], div_f.pre_norm[perm], div_f.spread[perm])
-    div_bp = DiversityScores(div_b.values[perm], div_b.pre_norm[perm], div_b.spread[perm])
-    assert dcl_loss(_sim(sp), div_fp, div_bp, MU, GAMMA).item() == pytest.approx(
+    assert dcl_loss(_sim(sp), div_f[perm], div_b[perm], MU, GAMMA).item() == pytest.approx(
         dcl_loss(_sim(s), div_f, div_b, MU, GAMMA).item(), abs=1e-12
     )
     # permuted diversity equals diversity of the permuted matrix
-    assert np.max(np.abs(diversity_std(_sim(sp)).values - div_fp.values)) <= 1e-12
+    assert np.max(np.abs(diversity_std(_sim(sp)) - div_f[perm])) <= 1e-12
 
 
 def test_triplet_reference_value():
@@ -339,16 +332,6 @@ def _batch_div(v, w):
     """The in-batch diversity pair of unit rows v, w, as DCL and the memory loss share it."""
     sim = cosine_matrix(v, w)
     return _estimate(sim, "std", 0.1), _estimate(sim.transposed(), "std", 0.1)
-
-
-def _mem_diversity(v, w, bank):
-    """Per-direction diversity exactly as the memory loss averages it."""
-    def one(anchors, batch):
-        bank_div = diversity_std(SimilarityMatrix(Matrix(anchors.value @ bank.view().T), False)).values
-        return (batch.values + bank_div) / 2.0
-
-    fwd, bwd = _batch_div(v, w)
-    return one(v, fwd), one(w, bwd)
 
 
 def test_m_dcl_single_anchor_orthogonal_bank():
@@ -419,7 +402,7 @@ def test_m_dcl_bank_rows_receive_no_gradient():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", range(2))
-def test_grad_checks_through_losses(seed):
+def test_grad_checks_through_losses(seed, monkeypatch):
     rng = rng_from_seed(seed, 43)
     n, f = 5, 6
     v = Matrix(rng.standard_normal((n, f)))
@@ -442,16 +425,22 @@ def test_grad_checks_through_losses(seed):
     bank.enqueue(_unit_rows(rng, 7, f))
     pos_v, pos_w = _unit_rows(rng, n, f), _unit_rows(rng, n, f)
     div = _batch_div(v_unit, w_unit)
-    base = m_dcl_loss(v_unit, w_unit, pos_v, pos_w, bank, bank, *div, MU, GAMMA)
-    pinned = _mem_diversity(v_unit, w_unit, bank)
+    bank_div = [diversity_std(SimilarityMatrix(Matrix(a.value @ bank.view().T), False))
+                for a in (v_unit, w_unit)]
+    # each direction weighs an anchor by the mean of its in-batch and its bank diversity
+    want = sum(_contrastive_direction(Matrix(a.value @ bank.view().T),
+                                      Matrix((a.value * pos).sum(axis=1, keepdims=True)),
+                                      (batch + in_bank) / 2.0, MU, GAMMA).item()
+               for a, pos, batch, in_bank in zip((v_unit, w_unit), (pos_w, pos_v), div, bank_div))
+    assert m_dcl_loss(v_unit, w_unit, pos_v, pos_w, bank, bank, *div, MU, GAMMA).item() == \
+        pytest.approx(want, abs=1e-15)
+    # the bank weights stay at the base point's while p moves
+    pinned = itertools.cycle(bank_div)
+    monkeypatch.setattr(objective, "_estimate", lambda sim, estimator, eps: next(pinned))
 
     def mem_of_v(p):
-        return m_dcl_loss(nm.l2_normalize_rows(p), w_unit, pos_v, pos_w, bank, bank, *div, MU, GAMMA,
-                          fixed_diversity=pinned)
+        return m_dcl_loss(nm.l2_normalize_rows(p), w_unit, pos_v, pos_w, bank, bank, *div, MU, GAMMA)
 
-    # the pinned weights must reproduce the unpinned loss at the base point
-    assert m_dcl_loss(v_unit, w_unit, pos_v, pos_w, bank, bank, *div, MU, GAMMA,
-                      fixed_diversity=pinned).item() == pytest.approx(base.item(), abs=1e-15)
     assert grad_check(mem_of_v, v, h=1e-5) <= 1e-4
 
     classifier = Matrix(rng.standard_normal((4, f)))

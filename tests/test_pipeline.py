@@ -335,6 +335,11 @@ def test_embed_for_retrieval_stacks_each_row_budget_chunk_once(monkeypatch):
     assert np.array_equal(pl._instance_sums(state, val), v[caption_image] + w)
 
 
+def test_embed_for_retrieval_names_an_empty_split():
+    with pytest.raises(ValueError, match="^evaluation split is empty$"):
+        pl.embed_for_retrieval(_tiny_state(), [])
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -377,11 +382,24 @@ def test_evaluate_peak_memory_stays_below_one_dense_score_matrix():
 
 
 # ---------------------------------------------------------------------------
-# dataset files and checkpoints
+# synthetic data, dataset files and checkpoints
 # ---------------------------------------------------------------------------
 
 def _bits(arr) -> bytes:
     return np.ascontiguousarray(arr, dtype="<f8").tobytes()
+
+
+def test_synthetic_caption_features_project_their_token_latents_in_order():
+    world = pl.build_world(4, 0)
+    latent = {world.attr_token(c, s): world.attr_latents[c, s]
+              for c in range(world.latent_classes) for s in range(world.attrs_per_class)}
+    latent.update(zip(pl.DISTRACTOR_TOKENS, world.distractor_latents))
+    data = pl.generate_synthetic(30, 3, 4, seed=2, world=world)
+    for r in data:
+        want = np.stack([latent[t] for t in r.caption_tokens]) @ world.proj_txt
+        assert _bits(r.caption_features) == _bits(want)
+    # the tokens are shuffled: some caption does not end in its distractors
+    assert any(r.caption_tokens[-1].startswith("cls") for r in data)
 
 
 def test_dataset_round_trip_is_bit_exact(tmp_path):
@@ -534,12 +552,13 @@ def test_loaded_checkpoint_evaluates_exactly_like_the_saved_state(d_img, d_txt, 
     (lambda blob: dict(blob, version=1), "unsupported checkpoint version 1"),
     (lambda blob: dict(blob, version=2), "unsupported checkpoint version 2"),
     (lambda blob: dict(blob, version=3), "unsupported checkpoint version 3"),
+    (lambda blob: dict(blob, version=4.0), "unsupported checkpoint version 4.0"),
     (lambda blob: dict(blob, params=[]), "checkpoint section 'params' must be of type dict, got list"),
     (lambda blob: dict(blob, epoch="1"), "checkpoint section 'epoch' must be of type int, got str"),
     (lambda blob: dict(blob, epoch=-1), "checkpoint section 'epoch' must be non-negative, got -1"),
     (lambda blob: dict(blob, epoch=-5), "checkpoint section 'epoch' must be non-negative, got -5"),
-], ids=["list", "version_1", "version_2", "version_3", "params_list", "epoch_string",
-        "epoch_minus_one", "epoch_minus_five"])
+], ids=["list", "version_1", "version_2", "version_3", "version_float", "params_list",
+        "epoch_string", "epoch_minus_one", "epoch_minus_five"])
 def test_load_checkpoint_names_a_bad_top_level(corrupt, match, tmp_path):
     path = tmp_path / "ckpt.json"
     pl.save_checkpoint(path, _tiny_state(), which="final")
@@ -679,12 +698,14 @@ def test_load_checkpoint_names_bad_concept_inputs(corrupt, match, tmp_path):
 # training
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("instance_loss", ["dcl", "dcl_i", "triplet"])
-def test_train_runs_every_branch_deterministically(instance_loss, tmp_path):
+@pytest.mark.parametrize("instance_loss, estimator", [
+    ("dcl", "std"), ("dcl_i", "std"), ("triplet", "std"), ("dcl", "entropy"),
+], ids=["dcl", "dcl_i", "triplet", "dcl_entropy"])
+def test_train_runs_every_branch_deterministically(instance_loss, estimator, tmp_path):
     # 33 pairs in batches of 16 leave a one-pair final batch, and 40
     # clusters exceed the 33 records
     cfg = pl.TrainConfig(seed=0, epochs=2, batch_size=16, k_clusters=40,
-                         instance_loss=instance_loss)
+                         instance_loss=instance_loss, diversity_estimator=estimator)
     data = pl.generate_synthetic(33, 1, 4, seed=5)
     val = pl.generate_synthetic(6, 2, 4, seed=5, split="val")
     state, rows = pl.train(cfg, data, val)

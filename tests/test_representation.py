@@ -139,11 +139,11 @@ def test_aggregate_batch_equals_the_composed_graph_bit_for_bit(kind, seed):
     probe = Matrix(rng.standard_normal((len(seqs), 8)))
     outs, grads = [], []
     for build in (FeatureAggregator.aggregate_batch, composed_aggregate):
-        params = {k: Matrix(m.value) for k, m in agg.p.items()}
-        out = build(agg, seqs, params)
+        agg.p = {k: Matrix(m.value) for k, m in agg.p.items()}
+        out = build(agg, seqs)
         backward(nm.sum_all(out * probe))
         outs.append(out.value.tobytes())
-        grads.append([params[k].grad.tobytes() for k in PARAM_NAMES])
+        grads.append([agg.p[k].grad.tobytes() for k in PARAM_NAMES])
     if kind == "small_norm_row":
         pooled = composed_aggregate(agg, seqs)._parents[0].value
         assert np.linalg.norm(pooled[1]) < nm._SMALL_NORM
@@ -159,7 +159,8 @@ def test_forward_equals_the_node_value_bit_for_bit(kind):
     agg.p["proj"] = Matrix(agg.p["proj"].value * 0.5)
     pair.momentum_update(0.7)
     momentum = pair.momentum_group("enc")
-    want = agg.aggregate_batch(seqs, {k: Matrix(v) for k, v in momentum.items()}).value
+    agg.p = {k: Matrix(v) for k, v in momentum.items()}
+    want = agg.aggregate_batch(seqs).value
     assert agg.forward(agg.stack(seqs), momentum).tobytes() == want.tobytes()
 
 
@@ -237,7 +238,7 @@ def test_aggregate_output_is_unit_norm(seed):
 @pytest.mark.parametrize("method", ["aggregate_batch", "stack"])
 def test_aggregate_rejects_empty_input(method):
     embed = getattr(_aggregator(), method)
-    with pytest.raises(ValueError, match="at least one sequence"):
+    with pytest.raises(ValueError, match="^stack needs at least one sequence"):
         embed([])
     for bad in (np.zeros((0, 6)), np.ones(6), np.ones((2, 3, 6))):
         with pytest.raises(ValueError, match="nonempty 2-D array"):
@@ -290,8 +291,9 @@ def test_non_finite_stage_is_named(stage):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(nm.NonFiniteError, match=match):
             agg.forward(agg.stack([seq]), params)
+        agg.p = {k: Matrix(v) for k, v in params.items()}
         with pytest.raises(nm.NonFiniteError, match=match):
-            agg.aggregate_batch([seq], {k: Matrix(v) for k, v in params.items()})
+            agg.aggregate_batch([seq])
 
 
 @pytest.mark.parametrize("name", PARAM_NAMES)
@@ -302,9 +304,8 @@ def test_gradients_flow_through_aggregate(name):
     probe = Matrix(rng.standard_normal((2, 8)))
 
     def loss_fn(p):
-        params = dict(agg.p)
-        params[name] = p
-        return nm.sum_all(agg.aggregate_batch(seqs, params=params) * probe)
+        agg.p[name] = p
+        return nm.sum_all(agg.aggregate_batch(seqs) * probe)
 
     assert grad_check(loss_fn, agg.p[name], h=1e-5) <= 1e-4
 
