@@ -90,13 +90,6 @@ def main():
     # the weight of a zero-entropy anchor (pre-norm 1) beside one of h bits is 1/pre(h)
     show("div_ent_zero_beside_2_0", pre_flat / diversity_pre_norm(h, eps))
     show("div_ent_zero_beside_1_bit", pre_flat / diversity_pre_norm(1.0, eps))
-    # entropy column values for the two-anchor diversity report fixture
-    h_flat = -sum(q * math.log2(q) for q in softmax([0.5, 0.5]))
-    h_spread = -sum(q * math.log2(q) for q in softmax([0.5, 0.7]))
-    show("report_entropy_bits", [h_flat, h_spread])
-    pre_ent = [diversity_pre_norm(h_flat, eps), diversity_pre_norm(h_spread, eps)]
-    m = max(pre_ent)
-    show("report_div_ent", [pre_ent[0] / m, pre_ent[1] / m])
 
     # -- contrastive losses -------------------------------------------------
     # single pair, no negatives, positive similarity 1, both directions

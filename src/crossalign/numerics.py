@@ -33,8 +33,6 @@ class Matrix:
         arr = np.array(values, dtype=np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
-        elif arr.ndim == 1:
-            arr = arr.reshape(1, -1)
         if arr.ndim != 2:
             raise ValueError(f"Matrix must be 2-D, got {arr.ndim}-D input")
         _check_finite(arr, "Matrix")
@@ -69,23 +67,14 @@ class Matrix:
     def __add__(self, other):
         return add(self, _as_matrix(other))
 
-    def __radd__(self, other):
-        return add(_as_matrix(other), self)
-
     def __sub__(self, other):
         return add(self, neg(_as_matrix(other)))
 
     def __rsub__(self, other):
         return add(_as_matrix(other), neg(self))
 
-    def __neg__(self):
-        return neg(self)
-
     def __mul__(self, other):
         return mul(self, _as_matrix(other))
-
-    def __rmul__(self, other):
-        return mul(_as_matrix(other), self)
 
     def __truediv__(self, other):
         if isinstance(other, Matrix):

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import numerics as nm
 from .numerics import Matrix
-from .representation import MemoryBank
 
 
 @dataclass
@@ -79,15 +78,12 @@ def _negative_rows(sim: SimilarityMatrix) -> np.ndarray:
     return vals
 
 
-def _sigmoid_vec(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-
 def _weights_from_spread(spread: np.ndarray, eps: float) -> np.ndarray:
     """Per-anchor weights in (0, 1]: 1 / sigmoid(eps / spread), divided by its batch max."""
-    # zero spread is the limit eps/spread -> inf, where the weight is 1
-    pre = np.where(spread > 0.0, 1.0 / _sigmoid_vec(eps / np.where(spread > 0.0, spread, 1.0)), 1.0)
+    # zero spread is the limit eps/spread -> inf, where the weight is 1; x > 0, and the reciprocal
+    # of sigmoid(x) = 1/(1 + exp(-x)) is kept as such: 1 + exp(-x) can differ in the last bit
+    x = eps / np.where(spread > 0.0, spread, 1.0)
+    pre = np.where(spread > 0.0, 1.0 / (1.0 / (1.0 + np.exp(-x))), 1.0)
     return pre / pre.max()
 
 
@@ -237,14 +233,15 @@ def _estimate(sim: SimilarityMatrix, estimator: str, eps: float) -> np.ndarray:
 
 def m_dcl_loss(batch_v: Matrix, batch_w: Matrix, momentum_pos_v: np.ndarray,
                momentum_pos_w: np.ndarray,
-               bank_v: MemoryBank, bank_w: MemoryBank, div_anchor_fwd: np.ndarray,
+               bank_v: np.ndarray, bank_w: np.ndarray, div_anchor_fwd: np.ndarray,
                div_anchor_bwd: np.ndarray, mu: float, gamma: float,
                *, estimator: str = "std", eps: float = 0.1) -> Matrix:
     """Contrastive loss of in-batch anchors against memory-bank negatives.
 
     Each anchor's positive is the momentum-encoded embedding of its own
-    cross-modal counterpart, one row of an array; every bank row is a
-    negative, and all rows are unit-norm encoder outputs scored by dot
+    cross-modal counterpart, one row of an array. ``bank_v`` and
+    ``bank_w`` hold the queues' rows as [n, d] arrays, and every bank row
+    is a negative; all rows are unit-norm encoder outputs scored by dot
     product. Per anchor, the diversity weight is the mean of the estimate
     over the anchor's bank scores and the in-batch pair ``dcl_loss`` takes
     too. No gradient flows into bank rows, momentum positives, or
@@ -257,13 +254,13 @@ def m_dcl_loss(batch_v: Matrix, batch_w: Matrix, momentum_pos_v: np.ndarray,
     if batch_v.rows != batch_w.rows:
         raise ValueError(f"batch sizes differ: {batch_v.rows} vs {batch_w.rows}")
 
-    def one_direction(anchors: Matrix, momentum_pos: np.ndarray, bank: MemoryBank,
+    def one_direction(anchors: Matrix, momentum_pos: np.ndarray, bank: np.ndarray,
                       div_batch: np.ndarray) -> Matrix:
         pos_rows = np.asarray(momentum_pos, dtype=np.float64)
         if pos_rows.shape != (anchors.rows, anchors.cols):
             raise ValueError("momentum positives must match the anchor batch shape")
 
-        bank_sims = anchors @ Matrix(bank.view()).T
+        bank_sims = anchors @ Matrix(bank).T
         positives = nm.row_sum(anchors * Matrix(pos_rows))
 
         div = (div_batch + _estimate(SimilarityMatrix(bank_sims, False), estimator, eps)) / 2.0
@@ -281,7 +278,6 @@ def m_dcl_loss(batch_v: Matrix, batch_w: Matrix, momentum_pos_v: np.ndarray,
 class PrototypeState:
     """K-means output used as pseudo labels."""
 
-    k: int
     centroids: np.ndarray
     labels: np.ndarray
     inertia: float
@@ -420,12 +416,12 @@ def kmeans_cluster(points: np.ndarray, k: int, max_iters: int = 100, seed: int =
                              f"got {start.shape}")
         if not np.isfinite(start).all():
             raise ValueError("start_centroids must be finite")
-        return PrototypeState(k, *_lloyd(pts, k, start, max_iters))
+        return PrototypeState(*_lloyd(pts, k, start, max_iters))
 
     best: PrototypeState | None = None
     for restart in range(max(n_init, 1)):
         init = _plusplus_init(pts, k, nm.rng_from_seed(seed, 77, restart))
-        run = PrototypeState(k, *_lloyd(pts, k, init, max_iters))
+        run = PrototypeState(*_lloyd(pts, k, init, max_iters))
         if best is None or run.inertia < best.inertia:
             best = run
     return best

@@ -64,6 +64,8 @@ CHECKPOINT_VERSION = 4
 RANK_BLOCK = 256
 # stacked feature rows embedded at once by embed_for_retrieval and _instance_sums
 EMBED_ROWS = 4096
+# the loss parts batch_losses reports and train averages, in the order the total adds them
+LOSS_PARTS = ("l_dcl_i", "l_mdcl", "l_dcl_c", "l_pgc")
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +97,7 @@ class EvalResult:
         return self.r1_t + self.r5_t + self.r10_t + self.r1_i + self.r5_i + self.r10_i
 
     def as_row(self) -> dict[str, float]:
-        return {
-            "r1_t": self.r1_t, "r5_t": self.r5_t, "r10_t": self.r10_t,
-            "r1_i": self.r1_i, "r5_i": self.r5_i, "r10_i": self.r10_i,
-            "rsum": self.rsum,
-        }
+        return {**asdict(self), "rsum": self.rsum}
 
 
 @dataclass
@@ -257,7 +255,8 @@ def generate_synthetic(n_images: int, captions_per_image: int = 1, latent_classe
     exactly those attributes plus a couple of distractor tokens, with
     features looked up from the fixed latent tables (text side is
     noise-free). Captions are therefore discriminative within a class
-    through the attribute combination.
+    through the attribute combination. A given ``world`` must match
+    ``latent_classes``, ``d_img`` and ``d_txt``.
     """
     if n_images < 1 or captions_per_image < 1:
         raise ValueError("need at least one image and one caption per image")
@@ -267,6 +266,11 @@ def generate_synthetic(n_images: int, captions_per_image: int = 1, latent_classe
         raise ValueError("noise must be non-negative")
     if world is None:
         world = build_world(latent_classes, seed, d_img=d_img, d_txt=d_txt)
+    for name, given, held in (("latent_classes", latent_classes, world.latent_classes),
+                              ("d_img", d_img, world.proj_img.shape[1]),
+                              ("d_txt", d_txt, world.proj_txt.shape[1])):
+        if given != held:
+            raise ValueError(f"{name}={given} contradicts the world's {name}={held}")
     if attrs_per_image > world.attrs_per_class:
         raise ValueError("attrs_per_image exceeds the class attribute pool")
     rng = rng_from_seed(seed, 202, int.from_bytes(split.encode(), "big"))
@@ -451,8 +455,6 @@ class AlignmentModel:
         rng = rng_from_seed(cfg.seed, 11)
         f = cfg.embed_dim
         self.cfg = cfg
-        self.d_img = d_img
-        self.d_txt = d_txt
         self.concept_inputs = Matrix(concept_inputs)
         self.vis_agg = FeatureAggregator(d_img, f, cfg.d_p, cfg.decoder_hidden, rng)
         self.txt_agg = FeatureAggregator(d_txt, f, cfg.d_p, cfg.decoder_hidden, rng)
@@ -583,8 +585,8 @@ def batch_losses(state: TrainState, records: list[PairedRecord], labels: np.ndar
     # each part in the order the total adds it
     losses = {"l_dcl_i": _instance_loss(cfg, sim, div)}
     if memory_on:
-        losses["l_mdcl"] = obj.m_dcl_loss(v_inst, w_inst, v_mom, w_mom, state.bank_v, state.bank_w,
-                                          *div, cfg.mu, cfg.gamma,
+        losses["l_mdcl"] = obj.m_dcl_loss(v_inst, w_inst, v_mom, w_mom, state.bank_v.view(),
+                                          state.bank_w.view(), *div, cfg.mu, cfg.gamma,
                                           estimator=cfg.diversity_estimator, eps=cfg.eps_div)
     if cfg.use_concept_losses:
         basis = model.concept_basis()
@@ -601,7 +603,7 @@ def batch_losses(state: TrainState, records: list[PairedRecord], labels: np.ndar
     total = instance * cfg.lambda_weight
     for loss in others:
         total = total + loss
-    parts = dict.fromkeys(("l_dcl_i", "l_mdcl", "l_dcl_c", "l_pgc"), 0.0)
+    parts = dict.fromkeys(LOSS_PARTS, 0.0)
     parts.update({name: loss.item() for name, loss in losses.items()})
     return total, parts, v_mom, w_mom
 
@@ -703,7 +705,7 @@ def train(cfg: TrainConfig, data: list[PairedRecord],
             labels_all = state.prototypes.labels
 
         order = shuffle_rng.permutation(len(data))
-        sums = {"l_dcl_i": 0.0, "l_mdcl": 0.0, "l_dcl_c": 0.0, "l_pgc": 0.0, "total": 0.0}
+        sums = dict.fromkeys((*LOSS_PARTS, "total"), 0.0)
         n_batches = 0
         for start in range(0, len(order), cfg.batch_size):
             batch_idx = order[start:start + cfg.batch_size]
@@ -732,8 +734,7 @@ def train(cfg: TrainConfig, data: list[PairedRecord],
                 state.best = {"rsum": result.rsum, "epochs_run": epoch + 1,
                               "params": _snapshot(state)}
         else:
-            row.update({k: float("nan") for k in
-                        ("r1_t", "r5_t", "r10_t", "r1_i", "r5_i", "r10_i", "rsum")})
+            row.update(EvalResult(*[float("nan")] * len(fields(EvalResult))).as_row())
         rows.append(row)
         state.epochs_run = epoch + 1
     return state, rows
@@ -929,7 +930,7 @@ def save_checkpoint(path, state: TrainState, which: str = "best") -> None:
         "version": CHECKPOINT_VERSION,
         "epoch": epoch,
         "config": asdict(state.config),
-        "dims": {"d_img": state.model.d_img, "d_txt": state.model.d_txt},
+        "dims": {"d_img": state.model.vis_agg.d_in, "d_txt": state.model.txt_agg.d_in},
         "params": {name: _encode(arr) for name, arr in params.items()},
         "momentum": {name: _encode(arr) for name, arr in state.model.encoder_pair.momentum.items()},
         "concept_inputs": _encode(state.model.concept_inputs.value),

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from crossalign.objective import (
     _contrastive_direction,
     _estimate,
     _plusplus_init,
-    _sigmoid_vec,
     cosine_matrix,
     dcl_i_loss,
     dcl_loss,
@@ -24,7 +24,6 @@ from crossalign.objective import (
     pgc_loss,
     triplet_baseline_loss,
 )
-from crossalign.representation import MemoryBank
 
 MU, GAMMA = 0.1, 0.3
 
@@ -80,6 +79,8 @@ def test_diagonal_needs_a_square_matrix():
 def test_diversity_std_zero_spread_limit():
     assert diversity_std(_sim([[0.5, 0.5]], diagonal=False)).tolist() == [1.0]
     assert diversity_std(_sim([[0.5, 0.5], [0.2, 0.2]], diagonal=False)).tolist() == [1.0, 1.0]
+    # exp(-eps / spread) underflows to 0 without a warning, so a tiny spread weighs as zero spread
+    assert objective._weights_from_spread(np.array([1e-300, 0.0]), 0.1).tolist() == [1.0, 1.0]
 
 
 def test_diversity_std_reference_value():
@@ -95,12 +96,6 @@ def test_diversity_std_normalized_pair():
     out = diversity_std(sim, eps=0.1)
     assert out == pytest.approx(np.array([0.731058578630, 1.0]), abs=1e-9)
     assert out.max() == 1.0
-
-
-def test_sigmoid_vec_reference_values_and_stable_tails():
-    out = _sigmoid_vec(np.array([0.0, 1.0, -1.0, 1e6, -1e6]))
-    assert out[0] == 0.5 and out[3] == 1.0 and out[4] == 0.0
-    assert out[1:3] == pytest.approx([0.731058578630, 0.268941421370], abs=1e-9)
 
 
 def test_diversity_requires_negatives():
@@ -336,9 +331,8 @@ def _batch_div(v, w):
 
 def test_m_dcl_single_anchor_orthogonal_bank():
     anchor = Matrix([[1.0, 0.0]])
-    bank_v = MemoryBank(4, 2).enqueue(np.array([[0.0, 1.0]]))
-    bank_w = MemoryBank(4, 2).enqueue(np.array([[0.0, 1.0]]))
-    loss = m_dcl_loss(anchor, anchor, anchor.value, anchor.value, bank_v, bank_w,
+    bank = np.array([[0.0, 1.0]])
+    loss = m_dcl_loss(anchor, anchor, anchor.value, anchor.value, bank, bank,
                       *_batch_div(anchor, anchor), MU, GAMMA)
     assert loss.item() == pytest.approx(2 * -0.688288445403, abs=1e-9)
 
@@ -352,9 +346,8 @@ def test_m_dcl_matches_in_batch_loss_on_degenerate_batch():
     n = 3
     batch_v = Matrix(np.tile(v_row, (n, 1)))
     batch_w = Matrix(np.tile(w_row, (n, 1)))
-    bank_v = MemoryBank(16, 6).enqueue(np.tile(v_row, (n - 1, 1)))
-    bank_w = MemoryBank(16, 6).enqueue(np.tile(w_row, (n - 1, 1)))
-    mem = m_dcl_loss(batch_v, batch_w, batch_v.value, batch_w.value, bank_v, bank_w,
+    mem = m_dcl_loss(batch_v, batch_w, batch_v.value, batch_w.value,
+                     np.tile(v_row, (n - 1, 1)), np.tile(w_row, (n - 1, 1)),
                      *_batch_div(batch_v, batch_w), MU, GAMMA)
     sim = cosine_matrix(batch_v, batch_w)
     plain = dcl_loss(sim, diversity_std(sim), diversity_std(sim.transposed()), MU, GAMMA)
@@ -364,9 +357,7 @@ def test_m_dcl_matches_in_batch_loss_on_degenerate_batch():
 def test_m_dcl_saturated_easy_negatives_vanishing_neg_term():
     anchor = Matrix([[1.0, 0.0]])
     far = np.array([[-1.0, 0.0]] * 4)
-    bank_v = MemoryBank(8, 2).enqueue(far)
-    bank_w = MemoryBank(8, 2).enqueue(far)
-    loss = m_dcl_loss(anchor, anchor, anchor.value, anchor.value, bank_v, bank_w,
+    loss = m_dcl_loss(anchor, anchor, anchor.value, anchor.value, far, far,
                       *_batch_div(anchor, anchor), MU, GAMMA)
     # both directions: negative term ~ mu*log(1 + 4 e^{-13}) ~ 0, positive -log 2
     assert loss.item() == pytest.approx(2 * -np.log(2.0), abs=1e-4)
@@ -374,10 +365,10 @@ def test_m_dcl_saturated_easy_negatives_vanishing_neg_term():
 
 def test_m_dcl_rejects_empty_bank_and_size_mismatch():
     anchor = Matrix([[1.0, 0.0]])
-    filled = MemoryBank(4, 2).enqueue(np.array([[0.0, 1.0]]))
+    filled = np.array([[0.0, 1.0]])
     div = _batch_div(anchor, anchor)
     with pytest.raises(ValueError, match="non-empty"):
-        m_dcl_loss(anchor, anchor, anchor.value, anchor.value, MemoryBank(4, 2), filled, *div,
+        m_dcl_loss(anchor, anchor, anchor.value, anchor.value, np.zeros((0, 2)), filled, *div,
                    MU, GAMMA)
     two = Matrix(np.eye(2))
     with pytest.raises(ValueError, match="batch sizes"):
@@ -388,8 +379,7 @@ def test_m_dcl_bank_rows_receive_no_gradient():
     rng = rng_from_seed(5)
     batch_v = Matrix(_unit_rows(rng, 3, 4))
     batch_w = Matrix(_unit_rows(rng, 3, 4))
-    bank = MemoryBank(8, 4)
-    bank.enqueue(_unit_rows(rng, 5, 4))
+    bank = _unit_rows(rng, 5, 4)
     loss = m_dcl_loss(batch_v, batch_w, batch_v.value, batch_w.value, bank, bank,
                       *_batch_div(batch_v, batch_w), MU, GAMMA)
     nm.backward(loss)
@@ -421,14 +411,13 @@ def test_grad_checks_through_losses(seed, monkeypatch):
     assert grad_check(dcl_i_of_v, v, h=1e-5) <= 1e-4
     assert grad_check(dcl_of_w, w, h=1e-5) <= 1e-4
 
-    bank = MemoryBank(16, f)
-    bank.enqueue(_unit_rows(rng, 7, f))
+    bank = _unit_rows(rng, 7, f)
     pos_v, pos_w = _unit_rows(rng, n, f), _unit_rows(rng, n, f)
     div = _batch_div(v_unit, w_unit)
-    bank_div = [diversity_std(SimilarityMatrix(Matrix(a.value @ bank.view().T), False))
+    bank_div = [diversity_std(SimilarityMatrix(Matrix(a.value @ bank.T), False))
                 for a in (v_unit, w_unit)]
     # each direction weighs an anchor by the mean of its in-batch and its bank diversity
-    want = sum(_contrastive_direction(Matrix(a.value @ bank.view().T),
+    want = sum(_contrastive_direction(Matrix(a.value @ bank.T),
                                       Matrix((a.value * pos).sum(axis=1, keepdims=True)),
                                       (batch + in_bank) / 2.0, MU, GAMMA).item()
                for a, pos, batch, in_bank in zip((v_unit, w_unit), (pos_w, pos_v), div, bank_div))
@@ -756,7 +745,7 @@ def test_kmeans_warm_start_never_seeds(monkeypatch):
     monkeypatch.setattr(objective, "_plusplus_init", forbidden)
     pts = _kmeans_data("gaussian", 0)
     state = kmeans_cluster(pts, 5, n_init=4, start_centroids=pts[:5])
-    assert state.k == 5 and state.labels.shape == (pts.shape[0],)
+    assert state.centroids.shape[0] == 5 and state.labels.shape == (pts.shape[0],)
 
 
 def test_kmeans_matches_exhaustive_two_partition_search():
@@ -821,3 +810,30 @@ def test_pgc_permutation_equivariance():
     b = pgc_loss(Matrix(vc.value[perm]), Matrix(wc.value[perm]), classifier, labels[perm]).item()
     assert a == pytest.approx(b, abs=1e-12)
 
+
+# ---------------------------------------------------------------------------
+# input checks
+# ---------------------------------------------------------------------------
+
+_EYE = Matrix(np.eye(2))
+_BANK_SIMS = _sim([[0.5, 0.7], [0.5, 0.5]], diagonal=False)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cosine_matrix(_EYE, Matrix(np.ones((2, 3)))), "embedding dims differ: 2 vs 3"),
+    (lambda: diversity_std(_BANK_SIMS, eps=0.0), "eps must be positive"),
+    (lambda: diversity_entropy(_BANK_SIMS, eps=-0.1), "eps must be positive"),
+    (lambda: _estimate(_BANK_SIMS, "median", 0.1), "unknown diversity estimator 'median'"),
+    (lambda: m_dcl_loss(_EYE, _EYE, np.eye(2), np.eye(2), np.eye(2), np.eye(2), np.ones(2),
+                        np.ones(2), 0.0, GAMMA), "temperature mu must be positive"),
+    (lambda: m_dcl_loss(_EYE, _EYE, np.eye(2), np.ones((3, 2)), np.eye(2), np.eye(2), np.ones(2),
+                        np.ones(2), MU, GAMMA), "momentum positives must match the anchor batch shape"),
+    (lambda: pgc_loss(_EYE, Matrix(np.ones((3, 2))), _EYE, [0, 1]),
+     "both modality batches must have the same size"),
+    (lambda: pgc_loss(_EYE, _EYE, _EYE, [0, 1, 0]), "need one label per pair, got 3 for batch 2"),
+    (lambda: kmeans_cluster(np.arange(5.0), 2), "points must be a 2-D array"),
+], ids=["cosine_widths", "std_eps", "entropy_eps", "estimator", "m_dcl_mu", "m_dcl_positives",
+        "pgc_batches", "pgc_labels", "kmeans_1d"])
+def test_objective_names_a_bad_argument(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -402,6 +402,14 @@ def test_synthetic_caption_features_project_their_token_latents_in_order():
     assert any(r.caption_tokens[-1].startswith("cls") for r in data)
 
 
+@pytest.mark.parametrize("name, given, held", [("latent_classes", 4, 8), ("d_img", 16, 48),
+                                               ("d_txt", 24, 48)])
+def test_synthetic_rejects_an_argument_that_contradicts_the_world(name, given, held):
+    world = pl.build_world(8, 0)
+    with pytest.raises(ValueError, match=f"^{name}={given} contradicts the world's {name}={held}$"):
+        pl.generate_synthetic(10, 1, seed=0, world=world, **{name: given})
+
+
 def test_dataset_round_trip_is_bit_exact(tmp_path):
     data = pl.generate_synthetic(6, 3, 4, seed=2, split="train")
     extremes = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, -5e-324]
@@ -469,6 +477,8 @@ BAD_DATASETS = {
                        r"record 'p': caption_features must be .*got keys \['data', 'dtype', 'shape'\]"),
     "float_shape": ([_with("image_features", {"shape": [1.0, 1], "data": "AAAAAAAA8D8="})],
                     r"record 'p': image_features: shape must be a list of non-negative ints"),
+    "data_not_a_string": ([_with("image_features", {"shape": [1, 1], "data": 1.0})],
+                          r"record 'p': image_features: data must be a base64 string, got float"),
     "bad_base64": ([_with("image_features", {"shape": [1, 1], "data": "AAAA AAA8D8="})],
                    r"record 'p': image_features: data is not strict base64"),
     "byte_count": ([_with("caption_features", {"shape": [2, 3], "data": "AAAAAAAA8D8="})],
@@ -542,7 +552,7 @@ def test_loaded_checkpoint_evaluates_exactly_like_the_saved_state(d_img, d_txt, 
     path = tmp_path / "ckpt.json"
     pl.save_checkpoint(path, state, which="final")
     loaded = pl.load_checkpoint(path)
-    assert (loaded.model.d_img, loaded.model.d_txt) == (d_img, d_txt)
+    assert (loaded.model.vis_agg.d_in, loaded.model.txt_agg.d_in) == (d_img, d_txt)
     val = pl.generate_synthetic(60, 5, 4, seed=3, split="val", d_img=d_img, d_txt=d_txt)
     assert pl.evaluate(loaded, val) == pl.evaluate(state, val)
 
@@ -625,6 +635,52 @@ def test_load_checkpoint_rejects_a_json_infinity_in_the_config(tmp_path):
 def test_config_takes_an_int_for_a_float_field():
     cfg = pl.TrainConfig.from_dict({"mu": 1, "lr": 1, "lr_drop_epoch": None})
     assert (cfg.mu, cfg.lr, cfg.lr_drop_epoch) == (1.0, 1.0, None)
+
+
+# one out-of-range value per check of TrainConfig.validate, with its message
+RANGE_CASES = [
+    ("embed_dim", 1, "embed_dim must be at least 2"),
+    ("d_p", 3, "d_p must be a positive even number"),
+    ("decoder_hidden", 0, "decoder_hidden must be positive"),
+    ("mu", 0.0, "mu must be positive"),
+    ("gamma", -0.1, "gamma must be non-negative"),
+    ("lambda_weight", -1.0, "lambda_weight must be non-negative"),
+    ("beta", 1.5, "beta must lie in [0, 1]"),
+    ("bank_capacity", 0, "bank_capacity must be positive"),
+    ("momentum", -0.1, "momentum must lie in [0, 1]"),
+    ("eps_div", 0.0, "eps_div must be positive"),
+    ("concept_smoothness", -1.0, "concept_smoothness must be positive"),
+    ("k_clusters", 0, "k_clusters must be positive"),
+    ("concepts", 0, "concepts must be positive"),
+    ("eps_t", 1.0, "eps_t must lie in (0, 1)"),
+    ("batch_size", 1, "batch_size must be at least 2"),
+    ("epochs", -1, "epochs must be non-negative"),
+    ("lr", 0.0, "lr must be positive"),
+    ("lr_drop_epoch", -1, "lr_drop_epoch must be non-negative"),
+    ("lr_drop_factor", 0.0, "lr_drop_factor must be positive"),
+    ("seed", -1, "seed must be non-negative"),
+    ("diversity_estimator", "median", "diversity_estimator must be 'std' or 'entropy'"),
+    ("instance_loss", "hinge", "instance_loss must be 'dcl', 'dcl_i', or 'triplet'"),
+    ("triplet_margin", -0.2, "triplet_margin must be non-negative"),
+]
+
+
+@pytest.mark.parametrize("name, value, message", RANGE_CASES, ids=[c[0] for c in RANGE_CASES])
+def test_config_names_an_out_of_range_field(name, value, message):
+    with pytest.raises(ValueError, match=f"^invalid config: {re.escape(message)}$"):
+        pl.TrainConfig(**{name: value}).validate()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp: pl.TrainConfig.from_dict({"mu": 0.2, "zeta": 1, "alpha": 2}),
+     "unknown config fields: alpha, zeta"),
+    (lambda tmp: pl.build_state(pl.TrainConfig(), []), "training dataset is empty"),
+    (lambda tmp: pl.save_checkpoint(tmp / "ckpt.json", _tiny_state(), which="x"),
+     "which must be 'best' or 'final'"),
+], ids=["unknown_config_field", "empty_training_set", "unknown_checkpoint_kind"])
+def test_pipeline_names_a_bad_argument(call, message, tmp_path):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(tmp_path)
 
 
 @pytest.mark.parametrize("section", ["epoch", "config", "dims", "params", "momentum",
@@ -710,7 +766,7 @@ def test_train_runs_every_branch_deterministically(instance_loss, estimator, tmp
     val = pl.generate_synthetic(6, 2, 4, seed=5, split="val")
     state, rows = pl.train(cfg, data, val)
     assert [row["epoch"] for row in rows] == [0, 1] and state.epochs_run == 2
-    assert state.prototypes.k == 33
+    assert state.prototypes.centroids.shape[0] == 33
     for row in rows:
         assert all(math.isfinite(row[k]) for k in ("l_dcl_i", "l_mdcl", "l_dcl_c", "l_pgc", "total"))
     assert rows[-1]["l_mdcl"] != 0.0
