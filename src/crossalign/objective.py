@@ -80,10 +80,13 @@ def _negative_rows(sim: SimilarityMatrix) -> np.ndarray:
 
 def _weights_from_spread(spread: np.ndarray, eps: float) -> np.ndarray:
     """Per-anchor weights in (0, 1]: 1 / sigmoid(eps / spread), divided by its batch max."""
-    # zero spread is the limit eps/spread -> inf, where the weight is 1; x > 0, and the reciprocal
-    # of sigmoid(x) = 1/(1 + exp(-x)) is kept as such: 1 + exp(-x) can differ in the last bit
-    x = eps / np.where(spread > 0.0, spread, 1.0)
-    pre = np.where(spread > 0.0, 1.0 / (1.0 / (1.0 + np.exp(-x))), 1.0)
+    # zero spread is the limit eps/spread -> inf, where the weight is 1. So is every spread up to
+    # eps/40: there x >= 37 and 1 + exp(-x) rounds to 1, while eps/spread could overflow. x > 0, and
+    # the reciprocal of sigmoid(x) = 1/(1 + exp(-x)) is kept as such: 1 + exp(-x) can differ in the
+    # last bit
+    wide = spread > eps / 40.0
+    x = eps / np.where(wide, spread, 1.0)
+    pre = np.where(wide, 1.0 / (1.0 / (1.0 + np.exp(-x))), 1.0)
     return pre / pre.max()
 
 

@@ -32,15 +32,17 @@ cosine similarity. Images and captions are embedded in chunks of at most
 ``EMBED_ROWS`` stacked feature rows; each caption chunk is stacked once
 for both caption encoders and its concept query follows. The canonical
 score is one matmul of stacked factors,
-``[beta*v | (1-beta)*vc] @ [w | wc].T``, formed and ranked one block of
-``RANK_BLOCK`` captions at a time, so no [n_images x n_captions] matrix
-is ever held: besides the embeddings, extra memory is
-O(n_images x RANK_BLOCK) for ranking plus O(EMBED_ROWS x d) for
-embedding, d the widest feature or embedding row. Ranks are
-counted, not sorted: a cell with score s is ahead of a target t when
-s > t, or when s == t at a lower index. Both counting passes form each
-block the same way, so every count and every target reads the same
-canonical cell values.
+``[beta*v | (1-beta)*vc] @ [w | wc].T``, formed and ranked one
+``RANK_BLOCK x RANK_BLOCK`` tile at a time, so no [n_images x
+n_captions] matrix is ever held: besides the embeddings, extra memory is
+O(RANK_BLOCK^2) for ranking, beside its per-image and per-caption
+vectors, plus O(EMBED_ROWS x d) for embedding, d the widest feature or
+embedding row. Ranks are counted, not sorted: a cell with score s is
+ahead of a target t when s > t, or when s == t at a lower index. A
+pre-pass reads the ground-truth cells from the tiles that hold them, and
+the main pass forms every tile once; both cut the tiles at the same
+bounds, so every count and every target reads the same canonical cell
+values.
 """
 from __future__ import annotations
 
@@ -60,7 +62,7 @@ from .objective import PrototypeState, SimilarityMatrix
 from .representation import EncoderPair, FeatureAggregator, MemoryBank, named_params
 
 CHECKPOINT_VERSION = 4
-# caption columns ranked at once by recalls_from_similarity
+# rows and columns of the score tiles recalls_from_similarity ranks, one at a time
 RANK_BLOCK = 256
 # stacked feature rows embedded at once by embed_for_retrieval and _instance_sums
 EMBED_ROWS = 4096
@@ -745,12 +747,15 @@ def train(cfg: TrainConfig, data: list[PairedRecord],
 # ---------------------------------------------------------------------------
 
 class StackedScores:
-    """The score matrix ``left @ right.T``, formed one column block at a time.
+    """The score matrix ``left @ right.T``, formed one tile at a time.
 
-    Indexing as ``scores[:, lo:hi]`` returns that block as one matmul,
-    so ``recalls_from_similarity`` can rank from the factors without the
-    dense [n_left x n_right] product. Every read of a block forms it the
-    same way, so both ranking passes see the same scores.
+    Indexing as ``scores[rows, cols]`` returns ``left[rows] @
+    right[cols].T`` as one matmul, so ``recalls_from_similarity`` can rank
+    from the factors without the dense [n_left x n_right] product. BLAS
+    can round a cell's last bits differently in products of different
+    shapes, so the canonical value of a cell is the one its tile gives:
+    ``scores[r0:r1, lo:hi]`` with rows and columns cut at multiples of
+    ``RANK_BLOCK``. The ranking reads every cell from that tile only.
     """
 
     ndim = 2
@@ -769,8 +774,8 @@ class StackedScores:
 
 
 def _count(mask: np.ndarray, axis: int) -> np.ndarray:
-    """True cells of a boolean ``mask`` along ``axis``, as uint64."""
-    return np.add.reduce(mask.view(np.uint8), axis=axis)
+    """True cells of a boolean tile ``mask`` along ``axis``, as uint16: a tile side is RANK_BLOCK at most."""
+    return np.add.reduce(mask.view(np.uint8), axis=axis, dtype=np.uint16)
 
 
 def recalls_from_similarity(scores: np.ndarray | StackedScores,
@@ -778,29 +783,37 @@ def recalls_from_similarity(scores: np.ndarray | StackedScores,
     """Recall@{1,5,10} both ways from a [n_images x n_captions] score matrix.
 
     ``caption_image[j]`` is the row index of caption j's ground-truth
-    image. A rank is counted, not sorted: a candidate with score s is
-    ahead of a target with score t when s > t, or when s == t and the
-    candidate has the lower index, so ties rank the lower index first.
-    Text to image ranks caption j's image within column j. Image to text
-    ranks an image by its best caption, the one with its highest score
-    and the lowest index among ties, within the image's row; an image
-    with no caption never hits. A NaN candidate is never ahead, and a
-    NaN ground-truth score is an error, as is a matrix with no image or
-    no caption.
+    image, an integer array. A rank is counted, not sorted: a candidate
+    with score s is ahead of a target with score t when s > t, or when
+    s == t and the candidate has the lower index, so ties rank the lower
+    index first. Text to image ranks caption j's image within column j.
+    Image to text ranks an image by its best caption, the one with its
+    highest score and the lowest index among ties, within the image's
+    row; an image with no caption never hits. A NaN candidate is never
+    ahead, and a NaN ground-truth score is an error, as is a matrix with
+    no image or no caption.
 
     ``scores`` is a dense array or a ``StackedScores``; either way it is
-    read only as column blocks ``scores[:, lo:hi]`` of ``RANK_BLOCK``
-    captions, in two passes over the same blocks, so every count and
-    every target comes from the one canonical cell value. The first pass
-    takes each caption's ground-truth score t from its block and counts
-    s > t down the column; only a column with a tie besides its own cell
-    also counts its equal cells in lower rows. The second pass compares
-    each image's row with one scalar: s >= best in the blocks before its
-    best caption's, s > best after it (as s > nextafter(best, -inf) and
-    s > best). Only the rows whose best caption lies in the block, or
-    whose best is -inf (where nextafter cannot step lower), add their
-    lower-index ties exactly. Extra memory is O(n_images x RANK_BLOCK)
-    in total.
+    read only as tiles ``scores[r0:r1, lo:hi]`` cut at multiples of
+    ``RANK_BLOCK`` both ways, each read of a tile with the same bounds, so
+    every count and every target comes from the one canonical cell value.
+    A pre-pass forms only the tiles that hold a ground-truth cell and
+    reads each caption's target score t there. The main pass then forms
+    every tile once and counts both ways with one scalar per column and
+    one per row:
+
+    - down column j, s >= t (as s > nextafter(t, -inf)) in the tiles
+      above the target's and s > t from its tile on. In its own tile, a
+      column tied beyond its own cell also counts its equal cells in
+      lower rows, and a -inf target, which nextafter cannot step below,
+      counts its -inf cells in the tiles above exactly;
+    - along each image's row, s >= best in the column blocks before its
+      best caption's and s > best from that block on. Only the rows whose
+      best caption lies in the block, or whose best is -inf, count their
+      lower-index ties exactly.
+
+    Extra memory is O(RANK_BLOCK^2) for a tile besides the per-row and
+    per-column scores and counts.
     """
     if not isinstance(scores, StackedScores):
         scores = np.asarray(scores, dtype=np.float64)
@@ -809,7 +822,10 @@ def recalls_from_similarity(scores: np.ndarray | StackedScores,
     n_img, n_cap = scores.shape
     if scores.size == 0:
         raise ValueError(f"scores must hold at least one image and one caption, got shape {scores.shape}")
-    caption_image = np.asarray(caption_image, dtype=np.int64)
+    caption_image = np.asarray(caption_image)
+    if not np.issubdtype(caption_image.dtype, np.integer):
+        raise ValueError(f"caption_image must hold integers, got dtype {caption_image.dtype}")
+    caption_image = caption_image.astype(np.int64, copy=False)
     if caption_image.shape != (n_cap,):
         raise ValueError("need one ground-truth image per caption column")
     bad = np.flatnonzero((caption_image < 0) | (caption_image >= n_img))
@@ -817,23 +833,23 @@ def recalls_from_similarity(scores: np.ndarray | StackedScores,
         j = int(bad[0])
         raise ValueError(f"caption column {j} names image {caption_image[j]}, outside [0, {n_img})")
 
-    img_index = np.arange(n_img)[:, None]
     cap_index = np.arange(n_cap)
+    tiles = [(r0, min(r0 + RANK_BLOCK, n_img)) for r0 in range(0, n_img, RANK_BLOCK)]
     blocks = [(lo, min(lo + RANK_BLOCK, n_cap)) for lo in range(0, n_cap, RANK_BLOCK)]
+    target_tile = caption_image // RANK_BLOCK
     gt_score = np.empty(n_cap)
-    image_rank = np.empty(n_cap, dtype=np.uint64)
+    # per block, per row tile: the block's columns whose ground truth lies in that tile
+    own_cols = []
     for lo, hi in blocks:
-        block, gt_img = scores[:, lo:hi], caption_image[lo:hi]
-        gt = block[gt_img, cap_index[:hi - lo]]
-        nan = np.flatnonzero(np.isnan(gt))
+        tile_of = target_tile[lo:hi]
+        own = [np.flatnonzero(tile_of == k) for k in range(len(tiles))]
+        for (r0, r1), cols in zip(tiles, own):
+            if cols.size:
+                gt_score[lo + cols] = scores[r0:r1, lo:hi][caption_image[lo + cols] - r0, cols]
+        nan = np.flatnonzero(np.isnan(gt_score[lo:hi]))
         if nan.size:
             raise ValueError(f"caption column {lo + int(nan[0])} has a NaN ground-truth score")
-        gt_score[lo:hi] = gt
-        ahead = _count(block > gt, axis=0)
-        tied = np.flatnonzero(_count(block >= gt, axis=0) - ahead > 1)
-        if tied.size:
-            ahead[tied] += _count((block[:, tied] == gt[tied]) & (img_index < gt_img[tied]), axis=0)
-        image_rank[lo:hi] = ahead
+        own_cols.append(own)
 
     best_score = np.full(n_img, -np.inf)
     np.maximum.at(best_score, caption_image, gt_score)
@@ -844,14 +860,37 @@ def recalls_from_similarity(scores: np.ndarray | StackedScores,
     has_caption = best_cap < n_cap
     below_best = np.nextafter(best_score, -np.inf)
     floor = has_caption & np.isneginf(best_score)
+    tile_starts = np.arange(RANK_BLOCK, n_img, RANK_BLOCK)
+    image_rank = np.zeros(n_cap, dtype=np.uint64)
     text_rank = np.zeros(n_img, dtype=np.uint64)
-    for lo, hi in blocks:
-        block = scores[:, lo:hi]
-        text_rank += _count(block > np.where(best_cap >= hi, below_best, best_score)[:, None], axis=1)
+    for (lo, hi), own in zip(blocks, own_cols):
+        gt, gt_img, tile_of = gt_score[lo:hi], caption_image[lo:hi], target_tile[lo:hi]
+        # each column compares with nextafter(t, -inf) above its target's tile, with t from it on
+        col_thr = np.nextafter(gt, -np.inf)
+        neg_inf = np.flatnonzero(np.isneginf(gt))
+        row_thr = np.where(best_cap >= hi, below_best, best_score)[:, None]
         exact = np.flatnonzero((best_cap >= lo) & ((best_cap < hi) | floor))
-        if exact.size:
-            ties = block[exact] == best_score[exact, None]
-            text_rank[exact] += _count(ties & (cap_index[lo:hi] < best_cap[exact, None]), axis=1)
+        exact_rows = np.split(exact, np.searchsorted(exact, tile_starts))
+        for k, ((r0, r1), cols, rows) in enumerate(zip(tiles, own, exact_rows)):
+            tile = scores[r0:r1, lo:hi]
+            col_thr[cols] = gt[cols]
+            ahead = _count(tile > col_thr, axis=0)
+            if cols.size:
+                # the targets' own tile: lower-row ties, counted only beyond a column's own cell
+                ties = tile == col_thr
+                tied = cols[_count(ties, axis=0)[cols] > 1]
+                if tied.size:
+                    lower = np.arange(r0, r1)[:, None] < gt_img[tied]
+                    ahead[tied] += _count(ties[:, tied] & lower, axis=0)
+            if neg_inf.size:
+                # nextafter(-inf, -inf) is -inf, so -inf ties above a -inf target's tile count here
+                above = neg_inf[tile_of[neg_inf] > k]
+                ahead[above] += _count(tile[:, above] == -np.inf, axis=0)
+            image_rank[lo:hi] += ahead
+            text_rank[r0:r1] += _count(tile > row_thr[r0:r1], axis=1)
+            if rows.size:
+                ties = tile[rows - r0] == best_score[rows, None]
+                text_rank[rows] += _count(ties & (cap_index[lo:hi] < best_cap[rows, None]), axis=1)
 
     text = [100.0 * np.count_nonzero(has_caption & (text_rank < k)) / n_img for k in (1, 5, 10)]
     image = [100.0 * np.count_nonzero(image_rank < k) / n_cap for k in (1, 5, 10)]
@@ -890,12 +929,13 @@ def evaluate(state: TrainState, data: list[PairedRecord], beta: float | None = N
 
     The blend is scored as ``L @ R.T`` with ``L = [beta*v | (1-beta)*vc]``
     and ``R = [w | wc]``, which differs from ``beta*(v @ w.T) +
-    (1-beta)*(vc @ wc.T)`` only in the last bits; that block product is
-    the canonical score. ``recalls_from_similarity`` forms it one
-    ``RANK_BLOCK``-caption block at a time, the same way in both of its
-    passes, and counts each rank: a cell is ahead of the ground truth
-    when s > t, or when s == t at a lower index. Besides the embeddings,
-    extra memory is O(n_images x RANK_BLOCK) for ranking plus
+    (1-beta)*(vc @ wc.T)`` only in the last bits; that product, formed
+    one ``RANK_BLOCK x RANK_BLOCK`` tile at a time, is the canonical
+    score. ``recalls_from_similarity`` reads the ground-truth cells from
+    their tiles, then forms every tile once and counts each rank: a cell
+    is ahead of the ground truth when s > t, or when s == t at a lower
+    index. Besides the embeddings, extra memory is O(RANK_BLOCK^2) for
+    ranking, beside its per-image and per-caption vectors, plus
     O(EMBED_ROWS x d) for embedding (``embed_for_retrieval``).
     """
     beta = state.config.beta if beta is None else beta

@@ -183,6 +183,24 @@ def test_diversity_entropy_reference_value():
     assert out[1] == pytest.approx(0.547290672460, abs=1e-9)
 
 
+def test_diversity_entropy_subnormal_spread_weighs_as_zero_spread():
+    # p = 5e-324 on the second negative: a subnormal entropy, where eps / spread would overflow
+    out = diversity_entropy(_sim([[0.0, -744.0], [0.0, 0.0]], diagonal=False), eps=0.1)
+    # one bit on the second anchor; scripts/golden_values.py: div_ent_zero_beside_1_bit
+    assert out[0] == pytest.approx(0.524979187479, abs=1e-9) and out[1] == 1.0
+
+
+@pytest.mark.parametrize("eps", [1e-300, 0.1, 3.0, 1e300])
+def test_weights_from_spread_match_the_plain_formula_around_eps_over_40(eps):
+    # a spread of eps / 40 or below weighs 1 before normalisation, as the plain formula rounds it
+    edge = eps / 40.0
+    spread = np.concatenate([edge * np.linspace(0.5, 2.0, 61),
+                             [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf), eps, 0.0]])
+    x = eps / np.where(spread > 0.0, spread, 1.0)
+    plain = np.where(spread > 0.0, 1.0 / (1.0 / (1.0 + np.exp(-x))), 1.0)
+    assert np.array_equal(objective._weights_from_spread(spread, eps), plain / plain.max())
+
+
 # ---------------------------------------------------------------------------
 # in-batch contrastive losses
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossalign import objective as obj
 from crossalign import pipeline as pl
@@ -167,6 +169,8 @@ def test_recalls_name_the_global_column_of_a_nan_ground_truth(monkeypatch):
     (np.zeros((3, 0)), np.zeros(0, dtype=int), r"at least one image and one caption, got shape \(3, 0\)"),
     (np.zeros((0, 2)), np.zeros(2, dtype=int), r"at least one image and one caption, got shape \(0, 2\)"),
     (pl.StackedScores(np.zeros((0, 2)), np.zeros((4, 2))), np.zeros(4, dtype=int), r"got shape \(0, 4\)"),
+    (np.zeros((2, 2)), np.array([0.5, 1.7]), "caption_image must hold integers, got dtype float64"),
+    (np.zeros((2, 2)), np.array([True, False]), "caption_image must hold integers, got dtype bool"),
 ])
 def test_recalls_reject_bad_input(scores, caption_image, match):
     with pytest.raises(ValueError, match=match):
@@ -184,7 +188,7 @@ def test_stacked_scores_reject_factors_that_do_not_multiply(left, right):
 
 
 TIE_CASES = ("duplicate_captions", "duplicate_images", "best_at_block_edges", "neg_inf_best",
-             "images_without_captions")
+             "images_without_captions", "twins_across_row_tiles", "neg_inf_tie_in_earlier_tile")
 
 
 def _planted_ties(case, block, seed):
@@ -193,12 +197,16 @@ def _planted_ties(case, block, seed):
     Three blocks and one column: [0, block), [block, 2 block),
     [2 block, 3 block), [3 block]. Image rows are nonzero integers, so a
     caption row of 20x an image's row tops that image's row; image rows
-    of norm 10 sqrt(2) also top the column of such a caption. Returns the
+    of norm 10 sqrt(2) also top the column of such a caption. The nine
+    images span row tiles [0, 3), [3, 6), [6, 9) at block 3, where the
+    last two cases tie across a row-tile edge. Returns the
     ``StackedScores`` of integer factors, or a dense matrix for the -inf
-    case, whose products would otherwise be NaN, and the dense scores.
+    cases, whose products would otherwise be NaN, and the dense scores.
     """
     rng = rng_from_seed(seed, 43)
     n_img, n_cap = 9, 3 * block + 1
+    # row `block` starts the second row tile; at blocks past the nine rows the last row stands in
+    edge = min(block, n_img - 1)
     left = (rng.integers(1, 10, size=(n_img, 2)) * rng.choice([-1, 1], size=(n_img, 2))).astype(np.float64)
     right = rng.integers(-9, 10, size=(n_cap, 2)).astype(np.float64)
     caption_image = rng.integers(0, n_img, size=n_cap)
@@ -225,7 +233,19 @@ def _planted_ties(case, block, seed):
         left[0] = left[4] = 10 * rng.choice([-1, 1], size=2)
         caption_image[block] = 4
         right[block] = 20 * left[4]
+    elif case == "twins_across_row_tiles":
+        # twin images either side of the tile edge; the higher twin's caption ranks the lower first
+        left[edge - 1] = left[edge] = 10 * rng.choice([-1, 1], size=2)
+        caption_image[[block - 1, block]] = edge, edge - 1
+        right[block - 1] = right[block] = 20 * left[edge]
     dense = left @ right.T
+    if case == "neg_inf_tie_in_earlier_tile":
+        # caption `block` scores -inf at its image, a row tile below row 1's -inf: rank 1
+        target = min(edge + 1, n_img - 1)
+        caption_image[block] = target
+        dense[:, block] = np.nan
+        dense[[1, target], block] = -np.inf
+        return dense, dense, caption_image
     if case != "neg_inf_best":
         return pl.StackedScores(left, right), dense, caption_image
     # rows of NaN, which is never ahead, so only the -inf cells set rank these images
@@ -250,6 +270,63 @@ def test_planted_ties_match_argsort_reference(case, seed, block, monkeypatch):
     scores, dense, caption_image = _planted_ties(case, block, seed)
     assert np.array_equal(scores[:, 0:dense.shape[1]], dense, equal_nan=True)
     assert pl.recalls_from_similarity(scores, caption_image) == reference_recalls(dense, caption_image)
+
+
+def test_ranking_reads_each_tile_once_after_a_pre_pass_over_the_target_tiles(monkeypatch):
+    block, n_img = 3, 7
+    monkeypatch.setattr(pl, "RANK_BLOCK", block)
+    caption_image = np.repeat(np.arange(n_img), 5)
+    n_cap = caption_image.size
+    rng = rng_from_seed(0, 47)
+    left, right = _integer_factors(rng, n_img), _integer_factors(rng, n_cap)
+    reads = []
+    getitem = pl.StackedScores.__getitem__
+
+    def record(scores, key):
+        assert all(isinstance(k, slice) and k.step is None for k in key)
+        reads.append(tuple((k.start, k.stop) for k in key))
+        return getitem(scores, key)
+
+    monkeypatch.setattr(pl.StackedScores, "__getitem__", record)
+    got = pl.recalls_from_similarity(pl.StackedScores(left, right), caption_image)
+    assert got == reference_recalls(left @ right.T, caption_image)
+
+    def tile(r, c):
+        return (r * block, min(r * block + block, n_img)), (c * block, min(c * block + block, n_cap))
+
+    every_tile = sorted(tile(r, c) for r in range(-(-n_img // block)) for c in range(-(-n_cap // block)))
+    target_tiles = sorted({tile(i // block, j // block) for j, i in enumerate(caption_image)})
+    assert len(target_tiles) < len(every_tile)
+    # the pre-pass forms each tile that holds a ground-truth cell once, and only those
+    assert sorted(reads[:len(target_tiles)]) == target_tiles
+    # the main pass forms every tile once, with the same bounds
+    assert sorted(reads[len(target_tiles):]) == every_tile
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=60, deadline=None)
+def test_recalls_match_argsort_reference_at_any_tiling(seed):
+    rng = rng_from_seed(seed, 53)
+    n_img, n_cap, block = int(rng.integers(1, 14)), int(rng.integers(1, 41)), int(rng.integers(1, 8))
+    how = ("sorted", "shuffled", "subset")[int(rng.integers(3))]
+    caption_image = rng.integers(0, n_img, size=n_cap)
+    if how == "sorted":
+        caption_image = np.sort(caption_image)
+    elif how == "subset":
+        caption_image = rng.choice(rng.choice(n_img, size=max(n_img // 2, 1), replace=False), size=n_cap)
+    scores = _tied_scores(rng, n_img, n_cap, levels=int(rng.integers(1, 5)))
+    draw = rng.random(scores.shape)
+    scores[draw < 0.15] = -np.inf
+    scores[draw > 0.9] = np.inf
+    off_target = np.ones_like(scores, dtype=bool)
+    off_target[caption_image, np.arange(n_cap)] = False
+    scores[off_target & (rng.random(scores.shape) < 0.1)] = np.nan
+    left, right = _integer_factors(rng, n_img), _integer_factors(rng, n_cap)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pl, "RANK_BLOCK", block)
+        assert pl.recalls_from_similarity(scores, caption_image) == reference_recalls(scores, caption_image)
+        stacked = pl.recalls_from_similarity(pl.StackedScores(left, right), caption_image)
+    assert stacked == reference_recalls(left @ right.T, caption_image)
 
 
 # ---------------------------------------------------------------------------
