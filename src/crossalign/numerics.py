@@ -70,16 +70,8 @@ class Matrix:
     def __sub__(self, other):
         return add(self, neg(_as_matrix(other)))
 
-    def __rsub__(self, other):
-        return add(_as_matrix(other), neg(self))
-
     def __mul__(self, other):
         return mul(self, _as_matrix(other))
-
-    def __truediv__(self, other):
-        if isinstance(other, Matrix):
-            raise TypeError("matrix/matrix division is not supported; multiply by a reciprocal constant")
-        return mul(self, _as_matrix(1.0 / float(other)))
 
     def __matmul__(self, other):
         return matmul(self, other)

@@ -39,10 +39,10 @@ O(RANK_BLOCK^2) for ranking, beside its per-image and per-caption
 vectors, plus O(EMBED_ROWS x d) for embedding, d the widest feature or
 embedding row. Ranks are counted, not sorted: a cell with score s is
 ahead of a target t when s > t, or when s == t at a lower index. A
-pre-pass reads the ground-truth cells from the tiles that hold them, and
-the main pass forms every tile once; both cut the tiles at the same
-bounds, so every count and every target reads the same canonical cell
-values.
+pre-pass reads the ground-truth cells from the tiles that hold them and
+rejects any that is not finite, and the main pass forms every tile once;
+both cut the tiles at the same bounds, so every count and every target
+reads the same canonical cell values.
 """
 from __future__ import annotations
 
@@ -505,7 +505,7 @@ class TrainState:
     ``adam`` is one state over all parameters, flattened and concatenated
     in ``model.param_items()`` order. ``best`` holds the best held-out
     rsum, the ``epochs_run`` when it was reached and that epoch's
-    parameters.
+    parameters and momentum mirror.
     """
 
     config: TrainConfig
@@ -667,8 +667,10 @@ def _adam_update(state: TrainState) -> None:
         state.model.set_param(name, leaf)
 
 
-def _snapshot(state: TrainState) -> dict[str, np.ndarray]:
-    return {name: m.value.copy() for name, m in state.model.param_items()}
+def _snapshot(state: TrainState) -> dict[str, dict[str, np.ndarray]]:
+    """Copies of the parameters and the momentum mirror, by name."""
+    return {"params": {name: m.value.copy() for name, m in state.model.param_items()},
+            "momentum": {name: arr.copy() for name, arr in state.model.encoder_pair.momentum.items()}}
 
 
 def train(cfg: TrainConfig, data: list[PairedRecord],
@@ -733,8 +735,7 @@ def train(cfg: TrainConfig, data: list[PairedRecord],
             result = evaluate(state, val_data, cfg.beta)
             row.update(result.as_row())
             if state.best is None or result.rsum > state.best["rsum"]:
-                state.best = {"rsum": result.rsum, "epochs_run": epoch + 1,
-                              "params": _snapshot(state)}
+                state.best = {"rsum": result.rsum, "epochs_run": epoch + 1, **_snapshot(state)}
         else:
             row.update(EvalResult(*[float("nan")] * len(fields(EvalResult))).as_row())
         rows.append(row)
@@ -789,9 +790,10 @@ def recalls_from_similarity(scores: np.ndarray | StackedScores,
     index first. Text to image ranks caption j's image within column j.
     Image to text ranks an image by its best caption, the one with its
     highest score and the lowest index among ties, within the image's
-    row; an image with no caption never hits. A NaN candidate is never
-    ahead, and a NaN ground-truth score is an error, as is a matrix with
-    no image or no caption.
+    row; an image with no caption never hits. A candidate may be NaN or
+    infinite, and a NaN candidate is never ahead. Every ground-truth score
+    must be finite: a NaN, +inf or -inf one is an error that names the
+    lowest such caption column, as is a matrix with no image or no caption.
 
     ``scores`` is a dense array or a ``StackedScores``; either way it is
     read only as tiles ``scores[r0:r1, lo:hi]`` cut at multiples of
@@ -805,12 +807,11 @@ def recalls_from_similarity(scores: np.ndarray | StackedScores,
     - down column j, s >= t (as s > nextafter(t, -inf)) in the tiles
       above the target's and s > t from its tile on. In its own tile, a
       column tied beyond its own cell also counts its equal cells in
-      lower rows, and a -inf target, which nextafter cannot step below,
-      counts its -inf cells in the tiles above exactly;
+      lower rows;
     - along each image's row, s >= best in the column blocks before its
       best caption's and s > best from that block on. Only the rows whose
-      best caption lies in the block, or whose best is -inf, count their
-      lower-index ties exactly.
+      best caption lies in the block count their lower-index ties
+      exactly.
 
     Extra memory is O(RANK_BLOCK^2) for a tile besides the per-row and
     per-column scores and counts.
@@ -841,15 +842,15 @@ def recalls_from_similarity(scores: np.ndarray | StackedScores,
     # per block, per row tile: the block's columns whose ground truth lies in that tile
     own_cols = []
     for lo, hi in blocks:
-        tile_of = target_tile[lo:hi]
-        own = [np.flatnonzero(tile_of == k) for k in range(len(tiles))]
+        own = [np.flatnonzero(target_tile[lo:hi] == k) for k in range(len(tiles))]
         for (r0, r1), cols in zip(tiles, own):
             if cols.size:
                 gt_score[lo + cols] = scores[r0:r1, lo:hi][caption_image[lo + cols] - r0, cols]
-        nan = np.flatnonzero(np.isnan(gt_score[lo:hi]))
-        if nan.size:
-            raise ValueError(f"caption column {lo + int(nan[0])} has a NaN ground-truth score")
         own_cols.append(own)
+    bad = np.flatnonzero(~np.isfinite(gt_score))
+    if bad.size:
+        j = int(bad[0])
+        raise ValueError(f"caption column {j} has a non-finite ground-truth score {gt_score[j]}")
 
     best_score = np.full(n_img, -np.inf)
     np.maximum.at(best_score, caption_image, gt_score)
@@ -859,19 +860,17 @@ def recalls_from_similarity(scores: np.ndarray | StackedScores,
 
     has_caption = best_cap < n_cap
     below_best = np.nextafter(best_score, -np.inf)
-    floor = has_caption & np.isneginf(best_score)
     tile_starts = np.arange(RANK_BLOCK, n_img, RANK_BLOCK)
     image_rank = np.zeros(n_cap, dtype=np.uint64)
     text_rank = np.zeros(n_img, dtype=np.uint64)
     for (lo, hi), own in zip(blocks, own_cols):
-        gt, gt_img, tile_of = gt_score[lo:hi], caption_image[lo:hi], target_tile[lo:hi]
+        gt, gt_img = gt_score[lo:hi], caption_image[lo:hi]
         # each column compares with nextafter(t, -inf) above its target's tile, with t from it on
         col_thr = np.nextafter(gt, -np.inf)
-        neg_inf = np.flatnonzero(np.isneginf(gt))
         row_thr = np.where(best_cap >= hi, below_best, best_score)[:, None]
-        exact = np.flatnonzero((best_cap >= lo) & ((best_cap < hi) | floor))
+        exact = np.flatnonzero((best_cap >= lo) & (best_cap < hi))
         exact_rows = np.split(exact, np.searchsorted(exact, tile_starts))
-        for k, ((r0, r1), cols, rows) in enumerate(zip(tiles, own, exact_rows)):
+        for (r0, r1), cols, rows in zip(tiles, own, exact_rows):
             tile = scores[r0:r1, lo:hi]
             col_thr[cols] = gt[cols]
             ahead = _count(tile > col_thr, axis=0)
@@ -882,10 +881,6 @@ def recalls_from_similarity(scores: np.ndarray | StackedScores,
                 if tied.size:
                     lower = np.arange(r0, r1)[:, None] < gt_img[tied]
                     ahead[tied] += _count(ties[:, tied] & lower, axis=0)
-            if neg_inf.size:
-                # nextafter(-inf, -inf) is -inf, so -inf ties above a -inf target's tile count here
-                above = neg_inf[tile_of[neg_inf] > k]
-                ahead[above] += _count(tile[:, above] == -np.inf, axis=0)
             image_rank[lo:hi] += ahead
             text_rank[r0:r1] += _count(tile > row_thr[r0:r1], axis=1)
             if rows.size:
@@ -932,11 +927,12 @@ def evaluate(state: TrainState, data: list[PairedRecord], beta: float | None = N
     (1-beta)*(vc @ wc.T)`` only in the last bits; that product, formed
     one ``RANK_BLOCK x RANK_BLOCK`` tile at a time, is the canonical
     score. ``recalls_from_similarity`` reads the ground-truth cells from
-    their tiles, then forms every tile once and counts each rank: a cell
-    is ahead of the ground truth when s > t, or when s == t at a lower
-    index. Besides the embeddings, extra memory is O(RANK_BLOCK^2) for
-    ranking, beside its per-image and per-caption vectors, plus
-    O(EMBED_ROWS x d) for embedding (``embed_for_retrieval``).
+    their tiles, which are finite as dot products of finite unit rows,
+    then forms every tile once and counts each rank: a cell is ahead of
+    the ground truth when s > t, or when s == t at a lower index.
+    Besides the embeddings, extra memory is O(RANK_BLOCK^2) for ranking,
+    beside its per-image and per-caption vectors, plus O(EMBED_ROWS x d)
+    for embedding (``embed_for_retrieval``).
     """
     beta = state.config.beta if beta is None else beta
     if not 0.0 <= beta <= 1.0:
@@ -955,16 +951,17 @@ def save_checkpoint(path, state: TrainState, which: str = "best") -> None:
 
     Every array is an ``_encode`` blob, ``concept_inputs`` among them, so
     a load redraws nothing from the config's seed. ``which="best"`` uses
-    the best-validation snapshot when one exists, otherwise the current
-    parameters. ``epoch`` is the number of epochs run when the saved
-    parameters were taken, for either kind of save.
+    the best-validation snapshot of parameters and momentum mirror when
+    one exists, otherwise the current ones. ``epoch`` is the number of
+    epochs run when the saved arrays were taken, for either kind of save.
     """
     if which not in ("best", "final"):
         raise ValueError("which must be 'best' or 'final'")
     params = {name: m.value for name, m in state.model.param_items()}
+    momentum = state.model.encoder_pair.momentum
     epoch = state.epochs_run
     if which == "best" and state.best is not None:
-        params = state.best["params"]
+        params, momentum = state.best["params"], state.best["momentum"]
         epoch = state.best["epochs_run"]
     blob = {
         "version": CHECKPOINT_VERSION,
@@ -972,7 +969,7 @@ def save_checkpoint(path, state: TrainState, which: str = "best") -> None:
         "config": asdict(state.config),
         "dims": {"d_img": state.model.vis_agg.d_in, "d_txt": state.model.txt_agg.d_in},
         "params": {name: _encode(arr) for name, arr in params.items()},
-        "momentum": {name: _encode(arr) for name, arr in state.model.encoder_pair.momentum.items()},
+        "momentum": {name: _encode(arr) for name, arr in momentum.items()},
         "concept_inputs": _encode(state.model.concept_inputs.value),
     }
     with open(path, "w") as fh:

@@ -127,36 +127,40 @@ def test_stacked_scores_match_argsort_reference(case, seed, block, monkeypatch):
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("case", sorted(RANKING_CASES))
 def test_recalls_with_infinite_scores_match_argsort_reference(case, seed, block, monkeypatch):
-    # nextafter(-inf, -inf) is -inf, so a -inf ground truth's lower-index
-    # ties are counted apart from the threshold comparison
+    # every target is finite; its candidates may be -inf, +inf or NaN
     monkeypatch.setattr(pl, "RANK_BLOCK", block)
     n_img, n_cap, how = RANKING_CASES[case]
     rng = rng_from_seed(seed, 41)
     caption_image = _caption_image(rng, n_img, n_cap, how)
     scores = _tied_scores(rng, n_img, n_cap, levels=3)
-    draw = rng.random(scores.shape)
-    scores[draw < 0.3] = -np.inf
-    scores[draw > 0.8] = np.inf
-    scores[caption_image[0], caption_image == caption_image[0]] = -np.inf  # a -inf best caption
     off_target = np.ones_like(scores, dtype=bool)
     off_target[caption_image, np.arange(n_cap)] = False
+    draw = rng.random(scores.shape)
+    scores[off_target & (draw < 0.3)] = -np.inf
+    scores[off_target & (draw > 0.8)] = np.inf
     scores[off_target & (rng.random(scores.shape) < 0.1)] = np.nan
-    assert np.isneginf(scores[caption_image, np.arange(n_cap)]).any()
     got = pl.recalls_from_similarity(scores, caption_image)
     assert got == reference_recalls(scores, caption_image)
 
 
-def test_recalls_name_the_global_column_of_a_nan_ground_truth(monkeypatch):
-    monkeypatch.setattr(pl, "RANK_BLOCK", 3)
-    caption_image = np.array([0, 1, 2, 0, 1, 2, 0, 1])
-    scores = np.zeros((3, 8))
-    scores[caption_image[6], 6] = np.nan
-    with pytest.raises(ValueError, match="caption column 6 has a NaN ground-truth score"):
+@pytest.mark.parametrize("block", [3, pl.RANK_BLOCK])
+@pytest.mark.parametrize("stacked", [False, True], ids=["dense", "stacked"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_recalls_name_the_lowest_global_column_of_a_non_finite_ground_truth(value, stacked, block,
+                                                                           monkeypatch):
+    monkeypatch.setattr(pl, "RANK_BLOCK", block)
+    # at block 3, column 5's target lies a row tile above column 3's, in one column block
+    caption_image = np.array([0, 1, 2, 6, 4, 0, 1, 2])
+    bad = [5, 3, 7]
+    if stacked:
+        left, right = np.ones((7, 2)), np.ones((8, 2))
+        right[bad, 0] = value
+        scores = pl.StackedScores(left, right)
+    else:
+        scores = np.zeros((7, 8))
+        scores[caption_image[bad], bad] = value
+    with pytest.raises(ValueError, match=f"caption column 3 has a non-finite ground-truth score {value}$"):
         pl.recalls_from_similarity(scores, caption_image)
-    left, right = np.ones((3, 2)), np.ones((8, 2))
-    right[7, 0] = np.nan
-    with pytest.raises(ValueError, match="caption column 7 has a NaN ground-truth score"):
-        pl.recalls_from_similarity(pl.StackedScores(left, right), caption_image)
 
 
 @pytest.mark.parametrize("scores, caption_image, match", [
@@ -165,7 +169,7 @@ def test_recalls_name_the_global_column_of_a_nan_ground_truth(monkeypatch):
     (np.zeros((3, 4)), np.zeros(3, dtype=int), "one ground-truth image"),
     (np.zeros((3, 4)), np.array([0, 1, -1, 2]), "caption column 2 names image -1"),
     (np.zeros((3, 4)), np.array([0, 3, 5, 2]), r"caption column 1 names image 3, outside \[0, 3\)"),
-    (np.array([[0.0, np.nan], [1.0, 1.0]]), np.array([0, 0]), "caption column 1 has a NaN"),
+    (np.array([[0.0, np.nan], [1.0, 1.0]]), np.array([0, 0]), "caption column 1 has a non-finite"),
     (np.zeros((3, 0)), np.zeros(0, dtype=int), r"at least one image and one caption, got shape \(3, 0\)"),
     (np.zeros((0, 2)), np.zeros(2, dtype=int), r"at least one image and one caption, got shape \(0, 2\)"),
     (pl.StackedScores(np.zeros((0, 2)), np.zeros((4, 2))), np.zeros(4, dtype=int), r"got shape \(0, 4\)"),
@@ -187,8 +191,8 @@ def test_stacked_scores_reject_factors_that_do_not_multiply(left, right):
         pl.StackedScores(left, right)
 
 
-TIE_CASES = ("duplicate_captions", "duplicate_images", "best_at_block_edges", "neg_inf_best",
-             "images_without_captions", "twins_across_row_tiles", "neg_inf_tie_in_earlier_tile")
+TIE_CASES = ("duplicate_captions", "duplicate_images", "best_at_block_edges",
+             "images_without_captions", "twins_across_row_tiles")
 
 
 def _planted_ties(case, block, seed):
@@ -198,10 +202,9 @@ def _planted_ties(case, block, seed):
     [2 block, 3 block), [3 block]. Image rows are nonzero integers, so a
     caption row of 20x an image's row tops that image's row; image rows
     of norm 10 sqrt(2) also top the column of such a caption. The nine
-    images span row tiles [0, 3), [3, 6), [6, 9) at block 3, where the
-    last two cases tie across a row-tile edge. Returns the
-    ``StackedScores`` of integer factors, or a dense matrix for the -inf
-    cases, whose products would otherwise be NaN, and the dense scores.
+    images span row tiles [0, 3), [3, 6), [6, 9) at block 3, where
+    ``twins_across_row_tiles`` ties across a row-tile edge. Returns the
+    ``StackedScores`` of integer factors and their dense product.
     """
     rng = rng_from_seed(seed, 43)
     n_img, n_cap = 9, 3 * block + 1
@@ -238,28 +241,7 @@ def _planted_ties(case, block, seed):
         left[edge - 1] = left[edge] = 10 * rng.choice([-1, 1], size=2)
         caption_image[[block - 1, block]] = edge, edge - 1
         right[block - 1] = right[block] = 20 * left[edge]
-    dense = left @ right.T
-    if case == "neg_inf_tie_in_earlier_tile":
-        # caption `block` scores -inf at its image, a row tile below row 1's -inf: rank 1
-        target = min(edge + 1, n_img - 1)
-        caption_image[block] = target
-        dense[:, block] = np.nan
-        dense[[1, target], block] = -np.inf
-        return dense, dense, caption_image
-    if case != "neg_inf_best":
-        return pl.StackedScores(left, right), dense, caption_image
-    # rows of NaN, which is never ahead, so only the -inf cells set rank these images
-    caption_image[np.isin(caption_image, (0, 2))] = 3
-    dense[[0, 2]] = np.nan
-    # image 0's captions score -inf in the third block, as do two cells in
-    # earlier blocks (rank 2) and one after them
-    caption_image[[2 * block, 2 * block + 1]] = 0
-    dense[0, [1, block, 2 * block, 2 * block + 1, n_cap - 1]] = -np.inf
-    # image 2's one caption scores -inf in the first block, as do one cell
-    # before it (rank 1) and two after it
-    caption_image[1] = 2
-    dense[2, [0, 1, block + 1, n_cap - 1]] = -np.inf
-    return dense, dense, caption_image
+    return pl.StackedScores(left, right), left @ right.T, caption_image
 
 
 @pytest.mark.parametrize("block", [3, pl.RANK_BLOCK])
@@ -268,7 +250,7 @@ def _planted_ties(case, block, seed):
 def test_planted_ties_match_argsort_reference(case, seed, block, monkeypatch):
     monkeypatch.setattr(pl, "RANK_BLOCK", block)
     scores, dense, caption_image = _planted_ties(case, block, seed)
-    assert np.array_equal(scores[:, 0:dense.shape[1]], dense, equal_nan=True)
+    assert np.array_equal(scores[:, 0:dense.shape[1]], dense)
     assert pl.recalls_from_similarity(scores, caption_image) == reference_recalls(dense, caption_image)
 
 
@@ -315,11 +297,11 @@ def test_recalls_match_argsort_reference_at_any_tiling(seed):
     elif how == "subset":
         caption_image = rng.choice(rng.choice(n_img, size=max(n_img // 2, 1), replace=False), size=n_cap)
     scores = _tied_scores(rng, n_img, n_cap, levels=int(rng.integers(1, 5)))
-    draw = rng.random(scores.shape)
-    scores[draw < 0.15] = -np.inf
-    scores[draw > 0.9] = np.inf
     off_target = np.ones_like(scores, dtype=bool)
     off_target[caption_image, np.arange(n_cap)] = False
+    draw = rng.random(scores.shape)
+    scores[off_target & (draw < 0.15)] = -np.inf
+    scores[off_target & (draw > 0.9)] = np.inf
     scores[off_target & (rng.random(scores.shape) < 0.1)] = np.nan
     left, right = _integer_factors(rng, n_img), _integer_factors(rng, n_cap)
     with pytest.MonkeyPatch.context() as mp:
@@ -834,14 +816,23 @@ def test_load_checkpoint_names_bad_concept_inputs(corrupt, match, tmp_path):
 @pytest.mark.parametrize("instance_loss, estimator", [
     ("dcl", "std"), ("dcl_i", "std"), ("triplet", "std"), ("dcl", "entropy"),
 ], ids=["dcl", "dcl_i", "triplet", "dcl_entropy"])
-def test_train_runs_every_branch_deterministically(instance_loss, estimator, tmp_path):
+def test_train_runs_every_branch_deterministically(instance_loss, estimator, tmp_path, monkeypatch):
     # 33 pairs in batches of 16 leave a one-pair final batch, and 40
     # clusters exceed the 33 records
     cfg = pl.TrainConfig(seed=0, epochs=2, batch_size=16, k_clusters=40,
                          instance_loss=instance_loss, diversity_estimator=estimator)
     data = pl.generate_synthetic(33, 1, 4, seed=5)
     val = pl.generate_synthetic(6, 2, 4, seed=5, split="val")
+    # the momentum mirror at the end of each epoch, when train evaluates it
+    mirrors, evaluate = [], pl.evaluate
+
+    def spy_evaluate(state, data, beta=None):
+        mirrors.append({k: v.copy() for k, v in state.model.encoder_pair.momentum.items()})
+        return evaluate(state, data, beta)
+
+    monkeypatch.setattr(pl, "evaluate", spy_evaluate)
     state, rows = pl.train(cfg, data, val)
+    monkeypatch.undo()
     assert [row["epoch"] for row in rows] == [0, 1] and state.epochs_run == 2
     assert state.prototypes.centroids.shape[0] == 33
     for row in rows:
@@ -849,7 +840,8 @@ def test_train_runs_every_branch_deterministically(instance_loss, estimator, tmp
     assert rows[-1]["l_mdcl"] != 0.0
     assert pl.train(cfg, data, val)[1] == rows
     # the best epoch is the first to reach the top held-out rsum, and a
-    # default save keeps its parameters and the number of epochs run then
+    # default save keeps its parameters, its momentum mirror and the
+    # number of epochs run then
     best = max(row["rsum"] for row in rows)
     best_epochs_run = next(row["epoch"] for row in rows if row["rsum"] == best) + 1
     assert state.best["rsum"] == best
@@ -860,7 +852,36 @@ def test_train_runs_every_branch_deterministically(instance_loss, estimator, tmp
     assert loaded.epochs_run == best_epochs_run
     params = {name: m.value for name, m in loaded.model.param_items()}
     assert all(np.array_equal(params[k], v) for k, v in state.best["params"].items())
+    momentum = loaded.model.encoder_pair.momentum
+    assert momentum.keys() == mirrors[best_epochs_run - 1].keys()
+    assert all(np.array_equal(momentum[k], v) for k, v in mirrors[best_epochs_run - 1].items())
     assert pl.evaluate(loaded, val).rsum == best
+
+
+@pytest.mark.parametrize("epochs, drop_epoch, factor, dropped", [
+    (1, None, 0.1, [False]),
+    (3, None, 0.1, [False, True, True]),
+    (4, None, 0.1, [False, False, True, True]),
+    (3, 0, 0.1, [True, True, True]),
+    (3, 1, 0.1, [False, True, True]),
+    (4, None, 0.25, [False, False, True, True]),
+], ids=["default_1", "default_3", "default_4", "at_0", "at_1", "factor"])
+def test_train_drops_the_learning_rate_from_lr_drop_epoch_on(epochs, drop_epoch, factor, dropped,
+                                                             monkeypatch):
+    # the default drop epoch is max(epochs // 2, 1)
+    lrs, adam_step = [], pl.adam_step
+
+    def spy_adam_step(state, params, grads):
+        lrs.append(state.lr)
+        return adam_step(state, params, grads)
+
+    monkeypatch.setattr(pl, "adam_step", spy_adam_step)
+    cfg = pl.TrainConfig(seed=0, epochs=epochs, batch_size=4, lr_drop_epoch=drop_epoch,
+                         lr_drop_factor=factor, use_concept_losses=False)
+    state, _ = pl.train(cfg, pl.generate_synthetic(8, 1, 4, seed=5))
+    # two batches per epoch
+    assert lrs == [cfg.lr * factor if d else cfg.lr for d in dropped for _ in range(2)]
+    assert state.adam.lr == lrs[-1]
 
 
 def test_train_seeds_prototypes_once_then_refines_them(monkeypatch):

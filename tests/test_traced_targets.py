@@ -5,11 +5,15 @@ deleting one of them without changing the tracer would silently drop a
 per-layer metric, and changing the arguments a counter reads would skew
 it, so these checks run with the package's own tests.
 """
+import contextlib
 import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from crossalign import objective as obj
+from crossalign import pipeline as pl
 from crossalign.representation import FeatureAggregator
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -20,6 +24,18 @@ def _tracing():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     return tracing
+
+
+@contextlib.contextmanager
+def _traced():
+    """A tracer installed on every target for the duration of the block."""
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    restore, _ = tracing.install(tracer)
+    try:
+        yield tracer
+    finally:
+        restore()
 
 
 def test_bench_tracer_finds_every_target():
@@ -44,3 +60,32 @@ def test_bench_tracer_counts_the_sequences_of_one_encoder_call():
     assert FeatureAggregator.aggregate_batch is original
     assert tracer.counts["representation.aggregate_batch.seqs"] == 3
     assert tracer.counts["representation.aggregate_batch.calls"] == 1
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["dense", "stacked"])
+def test_bench_tracer_counts_the_cells_of_one_ranking(stacked):
+    n_img, n_cap = 4, 7
+    rng = np.random.default_rng(0)
+    left, right = rng.standard_normal((n_img, 3)), rng.standard_normal((n_cap, 3))
+    scores = pl.StackedScores(left, right) if stacked else left @ right.T
+    with _traced() as tracer:
+        pl.recalls_from_similarity(scores, np.arange(n_cap) % n_img)
+    assert tracer.counts["pipeline.recalls_from_similarity.cells"] == n_img * n_cap
+    assert tracer.counts["pipeline.recalls_from_similarity.calls"] == 1
+
+
+def test_bench_tracer_counts_the_records_of_one_load(tmp_path):
+    path = tmp_path / "data.jsonl"
+    pl.save_dataset(pl.generate_synthetic(5, 2, 4, seed=1), path)
+    with _traced() as tracer:
+        records = pl.load_dataset(path)
+    assert len(records) == 10
+    assert tracer.counts["pipeline.load_dataset.records"] == len(records)
+
+
+def test_bench_tracer_counts_the_lloyd_iterations_of_the_winning_run():
+    points = np.random.default_rng(0).standard_normal((30, 2))
+    with _traced() as tracer:
+        result = obj.kmeans_cluster(points, 3, seed=0, n_init=2)
+    assert len(result.inertia_path) > 0
+    assert tracer.counts["objective.kmeans_cluster.lloyd_iters"] == len(result.inertia_path)
