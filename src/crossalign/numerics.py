@@ -1,4 +1,4 @@
-"""Float64 matrices with reverse-mode differentiation, Adam, and grad checking.
+"""Float64 matrices with reverse-mode differentiation and Adam.
 
 Everything downstream builds on this module. A :class:`Matrix` is an
 immutable 2-D float64 value; operations return new matrices that remember
@@ -35,7 +35,8 @@ class Matrix:
             arr = arr.reshape(1, 1)
         if arr.ndim != 2:
             raise ValueError(f"Matrix must be 2-D, got {arr.ndim}-D input")
-        _check_finite(arr, "Matrix")
+        if not np.isfinite(arr).all():
+            raise NonFiniteError("Matrix: matrix contains non-finite entries")
         arr.setflags(write=False)
         self.value = arr
         self.grad: np.ndarray | None = None
@@ -82,11 +83,6 @@ class Matrix:
 
 class NonFiniteError(ValueError):
     """An operation produced or received NaN/Inf entries."""
-
-
-def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.isfinite(arr).all():
-        raise NonFiniteError(f"{op}: matrix contains non-finite entries")
 
 
 def node(values: np.ndarray, parents: tuple[Matrix, ...], vjp) -> Matrix:
@@ -369,42 +365,6 @@ def adam_step(state: AdamState, params: Matrix, grads: np.ndarray) -> Matrix:
         raise NonFiniteError("adam_step: update contains non-finite entries")
     state.m, state.v, state.step = m, v, step
     return _wrap(out, (), None)
-
-
-# ---------------------------------------------------------------------------
-# verification
-# ---------------------------------------------------------------------------
-
-def grad_check(loss_fn: Callable[[Matrix], Matrix], params: Matrix, h: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``loss_fn`` must be deterministic and return a 1x1 matrix. The error
-    denominator is floored at 1e-8 so near-zero gradients do not blow up
-    the ratio.
-    """
-    if not h > 0.0:
-        raise ValueError("step size h must be positive")
-    leaf = Matrix(params.value)
-    out = loss_fn(leaf)
-    _check_finite(out.value, "grad_check")
-    backward(out)
-    analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
-
-    numeric = np.zeros_like(leaf.value)
-    base = params.value
-    for i in range(base.shape[0]):
-        for j in range(base.shape[1]):
-            bumped = base.copy()
-            bumped[i, j] = base[i, j] + h
-            up = loss_fn(Matrix(bumped)).item()
-            bumped[i, j] = base[i, j] - h
-            down = loss_fn(Matrix(bumped)).item()
-            if not (math.isfinite(up) and math.isfinite(down)):
-                raise NonFiniteError("loss_fn returned a non-finite value during differencing")
-            numeric[i, j] = (up - down) / (2.0 * h)
-
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(analytic - numeric) / denom))
 
 
 # ---------------------------------------------------------------------------

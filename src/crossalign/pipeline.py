@@ -264,8 +264,8 @@ def generate_synthetic(n_images: int, captions_per_image: int = 1, latent_classe
         raise ValueError("need at least one image and one caption per image")
     if latent_classes < 2:
         raise ValueError("need at least two latent classes")
-    if noise < 0:
-        raise ValueError("noise must be non-negative")
+    if not 0.0 <= noise < np.inf:
+        raise ValueError(f"noise must be finite and non-negative, got {noise}")
     if world is None:
         world = build_world(latent_classes, seed, d_img=d_img, d_txt=d_txt)
     for name, given, held in (("latent_classes", latent_classes, world.latent_classes),
@@ -273,8 +273,8 @@ def generate_synthetic(n_images: int, captions_per_image: int = 1, latent_classe
                               ("d_txt", d_txt, world.proj_txt.shape[1])):
         if given != held:
             raise ValueError(f"{name}={given} contradicts the world's {name}={held}")
-    if attrs_per_image > world.attrs_per_class:
-        raise ValueError("attrs_per_image exceeds the class attribute pool")
+    if not 1 <= attrs_per_image <= world.attrs_per_class:
+        raise ValueError(f"attrs_per_image must lie in [1, {world.attrs_per_class}], got {attrs_per_image}")
     rng = rng_from_seed(seed, 202, int.from_bytes(split.encode(), "big"))
     records: list[PairedRecord] = []
     for i in range(n_images):
@@ -569,16 +569,15 @@ def batch_losses(state: TrainState, records: list[PairedRecord], labels: np.ndar
     """
     cfg = state.config
     model = state.model
-    img_seqs = [r.image_features for r in records]
-    cap_seqs = [r.caption_features for r in records]
+    # each modality is stacked once and read by every encoder of it
+    images = model.vis_agg.stack([r.image_features for r in records])
+    captions = model.txt_agg.stack([r.caption_features for r in records])
 
-    v_inst = model.vis_agg.aggregate_batch(img_seqs)
-    w_inst = model.txt_agg.aggregate_batch(cap_seqs)
+    v_inst = model.vis_agg.aggregate_batch(*images)
+    w_inst = model.txt_agg.aggregate_batch(*captions)
     # the momentum encoders take no gradient, so they build no graph
-    v_mom = model.vis_agg.forward(model.vis_agg.stack(img_seqs),
-                                  model.encoder_pair.momentum_group("vis"))
-    w_mom = model.txt_agg.forward(model.txt_agg.stack(cap_seqs),
-                                  model.encoder_pair.momentum_group("txt"))
+    v_mom = model.vis_agg.forward(*images, model.encoder_pair.momentum_group("vis"))
+    w_mom = model.txt_agg.forward(*captions, model.encoder_pair.momentum_group("txt"))
 
     sim = obj.cosine_matrix(v_inst, w_inst)
     # DCL and the memory loss share one diversity estimate; both queues fill together
@@ -593,7 +592,7 @@ def batch_losses(state: TrainState, records: list[PairedRecord], labels: np.ndar
     if cfg.use_concept_losses:
         basis = model.concept_basis()
         v_concept = model.concept_embed(v_inst, basis, "w_visual")
-        w_concept = model.concept_embed(model.txt_concept_agg.aggregate_batch(cap_seqs), basis,
+        w_concept = model.concept_embed(model.txt_concept_agg.aggregate_batch(*captions), basis,
                                         "w_textual")
         concept_sim = obj.cosine_matrix(v_concept, w_concept)
         losses["l_dcl_c"] = obj.dcl_loss(concept_sim, *_diversities(cfg, concept_sim),
@@ -646,8 +645,8 @@ def _instance_sums(state: TrainState, records: list[PairedRecord]) -> np.ndarray
     """v + w per record from the main encoders, for prototype clustering."""
     model = state.model
     _, img_seqs, caption_image = _unique_images(records)
-    v = np.vstack([model.vis_agg.forward(stacked) for stacked in _stacks(model.vis_agg, img_seqs)])
-    w = np.vstack([model.txt_agg.forward(stacked) for stacked in
+    v = np.vstack([model.vis_agg.forward(*run) for run in _stacks(model.vis_agg, img_seqs)])
+    w = np.vstack([model.txt_agg.forward(*run) for run in
                    _stacks(model.txt_agg, [r.caption_features for r in records])])
     return v[caption_image] + w
 
@@ -859,14 +858,17 @@ def recalls_from_similarity(scores: np.ndarray | StackedScores,
     np.minimum.at(best_cap, caption_image[is_best], cap_index[is_best])
 
     has_caption = best_cap < n_cap
-    below_best = np.nextafter(best_score, -np.inf)
+    # below the lowest finite float lies -inf, which every cell but -inf and NaN passes
+    with np.errstate(over="ignore"):
+        below_best = np.nextafter(best_score, -np.inf)
+        below_gt = np.nextafter(gt_score, -np.inf)
     tile_starts = np.arange(RANK_BLOCK, n_img, RANK_BLOCK)
     image_rank = np.zeros(n_cap, dtype=np.uint64)
     text_rank = np.zeros(n_img, dtype=np.uint64)
     for (lo, hi), own in zip(blocks, own_cols):
         gt, gt_img = gt_score[lo:hi], caption_image[lo:hi]
         # each column compares with nextafter(t, -inf) above its target's tile, with t from it on
-        col_thr = np.nextafter(gt, -np.inf)
+        col_thr = below_gt[lo:hi].copy()
         row_thr = np.where(best_cap >= hi, below_best, best_score)[:, None]
         exact = np.flatnonzero((best_cap >= lo) & (best_cap < hi))
         exact_rows = np.split(exact, np.searchsorted(exact, tile_starts))
@@ -908,13 +910,13 @@ def embed_for_retrieval(state: TrainState, data: list[PairedRecord]):
     image_ids, img_seqs, caption_image = _unique_images(data)
     basis = model.concept_basis()
     v, w, vc, wc = [], [], [], []
-    for stacked in _stacks(model.vis_agg, img_seqs):
-        v.append(model.vis_agg.forward(stacked))
+    for run in _stacks(model.vis_agg, img_seqs):
+        v.append(model.vis_agg.forward(*run))
         # the visual concept query is the instance embedding
         vc.append(model.concept_embed(Matrix(v[-1]), basis, "w_visual").value)
-    for stacked in _stacks(model.txt_agg, [r.caption_features for r in data]):
-        w.append(model.txt_agg.forward(stacked))
-        wc.append(model.concept_embed(Matrix(model.txt_concept_agg.forward(stacked)), basis,
+    for run in _stacks(model.txt_agg, [r.caption_features for r in data]):
+        w.append(model.txt_agg.forward(*run))
+        wc.append(model.concept_embed(Matrix(model.txt_concept_agg.forward(*run)), basis,
                                       "w_textual").value)
     return image_ids, caption_image, *(np.vstack(parts) for parts in (v, w, vc, wc))
 

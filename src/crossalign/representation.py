@@ -9,10 +9,10 @@ are plain dot products. One plain-numpy pass computes all of that:
 with a hand-written VJP for training, and ``FeatureAggregator.forward``
 returns its embeddings with no node for the encoders that take no
 gradient. ``FeatureAggregator.stack`` is the one check and stacking of
-input sequences: ``aggregate_batch`` stacks its list itself, and
-``forward`` takes a ``stack`` result, so encoders of one input width can
-share one stack. A momentum copy of the encoder parameters follows the
-trainable ones by EMA and feeds the FIFO memory banks.
+input sequences, and both entry points take its ``(lengths, rows)``, so
+every encoder of one input width reads one stack of a batch. A momentum
+copy of the encoder parameters follows the trainable ones by EMA and
+feeds the FIFO memory banks.
 """
 from __future__ import annotations
 
@@ -75,48 +75,43 @@ class FeatureAggregator:
         }
 
     def stack(self, seqs) -> tuple[np.ndarray, np.ndarray]:
-        """The sequences' rows stacked into one [sum of lengths, d_in] array, and the lengths.
+        """The sequences' lengths, and their rows stacked into one [sum of lengths, d_in] array.
 
         Each sequence must be a nonempty 2-D array of width ``d_in``.
         """
-        if len(seqs) == 0:
+        arrs = [np.asarray(seq, dtype=np.float64) for seq in seqs]
+        if not arrs:
             raise ValueError("stack needs at least one sequence")
-        arrs = []
-        for seq in seqs:
-            arr = np.asarray(seq, dtype=np.float64)
+        for arr in arrs:
             if arr.ndim != 2 or arr.shape[0] < 1:
                 raise ValueError("each sequence must be a nonempty 2-D array")
             if arr.shape[1] != self.d_in:
                 raise ValueError(f"sequence feature dim {arr.shape[1]} != aggregator d_in {self.d_in}")
-            arrs.append(arr)
-        return np.concatenate(arrs), np.array([a.shape[0] for a in arrs], dtype=np.int64)
+        # lengths first: the bench counts an encoder call's sequences as len() of its first argument
+        return np.array([a.shape[0] for a in arrs], dtype=np.int64), np.concatenate(arrs)
 
-    def forward(self, stacked: tuple[np.ndarray, np.ndarray],
+    def forward(self, lengths: np.ndarray, rows: np.ndarray,
                 params: dict[str, np.ndarray] | None = None) -> np.ndarray:
-        """Unit embeddings [n, out_dim] of the n sequences in a ``stack`` result, with no graph node.
+        """Unit embeddings [n, out_dim] of the n sequences of a ``stack`` result, with no graph node.
 
         For encoders that take no gradient: the momentum mirror (its
         arrays as ``params``), clustering and evaluation. ``params`` None
         uses the values of the trainable parameters. The result is
-        bit for bit the value of ``aggregate_batch`` on the stacked
-        sequences, which any aggregator of the same ``d_in`` may stack.
+        bit for bit the value of ``aggregate_batch`` on the same stack,
+        which any aggregator of the same ``d_in`` may make.
         """
-        x, lengths = stacked
-        if x.shape[1] != self.d_in:
-            raise ValueError(f"stacked feature dim {x.shape[1]} != aggregator d_in {self.d_in}")
         if params is None:
             params = {k: m.value for k, m in self.p.items()}
-        return _forward(x, lengths, params, self.d_p)[0]
+        return _forward(lengths, rows, params, self.d_p)[0]
 
-    def aggregate_batch(self, seqs) -> Matrix:
-        """Embed several sequences at once as one graph node; returns [len(seqs), out_dim].
+    def aggregate_batch(self, lengths: np.ndarray, rows: np.ndarray) -> Matrix:
+        """Embed the n sequences of a ``stack`` result at once as one graph node; returns [n, out_dim].
 
-        All sequences are stacked into one [sum of lengths, d_in] array
-        and projected with a single matmul; each sequence's projected rows
-        are summed with per-position weights and the sums are
-        unit-normalized. The pooling-weight perceptron runs once for the
-        longest sequence and shorter ones use a prefix of its weights,
-        which is exact because the weights depend only on position.
+        The stacked rows are projected with a single matmul; each
+        sequence's projected rows are summed with per-position weights and
+        the sums are unit-normalized. The pooling-weight perceptron runs
+        once for the longest sequence and shorter ones use a prefix of its
+        weights, which is exact because the weights depend only on position.
 
         The node's parents are the five parameters in ``self.p`` and its
         VJP is hand-written. Forward and VJP repeat, op for op, the graph
@@ -124,9 +119,8 @@ class FeatureAggregator:
         and grads equal that graph's bit for bit; the tests compare
         against it.
         """
-        x, lengths = self.stack(seqs)
         out, (pe, pre, hidden, row_w, position, projected, norms) = _forward(
-            x, lengths, {k: m.value for k, m in self.p.items()}, self.d_p)
+            lengths, rows, {k: m.value for k, m in self.p.items()}, self.d_p)
         w2 = self.p["dec_w2"].value
 
         def vjp(g):
@@ -135,7 +129,7 @@ class FeatureAggregator:
             g_theta = np.zeros((pe.shape[0], 1))
             np.add.at(g_theta[:, 0], position, (spread * projected).sum(axis=1))
             g_pre = (g_theta @ w2.T) * (pre > 0.0)
-            return (x.T @ (spread * row_w), pe.T @ g_pre, g_pre.sum(axis=0, keepdims=True),
+            return (rows.T @ (spread * row_w), pe.T @ g_pre, g_pre.sum(axis=0, keepdims=True),
                     hidden.T @ g_theta, g_theta.sum(axis=0, keepdims=True))
 
         return nm.node(out, tuple(self.p[k] for k in PARAM_NAMES), vjp)
@@ -147,7 +141,7 @@ def _finite(stage: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _forward(x: np.ndarray, lengths: np.ndarray, p: dict[str, np.ndarray], d_p: int):
+def _forward(lengths: np.ndarray, x: np.ndarray, p: dict[str, np.ndarray], d_p: int):
     """The aggregator's pass over the stacked rows ``x`` of sequences of ``lengths``, in plain numpy.
 
     Returns the unit embeddings and the intermediates the VJP of
@@ -157,8 +151,11 @@ def _forward(x: np.ndarray, lengths: np.ndarray, p: dict[str, np.ndarray], d_p: 
     pre-activation before ``relu`` could hide a ``-inf`` or NaN in it,
     and a non-finite parameter in the stage that uses it. The positional
     table and the ``relu`` output are finite by construction, and the
-    normalisation raises as ``numerics.l2_normalize_rows`` does.
+    normalisation raises as ``numerics.l2_normalize_rows`` does. Rows
+    of another width than ``p["proj"]`` expects are rejected first.
     """
+    if x.shape[1] != p["proj"].shape[0]:
+        raise ValueError(f"stacked feature dim {x.shape[1]} != aggregator d_in {p['proj'].shape[0]}")
     _finite("input", x)
     pe = positional_encoding_table(int(lengths.max()), d_p)
     pre = _finite("pooling pre-activation", _finite("pooling layer 1", pe @ p["dec_w1"]) + p["dec_b1"])

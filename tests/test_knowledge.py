@@ -13,7 +13,9 @@ from crossalign.knowledge import (
     gcn_forward,
     normalized_adjacency,
 )
-from crossalign.numerics import Matrix, grad_check, rng_from_seed
+from crossalign.numerics import Matrix, rng_from_seed
+
+from gradcheck import grad_check
 
 
 def test_vocabulary_unique_maximum():

@@ -123,6 +123,18 @@ def test_stacked_scores_match_argsort_reference(case, seed, block, monkeypatch):
     assert pl.recalls_from_similarity(scores, caption_image) == reference_recalls(blend, caption_image)
 
 
+def _plant_lowest_targets(scores, caption_image):
+    """The lowest finite score as caption 0's target and as every target of the last caption's image.
+
+    The step below it is -inf, so it sits where a column's and a row's
+    thresholds step down from the target and from an image's best caption.
+    """
+    lowest = np.finfo(np.float64).min
+    scores[caption_image[0], 0] = lowest
+    last = caption_image[-1]
+    scores[last, caption_image == last] = lowest
+
+
 @pytest.mark.parametrize("block", [3, pl.RANK_BLOCK])
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("case", sorted(RANKING_CASES))
@@ -139,6 +151,7 @@ def test_recalls_with_infinite_scores_match_argsort_reference(case, seed, block,
     scores[off_target & (draw < 0.3)] = -np.inf
     scores[off_target & (draw > 0.8)] = np.inf
     scores[off_target & (rng.random(scores.shape) < 0.1)] = np.nan
+    _plant_lowest_targets(scores, caption_image)
     got = pl.recalls_from_similarity(scores, caption_image)
     assert got == reference_recalls(scores, caption_image)
 
@@ -303,6 +316,7 @@ def test_recalls_match_argsort_reference_at_any_tiling(seed):
     scores[off_target & (draw < 0.15)] = -np.inf
     scores[off_target & (draw > 0.9)] = np.inf
     scores[off_target & (rng.random(scores.shape) < 0.1)] = np.nan
+    _plant_lowest_targets(scores, caption_image)
     left, right = _integer_factors(rng, n_img), _integer_factors(rng, n_cap)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pl, "RANK_BLOCK", block)
@@ -321,7 +335,7 @@ def test_aggregate_batch_is_one_node_over_its_parameters_for_any_batch():
     seqs = [rng.standard_normal((int(rng.integers(1, 6)), 6)) for _ in range(50)]
     params = tuple(agg.p[k] for k in ("proj", "dec_w1", "dec_b1", "dec_w2", "dec_b2"))
     for batch in (seqs[:1], seqs):
-        out = agg.aggregate_batch(batch)
+        out = agg.aggregate_batch(*agg.stack(batch))
         assert out._parents == params and _graph_nodes(out) == 6
 
 
@@ -338,9 +352,10 @@ def test_embed_for_retrieval_reuses_image_chunks_exactly():
     basis = model.concept_basis()
     chunks = [img_seqs[i:i + 128] for i in range(0, len(img_seqs), 128)]
     assert len(chunks) == 2
-    want_v = np.vstack([model.vis_agg.aggregate_batch(c).value for c in chunks])
+    agg = model.vis_agg
+    want_v = np.vstack([agg.aggregate_batch(*agg.stack(c)).value for c in chunks])
     want_vc = np.vstack([
-        model.concept_embed(model.vis_agg.aggregate_batch(c), basis, "w_visual").value
+        model.concept_embed(agg.aggregate_batch(*agg.stack(c)), basis, "w_visual").value
         for c in chunks])
     assert np.array_equal(caption_image, want_caption_image)
     assert np.array_equal(v, want_v)
@@ -382,7 +397,7 @@ def test_embed_for_retrieval_stacks_each_row_budget_chunk_once(monkeypatch):
     basis = model.concept_basis()
 
     def per_chunk(agg, chunks, weight=None):
-        parts = [agg.aggregate_batch(chunk) for chunk in chunks]
+        parts = [agg.aggregate_batch(*agg.stack(chunk)) for chunk in chunks]
         if weight is not None:
             parts = [model.concept_embed(part, basis, weight) for part in parts]
         return np.vstack([part.value for part in parts])
@@ -459,6 +474,19 @@ def test_synthetic_caption_features_project_their_token_latents_in_order():
         assert _bits(r.caption_features) == _bits(want)
     # the tokens are shuffled: some caption does not end in its distractors
     assert any(r.caption_tokens[-1].startswith("cls") for r in data)
+
+
+@pytest.mark.parametrize("noise", [float("nan"), float("inf"), -0.1])
+def test_synthetic_rejects_a_noise_that_is_not_finite_and_non_negative(noise):
+    with pytest.raises(ValueError, match=f"^noise must be finite and non-negative, got {noise}$"):
+        pl.generate_synthetic(10, 1, noise=noise)
+
+
+@pytest.mark.parametrize("attrs", [0, -1, 9])
+def test_synthetic_rejects_an_attribute_count_outside_the_class_pool(attrs):
+    # build_world's default pool holds 8 attributes per class
+    with pytest.raises(ValueError, match=rf"^attrs_per_image must lie in \[1, 8\], got {attrs}$"):
+        pl.generate_synthetic(10, 1, attrs_per_image=attrs)
 
 
 @pytest.mark.parametrize("name, given, held", [("latent_classes", 4, 8), ("d_img", 16, 48),
@@ -1006,6 +1034,22 @@ def test_one_training_step_stays_within_its_graph_node_budget():
     # the memory and label losses are in the graph
     assert parts["l_mdcl"] != 0.0 and parts["l_pgc"] != 0.0
     assert _graph_nodes(total) <= GRAPH_NODE_BUDGET
+
+
+def test_one_training_step_stacks_each_modality_once(monkeypatch):
+    data = pl.generate_synthetic(32, 1, 4, seed=1)
+    state = pl.build_state(pl.TrainConfig(seed=0, epochs=1, batch_size=32), data)
+    rng = rng_from_seed(4)
+    for bank in (state.bank_v, state.bank_w):
+        rows = rng.standard_normal((32, state.config.embed_dim))
+        bank.enqueue(rows / np.linalg.norm(rows, axis=1, keepdims=True))
+    stacked = []
+    stack = FeatureAggregator.stack
+    monkeypatch.setattr(FeatureAggregator, "stack",
+                        lambda agg, seqs: stacked.append((agg, len(seqs))) or stack(agg, seqs))
+    _, parts, _, _ = pl.batch_losses(state, data, np.arange(32) % 4)
+    assert all(value != 0.0 for value in parts.values())
+    assert stacked == [(state.model.vis_agg, 32), (state.model.txt_agg, 32)]
 
 
 @pytest.mark.parametrize("off", [(), ("l_mdcl",), ("l_pgc",), ("l_dcl_c", "l_pgc")],

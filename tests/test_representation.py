@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from crossalign import numerics as nm
 from crossalign import pipeline as pl
-from crossalign.numerics import Matrix, backward, grad_check, rng_from_seed
+from crossalign.numerics import Matrix, backward, rng_from_seed
 from crossalign.representation import (
     PARAM_NAMES,
     EncoderPair,
@@ -17,6 +17,8 @@ from crossalign.representation import (
     named_params,
     positional_encoding_table,
 )
+
+from gradcheck import grad_check
 
 
 def test_positional_encoding_at_zero():
@@ -90,14 +92,12 @@ def _composed_pooling_weights(agg, length, p) -> Matrix:
     return h @ p["dec_w2"] + p["dec_b2"]
 
 
-def composed_aggregate(agg, seqs, params=None) -> Matrix:
+def composed_aggregate(agg, lengths, rows, params=None) -> Matrix:
     """``agg.aggregate_batch`` built from elementary ops, one graph node per op."""
     p = agg.p if params is None else {k: v if isinstance(v, Matrix) else Matrix(v)
                                       for k, v in params.items()}
-    arrs = [np.asarray(seq, dtype=np.float64) for seq in seqs]
-    lengths = [a.shape[0] for a in arrs]
-    theta = _composed_pooling_weights(agg, max(lengths), p)
-    projected = Matrix(np.concatenate(arrs)) @ p["proj"]
+    theta = _composed_pooling_weights(agg, int(lengths.max()), p)
+    projected = Matrix(rows) @ p["proj"]
     return nm.l2_normalize_rows(_segment_weighted_sum(projected, theta, lengths))
 
 
@@ -140,12 +140,12 @@ def test_aggregate_batch_equals_the_composed_graph_bit_for_bit(kind, seed):
     outs, grads = [], []
     for build in (FeatureAggregator.aggregate_batch, composed_aggregate):
         agg.p = {k: Matrix(m.value) for k, m in agg.p.items()}
-        out = build(agg, seqs)
+        out = build(agg, *agg.stack(seqs))
         backward(nm.sum_all(out * probe))
         outs.append(out.value.tobytes())
         grads.append([agg.p[k].grad.tobytes() for k in PARAM_NAMES])
     if kind == "small_norm_row":
-        pooled = composed_aggregate(agg, seqs)._parents[0].value
+        pooled = composed_aggregate(agg, *agg.stack(seqs))._parents[0].value
         assert np.linalg.norm(pooled[1]) < nm._SMALL_NORM
     assert outs[0] == outs[1]
     assert grads[0] == grads[1]
@@ -155,13 +155,14 @@ def test_aggregate_batch_equals_the_composed_graph_bit_for_bit(kind, seed):
 def test_forward_equals_the_node_value_bit_for_bit(kind):
     agg, pair = _pair()
     seqs = _batch(kind, rng_from_seed(24))
-    assert agg.forward(agg.stack(seqs)).tobytes() == agg.aggregate_batch(seqs).value.tobytes()
+    stacked = agg.stack(seqs)
+    assert agg.forward(*stacked).tobytes() == agg.aggregate_batch(*stacked).value.tobytes()
     agg.p["proj"] = Matrix(agg.p["proj"].value * 0.5)
     pair.momentum_update(0.7)
     momentum = pair.momentum_group("enc")
     agg.p = {k: Matrix(v) for k, v in momentum.items()}
-    want = agg.aggregate_batch(seqs).value
-    assert agg.forward(agg.stack(seqs), momentum).tobytes() == want.tobytes()
+    want = agg.aggregate_batch(*stacked).value
+    assert agg.forward(*stacked, momentum).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -170,7 +171,7 @@ def test_forward_against_loop(seed):
     rng = rng_from_seed(seed, 25)
     agg.p["dec_b1"] = Matrix(rng.standard_normal((1, 4)))
     seqs = [rng.standard_normal((int(rng.integers(1, 7)), 6)) for _ in range(6)]
-    assert np.max(np.abs(agg.forward(agg.stack(seqs)) - _loop_aggregate(agg, seqs))) <= 1e-12
+    assert np.max(np.abs(agg.forward(*agg.stack(seqs)) - _loop_aggregate(agg, seqs))) <= 1e-12
 
 
 def _train_digest(cfg, data, val) -> str:
@@ -191,9 +192,8 @@ def test_seeded_training_is_bit_identical_with_the_composed_aggregator(instance_
     val = pl.generate_synthetic(8, 2, 4, seed=5, split="val")
     fused = _train_digest(cfg, data, val)
     monkeypatch.setattr(FeatureAggregator, "aggregate_batch", composed_aggregate)
-    monkeypatch.setattr(FeatureAggregator, "forward", lambda agg, stacked, params=None:
-                        composed_aggregate(agg, np.split(stacked[0], np.cumsum(stacked[1])[:-1]),
-                                           params).value)
+    monkeypatch.setattr(FeatureAggregator, "forward", lambda agg, lengths, rows, params=None:
+                        composed_aggregate(agg, lengths, rows, params).value)
     assert _train_digest(cfg, data, val) == fused
 
 
@@ -203,7 +203,7 @@ def test_aggregate_identical_features_collapse_to_projection():
     seq = np.tile(feature, (5, 1))
     theta = _composed_pooling_weights(agg, 5, agg.p).value
     assert theta.sum() > 0  # fresh decoder starts near sum pooling
-    out = agg.aggregate_batch([seq]).value
+    out = agg.aggregate_batch(*agg.stack([seq])).value
     expected = nm.l2_normalize_rows(Matrix(feature.reshape(1, -1)) @ agg.p["proj"]).value
     assert np.max(np.abs(out - expected)) <= 1e-10
 
@@ -211,7 +211,7 @@ def test_aggregate_identical_features_collapse_to_projection():
 def test_aggregate_single_feature():
     agg = _aggregator(seed=3)
     feature = rng_from_seed(4).standard_normal((1, 6))
-    out = agg.aggregate_batch([feature]).value
+    out = agg.aggregate_batch(*agg.stack([feature])).value
     expected = nm.l2_normalize_rows(Matrix(feature) @ agg.p["proj"]).value
     assert np.max(np.abs(out - expected)) <= 1e-12
 
@@ -231,31 +231,30 @@ def test_aggregate_output_is_unit_norm(seed):
     rng = rng_from_seed(seed, 21)
     agg = _aggregator(seed=seed)
     seqs = [rng.standard_normal((int(rng.integers(1, 7)), 6)) for _ in range(4)]
-    out = agg.aggregate_batch(seqs).value
+    out = agg.aggregate_batch(*agg.stack(seqs)).value
     assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) <= 1e-12
 
 
-@pytest.mark.parametrize("method", ["aggregate_batch", "stack"])
-def test_aggregate_rejects_empty_input(method):
-    embed = getattr(_aggregator(), method)
+def test_stack_rejects_empty_input():
+    stack = _aggregator().stack
     with pytest.raises(ValueError, match="^stack needs at least one sequence"):
-        embed([])
+        stack([])
     for bad in (np.zeros((0, 6)), np.ones(6), np.ones((2, 3, 6))):
         with pytest.raises(ValueError, match="nonempty 2-D array"):
-            embed([np.ones((2, 6)), bad])
+            stack([np.ones((2, 6)), bad])
 
 
-@pytest.mark.parametrize("method", ["aggregate_batch", "stack"])
-def test_aggregate_rejects_wrong_feature_dim(method):
-    embed = getattr(_aggregator(), method)
+def test_stack_rejects_wrong_feature_dim():
     with pytest.raises(ValueError, match="d_in"):
-        embed([np.ones((3, 5))])
+        _aggregator().stack([np.ones((3, 5))])
 
 
 def test_forward_rejects_a_stack_of_another_width():
     stacked = _aggregator(d_in=5).stack([np.ones((3, 5))])
-    with pytest.raises(ValueError, match="stacked feature dim 5 != aggregator d_in 6"):
-        _aggregator().forward(stacked)
+    agg = _aggregator()
+    for encode in (agg.forward, agg.aggregate_batch):
+        with pytest.raises(ValueError, match="^stacked feature dim 5 != aggregator d_in 6$"):
+            encode(*stacked)
 
 
 def _overflowing(stage):
@@ -290,10 +289,10 @@ def test_non_finite_stage_is_named(stage):
     match = f"^aggregate_batch: {stage} has non-finite entries"
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(nm.NonFiniteError, match=match):
-            agg.forward(agg.stack([seq]), params)
+            agg.forward(*agg.stack([seq]), params)
         agg.p = {k: Matrix(v) for k, v in params.items()}
         with pytest.raises(nm.NonFiniteError, match=match):
-            agg.aggregate_batch([seq])
+            agg.aggregate_batch(*agg.stack([seq]))
 
 
 @pytest.mark.parametrize("name", PARAM_NAMES)
@@ -305,7 +304,7 @@ def test_gradients_flow_through_aggregate(name):
 
     def loss_fn(p):
         agg.p[name] = p
-        return nm.sum_all(agg.aggregate_batch(seqs) * probe)
+        return nm.sum_all(agg.aggregate_batch(*agg.stack(seqs)) * probe)
 
     assert grad_check(loss_fn, agg.p[name], h=1e-5) <= 1e-4
 
@@ -314,8 +313,8 @@ def test_batch_and_single_aggregation_agree():
     agg = _aggregator(seed=9)
     rng = rng_from_seed(10)
     seqs = [rng.standard_normal((int(rng.integers(1, 6)), 6)) for _ in range(5)]
-    batched = agg.aggregate_batch(seqs).value
-    singles = np.vstack([agg.aggregate_batch([s]).value for s in seqs])
+    batched = agg.aggregate_batch(*agg.stack(seqs)).value
+    singles = np.vstack([agg.aggregate_batch(*agg.stack([s])).value for s in seqs])
     assert np.max(np.abs(batched - singles)) <= 1e-12
 
 
@@ -381,8 +380,8 @@ def test_momentum_forward_matches_main_after_full_copy():
     agg.p["proj"] = Matrix(agg.p["proj"].value * 0.5)
     pair.momentum_update(0.0)
     seq = rng_from_seed(12).standard_normal((4, 6))
-    main_out = agg.aggregate_batch([seq]).value
-    mom_out = agg.forward(agg.stack([seq]), pair.momentum_group("enc"))
+    main_out = agg.aggregate_batch(*agg.stack([seq])).value
+    mom_out = agg.forward(*agg.stack([seq]), pair.momentum_group("enc"))
     assert np.array_equal(main_out, mom_out)
 
 
@@ -392,9 +391,9 @@ def test_momentum_forward_builds_no_graph_node(monkeypatch):
     node = nm.node
     monkeypatch.setattr(nm, "node", lambda *args: built.append(args) or node(*args))
     seq = rng_from_seed(13).standard_normal((3, 6))
-    out = agg.forward(agg.stack([seq]), pair.momentum_group("enc"))
+    out = agg.forward(*agg.stack([seq]), pair.momentum_group("enc"))
     assert type(out) is np.ndarray and out.shape == (1, 8) and built == []
-    agg.aggregate_batch([seq])
+    agg.aggregate_batch(*agg.stack([seq]))
     assert len(built) == 1  # the spy sees the node that the trainable encoder builds
     assert all(m.grad is None for _, m in named_params(pair.groups))
 

@@ -53,8 +53,8 @@ def test_bench_tracer_counts_the_sequences_of_one_encoder_call():
     original = FeatureAggregator.aggregate_batch
     restore, _ = tracing.install(tracer)
     try:
-        FeatureAggregator(4, 3, d_p=4, hidden=2).aggregate_batch(
-            [np.ones((2, 4)), np.ones((1, 4)), np.ones((3, 4))])
+        agg = FeatureAggregator(4, 3, d_p=4, hidden=2)
+        agg.aggregate_batch(*agg.stack([np.ones((2, 4)), np.ones((1, 4)), np.ones((3, 4))]))
     finally:
         restore()
     assert FeatureAggregator.aggregate_batch is original
