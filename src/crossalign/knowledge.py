@@ -2,11 +2,11 @@
 
 A vocabulary of the most frequent caption tokens becomes a graph whose
 edges are thresholded conditional co-occurrence probabilities. The
-normalized graph times seeded random concept vectors is a constant,
-formed once; one graph convolution of it with a learned weight gives the
-concept basis. Each modality then queries that basis with a learned
-bilinear score and represents itself as the softmax-weighted combination
-of concept rows.
+normalized graph times seeded random concept vectors is a constant
+array, formed once and never a graph leaf; one graph convolution of it
+with a learned weight gives the concept basis. Each modality then
+queries that basis with a learned bilinear score and represents itself
+as the softmax-weighted combination of concept rows.
 """
 from __future__ import annotations
 
@@ -92,17 +92,17 @@ def concept_inputs(adjacency: np.ndarray, dim: int, seed: int) -> np.ndarray:
     """
     a_norm = normalized_adjacency(adjacency)
     rows = nm.rng_from_seed(seed, 101).standard_normal((a_norm.shape[0], dim))
-    return a_norm @ (rows / np.linalg.norm(rows, axis=1, keepdims=True))
+    return a_norm @ nm.unit_rows(rows)[0]
 
 
-def gcn_forward(inputs: Matrix, w: Matrix) -> Matrix:
-    """One graph convolution of the constant ``concept_inputs`` leaf: relu(inputs @ w).
+def gcn_forward(inputs: np.ndarray, w: Matrix) -> Matrix:
+    """One graph convolution of the constant ``concept_inputs`` array: relu(inputs @ w).
 
-    Gradients flow through ``w``.
+    The product node holds ``inputs``; ``w`` is its only parent and takes the gradient.
     """
-    if w.rows != inputs.cols:
-        raise ValueError(f"weight rows {w.rows} != feature dim {inputs.cols}")
-    return nm.relu(inputs @ w)
+    if w.rows != inputs.shape[1]:
+        raise ValueError(f"weight rows {w.rows} != feature dim {inputs.shape[1]}")
+    return nm.relu(nm.node(inputs @ w.value, (w,), lambda g: (inputs.T @ g,)))
 
 
 def concept_query(query: Matrix, w: Matrix, basis: Matrix,

@@ -68,9 +68,6 @@ class Matrix:
     def __add__(self, other):
         return add(self, _as_matrix(other))
 
-    def __sub__(self, other):
-        return add(self, neg(_as_matrix(other)))
-
     def __mul__(self, other):
         return mul(self, _as_matrix(other))
 
@@ -89,7 +86,8 @@ def node(values: np.ndarray, parents: tuple[Matrix, ...], vjp) -> Matrix:
     """A graph node holding ``values``: the one constructor every differentiable op returns through.
 
     ``vjp(g)`` maps the grad of the result to one grad per parent, in
-    ``parents`` order and each in its parent's shape. ``values`` must be
+    ``parents`` order and each in its parent's shape; an array the op
+    holds as a constant is no parent and gets no grad. ``values`` must be
     finite; it becomes the node's read-only row-major float64 value
     (copied only when it is not one already). A non-finite value raises
     ``NonFiniteError`` naming the op, the function ``vjp`` was defined in.
@@ -157,10 +155,6 @@ def add(a: Matrix, b: Matrix) -> Matrix:
     return node(av + bv, (a, b), vjp)
 
 
-def neg(a: Matrix) -> Matrix:
-    return node(-a.value, (a,), lambda g: (-g,))
-
-
 def mul(a: Matrix, b: Matrix) -> Matrix:
     av, bv = a.value, b.value
 
@@ -198,11 +192,6 @@ def relu(a: Matrix) -> Matrix:
 def sum_all(a: Matrix) -> Matrix:
     shape = a.value.shape
     return node(np.array([[a.value.sum()]]), (a,), lambda g: (np.full(shape, g[0, 0]),))
-
-
-def row_sum(a: Matrix) -> Matrix:
-    cols = a.cols
-    return node(a.value.sum(axis=1, keepdims=True), (a,), lambda g: (np.repeat(g, cols, axis=1),))
 
 
 def softmax_rows(a: Matrix) -> Matrix:

@@ -172,11 +172,6 @@ def _contrastive_direction(scores: Matrix, positives: Matrix | None, div: np.nda
     return nm.node(np.array([[per_anchor.sum()]]) * (1.0 / n), parents, vjp)
 
 
-def _diag_column(scores: Matrix) -> Matrix:
-    eye = np.eye(scores.rows)
-    return nm.row_sum(scores * Matrix(eye))
-
-
 def dcl_loss(sim: SimilarityMatrix, div_anchor_fwd: np.ndarray | None,
              div_anchor_bwd: np.ndarray | None, mu: float, gamma: float) -> Matrix:
     """Bidirectional contrastive loss with per-anchor diversity temperatures.
@@ -214,7 +209,10 @@ def triplet_baseline_loss(sim: SimilarityMatrix, margin: float) -> Matrix:
     def direction(scores: Matrix) -> Matrix:
         negs = np.where(diagonal, -np.inf, scores.value)
         hardest = (np.arange(n) == negs.argmax(axis=1)[:, None]) & ~diagonal
-        hinge = nm.relu((scores - _diag_column(scores)) + margin) * Matrix(hardest)
+        minus_pos = nm.node(-(scores.value * diagonal).sum(axis=1, keepdims=True), (scores,),
+                            lambda g: (-g * diagonal,))
+        violation = nm.relu((scores + minus_pos) + margin)
+        hinge = nm.node(violation.value * hardest, (violation,), lambda g: (g * hardest,))
         return nm.sum_all(hinge) * (1.0 / n)
 
     return direction(sim.scores) + direction(nm.transpose(sim.scores))
@@ -247,8 +245,8 @@ def m_dcl_loss(batch_v: Matrix, batch_w: Matrix, momentum_pos_v: np.ndarray,
     is a negative; all rows are unit-norm encoder outputs scored by dot
     product. Per anchor, the diversity weight is the mean of the estimate
     over the anchor's bank scores and the in-batch pair ``dcl_loss`` takes
-    too. No gradient flows into bank rows, momentum positives, or
-    diversity weights.
+    too. Bank rows, momentum positives and diversity weights are arrays
+    held by the nodes that read them, so no gradient flows into them.
     """
     if not mu > 0.0:
         raise ValueError("temperature mu must be positive")
@@ -263,8 +261,10 @@ def m_dcl_loss(batch_v: Matrix, batch_w: Matrix, momentum_pos_v: np.ndarray,
         if pos_rows.shape != (anchors.rows, anchors.cols):
             raise ValueError("momentum positives must match the anchor batch shape")
 
-        bank_sims = anchors @ Matrix(bank).T
-        positives = nm.row_sum(anchors * Matrix(pos_rows))
+        bank_t = np.ascontiguousarray(bank.T)  # BLAS rounds a product with a view differently
+        bank_sims = nm.node(anchors.value @ bank_t, (anchors,), lambda g: (g @ bank_t.T,))
+        positives = nm.node((anchors.value * pos_rows).sum(axis=1, keepdims=True), (anchors,),
+                            lambda g: (g * pos_rows,))
 
         div = (div_batch + _estimate(SimilarityMatrix(bank_sims, False), estimator, eps)) / 2.0
         return _contrastive_direction(bank_sims, positives, div, mu, gamma)
@@ -407,10 +407,8 @@ def kmeans_cluster(points: np.ndarray, k: int, max_iters: int = 100, seed: int =
     if bad.size:
         raise ValueError(f"points must be finite, but row {int(bad[0])} is not")
     m = pts.shape[0]
-    if k < 1:
-        raise ValueError("cluster count must be at least 1")
-    if k > m:
-        raise ValueError(f"cannot form {k} clusters from {m} points")
+    if not np.issubdtype(np.asarray(k).dtype, np.integer) or not 1 <= k <= m:
+        raise ValueError(f"k must be an integer in [1, {m}], got {k!r} of dtype {np.asarray(k).dtype}")
 
     if start_centroids is not None:
         start = np.array(start_centroids, dtype=np.float64)
@@ -434,9 +432,11 @@ def pgc_loss(vc: Matrix, wc: Matrix, classifier: Matrix, labels) -> Matrix:
     """Mean cross-entropy of both modalities' class scores against pseudo labels.
 
     ``classifier`` is [K, F]; logits are embedding . classifier_row. The
-    labels are constants; gradients reach the embeddings and classifier.
+    labels are integers in [0, K); gradients reach embeddings and classifier.
     """
-    z = np.asarray(labels, dtype=np.int64).reshape(-1)
+    z = np.asarray(labels).reshape(-1)
+    if not np.issubdtype(z.dtype, np.integer):
+        raise ValueError(f"labels must hold integers, got dtype {z.dtype}")
     n, k = vc.rows, classifier.rows
     if wc.rows != n:
         raise ValueError("both modality batches must have the same size")
@@ -447,11 +447,11 @@ def pgc_loss(vc: Matrix, wc: Matrix, classifier: Matrix, labels) -> Matrix:
         raise ValueError(f"label {bad} outside [0, {k})")
     one_hot = np.zeros((n, k))
     one_hot[np.arange(n), z] = 1.0
-    pick = Matrix(one_hot)
 
     def ce(embeds: Matrix) -> Matrix:
-        logits = embeds @ classifier.T
-        return nm.sum_all(nm.log_softmax_rows(logits) * pick) * (-1.0 / n)
+        log_p = nm.log_softmax_rows(embeds @ classifier.T)
+        picked = nm.node(log_p.value * one_hot, (log_p,), lambda g: (g * one_hot,))
+        return nm.sum_all(picked) * (-1.0 / n)
 
     return ce(vc) + ce(wc)
 

@@ -234,10 +234,9 @@ def build_world(latent_classes: int, seed: int, *, d_img: int = 48, d_txt: int =
     if not 0.0 <= modality_alignment <= 1.0:
         raise ValueError("modality_alignment must lie in [0, 1]")
     rng = rng_from_seed(seed, 201)
-    attr = rng.standard_normal((latent_classes, attrs_per_class, d_latent))
-    attr /= np.linalg.norm(attr, axis=2, keepdims=True)
-    distract = rng.standard_normal((len(DISTRACTOR_TOKENS), d_latent))
-    distract /= np.linalg.norm(distract, axis=1, keepdims=True)
+    attr = rng.standard_normal((latent_classes * attrs_per_class, d_latent))
+    attr = nm.unit_rows(attr)[0].reshape(latent_classes, attrs_per_class, d_latent)
+    distract = nm.unit_rows(rng.standard_normal((len(DISTRACTOR_TOKENS), d_latent)))[0]
     proj_img = rng.standard_normal((d_latent, d_img)) / np.sqrt(d_latent)
     proj_txt = rng.standard_normal((d_latent, d_txt)) / np.sqrt(d_latent)
     if d_img == d_txt:
@@ -447,7 +446,7 @@ class AlignmentModel:
     The visual aggregator is shared between the instance embedding and
     the concept-branch query; the textual side uses separate aggregators
     for the two roles. ``concept_inputs``, the graph's
-    ``knowledge.concept_inputs`` array, is a frozen constant leaf; only
+    ``knowledge.concept_inputs`` array, is a read-only constant; only
     the convolution weight, the two query matrices (``query``, one per
     modality, both starting at the identity), and the classifier train
     on the concept side.
@@ -457,7 +456,8 @@ class AlignmentModel:
         rng = rng_from_seed(cfg.seed, 11)
         f = cfg.embed_dim
         self.cfg = cfg
-        self.concept_inputs = Matrix(concept_inputs)
+        self.concept_inputs = np.array(concept_inputs, dtype=np.float64)
+        self.concept_inputs.setflags(write=False)
         self.vis_agg = FeatureAggregator(d_img, f, cfg.d_p, cfg.decoder_hidden, rng)
         self.txt_agg = FeatureAggregator(d_txt, f, cfg.d_p, cfg.decoder_hidden, rng)
         self.txt_concept_agg = FeatureAggregator(d_txt, f, cfg.d_p, cfg.decoder_hidden, rng)
@@ -469,7 +469,7 @@ class AlignmentModel:
                 self.txt_concept_agg.p[k] = Matrix(m.value)
         self.query: dict[str, Matrix] = {"w_visual": Matrix(np.eye(f)),
                                          "w_textual": Matrix(np.eye(f))}
-        d_c = self.concept_inputs.cols
+        d_c = self.concept_inputs.shape[1]
         self.extra: dict[str, Matrix] = {
             "w_sc": Matrix(rng.standard_normal((d_c, f)) / np.sqrt(d_c)),
             "classifier": Matrix(0.01 * rng.standard_normal((cfg.k_clusters, f))),
@@ -972,7 +972,7 @@ def save_checkpoint(path, state: TrainState, which: str = "best") -> None:
         "dims": {"d_img": state.model.vis_agg.d_in, "d_txt": state.model.txt_agg.d_in},
         "params": {name: _encode(arr) for name, arr in params.items()},
         "momentum": {name: _encode(arr) for name, arr in momentum.items()},
-        "concept_inputs": _encode(state.model.concept_inputs.value),
+        "concept_inputs": _encode(state.model.concept_inputs),
     }
     with open(path, "w") as fh:
         json.dump(blob, fh)

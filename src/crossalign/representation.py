@@ -211,10 +211,12 @@ class MemoryBank:
     """Fixed-capacity FIFO queue of embedding rows, oldest first.
 
     Callers push unit-norm encoder rows, which ``m_dcl_loss`` scores by
-    dot product; the queue only enforces capacity, order, and dimension.
+    dot product; the queue enforces capacity, order, dimension, finiteness.
     """
 
     def __init__(self, capacity: int, dim: int):
+        if not all(np.issubdtype(np.asarray(x).dtype, np.integer) for x in (capacity, dim)):
+            raise ValueError(f"capacity and dim must be integers, got {capacity!r} and {dim!r}")
         if capacity < 1 or dim < 1:
             raise ValueError("capacity and dim must be positive")
         self.capacity = capacity
@@ -225,10 +227,12 @@ class MemoryBank:
         return self._rows.shape[0]
 
     def enqueue(self, rows: np.ndarray) -> "MemoryBank":
-        """Append rows newest-last, evicting from the front past capacity."""
+        """Append finite rows newest-last, evicting from the front past capacity."""
         arr = np.asarray(rows, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != self.dim:
             raise ValueError(f"expected rows of dim {self.dim}, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise nm.NonFiniteError("enqueue: rows contain non-finite entries")
         self._rows = np.vstack([self._rows, arr])[-self.capacity:]
         return self
 

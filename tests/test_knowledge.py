@@ -153,8 +153,25 @@ def test_concept_inputs_propagate_the_unit_rows_over_the_graph():
 
 def test_gcn_identity_weight_keeps_nonnegative_input():
     x = np.abs(rng_from_seed(1).standard_normal((4, 4)))
-    out = gcn_forward(Matrix(x), Matrix(np.eye(4)))
+    out = gcn_forward(x, Matrix(np.eye(4)))
     assert np.max(np.abs(out.value - x)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_gcn_equals_the_composed_graph_on_a_constant_leaf(seed):
+    rng = rng_from_seed(seed, 12)
+    inputs = concept_inputs((rng.uniform(size=(5, 5)) > 0.5).astype(np.int64), 6, seed)
+    probe = rng.standard_normal((5, 4))
+    w = rng.standard_normal((6, 4))
+    fused_w, ref_w = Matrix(w), Matrix(w)
+    fused = gcn_forward(inputs, fused_w)
+    ref = nm.relu(Matrix(inputs) @ ref_w)
+    assert fused.value.tobytes() == ref.value.tobytes()
+    # the array is no parent: only the weight gets a grad
+    assert fused._parents[0]._parents == (fused_w,)
+    nm.backward(nm.sum_all(fused * Matrix(probe)))
+    nm.backward(nm.sum_all(ref * Matrix(probe)))
+    assert fused_w.grad.tobytes() == ref_w.grad.tobytes()
 
 
 def test_gcn_dense_two_node_normalization():
@@ -182,11 +199,11 @@ def test_normalized_adjacency_matches_per_entry_oracle():
 
 def test_gcn_rejects_shape_mismatch():
     with pytest.raises(ValueError, match="weight rows 3 != feature dim 4"):
-        gcn_forward(Matrix(np.ones((2, 4))), Matrix(np.ones((3, 3))))
+        gcn_forward(np.ones((2, 4)), Matrix(np.ones((3, 3))))
 
 
 def test_gcn_clamps_negative_outputs_to_zero():
-    out = gcn_forward(Matrix(np.array([[-1.0, 2.0]])), Matrix(np.eye(2)))
+    out = gcn_forward(np.array([[-1.0, 2.0]]), Matrix(np.eye(2)))
     assert np.array_equal(out.value, np.array([[0.0, 2.0]]))
 
 
@@ -237,7 +254,7 @@ def test_grad_check_through_query_and_convolution(target):
     rng = rng_from_seed(9)
     g, d_c, f = 5, 6, 6
     adjacency = (rng.uniform(size=(g, g)) > 0.5).astype(float)
-    inputs = Matrix(concept_inputs(adjacency, d_c, 0))
+    inputs = concept_inputs(adjacency, d_c, 0)
     w_query = Matrix(np.eye(f))
     w_sc = Matrix(rng.standard_normal((d_c, f)))
     query = Matrix(rng.standard_normal((3, f)))

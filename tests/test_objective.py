@@ -25,6 +25,7 @@ from crossalign.objective import (
     triplet_baseline_loss,
 )
 
+from autodiff_ref import row_sum
 from gradcheck import grad_check
 
 MU, GAMMA = 0.1, 0.3
@@ -475,10 +476,10 @@ def _composed_direction(scores, positives, neg_mask, div, mu, gamma):
     """The direction as the elementary-op graph the fused node must reproduce bit for bit."""
     n = scores.rows
     inv_temp = Matrix((1.0 / (mu * div)).reshape(n, 1))
-    z = nm.exp((scores - gamma) * inv_temp)
+    z = nm.exp((scores + -gamma) * inv_temp)
     if neg_mask is not None:
         z = z * Matrix(neg_mask)
-    per_anchor = _log(nm.row_sum(z) + 1.0) * mu - _log(positives + 1.0)
+    per_anchor = _log(row_sum(z) + 1.0) * mu + _log(positives + 1.0) * -1.0
     return nm.sum_all(per_anchor) * (1.0 / n)
 
 
@@ -496,7 +497,7 @@ def test_fused_direction_equals_composed_graph_in_batch(seed):
     fused_s, ref_s = Matrix(scores), Matrix(scores)
     fused = _contrastive_direction(fused_s, None, div, MU, GAMMA)
     eye = np.eye(6)
-    ref = _composed_direction(ref_s, nm.row_sum(ref_s * Matrix(eye)), 1.0 - eye, div, MU, GAMMA)
+    ref = _composed_direction(ref_s, row_sum(ref_s * Matrix(eye)), 1.0 - eye, div, MU, GAMMA)
     assert fused.value.tobytes() == ref.value.tobytes()
     assert fused._parents == (fused_s,)
     # a non-unit upstream grad exercises the scale c = g * mu / N
@@ -551,6 +552,98 @@ def test_fused_direction_input_checks_and_overflow():
     # the in-batch form checks the masked diagonal too, as the composed graph did
     with pytest.raises(nm.NonFiniteError, match="_contrastive_direction: exp overflows"):
         _contrastive_direction(Matrix([[0.8, 0.1], [0.0, 0.3]]), None, None, 1e-3, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# constant arrays held by the nodes that read them, against the composed
+# graphs that made them constant leaves
+# ---------------------------------------------------------------------------
+
+def _leaves(*arrays):
+    """Two independent leaf tuples of the same values: one for the node under test, one for its reference."""
+    return tuple(Matrix(a) for a in arrays), tuple(Matrix(a) for a in arrays)
+
+
+def _assert_same_bits(fused, ref, fused_leaves, ref_leaves, upstream):
+    assert fused.value.tobytes() == ref.value.tobytes()
+    nm.backward(fused * upstream)
+    nm.backward(ref * upstream)
+    for got, want in zip(fused_leaves, ref_leaves):
+        assert got.grad.tobytes() == want.grad.tobytes()
+
+
+def _composed_m_dcl(batch_v, batch_w, pos_v, pos_w, bank_v, bank_w, div_fwd, div_bwd):
+    """``m_dcl_loss`` with bank scores and positives composed of elementary ops on constant leaves."""
+    def one_direction(anchors, pos_rows, bank, div_batch):
+        bank_sims = anchors @ Matrix(bank).T
+        positives = row_sum(anchors * Matrix(pos_rows))
+        div = (div_batch + _estimate(SimilarityMatrix(bank_sims, False), "std", 0.1)) / 2.0
+        return _contrastive_direction(bank_sims, positives, div, MU, GAMMA)
+
+    return (one_direction(batch_v, pos_w, bank_w, div_fwd)
+            + one_direction(batch_w, pos_v, bank_v, div_bwd))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_m_dcl_bank_scores_and_positives_equal_the_composed_graph(seed):
+    rng = rng_from_seed(seed, 46)
+    # sizes at which BLAS rounds a product with a transposed view of the bank differently
+    n, f, q = 16, 32, 40
+    (v, w), (ref_v, ref_w) = _leaves(_unit_rows(rng, n, f), _unit_rows(rng, n, f))
+    pos_v, pos_w = _unit_rows(rng, n, f), _unit_rows(rng, n, f)
+    bank_v, bank_w = _unit_rows(rng, q, f), _unit_rows(rng, q, f)
+    div = _batch_div(v, w)
+    fused = m_dcl_loss(v, w, pos_v, pos_w, bank_v, bank_w, *div, MU, GAMMA)
+    ref = _composed_m_dcl(ref_v, ref_w, pos_v, pos_w, bank_v, bank_w, *div)
+    _assert_same_bits(fused, ref, (v, w), (ref_v, ref_w), 1.3)
+
+
+def _composed_triplet(sim, margin):
+    """``triplet_baseline_loss`` with the positive column and the hardest-negative mask as constant leaves."""
+    n = sim.scores.rows
+    eye = np.eye(n)
+    diagonal = np.eye(n, dtype=bool)
+
+    def direction(scores):
+        negs = np.where(diagonal, -np.inf, scores.value)
+        hardest = (np.arange(n) == negs.argmax(axis=1)[:, None]) & ~diagonal
+        hinge = nm.relu((scores + row_sum(scores * Matrix(eye)) * -1.0) + margin) * Matrix(hardest)
+        return nm.sum_all(hinge) * (1.0 / n)
+
+    return direction(sim.scores) + direction(nm.transpose(sim.scores))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_triplet_equals_the_composed_graph(seed):
+    scores = rng_from_seed(seed, 47).uniform(-0.5, 0.5, size=(7, 7)) + np.eye(7) * 0.3
+    (fused_s,), (ref_s,) = _leaves(scores)
+    fused = triplet_baseline_loss(SimilarityMatrix(fused_s, True), 0.2)
+    ref = _composed_triplet(SimilarityMatrix(ref_s, True), 0.2)
+    _assert_same_bits(fused, ref, (fused_s,), (ref_s,), -0.7)
+
+
+def _composed_pgc(vc, wc, classifier, labels):
+    """``pgc_loss`` with the one-hot mask as a constant leaf."""
+    n = vc.rows
+    one_hot = np.zeros((n, classifier.rows))
+    one_hot[np.arange(n), labels] = 1.0
+    pick = Matrix(one_hot)
+
+    def ce(embeds):
+        return nm.sum_all(nm.log_softmax_rows(embeds @ classifier.T) * pick) * (-1.0 / n)
+
+    return ce(vc) + ce(wc)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pgc_equals_the_composed_graph(seed):
+    rng = rng_from_seed(seed, 48)
+    fused_leaves, ref_leaves = _leaves(_unit_rows(rng, 6, 5), _unit_rows(rng, 6, 5),
+                                       rng.standard_normal((4, 5)))
+    labels = rng.integers(0, 4, size=6)
+    fused = pgc_loss(*fused_leaves, labels)
+    ref = _composed_pgc(*ref_leaves, labels)
+    _assert_same_bits(fused, ref, fused_leaves, ref_leaves, 1.9)
 
 
 # ---------------------------------------------------------------------------
@@ -851,9 +944,18 @@ _BANK_SIMS = _sim([[0.5, 0.7], [0.5, 0.5]], diagonal=False)
     (lambda: pgc_loss(_EYE, Matrix(np.ones((3, 2))), _EYE, [0, 1]),
      "both modality batches must have the same size"),
     (lambda: pgc_loss(_EYE, _EYE, _EYE, [0, 1, 0]), "need one label per pair, got 3 for batch 2"),
+    (lambda: pgc_loss(_EYE, _EYE, _EYE, [0.5, 1.7]), "labels must hold integers, got dtype float64"),
+    (lambda: pgc_loss(_EYE, _EYE, _EYE, [True, False]), "labels must hold integers, got dtype bool"),
+    (lambda: pgc_loss(_EYE, _EYE, _EYE, ["1", "0"]), "labels must hold integers, got dtype <U1"),
     (lambda: kmeans_cluster(np.arange(5.0), 2), "points must be a 2-D array"),
+    (lambda: kmeans_cluster(np.eye(3), 2.5), "k must be an integer in [1, 3], got 2.5 of dtype float64"),
+    (lambda: kmeans_cluster(np.eye(3), True), "k must be an integer in [1, 3], got True of dtype bool"),
+    (lambda: kmeans_cluster(np.eye(3), 0), "k must be an integer in [1, 3], got 0 of dtype int64"),
+    (lambda: kmeans_cluster(np.eye(3), np.int32(4)),
+     "k must be an integer in [1, 3], got np.int32(4) of dtype int32"),
 ], ids=["cosine_widths", "std_eps", "entropy_eps", "estimator", "m_dcl_mu", "m_dcl_positives",
-        "pgc_batches", "pgc_labels", "kmeans_1d"])
+        "pgc_batches", "pgc_labels", "pgc_float_labels", "pgc_bool_labels", "pgc_str_labels",
+        "kmeans_1d", "kmeans_float_k", "kmeans_bool_k", "kmeans_no_k", "kmeans_k_above_points"])
 def test_objective_names_a_bad_argument(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 from crossalign import objective as obj
 from crossalign import pipeline as pl
-from crossalign.numerics import AdamState, Matrix, NonFiniteError, adam_step, rng_from_seed
+from crossalign.numerics import (
+    AdamState,
+    Matrix,
+    NonFiniteError,
+    adam_step,
+    backward,
+    rng_from_seed,
+)
 from crossalign.representation import FeatureAggregator
 
 
@@ -489,6 +496,12 @@ def test_synthetic_rejects_an_attribute_count_outside_the_class_pool(attrs):
         pl.generate_synthetic(10, 1, attrs_per_image=attrs)
 
 
+@pytest.mark.parametrize("alignment", [-0.1, 1.5, float("nan")])
+def test_build_world_rejects_a_modality_alignment_outside_the_unit_interval(alignment):
+    with pytest.raises(ValueError, match=r"^modality_alignment must lie in \[0, 1\]$"):
+        pl.build_world(4, 0, modality_alignment=alignment)
+
+
 @pytest.mark.parametrize("name, given, held", [("latent_classes", 4, 8), ("d_img", 16, 48),
                                                ("d_txt", 24, 48)])
 def test_synthetic_rejects_an_argument_that_contradicts_the_world(name, given, held):
@@ -627,7 +640,8 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert all(_bits(got[k].value) == _bits(want[k].value) for k in want)
     momentum = state.model.encoder_pair.momentum
     assert all(_bits(loaded.model.encoder_pair.momentum[k]) == _bits(momentum[k]) for k in momentum)
-    assert _bits(loaded.model.concept_inputs.value) == _bits(state.model.concept_inputs.value)
+    assert _bits(loaded.model.concept_inputs) == _bits(state.model.concept_inputs)
+    assert not loaded.model.concept_inputs.flags.writeable
 
 
 @pytest.mark.parametrize("d_img, d_txt", [(48, 48), (40, 24)])
@@ -1005,27 +1019,35 @@ def test_flat_adam_step_rejects_a_nan_grad_before_any_parameter_changes():
     assert state.adam.step == 0 and not state.adam.m.any() and not state.adam.v.any()
 
 
-def _graph_nodes(root) -> int:
-    """Distinct nodes reachable from ``root`` through their parents."""
-    seen, stack = {id(root)}, [root]
-    while stack:
-        for parent in stack.pop()._parents:
+def _graph(root) -> list:
+    """The distinct nodes reachable from ``root`` through their parents, ``root`` among them."""
+    seen, nodes = {id(root)}, [root]
+    for node in nodes:
+        for parent in node._parents:
             if id(parent) not in seen:
                 seen.add(id(parent))
-                stack.append(parent)
-    return len(seen)
+                nodes.append(parent)
+    return nodes
 
 
-# A step with every loss on builds 89 nodes on this fixture: among them
-# six contrastive directions and three aggregator calls, one node each.
-# An aggregator call composed of elementary ops costs 10 nodes and a
-# direction about 20, so a single such one exceeds the budget.
-GRAPH_NODE_BUDGET = 89
+def _graph_nodes(root) -> int:
+    return len(_graph(root))
 
 
-def test_one_training_step_stays_within_its_graph_node_budget():
+# A step with every loss on builds 79 nodes on this fixture (95 with the
+# triplet baseline): among them six contrastive directions and three
+# aggregator calls, one node each. An aggregator call composed of
+# elementary ops costs 10 nodes and a direction about 20, so a single
+# such one exceeds the budget.
+GRAPH_NODE_BUDGET = 79
+TRIPLET_GRAPH_NODE_BUDGET = 95
+
+
+def _budget_step(instance_loss="dcl"):
+    """The model and the loss node of one step with every loss on, memory banks full."""
     data = pl.generate_synthetic(8, 2, 4, seed=1)
-    state = pl.build_state(pl.TrainConfig(seed=0, epochs=1, batch_size=8), data)
+    state = pl.build_state(pl.TrainConfig(seed=0, epochs=1, batch_size=8,
+                                          instance_loss=instance_loss), data)
     rng = rng_from_seed(4)
     for bank in (state.bank_v, state.bank_w):
         rows = rng.standard_normal((8, state.config.embed_dim))
@@ -1033,7 +1055,27 @@ def test_one_training_step_stays_within_its_graph_node_budget():
     total, parts, _, _ = pl.batch_losses(state, data[:8], np.arange(8) % 4)
     # the memory and label losses are in the graph
     assert parts["l_mdcl"] != 0.0 and parts["l_pgc"] != 0.0
+    return state.model, total
+
+
+def test_one_training_step_stays_within_its_graph_node_budget():
+    _, total = _budget_step()
     assert _graph_nodes(total) <= GRAPH_NODE_BUDGET
+
+
+def test_one_triplet_training_step_stays_within_its_graph_node_budget():
+    _, total = _budget_step("triplet")
+    assert _graph_nodes(total) <= TRIPLET_GRAPH_NODE_BUDGET
+
+
+def test_every_constant_leaf_of_a_training_step_is_a_scalar():
+    model, total = _budget_step()
+    backward(total)
+    params = {id(m) for _, m in model.param_items()}
+    constants = [node for node in _graph(total) if not node._parents and id(node) not in params]
+    # the memory banks, momentum positives, masks and concept inputs live inside their nodes
+    assert constants and all(leaf.shape == (1, 1) for leaf in constants)
+    assert all(m.grad is not None for _, m in model.param_items())
 
 
 def test_one_training_step_stacks_each_modality_once(monkeypatch):

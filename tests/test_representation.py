@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -435,6 +436,27 @@ def test_bank_rejects_wrong_dim():
     bank = MemoryBank(capacity=4, dim=3)
     with pytest.raises(ValueError, match="dim"):
         bank.enqueue(np.ones((2, 4)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_bank_rejects_a_non_finite_row_and_keeps_its_rows(bad):
+    bank = MemoryBank(capacity=4, dim=2).enqueue(np.ones((1, 2)))
+    rows = np.zeros((2, 2))
+    rows[1, 0] = bad
+    with pytest.raises(nm.NonFiniteError, match="^enqueue: rows contain non-finite entries$"):
+        bank.enqueue(rows)
+    assert np.array_equal(bank.view(), np.ones((1, 2)))
+
+
+@pytest.mark.parametrize("capacity, dim, message", [
+    (2.5, 2, "capacity and dim must be integers, got 2.5 and 2"),
+    (True, 2, "capacity and dim must be integers, got True and 2"),
+    (4, 2.0, "capacity and dim must be integers, got 4 and 2.0"),
+    (0, 2, "capacity and dim must be positive"),
+])
+def test_bank_rejects_a_capacity_or_dim_it_cannot_hold(capacity, dim, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MemoryBank(capacity, dim)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
