@@ -6,9 +6,11 @@ captions appears in r records. Records with one ``image_id`` describe
 one image and must carry the same image features; evaluation and
 clustering embed each image once. Those records share one image array
 (``generate_synthetic`` and ``load_dataset`` both do so), and feature
-arrays are read-only by convention.
+arrays are read-only by convention. ``load_dataset`` also gives each
+token and ``image_id`` that repeats in a file one str object, so the
+records of one image share their ``image_id`` string.
 
-A dataset file is JSONL, one record per line::
+A dataset file is UTF-8 JSONL, one record per line::
 
     {"pair_id": str, "image_id": str,
      "image_features": blob, "caption_tokens": [str, ...],
@@ -30,23 +32,27 @@ momentum mirror, and feeds the momentum embeddings into the queues.
 Evaluation ranks with the beta-blend of instance-level and concept-level
 cosine similarity. Images and captions are embedded in chunks of at most
 ``EMBED_ROWS`` stacked feature rows; each caption chunk is stacked once
-for both caption encoders and its concept query follows. The canonical
-score is one matmul of stacked factors,
-``[beta*v | (1-beta)*vc] @ [w | wc].T``, formed and ranked one
+for both caption encoders and its concept query follows. Each chunk is
+written in place into one of two score factors, ``[v | vc]`` per image
+and ``[w | wc]`` per caption, and ``v``, ``w``, ``vc`` and ``wc`` are
+their column views. The canonical score is one matmul of stacked
+factors, ``[beta*v | (1-beta)*vc] @ [w | wc].T``, formed and ranked one
 ``RANK_BLOCK x RANK_BLOCK`` tile at a time, so no [n_images x
-n_captions] matrix is ever held: besides the embeddings, extra memory is
-O(RANK_BLOCK^2) for ranking, beside its per-image and per-caption
-vectors, plus O(EMBED_ROWS x d) for embedding, d the widest feature or
-embedding row. Ranks are counted, not sorted: a cell with score s is
-ahead of a target t when s > t, or when s == t at a lower index. A
-pre-pass reads the ground-truth cells from the tiles that hold them and
-rejects any that is not finite, and the main pass forms every tile once;
-both cut the tiles at the same bounds, so every count and every target
-reads the same canonical cell values.
+n_captions] matrix is ever held: besides the two factors and the
+per-image blend, extra memory is O(RANK_BLOCK^2) for ranking, beside its
+per-image and per-caption vectors, plus O(EMBED_ROWS x d) for
+embedding, d the widest feature or embedding row. Ranks are counted,
+not sorted: a cell with score s is ahead of a target t when s > t, or
+when s == t at a lower index. A pre-pass reads the ground-truth cells
+from the tiles that hold them and rejects any that is not finite, and
+the main pass forms every tile once; both cut the tiles at the same
+bounds, so every count and every target reads the same canonical cell
+values.
 """
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import math
 import sys
@@ -74,7 +80,7 @@ LOSS_PARTS = ("l_dcl_i", "l_mdcl", "l_dcl_c", "l_pgc")
 # data model
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class PairedRecord:
     pair_id: str
     image_id: str
@@ -306,31 +312,36 @@ def generate_synthetic(n_images: int, captions_per_image: int = 1, latent_classe
 BLOB_FORM = '{"shape": [...], "data": <base64 of little-endian float64>}'
 
 
-def _encode(arr: np.ndarray) -> dict:
+def _encode(arr: np.ndarray, where: str) -> dict:
+    """The blob ``_decode`` reads back bit for bit; ``where`` names ``arr`` if it is not finite."""
     arr = np.ascontiguousarray(arr, dtype="<f8")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{where} contains non-finite values")
     return {"shape": list(arr.shape), "data": base64.b64encode(arr.tobytes()).decode("ascii")}
 
 
 def _decode(blob, where: str, shared: dict | None = None) -> np.ndarray:
-    """The finite float64 array an ``_encode`` blob holds; ``where`` names it in errors.
+    """The finite float64 array an ``_encode`` blob holds; each error message starts with ``where``.
 
-    With ``shared``, a blob whose shape and data equal an earlier one's
-    returns that earlier array instead of a new copy.
+    The array owns its data. With ``shared``, a blob whose shape and data
+    equal an earlier one's returns that earlier array instead of a new copy.
     """
-    if not isinstance(blob, dict):
+    if type(blob) is not dict:
         raise ValueError(f"{where} must be {BLOB_FORM}, got a {type(blob).__name__}")
-    if blob.keys() != {"shape", "data"}:
+    if len(blob) != 2 or "shape" not in blob or "data" not in blob:
         raise ValueError(f"{where} must be {BLOB_FORM}, got keys {sorted(blob)}")
     shape, data = blob["shape"], blob["data"]
-    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+    if type(shape) is not list or not all(type(n) is int and n >= 0 for n in shape):
         raise ValueError(f"{where}: shape must be a list of non-negative ints, got {shape!r}")
-    if not isinstance(data, str):
+    if type(data) is not str:
         raise ValueError(f"{where}: data must be a base64 string, got {type(data).__name__}")
-    key = (data, *shape)
-    if shared is not None and key in shared:
-        return shared[key]
+    if shared is not None:
+        key = (data, *shape)
+        arr = shared.get(key)
+        if arr is not None:
+            return arr
     try:
-        raw = base64.b64decode(data, validate=True)
+        raw = binascii.a2b_base64(data, strict_mode=True)
     except ValueError as e:
         raise ValueError(f"{where}: data is not strict base64 ({e})") from None
     nbytes = 8 * math.prod(shape)
@@ -345,61 +356,70 @@ def _decode(blob, where: str, shared: dict | None = None) -> np.ndarray:
 
 
 def save_dataset(data: list[PairedRecord], path) -> None:
-    """Write one JSON object per record and line.
+    """Write one JSON object per record and line, in UTF-8.
 
     Its keys are ``pair_id``, ``image_id``, ``caption_tokens`` and the two
     feature sequences ``image_features`` and ``caption_features``, each as
     an ``_encode`` blob ``{"shape": [L, d], "data": <base64 of
-    little-endian float64>}``; the module docstring states the rules.
+    little-endian float64>}``; the module docstring states the rules. A
+    non-finite feature array raises, naming its record and field, before
+    that record's line is written.
     """
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for r in data:
+            where = f"record {r.pair_id!r}: "
             fh.write(json.dumps({
                 "pair_id": r.pair_id,
                 "image_id": r.image_id,
-                "image_features": _encode(r.image_features),
+                "image_features": _encode(r.image_features, where + "image_features"),
                 "caption_tokens": r.caption_tokens,
-                "caption_features": _encode(r.caption_features),
+                "caption_features": _encode(r.caption_features, where + "caption_features"),
             }) + "\n")
 
 
 def _validate_record(raw: dict, line_no: int, max_seq_len: int, widths: dict[str, int],
-                     images: dict) -> PairedRecord:
+                     images: dict, strings: dict[str, str]) -> PairedRecord:
     """One record from its parsed JSON line.
 
     ``widths`` holds the feature widths of the first record and is filled
-    by it; ``images`` maps image blobs already decoded to their arrays.
+    by it; ``images`` maps image blobs already decoded to their arrays,
+    and ``strings`` each token and image id already read to its one str.
     """
-    pair_id = raw.get("pair_id") if isinstance(raw, dict) else None
-    if not isinstance(pair_id, str) or not pair_id:
+    pair_id = raw.get("pair_id") if type(raw) is dict else None
+    if type(pair_id) is not str or not pair_id:
         raise ValueError(f"line {line_no}: record has no pair_id")
     for key in ("image_id", "image_features", "caption_tokens", "caption_features"):
         if key not in raw:
             raise ValueError(f"record {pair_id!r}: missing field {key!r}")
     image_id = raw["image_id"]
-    if not isinstance(image_id, str) or not image_id:
+    if type(image_id) is not str or not image_id:
         raise ValueError(f"record {pair_id!r}: image_id must be a non-empty string, got {image_id!r}")
-    arrays = {}
+    arrays = []
     for name, shared in (("image_features", images), ("caption_features", None)):
-        where = f"record {pair_id!r}: {name}"
-        arr = _decode(raw[name], where, shared)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"{where} must be a nonempty 2-D array, got shape {list(arr.shape)}")
-        if arr.shape[0] > max_seq_len:
-            raise ValueError(f"{where} longer than max_seq_len={max_seq_len}")
-        width = widths.setdefault(name, arr.shape[1])
-        if arr.shape[1] != width:
-            raise ValueError(f"{where} has width {arr.shape[1]} but the first record's has {width}")
-        arrays[name] = arr
+        # messages continue the field's name, which is formed only to raise
+        try:
+            arr = _decode(raw[name], "", shared)
+            if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+                raise ValueError(f" must be a nonempty 2-D array, got shape {list(arr.shape)}")
+            length, width = arr.shape
+            if length > max_seq_len:
+                raise ValueError(f" longer than max_seq_len={max_seq_len}")
+            first = widths.setdefault(name, width)
+            if width != first:
+                raise ValueError(f" has width {width} but the first record's has {first}")
+        except ValueError as e:
+            raise ValueError(f"record {pair_id!r}: {name}{e}") from None
+        arrays.append(arr)
     tokens = raw["caption_tokens"]
-    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+    if type(tokens) is not list or not all(type(t) is str for t in tokens):
         raise ValueError(f"record {pair_id!r}: caption_tokens must be a list of strings")
-    return PairedRecord(pair_id, image_id, arrays["image_features"], tokens,
-                        arrays["caption_features"])
+    share = strings.setdefault
+    return PairedRecord(pair_id, share(image_id, image_id), arrays[0],
+                        list(map(share, tokens, tokens)), arrays[1])
 
 
 def load_dataset(path, max_seq_len: int = 64) -> list[PairedRecord]:
-    """Read and validate a JSONL dataset written by ``save_dataset``.
+    """Read and validate a UTF-8 JSONL dataset written by ``save_dataset``.
 
     Each line holds one record whose feature fields are ``{"shape": [L,
     d], "data": <base64 of little-endian float64>}`` blobs; nested lists
@@ -407,22 +427,35 @@ def load_dataset(path, max_seq_len: int = 64) -> list[PairedRecord]:
     Records whose image blobs are identical share one image array, which
     is read-only by convention; records that share an ``image_id`` must
     share that array, so an error names both records when they do not.
+    Every token and ``image_id`` that repeats in the file is one str
+    object, shared by all its records.
     """
+    if type(max_seq_len) is not int or max_seq_len < 1:
+        raise ValueError(f"max_seq_len must be a positive int, got {max_seq_len!r}")
     records: list[PairedRecord] = []
     seen: set[str] = set()
     widths: dict[str, int] = {}
     images: dict = {}
+    strings: dict[str, str] = {}
     # image_id -> the first record that named it
     first_of_image: dict[str, PairedRecord] = {}
-    with open(path) as fh:
+    loads = json.loads
+    # undecodable bytes become lone surrogates, which the line's check names
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as e:
+                    raise ValueError(f"line {line_no}: byte 0x{ord(line[e.start]) - 0xDC00:02x} at "
+                                     f"column {e.start + 1} is not UTF-8") from None
+            if line.isspace():
                 continue
             try:
-                raw = json.loads(line)
+                raw = loads(line)
             except json.JSONDecodeError as e:
                 raise ValueError(f"parse error at line {line_no}: {e.msg}") from e
-            r = _validate_record(raw, line_no, max_seq_len, widths, images)
+            r = _validate_record(raw, line_no, max_seq_len, widths, images, strings)
             if r.pair_id in seen:
                 raise ValueError(f"record {r.pair_id!r}: duplicate pair_id")
             seen.add(r.pair_id)
@@ -897,28 +930,37 @@ def recalls_from_similarity(scores: np.ndarray | StackedScores,
 def embed_for_retrieval(state: TrainState, data: list[PairedRecord]):
     """Instance and concept embeddings for every unique image and caption.
 
-    Returns ``(image_ids, caption_image, v, w, vc, wc)``. Sequences are
-    embedded in runs of at most ``EMBED_ROWS`` stacked feature rows
-    (``_stacks``): each caption run is stacked once and read by both
-    caption encoders, and each run's concept query follows its encoders.
-    Besides the embeddings, extra memory is O(EMBED_ROWS x d), d the
-    widest feature or embedding row.
+    Returns ``(image_ids, caption_image, v, w, vc, wc)``. Each side is
+    written in place into one score factor, ``[v | vc]`` for the images
+    and ``[w | wc]`` for the captions, and ``v``, ``vc``, ``w`` and
+    ``wc`` are its column views. Sequences are embedded in runs of at
+    most ``EMBED_ROWS`` stacked feature rows (``_stacks``): each caption
+    run is stacked once and read by both caption encoders, and each run's
+    concept query follows its encoders. Besides the two factors, extra
+    memory is O(EMBED_ROWS x d), d the widest feature or embedding row.
     """
     if not data:
         raise ValueError("evaluation split is empty")
     model = state.model
     image_ids, img_seqs, caption_image = _unique_images(data)
     basis = model.concept_basis()
-    v, w, vc, wc = [], [], [], []
-    for run in _stacks(model.vis_agg, img_seqs):
-        v.append(model.vis_agg.forward(*run))
-        # the visual concept query is the instance embedding
-        vc.append(model.concept_embed(Matrix(v[-1]), basis, "w_visual").value)
-    for run in _stacks(model.txt_agg, [r.caption_features for r in data]):
-        w.append(model.txt_agg.forward(*run))
-        wc.append(model.concept_embed(Matrix(model.txt_concept_agg.forward(*run)), basis,
-                                      "w_textual").value)
-    return image_ids, caption_image, *(np.vstack(parts) for parts in (v, w, vc, wc))
+    f = model.cfg.embed_dim
+    factors = []
+    for agg, concept_agg, weight, seqs in (
+            (model.vis_agg, None, "w_visual", img_seqs),
+            (model.txt_agg, model.txt_concept_agg, "w_textual", [r.caption_features for r in data])):
+        factor = np.empty((len(seqs), 2 * f))
+        end = 0
+        for run in _stacks(agg, seqs):
+            inst = agg.forward(*run)
+            # the visual concept query is the instance embedding
+            query = inst if concept_agg is None else concept_agg.forward(*run)
+            start, end = end, end + len(inst)
+            factor[start:end, :f] = inst
+            factor[start:end, f:] = model.concept_embed(Matrix(query), basis, weight).value
+        factors.append(factor)
+    image, caption = factors
+    return image_ids, caption_image, image[:, :f], caption[:, :f], image[:, f:], caption[:, f:]
 
 
 def evaluate(state: TrainState, data: list[PairedRecord], beta: float | None = None) -> EvalResult:
@@ -928,19 +970,23 @@ def evaluate(state: TrainState, data: list[PairedRecord], beta: float | None = N
     and ``R = [w | wc]``, which differs from ``beta*(v @ w.T) +
     (1-beta)*(vc @ wc.T)`` only in the last bits; that product, formed
     one ``RANK_BLOCK x RANK_BLOCK`` tile at a time, is the canonical
-    score. ``recalls_from_similarity`` reads the ground-truth cells from
-    their tiles, which are finite as dot products of finite unit rows,
-    then forms every tile once and counts each rank: a cell is ahead of
-    the ground truth when s > t, or when s == t at a lower index.
-    Besides the embeddings, extra memory is O(RANK_BLOCK^2) for ranking,
-    beside its per-image and per-caption vectors, plus O(EMBED_ROWS x d)
-    for embedding (``embed_for_retrieval``).
+    score. ``R`` is the caption factor ``embed_for_retrieval`` fills, not
+    a copy; ``L`` has a row per image. ``recalls_from_similarity`` reads
+    the ground-truth cells from their tiles, which are finite as dot
+    products of finite unit rows, then forms every tile once and counts
+    each rank: a cell is ahead of the ground truth when s > t, or when
+    s == t at a lower index. Besides the two factors and ``L``, extra
+    memory is O(RANK_BLOCK^2) for ranking, beside its per-image and
+    per-caption vectors, plus O(EMBED_ROWS x d) for embedding.
     """
     beta = state.config.beta if beta is None else beta
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
     _, caption_image, v, w, vc, wc = embed_for_retrieval(state, data)
-    scores = StackedScores(np.hstack([beta * v, (1.0 - beta) * vc]), np.hstack([w, wc]))
+    caption = w.base
+    if caption is None or wc.base is not caption:
+        raise RuntimeError("embed_for_retrieval must return w and wc as views of one [w | wc] factor")
+    scores = StackedScores(np.hstack([beta * v, (1.0 - beta) * vc]), caption)
     return recalls_from_similarity(scores, caption_image)
 
 
@@ -970,9 +1016,10 @@ def save_checkpoint(path, state: TrainState, which: str = "best") -> None:
         "epoch": epoch,
         "config": asdict(state.config),
         "dims": {"d_img": state.model.vis_agg.d_in, "d_txt": state.model.txt_agg.d_in},
-        "params": {name: _encode(arr) for name, arr in params.items()},
-        "momentum": {name: _encode(arr) for name, arr in momentum.items()},
-        "concept_inputs": _encode(state.model.concept_inputs),
+        "params": {name: _encode(arr, f"checkpoint params {name!r}") for name, arr in params.items()},
+        "momentum": {name: _encode(arr, f"checkpoint momentum {name!r}")
+                     for name, arr in momentum.items()},
+        "concept_inputs": _encode(state.model.concept_inputs, "checkpoint section 'concept_inputs'"),
     }
     with open(path, "w") as fh:
         json.dump(blob, fh)

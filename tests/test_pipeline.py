@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 import math
@@ -450,16 +451,35 @@ def test_evaluate_rejects_an_empty_split_and_beta_outside_unit_interval(records,
         pl.evaluate(_tiny_state(), val, beta)
 
 
-def test_evaluate_peak_memory_stays_below_one_dense_score_matrix():
-    state = _tiny_state()
-    val = _eval_split(400, 5)
+def _evaluate_peak(state, val) -> int:
     tracemalloc.start()
     try:
         pl.evaluate(state, val)
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_evaluate_peak_memory_stays_below_one_dense_score_matrix():
+    state = _tiny_state()
+    val = _eval_split(400, 5)
+    peak = _evaluate_peak(state, val)
     assert peak < 400 * len(val) * np.dtype(np.float64).itemsize  # one dense [400, 2000] matrix
+
+
+def test_evaluate_holds_each_score_factor_once():
+    state = _tiny_state()
+    peaks, factor_bytes = [], []
+    for n_images in (400, 2000):
+        val = _eval_split(n_images, 5)
+        peaks.append(_evaluate_peak(state, val))
+        # [v | vc] and [w | wc]: a row of two embed_dim halves per image and per caption
+        factor_bytes.append((n_images + len(val)) * 2 * state.config.embed_dim * 8)
+    # a second copy of a factor, as stacking per-run parts or [w | wc] would make, grows ~1.9x
+    assert peaks[1] - peaks[0] <= 1.25 * (factor_bytes[1] - factor_bytes[0])
+    _, _, v, w, vc, wc = pl.embed_for_retrieval(state, val)
+    assert v.base is vc.base and w.base is wc.base
+    assert np.array_equal(w.base, np.hstack([w, wc])) and np.array_equal(v.base, np.hstack([v, vc]))
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +488,11 @@ def test_evaluate_peak_memory_stays_below_one_dense_score_matrix():
 
 def _bits(arr) -> bytes:
     return np.ascontiguousarray(arr, dtype="<f8").tobytes()
+
+
+def _blob(arr) -> dict:
+    """The blob form of ``arr``, non-finite values and all, for writing files by hand."""
+    return {"shape": list(np.shape(arr)), "data": base64.b64encode(_bits(arr)).decode("ascii")}
 
 
 def test_synthetic_caption_features_project_their_token_latents_in_order():
@@ -539,16 +564,57 @@ def test_records_of_one_image_share_its_array(tmp_path):
     assert len({id(r.caption_features) for r in loaded}) == 20
 
 
+def test_loaded_records_share_their_strings(tmp_path):
+    path = tmp_path / "val.jsonl"
+    pl.save_dataset(pl.generate_synthetic(6, 4, 4, seed=3, split="val"), path)
+    loaded = pl.load_dataset(path)
+    token_ids: dict[str, set[int]] = {}
+    image_ids: dict[str, set[int]] = {}
+    for r in loaded:
+        for t in r.caption_tokens:
+            token_ids.setdefault(t, set()).add(id(t))
+        image_ids.setdefault(r.image_id, set()).add(id(r.image_id))
+    assert sum(len(r.caption_tokens) for r in loaded) > len(token_ids)
+    assert all(len(ids) == 1 for ids in token_ids.values())
+    assert len(image_ids) == 6 and all(len(ids) == 1 for ids in image_ids.values())
+    assert not any(hasattr(r, "__dict__") for r in loaded)
+
+
+def test_load_dataset_reads_utf8_tokens(tmp_path):
+    tokens = ("naïve", "café", "日本")
+    path = _write(tmp_path / "dev.jsonl", json.dumps(_raw(tokens=tokens), ensure_ascii=False))
+    assert not path.read_bytes().isascii()
+    assert pl.load_dataset(path)[0].caption_tokens == list(tokens)
+
+
+@pytest.mark.parametrize("field, value", [("image_features", np.inf),
+                                          ("caption_features", np.nan)])
+def test_save_dataset_rejects_a_non_finite_feature(field, value, tmp_path):
+    data = pl.generate_synthetic(3, 1, 4, seed=1)
+    getattr(data[1], field)[-1, 2] = value
+    with pytest.raises(ValueError, match=rf"^record '{data[1].pair_id}': {field} contains "
+                                         r"non-finite values$"):
+        pl.save_dataset(data, tmp_path / "train.jsonl")
+
+
+@pytest.mark.parametrize("max_seq_len", [0, -1, 2.5, True])
+def test_load_dataset_rejects_a_max_seq_len_that_is_no_positive_int(max_seq_len, tmp_path):
+    path = _write(tmp_path / "dev.jsonl", _raw("a"))
+    with pytest.raises(ValueError, match=rf"^max_seq_len must be a positive int, got {max_seq_len}$"):
+        pl.load_dataset(path, max_seq_len=max_seq_len)
+
+
 def _raw(pair_id="p", image=None, caption=None, tokens=("red", "car")) -> dict:
     image = np.ones((2, 3)) if image is None else image
     caption = np.ones((1, 4)) if caption is None else caption
-    return {"pair_id": pair_id, "image_id": "img", "image_features": pl._encode(image),
-            "caption_tokens": list(tokens), "caption_features": pl._encode(caption)}
+    return {"pair_id": pair_id, "image_id": "img", "image_features": _blob(image),
+            "caption_tokens": list(tokens), "caption_features": _blob(caption)}
 
 
 def _write(path, *lines):
+    # a lone surrogate in a line is written as the byte it escapes
     path.write_text("".join((line if isinstance(line, str) else json.dumps(line)) + "\n"
-                            for line in lines))
+                            for line in lines), encoding="utf-8", errors="surrogateescape")
     return path
 
 
@@ -564,8 +630,13 @@ def _without(field):
     return raw
 
 
+# a second record whose token "red" holds the byte 0xff, which is not UTF-8
+_NOT_UTF8 = json.dumps(_raw("b")).replace('"red"', '"r\udcffd"')
+
 BAD_DATASETS = {
     # name: (lines of the file, expected message)
+    "not_utf8": ([_raw("a"), _NOT_UTF8],
+                 rf"^line 2: byte 0xff at column {_NOT_UTF8.index(chr(0xDCFF)) + 1} is not UTF-8$"),
     "parse_error": ([_raw("a"), '{"pair_id": "b",'], r"parse error at line 2: "),
     "no_pair_id": ([_raw("a"), _without("pair_id")], r"line 2: record has no pair_id"),
     "not_an_object": (["[1, 2]"], r"line 1: record has no pair_id"),
@@ -808,7 +879,7 @@ def test_load_checkpoint_names_a_missing_section(section, tmp_path):
      "not a parameter of this model"),
     ("params", "bogus.w", lambda sec, n: sec.update({n: sec["vis.proj"]}),
      "not a parameter of this model"),
-    ("params", "txt.proj", lambda sec, n: sec.update({n: pl._encode(np.zeros((3, 3)))}),
+    ("params", "txt.proj", lambda sec, n: sec.update({n: _blob(np.zeros((3, 3)))}),
      r"shape \[3, 3\] but the model's is \[48, 32\]"),
     ("dims", "d_img", lambda sec, n: sec.pop(n), "missing from the file"),
     ("dims", "d_img", lambda sec, n: sec.update({n: "48"}), "must be of type int, got str"),
@@ -827,15 +898,15 @@ def test_load_checkpoint_names_a_corrupt_blob(section, name, corrupt, match, tmp
 
 
 @pytest.mark.parametrize("corrupt, match", [
-    (lambda b: b.update(concept_inputs=pl._encode(np.zeros((b["concept_inputs"]["shape"][0], 31)))),
+    (lambda b: b.update(concept_inputs=_blob(np.zeros((b["concept_inputs"]["shape"][0], 31)))),
      r"must have 1 to 24 rows of width 32, got shape \[\d+, 31\]"),
-    (lambda b: b.update(concept_inputs=pl._encode(np.zeros((0, 32)))),
+    (lambda b: b.update(concept_inputs=_blob(np.zeros((0, 32)))),
      r"must have 1 to 24 rows of width 32, got shape \[0, 32\]"),
-    (lambda b: b.update(concept_inputs=pl._encode(np.zeros((25, 32)))),
+    (lambda b: b.update(concept_inputs=_blob(np.zeros((25, 32)))),
      r"must have 1 to 24 rows of width 32, got shape \[25, 32\]"),
-    (lambda b: b.update(concept_inputs=pl._encode(np.zeros(32))),
+    (lambda b: b.update(concept_inputs=_blob(np.zeros(32))),
      r"must have 1 to 24 rows of width 32, got shape \[32\]"),
-    (lambda b: b.update(concept_inputs=pl._encode(np.full((2, 32), np.inf))),
+    (lambda b: b.update(concept_inputs=_blob(np.full((2, 32), np.inf))),
      "contains non-finite values"),
     (lambda b: b["concept_inputs"].update(data=b["concept_inputs"]["data"][:-12]), r"needs \d+"),
     (lambda b: b.update(concept_inputs=[[0.0] * 32]), "must be of type dict, got list"),
