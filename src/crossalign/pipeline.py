@@ -52,9 +52,9 @@ values.
 from __future__ import annotations
 
 import base64
-import binascii
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -321,7 +321,7 @@ def _encode(arr: np.ndarray, where: str) -> dict:
 
 
 def _decode(blob, where: str, shared: dict | None = None) -> np.ndarray:
-    """The finite float64 array an ``_encode`` blob holds; each error message starts with ``where``.
+    """The finite float64 array an ``_encode`` blob holds; ``where`` names it in errors.
 
     The array owns its data. With ``shared``, a blob whose shape and data
     equal an earlier one's returns that earlier array instead of a new copy.
@@ -341,7 +341,7 @@ def _decode(blob, where: str, shared: dict | None = None) -> np.ndarray:
         if arr is not None:
             return arr
     try:
-        raw = binascii.a2b_base64(data, strict_mode=True)
+        raw = base64.b64decode(data, validate=True)
     except ValueError as e:
         raise ValueError(f"{where}: data is not strict base64 ({e})") from None
     nbytes = 8 * math.prod(shape)
@@ -362,19 +362,25 @@ def save_dataset(data: list[PairedRecord], path) -> None:
     feature sequences ``image_features`` and ``caption_features``, each as
     an ``_encode`` blob ``{"shape": [L, d], "data": <base64 of
     little-endian float64>}``; the module docstring states the rules. A
-    non-finite feature array raises, naming its record and field, before
-    that record's line is written.
+    non-finite feature array raises, naming its record and field. On any
+    error the partly written file is removed, so a failed save leaves no
+    file at ``path`` for ``load_dataset`` to read.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in data:
-            where = f"record {r.pair_id!r}: "
-            fh.write(json.dumps({
-                "pair_id": r.pair_id,
-                "image_id": r.image_id,
-                "image_features": _encode(r.image_features, where + "image_features"),
-                "caption_tokens": r.caption_tokens,
-                "caption_features": _encode(r.caption_features, where + "caption_features"),
-            }) + "\n")
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            for r in data:
+                where = f"record {r.pair_id!r}: "
+                fh.write(json.dumps({
+                    "pair_id": r.pair_id,
+                    "image_id": r.image_id,
+                    "image_features": _encode(r.image_features, where + "image_features"),
+                    "caption_tokens": r.caption_tokens,
+                    "caption_features": _encode(r.caption_features, where + "caption_features"),
+                }) + "\n")
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def _validate_record(raw: dict, line_no: int, max_seq_len: int, widths: dict[str, int],
@@ -396,19 +402,16 @@ def _validate_record(raw: dict, line_no: int, max_seq_len: int, widths: dict[str
         raise ValueError(f"record {pair_id!r}: image_id must be a non-empty string, got {image_id!r}")
     arrays = []
     for name, shared in (("image_features", images), ("caption_features", None)):
-        # messages continue the field's name, which is formed only to raise
-        try:
-            arr = _decode(raw[name], "", shared)
-            if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-                raise ValueError(f" must be a nonempty 2-D array, got shape {list(arr.shape)}")
-            length, width = arr.shape
-            if length > max_seq_len:
-                raise ValueError(f" longer than max_seq_len={max_seq_len}")
-            first = widths.setdefault(name, width)
-            if width != first:
-                raise ValueError(f" has width {width} but the first record's has {first}")
-        except ValueError as e:
-            raise ValueError(f"record {pair_id!r}: {name}{e}") from None
+        where = f"record {pair_id!r}: {name}"
+        arr = _decode(raw[name], where, shared)
+        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+            raise ValueError(f"{where} must be a nonempty 2-D array, got shape {list(arr.shape)}")
+        length, width = arr.shape
+        if length > max_seq_len:
+            raise ValueError(f"{where} longer than max_seq_len={max_seq_len}")
+        first = widths.setdefault(name, width)
+        if width != first:
+            raise ValueError(f"{where} has width {width} but the first record's has {first}")
         arrays.append(arr)
     tokens = raw["caption_tokens"]
     if type(tokens) is not list or not all(type(t) is str for t in tokens):
@@ -983,10 +986,8 @@ def evaluate(state: TrainState, data: list[PairedRecord], beta: float | None = N
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
     _, caption_image, v, w, vc, wc = embed_for_retrieval(state, data)
-    caption = w.base
-    if caption is None or wc.base is not caption:
-        raise RuntimeError("embed_for_retrieval must return w and wc as views of one [w | wc] factor")
-    scores = StackedScores(np.hstack([beta * v, (1.0 - beta) * vc]), caption)
+    # w and wc are column views of the caption factor [w | wc]
+    scores = StackedScores(np.hstack([beta * v, (1.0 - beta) * vc]), w.base)
     return recalls_from_similarity(scores, caption_image)
 
 

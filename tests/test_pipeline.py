@@ -592,9 +592,12 @@ def test_load_dataset_reads_utf8_tokens(tmp_path):
 def test_save_dataset_rejects_a_non_finite_feature(field, value, tmp_path):
     data = pl.generate_synthetic(3, 1, 4, seed=1)
     getattr(data[1], field)[-1, 2] = value
+    path = tmp_path / "train.jsonl"
     with pytest.raises(ValueError, match=rf"^record '{data[1].pair_id}': {field} contains "
                                          r"non-finite values$"):
-        pl.save_dataset(data, tmp_path / "train.jsonl")
+        pl.save_dataset(data, path)
+    # record 0's line was written before the error; no part of the file is left to load
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("max_seq_len", [0, -1, 2.5, True])
