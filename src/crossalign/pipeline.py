@@ -10,18 +10,19 @@ arrays are read-only by convention. ``load_dataset`` also gives each
 token and ``image_id`` that repeats in a file one str object, so the
 records of one image share their ``image_id`` string.
 
-A dataset file is UTF-8 JSONL, one record per line::
+A dataset file is UTF-8 JSONL, one record per line, in record order::
 
     {"pair_id": str, "image_id": str,
      "image_features": blob, "caption_tokens": [str, ...],
      "caption_features": blob}
 
 where a blob is ``{"shape": [L, d], "data": <base64 of little-endian
-float64>}``, the same array form the checkpoints use. ``pair_id`` is
-unique, ``image_id`` a non-empty string, records that share an
-``image_id`` hold identical ``image_features``, every sequence has 1 to
-``max_seq_len`` finite rows, and all image sequences share one width
-d_img, all caption sequences one d_txt.
+float64>}``, the same array form the checkpoints use. Only the first
+record of each ``image_id`` holds ``image_features``; the image's later
+records, which need not follow it directly, omit the field and share
+its array. ``pair_id`` is unique, ``image_id`` a non-empty string, every
+sequence has 1 to ``max_seq_len`` finite rows, and all image sequences
+share one width d_img, all caption sequences one d_txt.
 
 Training runs both branches per batch (instance embeddings with in-batch
 and memory-bank contrastive losses; concept embeddings with their own
@@ -320,11 +321,10 @@ def _encode(arr: np.ndarray, where: str) -> dict:
     return {"shape": list(arr.shape), "data": base64.b64encode(arr.tobytes()).decode("ascii")}
 
 
-def _decode(blob, where: str, shared: dict | None = None) -> np.ndarray:
+def _decode(blob, where: str) -> np.ndarray:
     """The finite float64 array an ``_encode`` blob holds; ``where`` names it in errors.
 
-    The array owns its data. With ``shared``, a blob whose shape and data
-    equal an earlier one's returns that earlier array instead of a new copy.
+    The array is a read-only view of the decoded bytes, which it keeps alive.
     """
     if type(blob) is not dict:
         raise ValueError(f"{where} must be {BLOB_FORM}, got a {type(blob).__name__}")
@@ -335,11 +335,6 @@ def _decode(blob, where: str, shared: dict | None = None) -> np.ndarray:
         raise ValueError(f"{where}: shape must be a list of non-negative ints, got {shape!r}")
     if type(data) is not str:
         raise ValueError(f"{where}: data must be a base64 string, got {type(data).__name__}")
-    if shared is not None:
-        key = (data, *shape)
-        arr = shared.get(key)
-        if arr is not None:
-            return arr
     try:
         raw = base64.b64decode(data, validate=True)
     except ValueError as e:
@@ -347,78 +342,117 @@ def _decode(blob, where: str, shared: dict | None = None) -> np.ndarray:
     nbytes = 8 * math.prod(shape)
     if len(raw) != nbytes:
         raise ValueError(f"{where}: data holds {len(raw)} bytes but shape {shape} needs {nbytes}")
-    arr = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    arr = np.ndarray(shape, dtype="<f8", buffer=raw)
     if not np.isfinite(arr).all():
         raise ValueError(f"{where} contains non-finite values")
-    if shared is not None:
-        shared[key] = arr
     return arr
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether ``_encode`` writes ``a`` and ``b`` as the same blob."""
+    if a is b:
+        return True
+    a, b = (np.ascontiguousarray(x, dtype="<f8") for x in (a, b))
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def save_dataset(data: list[PairedRecord], path) -> None:
-    """Write one JSON object per record and line, in UTF-8.
+    """Write one JSON object per record and line, in UTF-8 and record order.
 
     Its keys are ``pair_id``, ``image_id``, ``caption_tokens`` and the two
     feature sequences ``image_features`` and ``caption_features``, each as
     an ``_encode`` blob ``{"shape": [L, d], "data": <base64 of
-    little-endian float64>}``; the module docstring states the rules. A
-    non-finite feature array raises, naming its record and field. On any
-    error the partly written file is removed, so a failed save leaves no
-    file at ``path`` for ``load_dataset`` to read.
+    little-endian float64>}``. Only the first record of each ``image_id``
+    holds ``image_features``; the module docstring states the rules. A
+    duplicate ``pair_id``, a non-finite feature array, or image features
+    whose bits differ from those of the image's first record raise,
+    naming the record. On any error the partly written file is removed,
+    so a failed save leaves no file at ``path`` for ``load_dataset`` to
+    read.
     """
     fh = open(path, "w", encoding="utf-8")
     try:
         with fh:
+            pair_ids: set[str] = set()
+            # image_id -> the first record that named it
+            first_of_image: dict[str, PairedRecord] = {}
             for r in data:
                 where = f"record {r.pair_id!r}: "
-                fh.write(json.dumps({
-                    "pair_id": r.pair_id,
-                    "image_id": r.image_id,
-                    "image_features": _encode(r.image_features, where + "image_features"),
-                    "caption_tokens": r.caption_tokens,
-                    "caption_features": _encode(r.caption_features, where + "caption_features"),
-                }) + "\n")
+                if r.pair_id in pair_ids:
+                    raise ValueError(where + "duplicate pair_id")
+                pair_ids.add(r.pair_id)
+                line = {"pair_id": r.pair_id, "image_id": r.image_id}
+                first = first_of_image.setdefault(r.image_id, r)
+                if first is r:
+                    line["image_features"] = _encode(r.image_features, where + "image_features")
+                elif not _same_bits(first.image_features, r.image_features):
+                    raise ValueError(f"{where}image_features differ from those of record "
+                                     f"{first.pair_id!r}, which has the same image_id {r.image_id!r}")
+                line["caption_tokens"] = r.caption_tokens
+                line["caption_features"] = _encode(r.caption_features, where + "caption_features")
+                fh.write(json.dumps(line) + "\n")
     except BaseException:
         os.remove(path)
         raise
 
 
-def _validate_record(raw: dict, line_no: int, max_seq_len: int, widths: dict[str, int],
-                     images: dict, strings: dict[str, str]) -> PairedRecord:
-    """One record from its parsed JSON line.
+def _features(raw: dict, name: str, pair_id: str, max_seq_len: int,
+              widths: dict[str, int]) -> np.ndarray:
+    """Feature field ``name`` of record ``pair_id``; ``widths`` maps each field to its first width."""
+    where = f"record {pair_id!r}: {name}"
+    arr = _decode(raw[name], where)
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ValueError(f"{where} must be a nonempty 2-D array, got shape {list(arr.shape)}")
+    length, width = arr.shape
+    if length > max_seq_len:
+        raise ValueError(f"{where} longer than max_seq_len={max_seq_len}")
+    first = widths.setdefault(name, width)
+    if width != first:
+        raise ValueError(f"{where} has width {width} but the first record's has {first}")
+    return arr
 
-    ``widths`` holds the feature widths of the first record and is filled
-    by it; ``images`` maps image blobs already decoded to their arrays,
-    and ``strings`` each token and image id already read to its one str.
+
+def _record(raw, line_no: int, max_seq_len: int, widths: dict[str, int], pair_ids: set[str],
+            first_of_image: dict[str, PairedRecord], tokens_read: dict[str, str]) -> PairedRecord:
+    """One record from its parsed JSON line, checked against the records before it.
+
+    ``widths`` maps each feature field to the first record's width,
+    ``pair_ids`` holds every pair_id read, ``first_of_image`` maps each
+    image_id to the first record that named it, and ``tokens_read`` each
+    token to its one str; this record adds to all four.
     """
     pair_id = raw.get("pair_id") if type(raw) is dict else None
     if type(pair_id) is not str or not pair_id:
         raise ValueError(f"line {line_no}: record has no pair_id")
-    for key in ("image_id", "image_features", "caption_tokens", "caption_features"):
+    if pair_id in pair_ids:
+        raise ValueError(f"record {pair_id!r}: duplicate pair_id")
+    pair_ids.add(pair_id)
+    for key in ("image_id", "caption_tokens", "caption_features"):
         if key not in raw:
             raise ValueError(f"record {pair_id!r}: missing field {key!r}")
     image_id = raw["image_id"]
     if type(image_id) is not str or not image_id:
         raise ValueError(f"record {pair_id!r}: image_id must be a non-empty string, got {image_id!r}")
-    arrays = []
-    for name, shared in (("image_features", images), ("caption_features", None)):
-        where = f"record {pair_id!r}: {name}"
-        arr = _decode(raw[name], where, shared)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"{where} must be a nonempty 2-D array, got shape {list(arr.shape)}")
-        length, width = arr.shape
-        if length > max_seq_len:
-            raise ValueError(f"{where} longer than max_seq_len={max_seq_len}")
-        first = widths.setdefault(name, width)
-        if width != first:
-            raise ValueError(f"{where} has width {width} but the first record's has {first}")
-        arrays.append(arr)
+    first = first_of_image.get(image_id)
+    if first is None:
+        if "image_features" not in raw:
+            raise ValueError(f"record {pair_id!r}: missing field 'image_features', which the first "
+                             f"record of image_id {image_id!r} must hold")
+        image = _features(raw, "image_features", pair_id, max_seq_len, widths)
+    elif "image_features" in raw:
+        raise ValueError(f"record {pair_id!r}: image_features repeated; only record "
+                         f"{first.pair_id!r}, the first of image_id {image_id!r}, may hold them")
+    else:
+        image_id, image = first.image_id, first.image_features
+    caption = _features(raw, "caption_features", pair_id, max_seq_len, widths)
     tokens = raw["caption_tokens"]
     if type(tokens) is not list or not all(type(t) is str for t in tokens):
         raise ValueError(f"record {pair_id!r}: caption_tokens must be a list of strings")
-    share = strings.setdefault
-    return PairedRecord(pair_id, share(image_id, image_id), arrays[0],
-                        list(map(share, tokens, tokens)), arrays[1])
+    share = tokens_read.setdefault
+    r = PairedRecord(pair_id, image_id, image, list(map(share, tokens, tokens)), caption)
+    if first is None:
+        first_of_image[image_id] = r
+    return r
 
 
 def load_dataset(path, max_seq_len: int = 64) -> list[PairedRecord]:
@@ -426,22 +460,19 @@ def load_dataset(path, max_seq_len: int = 64) -> list[PairedRecord]:
 
     Each line holds one record whose feature fields are ``{"shape": [L,
     d], "data": <base64 of little-endian float64>}`` blobs; nested lists
-    are rejected. Errors name the line, or the record and the field.
-    Records whose image blobs are identical share one image array, which
-    is read-only by convention; records that share an ``image_id`` must
-    share that array, so an error names both records when they do not.
-    Every token and ``image_id`` that repeats in the file is one str
-    object, shared by all its records.
+    are rejected. The first record of each ``image_id`` must hold
+    ``image_features`` and its later records must not; they share the
+    first one's array, which is read-only. Errors name the line, or the
+    record and the field. Every token and ``image_id`` that repeats in the
+    file is one str object, shared by all its records.
     """
     if type(max_seq_len) is not int or max_seq_len < 1:
         raise ValueError(f"max_seq_len must be a positive int, got {max_seq_len!r}")
     records: list[PairedRecord] = []
-    seen: set[str] = set()
     widths: dict[str, int] = {}
-    images: dict = {}
-    strings: dict[str, str] = {}
-    # image_id -> the first record that named it
+    pair_ids: set[str] = set()
     first_of_image: dict[str, PairedRecord] = {}
+    tokens_read: dict[str, str] = {}
     loads = json.loads
     # undecodable bytes become lone surrogates, which the line's check names
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -458,15 +489,8 @@ def load_dataset(path, max_seq_len: int = 64) -> list[PairedRecord]:
                 raw = loads(line)
             except json.JSONDecodeError as e:
                 raise ValueError(f"parse error at line {line_no}: {e.msg}") from e
-            r = _validate_record(raw, line_no, max_seq_len, widths, images, strings)
-            if r.pair_id in seen:
-                raise ValueError(f"record {r.pair_id!r}: duplicate pair_id")
-            seen.add(r.pair_id)
-            first = first_of_image.setdefault(r.image_id, r)
-            if first.image_features is not r.image_features:
-                raise ValueError(f"record {r.pair_id!r}: image_features differ from those of record "
-                                 f"{first.pair_id!r}, which has the same image_id {r.image_id!r}")
-            records.append(r)
+            records.append(_record(raw, line_no, max_seq_len, widths, pair_ids, first_of_image,
+                                   tokens_read))
     if not records:
         raise ValueError(f"dataset {path} has no records")
     return records
@@ -678,13 +702,22 @@ def _stacks(agg: FeatureAggregator, seqs):
 
 
 def _instance_sums(state: TrainState, records: list[PairedRecord]) -> np.ndarray:
-    """v + w per record from the main encoders, for prototype clustering."""
+    """v + w per record from the main encoders, for prototype clustering.
+
+    Both sides are embedded in ``_stacks`` runs; each caption run's sums
+    are written in place into the one [n_records, f] result, so no other
+    array of that size is made.
+    """
     model = state.model
     _, img_seqs, caption_image = _unique_images(records)
     v = np.vstack([model.vis_agg.forward(*run) for run in _stacks(model.vis_agg, img_seqs)])
-    w = np.vstack([model.txt_agg.forward(*run) for run in
-                   _stacks(model.txt_agg, [r.caption_features for r in records])])
-    return v[caption_image] + w
+    sums = np.empty((len(records), v.shape[1]))
+    end = 0
+    for run in _stacks(model.txt_agg, [r.caption_features for r in records]):
+        w = model.txt_agg.forward(*run)
+        start, end = end, end + len(w)
+        np.add(v[caption_image[start:end]], w, out=sums[start:end])
+    return sums
 
 
 def _adam_update(state: TrainState) -> None:

@@ -422,6 +422,37 @@ def test_embed_for_retrieval_names_an_empty_split():
         pl.embed_for_retrieval(_tiny_state(), [])
 
 
+def test_instance_sums_equal_stacking_the_runs(monkeypatch):
+    monkeypatch.setattr(pl, "EMBED_ROWS", 30)
+    state = _tiny_state()
+    model = state.model
+    val = pl.generate_synthetic(12, 3, 4, seed=2, split="val")
+    val[1], val[5] = val[5], val[1]  # one image's records need not be consecutive
+    _, img_seqs, caption_image = pl._unique_images(val)
+    v = np.vstack([model.vis_agg.forward(*run) for run in pl._stacks(model.vis_agg, img_seqs)])
+    caption_runs = list(pl._stacks(model.txt_agg, [r.caption_features for r in val]))
+    w = np.vstack([model.txt_agg.forward(*run) for run in caption_runs])
+    assert len(caption_runs) >= 3
+    assert _bits(pl._instance_sums(state, val)) == _bits(v[caption_image] + w)
+
+
+def test_instance_sums_hold_one_result(monkeypatch):
+    # small runs, so that their temporaries do not hide the result's copies
+    monkeypatch.setattr(pl, "EMBED_ROWS", 256)
+    state = _tiny_state()
+    val = _eval_split(2000, 5)
+    tracemalloc.start()
+    try:
+        pl._instance_sums(state, val)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result_bytes = len(val) * state.config.embed_dim * 8
+    # the result, the image side (a fifth of it) and the runs' temporaries; a second
+    # [n_captions, f] array, as stacking the runs or v[caption_image] + w makes, passes 2x
+    assert peak < 1.6 * result_bytes
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -564,6 +595,80 @@ def test_records_of_one_image_share_its_array(tmp_path):
     assert len({id(r.caption_features) for r in loaded}) == 20
 
 
+def _interleaved():
+    """Two images' records alternating, then a third image, then the first image again."""
+    data = pl.generate_synthetic(3, 3, 4, seed=5, split="val")
+    a, b, c = data[:3], data[3:6], data[6:]
+    records = [a[0], b[0], a[1], b[1], c[0], a[2], c[1]]
+    # an equal copy, not the same array, of image a's features
+    records[2] = dataclasses.replace(a[1], image_features=a[1].image_features.copy())
+    return records
+
+
+def test_interleaved_records_round_trip_in_order_and_share_each_image(tmp_path):
+    data = _interleaved()
+    path = tmp_path / "val.jsonl"
+    pl.save_dataset(data, path)
+    loaded = pl.load_dataset(path)
+    assert [(r.pair_id, r.image_id, r.caption_tokens) for r in loaded] == \
+        [(r.pair_id, r.image_id, r.caption_tokens) for r in data]
+    for got, want in zip(loaded, data):
+        assert _bits(got.image_features) == _bits(want.image_features)
+        assert _bits(got.caption_features) == _bits(want.caption_features)
+        assert got.image_features is next(r for r in loaded if r.image_id == got.image_id).image_features
+    assert len({id(r.image_features) for r in loaded}) == 3
+    assert not loaded[0].image_features.flags.writeable
+
+
+def test_saved_file_holds_one_image_blob_per_image(tmp_path):
+    data = _interleaved()
+    path = tmp_path / "val.jsonl"
+    pl.save_dataset(data, path)
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    firsts = {}
+    for i, raw in enumerate(lines):
+        assert ("image_features" in raw) == (firsts.setdefault(raw["image_id"], i) == i)
+    assert [i for i, raw in enumerate(lines) if "image_features" in raw] == [0, 1, 4]
+
+
+def test_load_dataset_decodes_each_record_and_each_image_once(monkeypatch, tmp_path):
+    path = tmp_path / "val.jsonl"
+    pl.save_dataset(pl.generate_synthetic(6, 4, 4, seed=3, split="val"), path)
+    decoded = []
+    decode = pl._decode
+    monkeypatch.setattr(pl, "_decode", lambda blob, where: decoded.append(where) or decode(blob, where))
+    loaded = pl.load_dataset(path)
+    assert len(loaded) == 24
+    assert len(decoded) == 24 + 6
+    assert sum(where.endswith("image_features") for where in decoded) == 6
+
+
+def test_save_dataset_rejects_images_that_differ_within_an_image_id(tmp_path):
+    image = np.ones((2, 3))
+    image[1, 2] = 0.0
+    # b holds an equal copy of a's features; c's differ from them in the sign of a zero
+    differs = image.copy()
+    differs[1, 2] = -0.0
+    data = [pl.PairedRecord(pair_id, "img", features, ["red"], np.ones((1, 4)))
+            for pair_id, features in (("a", image), ("b", image.copy()), ("c", differs))]
+    path = tmp_path / "dev.jsonl"
+    pl.save_dataset(data[:2], path)
+    assert [r.pair_id for r in pl.load_dataset(path)] == ["a", "b"]
+    with pytest.raises(ValueError, match=r"^record 'c': image_features differ from those of record "
+                                         r"'a', which has the same image_id 'img'$"):
+        pl.save_dataset(data, path)
+    assert not path.exists()
+
+
+def test_save_dataset_rejects_a_duplicate_pair_id(tmp_path):
+    data = pl.generate_synthetic(3, 2, 4, seed=1)
+    data[4].pair_id = data[1].pair_id
+    path = tmp_path / "train.jsonl"
+    with pytest.raises(ValueError, match=rf"^record '{data[1].pair_id}': duplicate pair_id$"):
+        pl.save_dataset(data, path)
+    assert not path.exists()
+
+
 def test_loaded_records_share_their_strings(tmp_path):
     path = tmp_path / "val.jsonl"
     pl.save_dataset(pl.generate_synthetic(6, 4, 4, seed=3, split="val"), path)
@@ -607,11 +712,17 @@ def test_load_dataset_rejects_a_max_seq_len_that_is_no_positive_int(max_seq_len,
         pl.load_dataset(path, max_seq_len=max_seq_len)
 
 
-def _raw(pair_id="p", image=None, caption=None, tokens=("red", "car")) -> dict:
+def _raw(pair_id="p", image=None, caption=None, tokens=("red", "car"), image_id="img",
+         first=True) -> dict:
+    """A valid record of ``image_id``; ``first=False`` omits its image_features, as the
+    file holds them only on the image's first record."""
     image = np.ones((2, 3)) if image is None else image
     caption = np.ones((1, 4)) if caption is None else caption
-    return {"pair_id": pair_id, "image_id": "img", "image_features": _blob(image),
-            "caption_tokens": list(tokens), "caption_features": _blob(caption)}
+    raw = {"pair_id": pair_id, "image_id": image_id, "image_features": _blob(image),
+           "caption_tokens": list(tokens), "caption_features": _blob(caption)}
+    if not first:
+        del raw["image_features"]
+    return raw
 
 
 def _write(path, *lines):
@@ -627,21 +738,21 @@ def _with(field, value, **kwargs):
     return raw
 
 
-def _without(field):
-    raw = _raw()
+def _without(field, **kwargs):
+    raw = _raw(**kwargs)
     del raw[field]
     return raw
 
 
 # a second record whose token "red" holds the byte 0xff, which is not UTF-8
-_NOT_UTF8 = json.dumps(_raw("b")).replace('"red"', '"r\udcffd"')
+_NOT_UTF8 = json.dumps(_raw("b", first=False)).replace('"red"', '"r\udcffd"')
 
 BAD_DATASETS = {
     # name: (lines of the file, expected message)
     "not_utf8": ([_raw("a"), _NOT_UTF8],
                  rf"^line 2: byte 0xff at column {_NOT_UTF8.index(chr(0xDCFF)) + 1} is not UTF-8$"),
     "parse_error": ([_raw("a"), '{"pair_id": "b",'], r"parse error at line 2: "),
-    "no_pair_id": ([_raw("a"), _without("pair_id")], r"line 2: record has no pair_id"),
+    "no_pair_id": ([_raw("a"), _without("pair_id", first=False)], r"line 2: record has no pair_id"),
     "not_an_object": (["[1, 2]"], r"line 1: record has no pair_id"),
     "missing_field": ([_without("caption_tokens")], r"record 'p': missing field 'caption_tokens'"),
     "nested_list": ([_with("image_features", [[1.0, 2.0, 3.0]])],
@@ -665,20 +776,24 @@ BAD_DATASETS = {
                    r"record 'p': caption_features contains non-finite values"),
     "non_string_token": ([_raw(tokens=("red", 3))],
                          r"record 'p': caption_tokens must be a list of strings"),
-    "duplicate": ([_raw("a"), _raw("b"), _raw("a")], r"record 'a': duplicate pair_id"),
+    "duplicate": ([_raw("a"), _raw("b", first=False), _raw("a", first=False)],
+                  r"record 'a': duplicate pair_id"),
     "no_records": (["", "  "], r"has no records"),
-    "image_width": ([_raw("a"), _raw("b", image=np.ones((2, 5)))],
+    "image_width": ([_raw("a"), _raw("b", image=np.ones((2, 5)), image_id="other")],
                     r"record 'b': image_features has width 5 but the first record's has 3"),
-    "caption_width": ([_raw("a"), _raw("b", caption=np.ones((3, 2)))],
+    "caption_width": ([_raw("a"), _raw("b", caption=np.ones((3, 2)), first=False)],
                       r"record 'b': caption_features has width 2 but the first record's has 4"),
     "null_image_id": ([_with("image_id", None)],
                       r"record 'p': image_id must be a non-empty string, got None"),
     "empty_image_id": ([_with("image_id", "")],
                        r"record 'p': image_id must be a non-empty string, got ''"),
     "int_image_id": ([_with("image_id", 7)], r"record 'p': image_id must be a non-empty string, got 7"),
-    "image_differs": ([_raw("a"), _raw("b"), _raw("c", image=np.zeros((2, 3)))],
-                      r"record 'c': image_features differ from those of record 'a', "
-                      r"which has the same image_id 'img'"),
+    "image_missing": ([_raw("a"), _raw("b", first=False), _raw("c", image_id="other", first=False)],
+                      r"^record 'c': missing field 'image_features', which the first record of "
+                      r"image_id 'other' must hold$"),
+    "image_repeated": ([_raw("a"), _raw("b", first=False), _raw("c")],
+                       r"^record 'c': image_features repeated; only record 'a', the first of "
+                       r"image_id 'img', may hold them$"),
 }
 
 
@@ -691,8 +806,8 @@ def test_load_dataset_rejects_bad_records(case, tmp_path):
 
 
 def test_load_dataset_skips_blank_lines_and_takes_max_seq_len(tmp_path):
-    path = _write(tmp_path / "dev.jsonl", _raw("a"), "", _raw("b"),
-                  dict(_raw("c"), image_id="other"))
+    path = _write(tmp_path / "dev.jsonl", _raw("a"), "", _raw("b", first=False),
+                  _raw("c", image_id="other"))
     loaded = pl.load_dataset(path, max_seq_len=2)
     assert [(r.pair_id, r.image_id) for r in loaded] == [("a", "img"), ("b", "img"), ("c", "other")]
     with pytest.raises(ValueError, match=r"record 'a': image_features longer than max_seq_len=1"):
