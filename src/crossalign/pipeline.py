@@ -6,23 +6,27 @@ captions appears in r records. Records with one ``image_id`` describe
 one image and must carry the same image features; evaluation and
 clustering embed each image once. Those records share one image array
 (``generate_synthetic`` and ``load_dataset`` both do so), and feature
-arrays are read-only by convention. ``load_dataset`` also gives each
-token and ``image_id`` that repeats in a file one str object, so the
-records of one image share their ``image_id`` string.
+arrays are read-only by convention.
 
-A dataset file is UTF-8 JSONL, one record per line, in record order::
+A dataset file is a stream of ``.npy`` arrays, numpy's own format, one
+after another in this order (n records, m images)::
 
-    {"pair_id": str, "image_id": str,
-     "image_features": blob, "caption_tokens": [str, ...],
-     "caption_features": blob}
+    pair_ids         [n] str      unique, non-empty
+    image_ids        [m] str      unique, non-empty, in order of first appearance
+    caption_image    [n] int      each record's image, in [0, m)
+    image_lengths    [m] int      rows of each image sequence
+    image_rows       [sum, d_img] <f8, the image sequences one after another
+    caption_lengths  [n] int      rows of each caption sequence
+    caption_rows     [sum, d_txt] <f8, the caption sequences one after another
+    vocabulary       [v] str      each distinct token once
+    token_counts     [n] int      tokens of each caption
+    token_codes      [sum] int    each token's vocabulary index, in [0, v)
 
-where a blob is ``{"shape": [L, d], "data": <base64 of little-endian
-float64>}``, the same array form the checkpoints use. Only the first
-record of each ``image_id`` holds ``image_features``; the image's later
-records, which need not follow it directly, omit the field and share
-its array. ``pair_id`` is unique, ``image_id`` a non-empty string, every
-sequence has 1 to ``max_seq_len`` finite rows, and all image sequences
-share one width d_img, all caption sequences one d_txt.
+Lengths lie in [1, ``max_seq_len``] and sum to their rows, rows are
+finite, and no byte follows the last array. An open file handle keeps
+the caller's path, whatever its suffix. Each row array is streamed: out
+a sequence at a time, in as read-only chunks of at most ``EMBED_ROWS``
+rows cut at sequence ends, which the records' sequences view.
 
 Training runs both branches per batch (instance embeddings with in-batch
 and memory-bank contrastive losses; concept embeddings with their own
@@ -52,11 +56,10 @@ values.
 """
 from __future__ import annotations
 
-import base64
 import json
-import math
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -68,10 +71,10 @@ from .numerics import AdamState, Matrix, adam_step, backward, rng_from_seed
 from .objective import PrototypeState, SimilarityMatrix
 from .representation import EncoderPair, FeatureAggregator, MemoryBank, named_params
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 # rows and columns of the score tiles recalls_from_similarity ranks, one at a time
 RANK_BLOCK = 256
-# stacked feature rows embedded at once by embed_for_retrieval and _instance_sums
+# feature rows embedded at once (embed_for_retrieval, _instance_sums) or read at once (load_dataset)
 EMBED_ROWS = 4096
 # the loss parts batch_losses reports and train averages, in the order the total adds them
 LOSS_PARTS = ("l_dcl_i", "l_mdcl", "l_dcl_c", "l_pgc")
@@ -307,193 +310,192 @@ def generate_synthetic(n_images: int, captions_per_image: int = 1, latent_classe
 
 
 # ---------------------------------------------------------------------------
-# array blobs and dataset files (JSONL, one record per caption)
+# array streams: dataset files and checkpoints
 # ---------------------------------------------------------------------------
 
-BLOB_FORM = '{"shape": [...], "data": <base64 of little-endian float64>}'
-
-
-def _encode(arr: np.ndarray, where: str) -> dict:
-    """The blob ``_decode`` reads back bit for bit; ``where`` names ``arr`` if it is not finite."""
-    arr = np.ascontiguousarray(arr, dtype="<f8")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{where} contains non-finite values")
-    return {"shape": list(arr.shape), "data": base64.b64encode(arr.tobytes()).decode("ascii")}
-
-
-def _decode(blob, where: str) -> np.ndarray:
-    """The finite float64 array an ``_encode`` blob holds; ``where`` names it in errors.
-
-    The array is a read-only view of the decoded bytes, which it keeps alive.
-    """
-    if type(blob) is not dict:
-        raise ValueError(f"{where} must be {BLOB_FORM}, got a {type(blob).__name__}")
-    if len(blob) != 2 or "shape" not in blob or "data" not in blob:
-        raise ValueError(f"{where} must be {BLOB_FORM}, got keys {sorted(blob)}")
-    shape, data = blob["shape"], blob["data"]
-    if type(shape) is not list or not all(type(n) is int and n >= 0 for n in shape):
-        raise ValueError(f"{where}: shape must be a list of non-negative ints, got {shape!r}")
-    if type(data) is not str:
-        raise ValueError(f"{where}: data must be a base64 string, got {type(data).__name__}")
+def _load(fh, where: str) -> np.ndarray:
+    """The next .npy array of the stream ``fh``, named ``where`` in errors; a short read raises."""
     try:
-        raw = base64.b64decode(data, validate=True)
+        return np.lib.format.read_array(fh, allow_pickle=False)
     except ValueError as e:
-        raise ValueError(f"{where}: data is not strict base64 ({e})") from None
-    nbytes = 8 * math.prod(shape)
-    if len(raw) != nbytes:
-        raise ValueError(f"{where}: data holds {len(raw)} bytes but shape {shape} needs {nbytes}")
-    arr = np.ndarray(shape, dtype="<f8", buffer=raw)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{where} contains non-finite values")
-    return arr
+        raise ValueError(f"{where}: {e}") from None
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether ``_encode`` writes ``a`` and ``b`` as the same blob."""
-    if a is b:
-        return True
-    a, b = (np.ascontiguousarray(x, dtype="<f8") for x in (a, b))
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
+def _save(fh, values, dtype) -> None:
+    """Append ``values`` to the stream ``fh`` as one ``dtype`` array."""
+    arr = np.array(values, dtype=dtype)
+    # a str array drops a trailing NUL and turns a non-string into a str
+    if dtype is str and arr.tolist() != values:
+        raise ValueError("every id and token must be a str that does not end in NUL")
+    np.save(fh, arr, allow_pickle=False)
+
+
+def _ids(ids: list[str], name: str, label: str) -> list[str]:
+    """``ids``, the entries of dataset array ``name``, checked unique and non-empty.
+
+    A duplicate is named as a ``label``, an empty id by its index.
+    """
+    dup = next((x for x, n in Counter(ids).items() if n > 1), None)
+    if dup is not None:
+        raise ValueError(f"{label} {dup!r}: duplicate {name[:-1]}")
+    if "" in ids:
+        raise ValueError(f"dataset array {name!r}: entry {ids.index('')} is empty")
+    return ids
+
+
+def _runs(lengths):
+    """Bounds ``(lo, hi)`` of the runs of consecutive sequences of ``lengths`` rows, lazily.
+
+    A run holds at most ``EMBED_ROWS`` rows: it ends before the sequence
+    that would pass the budget, so a longer sequence is its own run.
+    """
+    ends, lo = np.cumsum(lengths), 0
+    while lo < len(ends):
+        below = ends[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(ends, below + EMBED_ROWS, side="right")), lo + 1)
+        yield lo, hi
+        lo = hi
+
+
+def _write_rows(fh, seqs: list[np.ndarray], wheres: list[str]) -> None:
+    """Append the lengths of ``seqs``, then their rows: one array header and each sequence's bytes.
+
+    ``wheres[i]`` names sequence i in errors.
+    """
+    width = seqs[0].shape[1:]
+    _save(fh, [len(seq) for seq in seqs], np.int64)
+    np.lib.format.write_array_header_1_0(fh, {"descr": "<f8", "fortran_order": False,
+                                              "shape": (sum(map(len, seqs)), *width)})
+    for where, seq in zip(wheres, seqs):
+        if len(width) != 1 or seq.shape[1:] != width:
+            raise ValueError(f"{where} must be [L, d] with the first one's d, "
+                             f"got shape {list(seq.shape)}")
+        if not np.isfinite(seq).all():
+            raise ValueError(f"{where} contains non-finite values")
+        np.asarray(seq, dtype="<f8").tofile(fh)
 
 
 def save_dataset(data: list[PairedRecord], path) -> None:
-    """Write one JSON object per record and line, in UTF-8 and record order.
+    """Write ``data`` to ``path`` as the module docstring's array stream.
 
-    Its keys are ``pair_id``, ``image_id``, ``caption_tokens`` and the two
-    feature sequences ``image_features`` and ``caption_features``, each as
-    an ``_encode`` blob ``{"shape": [L, d], "data": <base64 of
-    little-endian float64>}``. Only the first record of each ``image_id``
-    holds ``image_features``; the module docstring states the rules. A
-    duplicate ``pair_id``, a non-finite feature array, or image features
-    whose bits differ from those of the image's first record raise,
-    naming the record. On any error the partly written file is removed,
-    so a failed save leaves no file at ``path`` for ``load_dataset`` to
-    read.
+    The records of one ``image_id`` must hold bit-identical image features.
+    Errors name the record, the image or the array; a failed save removes
+    its file.
     """
-    fh = open(path, "w", encoding="utf-8")
+    fh = open(path, "wb")
     try:
         with fh:
-            pair_ids: set[str] = set()
-            # image_id -> the first record that named it
-            first_of_image: dict[str, PairedRecord] = {}
-            for r in data:
-                where = f"record {r.pair_id!r}: "
-                if r.pair_id in pair_ids:
-                    raise ValueError(where + "duplicate pair_id")
-                pair_ids.add(r.pair_id)
-                line = {"pair_id": r.pair_id, "image_id": r.image_id}
-                first = first_of_image.setdefault(r.image_id, r)
-                if first is r:
-                    line["image_features"] = _encode(r.image_features, where + "image_features")
-                elif not _same_bits(first.image_features, r.image_features):
-                    raise ValueError(f"{where}image_features differ from those of record "
-                                     f"{first.pair_id!r}, which has the same image_id {r.image_id!r}")
-                line["caption_tokens"] = r.caption_tokens
-                line["caption_features"] = _encode(r.caption_features, where + "caption_features")
-                fh.write(json.dumps(line) + "\n")
+            if not data:
+                raise ValueError("no records to save")
+            image_ids, images, caption_image = _unique_images(data)
+            for r, i in zip(data, caption_image):
+                a, b = (np.asarray(x, dtype="<f8") for x in (images[i], r.image_features))
+                if a is not b and (a.shape != b.shape or a.tobytes() != b.tobytes()):
+                    first = next(q for q in data if q.image_id == r.image_id)
+                    raise ValueError(f"record {r.pair_id!r}: image_features differ from those of "
+                                     f"record {first.pair_id!r}, which has the same image_id "
+                                     f"{r.image_id!r}")
+            vocabulary: dict[str, int] = {}
+            codes = [vocabulary.setdefault(t, len(vocabulary)) for r in data for t in r.caption_tokens]
+            _save(fh, _ids([r.pair_id for r in data], "pair_ids", "record"), str)
+            _save(fh, _ids(image_ids, "image_ids", "image"), str)
+            _save(fh, caption_image, np.int64)
+            _write_rows(fh, images, [f"image {i!r}: image_features" for i in image_ids])
+            _write_rows(fh, [r.caption_features for r in data],
+                        [f"record {r.pair_id!r}: caption_features" for r in data])
+            _save(fh, list(vocabulary), str)
+            _save(fh, [len(r.caption_tokens) for r in data], np.int64)
+            _save(fh, codes, np.int64)
     except BaseException:
         os.remove(path)
         raise
 
 
-def _features(raw: dict, name: str, pair_id: str, max_seq_len: int,
-              widths: dict[str, int]) -> np.ndarray:
-    """Feature field ``name`` of record ``pair_id``; ``widths`` maps each field to its first width."""
-    where = f"record {pair_id!r}: {name}"
-    arr = _decode(raw[name], where)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"{where} must be a nonempty 2-D array, got shape {list(arr.shape)}")
-    length, width = arr.shape
-    if length > max_seq_len:
-        raise ValueError(f"{where} longer than max_seq_len={max_seq_len}")
-    first = widths.setdefault(name, width)
-    if width != first:
-        raise ValueError(f"{where} has width {width} but the first record's has {first}")
+def _column(fh, name: str, kind: str, size: int | None = None) -> np.ndarray:
+    """Dataset array ``name``: 1-D, of a dtype kind in ``kind``, ``size`` long if given."""
+    where = f"dataset array {name!r}"
+    arr = _load(fh, where)
+    if arr.dtype.kind not in kind or arr.ndim != 1 or size not in (None, len(arr)):
+        raise ValueError(f"{where} must be 1-D of dtype kind {kind!r} and length "
+                         f"{'any' if size is None else size}, got {arr.dtype} of shape {arr.shape}")
     return arr
 
 
-def _record(raw, line_no: int, max_seq_len: int, widths: dict[str, int], pair_ids: set[str],
-            first_of_image: dict[str, PairedRecord], tokens_read: dict[str, str]) -> PairedRecord:
-    """One record from its parsed JSON line, checked against the records before it.
+def _in_range(values: np.ndarray, lo: int, hi: int, what: str, owner) -> None:
+    """Raise for the first ``values[i]`` outside ``[lo, hi]``, naming ``owner(i)`` and ``what``."""
+    bad = np.flatnonzero((values < lo) | (values > hi))
+    if bad.size:
+        raise ValueError(f"{owner(bad[0])}: {what} {values[bad[0]]} outside [{lo}, {hi}]")
 
-    ``widths`` maps each feature field to the first record's width,
-    ``pair_ids`` holds every pair_id read, ``first_of_image`` maps each
-    image_id to the first record that named it, and ``tokens_read`` each
-    token to its one str; this record adds to all four.
+
+def _read_rows(fh, field: str, owners: list[str], label: str, max_seq_len: int) -> list[np.ndarray]:
+    """``{field}_lengths`` and ``{field}_rows``, as one read-only view per sequence.
+
+    ``np.fromfile`` reads the rows one ``_runs`` chunk at a time, each
+    checked once; ``owners`` names the sequences as ``label``.
     """
-    pair_id = raw.get("pair_id") if type(raw) is dict else None
-    if type(pair_id) is not str or not pair_id:
-        raise ValueError(f"line {line_no}: record has no pair_id")
-    if pair_id in pair_ids:
-        raise ValueError(f"record {pair_id!r}: duplicate pair_id")
-    pair_ids.add(pair_id)
-    for key in ("image_id", "caption_tokens", "caption_features"):
-        if key not in raw:
-            raise ValueError(f"record {pair_id!r}: missing field {key!r}")
-    image_id = raw["image_id"]
-    if type(image_id) is not str or not image_id:
-        raise ValueError(f"record {pair_id!r}: image_id must be a non-empty string, got {image_id!r}")
-    first = first_of_image.get(image_id)
-    if first is None:
-        if "image_features" not in raw:
-            raise ValueError(f"record {pair_id!r}: missing field 'image_features', which the first "
-                             f"record of image_id {image_id!r} must hold")
-        image = _features(raw, "image_features", pair_id, max_seq_len, widths)
-    elif "image_features" in raw:
-        raise ValueError(f"record {pair_id!r}: image_features repeated; only record "
-                         f"{first.pair_id!r}, the first of image_id {image_id!r}, may hold them")
-    else:
-        image_id, image = first.image_id, first.image_features
-    caption = _features(raw, "caption_features", pair_id, max_seq_len, widths)
-    tokens = raw["caption_tokens"]
-    if type(tokens) is not list or not all(type(t) is str for t in tokens):
-        raise ValueError(f"record {pair_id!r}: caption_tokens must be a list of strings")
-    share = tokens_read.setdefault
-    r = PairedRecord(pair_id, image_id, image, list(map(share, tokens, tokens)), caption)
-    if first is None:
-        first_of_image[image_id] = r
-    return r
+    name = f"{field}_features"
+    lengths = _column(fh, f"{field}_lengths", "iu", len(owners))
+    _in_range(lengths, 1, max_seq_len, f"{name} length", lambda i: f"{label} {owners[i]!r}")
+    where = f"dataset array '{field}_rows'"
+    try:
+        np.lib.format.read_magic(fh)
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
+    ends = np.cumsum(lengths)
+    if dtype != "<f8" or fortran_order or len(shape) != 2 or shape[0] != ends[-1] or shape[1] < 1:
+        raise ValueError(f"{where} must be a C-ordered <f8 array of {ends[-1]} rows, as "
+                         f"'{field}_lengths' sum to, and d >= 1 columns, got {dtype} of shape {shape}")
+    seqs: list[np.ndarray] = []
+    for lo, hi in _runs(lengths):
+        cuts = (ends[lo:hi] - (ends[lo - 1] if lo else 0)).tolist()
+        chunk = np.fromfile(fh, dtype="<f8", count=cuts[-1] * shape[1])
+        if chunk.size != cuts[-1] * shape[1]:
+            raise ValueError(f"{where}: the file ends inside it")
+        chunk.flags.writeable = False
+        rows = chunk.reshape(-1, shape[1])
+        if not np.isfinite(chunk).all():
+            i = lo + np.searchsorted(cuts, np.isfinite(rows).all(axis=1).argmin(), side="right")
+            raise ValueError(f"{label} {owners[i]!r}: {name} contains non-finite values")
+        seqs += [rows[a:b] for a, b in zip([0, *cuts], cuts)]
+    return seqs
 
 
 def load_dataset(path, max_seq_len: int = 64) -> list[PairedRecord]:
-    """Read and validate a UTF-8 JSONL dataset written by ``save_dataset``.
+    """Read a file ``save_dataset`` wrote, checking it with array operations.
 
-    Each line holds one record whose feature fields are ``{"shape": [L,
-    d], "data": <base64 of little-endian float64>}`` blobs; nested lists
-    are rejected. The first record of each ``image_id`` must hold
-    ``image_features`` and its later records must not; they share the
-    first one's array, which is read-only. Errors name the line, or the
-    record and the field. Every token and ``image_id`` that repeats in the
-    file is one str object, shared by all its records.
+    Errors name the record, the image or the array. An image's records
+    share its read-only array and ``image_id`` str, and each token is the
+    one str of its vocabulary entry.
     """
     if type(max_seq_len) is not int or max_seq_len < 1:
         raise ValueError(f"max_seq_len must be a positive int, got {max_seq_len!r}")
-    records: list[PairedRecord] = []
-    widths: dict[str, int] = {}
-    pair_ids: set[str] = set()
-    first_of_image: dict[str, PairedRecord] = {}
-    tokens_read: dict[str, str] = {}
-    loads = json.loads
-    # undecodable bytes become lone surrogates, which the line's check names
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError as e:
-                    raise ValueError(f"line {line_no}: byte 0x{ord(line[e.start]) - 0xDC00:02x} at "
-                                     f"column {e.start + 1} is not UTF-8") from None
-            if line.isspace():
-                continue
-            try:
-                raw = loads(line)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"parse error at line {line_no}: {e.msg}") from e
-            records.append(_record(raw, line_no, max_seq_len, widths, pair_ids, first_of_image,
-                                   tokens_read))
-    if not records:
-        raise ValueError(f"dataset {path} has no records")
-    return records
+    with open(path, "rb") as fh:
+        pair_ids = _ids(_column(fh, "pair_ids", "U").tolist(), "pair_ids", "record")
+        if not pair_ids:
+            raise ValueError(f"dataset {path} has no records")
+        image_ids = _ids(_column(fh, "image_ids", "U").tolist(), "image_ids", "image")
+        caption_image = _column(fh, "caption_image", "iu", len(pair_ids))
+        _in_range(caption_image, 0, len(image_ids) - 1, "caption_image",
+                  lambda j: f"record {pair_ids[j]!r}")
+        images = _read_rows(fh, "image", image_ids, "image", max_seq_len)
+        captions = _read_rows(fh, "caption", pair_ids, "record", max_seq_len)
+        vocabulary = _column(fh, "vocabulary", "U").tolist()
+        counts = _column(fh, "token_counts", "iu", len(pair_ids))
+        codes = _column(fh, "token_codes", "iu")
+        ends = np.cumsum(counts).tolist()
+        if ((counts < 0) | (counts > len(codes))).any() or ends[-1] != len(codes):
+            raise ValueError(f"dataset array 'token_counts' must be non-negative and sum to the "
+                             f"{len(codes)} entries of 'token_codes'")
+        _in_range(codes, 0, len(vocabulary) - 1, "token code",
+                  lambda k: f"record {pair_ids[np.searchsorted(ends, k, side='right')]!r}")
+        if fh.read(1):
+            raise ValueError(f"dataset {path}: bytes follow the last array")
+    tokens = [vocabulary[c] for c in codes.tolist()]
+    return [PairedRecord(p, image_ids[i], images[i], tokens[e - n:e], caption)
+            for p, i, caption, n, e in zip(pair_ids, caption_image.tolist(), captions,
+                                            counts.tolist(), ends)]
 
 
 # ---------------------------------------------------------------------------
@@ -674,31 +676,19 @@ def batch_losses(state: TrainState, records: list[PairedRecord], labels: np.ndar
 # ---------------------------------------------------------------------------
 
 def _unique_images(records: list[PairedRecord]):
-    order: list[str] = []
-    index: dict[str, int] = {}
-    seqs = []
+    """Image ids in order of first appearance, each image's first array, and each record's image."""
+    first: dict[str, PairedRecord] = {}
     for r in records:
-        if r.image_id not in index:
-            index[r.image_id] = len(order)
-            order.append(r.image_id)
-            seqs.append(r.image_features)
-    caption_image = np.array([index[r.image_id] for r in records], dtype=np.int64)
-    return order, seqs, caption_image
+        first.setdefault(r.image_id, r)
+    index = {image_id: i for i, image_id in enumerate(first)}
+    return (list(first), [r.image_features for r in first.values()],
+            np.array([index[r.image_id] for r in records], dtype=np.int64))
 
 
 def _stacks(agg: FeatureAggregator, seqs):
-    """``agg.stack`` of each run of consecutive ``seqs`` holding at most ``EMBED_ROWS`` rows, lazily.
-
-    A run ends before the sequence that would take it past the budget, so
-    a sequence longer than the budget is a run of its own.
-    """
-    start = rows = 0
-    for i, seq in enumerate(seqs):
-        if rows and rows + len(seq) > EMBED_ROWS:
-            yield agg.stack(seqs[start:i])
-            start, rows = i, 0
-        rows += len(seq)
-    yield agg.stack(seqs[start:])
+    """``agg.stack`` of each ``_runs`` run of ``seqs``, at most ``EMBED_ROWS`` rows apiece, lazily."""
+    for lo, hi in _runs([len(seq) for seq in seqs]):
+        yield agg.stack(seqs[lo:hi])
 
 
 def _instance_sums(state: TrainState, records: list[PairedRecord]) -> np.ndarray:
@@ -1029,13 +1019,14 @@ def evaluate(state: TrainState, data: list[PairedRecord], beta: float | None = N
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path, state: TrainState, which: str = "best") -> None:
-    """Serialize parameters, momentum mirror, config, and the concept branch's frozen input.
+    """Write parameters, momentum mirror, config and the frozen ``concept_inputs`` as one array stream.
 
-    Every array is an ``_encode`` blob, ``concept_inputs`` among them, so
-    a load redraws nothing from the config's seed. ``which="best"`` uses
-    the best-validation snapshot of parameters and momentum mirror when
-    one exists, otherwise the current ones. ``epoch`` is the number of
-    epochs run when the saved arrays were taken, for either kind of save.
+    A 0-d str array holds the JSON header: ``version``, ``epoch``,
+    ``config``, ``dims`` and the names of the ``params`` and ``momentum``
+    arrays. ``concept_inputs`` follows, so a load redraws nothing from the
+    seed, then one <f8 array per name, in the header's order.
+    ``which="best"`` takes the best-validation snapshot when one exists;
+    ``epoch`` counts the epochs run when the saved arrays were taken.
     """
     if which not in ("best", "final"):
         raise ValueError("which must be 'best' or 'final'")
@@ -1045,82 +1036,89 @@ def save_checkpoint(path, state: TrainState, which: str = "best") -> None:
     if which == "best" and state.best is not None:
         params, momentum = state.best["params"], state.best["momentum"]
         epoch = state.best["epochs_run"]
-    blob = {
-        "version": CHECKPOINT_VERSION,
-        "epoch": epoch,
-        "config": asdict(state.config),
-        "dims": {"d_img": state.model.vis_agg.d_in, "d_txt": state.model.txt_agg.d_in},
-        "params": {name: _encode(arr, f"checkpoint params {name!r}") for name, arr in params.items()},
-        "momentum": {name: _encode(arr, f"checkpoint momentum {name!r}")
-                     for name, arr in momentum.items()},
-        "concept_inputs": _encode(state.model.concept_inputs, "checkpoint section 'concept_inputs'"),
-    }
-    with open(path, "w") as fh:
-        json.dump(blob, fh)
+    header = {"version": CHECKPOINT_VERSION, "epoch": epoch, "config": asdict(state.config),
+              "dims": {"d_img": state.model.vis_agg.d_in, "d_txt": state.model.txt_agg.d_in},
+              "params": list(params), "momentum": list(momentum)}
+    with open(path, "wb") as fh:
+        np.save(fh, np.array(json.dumps(header)), allow_pickle=False)
+        for arr in (state.model.concept_inputs, *params.values(), *momentum.values()):
+            np.save(fh, np.asarray(arr, dtype="<f8"), allow_pickle=False)
 
 
-def _decode_section(section: dict, model_arrays: dict[str, np.ndarray], kind: str):
-    """The arrays of one checkpoint section, which must name and shape exactly the model's."""
-    missing = sorted(model_arrays.keys() - section.keys())
-    if missing:
-        raise ValueError(f"checkpoint {kind} {missing[0]!r}: missing from the file")
-    out = {}
-    for name, enc in section.items():
-        where = f"checkpoint {kind} {name!r}"
-        if name not in model_arrays:
-            raise ValueError(f"{where}: not a parameter of this model")
-        arr = _decode(enc, where)
-        if arr.shape != model_arrays[name].shape:
-            raise ValueError(f"{where}: shape {list(arr.shape)} but the model's is "
-                             f"{list(model_arrays[name].shape)}")
-        out[name] = arr
-    return out
+def _floats(fh, where: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """The stream's next array, which must be finite <f8 and of ``shape`` if given."""
+    arr = _load(fh, where)
+    if arr.dtype != "<f8":
+        raise ValueError(f"{where} must be a <f8 array, got {arr.dtype}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{where} contains non-finite values")
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"{where}: shape {list(arr.shape)} but the model's is {list(shape)}")
+    return arr
 
 
-def _entry(section: dict, kind: str, name: str, want: type):
-    """``section[name]``, which must be a JSON value of type ``want``; errors name it."""
+def _read_section(fh, names: list, model_arrays: dict[str, np.ndarray], kind: str):
+    """The arrays the header lists as ``names``, which must name and shape exactly the model's."""
+    if not all(type(name) is str for name in names):
+        raise ValueError(f"checkpoint section {kind!r} must list array names, got {names!r}")
+    odd = sorted(model_arrays.keys() ^ set(names))
+    if odd:
+        why = "missing from the file" if odd[0] in model_arrays else "not a parameter of this model"
+        raise ValueError(f"checkpoint {kind} {odd[0]!r}: {why}")
+    return {name: _floats(fh, f"checkpoint {kind} {name!r}", model_arrays[name].shape)
+            for name in names}
+
+
+def _entry(section: dict, kind: str, name: str, want: type, least: int | None = None):
+    """``section[name]``, a JSON value of type ``want``, at least ``least`` if given; errors name it."""
     where = f"checkpoint {kind} {name!r}"
     if name not in section:
         raise ValueError(f"{where}: missing from the file")
-    if type(section[name]) is not want:
-        raise ValueError(f"{where} must be of type {want.__name__}, got {type(section[name]).__name__}")
-    return section[name]
+    value = section[name]
+    if type(value) is not want:
+        raise ValueError(f"{where} must be of type {want.__name__}, got {type(value).__name__}")
+    if least is not None and value < least:
+        raise ValueError(f"{where} must be at least {least}, got {value}")
+    return value
 
 
 def load_checkpoint(path) -> TrainState:
-    """Rebuild a state that evaluates as the saved one did, bit for bit; errors name the entry."""
-    with open(path) as fh:
-        blob = json.load(fh)
-    if type(blob) is not dict:
-        raise ValueError(f"checkpoint: the top level must be an object, got {type(blob).__name__}")
-    version = blob.get("version")
-    # 4.0 == 4, so the type is checked too
-    if type(version) is not int or version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version!r}")
-    for section, want in (("epoch", int), ("config", dict), ("dims", dict), ("params", dict),
-                          ("momentum", dict), ("concept_inputs", dict)):
-        if section not in blob:
-            raise ValueError(f"checkpoint: missing section {section!r}")
-        _entry(blob, "section", section, want)
-    if blob["epoch"] < 0:
-        raise ValueError(f"checkpoint section 'epoch' must be non-negative, got {blob['epoch']}")
-    cfg = TrainConfig.from_dict(blob["config"])
-    dims = blob["dims"]
-    for key in ("d_img", "d_txt"):
-        if _entry(dims, "dims", key, int) < 1:
-            raise ValueError(f"checkpoint dims {key!r} must be positive, got {dims[key]}")
-    where = "checkpoint section 'concept_inputs'"
-    inputs = _decode(blob["concept_inputs"], where)
-    if (inputs.ndim != 2 or not 1 <= inputs.shape[0] <= cfg.concepts
-            or inputs.shape[1] != cfg.embed_dim):
-        raise ValueError(f"{where} must have 1 to {cfg.concepts} rows of width {cfg.embed_dim}, "
-                         f"got shape {list(inputs.shape)}")
-    model = AlignmentModel(cfg, dims["d_img"], dims["d_txt"], inputs)
-    params = {name: m.value for name, m in model.param_items()}
-    for name, arr in _decode_section(blob["params"], params, "params").items():
-        model.set_param(name, Matrix(arr))
-    model.encoder_pair.momentum = _decode_section(blob["momentum"], model.encoder_pair.momentum,
-                                                  "momentum")
+    """Rebuild a state that evaluates as the saved one did, bit for bit; errors name the entry.
+
+    A file that is no array stream (versions 1 to 4 were JSON) is an unsupported version.
+    """
+    with open(path, "rb") as fh:
+        if not fh.peek(6).startswith(np.lib.format.MAGIC_PREFIX):
+            raise ValueError("unsupported checkpoint version: the file is no stream of .npy arrays")
+        head = _load(fh, "checkpoint header")
+        try:
+            header = json.loads(head.item()) if head.dtype.kind == "U" and head.ndim == 0 else None
+        except ValueError as e:
+            raise ValueError(f"checkpoint header: {e}") from None
+        if type(header) is not dict:
+            raise ValueError(f"checkpoint header must be a 0-d str array of a JSON object, got "
+                             f"{type(header).__name__} from {head.dtype} of shape {head.shape}")
+        if _entry(header, "section", "version", int) != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {header['version']}")
+        epoch = _entry(header, "section", "epoch", int, least=0)
+        for section, want in (("config", dict), ("dims", dict), ("params", list), ("momentum", list)):
+            _entry(header, "section", section, want)
+        cfg = TrainConfig.from_dict(header["config"])
+        d_img, d_txt = (_entry(header["dims"], "dims", key, int, least=1) for key in ("d_img", "d_txt"))
+        where = "checkpoint section 'concept_inputs'"
+        inputs = _floats(fh, where)
+        if (inputs.ndim != 2 or not 1 <= inputs.shape[0] <= cfg.concepts
+                or inputs.shape[1] != cfg.embed_dim):
+            raise ValueError(f"{where} must have 1 to {cfg.concepts} rows of width {cfg.embed_dim}, "
+                             f"got shape {list(inputs.shape)}")
+        model = AlignmentModel(cfg, d_img, d_txt, inputs)
+        params = {name: m.value for name, m in model.param_items()}
+        for name, arr in _read_section(fh, header["params"], params, "params").items():
+            model.set_param(name, Matrix(arr))
+        model.encoder_pair.momentum = _read_section(fh, header["momentum"],
+                                                    model.encoder_pair.momentum, "momentum")
+        if fh.read(1):
+            raise ValueError("checkpoint: bytes follow the last array")
     state = _fresh_state(cfg, model)
-    state.epochs_run = blob["epoch"]
+    state.epochs_run = epoch
     return state

@@ -1,5 +1,5 @@
-import base64
 import dataclasses
+import io
 import json
 import math
 import re
@@ -521,9 +521,21 @@ def _bits(arr) -> bytes:
     return np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
 
-def _blob(arr) -> dict:
-    """The blob form of ``arr``, non-finite values and all, for writing files by hand."""
-    return {"shape": list(np.shape(arr)), "data": base64.b64encode(_bits(arr)).decode("ascii")}
+def _stream(*arrays) -> bytes:
+    """The bytes of an array stream holding ``arrays`` in order; an object array is pickled."""
+    out = io.BytesIO()
+    for arr in arrays:
+        np.save(out, arr, allow_pickle=arr.dtype == object)
+    return out.getvalue()
+
+
+def _read_stream(path) -> list[np.ndarray]:
+    """Every array of the stream at ``path``, in order."""
+    arrays = []
+    with open(path, "rb") as fh:
+        while fh.peek(1):
+            arrays.append(np.load(fh, allow_pickle=False))
+    return arrays
 
 
 def test_synthetic_caption_features_project_their_token_latents_in_order():
@@ -620,27 +632,42 @@ def test_interleaved_records_round_trip_in_order_and_share_each_image(tmp_path):
     assert not loaded[0].image_features.flags.writeable
 
 
-def test_saved_file_holds_one_image_blob_per_image(tmp_path):
+def test_saved_file_holds_one_image_sequence_per_image(tmp_path):
     data = _interleaved()
     path = tmp_path / "val.jsonl"
     pl.save_dataset(data, path)
-    lines = [json.loads(line) for line in path.read_text().splitlines()]
-    firsts = {}
-    for i, raw in enumerate(lines):
-        assert ("image_features" in raw) == (firsts.setdefault(raw["image_id"], i) == i)
-    assert [i for i, raw in enumerate(lines) if "image_features" in raw] == [0, 1, 4]
+    names = ["pair_ids", "image_ids", "caption_image", "image_lengths", "image_rows",
+             "caption_lengths", "caption_rows", "vocabulary", "token_counts", "token_codes"]
+    arrays = dict(zip(names, _read_stream(path), strict=True))
+    images = [data[0], data[1], data[4]]
+    assert arrays["image_ids"].tolist() == [r.image_id for r in images]
+    assert arrays["caption_image"].tolist() == [0, 1, 0, 1, 2, 0, 2]
+    assert arrays["image_lengths"].tolist() == [len(r.image_features) for r in images]
+    assert _bits(arrays["image_rows"]) == b"".join(_bits(r.image_features) for r in images)
+    assert _bits(arrays["caption_rows"]) == b"".join(_bits(r.caption_features) for r in data)
+    assert arrays["vocabulary"][arrays["token_codes"]].tolist() == \
+        [t for r in data for t in r.caption_tokens]
 
 
-def test_load_dataset_decodes_each_record_and_each_image_once(monkeypatch, tmp_path):
+def test_loaded_records_of_one_image_view_its_one_sequence(tmp_path):
     path = tmp_path / "val.jsonl"
-    pl.save_dataset(pl.generate_synthetic(6, 4, 4, seed=3, split="val"), path)
-    decoded = []
-    decode = pl._decode
-    monkeypatch.setattr(pl, "_decode", lambda blob, where: decoded.append(where) or decode(blob, where))
+    data = pl.generate_synthetic(6, 4, 4, seed=3, split="val")
+    pl.save_dataset(data, path)
     loaded = pl.load_dataset(path)
     assert len(loaded) == 24
-    assert len(decoded) == 24 + 6
-    assert sum(where.endswith("image_features") for where in decoded) == 6
+    images = {id(r.image_features): r.image_features for r in loaded}
+    assert len(images) == 6
+    # the six image sequences fit one chunk, which all of them view
+    assert len({id(_owner(seq)) for seq in images.values()}) == 1
+    assert sum(len(seq) for seq in images.values()) == \
+        sum(len(r.image_features) for r in data[::4])
+
+
+def _owner(arr: np.ndarray) -> np.ndarray:
+    """The array that owns the memory ``arr`` views."""
+    while arr.base is not None:
+        arr = arr.base
+    return arr
 
 
 def test_save_dataset_rejects_images_that_differ_within_an_image_id(tmp_path):
@@ -685,11 +712,60 @@ def test_loaded_records_share_their_strings(tmp_path):
     assert not any(hasattr(r, "__dict__") for r in loaded)
 
 
-def test_load_dataset_reads_utf8_tokens(tmp_path):
-    tokens = ("naïve", "café", "日本")
-    path = _write(tmp_path / "dev.jsonl", json.dumps(_raw(tokens=tokens), ensure_ascii=False))
-    assert not path.read_bytes().isascii()
-    assert pl.load_dataset(path)[0].caption_tokens == list(tokens)
+def test_dataset_round_trip_keeps_non_ascii_ids_and_tokens(tmp_path):
+    tokens = ["naïve", "café", "日本"]
+    data = [pl.PairedRecord("ñ-1", "画像", np.ones((2, 3)), tokens, np.ones((1, 4))),
+            pl.PairedRecord("ñ-2", "画像", np.ones((2, 3)), tokens[::-1], np.ones((1, 4)))]
+    path = tmp_path / "dev.jsonl"
+    pl.save_dataset(data, path)
+    assert [(r.pair_id, r.image_id, r.caption_tokens) for r in pl.load_dataset(path)] == \
+        [(r.pair_id, r.image_id, r.caption_tokens) for r in data]
+
+
+@pytest.mark.parametrize("pair_id, tokens", [("a\0", ["red"]), ("a", ["red", 3]), (7, ["red"])],
+                         ids=["trailing_nul", "int_token", "int_pair_id"])
+def test_save_dataset_rejects_a_string_a_str_array_would_change(pair_id, tokens, tmp_path):
+    path = tmp_path / "dev.jsonl"
+    data = [pl.PairedRecord(pair_id, "img", np.ones((2, 3)), tokens, np.ones((1, 4)))]
+    with pytest.raises(ValueError, match="^every id and token must be a str that does not end in NUL$"):
+        pl.save_dataset(data, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("pair_id, image_id, match", [
+    ("", "img", r"^dataset array 'pair_ids': entry 0 is empty$"),
+    ("p", "", r"^dataset array 'image_ids': entry 0 is empty$"),
+], ids=["empty_pair_id", "empty_image_id"])
+def test_save_dataset_rejects_an_empty_id(pair_id, image_id, match, tmp_path):
+    path = tmp_path / "dev.jsonl"
+    with pytest.raises(ValueError, match=match):
+        pl.save_dataset([pl.PairedRecord(pair_id, image_id, np.ones((2, 3)), [], np.ones((1, 4)))],
+                        path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("field, shape, match", [
+    ("image_features", (6,), r"^image 'img': image_features must be \[L, d\] with the first one's "
+                             r"d, got shape \[6\]$"),
+    ("caption_features", (2, 5), r"^record 'q': caption_features must be \[L, d\] with the first "
+                                 r"one's d, got shape \[2, 5\]$"),
+], ids=["one_d", "other_width"])
+def test_save_dataset_rejects_a_feature_array_of_another_shape(field, shape, match, tmp_path):
+    data = [pl.PairedRecord("p", "img", np.ones((2, 3)), ["red"], np.ones((1, 4))),
+            pl.PairedRecord("q", "other", np.ones((1, 3)), ["car"], np.ones((1, 4)))]
+    record = data[0] if field == "image_features" else data[1]
+    setattr(record, field, np.ones(shape))
+    path = tmp_path / "dev.jsonl"
+    with pytest.raises(ValueError, match=match):
+        pl.save_dataset(data, path)
+    assert not path.exists()
+
+
+def test_save_dataset_rejects_an_empty_dataset(tmp_path):
+    path = tmp_path / "dev.jsonl"
+    with pytest.raises(ValueError, match="^no records to save$"):
+        pl.save_dataset([], path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("field, value", [("image_features", np.inf),
@@ -698,120 +774,225 @@ def test_save_dataset_rejects_a_non_finite_feature(field, value, tmp_path):
     data = pl.generate_synthetic(3, 1, 4, seed=1)
     getattr(data[1], field)[-1, 2] = value
     path = tmp_path / "train.jsonl"
-    with pytest.raises(ValueError, match=rf"^record '{data[1].pair_id}': {field} contains "
-                                         r"non-finite values$"):
+    # an image is named by its image_id, a caption by its record's pair_id
+    owner = (f"image '{data[1].image_id}'" if field == "image_features"
+             else f"record '{data[1].pair_id}'")
+    with pytest.raises(ValueError, match=rf"^{owner}: {field} contains non-finite values$"):
         pl.save_dataset(data, path)
-    # record 0's line was written before the error; no part of the file is left to load
+    # the arrays before the bad sequence were written; no part of the file is left to load
     assert not path.exists()
 
 
 @pytest.mark.parametrize("max_seq_len", [0, -1, 2.5, True])
 def test_load_dataset_rejects_a_max_seq_len_that_is_no_positive_int(max_seq_len, tmp_path):
-    path = _write(tmp_path / "dev.jsonl", _raw("a"))
+    path = tmp_path / "dev.jsonl"
+    path.write_bytes(_file())
     with pytest.raises(ValueError, match=rf"^max_seq_len must be a positive int, got {max_seq_len}$"):
         pl.load_dataset(path, max_seq_len=max_seq_len)
 
 
-def _raw(pair_id="p", image=None, caption=None, tokens=("red", "car"), image_id="img",
-         first=True) -> dict:
-    """A valid record of ``image_id``; ``first=False`` omits its image_features, as the
-    file holds them only on the image's first record."""
-    image = np.ones((2, 3)) if image is None else image
-    caption = np.ones((1, 4)) if caption is None else caption
-    raw = {"pair_id": pair_id, "image_id": image_id, "image_features": _blob(image),
-           "caption_tokens": list(tokens), "caption_features": _blob(caption)}
-    if not first:
-        del raw["image_features"]
-    return raw
+def _dataset(**changes) -> dict[str, np.ndarray]:
+    """The arrays of a valid file, in file order, with ``changes``; a None change drops an array.
+
+    Records a, b and c; a and b show image "img", c shows "other".
+    """
+    arrays = {"pair_ids": np.array(["a", "b", "c"]), "image_ids": np.array(["img", "other"]),
+              "caption_image": np.array([0, 0, 1]), "image_lengths": np.array([2, 1]),
+              "image_rows": np.ones((3, 3)), "caption_lengths": np.array([1, 2, 1]),
+              "caption_rows": np.ones((4, 4)), "vocabulary": np.array(["red", "car"]),
+              "token_counts": np.array([2, 1, 0]), "token_codes": np.array([0, 1, 1])}
+    arrays.update(changes)
+    return {name: arr for name, arr in arrays.items() if arr is not None}
 
 
-def _write(path, *lines):
-    # a lone surrogate in a line is written as the byte it escapes
-    path.write_text("".join((line if isinstance(line, str) else json.dumps(line)) + "\n"
-                            for line in lines), encoding="utf-8", errors="surrogateescape")
-    return path
+def _file(**changes) -> bytes:
+    return _stream(*_dataset(**changes).values())
 
 
-def _with(field, value, **kwargs):
-    raw = _raw(**kwargs)
-    raw[field] = value
-    return raw
+def _rows(shape, bad_row=None, value=np.nan):
+    rows = np.ones(shape)
+    if bad_row is not None:
+        rows[bad_row, -1] = value
+    return rows
 
 
-def _without(field, **kwargs):
-    raw = _raw(**kwargs)
-    del raw[field]
-    return raw
+def _npz(**arrays) -> bytes:
+    out = io.BytesIO()
+    np.savez(out, **arrays)
+    return out.getvalue()
 
 
-# a second record whose token "red" holds the byte 0xff, which is not UTF-8
-_NOT_UTF8 = json.dumps(_raw("b", first=False)).replace('"red"', '"r\udcffd"')
+# with its last three arrays dropped, the file ends in caption_rows
+_TO_CAPTION_ROWS = dict(vocabulary=None, token_counts=None, token_codes=None)
 
 BAD_DATASETS = {
-    # name: (lines of the file, expected message)
-    "not_utf8": ([_raw("a"), _NOT_UTF8],
-                 rf"^line 2: byte 0xff at column {_NOT_UTF8.index(chr(0xDCFF)) + 1} is not UTF-8$"),
-    "parse_error": ([_raw("a"), '{"pair_id": "b",'], r"parse error at line 2: "),
-    "no_pair_id": ([_raw("a"), _without("pair_id", first=False)], r"line 2: record has no pair_id"),
-    "not_an_object": (["[1, 2]"], r"line 1: record has no pair_id"),
-    "missing_field": ([_without("caption_tokens")], r"record 'p': missing field 'caption_tokens'"),
-    "nested_list": ([_with("image_features", [[1.0, 2.0, 3.0]])],
-                    r"record 'p': image_features must be \{\"shape\": \[\.\.\.\], \"data\": "
-                    r"<base64 of little-endian float64>\}, got a list"),
-    "extra_blob_key": ([_with("caption_features", {"shape": [1, 1], "data": "", "dtype": "f8"})],
-                       r"record 'p': caption_features must be .*got keys \['data', 'dtype', 'shape'\]"),
-    "float_shape": ([_with("image_features", {"shape": [1.0, 1], "data": "AAAAAAAA8D8="})],
-                    r"record 'p': image_features: shape must be a list of non-negative ints"),
-    "data_not_a_string": ([_with("image_features", {"shape": [1, 1], "data": 1.0})],
-                          r"record 'p': image_features: data must be a base64 string, got float"),
-    "bad_base64": ([_with("image_features", {"shape": [1, 1], "data": "AAAA AAA8D8="})],
-                   r"record 'p': image_features: data is not strict base64"),
-    "byte_count": ([_with("caption_features", {"shape": [2, 3], "data": "AAAAAAAA8D8="})],
-                   r"record 'p': caption_features: data holds 8 bytes but shape \[2, 3\] needs 48"),
-    "one_d": ([_raw(image=np.ones(3))], r"record 'p': image_features must be a nonempty 2-D array"),
-    "empty": ([_raw(caption=np.ones((0, 4)))],
-              r"record 'p': caption_features must be a nonempty 2-D array, got shape \[0, 4\]"),
-    "too_long": ([_raw(image=np.ones((65, 3)))], r"record 'p': image_features longer than max_seq_len=64"),
-    "non_finite": ([_raw(caption=np.array([[1.0, np.nan, 0.0, 0.0]]))],
-                   r"record 'p': caption_features contains non-finite values"),
-    "non_string_token": ([_raw(tokens=("red", 3))],
-                         r"record 'p': caption_tokens must be a list of strings"),
-    "duplicate": ([_raw("a"), _raw("b", first=False), _raw("a", first=False)],
-                  r"record 'a': duplicate pair_id"),
-    "no_records": (["", "  "], r"has no records"),
-    "image_width": ([_raw("a"), _raw("b", image=np.ones((2, 5)), image_id="other")],
-                    r"record 'b': image_features has width 5 but the first record's has 3"),
-    "caption_width": ([_raw("a"), _raw("b", caption=np.ones((3, 2)), first=False)],
-                      r"record 'b': caption_features has width 2 but the first record's has 4"),
-    "null_image_id": ([_with("image_id", None)],
-                      r"record 'p': image_id must be a non-empty string, got None"),
-    "empty_image_id": ([_with("image_id", "")],
-                       r"record 'p': image_id must be a non-empty string, got ''"),
-    "int_image_id": ([_with("image_id", 7)], r"record 'p': image_id must be a non-empty string, got 7"),
-    "image_missing": ([_raw("a"), _raw("b", first=False), _raw("c", image_id="other", first=False)],
-                      r"^record 'c': missing field 'image_features', which the first record of "
-                      r"image_id 'other' must hold$"),
-    "image_repeated": ([_raw("a"), _raw("b", first=False), _raw("c")],
-                       r"^record 'c': image_features repeated; only record 'a', the first of "
-                       r"image_id 'img', may hold them$"),
+    # name: (the file's bytes, expected message)
+    "empty_file": (lambda: b"", r"^dataset array 'pair_ids': EOF: reading magic string, expected 8 "
+                                r"bytes got 0$"),
+    "jsonl_file": (lambda: b'{"pair_id": "a"}\n', r"^dataset array 'pair_ids': the magic string is "
+                                                    r"not correct"),
+    "npz_file": (lambda: _npz(**_dataset()), r"^dataset array 'pair_ids': the magic string is not "
+                                             r"correct; expected b'\\x93NUMPY', got b'PK"),
+    "truncated": (lambda: _file()[:-8], r"^dataset array 'token_codes': Failed to read all data"),
+    "truncated_rows": (lambda: _file(**_TO_CAPTION_ROWS)[:-8],
+                       r"^dataset array 'caption_rows': the file ends inside it$"),
+    "missing_array": (lambda: _file(token_codes=None),
+                      r"^dataset array 'token_codes': EOF: reading magic string"),
+    "trailing_bytes": (lambda: _file() + b"\0", r"^dataset .*: bytes follow the last array$"),
+    "float_pair_ids": (lambda: _file(pair_ids=np.arange(3.0)),
+                       r"^dataset array 'pair_ids' must be 1-D of dtype kind 'U' and length any, "
+                       r"got float64 of shape \(3,\)$"),
+    "object_pair_ids": (lambda: _file(pair_ids=np.array(["a", "b", "c"], dtype=object)),
+                        r"^dataset array 'pair_ids': Object arrays cannot be loaded when "
+                        r"allow_pickle=False$"),
+    "bytes_vocabulary": (lambda: _file(vocabulary=np.array([b"red", b"car"])),
+                         r"^dataset array 'vocabulary' must be 1-D of dtype kind 'U' .* got \|S3"),
+    "float_caption_image": (lambda: _file(caption_image=np.array([0.0, 0.0, 1.0])),
+                            r"^dataset array 'caption_image' must be 1-D of dtype kind 'iu' and "
+                            r"length 3, got float64"),
+    "two_d_lengths": (lambda: _file(image_lengths=np.array([[2, 1]])),
+                      r"^dataset array 'image_lengths' must be 1-D .* of shape \(1, 2\)$"),
+    "float32_rows": (lambda: _file(caption_rows=np.ones((4, 4), dtype=np.float32)),
+                     r"^dataset array 'caption_rows' must be a C-ordered <f8 array of 4 rows, as "
+                     r"'caption_lengths' sum to, and d >= 1 columns, got float32 of shape \(4, 4\)$"),
+    "big_endian_rows": (lambda: _file(image_rows=np.ones((3, 3), dtype=">f8")),
+                        r"^dataset array 'image_rows' must be .* got >f8 of shape \(3, 3\)$"),
+    "fortran_rows": (lambda: _file(image_rows=np.asfortranarray(np.ones((3, 3)))),
+                     r"^dataset array 'image_rows' must be a C-ordered"),
+    "one_d_rows": (lambda: _file(image_rows=np.ones(3)),
+                   r"^dataset array 'image_rows' must be .* got float64 of shape \(3,\)$"),
+    "zero_width_rows": (lambda: _file(caption_rows=np.ones((4, 0))),
+                        r"^dataset array 'caption_rows' must be .* of shape \(4, 0\)$"),
+    "object_rows": (lambda: _file(caption_rows=np.ones((4, 4)).astype(object)),
+                    r"^dataset array 'caption_rows' must be .* got object of shape \(4, 4\)$"),
+    "zero_length": (lambda: _file(caption_lengths=np.array([1, 0, 3])),
+                    r"^record 'b': caption_features length 0 outside \[1, 64\]$"),
+    "negative_length": (lambda: _file(image_lengths=np.array([4, -1])),
+                        r"^image 'other': image_features length -1 outside \[1, 64\]$"),
+    "too_long": (lambda: _file(image_lengths=np.array([65, 1]), image_rows=np.ones((66, 3))),
+                 r"^image 'img': image_features length 65 outside \[1, 64\]$"),
+    "lengths_short": (lambda: _file(caption_lengths=np.array([1, 1, 1])),
+                      r"^dataset array 'caption_rows' must be a C-ordered <f8 array of 3 rows, .* "
+                      r"got float64 of shape \(4, 4\)$"),
+    "lengths_long": (lambda: _file(image_lengths=np.array([2, 2])),
+                     r"^dataset array 'image_rows' must be a C-ordered <f8 array of 4 rows, .* "
+                     r"got float64 of shape \(3, 3\)$"),
+    "lengths_size": (lambda: _file(caption_lengths=np.array([2, 2])),
+                     r"^dataset array 'caption_lengths' must be 1-D of dtype kind 'iu' and length 3, "
+                     r"got int64 of shape \(2,\)$"),
+    "non_finite_caption": (lambda: _file(caption_rows=_rows((4, 4), 2)),
+                           r"^record 'b': caption_features contains non-finite values$"),
+    "infinite_caption": (lambda: _file(caption_rows=_rows((4, 4), 3, -np.inf)),
+                         r"^record 'c': caption_features contains non-finite values$"),
+    "non_finite_image": (lambda: _file(image_rows=_rows((3, 3), 2, np.inf)),
+                         r"^image 'other': image_features contains non-finite values$"),
+    "caption_image_high": (lambda: _file(caption_image=np.array([0, 0, 2])),
+                           r"^record 'c': caption_image 2 outside \[0, 1\]$"),
+    "caption_image_negative": (lambda: _file(caption_image=np.array([0, -1, 1])),
+                               r"^record 'b': caption_image -1 outside \[0, 1\]$"),
+    "caption_image_size": (lambda: _file(caption_image=np.array([0, 1])),
+                           r"^dataset array 'caption_image' must be .* length 3, got int64 of shape "
+                           r"\(2,\)$"),
+    "token_code_high": (lambda: _file(token_codes=np.array([0, 1, 2])),
+                        r"^record 'b': token code 2 outside \[0, 1\]$"),
+    "token_code_negative": (lambda: _file(token_codes=np.array([-1, 1, 1])),
+                            r"^record 'a': token code -1 outside \[0, 1\]$"),
+    "token_counts_sum": (lambda: _file(token_counts=np.array([2, 1, 1])),
+                         r"^dataset array 'token_counts' must be non-negative and sum to the 3 "
+                         r"entries of 'token_codes'$"),
+    "token_count_negative": (lambda: _file(token_counts=np.array([3, 1, -1])),
+                             r"^dataset array 'token_counts' must be non-negative"),
+    # these counts sum to 2**64 + 3, which wraps to the 3 codes
+    "token_count_wraps": (lambda: _file(token_counts=np.array([2**62, 2**62, 2**63 + 3],
+                                                              dtype=np.uint64)),
+                          r"^dataset array 'token_counts' must be non-negative"),
+    "duplicate_pair_id": (lambda: _file(pair_ids=np.array(["a", "b", "a"])),
+                          r"^record 'a': duplicate pair_id$"),
+    "empty_pair_id": (lambda: _file(pair_ids=np.array(["a", "", "c"])),
+                      r"^dataset array 'pair_ids': entry 1 is empty$"),
+    "duplicate_image_id": (lambda: _file(image_ids=np.array(["img", "img"])),
+                           r"^image 'img': duplicate image_id$"),
+    "empty_image_id": (lambda: _file(image_ids=np.array(["", "other"])),
+                       r"^dataset array 'image_ids': entry 0 is empty$"),
+    "no_records": (lambda: _file(pair_ids=np.array([], dtype=str)), r"^dataset .* has no records$"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_DATASETS))
-def test_load_dataset_rejects_bad_records(case, tmp_path):
-    lines, match = BAD_DATASETS[case]
-    path = _write(tmp_path / "bad.jsonl", *lines)
+def test_load_dataset_rejects_bad_arrays(case, tmp_path):
+    make, match = BAD_DATASETS[case]
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(make())
     with pytest.raises(ValueError, match=match):
         pl.load_dataset(path)
 
 
-def test_load_dataset_skips_blank_lines_and_takes_max_seq_len(tmp_path):
-    path = _write(tmp_path / "dev.jsonl", _raw("a"), "", _raw("b", first=False),
-                  _raw("c", image_id="other"))
+def test_load_dataset_reads_the_hand_written_file_and_takes_max_seq_len(tmp_path):
+    path = tmp_path / "dev.jsonl"
+    path.write_bytes(_file())
     loaded = pl.load_dataset(path, max_seq_len=2)
-    assert [(r.pair_id, r.image_id) for r in loaded] == [("a", "img"), ("b", "img"), ("c", "other")]
-    with pytest.raises(ValueError, match=r"record 'a': image_features longer than max_seq_len=1"):
+    assert [(r.pair_id, r.image_id, r.caption_tokens, len(r.image_features), len(r.caption_features))
+            for r in loaded] == [("a", "img", ["red", "car"], 2, 1), ("b", "img", ["car"], 2, 2),
+                                 ("c", "other", [], 1, 1)]
+    with pytest.raises(ValueError, match=r"^image 'img': image_features length 2 outside \[1, 1\]$"):
         pl.load_dataset(path, max_seq_len=1)
+
+
+def test_dataset_file_sits_at_the_given_path(tmp_path):
+    data = pl.generate_synthetic(3, 2, 4, seed=1)
+    for name in ("train.jsonl", "train", "train.npy"):
+        pl.save_dataset(data, tmp_path / name)
+        assert [r.pair_id for r in pl.load_dataset(tmp_path / name)] == [r.pair_id for r in data]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train", "train.jsonl", "train.npy"]
+
+
+@pytest.mark.parametrize("budget", [7, 30, 4096])
+def test_loaded_sequences_view_chunks_of_at_most_embed_rows(budget, monkeypatch, tmp_path):
+    monkeypatch.setattr(pl, "EMBED_ROWS", budget)
+    data = pl.generate_synthetic(20, 3, 4, seed=2)
+    long_image = rng_from_seed(3).standard_normal((budget + 5, 48)) if budget < 64 else None
+    if long_image is not None:
+        for r in data[6:9]:
+            r.image_features = long_image
+    path = tmp_path / "train.jsonl"
+    pl.save_dataset(data, path)
+    loaded = pl.load_dataset(path)
+    for name in ("image_features", "caption_features"):
+        chunks: dict[int, list[np.ndarray]] = {}
+        for seq in {id(getattr(r, name)): getattr(r, name) for r in loaded}.values():
+            assert not seq.flags.writeable
+            chunks.setdefault(id(_owner(seq)), []).append(seq)
+        for seqs in chunks.values():
+            rows = _owner(seqs[0]).size // seqs[0].shape[1]
+            assert rows == sum(len(seq) for seq in seqs)
+            assert rows <= budget or len(seqs) == 1
+        assert (len(chunks) == 1) == (budget == 4096)
+    if long_image is not None:
+        assert len(loaded[6].image_features) == budget + 5
+        assert loaded[6].image_features.base is not loaded[3].image_features.base
+
+
+def _traced_peak(call) -> tuple[int, int, object]:
+    """The traced memory still held after ``call()``, its traced peak, and its result."""
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return held, peak, result
+
+
+def test_dataset_io_streams_the_row_arrays(tmp_path):
+    data = pl.generate_synthetic(200, 5, 4, seed=1)
+    path = tmp_path / "val.jsonl"
+    caption_bytes = sum(r.caption_features.nbytes for r in data)
+    _, save_peak, _ = _traced_peak(lambda: pl.save_dataset(data, path))
+    # a concatenated caption array alone would reach caption_bytes
+    assert save_peak < caption_bytes / 2
+    held, load_peak, loaded = _traced_peak(lambda: pl.load_dataset(path))
+    assert len(loaded) == 1000
+    assert load_peak < held + pl.EMBED_ROWS * 48 * 8
 
 
 def _tiny_state():
@@ -847,23 +1028,65 @@ def test_loaded_checkpoint_evaluates_exactly_like_the_saved_state(d_img, d_txt, 
     assert pl.evaluate(loaded, val) == pl.evaluate(state, val)
 
 
-@pytest.mark.parametrize("corrupt, match", [
-    (lambda blob: [blob], "checkpoint: the top level must be an object, got list"),
-    (lambda blob: dict(blob, version=1), "unsupported checkpoint version 1"),
-    (lambda blob: dict(blob, version=2), "unsupported checkpoint version 2"),
-    (lambda blob: dict(blob, version=3), "unsupported checkpoint version 3"),
-    (lambda blob: dict(blob, version=4.0), "unsupported checkpoint version 4.0"),
-    (lambda blob: dict(blob, params=[]), "checkpoint section 'params' must be of type dict, got list"),
-    (lambda blob: dict(blob, epoch="1"), "checkpoint section 'epoch' must be of type int, got str"),
-    (lambda blob: dict(blob, epoch=-1), "checkpoint section 'epoch' must be non-negative, got -1"),
-    (lambda blob: dict(blob, epoch=-5), "checkpoint section 'epoch' must be non-negative, got -5"),
-], ids=["list", "version_1", "version_2", "version_3", "version_float", "params_list",
-        "epoch_string", "epoch_minus_one", "epoch_minus_five"])
-def test_load_checkpoint_names_a_bad_top_level(corrupt, match, tmp_path):
+def _edit_checkpoint(path, edit):
+    """Rewrite the checkpoint at ``path`` as ``edit(header, arrays)`` leaves its JSON header and
+    the arrays that follow it (``concept_inputs``, then params and momentum by name)."""
+    head, *rest = _read_stream(path)
+    header = json.loads(head.item())
+    names = ["concept_inputs", *(f"params {n}" for n in header["params"]),
+             *(f"momentum {n}" for n in header["momentum"])]
+    arrays = dict(zip(names, rest, strict=True))
+    edit(header, arrays)
+    path.write_bytes(_stream(np.array(json.dumps(header)), *arrays.values()))
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda h, a: h.pop("version"), "checkpoint section 'version': missing from the file"),
+    (lambda h, a: h.update(version=1), "unsupported checkpoint version 1"),
+    (lambda h, a: h.update(version=4), "unsupported checkpoint version 4"),
+    (lambda h, a: h.update(version=5.0), "checkpoint section 'version' must be of type int, got float"),
+    (lambda h, a: h.update(version=6), "unsupported checkpoint version 6"),
+    (lambda h, a: h.update(params={}), "checkpoint section 'params' must be of type list, got dict"),
+    (lambda h, a: h.update(momentum=["vis.proj", [1]]),
+     re.escape("checkpoint section 'momentum' must list array names, got ['vis.proj', [1]]")),
+    (lambda h, a: h.update(epoch="1"), "checkpoint section 'epoch' must be of type int, got str"),
+    (lambda h, a: h.update(epoch=-1), "checkpoint section 'epoch' must be at least 0, got -1"),
+    (lambda h, a: h.update(epoch=-5), "checkpoint section 'epoch' must be at least 0, got -5"),
+], ids=["no_version", "version_1", "version_4", "version_float", "version_6", "params_dict",
+        "momentum_not_names", "epoch_string", "epoch_minus_one", "epoch_minus_five"])
+def test_load_checkpoint_names_a_bad_header(edit, match, tmp_path):
     path = tmp_path / "ckpt.json"
     pl.save_checkpoint(path, _tiny_state(), which="final")
-    path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
-    with pytest.raises(ValueError, match=match):
+    _edit_checkpoint(path, edit)
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        pl.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("head, match", [
+    (lambda: np.array(json.dumps([1])),
+     r"checkpoint header must be a 0-d str array of a JSON object, got list from <U3 of shape \(\)"),
+    (lambda: np.array("{"), "checkpoint header: Expecting property name enclosed in double quotes"),
+    (lambda: np.array([json.dumps({"version": 5})]),
+     r"checkpoint header must be .* got NoneType from <U\d+ of shape \(1,\)"),
+    (lambda: np.array(5), r"checkpoint header must be .* got NoneType from int64 of shape \(\)"),
+    (lambda: np.array(json.dumps({"version": 5}), dtype=object),
+     "checkpoint header: Object arrays cannot be loaded when allow_pickle=False"),
+], ids=["list", "not_json", "one_d", "int", "object"])
+def test_load_checkpoint_names_a_bad_header_array(head, match, tmp_path):
+    path = tmp_path / "ckpt.json"
+    path.write_bytes(_stream(head()))
+    with pytest.raises(ValueError, match=f"^{match}"):
+        pl.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("text", [
+    '{"version": 4, "epoch": 0, "config": {}, "dims": {}, "params": {}, "momentum": {}}', "", "[]",
+], ids=["version_4_json", "empty", "json_list"])
+def test_load_checkpoint_rejects_a_file_that_is_no_array_stream(text, tmp_path):
+    path = tmp_path / "ckpt.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="^unsupported checkpoint version: the file is no stream of "
+                                         r"\.npy arrays$"):
         pl.load_checkpoint(path)
 
 
@@ -893,9 +1116,7 @@ def test_config_names_a_mistyped_field(via, name, value, kind, tmp_path):
         return
     path = tmp_path / "ckpt.json"
     pl.save_checkpoint(path, _tiny_state(), which="final")
-    blob = json.loads(path.read_text())
-    blob["config"][name] = value
-    path.write_text(json.dumps(blob))
+    _edit_checkpoint(path, lambda header, arrays: header["config"].update({name: value}))
     with pytest.raises(ValueError, match=match):
         pl.load_checkpoint(path)
 
@@ -914,10 +1135,8 @@ def test_config_names_a_non_finite_float_field(name, value):
 def test_load_checkpoint_rejects_a_json_infinity_in_the_config(tmp_path):
     path = tmp_path / "ckpt.json"
     pl.save_checkpoint(path, _tiny_state(), which="final")
-    blob = json.loads(path.read_text())
-    blob["config"]["lr"] = math.inf
-    path.write_text(json.dumps(blob))
-    assert '"lr": Infinity' in path.read_text()
+    _edit_checkpoint(path, lambda header, arrays: header["config"].update(lr=math.inf))
+    assert '"lr": Infinity' in _read_stream(path)[0].item()
     with pytest.raises(ValueError, match="invalid config: lr must be finite, got inf"):
         pl.load_checkpoint(path)
 
@@ -973,71 +1192,96 @@ def test_pipeline_names_a_bad_argument(call, message, tmp_path):
         call(tmp_path)
 
 
-@pytest.mark.parametrize("section", ["epoch", "config", "dims", "params", "momentum",
-                                     "concept_inputs"])
+@pytest.mark.parametrize("section", ["epoch", "config", "dims", "params", "momentum"])
 def test_load_checkpoint_names_a_missing_section(section, tmp_path):
     path = tmp_path / "ckpt.json"
     pl.save_checkpoint(path, _tiny_state(), which="final")
-    blob = json.loads(path.read_text())
-    del blob[section]
-    path.write_text(json.dumps(blob))
-    with pytest.raises(ValueError, match=f"checkpoint: missing section '{section}'"):
+    _edit_checkpoint(path, lambda header, arrays: header.pop(section))
+    with pytest.raises(ValueError, match=f"^checkpoint section '{section}': missing from the file$"):
         pl.load_checkpoint(path)
 
 
-@pytest.mark.parametrize("section, name, corrupt, match", [
-    ("params", "extra.classifier",
-     lambda sec, n: sec[n].update(data=sec[n]["data"][:-12]), r"needs \d+"),
-    ("momentum", "txt.dec_b1",
-     lambda sec, n: sec[n].update(data=sec[n]["data"][:-1]), "not strict base64"),
-    ("params", "extra.classifier", lambda sec, n: sec.update({n: sec[n]["shape"]}), "must be"),
-    ("params", "extra.classifier", lambda sec, n: sec.pop(n), "missing from the file"),
-    ("momentum", "vis.proj", lambda sec, n: sec.pop(n), "missing from the file"),
-    ("params", "vis.bogus", lambda sec, n: sec.update({n: sec["vis.proj"]}),
-     "not a parameter of this model"),
-    ("params", "bogus.w", lambda sec, n: sec.update({n: sec["vis.proj"]}),
-     "not a parameter of this model"),
-    ("params", "txt.proj", lambda sec, n: sec.update({n: _blob(np.zeros((3, 3)))}),
-     r"shape \[3, 3\] but the model's is \[48, 32\]"),
-    ("dims", "d_img", lambda sec, n: sec.pop(n), "missing from the file"),
-    ("dims", "d_img", lambda sec, n: sec.update({n: "48"}), "must be of type int, got str"),
-    ("dims", "d_txt", lambda sec, n: sec.update({n: 0}), "must be positive, got 0"),
-], ids=["truncated", "bad_padding", "not_a_blob", "missing", "missing_momentum",
-        "unknown_name", "unknown_group", "wrong_shape", "missing_d_img", "string_d_img",
-        "zero_d_txt"])
-def test_load_checkpoint_names_a_corrupt_blob(section, name, corrupt, match, tmp_path):
-    path = tmp_path / "ckpt.json"
-    pl.save_checkpoint(path, _tiny_state(), which="final")
-    blob = json.loads(path.read_text())
-    corrupt(blob[section], name)
-    path.write_text(json.dumps(blob))
-    with pytest.raises(ValueError, match=rf"checkpoint {section} '{re.escape(name)}'.*{match}"):
-        pl.load_checkpoint(path)
-
-
-@pytest.mark.parametrize("corrupt, match", [
-    (lambda b: b.update(concept_inputs=_blob(np.zeros((b["concept_inputs"]["shape"][0], 31)))),
-     r"must have 1 to 24 rows of width 32, got shape \[\d+, 31\]"),
-    (lambda b: b.update(concept_inputs=_blob(np.zeros((0, 32)))),
-     r"must have 1 to 24 rows of width 32, got shape \[0, 32\]"),
-    (lambda b: b.update(concept_inputs=_blob(np.zeros((25, 32)))),
-     r"must have 1 to 24 rows of width 32, got shape \[25, 32\]"),
-    (lambda b: b.update(concept_inputs=_blob(np.zeros(32))),
-     r"must have 1 to 24 rows of width 32, got shape \[32\]"),
-    (lambda b: b.update(concept_inputs=_blob(np.full((2, 32), np.inf))),
+@pytest.mark.parametrize("section, name, edit, match", [
+    ("momentum", "txt.dec_b2", lambda h, a: a.popitem(), "EOF: reading magic string"),
+    ("params", "extra.classifier", lambda h, a: a.update({"params extra.classifier": np.zeros(
+        (16, 32), dtype=np.float32)}), "must be a <f8 array, got float32"),
+    ("params", "extra.classifier", lambda h, a: a.update({"params extra.classifier": np.zeros(
+        (16, 32), dtype=object)}), "Object arrays cannot be loaded when allow_pickle=False"),
+    ("params", "vis.proj", lambda h, a: a["params vis.proj"].__setitem__((0, 0), np.nan),
      "contains non-finite values"),
-    (lambda b: b["concept_inputs"].update(data=b["concept_inputs"]["data"][:-12]), r"needs \d+"),
-    (lambda b: b.update(concept_inputs=[[0.0] * 32]), "must be of type dict, got list"),
-], ids=["wrong_width", "zero_rows", "more_rows_than_concepts", "one_dimensional", "non_finite",
-        "truncated", "not_a_blob"])
-def test_load_checkpoint_names_bad_concept_inputs(corrupt, match, tmp_path):
+    ("params", "extra.classifier", lambda h, a: h["params"].remove("extra.classifier"),
+     "missing from the file"),
+    ("momentum", "vis.proj", lambda h, a: h["momentum"].remove("vis.proj"), "missing from the file"),
+    ("params", "vis.bogus", lambda h, a: h["params"].insert(0, "vis.bogus"),
+     "not a parameter of this model"),
+    ("params", "bogus.w", lambda h, a: h["params"].append("bogus.w"), "not a parameter of this model"),
+    ("params", "txt.proj", lambda h, a: a.update({"params txt.proj": np.zeros((3, 3))}),
+     r"shape \[3, 3\] but the model's is \[48, 32\]"),
+    ("dims", "d_img", lambda h, a: h["dims"].pop("d_img"), "missing from the file"),
+    ("dims", "d_img", lambda h, a: h["dims"].update(d_img="48"), "must be of type int, got str"),
+    ("dims", "d_txt", lambda h, a: h["dims"].update(d_txt=0), "must be at least 1, got 0"),
+], ids=["missing_array", "float32", "object", "non_finite", "missing",
+        "missing_momentum", "unknown_name", "unknown_group", "wrong_shape", "missing_d_img",
+        "string_d_img", "zero_d_txt"])
+def test_load_checkpoint_names_a_corrupt_entry(section, name, edit, match, tmp_path):
     path = tmp_path / "ckpt.json"
     pl.save_checkpoint(path, _tiny_state(), which="final")
-    blob = json.loads(path.read_text())
-    corrupt(blob)
-    path.write_text(json.dumps(blob))
-    with pytest.raises(ValueError, match=rf"checkpoint section 'concept_inputs'.*{match}"):
+    _edit_checkpoint(path, edit)
+    with pytest.raises(ValueError, match=rf"^checkpoint {section} '{re.escape(name)}'.*{match}"):
         pl.load_checkpoint(path)
+
+
+def test_load_checkpoint_names_a_truncated_last_array(tmp_path):
+    path = tmp_path / "ckpt.json"
+    pl.save_checkpoint(path, _tiny_state(), which="final")
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ValueError, match="^checkpoint momentum 'txt.dec_b2': Failed to read all data"):
+        pl.load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_bytes_after_the_last_array(tmp_path):
+    path = tmp_path / "ckpt.json"
+    pl.save_checkpoint(path, _tiny_state(), which="final")
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(ValueError, match="^checkpoint: bytes follow the last array$"):
+        pl.load_checkpoint(path)
+
+
+def _set_inputs(value):
+    return lambda header, arrays: arrays.update(concept_inputs=value)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (_set_inputs(np.zeros((3, 31))), r"must have 1 to 24 rows of width 32, got shape \[3, 31\]"),
+    (_set_inputs(np.zeros((0, 32))), r"must have 1 to 24 rows of width 32, got shape \[0, 32\]"),
+    (_set_inputs(np.zeros((25, 32))), r"must have 1 to 24 rows of width 32, got shape \[25, 32\]"),
+    (_set_inputs(np.zeros(32)), r"must have 1 to 24 rows of width 32, got shape \[32\]"),
+    (_set_inputs(np.full((2, 32), np.inf)), "contains non-finite values"),
+    (_set_inputs(np.zeros((2, 32), dtype=np.int64)), "must be a <f8 array, got int64"),
+    (_set_inputs(np.zeros((2, 32), dtype=object)), "Object arrays cannot be loaded"),
+], ids=["wrong_width", "zero_rows", "more_rows_than_concepts", "one_dimensional", "non_finite",
+        "int", "object"])
+def test_load_checkpoint_names_bad_concept_inputs(edit, match, tmp_path):
+    path = tmp_path / "ckpt.json"
+    pl.save_checkpoint(path, _tiny_state(), which="final")
+    _edit_checkpoint(path, edit)
+    with pytest.raises(ValueError, match=rf"^checkpoint section 'concept_inputs'.*{match}"):
+        pl.load_checkpoint(path)
+
+
+def test_checkpoint_sits_at_the_given_path_and_lists_its_arrays(tmp_path):
+    state = _tiny_state()
+    pl.save_checkpoint(tmp_path / "ckpt.json", state, which="final")
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+    head, inputs, *rest = _read_stream(tmp_path / "ckpt.json")
+    header = json.loads(head.item())
+    assert header["version"] == pl.CHECKPOINT_VERSION == 5
+    params = dict(state.model.param_items())
+    momentum = state.model.encoder_pair.momentum
+    assert header["params"] == list(params) and header["momentum"] == list(momentum)
+    assert _bits(inputs) == _bits(state.model.concept_inputs)
+    want = [m.value for m in params.values()] + list(momentum.values())
+    assert len(rest) == len(want) and all(_bits(a) == _bits(b) for a, b in zip(rest, want))
 
 
 # ---------------------------------------------------------------------------
