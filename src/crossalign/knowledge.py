@@ -6,7 +6,7 @@ normalized graph times seeded random concept vectors is a constant
 array, formed once and never a graph leaf; one graph convolution of it
 with a learned weight gives the concept basis. Each modality then
 queries that basis with a learned bilinear score and represents itself
-as the softmax-weighted combination of concept rows.
+as the softmax-weighted combination of concept rows, in one graph node.
 """
 from __future__ import annotations
 
@@ -106,17 +106,34 @@ def gcn_forward(inputs: np.ndarray, w: Matrix) -> Matrix:
 
 
 def concept_query(query: Matrix, w: Matrix, basis: Matrix,
-                  smoothness: float) -> tuple[Matrix, Matrix]:
-    """Soft combination of concept rows selected by a scaled bilinear score.
+                  smoothness: float) -> tuple[Matrix, np.ndarray]:
+    """Soft combination of concept rows selected by a scaled bilinear score, as one graph node.
 
     ``w`` is the modality's square query weight (the model starts it at
     the identity, so the first score is a plain dot product between query
     and concept) and ``smoothness`` scales the scores before the softmax.
     Returns the unit-normalized combined embedding [N, F], scored by plain
-    dot products downstream, and the attention weights [N, g] (each row a
-    probability distribution).
+    dot products downstream, and the attention weights [N, g] as an array
+    (each row a probability distribution). The node's parents are
+    ``(query, w, basis, basis)``, the pooling grad first; forward and VJP
+    repeat the composed graph's ops in order, so they equal it bit for bit.
     """
-    scores = (query @ w) @ basis.T * smoothness
-    attention = nm.softmax_rows(scores)
-    combined = nm.l2_normalize_rows(attention @ basis)
-    return combined, attention
+    basis_t = np.ascontiguousarray(basis.value.T)  # BLAS rounds a product with a view differently
+    q_w = nm.finite("concept_query", "query projection", query.value @ w.value)
+    raw = nm.finite("concept_query", "scores", q_w @ basis_t)
+    scores = nm.finite("concept_query", "scaled scores", raw * smoothness)
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    attention = nm.finite("concept_query", "attention", e / e.sum(axis=1, keepdims=True))
+    pooled = nm.finite("concept_query", "pooled concepts", attention @ basis.value)
+    out, norms = nm.unit_rows(pooled)
+    attention.setflags(write=False)
+
+    def vjp(g):
+        g_pooled = nm.unit_rows_vjp(g, out, norms)
+        g_att = g_pooled @ basis.value.T
+        g_raw = attention * (g_att - (g_att * attention).sum(axis=1, keepdims=True)) * smoothness
+        g_q_w = g_raw @ basis_t.T
+        return (g_q_w @ w.value.T, query.value.T @ g_q_w, attention.T @ g_pooled,
+                (q_w.T @ g_raw).T)
+
+    return nm.node(out, (query, w, basis, basis), vjp), attention

@@ -5,8 +5,9 @@ immutable 2-D float64 value; operations return new matrices that remember
 their parents and a vector-Jacobian closure, so running :func:`backward`
 on a scalar result fills ``grad`` on every node that fed into it.
 Every op returns through :func:`node`, which other modules also use for
-a fused op with a hand-written VJP (``objective._contrastive_direction``,
-``representation.FeatureAggregator.aggregate_batch``).
+a fused op with a hand-written VJP (``objective._contrastive_direction``
+and ``_cross_entropy``, ``representation.FeatureAggregator.aggregate_batch``,
+``knowledge.concept_query``); ops only the tests compose live with them.
 
 Matrix values are safe to read from any thread once constructed. Graph
 construction and backward passes are single-owner, single-threaded.
@@ -111,6 +112,13 @@ def _wrap(arr: np.ndarray, parents: tuple[Matrix, ...], vjp) -> Matrix:
     return out
 
 
+def finite(op: str, stage: str, arr: np.ndarray) -> np.ndarray:
+    """``arr``, if it is finite; otherwise a ``NonFiniteError`` naming the fused ``op`` and its ``stage``."""
+    if not np.isfinite(arr).all():
+        raise NonFiniteError(f"{op}: {stage} has non-finite entries")
+    return arr
+
+
 def split_leaves(flat: Matrix, shapes: Sequence[tuple[int, int]]) -> list[Matrix]:
     """Leaves holding consecutive slices of ``flat``'s values, one per shape, in order.
 
@@ -194,31 +202,6 @@ def sum_all(a: Matrix) -> Matrix:
     return node(np.array([[a.value.sum()]]), (a,), lambda g: (np.full(shape, g[0, 0]),))
 
 
-def softmax_rows(a: Matrix) -> Matrix:
-    """Row-wise softmax with max-subtraction."""
-    z = a.value - a.value.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=1, keepdims=True)
-
-    def vjp(g):
-        inner = (g * out).sum(axis=1, keepdims=True)
-        return (out * (g - inner),)
-
-    return node(out, (a,), vjp)
-
-
-def log_softmax_rows(a: Matrix) -> Matrix:
-    z = a.value - a.value.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    out = z - lse
-    soft = np.exp(out)
-
-    def vjp(g):
-        return (g - soft * g.sum(axis=1, keepdims=True),)
-
-    return node(out, (a,), vjp)
-
-
 # below this norm a row's squares can underflow: sqrt of the smallest normal float64
 _SMALL_NORM = math.sqrt(np.finfo(np.float64).tiny)
 
@@ -226,8 +209,8 @@ _SMALL_NORM = math.sqrt(np.finfo(np.float64).tiny)
 def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every row of ``x`` scaled to unit Euclidean norm, and the norms [rows, 1].
 
-    The array core of :func:`l2_normalize_rows`; rejects zero rows and
-    overflowing norms. A row whose norm is below ``_SMALL_NORM`` would
+    Rejects zero rows, and overflowing norms with a ``NonFiniteError``
+    naming ``unit_rows``. A row whose norm is below ``_SMALL_NORM`` would
     lose bits to (or vanish in) the underflowing squares, so it is first
     divided by its largest magnitude; every other row is divided by its
     norm directly.
@@ -235,7 +218,7 @@ def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(x, axis=1, keepdims=True)
     if not np.isfinite(norms).all():
-        raise NonFiniteError("l2_normalize_rows: a row norm overflows float64")
+        raise NonFiniteError("unit_rows: a row norm overflows float64")
     scaled, scaled_norms = x, norms
     small = norms < _SMALL_NORM
     if small.any():
@@ -253,12 +236,6 @@ def unit_rows_vjp(g: np.ndarray, out: np.ndarray, norms: np.ndarray) -> np.ndarr
     """The grad of the input of :func:`unit_rows` from the grad ``g`` of its output ``out``."""
     inner = (g * out).sum(axis=1, keepdims=True)
     return (g - out * inner) / norms
-
-
-def l2_normalize_rows(a: Matrix) -> Matrix:
-    """Scale every row to unit Euclidean norm, as :func:`unit_rows` does."""
-    out, norms = unit_rows(a.value)
-    return node(out, (a,), lambda g: (unit_rows_vjp(g, out, norms),))
 
 
 # ---------------------------------------------------------------------------

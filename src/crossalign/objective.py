@@ -5,8 +5,8 @@ log-sum-exp over negatives, scaled by the temperature, minus the
 log-shifted positive, averaged over anchors. Each direction is one graph
 node with a hand-written VJP, so a training step's six directions (two
 in-batch per branch, two against the memory banks) add six nodes to the
-graph. The diversity-aware variant
-divides each anchor's negative exponent by ``temperature * div(anchor)``
+graph; each modality's pseudo-label cross-entropy adds one more. The
+diversity-aware variant divides each anchor's negative exponent by ``temperature * div(anchor)``
 where ``div`` measures how spread out the anchor's negative similarities
 are; anchors whose negatives all sit at the same distance get a sharper
 effective temperature and therefore a harder penalty.
@@ -428,11 +428,30 @@ def kmeans_cluster(points: np.ndarray, k: int, max_iters: int = 100, seed: int =
     return best
 
 
+def _cross_entropy(logits: Matrix, targets: np.ndarray) -> Matrix:
+    """-(1/N) sum_n targets_n . log_softmax(logits_n) as one node on ``logits``; ``targets`` is a constant.
+
+    Forward and VJP keep the composed graph's operation order, so they
+    equal it bit for bit; the tests compare against that composition.
+    """
+    scale = -1.0 / logits.rows
+    z = logits.value - logits.value.max(axis=1, keepdims=True)
+    log_p = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    soft = np.exp(log_p)
+
+    def vjp(g):
+        g_log_p = np.full(log_p.shape, g[0, 0] * scale) * targets
+        return (g_log_p - soft * g_log_p.sum(axis=1, keepdims=True),)
+
+    return nm.node(np.array([[(log_p * targets).sum()]]) * scale, (logits,), vjp)
+
+
 def pgc_loss(vc: Matrix, wc: Matrix, classifier: Matrix, labels) -> Matrix:
     """Mean cross-entropy of both modalities' class scores against pseudo labels.
 
     ``classifier`` is [K, F]; logits are embedding . classifier_row. The
-    labels are integers in [0, K); gradients reach embeddings and classifier.
+    labels are integers in [0, K), held as one-hot targets; gradients reach
+    embeddings and classifier.
     """
     z = np.asarray(labels).reshape(-1)
     if not np.issubdtype(z.dtype, np.integer):
@@ -447,11 +466,4 @@ def pgc_loss(vc: Matrix, wc: Matrix, classifier: Matrix, labels) -> Matrix:
         raise ValueError(f"label {bad} outside [0, {k})")
     one_hot = np.zeros((n, k))
     one_hot[np.arange(n), z] = 1.0
-
-    def ce(embeds: Matrix) -> Matrix:
-        log_p = nm.log_softmax_rows(embeds @ classifier.T)
-        picked = nm.node(log_p.value * one_hot, (log_p,), lambda g: (g * one_hot,))
-        return nm.sum_all(picked) * (-1.0 / n)
-
-    return ce(vc) + ce(wc)
-
+    return _cross_entropy(vc @ classifier.T, one_hot) + _cross_entropy(wc @ classifier.T, one_hot)

@@ -370,9 +370,12 @@ def _write_rows(fh, seqs: list[np.ndarray], wheres: list[str]) -> None:
         if len(width) != 1 or seq.shape[1:] != width:
             raise ValueError(f"{where} must be [L, d] with the first one's d, "
                              f"got shape {list(seq.shape)}")
+        if not len(seq):
+            raise ValueError(f"{where} has no rows")
         if not np.isfinite(seq).all():
             raise ValueError(f"{where} contains non-finite values")
-        np.asarray(seq, dtype="<f8").tofile(fh)
+        # tofile would flush and re-seek the file on every call
+        fh.write(np.ascontiguousarray(seq, dtype="<f8"))
 
 
 def save_dataset(data: list[PairedRecord], path) -> None:
@@ -643,7 +646,7 @@ def batch_losses(state: TrainState, records: list[PairedRecord], labels: np.ndar
 
     sim = obj.cosine_matrix(v_inst, w_inst)
     # DCL and the memory loss share one diversity estimate; both queues fill together
-    memory_on = cfg.use_memory_loss and len(state.bank_v) >= cfg.batch_size
+    memory_on = cfg.use_memory_loss and len(state.bank_v) >= min(cfg.batch_size, cfg.bank_capacity)
     div = _diversities(cfg, sim) if cfg.instance_loss == "dcl" or memory_on else None
     # each part in the order the total adds it
     losses = {"l_dcl_i": _instance_loss(cfg, sim, div)}
@@ -741,7 +744,7 @@ def train(cfg: TrainConfig, data: list[PairedRecord],
     cluster ids stay stable), shuffle caption records, and per batch
     compute all enabled losses, take one Adam step, move the momentum
     mirror, and enqueue the momentum embeddings. The memory loss stays
-    off until both queues hold at least one full batch. Evaluates on
+    off until both queues hold a batch or are full. Evaluates on
     ``val_data`` every epoch and keeps the best-rsum parameter snapshot.
     A ``NonFiniteError`` becomes a ``RuntimeError`` that names the epoch
     and the batch or the clustering.
@@ -1061,6 +1064,9 @@ def _read_section(fh, names: list, model_arrays: dict[str, np.ndarray], kind: st
     """The arrays the header lists as ``names``, which must name and shape exactly the model's."""
     if not all(type(name) is str for name in names):
         raise ValueError(f"checkpoint section {kind!r} must list array names, got {names!r}")
+    twice = next((name for name, n in Counter(names).items() if n > 1), None)
+    if twice is not None:
+        raise ValueError(f"checkpoint {kind} {twice!r}: listed twice")
     odd = sorted(model_arrays.keys() ^ set(names))
     if odd:
         why = "missing from the file" if odd[0] in model_arrays else "not a parameter of this model"
@@ -1103,6 +1109,10 @@ def load_checkpoint(path) -> TrainState:
         epoch = _entry(header, "section", "epoch", int, least=0)
         for section, want in (("config", dict), ("dims", dict), ("params", list), ("momentum", list)):
             _entry(header, "section", section, want)
+        # from_dict would fill a missing field with its default, not the value the model trained with
+        missing = next((f.name for f in fields(TrainConfig) if f.name not in header["config"]), None)
+        if missing is not None:
+            raise ValueError(f"checkpoint config {missing!r}: missing from the file")
         cfg = TrainConfig.from_dict(header["config"])
         d_img, d_txt = (_entry(header["dims"], "dims", key, int, least=1) for key in ("d_img", "d_txt"))
         where = "checkpoint section 'concept_inputs'"

@@ -135,10 +135,7 @@ class FeatureAggregator:
         return nm.node(out, tuple(self.p[k] for k in PARAM_NAMES), vjp)
 
 
-def _finite(stage: str, arr: np.ndarray) -> np.ndarray:
-    if not np.isfinite(arr).all():
-        raise nm.NonFiniteError(f"aggregate_batch: {stage} has non-finite entries")
-    return arr
+_finite = functools.partial(nm.finite, "aggregate_batch")
 
 
 def _forward(lengths: np.ndarray, x: np.ndarray, p: dict[str, np.ndarray], d_p: int):
@@ -151,7 +148,7 @@ def _forward(lengths: np.ndarray, x: np.ndarray, p: dict[str, np.ndarray], d_p: 
     pre-activation before ``relu`` could hide a ``-inf`` or NaN in it,
     and a non-finite parameter in the stage that uses it. The positional
     table and the ``relu`` output are finite by construction, and the
-    normalisation raises as ``numerics.l2_normalize_rows`` does. Rows
+    normalisation raises as ``numerics.unit_rows`` does. Rows
     of another width than ``p["proj"]`` expects are rejected first.
     """
     if x.shape[1] != p["proj"].shape[0]:

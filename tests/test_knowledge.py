@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossalign import knowledge
 from crossalign import numerics as nm
+from crossalign import pipeline as pl
 from crossalign.knowledge import (
     binarize,
     build_cooccurrence,
@@ -15,6 +17,7 @@ from crossalign.knowledge import (
 )
 from crossalign.numerics import Matrix, rng_from_seed
 
+from autodiff_ref import l2_normalize_rows, softmax_rows
 from gradcheck import grad_check
 
 
@@ -215,7 +218,7 @@ def test_concept_query_single_concept():
     basis = Matrix(rng_from_seed(5).standard_normal((1, 4)))
     query = Matrix(rng_from_seed(6).standard_normal((2, 4)))
     emb, attn = concept_query(query, Matrix(np.eye(4)), basis, 3.0)
-    assert attn.value == pytest.approx(np.ones((2, 1)))
+    assert attn == pytest.approx(np.ones((2, 1)))
     unit = basis.value / np.linalg.norm(basis.value)
     assert np.max(np.abs(emb.value - np.vstack([unit, unit]))) <= 1e-12
 
@@ -224,7 +227,7 @@ def test_concept_query_flat_smoothness_approaches_uniform():
     basis = Matrix(rng_from_seed(7).standard_normal((5, 4)))
     query = Matrix(rng_from_seed(8).standard_normal((1, 4)))
     emb, attn = concept_query(query, Matrix(np.eye(4)), basis, 1e-9)
-    assert attn.value == pytest.approx(np.full((1, 5), 0.2), abs=1e-9)
+    assert attn == pytest.approx(np.full((1, 5), 0.2), abs=1e-9)
     mean_dir = basis.value.mean(axis=0, keepdims=True)
     mean_dir = mean_dir / np.linalg.norm(mean_dir)
     assert np.max(np.abs(emb.value - mean_dir)) <= 1e-6
@@ -234,7 +237,7 @@ def test_concept_query_sharp_smoothness_selects_top_concept():
     basis = Matrix(np.array([[1.0, 0.0], [0.2, np.sqrt(1 - 0.04)]]))
     query = Matrix(np.array([[1.0, 0.0]]))  # raw scores (1.0, 0.2)
     emb, attn = concept_query(query, Matrix(np.eye(2)), basis, 100.0)
-    assert attn.value == pytest.approx(np.array([[1.0, 0.0]]), abs=1e-6)
+    assert attn == pytest.approx(np.array([[1.0, 0.0]]), abs=1e-6)
     assert np.max(np.abs(emb.value - basis.value[:1])) <= 1e-6
 
 
@@ -245,8 +248,61 @@ def test_concept_attention_rows_are_distributions(seed):
     basis = Matrix(rng.standard_normal((7, 6)))
     query = Matrix(rng.standard_normal((4, 6)))
     _, attn = concept_query(query, Matrix(np.eye(6)), basis, smoothness)
-    assert np.max(np.abs(attn.value.sum(axis=1) - 1.0)) <= 1e-9
-    assert np.all(attn.value >= 0.0)
+    assert np.max(np.abs(attn.sum(axis=1) - 1.0)) <= 1e-9
+    assert np.all(attn >= 0.0)
+
+
+def composed_concept_query(query, w, basis, smoothness):
+    """``concept_query`` built from elementary ops, one graph node per op."""
+    attention = softmax_rows((query @ w) @ basis.T * smoothness)
+    return l2_normalize_rows(attention @ basis), attention.value
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_concept_query_equals_the_composed_graph_bit_for_bit(seed):
+    rng = rng_from_seed(seed, 34)
+    # at this width BLAS rounds a product with a transposed view differently from one with a copy
+    inputs = concept_inputs((rng.uniform(size=(24, 24)) > 0.5).astype(np.int64), 32, seed)
+    arrays = [rng.standard_normal(shape) for shape in [(32, 32), (16, 32), (32, 32), (12, 32),
+                                                       (32, 32)]]
+    probe_v, probe_w = Matrix(rng.standard_normal((16, 32))), Matrix(rng.standard_normal((12, 32)))
+    results = []
+    for build in (concept_query, composed_concept_query):
+        leaves = [Matrix(a) for a in arrays]
+        w_sc, query_v, w_v, query_w, w_w = leaves
+        # both modalities query one basis, as a training step does, so its grads accumulate
+        basis = gcn_forward(inputs, w_sc)
+        emb_v, att_v = build(query_v, w_v, basis, 2.5)
+        emb_w, att_w = build(query_w, w_w, basis, 2.5)
+        nm.backward(nm.sum_all(emb_v * probe_v) + nm.sum_all(emb_w * probe_w))
+        results.append([a.tobytes() for a in (emb_v.value, emb_w.value, att_v, att_w,
+                                               *(leaf.grad for leaf in leaves))])
+    assert results[0] == results[1]
+
+
+def test_seeded_training_is_bit_identical_with_the_composed_concept_query(monkeypatch):
+    cfg = pl.TrainConfig(seed=0, epochs=2, batch_size=16, k_clusters=6)
+    data = pl.generate_synthetic(40, 1, 4, seed=5)
+    val = pl.generate_synthetic(8, 2, 4, seed=5, split="val")
+    runs = []
+    for build in (concept_query, composed_concept_query):
+        # the visual query's input also takes grads from three instance-loss nodes, in graph order
+        monkeypatch.setattr(knowledge, "concept_query", build)
+        state, rows = pl.train(cfg, data, val)
+        runs.append((rows, [m.value.tobytes() for _, m in state.model.param_items()]))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("stage, query, w, basis, smoothness", [
+    ("query projection", 1e200, 1e200, 1.0, 1.0),
+    ("scores", 1e200, 1.0, 1e200, 1.0),
+    ("scaled scores", 1.0, 1.0, 1.0, 1e308),
+])
+def test_concept_query_names_a_non_finite_stage(stage, query, w, basis, smoothness):
+    args = (Matrix(np.full((2, 3), query)), Matrix(w * np.eye(3)), Matrix(np.full((4, 3), basis)))
+    with np.errstate(over="ignore"), pytest.raises(
+            nm.NonFiniteError, match=f"^concept_query: {stage} has non-finite entries$"):
+        concept_query(*args, smoothness)
 
 
 @pytest.mark.parametrize("target", ["w_query", "w_sc"])

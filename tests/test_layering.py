@@ -1,8 +1,10 @@
-"""Every layer below ``pipeline`` depends on ``numerics`` alone.
+"""Every layer below ``pipeline`` depends on ``numerics`` alone, and every public op has a caller.
 
 ``pipeline`` composes the layers and passes plain values between them, so
 ``objective``, ``representation`` and ``knowledge`` must not import one
-another. The imports are read from the source, not from a run.
+another. An op of ``numerics`` that only tests call belongs beside the
+tests' reference graphs in ``tests/autodiff_ref.py``. Imports and uses
+are read from the source, not from a run.
 """
 import ast
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 import crossalign
 
 PACKAGE = Path(crossalign.__file__).parent
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def _crossalign_imports(module: str) -> set[str]:
@@ -36,3 +39,25 @@ def _crossalign_imports(module: str) -> set[str]:
 def test_a_layer_below_pipeline_imports_only_numerics(module):
     assert _crossalign_imports(module) == {"numerics"}
 
+
+
+def _uses(path: Path) -> list[tuple[str, str | None]]:
+    """Each name and attribute read in ``path``, with the top-level definition it sits in."""
+    uses = []
+    for top in ast.parse(path.read_text()).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                uses.append((node.id, owner))
+            elif isinstance(node, ast.Attribute):
+                uses.append((node.attr, owner))
+    return uses
+
+
+def test_every_public_numerics_function_is_used_in_the_package_or_the_bench():
+    numerics = PACKAGE / "numerics.py"
+    public = [top.name for top in ast.parse(numerics.read_text()).body
+              if isinstance(top, ast.FunctionDef) and not top.name.startswith("_")]
+    used = {name for path in [*PACKAGE.glob("*.py"), *BENCH.glob("*.py")]
+            for name, owner in _uses(path) if path != numerics or owner != name}
+    assert public and [name for name in public if name not in used] == []

@@ -25,7 +25,7 @@ from crossalign.objective import (
     triplet_baseline_loss,
 )
 
-from autodiff_ref import row_sum
+from autodiff_ref import l2_normalize_rows, log_softmax_rows, row_sum
 from gradcheck import grad_check
 
 MU, GAMMA = 0.1, 0.3
@@ -419,15 +419,15 @@ def test_grad_checks_through_losses(seed, monkeypatch):
     v = Matrix(rng.standard_normal((n, f)))
     w = Matrix(rng.standard_normal((n, f)))
     # the losses take unit rows; the checks differentiate through the normalisation
-    v_unit, w_unit = Matrix(nm.l2_normalize_rows(v).value), Matrix(nm.l2_normalize_rows(w).value)
+    v_unit, w_unit = Matrix(l2_normalize_rows(v).value), Matrix(l2_normalize_rows(w).value)
     sim0 = cosine_matrix(v_unit, w_unit)
     div_f, div_b = diversity_std(sim0), diversity_std(sim0.transposed())
 
     def dcl_i_of_v(p):
-        return dcl_i_loss(cosine_matrix(nm.l2_normalize_rows(p), w_unit), MU, GAMMA)
+        return dcl_i_loss(cosine_matrix(l2_normalize_rows(p), w_unit), MU, GAMMA)
 
     def dcl_of_w(p):
-        return dcl_loss(cosine_matrix(v_unit, nm.l2_normalize_rows(p)), div_f, div_b, MU, GAMMA)
+        return dcl_loss(cosine_matrix(v_unit, l2_normalize_rows(p)), div_f, div_b, MU, GAMMA)
 
     assert grad_check(dcl_i_of_v, v, h=1e-5) <= 1e-4
     assert grad_check(dcl_of_w, w, h=1e-5) <= 1e-4
@@ -449,7 +449,7 @@ def test_grad_checks_through_losses(seed, monkeypatch):
     monkeypatch.setattr(objective, "_estimate", lambda sim, estimator, eps: next(pinned))
 
     def mem_of_v(p):
-        return m_dcl_loss(nm.l2_normalize_rows(p), w_unit, pos_v, pos_w, bank, bank, *div, MU, GAMMA)
+        return m_dcl_loss(l2_normalize_rows(p), w_unit, pos_v, pos_w, bank, bank, *div, MU, GAMMA)
 
     assert grad_check(mem_of_v, v, h=1e-5) <= 1e-4
 
@@ -630,7 +630,7 @@ def _composed_pgc(vc, wc, classifier, labels):
     pick = Matrix(one_hot)
 
     def ce(embeds):
-        return nm.sum_all(nm.log_softmax_rows(embeds @ classifier.T) * pick) * (-1.0 / n)
+        return nm.sum_all(log_softmax_rows(embeds @ classifier.T) * pick) * (-1.0 / n)
 
     return ce(vc) + ce(wc)
 

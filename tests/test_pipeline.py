@@ -749,7 +749,9 @@ def test_save_dataset_rejects_an_empty_id(pair_id, image_id, match, tmp_path):
                              r"d, got shape \[6\]$"),
     ("caption_features", (2, 5), r"^record 'q': caption_features must be \[L, d\] with the first "
                                  r"one's d, got shape \[2, 5\]$"),
-], ids=["one_d", "other_width"])
+    ("image_features", (0, 3), r"^image 'img': image_features has no rows$"),
+    ("caption_features", (0, 4), r"^record 'q': caption_features has no rows$"),
+], ids=["one_d", "other_width", "no_image_rows", "no_caption_rows"])
 def test_save_dataset_rejects_a_feature_array_of_another_shape(field, shape, match, tmp_path):
     data = [pl.PairedRecord("p", "img", np.ones((2, 3)), ["red"], np.ones((1, 4))),
             pl.PairedRecord("q", "other", np.ones((1, 3)), ["car"], np.ones((1, 4)))]
@@ -1040,6 +1042,18 @@ def _edit_checkpoint(path, edit):
     path.write_bytes(_stream(np.array(json.dumps(header)), *arrays.values()))
 
 
+def _name_twice(kind):
+    """An edit that lists the first array of section ``kind`` again and stores its array again."""
+    def edit(header, arrays):
+        name = header[kind][0]
+        header[kind].append(name)
+        # the sections follow one another, momentum last
+        after = [key for key in arrays if kind == "params" and key.startswith("momentum ")]
+        arrays[f"{kind} {name} again"] = arrays[f"{kind} {name}"]
+        arrays.update({key: arrays.pop(key) for key in after})
+    return edit
+
+
 @pytest.mark.parametrize("edit, match", [
     (lambda h, a: h.pop("version"), "checkpoint section 'version': missing from the file"),
     (lambda h, a: h.update(version=1), "unsupported checkpoint version 1"),
@@ -1052,8 +1066,12 @@ def _edit_checkpoint(path, edit):
     (lambda h, a: h.update(epoch="1"), "checkpoint section 'epoch' must be of type int, got str"),
     (lambda h, a: h.update(epoch=-1), "checkpoint section 'epoch' must be at least 0, got -1"),
     (lambda h, a: h.update(epoch=-5), "checkpoint section 'epoch' must be at least 0, got -5"),
+    (lambda h, a: h["config"].pop("mu"), "checkpoint config 'mu': missing from the file"),
+    (_name_twice("params"), "checkpoint params 'vis.proj': listed twice"),
+    (_name_twice("momentum"), "checkpoint momentum 'vis.proj': listed twice"),
 ], ids=["no_version", "version_1", "version_4", "version_float", "version_6", "params_dict",
-        "momentum_not_names", "epoch_string", "epoch_minus_one", "epoch_minus_five"])
+        "momentum_not_names", "epoch_string", "epoch_minus_one", "epoch_minus_five",
+        "config_field_missing", "params_name_twice", "momentum_name_twice"])
 def test_load_checkpoint_names_a_bad_header(edit, match, tmp_path):
     path = tmp_path / "ckpt.json"
     pl.save_checkpoint(path, _tiny_state(), which="final")
@@ -1467,13 +1485,14 @@ def _graph_nodes(root) -> int:
     return len(_graph(root))
 
 
-# A step with every loss on builds 79 nodes on this fixture (95 with the
-# triplet baseline): among them six contrastive directions and three
-# aggregator calls, one node each. An aggregator call composed of
-# elementary ops costs 10 nodes and a direction about 20, so a single
-# such one exceeds the budget.
-GRAPH_NODE_BUDGET = 79
-TRIPLET_GRAPH_NODE_BUDGET = 95
+# A step with every loss on builds 57 nodes on this fixture (73 with the
+# triplet baseline): among them six contrastive directions, three
+# aggregator calls, two concept queries and two PGC cross-entropies, one
+# node each. Composed of elementary ops, a concept query costs 8 nodes, a
+# cross-entropy 5, an aggregator call 10 and a direction about 20, so a
+# single such one exceeds the budget.
+GRAPH_NODE_BUDGET = 57
+TRIPLET_GRAPH_NODE_BUDGET = 73
 
 
 def _budget_step(instance_loss="dcl"):
@@ -1506,8 +1525,9 @@ def test_every_constant_leaf_of_a_training_step_is_a_scalar():
     backward(total)
     params = {id(m) for _, m in model.param_items()}
     constants = [node for node in _graph(total) if not node._parents and id(node) not in params]
-    # the memory banks, momentum positives, masks and concept inputs live inside their nodes
-    assert constants and all(leaf.shape == (1, 1) for leaf in constants)
+    # the memory banks, momentum positives, masks, one-hot targets, concept inputs and scalars
+    # live inside their nodes; only the instance loss's weight lambda is a leaf
+    assert [leaf.value.tolist() for leaf in constants] == [[[model.cfg.lambda_weight]]]
     assert all(m.grad is not None for _, m in model.param_items())
 
 
@@ -1525,6 +1545,14 @@ def test_one_training_step_stacks_each_modality_once(monkeypatch):
     _, parts, _, _ = pl.batch_losses(state, data, np.arange(32) % 4)
     assert all(value != 0.0 for value in parts.values())
     assert stacked == [(state.model.vis_agg, 32), (state.model.txt_agg, 32)]
+
+
+def test_the_memory_loss_turns_on_once_a_bank_smaller_than_a_batch_is_full():
+    cfg = pl.TrainConfig(seed=0, epochs=2, batch_size=32, bank_capacity=16)
+    state, rows = pl.train(cfg, pl.generate_synthetic(64, 1, 4, seed=5))
+    assert len(state.bank_v) == len(state.bank_w) == 16
+    # the first batch finds the banks empty; every later one scores against all 16 rows
+    assert all(row["l_mdcl"] != 0.0 for row in rows)
 
 
 @pytest.mark.parametrize("off", [(), ("l_mdcl",), ("l_pgc",), ("l_dcl_c", "l_pgc")],
@@ -1555,7 +1583,7 @@ def test_train_names_where_a_row_norm_overflows(use_concept_losses, where):
     for r in data:
         r.image_features = r.image_features * 1e200
     cfg = pl.TrainConfig(seed=0, epochs=1, batch_size=16, use_concept_losses=use_concept_losses)
-    with pytest.raises(RuntimeError, match=f"{where}: l2_normalize_rows: a row norm overflows"):
+    with pytest.raises(RuntimeError, match=f"{where}: unit_rows: a row norm overflows"):
         pl.train(cfg, data)
 
 

@@ -19,6 +19,7 @@ from crossalign.representation import (
     positional_encoding_table,
 )
 
+from autodiff_ref import l2_normalize_rows
 from gradcheck import grad_check
 
 
@@ -99,7 +100,7 @@ def composed_aggregate(agg, lengths, rows, params=None) -> Matrix:
                                       for k, v in params.items()}
     theta = _composed_pooling_weights(agg, int(lengths.max()), p)
     projected = Matrix(rows) @ p["proj"]
-    return nm.l2_normalize_rows(_segment_weighted_sum(projected, theta, lengths))
+    return l2_normalize_rows(_segment_weighted_sum(projected, theta, lengths))
 
 
 def _loop_aggregate(agg, seqs) -> np.ndarray:
@@ -205,7 +206,7 @@ def test_aggregate_identical_features_collapse_to_projection():
     theta = _composed_pooling_weights(agg, 5, agg.p).value
     assert theta.sum() > 0  # fresh decoder starts near sum pooling
     out = agg.aggregate_batch(*agg.stack([seq])).value
-    expected = nm.l2_normalize_rows(Matrix(feature.reshape(1, -1)) @ agg.p["proj"]).value
+    expected = l2_normalize_rows(Matrix(feature.reshape(1, -1)) @ agg.p["proj"]).value
     assert np.max(np.abs(out - expected)) <= 1e-10
 
 
@@ -213,7 +214,7 @@ def test_aggregate_single_feature():
     agg = _aggregator(seed=3)
     feature = rng_from_seed(4).standard_normal((1, 6))
     out = agg.aggregate_batch(*agg.stack([feature])).value
-    expected = nm.l2_normalize_rows(Matrix(feature) @ agg.p["proj"]).value
+    expected = l2_normalize_rows(Matrix(feature) @ agg.p["proj"]).value
     assert np.max(np.abs(out - expected)) <= 1e-12
 
 
@@ -222,8 +223,8 @@ def test_pool_with_first_position_weight_only():
     seq = rng_from_seed(6).standard_normal((4, 6))
     weights = Matrix(np.array([[1.0], [0.0], [0.0], [0.0]]))
     pooled = _segment_weighted_sum(Matrix(seq) @ agg.p["proj"], weights, [4])
-    out = nm.l2_normalize_rows(pooled).value
-    expected = nm.l2_normalize_rows(Matrix(seq[:1]) @ agg.p["proj"]).value
+    out = l2_normalize_rows(pooled).value
+    expected = l2_normalize_rows(Matrix(seq[:1]) @ agg.p["proj"]).value
     assert np.max(np.abs(out - expected)) <= 1e-10
 
 
