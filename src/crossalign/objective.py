@@ -17,7 +17,7 @@ they include is not differentiable at ties.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -241,7 +241,7 @@ def m_dcl_loss(batch_v: Matrix, batch_w: Matrix, momentum_pos_v: np.ndarray,
 
     Each anchor's positive is the momentum-encoded embedding of its own
     cross-modal counterpart, one row of an array. ``bank_v`` and
-    ``bank_w`` hold the queues' rows as [n, d] arrays, and every bank row
+    ``bank_w`` are the queue's image and caption rows, [n, d], and every bank row
     is a negative; all rows are unit-norm encoder outputs scored by dot
     product. Per anchor, the diversity weight is the mean of the estimate
     over the anchor's bank scores and the in-batch pair ``dcl_loss`` takes
@@ -279,12 +279,11 @@ def m_dcl_loss(batch_v: Matrix, batch_w: Matrix, momentum_pos_v: np.ndarray,
 
 @dataclass
 class PrototypeState:
-    """K-means output used as pseudo labels."""
+    """K-means output used as pseudo labels; the run's inertia is ``inertia_path[-1]``."""
 
     centroids: np.ndarray
     labels: np.ndarray
-    inertia: float
-    inertia_path: list[float] = field(default_factory=list)
+    inertia_path: list[float]
 
 
 def _plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -375,7 +374,7 @@ def _lloyd(pts: np.ndarray, k: int, centroids: np.ndarray, max_iters: int):
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    return centroids, labels, inertia_path[-1], inertia_path
+    return centroids, labels, inertia_path
 
 
 def kmeans_cluster(points: np.ndarray, k: int, max_iters: int = 100, seed: int = 0,
@@ -413,19 +412,15 @@ def kmeans_cluster(points: np.ndarray, k: int, max_iters: int = 100, seed: int =
     if start_centroids is not None:
         start = np.array(start_centroids, dtype=np.float64)
         if start.shape != (k, pts.shape[1]):
-            raise ValueError(f"start_centroids must have shape {(k, pts.shape[1])}, "
-                             f"got {start.shape}")
+            raise ValueError(f"start_centroids must have shape {(k, pts.shape[1])}, got {start.shape}")
         if not np.isfinite(start).all():
             raise ValueError("start_centroids must be finite")
         return PrototypeState(*_lloyd(pts, k, start, max_iters))
 
-    best: PrototypeState | None = None
-    for restart in range(max(n_init, 1)):
-        init = _plusplus_init(pts, k, nm.rng_from_seed(seed, 77, restart))
-        run = PrototypeState(*_lloyd(pts, k, init, max_iters))
-        if best is None or run.inertia < best.inertia:
-            best = run
-    return best
+    # each restart seeds from its own stream; the first run of the lowest inertia wins
+    inits = (_plusplus_init(pts, k, nm.rng_from_seed(seed, 77, r)) for r in range(max(n_init, 1)))
+    return min((PrototypeState(*_lloyd(pts, k, init, max_iters)) for init in inits),
+               key=lambda run: run.inertia_path[-1])
 
 
 def _cross_entropy(logits: Matrix, targets: np.ndarray) -> Matrix:

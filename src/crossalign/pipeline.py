@@ -32,7 +32,7 @@ Training runs both branches per batch (instance embeddings with in-batch
 and memory-bank contrastive losses; concept embeddings with their own
 contrastive loss and a pseudo-label classification loss), updates all
 parameters with one Adam step over their concatenation, moves the
-momentum mirror, and feeds the momentum embeddings into the queues.
+momentum mirror, and queues the momentum embeddings as ``[v | w]`` pairs.
 
 Evaluation ranks with the beta-blend of instance-level and concept-level
 cosine similarity. Images and captions are embedded in chunks of at most
@@ -482,6 +482,13 @@ def load_dataset(path, max_seq_len: int = 64) -> list[PairedRecord]:
         caption_image = _column(fh, "caption_image", "iu", len(pair_ids))
         _in_range(caption_image, 0, len(image_ids) - 1, "caption_image",
                   lambda j: f"record {pair_ids[j]!r}")
+        # in order of first appearance, caption_image's running maximum steps 0, 1, ..., m - 1
+        seen = np.maximum.accumulate(caption_image, dtype=np.int64)
+        skip = np.flatnonzero(np.diff(seen, prepend=-1, append=len(image_ids)) > 1)
+        if skip.size:
+            j = int(skip[0])
+            later = f" before record {pair_ids[j]!r}, which names a later image" if j < len(pair_ids) else ""
+            raise ValueError(f"image {image_ids[seen[j - 1] + 1 if j else 0]!r}: no record names it{later}")
         images = _read_rows(fh, "image", image_ids, "image", max_seq_len)
         captions = _read_rows(fh, "caption", pair_ids, "record", max_seq_len)
         vocabulary = _column(fh, "vocabulary", "U").tolist()
@@ -565,34 +572,32 @@ class AlignmentModel:
 
 @dataclass
 class TrainState:
-    """Everything training accumulates: parameters, mirrors, queues, prototypes.
+    """Everything training accumulates: parameters, mirrors, the queue, prototypes.
 
     ``adam`` is one state over all parameters, flattened and concatenated
-    in ``model.param_items()`` order. ``best`` holds the best held-out
-    rsum, the ``epochs_run`` when it was reached and that epoch's
-    parameters and momentum mirror.
+    in ``model.param_items()`` order; ``bank`` queues ``[v | w]`` momentum
+    pairs. ``best`` holds the best held-out rsum, the ``epochs_run`` when
+    it was reached and that epoch's parameters and momentum mirror.
     """
 
     config: TrainConfig
     model: AlignmentModel
     adam: AdamState
-    bank_v: MemoryBank
-    bank_w: MemoryBank
+    bank: MemoryBank
     prototypes: PrototypeState | None = None
     epochs_run: int = 0
     best: dict | None = None
 
 
 def _fresh_state(cfg: TrainConfig, model: AlignmentModel) -> TrainState:
-    """A state around ``model`` with a zeroed flat Adam state and empty queues."""
+    """A state around ``model`` with a zeroed flat Adam state and an empty queue."""
     size = sum(m.value.size for _, m in model.param_items())
     return TrainState(cfg, model, AdamState(1, size, cfg.lr),
-                      MemoryBank(cfg.bank_capacity, cfg.embed_dim),
-                      MemoryBank(cfg.bank_capacity, cfg.embed_dim))
+                      MemoryBank(cfg.bank_capacity, 2 * cfg.embed_dim))
 
 
 def build_state(cfg: TrainConfig, data: list[PairedRecord]) -> TrainState:
-    """Initialize model, optimizer states, and queues from a training set."""
+    """Initialize model, optimizer state and queue from a training set."""
     cfg.validate()
     if not data:
         raise ValueError("training dataset is empty")
@@ -624,13 +629,13 @@ def _instance_loss(cfg: TrainConfig, sim: SimilarityMatrix, div) -> Matrix:
 
 
 def batch_losses(state: TrainState, records: list[PairedRecord], labels: np.ndarray | None
-                 ) -> tuple[Matrix, dict[str, float], np.ndarray, np.ndarray]:
+                 ) -> tuple[Matrix, dict[str, float], np.ndarray]:
     """Forward both branches on one batch.
 
     Returns the loss ``lambda_weight * l_dcl_i + l_mdcl + l_dcl_c + l_pgc``
     as one graph node, where each of the last three is added only when it
     is on; each part's value by name, 0.0 for a part that is off; and the
-    batch's momentum embeddings of images and captions.
+    batch's momentum ``[v | w]`` pairs as one [n, 2f] array, the queue's rows.
     """
     cfg = state.config
     model = state.model
@@ -641,18 +646,18 @@ def batch_losses(state: TrainState, records: list[PairedRecord], labels: np.ndar
     v_inst = model.vis_agg.aggregate_batch(*images)
     w_inst = model.txt_agg.aggregate_batch(*captions)
     # the momentum encoders take no gradient, so they build no graph
-    v_mom = model.vis_agg.forward(*images, model.encoder_pair.momentum_group("vis"))
-    w_mom = model.txt_agg.forward(*captions, model.encoder_pair.momentum_group("txt"))
+    pairs = np.hstack([model.vis_agg.forward(*images, model.encoder_pair.momentum_group("vis")),
+                       model.txt_agg.forward(*captions, model.encoder_pair.momentum_group("txt"))])
 
     sim = obj.cosine_matrix(v_inst, w_inst)
-    # DCL and the memory loss share one diversity estimate; both queues fill together
-    memory_on = cfg.use_memory_loss and len(state.bank_v) >= min(cfg.batch_size, cfg.bank_capacity)
+    # DCL and the memory loss share one diversity estimate
+    memory_on = cfg.use_memory_loss and len(state.bank) >= min(cfg.batch_size, cfg.bank_capacity)
     div = _diversities(cfg, sim) if cfg.instance_loss == "dcl" or memory_on else None
     # each part in the order the total adds it
     losses = {"l_dcl_i": _instance_loss(cfg, sim, div)}
     if memory_on:
-        losses["l_mdcl"] = obj.m_dcl_loss(v_inst, w_inst, v_mom, w_mom, state.bank_v.view(),
-                                          state.bank_w.view(), *div, cfg.mu, cfg.gamma,
+        losses["l_mdcl"] = obj.m_dcl_loss(v_inst, w_inst, *np.hsplit(pairs, 2),
+                                          *np.hsplit(state.bank.view(), 2), *div, cfg.mu, cfg.gamma,
                                           estimator=cfg.diversity_estimator, eps=cfg.eps_div)
     if cfg.use_concept_losses:
         basis = model.concept_basis()
@@ -671,7 +676,7 @@ def batch_losses(state: TrainState, records: list[PairedRecord], labels: np.ndar
         total = total + loss
     parts = dict.fromkeys(LOSS_PARTS, 0.0)
     parts.update({name: loss.item() for name, loss in losses.items()})
-    return total, parts, v_mom, w_mom
+    return total, parts, pairs
 
 
 # ---------------------------------------------------------------------------
@@ -743,8 +748,8 @@ def train(cfg: TrainConfig, data: list[PairedRecord],
     each later epoch runs Lloyd from the last epoch's centroids, so
     cluster ids stay stable), shuffle caption records, and per batch
     compute all enabled losses, take one Adam step, move the momentum
-    mirror, and enqueue the momentum embeddings. The memory loss stays
-    off until both queues hold a batch or are full. Evaluates on
+    mirror, and enqueue the batch's momentum ``[v | w]`` pairs. The memory
+    loss stays off until the queue holds a batch or is full. Evaluates on
     ``val_data`` every epoch and keeps the best-rsum parameter snapshot.
     A ``NonFiniteError`` becomes a ``RuntimeError`` that names the epoch
     and the batch or the clustering.
@@ -777,15 +782,14 @@ def train(cfg: TrainConfig, data: list[PairedRecord],
             records = [data[i] for i in batch_idx]
             labels = labels_all[batch_idx] if labels_all is not None else None
             try:
-                total, parts, v_mom, w_mom = batch_losses(state, records, labels)
+                total, parts, pairs = batch_losses(state, records, labels)
                 backward(total)
                 _adam_update(state)
             except nm.NonFiniteError as e:
                 raise RuntimeError(
                     f"non-finite value at epoch {epoch}, batch {n_batches}: {e}") from e
             state.model.encoder_pair.momentum_update(cfg.momentum)
-            state.bank_v.enqueue(v_mom)
-            state.bank_w.enqueue(w_mom)
+            state.bank.enqueue(pairs)
             for key, value in (*parts.items(), ("total", total.item())):
                 sums[key] += value
             n_batches += 1

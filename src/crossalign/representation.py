@@ -1,4 +1,4 @@
-"""Sequence encoders: position-weighted pooling, momentum mirrors, memory queues.
+"""Sequence encoders: position-weighted pooling, momentum mirrors, the memory queue.
 
 An image or caption arrives as a short sequence of local feature vectors.
 The aggregator projects each vector into the joint space, weights it by a
@@ -12,7 +12,7 @@ gradient. ``FeatureAggregator.stack`` is the one check and stacking of
 input sequences, and both entry points take its ``(lengths, rows)``, so
 every encoder of one input width reads one stack of a batch. A momentum
 copy of the encoder parameters follows the trainable ones by EMA and
-feeds the FIFO memory banks.
+feeds the FIFO memory queue.
 """
 from __future__ import annotations
 
@@ -207,8 +207,8 @@ class EncoderPair:
 class MemoryBank:
     """Fixed-capacity FIFO queue of embedding rows, oldest first.
 
-    Callers push unit-norm encoder rows, which ``m_dcl_loss`` scores by
-    dot product; the queue enforces capacity, order, dimension, finiteness.
+    The trainer pushes ``[v | w]`` rows, each an image–text pair of unit-norm
+    momentum embeddings; the queue enforces capacity, order, dimension, finiteness.
     """
 
     def __init__(self, capacity: int, dim: int):

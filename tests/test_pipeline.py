@@ -20,7 +20,7 @@ from crossalign.numerics import (
     backward,
     rng_from_seed,
 )
-from crossalign.representation import FeatureAggregator
+from crossalign.representation import FeatureAggregator, MemoryBank
 
 
 def reference_recalls(scores, caption_image) -> pl.EvalResult:
@@ -892,6 +892,11 @@ BAD_DATASETS = {
                            r"^record 'c': caption_image 2 outside \[0, 1\]$"),
     "caption_image_negative": (lambda: _file(caption_image=np.array([0, -1, 1])),
                                r"^record 'b': caption_image -1 outside \[0, 1\]$"),
+    "image_named_by_no_record": (lambda: _file(caption_image=np.array([0, 0, 0])),
+                                 r"^image 'other': no record names it$"),
+    "images_out_of_order": (lambda: _file(caption_image=np.array([1, 1, 0])),
+                            r"^image 'img': no record names it before record 'a', which names a "
+                            r"later image$"),
     "caption_image_size": (lambda: _file(caption_image=np.array([0, 1])),
                            r"^dataset array 'caption_image' must be .* length 3, got int64 of shape "
                            r"\(2,\)$"),
@@ -1495,16 +1500,20 @@ GRAPH_NODE_BUDGET = 57
 TRIPLET_GRAPH_NODE_BUDGET = 73
 
 
+def _fill_queue(state, n: int) -> None:
+    """Queue ``n`` seeded ``[v | w]`` pairs whose halves are unit rows."""
+    rows = rng_from_seed(4).standard_normal((n, 2 * state.config.embed_dim))
+    state.bank.enqueue(np.hstack([half / np.linalg.norm(half, axis=1, keepdims=True)
+                                  for half in np.hsplit(rows, 2)]))
+
+
 def _budget_step(instance_loss="dcl"):
-    """The model and the loss node of one step with every loss on, memory banks full."""
+    """The model and the loss node of one step with every loss on, the memory queue full."""
     data = pl.generate_synthetic(8, 2, 4, seed=1)
     state = pl.build_state(pl.TrainConfig(seed=0, epochs=1, batch_size=8,
                                           instance_loss=instance_loss), data)
-    rng = rng_from_seed(4)
-    for bank in (state.bank_v, state.bank_w):
-        rows = rng.standard_normal((8, state.config.embed_dim))
-        bank.enqueue(rows / np.linalg.norm(rows, axis=1, keepdims=True))
-    total, parts, _, _ = pl.batch_losses(state, data[:8], np.arange(8) % 4)
+    _fill_queue(state, 8)
+    total, parts, _ = pl.batch_losses(state, data[:8], np.arange(8) % 4)
     # the memory and label losses are in the graph
     assert parts["l_mdcl"] != 0.0 and parts["l_pgc"] != 0.0
     return state.model, total
@@ -1534,15 +1543,12 @@ def test_every_constant_leaf_of_a_training_step_is_a_scalar():
 def test_one_training_step_stacks_each_modality_once(monkeypatch):
     data = pl.generate_synthetic(32, 1, 4, seed=1)
     state = pl.build_state(pl.TrainConfig(seed=0, epochs=1, batch_size=32), data)
-    rng = rng_from_seed(4)
-    for bank in (state.bank_v, state.bank_w):
-        rows = rng.standard_normal((32, state.config.embed_dim))
-        bank.enqueue(rows / np.linalg.norm(rows, axis=1, keepdims=True))
+    _fill_queue(state, 32)
     stacked = []
     stack = FeatureAggregator.stack
     monkeypatch.setattr(FeatureAggregator, "stack",
                         lambda agg, seqs: stacked.append((agg, len(seqs))) or stack(agg, seqs))
-    _, parts, _, _ = pl.batch_losses(state, data, np.arange(32) % 4)
+    _, parts, _ = pl.batch_losses(state, data, np.arange(32) % 4)
     assert all(value != 0.0 for value in parts.values())
     assert stacked == [(state.model.vis_agg, 32), (state.model.txt_agg, 32)]
 
@@ -1550,8 +1556,8 @@ def test_one_training_step_stacks_each_modality_once(monkeypatch):
 def test_the_memory_loss_turns_on_once_a_bank_smaller_than_a_batch_is_full():
     cfg = pl.TrainConfig(seed=0, epochs=2, batch_size=32, bank_capacity=16)
     state, rows = pl.train(cfg, pl.generate_synthetic(64, 1, 4, seed=5))
-    assert len(state.bank_v) == len(state.bank_w) == 16
-    # the first batch finds the banks empty; every later one scores against all 16 rows
+    assert len(state.bank) == 16 and state.bank.dim == 2 * cfg.embed_dim
+    # the first batch finds the queue empty; every later one scores against all 16 pairs
     assert all(row["l_mdcl"] != 0.0 for row in rows)
 
 
@@ -1563,17 +1569,41 @@ def test_batch_losses_total_is_the_weighted_sum_of_its_parts(off):
                          use_memory_loss="l_mdcl" not in off,
                          use_concept_losses="l_dcl_c" not in off)
     state = pl.build_state(cfg, data)
-    rng = rng_from_seed(4)
-    for bank in (state.bank_v, state.bank_w):
-        rows = rng.standard_normal((8, cfg.embed_dim))
-        bank.enqueue(rows / np.linalg.norm(rows, axis=1, keepdims=True))
+    _fill_queue(state, 8)
     labels = None if "l_pgc" in off else np.arange(8) % 4
-    total, parts, v_mom, w_mom = pl.batch_losses(state, data[:8], labels)
+    total, parts, pairs = pl.batch_losses(state, data[:8], labels)
     assert list(parts) == ["l_dcl_i", "l_mdcl", "l_dcl_c", "l_pgc"]
     assert all((parts[name] == 0.0) == (name in off) for name in parts)
     assert total.item() == (2.5 * parts["l_dcl_i"] + parts["l_mdcl"] + parts["l_dcl_c"]
                             + parts["l_pgc"])
-    assert isinstance(v_mom, np.ndarray) and v_mom.shape == w_mom.shape == (8, cfg.embed_dim)
+    assert isinstance(pairs, np.ndarray) and pairs.shape == (8, 2 * cfg.embed_dim)
+
+
+def test_each_training_step_queues_the_pairs_batch_losses_returned_once(monkeypatch):
+    returned, queued = [], []
+    batch_losses, enqueue = pl.batch_losses, MemoryBank.enqueue
+
+    def spy(*args):
+        out = batch_losses(*args)
+        returned.append(out[2])
+        return out
+
+    monkeypatch.setattr(pl, "batch_losses", spy)
+    monkeypatch.setattr(MemoryBank, "enqueue",
+                        lambda bank, rows: queued.append(rows) or enqueue(bank, rows))
+    cfg = pl.TrainConfig(seed=0, epochs=2, batch_size=16, bank_capacity=24, k_clusters=4)
+    # 40 records: batches of 16, 16 and 8 per epoch
+    state, rows = pl.train(cfg, pl.generate_synthetic(20, 2, 4, seed=5))
+    assert len(queued) == len(returned) == 6
+    assert all(q is r for q, r in zip(queued, returned))
+    assert [len(q) for q in queued] == [16, 16, 8] * 2
+    for pairs in queued:
+        assert pairs.shape[1] == state.bank.dim == 2 * cfg.embed_dim
+        for half in np.hsplit(pairs, 2):
+            assert np.abs(np.linalg.norm(half, axis=1) - 1.0).max() <= 1e-12
+    # the queue holds the newest pairs, and the memory loss read it from the second step on
+    assert state.bank.view().tobytes() == np.vstack(queued)[-24:].tobytes()
+    assert all(row["l_mdcl"] != 0.0 for row in rows)
 
 
 @pytest.mark.parametrize("use_concept_losses, where", [(True, "epoch 0, clustering"),

@@ -181,8 +181,8 @@ def _train_digest(cfg, data, val) -> str:
     h = hashlib.sha256(json.dumps(rows).encode())
     for _, m in state.model.param_items():
         h.update(m.value.tobytes())
-    for arr in (*state.model.encoder_pair.momentum.values(), state.bank_v.view(),
-                state.bank_w.view(), state.prototypes.labels, state.prototypes.centroids):
+    for arr in (*state.model.encoder_pair.momentum.values(), state.bank.view(),
+                state.prototypes.labels, state.prototypes.centroids):
         h.update(arr.tobytes())
     return h.hexdigest()
 
