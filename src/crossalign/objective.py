@@ -461,4 +461,5 @@ def pgc_loss(vc: Matrix, wc: Matrix, classifier: Matrix, labels) -> Matrix:
         raise ValueError(f"label {bad} outside [0, {k})")
     one_hot = np.zeros((n, k))
     one_hot[np.arange(n), z] = 1.0
-    return _cross_entropy(vc @ classifier.T, one_hot) + _cross_entropy(wc @ classifier.T, one_hot)
+    weights = classifier.T  # one transpose node for both modalities
+    return _cross_entropy(vc @ weights, one_hot) + _cross_entropy(wc @ weights, one_hot)

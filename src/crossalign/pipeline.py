@@ -57,6 +57,7 @@ values.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -148,10 +149,11 @@ class TrainConfig:
     use_concept_losses: bool = True
     triplet_margin: float = 0.2
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Raise ``ValueError`` naming the first field not of its annotated type or out of range.
 
-        A bool is no int, and an int is a float.
+        So every config is valid from the moment it exists. A bool is no
+        int, and an int is a float.
         """
         for f in fields(self):
             value = getattr(self, f.name)
@@ -192,16 +194,6 @@ class TrainConfig:
         for ok, message in checks:
             if not ok:
                 raise ValueError(f"invalid config: {message}")
-
-    @classmethod
-    def from_dict(cls, values: dict) -> "TrainConfig":
-        """A validated config from JSON values; a float field also takes an int, an int field no bool."""
-        unknown = sorted(set(values) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown config fields: {', '.join(unknown)}")
-        cfg = cls(**values)
-        cfg.validate()
-        return cfg
 
 
 # the value types each TrainConfig annotation accepts
@@ -313,12 +305,28 @@ def generate_synthetic(n_images: int, captions_per_image: int = 1, latent_classe
 # array streams: dataset files and checkpoints
 # ---------------------------------------------------------------------------
 
-def _load(fh, where: str) -> np.ndarray:
-    """The next .npy array of the stream ``fh``, named ``where`` in errors; a short read raises."""
+def _header(fh, where: str):
+    """``(shape, fortran_order, dtype)`` of ``fh``'s next .npy header, if the rest of the file holds it."""
     try:
-        return np.lib.format.read_array(fh, allow_pickle=False)
+        if np.lib.format.read_magic(fh) != (1, 0):
+            raise ValueError("only .npy format version 1.0 is read")
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
     except ValueError as e:
         raise ValueError(f"{where}: {e}") from None
+    if min(shape, default=0) < 0:
+        raise ValueError(f"{where}: shape {shape} has a negative dimension")
+    if math.prod(shape) * dtype.itemsize > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ValueError(f"{where}: the file ends inside it")
+    return shape, fortran_order, dtype
+
+
+def _load(fh, where: str) -> np.ndarray:
+    """The next .npy array of the stream ``fh``, named ``where`` in errors."""
+    shape, fortran_order, dtype = _header(fh, where)
+    if dtype.hasobject:
+        raise ValueError(f"{where}: Object arrays cannot be loaded when allow_pickle=False")
+    arr = np.fromfile(fh, dtype=dtype, count=math.prod(shape))
+    return arr.reshape(shape[::-1]).T if fortran_order else arr.reshape(shape)
 
 
 def _save(fh, values, dtype) -> None:
@@ -441,11 +449,7 @@ def _read_rows(fh, field: str, owners: list[str], label: str, max_seq_len: int) 
     lengths = _column(fh, f"{field}_lengths", "iu", len(owners))
     _in_range(lengths, 1, max_seq_len, f"{name} length", lambda i: f"{label} {owners[i]!r}")
     where = f"dataset array '{field}_rows'"
-    try:
-        np.lib.format.read_magic(fh)
-        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
-    except ValueError as e:
-        raise ValueError(f"{where}: {e}") from None
+    shape, fortran_order, dtype = _header(fh, where)
     ends = np.cumsum(lengths)
     if dtype != "<f8" or fortran_order or len(shape) != 2 or shape[0] != ends[-1] or shape[1] < 1:
         raise ValueError(f"{where} must be a C-ordered <f8 array of {ends[-1]} rows, as "
@@ -454,8 +458,6 @@ def _read_rows(fh, field: str, owners: list[str], label: str, max_seq_len: int) 
     for lo, hi in _runs(lengths):
         cuts = (ends[lo:hi] - (ends[lo - 1] if lo else 0)).tolist()
         chunk = np.fromfile(fh, dtype="<f8", count=cuts[-1] * shape[1])
-        if chunk.size != cuts[-1] * shape[1]:
-            raise ValueError(f"{where}: the file ends inside it")
         chunk.flags.writeable = False
         rows = chunk.reshape(-1, shape[1])
         if not np.isfinite(chunk).all():
@@ -598,7 +600,6 @@ def _fresh_state(cfg: TrainConfig, model: AlignmentModel) -> TrainState:
 
 def build_state(cfg: TrainConfig, data: list[PairedRecord]) -> TrainState:
     """Initialize model, optimizer state and queue from a training set."""
-    cfg.validate()
     if not data:
         raise ValueError("training dataset is empty")
     d_img = data[0].image_features.shape[1]
@@ -694,9 +695,9 @@ def _unique_images(records: list[PairedRecord]):
 
 
 def _stacks(agg: FeatureAggregator, seqs):
-    """``agg.stack`` of each ``_runs`` run of ``seqs``, at most ``EMBED_ROWS`` rows apiece, lazily."""
+    """``(lo, hi, agg.stack(seqs[lo:hi]))`` for each ``_runs`` run of ``seqs``, lazily."""
     for lo, hi in _runs([len(seq) for seq in seqs]):
-        yield agg.stack(seqs[lo:hi])
+        yield lo, hi, agg.stack(seqs[lo:hi])
 
 
 def _instance_sums(state: TrainState, records: list[PairedRecord]) -> np.ndarray:
@@ -708,13 +709,10 @@ def _instance_sums(state: TrainState, records: list[PairedRecord]) -> np.ndarray
     """
     model = state.model
     _, img_seqs, caption_image = _unique_images(records)
-    v = np.vstack([model.vis_agg.forward(*run) for run in _stacks(model.vis_agg, img_seqs)])
+    v = np.vstack([model.vis_agg.forward(*run) for _, _, run in _stacks(model.vis_agg, img_seqs)])
     sums = np.empty((len(records), v.shape[1]))
-    end = 0
-    for run in _stacks(model.txt_agg, [r.caption_features for r in records]):
-        w = model.txt_agg.forward(*run)
-        start, end = end, end + len(w)
-        np.add(v[caption_image[start:end]], w, out=sums[start:end])
+    for lo, hi, run in _stacks(model.txt_agg, [r.caption_features for r in records]):
+        np.add(v[caption_image[lo:hi]], model.txt_agg.forward(*run), out=sums[lo:hi])
     return sums
 
 
@@ -983,14 +981,12 @@ def embed_for_retrieval(state: TrainState, data: list[PairedRecord]):
             (model.vis_agg, None, "w_visual", img_seqs),
             (model.txt_agg, model.txt_concept_agg, "w_textual", [r.caption_features for r in data])):
         factor = np.empty((len(seqs), 2 * f))
-        end = 0
-        for run in _stacks(agg, seqs):
+        for lo, hi, run in _stacks(agg, seqs):
             inst = agg.forward(*run)
             # the visual concept query is the instance embedding
             query = inst if concept_agg is None else concept_agg.forward(*run)
-            start, end = end, end + len(inst)
-            factor[start:end, :f] = inst
-            factor[start:end, f:] = model.concept_embed(Matrix(query), basis, weight).value
+            factor[lo:hi, :f] = inst
+            factor[lo:hi, f:] = model.concept_embed(Matrix(query), basis, weight).value
         factors.append(factor)
     image, caption = factors
     return image_ids, caption_image, image[:, :f], caption[:, :f], image[:, f:], caption[:, f:]
@@ -1113,11 +1109,12 @@ def load_checkpoint(path) -> TrainState:
         epoch = _entry(header, "section", "epoch", int, least=0)
         for section, want in (("config", dict), ("dims", dict), ("params", list), ("momentum", list)):
             _entry(header, "section", section, want)
-        # from_dict would fill a missing field with its default, not the value the model trained with
-        missing = next((f.name for f in fields(TrainConfig) if f.name not in header["config"]), None)
-        if missing is not None:
-            raise ValueError(f"checkpoint config {missing!r}: missing from the file")
-        cfg = TrainConfig.from_dict(header["config"])
+        # a missing field would take its default, not the value the model trained with
+        odd = sorted({f.name for f in fields(TrainConfig)} ^ header["config"].keys())
+        if odd:
+            why = "missing from the file" if odd[0] not in header["config"] else "not a config field"
+            raise ValueError(f"checkpoint config {odd[0]!r}: {why}")
+        cfg = TrainConfig(**header["config"])
         d_img, d_txt = (_entry(header["dims"], "dims", key, int, least=1) for key in ("d_img", "d_txt"))
         where = "checkpoint section 'concept_inputs'"
         inputs = _floats(fh, where)
