@@ -59,7 +59,7 @@ def build_cooccurrence(corpus: Sequence[Sequence[str]], concepts: Sequence[str])
         return np.where(appearances[:, None] > 0, counts / appearances[:, None], 0.0)
 
 
-def binarize(conditional: np.ndarray, eps_t: float) -> np.ndarray:
+def binarize(conditional: np.ndarray, eps_t: float = 0.3) -> np.ndarray:
     """Edge matrix: 1 where the conditional probability reaches ``eps_t``."""
     if not 0.0 < eps_t < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {eps_t}")
@@ -106,7 +106,7 @@ def gcn_forward(inputs: np.ndarray, w: Matrix) -> Matrix:
 
 
 def concept_query(query: Matrix, w: Matrix, basis: Matrix,
-                  smoothness: float) -> tuple[Matrix, np.ndarray]:
+                  smoothness: float = 10.0) -> tuple[Matrix, np.ndarray]:
     """Soft combination of concept rows selected by a scaled bilinear score, as one graph node.
 
     ``w`` is the modality's square query weight (the model starts it at

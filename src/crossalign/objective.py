@@ -24,6 +24,9 @@ import numpy as np
 from . import numerics as nm
 from .numerics import Matrix
 
+# the eps of every diversity estimate: an anchor weighs 1 / sigmoid(eps / spread) before the batch max
+DIVERSITY_EPS = 0.1
+
 
 @dataclass
 class SimilarityMatrix:
@@ -90,7 +93,7 @@ def _weights_from_spread(spread: np.ndarray, eps: float) -> np.ndarray:
     return pre / pre.max()
 
 
-def diversity_std(sim: SimilarityMatrix, eps: float = 0.1) -> np.ndarray:
+def diversity_std(sim: SimilarityMatrix, eps: float = DIVERSITY_EPS) -> np.ndarray:
     """Diversity from the population standard deviation of negative similarities."""
     if not eps > 0.0:
         raise ValueError("eps must be positive")
@@ -99,7 +102,7 @@ def diversity_std(sim: SimilarityMatrix, eps: float = 0.1) -> np.ndarray:
     return _weights_from_spread(spread, eps)
 
 
-def diversity_entropy(sim: SimilarityMatrix, eps: float = 0.1) -> np.ndarray:
+def diversity_entropy(sim: SimilarityMatrix, eps: float = DIVERSITY_EPS) -> np.ndarray:
     """Diversity from the base-2 entropy of the softmax over negative similarities."""
     if not eps > 0.0:
         raise ValueError("eps must be positive")
@@ -192,7 +195,7 @@ def dcl_i_loss(sim: SimilarityMatrix, mu: float, gamma: float) -> Matrix:
     return dcl_loss(sim, None, None, mu, gamma)
 
 
-def triplet_baseline_loss(sim: SimilarityMatrix, margin: float) -> Matrix:
+def triplet_baseline_loss(sim: SimilarityMatrix, margin: float = 0.2) -> Matrix:
     """VSE++ bidirectional hinge on each anchor's hardest negative, mean over anchors.
 
     Per anchor and direction only the negative with the highest score
@@ -218,7 +221,7 @@ def triplet_baseline_loss(sim: SimilarityMatrix, margin: float) -> Matrix:
     return direction(sim.scores) + direction(nm.transpose(sim.scores))
 
 
-def _estimate(sim: SimilarityMatrix, estimator: str, eps: float) -> np.ndarray:
+def _estimate(sim: SimilarityMatrix, estimator: str, eps: float = DIVERSITY_EPS) -> np.ndarray:
     """Diversity weights by the named estimator.
 
     A one-pair batch has no negatives; its weight is the zero-spread limit 1.
@@ -236,7 +239,7 @@ def m_dcl_loss(batch_v: Matrix, batch_w: Matrix, momentum_pos_v: np.ndarray,
                momentum_pos_w: np.ndarray,
                bank_v: np.ndarray, bank_w: np.ndarray, div_anchor_fwd: np.ndarray,
                div_anchor_bwd: np.ndarray, mu: float, gamma: float,
-               *, estimator: str = "std", eps: float = 0.1) -> Matrix:
+               *, estimator: str = "std", eps: float = DIVERSITY_EPS) -> Matrix:
     """Contrastive loss of in-batch anchors against memory-bank negatives.
 
     Each anchor's positive is the momentum-encoded embedding of its own

@@ -73,6 +73,8 @@ from .objective import PrototypeState, SimilarityMatrix
 from .representation import EncoderPair, FeatureAggregator, MemoryBank, named_params
 
 CHECKPOINT_VERSION = 5
+# width of every instance and concept embedding, and of the concept graph's input rows
+EMBED_DIM = 32
 # rows and columns of the score tiles recalls_from_similarity ranks, one at a time
 RANK_BLOCK = 256
 # feature rows embedded at once (embed_for_retrieval, _instance_sums) or read at once (load_dataset)
@@ -115,39 +117,32 @@ class EvalResult:
 
 @dataclass
 class TrainConfig:
-    """All trainer knobs with desk-scale defaults.
+    """The 15 knobs that runs and ablations turn, with desk-scale defaults.
 
-    ``bank_capacity`` defaults to 512 at desk scale (use 4096 to match
-    large-corpus training); the learning rate starts at 2e-4 and drops by
-    ``lr_drop_factor`` at ``lr_drop_epoch`` (half the run when unset,
-    mirroring a drop after 15 of 30 epochs).
+    ``bank_capacity`` defaults to 512 at desk scale (4096 matches
+    large-corpus training). The learning rate starts at ``lr`` and drops
+    x0.1 from epoch ``max(epochs // 2, 1)`` on, as after 15 of 30 epochs.
+    Fixed values live where they are read: ``EMBED_DIM``,
+    ``objective.DIVERSITY_EPS`` and the defaults of ``FeatureAggregator``
+    (positional and decoder widths), ``EncoderPair.momentum_update``,
+    ``binarize``, ``concept_query`` and ``triplet_baseline_loss``.
     """
 
-    embed_dim: int = 32
-    d_p: int = 32
-    decoder_hidden: int = 16
     mu: float = 0.1
     gamma: float = 0.3
     lambda_weight: float = 3.0
     beta: float = 0.9
     bank_capacity: int = 512
-    momentum: float = 0.995
-    eps_div: float = 0.1
-    concept_smoothness: float = 10.0
     k_clusters: int = 16
     concepts: int = 24
-    eps_t: float = 0.3
     batch_size: int = 32
     epochs: int = 20
     lr: float = 2e-4
-    lr_drop_epoch: int | None = None
-    lr_drop_factor: float = 0.1
     seed: int = 0
     diversity_estimator: str = "std"
     instance_loss: str = "dcl"
     use_memory_loss: bool = True
     use_concept_losses: bool = True
-    triplet_margin: float = 0.2
 
     def __post_init__(self) -> None:
         """Raise ``ValueError`` naming the first field not of its annotated type or out of range.
@@ -165,31 +160,21 @@ class TrainConfig:
             if f.type == "float" and not abs(value) <= sys.float_info.max:
                 raise ValueError(f"invalid config: {f.name} must be finite, got {value!r}")
         checks = [
-            (self.embed_dim >= 2, "embed_dim must be at least 2"),
-            (self.d_p > 0 and self.d_p % 2 == 0, "d_p must be a positive even number"),
-            (self.decoder_hidden >= 1, "decoder_hidden must be positive"),
             (self.mu > 0, "mu must be positive"),
             (self.gamma >= 0, "gamma must be non-negative"),
             (self.lambda_weight >= 0, "lambda_weight must be non-negative"),
             (0.0 <= self.beta <= 1.0, "beta must lie in [0, 1]"),
             (self.bank_capacity >= 1, "bank_capacity must be positive"),
-            (0.0 <= self.momentum <= 1.0, "momentum must lie in [0, 1]"),
-            (self.eps_div > 0, "eps_div must be positive"),
-            (self.concept_smoothness > 0, "concept_smoothness must be positive"),
             (self.k_clusters >= 1, "k_clusters must be positive"),
             (self.concepts >= 1, "concepts must be positive"),
-            (0.0 < self.eps_t < 1.0, "eps_t must lie in (0, 1)"),
             (self.batch_size >= 2, "batch_size must be at least 2"),
             (self.epochs >= 0, "epochs must be non-negative"),
             (self.lr > 0, "lr must be positive"),
-            (self.lr_drop_epoch is None or self.lr_drop_epoch >= 0, "lr_drop_epoch must be non-negative"),
-            (self.lr_drop_factor > 0, "lr_drop_factor must be positive"),
             (self.seed >= 0, "seed must be non-negative"),
             (self.diversity_estimator in ("std", "entropy"),
              "diversity_estimator must be 'std' or 'entropy'"),
             (self.instance_loss in ("dcl", "dcl_i", "triplet"),
              "instance_loss must be 'dcl', 'dcl_i', or 'triplet'"),
-            (self.triplet_margin >= 0, "triplet_margin must be non-negative"),
         ]
         for ok, message in checks:
             if not ok:
@@ -197,8 +182,7 @@ class TrainConfig:
 
 
 # the value types each TrainConfig annotation accepts
-_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,),
-          "int | None": (int, type(None))}
+_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
 
 
 # ---------------------------------------------------------------------------
@@ -528,13 +512,12 @@ class AlignmentModel:
 
     def __init__(self, cfg: TrainConfig, d_img: int, d_txt: int, concept_inputs: np.ndarray):
         rng = rng_from_seed(cfg.seed, 11)
-        f = cfg.embed_dim
-        self.cfg = cfg
+        f = EMBED_DIM
         self.concept_inputs = np.array(concept_inputs, dtype=np.float64)
         self.concept_inputs.setflags(write=False)
-        self.vis_agg = FeatureAggregator(d_img, f, cfg.d_p, cfg.decoder_hidden, rng)
-        self.txt_agg = FeatureAggregator(d_txt, f, cfg.d_p, cfg.decoder_hidden, rng)
-        self.txt_concept_agg = FeatureAggregator(d_txt, f, cfg.d_p, cfg.decoder_hidden, rng)
+        self.vis_agg = FeatureAggregator(d_img, f, rng=rng)
+        self.txt_agg = FeatureAggregator(d_txt, f, rng=rng)
+        self.txt_concept_agg = FeatureAggregator(d_txt, f, rng=rng)
         if d_img == d_txt:
             # symmetric start: both modalities leave the gate with the same
             # encoder, mirroring how pretrained features arrive pre-aligned
@@ -569,7 +552,7 @@ class AlignmentModel:
 
     def concept_embed(self, query: Matrix, basis: Matrix, weight: str) -> Matrix:
         """The unit concept embedding of ``query`` under ``self.query[weight]``."""
-        return kn.concept_query(query, self.query[weight], basis, self.cfg.concept_smoothness)[0]
+        return kn.concept_query(query, self.query[weight], basis)[0]
 
 
 @dataclass
@@ -595,7 +578,7 @@ def _fresh_state(cfg: TrainConfig, model: AlignmentModel) -> TrainState:
     """A state around ``model`` with a zeroed flat Adam state and an empty queue."""
     size = sum(m.value.size for _, m in model.param_items())
     return TrainState(cfg, model, AdamState(1, size, cfg.lr),
-                      MemoryBank(cfg.bank_capacity, 2 * cfg.embed_dim))
+                      MemoryBank(cfg.bank_capacity, 2 * EMBED_DIM))
 
 
 def build_state(cfg: TrainConfig, data: list[PairedRecord]) -> TrainState:
@@ -606,8 +589,8 @@ def build_state(cfg: TrainConfig, data: list[PairedRecord]) -> TrainState:
     d_txt = data[0].caption_features.shape[1]
     corpus = [r.caption_tokens for r in data]
     concepts = kn.build_vocabulary(corpus, cfg.concepts)
-    adjacency = kn.binarize(kn.build_cooccurrence(corpus, concepts), cfg.eps_t)
-    inputs = kn.concept_inputs(adjacency, cfg.embed_dim, cfg.seed)
+    adjacency = kn.binarize(kn.build_cooccurrence(corpus, concepts))
+    inputs = kn.concept_inputs(adjacency, EMBED_DIM, cfg.seed)
     return _fresh_state(cfg, AlignmentModel(cfg, d_img, d_txt, inputs))
 
 
@@ -617,13 +600,13 @@ def build_state(cfg: TrainConfig, data: list[PairedRecord]) -> TrainState:
 
 def _diversities(cfg: TrainConfig, sim: SimilarityMatrix):
     """Diversity weights of both directions: rows as anchors, then columns."""
-    return (obj._estimate(sim, cfg.diversity_estimator, cfg.eps_div),
-            obj._estimate(sim.transposed(), cfg.diversity_estimator, cfg.eps_div))
+    return (obj._estimate(sim, cfg.diversity_estimator),
+            obj._estimate(sim.transposed(), cfg.diversity_estimator))
 
 
 def _instance_loss(cfg: TrainConfig, sim: SimilarityMatrix, div) -> Matrix:
     if cfg.instance_loss == "triplet":
-        return obj.triplet_baseline_loss(sim, cfg.triplet_margin)
+        return obj.triplet_baseline_loss(sim)
     if cfg.instance_loss == "dcl_i":
         return obj.dcl_i_loss(sim, cfg.mu, cfg.gamma)
     return obj.dcl_loss(sim, *div, cfg.mu, cfg.gamma)
@@ -659,7 +642,7 @@ def batch_losses(state: TrainState, records: list[PairedRecord], labels: np.ndar
     if memory_on:
         losses["l_mdcl"] = obj.m_dcl_loss(v_inst, w_inst, *np.hsplit(pairs, 2),
                                           *np.hsplit(state.bank.view(), 2), *div, cfg.mu, cfg.gamma,
-                                          estimator=cfg.diversity_estimator, eps=cfg.eps_div)
+                                          estimator=cfg.diversity_estimator)
     if cfg.use_concept_losses:
         basis = model.concept_basis()
         v_concept = model.concept_embed(v_inst, basis, "w_visual")
@@ -747,19 +730,19 @@ def train(cfg: TrainConfig, data: list[PairedRecord],
     cluster ids stay stable), shuffle caption records, and per batch
     compute all enabled losses, take one Adam step, move the momentum
     mirror, and enqueue the batch's momentum ``[v | w]`` pairs. The memory
-    loss stays off until the queue holds a batch or is full. Evaluates on
-    ``val_data`` every epoch and keeps the best-rsum parameter snapshot.
-    A ``NonFiniteError`` becomes a ``RuntimeError`` that names the epoch
-    and the batch or the clustering.
+    loss stays off until the queue holds a batch or is full, and the
+    learning rate drops x0.1 at half the run. Evaluates on ``val_data``
+    every epoch and keeps the best-rsum parameter snapshot. A
+    ``NonFiniteError`` becomes a ``RuntimeError`` that names the epoch and
+    the batch or the clustering.
     """
     state = build_state(cfg, data)
     rows: list[dict] = []
-    drop_at = cfg.lr_drop_epoch if cfg.lr_drop_epoch is not None else max(cfg.epochs // 2, 1)
+    drop_at = max(cfg.epochs // 2, 1)
     shuffle_rng = rng_from_seed(cfg.seed, 12)
 
     for epoch in range(cfg.epochs):
-        lr = cfg.lr * (cfg.lr_drop_factor if epoch >= drop_at else 1.0)
-        state.adam.lr = lr
+        state.adam.lr = cfg.lr * (0.1 if epoch >= drop_at else 1.0)
 
         labels_all = None
         if cfg.use_concept_losses:
@@ -786,7 +769,7 @@ def train(cfg: TrainConfig, data: list[PairedRecord],
             except nm.NonFiniteError as e:
                 raise RuntimeError(
                     f"non-finite value at epoch {epoch}, batch {n_batches}: {e}") from e
-            state.model.encoder_pair.momentum_update(cfg.momentum)
+            state.model.encoder_pair.momentum_update()
             state.bank.enqueue(pairs)
             for key, value in (*parts.items(), ("total", total.item())):
                 sums[key] += value
@@ -975,7 +958,7 @@ def embed_for_retrieval(state: TrainState, data: list[PairedRecord]):
     model = state.model
     image_ids, img_seqs, caption_image = _unique_images(data)
     basis = model.concept_basis()
-    f = model.cfg.embed_dim
+    f = EMBED_DIM
     factors = []
     for agg, concept_agg, weight, seqs in (
             (model.vis_agg, None, "w_visual", img_seqs),
@@ -1118,10 +1101,16 @@ def load_checkpoint(path) -> TrainState:
         d_img, d_txt = (_entry(header["dims"], "dims", key, int, least=1) for key in ("d_img", "d_txt"))
         where = "checkpoint section 'concept_inputs'"
         inputs = _floats(fh, where)
-        if (inputs.ndim != 2 or not 1 <= inputs.shape[0] <= cfg.concepts
-                or inputs.shape[1] != cfg.embed_dim):
-            raise ValueError(f"{where} must have 1 to {cfg.concepts} rows of width {cfg.embed_dim}, "
+        if inputs.ndim != 2 or not 1 <= inputs.shape[0] <= cfg.concepts or inputs.shape[1] != EMBED_DIM:
+            raise ValueError(f"{where} must have 1 to {cfg.concepts} rows of width {EMBED_DIM}, "
                              f"got shape {list(inputs.shape)}")
+        # refuse a size whose EMBED_DIM-float rows the rest of the file cannot hold, before drawing them
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        for where, rows in (("dims 'd_img'", d_img), ("dims 'd_txt'", d_txt),
+                            ("config 'k_clusters'", cfg.k_clusters)):
+            if rows * EMBED_DIM * 8 > left:
+                raise ValueError(f"checkpoint {where}: {rows} rows of {EMBED_DIM} floats exceed "
+                                 f"the {left} bytes left in the file")
         model = AlignmentModel(cfg, d_img, d_txt, inputs)
         params = {name: m.value for name, m in model.param_items()}
         for name, arr in _read_section(fh, header["params"], params, "params").items():

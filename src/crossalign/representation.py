@@ -190,7 +190,7 @@ class EncoderPair:
             name: m.value.copy() for name, m in named_params(groups)
         }
 
-    def momentum_update(self, m: float) -> "EncoderPair":
+    def momentum_update(self, m: float = 0.995) -> "EncoderPair":
         """Move every momentum parameter toward its main one: mom <- m*mom + (1-m)*main."""
         if not 0.0 <= m <= 1.0:
             raise ValueError(f"momentum coefficient must be in [0, 1], got {m}")

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -252,7 +254,11 @@ def test_concept_attention_rows_are_distributions(seed):
     assert np.all(attn >= 0.0)
 
 
-def composed_concept_query(query, w, basis, smoothness):
+# the smoothness the trainer's concept queries use
+SMOOTHNESS = inspect.signature(concept_query).parameters["smoothness"].default
+
+
+def composed_concept_query(query, w, basis, smoothness=SMOOTHNESS):
     """``concept_query`` built from elementary ops, one graph node per op."""
     attention = softmax_rows((query @ w) @ basis.T * smoothness)
     return l2_normalize_rows(attention @ basis), attention.value

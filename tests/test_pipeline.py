@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossalign import knowledge as kn
 from crossalign import objective as obj
 from crossalign import pipeline as pl
 from crossalign.numerics import (
@@ -20,7 +22,7 @@ from crossalign.numerics import (
     backward,
     rng_from_seed,
 )
-from crossalign.representation import FeatureAggregator, MemoryBank
+from crossalign.representation import EncoderPair, FeatureAggregator, MemoryBank
 
 
 def reference_recalls(scores, caption_image) -> pl.EvalResult:
@@ -450,7 +452,7 @@ def test_instance_sums_hold_one_result(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    result_bytes = len(val) * state.config.embed_dim * 8
+    result_bytes = len(val) * pl.EMBED_DIM * 8
     # the result, the image side (a fifth of it) and the runs' temporaries; a second
     # [n_captions, f] array, as stacking the runs or v[caption_image] + w makes, passes 2x
     assert peak < 1.6 * result_bytes
@@ -507,8 +509,8 @@ def test_evaluate_holds_each_score_factor_once():
     for n_images in (400, 2000):
         val = _eval_split(n_images, 5)
         peaks.append(_evaluate_peak(state, val))
-        # [v | vc] and [w | wc]: a row of two embed_dim halves per image and per caption
-        factor_bytes.append((n_images + len(val)) * 2 * state.config.embed_dim * 8)
+        # [v | vc] and [w | wc]: a row of two EMBED_DIM halves per image and per caption
+        factor_bytes.append((n_images + len(val)) * 2 * pl.EMBED_DIM * 8)
     # a second copy of a factor, as stacking per-run parts or [w | wc] would make, grows ~1.9x
     assert peaks[1] - peaks[0] <= 1.25 * (factor_bytes[1] - factor_bytes[0])
     _, _, v, w, vc, wc = pl.embed_for_retrieval(state, val)
@@ -1104,12 +1106,17 @@ def _name_twice(kind):
     (lambda h, a: h["config"].update(zeta=1, alpha=2), "checkpoint config 'alpha': not a config field"),
     (lambda h, a: h["config"].update(zeta=1) or h["config"].pop("mu"),
      "checkpoint config 'mu': missing from the file"),
+    # the config of a version-5 file written while TrainConfig had 25 fields
+    (lambda h, a: h["config"].update(
+        embed_dim=32, d_p=32, decoder_hidden=16, momentum=0.995, eps_div=0.1, concept_smoothness=10.0,
+        eps_t=0.3, lr_drop_epoch=None, lr_drop_factor=0.1, triplet_margin=0.2),
+     "checkpoint config 'concept_smoothness': not a config field"),
     (_name_twice("params"), "checkpoint params 'vis.proj': listed twice"),
     (_name_twice("momentum"), "checkpoint momentum 'vis.proj': listed twice"),
 ], ids=["no_version", "version_1", "version_4", "version_float", "version_6", "params_dict",
         "momentum_not_names", "epoch_string", "epoch_minus_one", "epoch_minus_five",
         "config_field_missing", "config_field_unknown", "config_fields_odd",
-        "params_name_twice", "momentum_name_twice"])
+        "config_of_25_fields", "params_name_twice", "momentum_name_twice"])
 def test_load_checkpoint_names_a_bad_header(edit, match, tmp_path):
     path = tmp_path / "ckpt.json"
     pl.save_checkpoint(path, _tiny_state(), which="final")
@@ -1157,17 +1164,19 @@ def test_load_checkpoint_rejects_a_file_that_is_no_array_stream(text, tmp_path):
 
 
 @pytest.mark.parametrize("name, value, kind", [
-    ("embed_dim", "x", "int"),
     ("use_memory_loss", "no", "bool"),
     ("epochs", 2.5, "int"),
     ("seed", True, "int"),
     ("mu", "0.1", "float"),
     ("mu", False, "float"),
-    ("lr_drop_epoch", 1.0, "int | None"),
     ("diversity_estimator", 1, "str"),
     ("batch_size", 32.0, "int"),
     ("epochs", True, "int"),
-    ("lr_drop_epoch", 2.5, "int | None"),
+    ("lambda_weight", "3", "float"),
+    ("k_clusters", 16.0, "int"),
+    ("bank_capacity", "512", "int"),
+    ("use_concept_losses", 1, "bool"),
+    ("instance_loss", None, "str"),
 ])
 @pytest.mark.parametrize("via", ["construct", "load_checkpoint"])
 def test_config_names_a_mistyped_field(via, name, value, kind, tmp_path):
@@ -1203,36 +1212,81 @@ def test_load_checkpoint_rejects_a_json_infinity_in_the_config(tmp_path):
         pl.load_checkpoint(path)
 
 
+def test_config_holds_the_knobs_that_runs_and_ablations_turn():
+    assert [f.name for f in dataclasses.fields(pl.TrainConfig)] == [
+        "mu", "gamma", "lambda_weight", "beta", "bank_capacity", "k_clusters", "concepts",
+        "batch_size", "epochs", "lr", "seed", "diversity_estimator", "instance_loss",
+        "use_memory_loss", "use_concept_losses"]
+
+
+# the fields the 25-field config had that are now fixed values, each with the value it held
+FIXED_VALUES = {
+    "embed_dim": (lambda: pl.EMBED_DIM, 32),
+    "d_p": (lambda: _default(FeatureAggregator, "d_p"), 32),
+    "decoder_hidden": (lambda: _default(FeatureAggregator, "hidden"), 16),
+    "momentum": (lambda: _default(EncoderPair.momentum_update, "m"), 0.995),
+    "eps_div": (lambda: obj.DIVERSITY_EPS, 0.1),
+    "concept_smoothness": (lambda: _default(kn.concept_query, "smoothness"), 10.0),
+    "eps_t": (lambda: _default(kn.binarize, "eps_t"), 0.3),
+    "triplet_margin": (lambda: _default(obj.triplet_baseline_loss, "margin"), 0.2),
+}
+
+
+def _default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+@pytest.mark.parametrize("name", FIXED_VALUES)
+def test_a_removed_config_field_keeps_its_value_where_it_is_read(name):
+    read, value = FIXED_VALUES[name]
+    assert read() == value
+
+
+@pytest.mark.parametrize("fn", [obj.diversity_std, obj.diversity_entropy, obj._estimate,
+                                obj.m_dcl_loss], ids=lambda fn: fn.__name__)
+def test_every_diversity_estimate_defaults_to_the_one_eps(fn):
+    assert _default(fn, "eps") == obj.DIVERSITY_EPS
+
+
+# the ten fields the config held before it kept only the knobs that something turns
+REMOVED_FIELDS = [*FIXED_VALUES, "lr_drop_epoch", "lr_drop_factor"]
+
+
+@pytest.mark.parametrize("name", REMOVED_FIELDS)
+@pytest.mark.parametrize("via", ["construct", "load_checkpoint"])
+def test_config_refuses_a_removed_field(via, name, tmp_path):
+    if via == "construct":
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            pl.TrainConfig(**{name: 1})
+        return
+    # a checkpoint written while the field existed is refused by its name
+    path = tmp_path / "ckpt.json"
+    pl.save_checkpoint(path, _tiny_state(), which="final")
+    _edit_checkpoint(path, lambda header, arrays: header["config"].update({name: 1}))
+    with pytest.raises(ValueError, match=f"^checkpoint config '{name}': not a config field$"):
+        pl.load_checkpoint(path)
+
+
 def test_config_takes_an_int_for_a_float_field():
-    cfg = pl.TrainConfig(mu=1, lr=1, lr_drop_epoch=None)
-    assert (cfg.mu, cfg.lr, cfg.lr_drop_epoch) == (1.0, 1.0, None)
+    cfg = pl.TrainConfig(mu=1, lr=1)
+    assert (cfg.mu, cfg.lr) == (1.0, 1.0)
 
 
 # one out-of-range value per check of TrainConfig construction, with its message
 RANGE_CASES = [
-    ("embed_dim", 1, "embed_dim must be at least 2"),
-    ("d_p", 3, "d_p must be a positive even number"),
-    ("decoder_hidden", 0, "decoder_hidden must be positive"),
     ("mu", 0.0, "mu must be positive"),
     ("gamma", -0.1, "gamma must be non-negative"),
     ("lambda_weight", -1.0, "lambda_weight must be non-negative"),
     ("beta", 1.5, "beta must lie in [0, 1]"),
     ("bank_capacity", 0, "bank_capacity must be positive"),
-    ("momentum", -0.1, "momentum must lie in [0, 1]"),
-    ("eps_div", 0.0, "eps_div must be positive"),
-    ("concept_smoothness", -1.0, "concept_smoothness must be positive"),
     ("k_clusters", 0, "k_clusters must be positive"),
     ("concepts", 0, "concepts must be positive"),
-    ("eps_t", 1.0, "eps_t must lie in (0, 1)"),
     ("batch_size", 1, "batch_size must be at least 2"),
     ("epochs", -1, "epochs must be non-negative"),
     ("lr", 0.0, "lr must be positive"),
-    ("lr_drop_epoch", -1, "lr_drop_epoch must be non-negative"),
-    ("lr_drop_factor", 0.0, "lr_drop_factor must be positive"),
     ("seed", -1, "seed must be non-negative"),
     ("diversity_estimator", "median", "diversity_estimator must be 'std' or 'entropy'"),
     ("instance_loss", "hinge", "instance_loss must be 'dcl', 'dcl_i', or 'triplet'"),
-    ("triplet_margin", -0.2, "triplet_margin must be non-negative"),
 ]
 
 
@@ -1289,15 +1343,51 @@ def test_load_checkpoint_names_a_missing_section(section, tmp_path):
     ("dims", "d_img", lambda h, a: h["dims"].pop("d_img"), "missing from the file"),
     ("dims", "d_img", lambda h, a: h["dims"].update(d_img="48"), "must be of type int, got str"),
     ("dims", "d_txt", lambda h, a: h["dims"].update(d_txt=0), "must be at least 1, got 0"),
+    # a size that would draw a parameter larger than the rest of the file
+    ("dims", "d_img", lambda h, a: h["dims"].update(d_img=10**9),
+     r": 1000000000 rows of 32 floats exceed the \d+ bytes left in the file$"),
+    ("dims", "d_txt", lambda h, a: h["dims"].update(d_txt=10**9),
+     r": 1000000000 rows of 32 floats exceed the \d+ bytes left in the file$"),
+    ("config", "k_clusters", lambda h, a: h["config"].update(k_clusters=10**9),
+     r": 1000000000 rows of 32 floats exceed the \d+ bytes left in the file$"),
 ], ids=["missing_array", "float32", "object", "non_finite", "missing",
         "missing_momentum", "unknown_name", "unknown_group", "wrong_shape", "missing_d_img",
-        "string_d_img", "zero_d_txt"])
+        "string_d_img", "zero_d_txt", "huge_d_img", "huge_d_txt", "huge_k_clusters"])
 def test_load_checkpoint_names_a_corrupt_entry(section, name, edit, match, tmp_path):
     path = tmp_path / "ckpt.json"
     pl.save_checkpoint(path, _tiny_state(), which="final")
     _edit_checkpoint(path, edit)
     with pytest.raises(ValueError, match=rf"^checkpoint {section} '{re.escape(name)}'.*{match}"):
         pl.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("rows_over", [1, 0], ids=["one_row_over", "at_the_bound"])
+@pytest.mark.parametrize("section, name", [("dims", "d_img"), ("dims", "d_txt"),
+                                           ("config", "k_clusters")])
+def test_load_checkpoint_bounds_a_size_by_the_bytes_left_in_the_file(section, name, rows_over,
+                                                                     tmp_path):
+    path = tmp_path / "ckpt.json"
+    pl.save_checkpoint(path, _tiny_state(), which="final")
+    data = path.read_bytes()
+
+    def load_with(rows):
+        path.write_bytes(data)
+        _edit_checkpoint(path, lambda header, arrays: header[section].update({name: rows}))
+        pl.load_checkpoint(path)
+
+    # 999 rows of 32 floats pass the ~115 KB file; a three-digit size keeps the header's length
+    with pytest.raises(ValueError, match=r"exceed the (\d+) bytes left in the file$") as refused:
+        load_with(999)
+    rows = int(re.search(r"the (\d+) bytes", str(refused.value))[1]) // (pl.EMBED_DIM * 8) + rows_over
+    bound = rf"^checkpoint {section} '{name}': {rows} rows of 32 floats exceed"
+    with pytest.raises(ValueError) as refused:
+        load_with(rows)
+    if rows_over:
+        assert re.match(bound, str(refused.value))
+    else:
+        # the size fits, so the model is drawn and a parameter's shape is refused instead
+        assert re.match(rf"^checkpoint params '[^']+': shape \[\d+, 32\] but the model's is "
+                        rf"\[{rows}, 32\]$", str(refused.value))
 
 
 def test_load_checkpoint_names_a_truncated_last_array(tmp_path):
@@ -1422,17 +1512,13 @@ def test_train_runs_every_branch_deterministically(instance_loss, estimator, tmp
     assert pl.evaluate(loaded, val).rsum == best
 
 
-@pytest.mark.parametrize("epochs, drop_epoch, factor, dropped", [
-    (1, None, 0.1, [False]),
-    (3, None, 0.1, [False, True, True]),
-    (4, None, 0.1, [False, False, True, True]),
-    (3, 0, 0.1, [True, True, True]),
-    (3, 1, 0.1, [False, True, True]),
-    (4, None, 0.25, [False, False, True, True]),
-], ids=["default_1", "default_3", "default_4", "at_0", "at_1", "factor"])
-def test_train_drops_the_learning_rate_from_lr_drop_epoch_on(epochs, drop_epoch, factor, dropped,
-                                                             monkeypatch):
-    # the default drop epoch is max(epochs // 2, 1)
+@pytest.mark.parametrize("epochs, dropped", [
+    (1, [False]),
+    (3, [False, True, True]),
+    (4, [False, False, True, True]),
+], ids=["default_1", "default_3", "default_4"])
+def test_train_drops_the_learning_rate_tenfold_from_half_the_run_on(epochs, dropped, monkeypatch):
+    # the drop epoch is max(epochs // 2, 1)
     lrs, adam_step = [], pl.adam_step
 
     def spy_adam_step(state, params, grads):
@@ -1440,11 +1526,10 @@ def test_train_drops_the_learning_rate_from_lr_drop_epoch_on(epochs, drop_epoch,
         return adam_step(state, params, grads)
 
     monkeypatch.setattr(pl, "adam_step", spy_adam_step)
-    cfg = pl.TrainConfig(seed=0, epochs=epochs, batch_size=4, lr_drop_epoch=drop_epoch,
-                         lr_drop_factor=factor, use_concept_losses=False)
+    cfg = pl.TrainConfig(seed=0, epochs=epochs, batch_size=4, use_concept_losses=False)
     state, _ = pl.train(cfg, pl.generate_synthetic(8, 1, 4, seed=5))
     # two batches per epoch
-    assert lrs == [cfg.lr * factor if d else cfg.lr for d in dropped for _ in range(2)]
+    assert lrs == [cfg.lr * 0.1 if d else cfg.lr for d in dropped for _ in range(2)]
     assert state.adam.lr == lrs[-1]
 
 
@@ -1568,13 +1653,13 @@ TRIPLET_GRAPH_NODE_BUDGET = 72
 
 def _fill_queue(state, n: int) -> None:
     """Queue ``n`` seeded ``[v | w]`` pairs whose halves are unit rows."""
-    rows = rng_from_seed(4).standard_normal((n, 2 * state.config.embed_dim))
+    rows = rng_from_seed(4).standard_normal((n, 2 * pl.EMBED_DIM))
     state.bank.enqueue(np.hstack([half / np.linalg.norm(half, axis=1, keepdims=True)
                                   for half in np.hsplit(rows, 2)]))
 
 
 def _budget_step(instance_loss="dcl"):
-    """The model and the loss node of one step with every loss on, the memory queue full."""
+    """The state and the loss node of one step with every loss on, the memory queue full."""
     data = pl.generate_synthetic(8, 2, 4, seed=1)
     state = pl.build_state(pl.TrainConfig(seed=0, epochs=1, batch_size=8,
                                           instance_loss=instance_loss), data)
@@ -1582,7 +1667,7 @@ def _budget_step(instance_loss="dcl"):
     total, parts, _ = pl.batch_losses(state, data[:8], np.arange(8) % 4)
     # the memory and label losses are in the graph
     assert parts["l_mdcl"] != 0.0 and parts["l_pgc"] != 0.0
-    return state.model, total
+    return state, total
 
 
 def test_one_training_step_stays_within_its_graph_node_budget():
@@ -1596,13 +1681,14 @@ def test_one_triplet_training_step_stays_within_its_graph_node_budget():
 
 
 def test_every_constant_leaf_of_a_training_step_is_a_scalar():
-    model, total = _budget_step()
+    state, total = _budget_step()
+    model = state.model
     backward(total)
     params = {id(m) for _, m in model.param_items()}
     constants = [node for node in _graph(total) if not node._parents and id(node) not in params]
     # the memory banks, momentum positives, masks, one-hot targets, concept inputs and scalars
     # live inside their nodes; only the instance loss's weight lambda is a leaf
-    assert [leaf.value.tolist() for leaf in constants] == [[[model.cfg.lambda_weight]]]
+    assert [leaf.value.tolist() for leaf in constants] == [[[state.config.lambda_weight]]]
     assert all(m.grad is not None for _, m in model.param_items())
 
 
@@ -1622,7 +1708,7 @@ def test_one_training_step_stacks_each_modality_once(monkeypatch):
 def test_the_memory_loss_turns_on_once_a_bank_smaller_than_a_batch_is_full():
     cfg = pl.TrainConfig(seed=0, epochs=2, batch_size=32, bank_capacity=16)
     state, rows = pl.train(cfg, pl.generate_synthetic(64, 1, 4, seed=5))
-    assert len(state.bank) == 16 and state.bank.dim == 2 * cfg.embed_dim
+    assert len(state.bank) == 16 and state.bank.dim == 2 * pl.EMBED_DIM
     # the first batch finds the queue empty; every later one scores against all 16 pairs
     assert all(row["l_mdcl"] != 0.0 for row in rows)
 
@@ -1642,7 +1728,7 @@ def test_batch_losses_total_is_the_weighted_sum_of_its_parts(off):
     assert all((parts[name] == 0.0) == (name in off) for name in parts)
     assert total.item() == (2.5 * parts["l_dcl_i"] + parts["l_mdcl"] + parts["l_dcl_c"]
                             + parts["l_pgc"])
-    assert isinstance(pairs, np.ndarray) and pairs.shape == (8, 2 * cfg.embed_dim)
+    assert isinstance(pairs, np.ndarray) and pairs.shape == (8, 2 * pl.EMBED_DIM)
 
 
 def test_each_training_step_queues_the_pairs_batch_losses_returned_once(monkeypatch):
@@ -1664,7 +1750,7 @@ def test_each_training_step_queues_the_pairs_batch_losses_returned_once(monkeypa
     assert all(q is r for q, r in zip(queued, returned))
     assert [len(q) for q in queued] == [16, 16, 8] * 2
     for pairs in queued:
-        assert pairs.shape[1] == state.bank.dim == 2 * cfg.embed_dim
+        assert pairs.shape[1] == state.bank.dim == 2 * pl.EMBED_DIM
         for half in np.hsplit(pairs, 2):
             assert np.abs(np.linalg.norm(half, axis=1) - 1.0).max() <= 1e-12
     # the queue holds the newest pairs, and the memory loss read it from the second step on

@@ -7,6 +7,8 @@ it, so these checks run with the package's own tests.
 """
 import contextlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -89,3 +91,11 @@ def test_bench_tracer_counts_the_lloyd_iterations_of_the_winning_run():
         result = obj.kmeans_cluster(points, 3, seed=0, n_init=2)
     assert len(result.inertia_path) > 0
     assert tracer.counts["objective.kmeans_cluster.lloyd_iters"] == len(result.inertia_path)
+
+
+def test_bench_selftest_passes():
+    # the selftest calls package functions by their signatures, which the traced targets alone miss
+    root = TRACING.parent.parent
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "bench/selftest.py"], cwd=root, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
