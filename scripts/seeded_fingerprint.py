@@ -15,9 +15,12 @@ three instance losses, the entropy estimator, the memory loss off, the
 concept losses off and unequal feature widths. Per run the output holds
 the loss rows with their per-epoch recalls, and the sha256 of the
 parameter bytes in ``param_items()`` order and of the momentum mirror's
-bytes. The queue's bytes are left out, so that a change of its layout
-does not show; its content reaches every ``l_mdcl`` value in the rows.
+bytes, and the sha256 of the last clustering's centroid bytes, label
+bytes and inertia path (null when the concept losses are off). The
+queue's bytes are left out, so that a change of its layout does not
+show; its content reaches every ``l_mdcl`` value in the rows.
 """
+import array
 import hashlib
 import json
 import os
@@ -46,8 +49,15 @@ def _sha256(arrays) -> str:
     return h.hexdigest()
 
 
+def _prototypes_sha256(prototypes) -> str | None:
+    if prototypes is None:
+        return None
+    return _sha256((prototypes.centroids, prototypes.labels,
+                    array.array("d", prototypes.inertia_path)))
+
+
 def fingerprint(pl, runs=RUNS, n_train=200, n_val=40, epochs=3, bank_capacity=96) -> dict:
-    """Loss rows and parameter and momentum digests of each run in ``runs``, by name.
+    """Loss rows and parameter, momentum and prototype digests of each run in ``runs``, by name.
 
     ``pl`` is the ``crossalign.pipeline`` module to run.
     """
@@ -61,7 +71,8 @@ def fingerprint(pl, runs=RUNS, n_train=200, n_val=40, epochs=3, bank_capacity=96
         state, rows = pl.train(cfg, data, val)
         out[name] = {"rows": rows,
                      "params": _sha256(m.value for _, m in state.model.param_items()),
-                     "momentum": _sha256(state.model.encoder_pair.momentum.values())}
+                     "momentum": _sha256(state.model.encoder_pair.momentum.values()),
+                     "prototypes": _prototypes_sha256(state.prototypes)}
     return out
 
 

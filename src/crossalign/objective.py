@@ -237,24 +237,25 @@ def _estimate(sim: SimilarityMatrix, estimator: str, eps: float = DIVERSITY_EPS)
 
 def m_dcl_loss(batch_v: Matrix, batch_w: Matrix, momentum_pos_v: np.ndarray,
                momentum_pos_w: np.ndarray,
-               bank_v: np.ndarray, bank_w: np.ndarray, div_anchor_fwd: np.ndarray,
+               queue_v: np.ndarray, queue_w: np.ndarray, div_anchor_fwd: np.ndarray,
                div_anchor_bwd: np.ndarray, mu: float, gamma: float,
                *, estimator: str = "std", eps: float = DIVERSITY_EPS) -> Matrix:
     """Contrastive loss of in-batch anchors against memory-bank negatives.
 
     Each anchor's positive is the momentum-encoded embedding of its own
-    cross-modal counterpart, one row of an array. ``bank_v`` and
-    ``bank_w`` are the queue's image and caption rows, [n, d], and every bank row
-    is a negative; all rows are unit-norm encoder outputs scored by dot
+    cross-modal counterpart, one row of an array. ``queue_v`` and
+    ``queue_w`` are the image and caption column halves of the memory
+    queue's ``[v | w]`` pair rows, [n, d] each, and every queue row is a
+    negative; all rows are unit-norm encoder outputs scored by dot
     product. Per anchor, the diversity weight is the mean of the estimate
-    over the anchor's bank scores and the in-batch pair ``dcl_loss`` takes
-    too. Bank rows, momentum positives and diversity weights are arrays
+    over the anchor's queue scores and the in-batch pair ``dcl_loss`` takes
+    too. Queue rows, momentum positives and diversity weights are arrays
     held by the nodes that read them, so no gradient flows into them.
     """
     if not mu > 0.0:
         raise ValueError("temperature mu must be positive")
-    if len(bank_v) == 0 or len(bank_w) == 0:
-        raise ValueError("memory banks must be non-empty")
+    if len(queue_v) == 0 or len(queue_w) == 0:
+        raise ValueError("the memory queue must be non-empty")
     if batch_v.rows != batch_w.rows:
         raise ValueError(f"batch sizes differ: {batch_v.rows} vs {batch_w.rows}")
 
@@ -272,8 +273,8 @@ def m_dcl_loss(batch_v: Matrix, batch_w: Matrix, momentum_pos_v: np.ndarray,
         div = (div_batch + _estimate(SimilarityMatrix(bank_sims, False), estimator, eps)) / 2.0
         return _contrastive_direction(bank_sims, positives, div, mu, gamma)
 
-    return (one_direction(batch_v, momentum_pos_w, bank_w, div_anchor_fwd)
-            + one_direction(batch_w, momentum_pos_v, bank_v, div_anchor_bwd))
+    return (one_direction(batch_v, momentum_pos_w, queue_w, div_anchor_fwd)
+            + one_direction(batch_w, momentum_pos_v, queue_v, div_anchor_bwd))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +313,7 @@ def _plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         else:
             candidates = rng.integers(m, size=n_candidates)
         approx, slack = _expansion(points, pt_sq, points[candidates])
-        rows, cols = np.nonzero(approx <= (dist_sq + slack)[:, None])
+        cols, rows = np.nonzero(approx <= dist_sq + slack)
         exact = ((points[rows] - points[candidates[cols]]) ** 2).sum(axis=1)
         trials = np.tile(dist_sq, (n_candidates, 1))
         trials[cols, rows] = np.minimum(dist_sq[rows], exact)
@@ -323,61 +324,108 @@ def _plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
 
 
 def _expansion(pts: np.ndarray, pt_sq: np.ndarray, centroids: np.ndarray):
-    """|x|^2 - 2 x.c + |c|^2 for every point-centroid pair, and its rounding bound.
+    """|c|^2 - 2 c.x + |x|^2 for every centroid-point pair, [centroids, points], and its rounding bound.
 
     The expansion costs one matmul but can round far from the direct sum
     of squares, so it only screens: per point, ``slack`` bounds the gap
     between the two forms for every centroid.
     """
     c_sq = (centroids ** 2).sum(axis=1)
-    approx = pt_sq[:, None] - 2.0 * (pts @ centroids.T) + c_sq
+    approx = centroids @ pts.T
+    approx *= -2.0
+    approx += c_sq[:, None]
+    approx += pt_sq
     slack = 4.0 * (pts.shape[1] + 3) * np.finfo(np.float64).eps \
         * (np.sqrt(pt_sq) + np.sqrt(c_sq.max())) ** 2
     return approx, slack
 
 
 def _assign(pts: np.ndarray, pt_sq: np.ndarray, centroids: np.ndarray):
-    """Nearest centroid per point (lowest index on ties) and its squared distance.
+    """Nearest centroid of every run per point (lowest index on ties) and its squared distance.
 
-    No centroid whose expansion lies more than twice ``slack`` above the
-    row's smallest can be nearest. The survivors are measured again as
-    ((x - c)^2).sum(), which alone decides the label and the cost,
-    exactly as a direct search over all point-centroid pairs.
+    ``centroids`` is [runs, k, dim]; labels and costs come back [runs, m].
+    One expansion screens every run's centroids: none whose expansion lies
+    more than twice ``slack`` above the run's smallest for the point can
+    be nearest, and the bound's largest centroid norm across runs only
+    lets more through. A point with one survivor in a run takes it; one
+    with several measures each as ((x - c)^2).sum(). The cost is that
+    exact sum for the label, so labels and costs are those of a direct
+    search over all point-centroid pairs.
     """
-    approx, slack = _expansion(pts, pt_sq, centroids)
-    rows, cols = np.nonzero(approx <= approx.min(axis=1, keepdims=True) + 2.0 * slack[:, None])
-    dists = np.full(approx.shape, np.inf)
-    dists[rows, cols] = ((pts[rows] - centroids[cols]) ** 2).sum(axis=1)
-    labels = dists.argmin(axis=1)
-    return labels, dists[np.arange(pts.shape[0]), labels]
+    n_runs, k, dim = centroids.shape
+    approx, slack = _expansion(pts, pt_sq, centroids.reshape(-1, dim))
+    approx = approx.reshape(n_runs, k, -1)
+    survivors = approx <= approx.min(axis=1, keepdims=True) + 2.0 * slack
+    labels = survivors.argmax(axis=1)
+    runs, pt_idx = np.nonzero(survivors.sum(axis=1) > 1)
+    if runs.size:
+        rows, cols = np.nonzero(survivors[runs, :, pt_idx])
+        dists = np.full((runs.size, k), np.inf)
+        dists[rows, cols] = ((pts[pt_idx[rows]] - centroids[runs[rows], cols]) ** 2).sum(axis=1)
+        labels[runs, pt_idx] = dists.argmin(axis=1)
+    diff = np.take(centroids.reshape(-1, dim), labels + k * np.arange(n_runs)[:, None], axis=0)
+    diff -= pts  # (c - x)^2 is (x - c)^2 bit for bit
+    diff *= diff
+    return labels, diff.sum(axis=2)
 
 
-def _lloyd(pts: np.ndarray, k: int, centroids: np.ndarray, max_iters: int):
-    """Lloyd iterations from ``centroids``, updated in place.
+def _move_centroids(pts: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
+                    cost: np.ndarray) -> None:
+    """Each run's centroids to the means of their members, in place.
 
-    Centroids move only between assignments, so the returned labels,
-    centroids and inertia always describe one assignment, also when
-    ``max_iters`` stops the run before the labels settle.
+    A run's empty clusters, in index order, take the point then farthest
+    from its centroid, whose cost drops to 0. Sums come from one
+    ``bincount`` over run-offset labels; it adds members in index order,
+    as numpy's mean sums a [members, dim] array down its rows. A single
+    column numpy sums pairwise, so at dim 1 each cluster takes its mean.
+    """
+    n_runs, k, dim = centroids.shape
+    flat = (np.arange(n_runs)[:, None] * k + labels).ravel()
+    counts = np.bincount(flat, minlength=n_runs * k).reshape(n_runs, k)
+    runs, cols = np.nonzero(counts)
+    if dim == 1:
+        for r, j in zip(runs, cols):
+            centroids[r, j] = pts[labels[r] == j].mean(axis=0)
+    else:
+        slots = np.arange(n_runs * k * dim).reshape(-1, dim)
+        sums = np.bincount(np.take(slots, flat, axis=0).ravel(), weights=np.tile(pts.ravel(), n_runs),
+                           minlength=slots.size).reshape(n_runs, k, dim)
+        centroids[runs, cols] = sums[runs, cols] / counts[runs, cols, None]
+    for r, j in zip(*np.nonzero(counts == 0)):
+        far = int(cost[r].argmax())
+        centroids[r, j] = pts[far]
+        cost[r, far] = 0.0
+
+
+def _lloyd(pts: np.ndarray, centroids: np.ndarray, max_iters: int):
+    """Lloyd iterations of every run in ``centroids`` [runs, k, dim] in lockstep, in place.
+
+    A run leaves the loop when its labels stop changing or at
+    ``max_iters``, where it would stop alone. Centroids move only between
+    assignments, so each run's labels, centroids and inertia describe one
+    assignment, also when ``max_iters`` stops it before the labels settle.
+    Returns the labels [runs, m] and each run's inertia after every
+    assignment.
     """
     pt_sq = (pts ** 2).sum(axis=1)
-    labels = None
-    inertia_path: list[float] = []
+    labels = np.full((centroids.shape[0], pts.shape[0]), -1, dtype=np.intp)  # no run settles at step 0
+    cost = np.empty(labels.shape)
+    paths: list[list[float]] = [[] for _ in labels]
+    active = np.arange(len(labels))
     for step in range(max(max_iters, 1)):
         if step:
-            for j in range(k):
-                members = pts[labels == j]
-                if members.shape[0] > 0:
-                    centroids[j] = members.mean(axis=0)
-                else:
-                    far = int(point_cost.argmax())
-                    centroids[j] = pts[far]
-                    point_cost[far] = 0.0
-        new_labels, point_cost = _assign(pts, pt_sq, centroids)
-        inertia_path.append(float(point_cost.sum()))
-        if labels is not None and np.array_equal(new_labels, labels):
+            moved = centroids[active]
+            _move_centroids(pts, moved, labels[active], cost[active])
+            centroids[active] = moved
+        new_labels, new_cost = _assign(pts, pt_sq, centroids[active])
+        for r, inertia in zip(active, new_cost.sum(axis=1)):
+            paths[r].append(float(inertia))
+        settled = (new_labels == labels[active]).all(axis=1)
+        labels[active], cost[active] = new_labels, new_cost
+        active = active[~settled]
+        if not active.size:
             break
-        labels = new_labels
-    return centroids, labels, inertia_path
+    return labels, paths
 
 
 def kmeans_cluster(points: np.ndarray, k: int, max_iters: int = 100, seed: int = 0,
@@ -386,21 +434,23 @@ def kmeans_cluster(points: np.ndarray, k: int, max_iters: int = 100, seed: int =
 
     ``points`` is a finite [m, dim] array. Every restart draws its initial
     centroids from a stream derived from ``seed``, runs Lloyd iterations
-    until the assignment stops changing (or ``max_iters``), and the
-    lowest-inertia run wins. Given ``start_centroids``, a finite [k, dim]
-    array that is never written, one Lloyd run refines a copy of it
-    instead: no seeding, no restarts, and cluster j starts from row j, so
-    ids carry over from the run that produced the start. Empty clusters
+    until the assignment stops changing (or ``max_iters``), and the first
+    run of the lowest inertia wins. Given ``start_centroids``, a finite
+    [k, dim] array that is never written, one Lloyd run refines a copy of
+    it instead: no seeding, no restarts, and cluster j starts from row j,
+    so ids carry over from the run that produced the start. Empty clusters
     are reseeded to the point currently farthest from its assigned
     centroid. ``inertia_path`` records the winning run's inertia after
     each assignment step.
 
-    Each assignment first screens the centroids with the matmul
-    expansion of the squared distance and its rounding bound, then
-    decides among the few survivors with exact sums of squared
-    differences. Labels (lowest index on ties), costs, inertia and
-    reseeds are therefore the same as a direct search over all
-    point-centroid pairs, without its [points, k, dim] array.
+    The restarts refine in lockstep: each iteration screens every active
+    run's centroids against the points with one matmul expansion of the
+    squared distance and its rounding bound, an O(n_init * k * m) array,
+    then decides among the few survivors with exact sums of squared
+    differences. Each run's labels (lowest index on ties), costs, inertia,
+    reseeds and stopping step are therefore those of a direct search over
+    all point-centroid pairs run on its own, without its [points, k, dim]
+    array.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -418,12 +468,14 @@ def kmeans_cluster(points: np.ndarray, k: int, max_iters: int = 100, seed: int =
             raise ValueError(f"start_centroids must have shape {(k, pts.shape[1])}, got {start.shape}")
         if not np.isfinite(start).all():
             raise ValueError("start_centroids must be finite")
-        return PrototypeState(*_lloyd(pts, k, start, max_iters))
-
-    # each restart seeds from its own stream; the first run of the lowest inertia wins
-    inits = (_plusplus_init(pts, k, nm.rng_from_seed(seed, 77, r)) for r in range(max(n_init, 1)))
-    return min((PrototypeState(*_lloyd(pts, k, init, max_iters)) for init in inits),
-               key=lambda run: run.inertia_path[-1])
+        starts = start[None]
+    else:
+        # each restart seeds from its own stream
+        starts = np.stack([_plusplus_init(pts, k, nm.rng_from_seed(seed, 77, r))
+                           for r in range(max(n_init, 1))])
+    labels, paths = _lloyd(pts, starts, max_iters)
+    best = min(range(len(paths)), key=lambda r: paths[r][-1])
+    return PrototypeState(starts[best], labels[best], paths[best])
 
 
 def _cross_entropy(logits: Matrix, targets: np.ndarray) -> Matrix:

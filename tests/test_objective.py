@@ -572,7 +572,7 @@ def _assert_same_bits(fused, ref, fused_leaves, ref_leaves, upstream):
         assert got.grad.tobytes() == want.grad.tobytes()
 
 
-def _composed_m_dcl(batch_v, batch_w, pos_v, pos_w, bank_v, bank_w, div_fwd, div_bwd):
+def _composed_m_dcl(batch_v, batch_w, pos_v, pos_w, queue_v, queue_w, div_fwd, div_bwd):
     """``m_dcl_loss`` with bank scores and positives composed of elementary ops on constant leaves."""
     def one_direction(anchors, pos_rows, bank, div_batch):
         bank_sims = anchors @ Matrix(bank).T
@@ -580,8 +580,8 @@ def _composed_m_dcl(batch_v, batch_w, pos_v, pos_w, bank_v, bank_w, div_fwd, div
         div = (div_batch + _estimate(SimilarityMatrix(bank_sims, False), "std", 0.1)) / 2.0
         return _contrastive_direction(bank_sims, positives, div, MU, GAMMA)
 
-    return (one_direction(batch_v, pos_w, bank_w, div_fwd)
-            + one_direction(batch_w, pos_v, bank_v, div_bwd))
+    return (one_direction(batch_v, pos_w, queue_w, div_fwd)
+            + one_direction(batch_w, pos_v, queue_v, div_bwd))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -591,10 +591,10 @@ def test_m_dcl_bank_scores_and_positives_equal_the_composed_graph(seed):
     n, f, q = 16, 32, 40
     (v, w), (ref_v, ref_w) = _leaves(_unit_rows(rng, n, f), _unit_rows(rng, n, f))
     pos_v, pos_w = _unit_rows(rng, n, f), _unit_rows(rng, n, f)
-    bank_v, bank_w = _unit_rows(rng, q, f), _unit_rows(rng, q, f)
+    queue_v, queue_w = _unit_rows(rng, q, f), _unit_rows(rng, q, f)
     div = _batch_div(v, w)
-    fused = m_dcl_loss(v, w, pos_v, pos_w, bank_v, bank_w, *div, MU, GAMMA)
-    ref = _composed_m_dcl(ref_v, ref_w, pos_v, pos_w, bank_v, bank_w, *div)
+    fused = m_dcl_loss(v, w, pos_v, pos_w, queue_v, queue_w, *div, MU, GAMMA)
+    ref = _composed_m_dcl(ref_v, ref_w, pos_v, pos_w, queue_v, queue_w, *div)
     _assert_same_bits(fused, ref, (v, w), (ref_v, ref_w), 1.3)
 
 
@@ -760,11 +760,18 @@ def _kmeans_data(kind, seed):
         return 1e5 + 0.01 * rng.standard_normal((40, 3))
     if kind == "far_offset":  # its rounding here is a hundred times the distances
         return 1e7 + 0.01 * rng.standard_normal((40, 3))
+    if kind == "line":  # numpy sums one column pairwise, not row by row
+        return rng.standard_normal((60, 1)) + 3.0 * rng.integers(0, 4, size=(60, 1))
+    if kind == "duplicates":  # 4 distinct points: k >= 5 leaves clusters empty, so reseeds run
+        return rng.standard_normal((4, 3))[rng.integers(0, 4, size=48)]
     # small-integer grid: many points sit exactly halfway between centroids
     return rng.integers(-2, 3, size=(50, 2)).astype(np.float64)
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "offset", "far_offset", "grid"])
+KMEANS_KINDS = ["gaussian", "offset", "far_offset", "grid", "line", "duplicates"]
+
+
+@pytest.mark.parametrize("kind", KMEANS_KINDS)
 @pytest.mark.parametrize("k", [2, 5, 9])
 @pytest.mark.parametrize("seed", range(3))
 def test_kmeans_matches_direct_distances(kind, k, seed):
@@ -779,7 +786,7 @@ def test_kmeans_matches_direct_distances(kind, k, seed):
     assert state.inertia_path == path
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "offset", "grid"])
+@pytest.mark.parametrize("kind", ["gaussian", "offset", "grid", "line", "duplicates"])
 @pytest.mark.parametrize("max_iters", [1, 2, 3])
 def test_kmeans_capped_run_describes_one_assignment(kind, max_iters):
     pts = _kmeans_data(kind, 0)
@@ -794,7 +801,7 @@ def test_kmeans_capped_run_describes_one_assignment(kind, max_iters):
     assert state.inertia_path == path
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "offset", "far_offset", "grid"])
+@pytest.mark.parametrize("kind", KMEANS_KINDS)
 @pytest.mark.parametrize("k", [2, 5, 9])
 def test_kmeans_warm_start_matches_direct_lloyd(kind, k):
     pts = _kmeans_data(kind, 1)
@@ -805,6 +812,64 @@ def test_kmeans_warm_start_matches_direct_lloyd(kind, k):
     assert np.array_equal(state.labels, labels)
     assert np.array_equal(state.centroids, centroids)
     assert state.inertia_path == path
+
+
+def _lockstep_runs(kind, k, max_iters):
+    """``objective._lloyd`` over six k-means++ starts of one data kind, and those starts."""
+    pts = _kmeans_data(kind, 0)
+    starts = np.stack([_loop_plusplus_init(pts, k, rng_from_seed(0, 77, r)) for r in range(6)])
+    centroids = starts.copy()
+    labels, paths = objective._lloyd(pts, centroids, max_iters)
+    return pts, starts, centroids, labels, paths
+
+
+def _assert_each_run_is_direct(pts, starts, centroids, labels, paths, max_iters):
+    for r, start in enumerate(starts):
+        want_labels, want_centroids, want_path = _direct_lloyd(pts, start.shape[0], start.copy(),
+                                                               max_iters)
+        assert np.array_equal(labels[r], want_labels)
+        assert centroids[r].tobytes() == want_centroids.tobytes()
+        assert paths[r] == want_path
+
+
+@pytest.mark.parametrize("kind", KMEANS_KINDS)
+@pytest.mark.parametrize("k", [2, 5, 9])
+@pytest.mark.parametrize("max_iters", [1, 3, 4, 100])
+def test_kmeans_every_lockstep_run_equals_its_direct_run(kind, k, max_iters):
+    _assert_each_run_is_direct(*_lockstep_runs(kind, k, max_iters), max_iters)
+
+
+def test_kmeans_lockstep_runs_stop_at_their_own_steps():
+    # uncapped, these runs settle after 6, 3, 4, 4, 4 and 4 assignments
+    free = [len(path) for path in _lockstep_runs("offset", 5, 100)[4]]
+    capped = [len(path) for path in _lockstep_runs("offset", 5, 4)[4]]
+    assert len(set(free)) > 1 and max(free) > 4
+    assert capped == [min(n, 4) for n in free] and set(capped) == {3, 4}
+
+
+def test_kmeans_reseeds_each_runs_empty_clusters_in_index_order():
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [10.0, 0.0], [11.0, 0.0]])
+    # clusters 1 and 2 start empty: 1 takes the farthest point, (3, 0), then 2 the next, (0, 0)
+    start = np.array([[1.0, 0.0], [100.0, 0.0], [200.0, 0.0], [10.5, 0.0]])
+    state = kmeans_cluster(pts, 4, max_iters=2, start_centroids=start)
+    assert state.centroids.tolist() == [[4 / 3, 0.0], [3.0, 0.0], [0.0, 0.0], [10.5, 0.0]]
+    # in lockstep each run reseeds from its own point costs: here 2 takes (1, 0)
+    starts = np.stack([start, [[0.0, 0.0], [100.0, 0.0], [200.0, 0.0], [11.0, 0.0]]])
+    centroids = starts.copy()
+    labels, paths = objective._lloyd(pts, centroids, 2)
+    assert centroids[1, 2].tolist() == [1.0, 0.0]
+    _assert_each_run_is_direct(pts, starts, centroids, labels, paths, 2)
+
+
+def test_kmeans_equal_inertia_restarts_resolve_to_the_first(monkeypatch):
+    pts = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
+    # both starts settle on the same two pairs, with their cluster ids swapped
+    starts = iter([pts[[2, 0]], pts[[0, 2]]])
+    monkeypatch.setattr(objective, "_plusplus_init", lambda points, k, rng: next(starts).copy())
+    state = kmeans_cluster(pts, 2, seed=0, n_init=2)
+    assert state.labels.tolist() == [1, 1, 0, 0]
+    assert state.centroids.tolist() == [[10.0, 0.5], [0.0, 0.5]]
+    assert state.inertia_path[-1] == 1.0
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "offset", "grid"])

@@ -1,6 +1,9 @@
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
+
+import numpy as np
 
 from crossalign import pipeline as pl
 
@@ -23,7 +26,25 @@ def test_seeded_fingerprint_repeats_byte_for_byte():
                      for _ in range(2))
     assert first == second
     out = json.loads(first)["dcl"]
-    assert sorted(out) == ["momentum", "params", "rows"]
+    assert sorted(out) == ["momentum", "params", "prototypes", "rows"]
     assert [row["epoch"] for row in out["rows"]] == [0, 1]
     assert out["rows"][0]["l_mdcl"] == 0.0 and out["rows"][1]["l_mdcl"] != 0.0
-    assert all(len(out[key]) == 64 for key in ("params", "momentum"))
+    assert all(len(out[key]) == 64 for key in ("params", "momentum", "prototypes"))
+
+
+def test_seeded_fingerprint_digests_the_last_clustering(monkeypatch):
+    fp = _script()
+    runs = {"dcl": fp.RUNS["dcl"], "concepts_off": fp.RUNS["concepts_off"]}
+    kmeans, seen = pl.obj.kmeans_cluster, []
+
+    def spy_kmeans(*args, **kwargs):
+        seen.append(kmeans(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(pl.obj, "kmeans_cluster", spy_kmeans)
+    out = fp.fingerprint(pl, runs, n_train=12, n_val=4, epochs=2, bank_capacity=16)
+    last = seen[-1]
+    want = hashlib.sha256(last.centroids.tobytes() + last.labels.tobytes()
+                          + np.array(last.inertia_path).tobytes()).hexdigest()
+    assert len(seen) == 2 and out["dcl"]["prototypes"] == want
+    assert out["concepts_off"]["prototypes"] is None
