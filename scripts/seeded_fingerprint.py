@@ -36,7 +36,7 @@ RUNS = {
     "dcl_i": ({"instance_loss": "dcl_i"}, 48, 48),
     "triplet": ({"instance_loss": "triplet"}, 48, 48),
     "entropy": ({"diversity_estimator": "entropy"}, 48, 48),
-    "memory_off": ({"use_memory_loss": False}, 48, 48),
+    "memory_off": ({"bank_capacity": 0}, 48, 48),
     "concepts_off": ({"use_concept_losses": False}, 48, 48),
     "d_img_40_d_txt_24": ({}, 40, 24),
 }
@@ -56,6 +56,11 @@ def _prototypes_sha256(prototypes) -> str | None:
                     array.array("d", prototypes.inertia_path)))
 
 
+def config(pl, changes: dict, epochs: int = 3, bank_capacity: int = 96):
+    """A run's ``pl.TrainConfig``: seed 0, ``epochs`` and ``bank_capacity``, with ``changes`` over them."""
+    return pl.TrainConfig(**{"seed": 0, "epochs": epochs, "bank_capacity": bank_capacity, **changes})
+
+
 def fingerprint(pl, runs=RUNS, n_train=200, n_val=40, epochs=3, bank_capacity=96) -> dict:
     """Loss rows and parameter, momentum and prototype digests of each run in ``runs``, by name.
 
@@ -67,8 +72,7 @@ def fingerprint(pl, runs=RUNS, n_train=200, n_val=40, epochs=3, bank_capacity=96
         data = pl.generate_synthetic(n_train, 2, 8, seed=1, world=world, d_img=d_img, d_txt=d_txt)
         val = pl.generate_synthetic(n_val, 2, 8, seed=1, split="val", world=world,
                                     d_img=d_img, d_txt=d_txt)
-        cfg = pl.TrainConfig(seed=0, epochs=epochs, bank_capacity=bank_capacity, **changes)
-        state, rows = pl.train(cfg, data, val)
+        state, rows = pl.train(config(pl, changes, epochs, bank_capacity), data, val)
         out[name] = {"rows": rows,
                      "params": _sha256(m.value for _, m in state.model.param_items()),
                      "momentum": _sha256(state.model.encoder_pair.momentum.values()),

@@ -400,16 +400,17 @@ def _move_centroids(pts: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
 def _lloyd(pts: np.ndarray, centroids: np.ndarray, max_iters: int):
     """Lloyd iterations of every run in ``centroids`` [runs, k, dim] in lockstep, in place.
 
-    A run leaves the loop when its labels stop changing or at
-    ``max_iters``, where it would stop alone. Centroids move only between
-    assignments, so each run's labels, centroids and inertia describe one
-    assignment, also when ``max_iters`` stops it before the labels settle.
+    A run leaves the loop when its labels stop changing or its inertia
+    does not fall (on fewer distinct points than k, reseeds move labels
+    for ever), or at ``max_iters``, where it would stop alone. Centroids
+    move only between assignments, so each run's labels, centroids and
+    inertia describe one assignment, also when ``max_iters`` stops it.
     Returns the labels [runs, m] and each run's inertia after every
     assignment.
     """
     pt_sq = (pts ** 2).sum(axis=1)
     labels = np.full((centroids.shape[0], pts.shape[0]), -1, dtype=np.intp)  # no run settles at step 0
-    cost = np.empty(labels.shape)
+    cost = np.full(labels.shape, np.inf)
     paths: list[list[float]] = [[] for _ in labels]
     active = np.arange(len(labels))
     for step in range(max(max_iters, 1)):
@@ -418,9 +419,10 @@ def _lloyd(pts: np.ndarray, centroids: np.ndarray, max_iters: int):
             _move_centroids(pts, moved, labels[active], cost[active])
             centroids[active] = moved
         new_labels, new_cost = _assign(pts, pt_sq, centroids[active])
-        for r, inertia in zip(active, new_cost.sum(axis=1)):
-            paths[r].append(float(inertia))
-        settled = (new_labels == labels[active]).all(axis=1)
+        inertia = new_cost.sum(axis=1)
+        for r, value in zip(active, inertia):
+            paths[r].append(float(value))
+        settled = (new_labels == labels[active]).all(axis=1) | (inertia >= cost[active].sum(axis=1))
         labels[active], cost[active] = new_labels, new_cost
         active = active[~settled]
         if not active.size:
@@ -434,8 +436,8 @@ def kmeans_cluster(points: np.ndarray, k: int, max_iters: int = 100, seed: int =
 
     ``points`` is a finite [m, dim] array. Every restart draws its initial
     centroids from a stream derived from ``seed``, runs Lloyd iterations
-    until the assignment stops changing (or ``max_iters``), and the first
-    run of the lowest inertia wins. Given ``start_centroids``, a finite
+    until the labels repeat or the inertia stops falling (or ``max_iters``),
+    and the first run of the lowest inertia wins. Given ``start_centroids``, a finite
     [k, dim] array that is never written, one Lloyd run refines a copy of
     it instead: no seeding, no restarts, and cluster j starts from row j,
     so ids carry over from the run that produced the start. Empty clusters

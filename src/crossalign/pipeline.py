@@ -98,7 +98,7 @@ class PairedRecord:
 
 @dataclass
 class EvalResult:
-    """Recall percentages for both retrieval directions at K in {1, 5, 10}."""
+    """Recall percentages both ways at K in {1, 5, 10}; ``rsum`` is their exact sum, rounded once."""
 
     r1_t: float
     r5_t: float
@@ -106,21 +106,19 @@ class EvalResult:
     r1_i: float
     r5_i: float
     r10_i: float
-
-    @property
-    def rsum(self) -> float:
-        return self.r1_t + self.r5_t + self.r10_t + self.r1_i + self.r5_i + self.r10_i
+    rsum: float
 
     def as_row(self) -> dict[str, float]:
-        return {**asdict(self), "rsum": self.rsum}
+        return asdict(self)
 
 
 @dataclass
 class TrainConfig:
-    """The 15 knobs that runs and ablations turn, with desk-scale defaults.
+    """The 14 knobs that runs and ablations turn, with desk-scale defaults.
 
     ``bank_capacity`` defaults to 512 at desk scale (4096 matches
-    large-corpus training). The learning rate starts at ``lr`` and drops
+    large-corpus training); 0 turns the memory loss off and runs no
+    momentum forwards. The learning rate starts at ``lr`` and drops
     x0.1 from epoch ``max(epochs // 2, 1)`` on, as after 15 of 30 epochs.
     Fixed values live where they are read: ``EMBED_DIM``,
     ``objective.DIVERSITY_EPS`` and the defaults of ``FeatureAggregator``
@@ -141,7 +139,6 @@ class TrainConfig:
     seed: int = 0
     diversity_estimator: str = "std"
     instance_loss: str = "dcl"
-    use_memory_loss: bool = True
     use_concept_losses: bool = True
 
     def __post_init__(self) -> None:
@@ -164,7 +161,7 @@ class TrainConfig:
             (self.gamma >= 0, "gamma must be non-negative"),
             (self.lambda_weight >= 0, "lambda_weight must be non-negative"),
             (0.0 <= self.beta <= 1.0, "beta must lie in [0, 1]"),
-            (self.bank_capacity >= 1, "bank_capacity must be positive"),
+            (self.bank_capacity >= 0, "bank_capacity must be non-negative"),
             (self.k_clusters >= 1, "k_clusters must be positive"),
             (self.concepts >= 1, "concepts must be positive"),
             (self.batch_size >= 2, "batch_size must be at least 2"),
@@ -619,7 +616,7 @@ def batch_losses(state: TrainState, records: list[PairedRecord], labels: np.ndar
     Returns the loss ``lambda_weight * l_dcl_i + l_mdcl + l_dcl_c + l_pgc``
     as one graph node, where each of the last three is added only when it
     is on; each part's value by name, 0.0 for a part that is off; and the
-    batch's momentum ``[v | w]`` pairs as one [n, 2f] array, the queue's rows.
+    batch's momentum ``[v | w]`` pairs, the queue's rows: [n, 2f], or [0, 2f] with no queue.
     """
     cfg = state.config
     model = state.model
@@ -629,13 +626,15 @@ def batch_losses(state: TrainState, records: list[PairedRecord], labels: np.ndar
 
     v_inst = model.vis_agg.aggregate_batch(*images)
     w_inst = model.txt_agg.aggregate_batch(*captions)
-    # the momentum encoders take no gradient, so they build no graph
-    pairs = np.hstack([model.vis_agg.forward(*images, model.encoder_pair.momentum_group("vis")),
-                       model.txt_agg.forward(*captions, model.encoder_pair.momentum_group("txt"))])
+    # the momentum encoders take no gradient, so they build no graph, and with no queue they do not run
+    pairs = np.empty((0, 2 * EMBED_DIM))
+    if cfg.bank_capacity:
+        pairs = np.hstack([model.vis_agg.forward(*images, model.encoder_pair.momentum_group("vis")),
+                           model.txt_agg.forward(*captions, model.encoder_pair.momentum_group("txt"))])
 
     sim = obj.cosine_matrix(v_inst, w_inst)
     # DCL and the memory loss share one diversity estimate
-    memory_on = cfg.use_memory_loss and len(state.bank) >= min(cfg.batch_size, cfg.bank_capacity)
+    memory_on = len(state.bank) >= min(cfg.batch_size, cfg.bank_capacity) > 0
     div = _diversities(cfg, sim) if cfg.instance_loss == "dcl" or memory_on else None
     # each part in the order the total adds it
     losses = {"l_dcl_i": _instance_loss(cfg, sim, div)}
@@ -936,9 +935,10 @@ def recalls_from_similarity(scores: np.ndarray | StackedScores,
                 ties = tile[rows - r0] == best_score[rows, None]
                 text_rank[rows] += _count(ties & (cap_index[lo:hi] < best_cap[rows, None]), axis=1)
 
-    text = [100.0 * np.count_nonzero(has_caption & (text_rank < k)) / n_img for k in (1, 5, 10)]
-    image = [100.0 * np.count_nonzero(image_rank < k) / n_cap for k in (1, 5, 10)]
-    return EvalResult(*text, *image)
+    text = [int(np.count_nonzero(has_caption & (text_rank < k))) for k in (1, 5, 10)]
+    image = [int(np.count_nonzero(image_rank < k)) for k in (1, 5, 10)]
+    rsum = 100 * (sum(text) * n_cap + sum(image) * n_img) / (n_img * n_cap)  # equal hits, equal bits
+    return EvalResult(*[100.0 * h / n_img for h in text], *[100.0 * h / n_cap for h in image], rsum)
 
 
 def embed_for_retrieval(state: TrainState, data: list[PairedRecord]):

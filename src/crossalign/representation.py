@@ -205,7 +205,7 @@ class EncoderPair:
 
 
 class MemoryBank:
-    """Fixed-capacity FIFO queue of embedding rows, oldest first.
+    """Fixed-capacity FIFO queue of embedding rows, oldest first; capacity 0 holds none.
 
     The trainer pushes ``[v | w]`` rows, each an image–text pair of unit-norm
     momentum embeddings; the queue enforces capacity, order, dimension, finiteness.
@@ -214,8 +214,8 @@ class MemoryBank:
     def __init__(self, capacity: int, dim: int):
         if not all(np.issubdtype(np.asarray(x).dtype, np.integer) for x in (capacity, dim)):
             raise ValueError(f"capacity and dim must be integers, got {capacity!r} and {dim!r}")
-        if capacity < 1 or dim < 1:
-            raise ValueError("capacity and dim must be positive")
+        if capacity < 0 or dim < 1:
+            raise ValueError("capacity must be non-negative and dim positive")
         self.capacity = capacity
         self.dim = dim
         self._rows = np.zeros((0, dim))
@@ -230,7 +230,7 @@ class MemoryBank:
             raise ValueError(f"expected rows of dim {self.dim}, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise nm.NonFiniteError("enqueue: rows contain non-finite entries")
-        self._rows = np.vstack([self._rows, arr])[-self.capacity:]
+        self._rows = np.vstack([self._rows, arr])[max(len(self) + len(arr) - self.capacity, 0):]
         return self
 
     def view(self) -> np.ndarray:

@@ -718,7 +718,10 @@ def _loop_plusplus_init(points, k, rng):
 
 
 def _direct_lloyd(pts, k, centroids, max_iters=100):
-    """Reference Lloyd: assignment over the full [m, k, d] array, no update after the last."""
+    """Reference Lloyd: assignment over the full [m, k, d] array, no update after the last.
+
+    A run stops when its labels repeat or its inertia does not fall.
+    """
     labels = None
     path = []
     for step in range(max_iters):
@@ -735,9 +738,10 @@ def _direct_lloyd(pts, k, centroids, max_iters=100):
         new_labels = dists.argmin(axis=1)
         point_cost = dists[np.arange(pts.shape[0]), new_labels]
         path.append(float(point_cost.sum()))
-        if labels is not None and np.array_equal(new_labels, labels):
-            break
+        settled = labels is not None and (np.array_equal(new_labels, labels) or path[-1] >= path[-2])
         labels = new_labels
+        if settled:
+            break
     return labels, centroids, path
 
 
@@ -845,6 +849,14 @@ def test_kmeans_lockstep_runs_stop_at_their_own_steps():
     capped = [len(path) for path in _lockstep_runs("offset", 5, 4)[4]]
     assert len(set(free)) > 1 and max(free) > 4
     assert capped == [min(n, 4) for n in free] and set(capped) == {3, 4}
+
+
+@pytest.mark.parametrize("k", [5, 9])
+def test_kmeans_settles_on_fewer_distinct_points_than_k(k):
+    # reseeds move labels between copies of one point for ever; the inertia stops falling at once
+    assert all(len(path) <= 3 for path in _lockstep_runs("duplicates", k, 100)[4])
+    for seed in range(3):
+        assert len(kmeans_cluster(_kmeans_data("duplicates", seed), k, seed=seed).inertia_path) <= 3
 
 
 def test_kmeans_reseeds_each_runs_empty_clusters_in_index_order():

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,7 +55,10 @@ def reference_recalls(scores, caption_image) -> pl.EvalResult:
 
     text = 100.0 * text_hits / n_img
     image = 100.0 * image_hits / n_cap
-    return pl.EvalResult(text[0], text[1], text[2], image[0], image[1], image[2])
+    # the exact rational sum of the six recalls, rounded once
+    rsum = float(Fraction(100 * int(text_hits.sum()), n_img)
+                 + Fraction(100 * int(image_hits.sum()), n_cap))
+    return pl.EvalResult(text[0], text[1], text[2], image[0], image[1], image[2], rsum)
 
 
 def _tied_scores(rng, n_img, n_cap, levels=4):
@@ -99,6 +103,16 @@ def test_recalls_match_argsort_reference(case, seed, block, monkeypatch):
         scores = _tied_scores(rng, n_img, n_cap, levels)
         got = pl.recalls_from_similarity(scores, caption_image)
         assert got == reference_recalls(scores, caption_image)
+
+
+def test_equal_hit_totals_give_the_same_rsum_bits():
+    # with every score tied, caption j's image ranks at caption_image[j]; both layouts hit
+    # 30 2/3 in total, but their six rounded recalls add up to floats one ulp apart
+    results = [pl.recalls_from_similarity(np.zeros((150, 300)), (np.arange(300) * a + b) % 150)
+               for a, b in ((10, 0), (15, 49))]
+    six = [sum(dataclasses.astuple(r)[:6]) for r in results]
+    assert six[0] != six[1]
+    assert results[0].rsum == results[1].rsum == float(Fraction(92, 3))
 
 
 def test_recalls_nan_candidate_ranks_last_like_the_sort():
@@ -1164,7 +1178,7 @@ def test_load_checkpoint_rejects_a_file_that_is_no_array_stream(text, tmp_path):
 
 
 @pytest.mark.parametrize("name, value, kind", [
-    ("use_memory_loss", "no", "bool"),
+    ("use_concept_losses", "no", "bool"),
     ("epochs", 2.5, "int"),
     ("seed", True, "int"),
     ("mu", "0.1", "float"),
@@ -1216,7 +1230,7 @@ def test_config_holds_the_knobs_that_runs_and_ablations_turn():
     assert [f.name for f in dataclasses.fields(pl.TrainConfig)] == [
         "mu", "gamma", "lambda_weight", "beta", "bank_capacity", "k_clusters", "concepts",
         "batch_size", "epochs", "lr", "seed", "diversity_estimator", "instance_loss",
-        "use_memory_loss", "use_concept_losses"]
+        "use_concept_losses"]
 
 
 # the fields the 25-field config had that are now fixed values, each with the value it held
@@ -1248,8 +1262,9 @@ def test_every_diversity_estimate_defaults_to_the_one_eps(fn):
     assert _default(fn, "eps") == obj.DIVERSITY_EPS
 
 
-# the ten fields the config held before it kept only the knobs that something turns
-REMOVED_FIELDS = [*FIXED_VALUES, "lr_drop_epoch", "lr_drop_factor"]
+# the ten fields the config held before it kept only the knobs that something turns, and
+# use_memory_loss, whose off setting is now bank_capacity=0
+REMOVED_FIELDS = [*FIXED_VALUES, "lr_drop_epoch", "lr_drop_factor", "use_memory_loss"]
 
 
 @pytest.mark.parametrize("name", REMOVED_FIELDS)
@@ -1278,7 +1293,7 @@ RANGE_CASES = [
     ("gamma", -0.1, "gamma must be non-negative"),
     ("lambda_weight", -1.0, "lambda_weight must be non-negative"),
     ("beta", 1.5, "beta must lie in [0, 1]"),
-    ("bank_capacity", 0, "bank_capacity must be positive"),
+    ("bank_capacity", -1, "bank_capacity must be non-negative"),
     ("k_clusters", 0, "k_clusters must be positive"),
     ("concepts", 0, "concepts must be positive"),
     ("batch_size", 1, "batch_size must be at least 2"),
@@ -1718,7 +1733,7 @@ def test_the_memory_loss_turns_on_once_a_bank_smaller_than_a_batch_is_full():
 def test_batch_losses_total_is_the_weighted_sum_of_its_parts(off):
     data = pl.generate_synthetic(8, 2, 4, seed=1)
     cfg = pl.TrainConfig(seed=0, epochs=1, batch_size=8, lambda_weight=2.5,
-                         use_memory_loss="l_mdcl" not in off,
+                         bank_capacity=0 if "l_mdcl" in off else 512,
                          use_concept_losses="l_dcl_c" not in off)
     state = pl.build_state(cfg, data)
     _fill_queue(state, 8)
@@ -1728,7 +1743,9 @@ def test_batch_losses_total_is_the_weighted_sum_of_its_parts(off):
     assert all((parts[name] == 0.0) == (name in off) for name in parts)
     assert total.item() == (2.5 * parts["l_dcl_i"] + parts["l_mdcl"] + parts["l_dcl_c"]
                             + parts["l_pgc"])
-    assert isinstance(pairs, np.ndarray) and pairs.shape == (8, 2 * pl.EMBED_DIM)
+    # a run with no queue runs no momentum encoder, so it has no pair to queue
+    assert isinstance(pairs, np.ndarray)
+    assert pairs.shape == (0 if "l_mdcl" in off else 8, 2 * pl.EMBED_DIM)
 
 
 def test_each_training_step_queues_the_pairs_batch_losses_returned_once(monkeypatch):
@@ -1756,6 +1773,28 @@ def test_each_training_step_queues_the_pairs_batch_losses_returned_once(monkeypa
     # the queue holds the newest pairs, and the memory loss read it from the second step on
     assert state.bank.view().tobytes() == np.vstack(queued)[-24:].tobytes()
     assert all(row["l_mdcl"] != 0.0 for row in rows)
+
+
+@pytest.mark.parametrize("bank_capacity", [0, 24])
+def test_a_run_with_no_queue_runs_no_momentum_encoder(bank_capacity, monkeypatch):
+    mirrored, queued = [], []
+    forward, enqueue = FeatureAggregator.forward, MemoryBank.enqueue
+
+    def spy_forward(agg, lengths, rows, params=None):
+        mirrored.append(params is not None)
+        return forward(agg, lengths, rows, params)
+
+    monkeypatch.setattr(FeatureAggregator, "forward", spy_forward)
+    monkeypatch.setattr(MemoryBank, "enqueue",
+                        lambda bank, rows: queued.append(len(rows)) or enqueue(bank, rows))
+    cfg = pl.TrainConfig(seed=0, epochs=2, batch_size=16, bank_capacity=bank_capacity, k_clusters=4)
+    # 40 records: 3 steps per epoch
+    _, rows = pl.train(cfg, pl.generate_synthetic(20, 2, 4, seed=5))
+    if bank_capacity:  # the control: the spy sees both momentum encoders at every step
+        assert mirrored.count(True) == 2 * 6
+    else:
+        assert mirrored and not any(mirrored) and queued == [0] * 6
+        assert [row["l_mdcl"] for row in rows] == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("use_concept_losses, where", [(True, "epoch 0, clustering"),
@@ -1787,7 +1826,7 @@ def test_training_shows_the_papers_qualitative_claims(data_seed):
     untrained = pl.evaluate(pl.build_state(pl.TrainConfig(**GATE_CONFIG), train), val).rsum
     alone = {}
     for loss in ("dcl", "dcl_i", "triplet"):
-        cfg = pl.TrainConfig(**GATE_CONFIG, instance_loss=loss, use_memory_loss=False,
+        cfg = pl.TrainConfig(**GATE_CONFIG | {"bank_capacity": 0}, instance_loss=loss,
                              use_concept_losses=False)
         # a concept branch that never trained would add 10% noise at the default beta
         alone[loss] = pl.evaluate(pl.train(cfg, train)[0], val, beta=1.0).rsum

@@ -433,6 +433,11 @@ def test_bank_two_capacities_of_half_batches():
     assert np.array_equal(bank.view(), flat[-cap:])
 
 
+def test_bank_of_capacity_zero_holds_no_row():
+    bank = MemoryBank(capacity=0, dim=2).enqueue(np.ones((3, 2))).enqueue(np.ones((1, 2)))
+    assert len(bank) == 0 and bank.view().shape == (0, 2)
+
+
 def test_bank_rejects_wrong_dim():
     bank = MemoryBank(capacity=4, dim=3)
     with pytest.raises(ValueError, match="dim"):
@@ -453,7 +458,8 @@ def test_bank_rejects_a_non_finite_row_and_keeps_its_rows(bad):
     (2.5, 2, "capacity and dim must be integers, got 2.5 and 2"),
     (True, 2, "capacity and dim must be integers, got True and 2"),
     (4, 2.0, "capacity and dim must be integers, got 4 and 2.0"),
-    (0, 2, "capacity and dim must be positive"),
+    (-1, 2, "capacity must be non-negative and dim positive"),
+    (4, 0, "capacity must be non-negative and dim positive"),
 ])
 def test_bank_rejects_a_capacity_or_dim_it_cannot_hold(capacity, dim, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -464,7 +470,7 @@ def test_bank_rejects_a_capacity_or_dim_it_cannot_hold(capacity, dim, message):
 @settings(max_examples=40, deadline=None)
 def test_bank_matches_list_slicing_oracle(seed):
     rng = rng_from_seed(seed, 22)
-    cap = int(rng.integers(1, 12))
+    cap = int(rng.integers(0, 12))
     bank = MemoryBank(capacity=cap, dim=3)
     pushed = []
     for _ in range(int(rng.integers(1, 9))):
@@ -472,5 +478,6 @@ def test_bank_matches_list_slicing_oracle(seed):
         pushed.append(batch)
         bank.enqueue(batch)
     flat = np.vstack(pushed)
-    assert np.array_equal(bank.view(), flat[-cap:])
+    # the last cap rows; flat[-cap:] would be every row at cap 0
+    assert np.array_equal(bank.view(), flat[::-1][:cap][::-1])
     assert len(bank) == min(cap, flat.shape[0])

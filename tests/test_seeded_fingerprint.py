@@ -48,3 +48,13 @@ def test_seeded_fingerprint_digests_the_last_clustering(monkeypatch):
                           + np.array(last.inertia_path).tobytes()).hexdigest()
     assert len(seen) == 2 and out["dcl"]["prototypes"] == want
     assert out["concepts_off"]["prototypes"] is None
+
+
+def test_every_fingerprint_run_builds_its_config():
+    # a run whose changes name a removed field would break the script only when it is run
+    fp = _script()
+    for name, (changes, _, _) in fp.RUNS.items():
+        cfg = fp.config(pl, changes)
+        assert {key: getattr(cfg, key) for key in changes} == changes, name
+    # a run's changes override the script's own keywords
+    assert fp.config(pl, fp.RUNS["memory_off"][0]).bank_capacity == 0
