@@ -9,16 +9,20 @@ Usage::
 ``src`` or an export of another revision (``git archive <rev> src | tar
 -x``). Two trees train bit for bit alike when they print the same bytes.
 
-Each run trains 3 epochs on 200 images x 2 captions and evaluates 40 x 2
-held-out pairs every epoch, with a queue of 96 rows. The runs cover the
-three instance losses, the entropy estimator, the memory loss off, the
-concept losses off and unequal feature widths. Per run the output holds
-the loss rows with their per-epoch recalls, and the sha256 of the
-parameter bytes in ``param_items()`` order and of the momentum mirror's
-bytes, and the sha256 of the last clustering's centroid bytes, label
-bytes and inertia path (null when the concept losses are off). The
-queue's bytes are left out, so that a change of its layout does not
-show; its content reaches every ``l_mdcl`` value in the rows.
+Each run trains 3 epochs on 200 images x 2 captions and evaluates 30 x 2
+held-out pairs every epoch, with a queue of 96 rows; with 30 images a
+recall is a multiple of 1/30 or 1/60, most of which no float holds
+exactly, so a change in how recalls or rsum round shows. The runs cover the three
+instance losses, the entropy estimator, the memory loss off, the concept
+losses off and unequal feature widths. Per run the output holds the loss
+rows with their per-epoch recalls; the sha256 of the parameter bytes in
+``param_items()`` order and of the momentum mirror's bytes; the sha256
+of the last clustering's centroid bytes, label bytes and inertia path
+(null when the concept losses are off); and the sha256 of the final
+state's retrieval embeddings of the held-out split, the bytes of ``v``,
+``vc``, ``w`` and ``wc`` from ``embed_for_retrieval``. The queue's bytes
+are left out, so that a change of its layout does not show; its content
+reaches every ``l_mdcl`` value in the rows.
 """
 import array
 import hashlib
@@ -61,8 +65,13 @@ def config(pl, changes: dict, epochs: int = 3, bank_capacity: int = 96):
     return pl.TrainConfig(**{"seed": 0, "epochs": epochs, "bank_capacity": bank_capacity, **changes})
 
 
-def fingerprint(pl, runs=RUNS, n_train=200, n_val=40, epochs=3, bank_capacity=96) -> dict:
-    """Loss rows and parameter, momentum and prototype digests of each run in ``runs``, by name.
+def _retrieval_sha256(pl, state, val) -> str:
+    _, _, v, w, vc, wc = pl.embed_for_retrieval(state, val)
+    return _sha256((v, vc, w, wc))
+
+
+def fingerprint(pl, runs=RUNS, n_train=200, n_val=30, epochs=3, bank_capacity=96) -> dict:
+    """Loss rows and parameter, momentum, prototype and retrieval digests of each run in ``runs``, by name.
 
     ``pl`` is the ``crossalign.pipeline`` module to run.
     """
@@ -76,7 +85,8 @@ def fingerprint(pl, runs=RUNS, n_train=200, n_val=40, epochs=3, bank_capacity=96
         out[name] = {"rows": rows,
                      "params": _sha256(m.value for _, m in state.model.param_items()),
                      "momentum": _sha256(state.model.encoder_pair.momentum.values()),
-                     "prototypes": _prototypes_sha256(state.prototypes)}
+                     "prototypes": _prototypes_sha256(state.prototypes),
+                     "retrieval": _retrieval_sha256(pl, state, val)}
     return out
 
 

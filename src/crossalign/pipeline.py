@@ -1,32 +1,14 @@
 """Dataset synthesis and IO, the two-branch trainer, and retrieval evaluation.
 
-Records are caption-granular: each carries its caption's token list and
-feature sequence plus its image's feature sequence, so an image with r
-captions appears in r records. Records with one ``image_id`` describe
-one image and must carry the same image features; evaluation and
-clustering embed each image once. Those records share one image array
-(``generate_synthetic`` and ``load_dataset`` both do so), and feature
-arrays are read-only by convention.
-
-A dataset file is a stream of ``.npy`` arrays, numpy's own format, one
-after another in this order (n records, m images)::
-
-    pair_ids         [n] str      unique, non-empty
-    image_ids        [m] str      unique, non-empty, in order of first appearance
-    caption_image    [n] int      each record's image, in [0, m)
-    image_lengths    [m] int      rows of each image sequence
-    image_rows       [sum, d_img] <f8, the image sequences one after another
-    caption_lengths  [n] int      rows of each caption sequence
-    caption_rows     [sum, d_txt] <f8, the caption sequences one after another
-    vocabulary       [v] str      each distinct token once
-    token_counts     [n] int      tokens of each caption
-    token_codes      [sum] int    each token's vocabulary index, in [0, v)
-
-Lengths lie in [1, ``max_seq_len``] and sum to their rows, rows are
-finite, and no byte follows the last array. An open file handle keeps
-the caller's path, whatever its suffix. Each row array is streamed: out
-a sequence at a time, in as read-only chunks of at most ``EMBED_ROWS``
-rows cut at sequence ends, which the records' sequences view.
+A dataset is a ``Dataset``: the ten read-only arrays its docstring lays
+out, one record per caption and each image's sequence once, checked when
+it is built. A dataset file is those ten arrays as a stream of ``.npy``
+arrays, numpy's own format, in field order with no byte after the last;
+an open file handle keeps the caller's path, whatever its suffix.
+Consumers read rows, not records: a training batch gathers its images'
+and captions' ``(lengths, rows)`` by record index, and clustering and
+retrieval hand the encoders zero-copy slices of the row arrays, one run
+of at most ``EMBED_ROWS`` rows at a time.
 
 Training runs both branches per batch (instance embeddings with in-batch
 and memory-bank contrastive losses; concept embeddings with their own
@@ -35,9 +17,9 @@ parameters with one Adam step over their concatenation, moves the
 momentum mirror, and queues the momentum embeddings as ``[v | w]`` pairs.
 
 Evaluation ranks with the beta-blend of instance-level and concept-level
-cosine similarity. Images and captions are embedded in chunks of at most
-``EMBED_ROWS`` stacked feature rows; each caption chunk is stacked once
-for both caption encoders and its concept query follows. Each chunk is
+cosine similarity. Images and captions are embedded in runs of at most
+``EMBED_ROWS`` feature rows; each caption run is read by both caption
+encoders and its concept query follows. Each run is
 written in place into one of two score factors, ``[v | vc]`` per image
 and ``[w | wc]`` per caption, and ``v``, ``w``, ``vc`` and ``wc`` are
 their column views. The canonical score is one matmul of stacked
@@ -77,7 +59,7 @@ CHECKPOINT_VERSION = 5
 EMBED_DIM = 32
 # rows and columns of the score tiles recalls_from_similarity ranks, one at a time
 RANK_BLOCK = 256
-# feature rows embedded at once (embed_for_retrieval, _instance_sums) or read at once (load_dataset)
+# feature rows embedded at once (embed_for_retrieval, _instance_sums) or checked at once (Dataset)
 EMBED_ROWS = 4096
 # the loss parts batch_losses reports and train averages, in the order the total adds them
 LOSS_PARTS = ("l_dcl_i", "l_mdcl", "l_dcl_c", "l_pgc")
@@ -87,13 +69,171 @@ LOSS_PARTS = ("l_dcl_i", "l_mdcl", "l_dcl_c", "l_pgc")
 # data model
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class PairedRecord:
-    pair_id: str
-    image_id: str
-    image_features: np.ndarray
-    caption_tokens: list[str]
-    caption_features: np.ndarray
+@dataclass(frozen=True, slots=True, eq=False)
+class Dataset:
+    """A paired split as the ten arrays of its file, in file order (n records, one per caption; m images)::
+
+        pair_ids         [n] str      unique, non-empty
+        image_ids        [m] str      unique, non-empty, in order of first appearance
+        caption_image    [n] int      each record's image, in [0, m)
+        image_lengths    [m] int      rows of each image sequence, at least 1
+        image_rows       [sum, d_img] <f8, the image sequences one after another
+        caption_lengths  [n] int      rows of each caption sequence, at least 1
+        caption_rows     [sum, d_txt] <f8, the caption sequences one after another
+        vocabulary       [v] str      the tokens that token_codes index
+        token_counts     [n] int      tokens of each caption
+        token_codes      [sum] int    each token's vocabulary index, in [0, v)
+
+    There is at least one record. Row arrays are finite, C-ordered and
+    at least one column wide, with as many rows as their lengths sum to,
+    and there are as many token codes as the counts sum to. Each image's
+    rows are held once, for all its records. ``__post_init__`` checks all
+    of that with array operations, naming the record, the image or the
+    array, so no invalid dataset exists. It holds each field as a
+    read-only view of the array given, or of its int64 copy for ints of
+    another dtype; a str field may also be a sequence of str that a str
+    array keeps unchanged. ``len()`` is the record count.
+    """
+
+    pair_ids: np.ndarray
+    image_ids: np.ndarray
+    caption_image: np.ndarray
+    image_lengths: np.ndarray
+    image_rows: np.ndarray
+    caption_lengths: np.ndarray
+    caption_rows: np.ndarray
+    vocabulary: np.ndarray
+    token_counts: np.ndarray
+    token_codes: np.ndarray
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in ("pair_ids", "image_ids", "vocabulary") and not isinstance(value, np.ndarray):
+                arr = np.array(value, dtype=str)
+                # a str array drops a trailing NUL and turns a non-string into a str
+                if arr.tolist() != list(value):
+                    raise ValueError("every id and token must be a str that does not end in NUL")
+            else:
+                arr = np.asarray(value)
+                if arr.dtype.kind in "iu":
+                    # the encoders index and offset rows with int64; a value it cannot hold is out of range
+                    arr = arr.astype(np.int64, copy=False)
+            arr = arr.view()
+            arr.flags.writeable = False
+            object.__setattr__(self, f.name, arr)
+        pair_ids, image_ids = self.pair_ids, self.image_ids
+        _check_column("pair_ids", pair_ids, "U")
+        if not len(pair_ids):
+            raise ValueError("dataset has no records")
+        _check_column("image_ids", image_ids, "U")
+        for name, kind, size in (("caption_image", "iu", len(pair_ids)),
+                                 ("image_lengths", "iu", len(image_ids)),
+                                 ("caption_lengths", "iu", len(pair_ids)), ("vocabulary", "U", None),
+                                 ("token_counts", "iu", len(pair_ids)), ("token_codes", "iu", None)):
+            _check_column(name, getattr(self, name), kind, size)
+        _check_ids(pair_ids, "pair_ids", "record")
+        _check_ids(image_ids, "image_ids", "image")
+
+        def record(j) -> str:
+            return f"record {str(pair_ids[j])!r}"
+
+        _in_range(self.caption_image, 0, len(image_ids) - 1, "caption_image", record)
+        # in order of first appearance, caption_image's running maximum steps 0, 1, ..., m - 1
+        seen = np.maximum.accumulate(self.caption_image, dtype=np.int64)
+        skip = np.flatnonzero(np.diff(seen, prepend=-1, append=len(image_ids)) > 1)
+        if skip.size:
+            j = int(skip[0])
+            later = f" before {record(j)}, which names a later image" if j < len(pair_ids) else ""
+            raise ValueError(f"image {str(image_ids[seen[j - 1] + 1 if j else 0])!r}: "
+                             f"no record names it{later}")
+        _check_rows("image", self.image_lengths, self.image_rows,
+                    lambda i: f"image {str(image_ids[i])!r}")
+        _check_rows("caption", self.caption_lengths, self.caption_rows, record)
+        counts, codes = self.token_counts, self.token_codes
+        ends = np.cumsum(counts)
+        if ((counts < 0) | (counts > len(codes))).any() or ends[-1] != len(codes):
+            raise ValueError(f"dataset array 'token_counts' must be non-negative and sum to the "
+                             f"{len(codes)} entries of 'token_codes'")
+        _in_range(codes, 0, len(self.vocabulary) - 1, "token code",
+                  lambda k: record(np.searchsorted(ends, k, side="right")))
+
+    def __len__(self) -> int:
+        return len(self.pair_ids)
+
+
+def _check_column(name: str, arr: np.ndarray, kind: str, size: int | None = None) -> None:
+    """Raise unless dataset array ``name`` is 1-D, of a dtype kind in ``kind`` and ``size`` long if given."""
+    if arr.dtype.kind not in kind or arr.ndim != 1 or size not in (None, len(arr)):
+        raise ValueError(f"dataset array {name!r} must be 1-D of dtype kind {kind!r} and length "
+                         f"{'any' if size is None else size}, got {arr.dtype} of shape {arr.shape}")
+
+
+def _check_ids(ids: np.ndarray, name: str, label: str) -> None:
+    """Raise unless ``ids``, dataset array ``name``, are unique and non-empty.
+
+    A duplicate is named as a ``label``, an empty id by its index.
+    """
+    listed = ids.tolist()
+    if len(set(listed)) < len(listed):
+        dup = next(x for x, n in Counter(listed).items() if n > 1)
+        raise ValueError(f"{label} {dup!r}: duplicate {name[:-1]}")
+    empty = np.flatnonzero(ids == "")
+    if empty.size:
+        raise ValueError(f"dataset array {name!r}: entry {empty[0]} is empty")
+
+
+def _in_range(values: np.ndarray, lo: int, hi: int, what: str, owner) -> None:
+    """Raise for the first ``values[i]`` outside ``[lo, hi]``, naming ``owner(i)`` and ``what``."""
+    bad = np.flatnonzero((values < lo) | (values > hi))
+    if bad.size:
+        raise ValueError(f"{owner(bad[0])}: {what} {values[bad[0]]} outside [{lo}, {hi}]")
+
+
+def _check_shape(field: str, lengths: np.ndarray, dtype, shape: tuple, c_order: bool) -> None:
+    """Raise unless ``{field}_rows`` of ``dtype`` and ``shape`` can hold sequences of ``lengths``, each >= 1.
+
+    That is a C-ordered <f8 array with as many rows as the lengths sum to and at least one column.
+    """
+    total = lengths.sum()
+    # lengths of at least 1 and at most the row count sum to that count without wrapping
+    if not (dtype == "<f8" and c_order and len(shape) == 2 and shape[1] >= 1
+            and lengths.max(initial=0) <= shape[0] == total):
+        raise ValueError(f"dataset array '{field}_rows' must be a C-ordered <f8 array of {total} rows, "
+                         f"as '{field}_lengths' sum to, and d >= 1 columns, got {dtype} of shape {shape}")
+
+
+def _check_rows(field: str, lengths: np.ndarray, rows: np.ndarray, owner) -> None:
+    """Raise unless ``rows`` hold the finite, non-empty sequences of ``lengths``; ``owner(i)`` names one.
+
+    Finiteness is checked one ``_runs`` run at a time, so temporaries stay O(EMBED_ROWS x d).
+    """
+    name = f"{field}_features"
+    empty = np.flatnonzero(lengths < 1)
+    if empty.size:
+        raise ValueError(f"{owner(empty[0])}: {name} has no rows")
+    _check_shape(field, lengths, rows.dtype, rows.shape, rows.flags.c_contiguous)
+    for lo, _, (run_lengths, run) in _runs(lengths, rows):
+        finite = np.isfinite(run)
+        if not finite.all():
+            i = lo + np.searchsorted(np.cumsum(run_lengths), finite.all(axis=1).argmin(), side="right")
+            raise ValueError(f"{owner(i)}: {name} contains non-finite values")
+
+
+def _runs(lengths: np.ndarray, rows: np.ndarray):
+    """``(lo, hi, (lengths[lo:hi], their rows))`` for each run of consecutive sequences, lazily.
+
+    ``rows`` holds the sequences of ``lengths`` one after another, and
+    both parts of a run are views. A run holds at most ``EMBED_ROWS``
+    rows: it ends before the sequence that would pass the budget, so a
+    longer sequence is a run of its own.
+    """
+    ends, lo = np.cumsum(lengths), 0
+    while lo < len(ends):
+        r0 = int(ends[lo - 1]) if lo else 0
+        hi = max(int(np.searchsorted(ends, r0 + EMBED_ROWS, side="right")), lo + 1)
+        yield lo, hi, (lengths[lo:hi], rows[r0:int(ends[hi - 1])])
+        lo = hi
 
 
 @dataclass
@@ -231,7 +371,7 @@ def build_world(latent_classes: int, seed: int, *, d_img: int = 48, d_txt: int =
 def generate_synthetic(n_images: int, captions_per_image: int = 1, latent_classes: int = 8,
                        noise: float = 0.1, seed: int = 0, *, split: str = "train",
                        world: SyntheticWorld | None = None, attrs_per_image: int = 3,
-                       d_img: int = 48, d_txt: int = 48) -> list[PairedRecord]:
+                       d_img: int = 48, d_txt: int = 48) -> Dataset:
     """Deterministic paired dataset over shared latent classes.
 
     Every image shows a per-image subset of its class's attribute latents
@@ -258,7 +398,7 @@ def generate_synthetic(n_images: int, captions_per_image: int = 1, latent_classe
     if not 1 <= attrs_per_image <= world.attrs_per_class:
         raise ValueError(f"attrs_per_image must lie in [1, {world.attrs_per_class}], got {attrs_per_image}")
     rng = rng_from_seed(seed, 202, int.from_bytes(split.encode(), "big"))
-    records: list[PairedRecord] = []
+    pair_ids, image_ids, images, captions, tokens, token_counts = [], [], [], [], [], []
     for i in range(n_images):
         cls = int(rng.integers(world.latent_classes))
         slots = np.sort(rng.choice(world.attrs_per_class, size=attrs_per_image, replace=False))
@@ -266,20 +406,28 @@ def generate_synthetic(n_images: int, captions_per_image: int = 1, latent_classe
         extra = int(rng.integers(0, 3))
         rows = [latents[j % attrs_per_image] for j in range(attrs_per_image + extra)]
         image = np.stack(rows) @ world.proj_img
-        image = image + noise * rng.standard_normal(image.shape)
-        image_id = f"{split}-c{cls}-i{i:05d}"
+        images.append(image + noise * rng.standard_normal(image.shape))
+        image_ids.append(f"{split}-c{cls}-i{i:05d}")
         for k in range(captions_per_image):
             n_distract = int(rng.integers(1, 3))
             picks = rng.choice(len(DISTRACTOR_TOKENS), size=n_distract, replace=False)
-            tokens = ([world.attr_token(cls, int(s)) for s in slots]
-                      + [DISTRACTOR_TOKENS[int(p)] for p in picks])
+            words = ([world.attr_token(cls, int(s)) for s in slots]
+                     + [DISTRACTOR_TOKENS[int(p)] for p in picks])
             # each token's latent row, shuffled together with the tokens
             token_latents = np.concatenate([latents, world.distractor_latents[picks]])
-            order = rng.permutation(len(tokens))
-            tokens = [tokens[int(o)] for o in order]
-            caption = token_latents[order] @ world.proj_txt
-            records.append(PairedRecord(f"{image_id}-cap{k}", image_id, image, tokens, caption))
-    return records
+            order = rng.permutation(len(words))
+            tokens += [words[int(o)] for o in order]
+            token_counts.append(len(words))
+            captions.append(token_latents[order] @ world.proj_txt)
+            pair_ids.append(f"{image_ids[-1]}-cap{k}")
+    vocabulary: dict[str, int] = {}  # each token's code, in order of first appearance
+    codes = [vocabulary.setdefault(t, len(vocabulary)) for t in tokens]
+    return Dataset(np.array(pair_ids, dtype=str), np.array(image_ids, dtype=str),
+                   np.repeat(np.arange(n_images, dtype=np.int64), captions_per_image),
+                   np.array([len(x) for x in images], dtype=np.int64), np.concatenate(images),
+                   np.array([len(x) for x in captions], dtype=np.int64), np.concatenate(captions),
+                   np.array(list(vocabulary), dtype=str), np.array(token_counts, dtype=np.int64),
+                   np.array(codes, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -310,94 +458,16 @@ def _load(fh, where: str) -> np.ndarray:
     return arr.reshape(shape[::-1]).T if fortran_order else arr.reshape(shape)
 
 
-def _save(fh, values, dtype) -> None:
-    """Append ``values`` to the stream ``fh`` as one ``dtype`` array."""
-    arr = np.array(values, dtype=dtype)
-    # a str array drops a trailing NUL and turns a non-string into a str
-    if dtype is str and arr.tolist() != values:
-        raise ValueError("every id and token must be a str that does not end in NUL")
-    np.save(fh, arr, allow_pickle=False)
+def save_dataset(data: Dataset, path) -> None:
+    """Write the ten arrays of ``data`` to ``path`` as one stream, in field order.
 
-
-def _ids(ids: list[str], name: str, label: str) -> list[str]:
-    """``ids``, the entries of dataset array ``name``, checked unique and non-empty.
-
-    A duplicate is named as a ``label``, an empty id by its index.
-    """
-    dup = next((x for x, n in Counter(ids).items() if n > 1), None)
-    if dup is not None:
-        raise ValueError(f"{label} {dup!r}: duplicate {name[:-1]}")
-    if "" in ids:
-        raise ValueError(f"dataset array {name!r}: entry {ids.index('')} is empty")
-    return ids
-
-
-def _runs(lengths):
-    """Bounds ``(lo, hi)`` of the runs of consecutive sequences of ``lengths`` rows, lazily.
-
-    A run holds at most ``EMBED_ROWS`` rows: it ends before the sequence
-    that would pass the budget, so a longer sequence is its own run.
-    """
-    ends, lo = np.cumsum(lengths), 0
-    while lo < len(ends):
-        below = ends[lo - 1] if lo else 0
-        hi = max(int(np.searchsorted(ends, below + EMBED_ROWS, side="right")), lo + 1)
-        yield lo, hi
-        lo = hi
-
-
-def _write_rows(fh, seqs: list[np.ndarray], wheres: list[str]) -> None:
-    """Append the lengths of ``seqs``, then their rows: one array header and each sequence's bytes.
-
-    ``wheres[i]`` names sequence i in errors.
-    """
-    width = seqs[0].shape[1:]
-    _save(fh, [len(seq) for seq in seqs], np.int64)
-    np.lib.format.write_array_header_1_0(fh, {"descr": "<f8", "fortran_order": False,
-                                              "shape": (sum(map(len, seqs)), *width)})
-    for where, seq in zip(wheres, seqs):
-        if len(width) != 1 or seq.shape[1:] != width:
-            raise ValueError(f"{where} must be [L, d] with the first one's d, "
-                             f"got shape {list(seq.shape)}")
-        if not len(seq):
-            raise ValueError(f"{where} has no rows")
-        if not np.isfinite(seq).all():
-            raise ValueError(f"{where} contains non-finite values")
-        # tofile would flush and re-seek the file on every call
-        fh.write(np.ascontiguousarray(seq, dtype="<f8"))
-
-
-def save_dataset(data: list[PairedRecord], path) -> None:
-    """Write ``data`` to ``path`` as the module docstring's array stream.
-
-    The records of one ``image_id`` must hold bit-identical image features.
-    Errors name the record, the image or the array; a failed save removes
-    its file.
+    A save that fails partway, as on a full disk, removes its file.
     """
     fh = open(path, "wb")
     try:
         with fh:
-            if not data:
-                raise ValueError("no records to save")
-            image_ids, images, caption_image = _unique_images(data)
-            for r, i in zip(data, caption_image):
-                a, b = (np.asarray(x, dtype="<f8") for x in (images[i], r.image_features))
-                if a is not b and (a.shape != b.shape or a.tobytes() != b.tobytes()):
-                    first = next(q for q in data if q.image_id == r.image_id)
-                    raise ValueError(f"record {r.pair_id!r}: image_features differ from those of "
-                                     f"record {first.pair_id!r}, which has the same image_id "
-                                     f"{r.image_id!r}")
-            vocabulary: dict[str, int] = {}
-            codes = [vocabulary.setdefault(t, len(vocabulary)) for r in data for t in r.caption_tokens]
-            _save(fh, _ids([r.pair_id for r in data], "pair_ids", "record"), str)
-            _save(fh, _ids(image_ids, "image_ids", "image"), str)
-            _save(fh, caption_image, np.int64)
-            _write_rows(fh, images, [f"image {i!r}: image_features" for i in image_ids])
-            _write_rows(fh, [r.caption_features for r in data],
-                        [f"record {r.pair_id!r}: caption_features" for r in data])
-            _save(fh, list(vocabulary), str)
-            _save(fh, [len(r.caption_tokens) for r in data], np.int64)
-            _save(fh, codes, np.int64)
+            for f in fields(Dataset):
+                np.save(fh, getattr(data, f.name), allow_pickle=False)
     except BaseException:
         os.remove(path)
         raise
@@ -405,90 +475,47 @@ def save_dataset(data: list[PairedRecord], path) -> None:
 
 def _column(fh, name: str, kind: str, size: int | None = None) -> np.ndarray:
     """Dataset array ``name``: 1-D, of a dtype kind in ``kind``, ``size`` long if given."""
-    where = f"dataset array {name!r}"
-    arr = _load(fh, where)
-    if arr.dtype.kind not in kind or arr.ndim != 1 or size not in (None, len(arr)):
-        raise ValueError(f"{where} must be 1-D of dtype kind {kind!r} and length "
-                         f"{'any' if size is None else size}, got {arr.dtype} of shape {arr.shape}")
+    arr = _load(fh, f"dataset array {name!r}")
+    _check_column(name, arr, kind, size)
     return arr
 
 
-def _in_range(values: np.ndarray, lo: int, hi: int, what: str, owner) -> None:
-    """Raise for the first ``values[i]`` outside ``[lo, hi]``, naming ``owner(i)`` and ``what``."""
-    bad = np.flatnonzero((values < lo) | (values > hi))
-    if bad.size:
-        raise ValueError(f"{owner(bad[0])}: {what} {values[bad[0]]} outside [{lo}, {hi}]")
+def _read_rows(fh, field: str, owners: np.ndarray, label: str, max_seq_len: int):
+    """``{field}_lengths``, each in ``[1, max_seq_len]``, and ``{field}_rows``, read with one ``np.fromfile``.
 
-
-def _read_rows(fh, field: str, owners: list[str], label: str, max_seq_len: int) -> list[np.ndarray]:
-    """``{field}_lengths`` and ``{field}_rows``, as one read-only view per sequence.
-
-    ``np.fromfile`` reads the rows one ``_runs`` chunk at a time, each
-    checked once; ``owners`` names the sequences as ``label``.
+    ``owners`` names the sequences as ``label``.
     """
-    name = f"{field}_features"
     lengths = _column(fh, f"{field}_lengths", "iu", len(owners))
-    _in_range(lengths, 1, max_seq_len, f"{name} length", lambda i: f"{label} {owners[i]!r}")
-    where = f"dataset array '{field}_rows'"
-    shape, fortran_order, dtype = _header(fh, where)
-    ends = np.cumsum(lengths)
-    if dtype != "<f8" or fortran_order or len(shape) != 2 or shape[0] != ends[-1] or shape[1] < 1:
-        raise ValueError(f"{where} must be a C-ordered <f8 array of {ends[-1]} rows, as "
-                         f"'{field}_lengths' sum to, and d >= 1 columns, got {dtype} of shape {shape}")
-    seqs: list[np.ndarray] = []
-    for lo, hi in _runs(lengths):
-        cuts = (ends[lo:hi] - (ends[lo - 1] if lo else 0)).tolist()
-        chunk = np.fromfile(fh, dtype="<f8", count=cuts[-1] * shape[1])
-        chunk.flags.writeable = False
-        rows = chunk.reshape(-1, shape[1])
-        if not np.isfinite(chunk).all():
-            i = lo + np.searchsorted(cuts, np.isfinite(rows).all(axis=1).argmin(), side="right")
-            raise ValueError(f"{label} {owners[i]!r}: {name} contains non-finite values")
-        seqs += [rows[a:b] for a, b in zip([0, *cuts], cuts)]
-    return seqs
+    _in_range(lengths, 1, max_seq_len, f"{field}_features length",
+              lambda i: f"{label} {str(owners[i])!r}")
+    shape, fortran_order, dtype = _header(fh, f"dataset array '{field}_rows'")
+    _check_shape(field, lengths, dtype, shape, not fortran_order)
+    return lengths, np.fromfile(fh, dtype="<f8", count=math.prod(shape)).reshape(shape)
 
 
-def load_dataset(path, max_seq_len: int = 64) -> list[PairedRecord]:
-    """Read a file ``save_dataset`` wrote, checking it with array operations.
+def load_dataset(path, max_seq_len: int = 64) -> Dataset:
+    """Read a file ``save_dataset`` wrote; errors name the record, the image or the array.
 
-    Errors name the record, the image or the array. An image's records
-    share its read-only array and ``image_id`` str, and each token is the
-    one str of its vocabulary entry.
+    Each array is checked as it is read, so the first bad one in file
+    order is named, and the ``Dataset`` built from them checks the rest.
     """
     if type(max_seq_len) is not int or max_seq_len < 1:
         raise ValueError(f"max_seq_len must be a positive int, got {max_seq_len!r}")
     with open(path, "rb") as fh:
-        pair_ids = _ids(_column(fh, "pair_ids", "U").tolist(), "pair_ids", "record")
-        if not pair_ids:
+        pair_ids = _column(fh, "pair_ids", "U")
+        if not len(pair_ids):
             raise ValueError(f"dataset {path} has no records")
-        image_ids = _ids(_column(fh, "image_ids", "U").tolist(), "image_ids", "image")
+        image_ids = _column(fh, "image_ids", "U")
         caption_image = _column(fh, "caption_image", "iu", len(pair_ids))
-        _in_range(caption_image, 0, len(image_ids) - 1, "caption_image",
-                  lambda j: f"record {pair_ids[j]!r}")
-        # in order of first appearance, caption_image's running maximum steps 0, 1, ..., m - 1
-        seen = np.maximum.accumulate(caption_image, dtype=np.int64)
-        skip = np.flatnonzero(np.diff(seen, prepend=-1, append=len(image_ids)) > 1)
-        if skip.size:
-            j = int(skip[0])
-            later = f" before record {pair_ids[j]!r}, which names a later image" if j < len(pair_ids) else ""
-            raise ValueError(f"image {image_ids[seen[j - 1] + 1 if j else 0]!r}: no record names it{later}")
         images = _read_rows(fh, "image", image_ids, "image", max_seq_len)
         captions = _read_rows(fh, "caption", pair_ids, "record", max_seq_len)
-        vocabulary = _column(fh, "vocabulary", "U").tolist()
-        counts = _column(fh, "token_counts", "iu", len(pair_ids))
-        codes = _column(fh, "token_codes", "iu")
-        ends = np.cumsum(counts).tolist()
-        if ((counts < 0) | (counts > len(codes))).any() or ends[-1] != len(codes):
-            raise ValueError(f"dataset array 'token_counts' must be non-negative and sum to the "
-                             f"{len(codes)} entries of 'token_codes'")
-        _in_range(codes, 0, len(vocabulary) - 1, "token code",
-                  lambda k: f"record {pair_ids[np.searchsorted(ends, k, side='right')]!r}")
+        vocabulary = _column(fh, "vocabulary", "U")
+        token_counts = _column(fh, "token_counts", "iu", len(pair_ids))
+        token_codes = _column(fh, "token_codes", "iu")
         if fh.read(1):
             raise ValueError(f"dataset {path}: bytes follow the last array")
-    tokens = [vocabulary[c] for c in codes.tolist()]
-    return [PairedRecord(p, image_ids[i], images[i], tokens[e - n:e], caption)
-            for p, i, caption, n, e in zip(pair_ids, caption_image.tolist(), captions,
-                                            counts.tolist(), ends)]
+    return Dataset(pair_ids, image_ids, caption_image, *images, *captions, vocabulary,
+                   token_counts, token_codes)
 
 
 # ---------------------------------------------------------------------------
@@ -578,17 +605,17 @@ def _fresh_state(cfg: TrainConfig, model: AlignmentModel) -> TrainState:
                       MemoryBank(cfg.bank_capacity, 2 * EMBED_DIM))
 
 
-def build_state(cfg: TrainConfig, data: list[PairedRecord]) -> TrainState:
+def build_state(cfg: TrainConfig, data: Dataset) -> TrainState:
     """Initialize model, optimizer state and queue from a training set."""
-    if not data:
-        raise ValueError("training dataset is empty")
-    d_img = data[0].image_features.shape[1]
-    d_txt = data[0].caption_features.shape[1]
-    corpus = [r.caption_tokens for r in data]
+    # each caption's tokens, the one str of their vocabulary entry
+    tokens = np.array(data.vocabulary.tolist(), dtype=object)[data.token_codes].tolist()
+    ends = np.cumsum(data.token_counts).tolist()
+    corpus = [tokens[lo:hi] for lo, hi in zip([0, *ends], ends)]
     concepts = kn.build_vocabulary(corpus, cfg.concepts)
     adjacency = kn.binarize(kn.build_cooccurrence(corpus, concepts))
     inputs = kn.concept_inputs(adjacency, EMBED_DIM, cfg.seed)
-    return _fresh_state(cfg, AlignmentModel(cfg, d_img, d_txt, inputs))
+    return _fresh_state(cfg, AlignmentModel(cfg, data.image_rows.shape[1], data.caption_rows.shape[1],
+                                            inputs))
 
 
 # ---------------------------------------------------------------------------
@@ -609,21 +636,19 @@ def _instance_loss(cfg: TrainConfig, sim: SimilarityMatrix, div) -> Matrix:
     return obj.dcl_loss(sim, *div, cfg.mu, cfg.gamma)
 
 
-def batch_losses(state: TrainState, records: list[PairedRecord], labels: np.ndarray | None
+def batch_losses(state: TrainState, images: tuple[np.ndarray, np.ndarray],
+                 captions: tuple[np.ndarray, np.ndarray], labels: np.ndarray | None
                  ) -> tuple[Matrix, dict[str, float], np.ndarray]:
-    """Forward both branches on one batch.
+    """Forward both branches on one batch, its images' and its captions' ``(lengths, rows)``.
 
-    Returns the loss ``lambda_weight * l_dcl_i + l_mdcl + l_dcl_c + l_pgc``
+    Every encoder of a modality reads that modality's one pair. Returns
+    the loss ``lambda_weight * l_dcl_i + l_mdcl + l_dcl_c + l_pgc``
     as one graph node, where each of the last three is added only when it
     is on; each part's value by name, 0.0 for a part that is off; and the
     batch's momentum ``[v | w]`` pairs, the queue's rows: [n, 2f], or [0, 2f] with no queue.
     """
     cfg = state.config
     model = state.model
-    # each modality is stacked once and read by every encoder of it
-    images = model.vis_agg.stack([r.image_features for r in records])
-    captions = model.txt_agg.stack([r.caption_features for r in records])
-
     v_inst = model.vis_agg.aggregate_batch(*images)
     w_inst = model.txt_agg.aggregate_batch(*captions)
     # the momentum encoders take no gradient, so they build no graph, and with no queue they do not run
@@ -666,35 +691,29 @@ def batch_losses(state: TrainState, records: list[PairedRecord], labels: np.ndar
 # training loop
 # ---------------------------------------------------------------------------
 
-def _unique_images(records: list[PairedRecord]):
-    """Image ids in order of first appearance, each image's first array, and each record's image."""
-    first: dict[str, PairedRecord] = {}
-    for r in records:
-        first.setdefault(r.image_id, r)
-    index = {image_id: i for i, image_id in enumerate(first)}
-    return (list(first), [r.image_features for r in first.values()],
-            np.array([index[r.image_id] for r in records], dtype=np.int64))
+def _gather(lengths: np.ndarray, rows: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(lengths[index], their rows)``: the sequences ``index`` names, in its order, rows stacked."""
+    picked = lengths[index]
+    ends = np.cumsum(picked)
+    # row r of the result, in picked sequence s, is row r + shift[s] of ``rows``
+    shift = (np.cumsum(lengths) - lengths)[index] - (ends - picked)
+    return picked, rows[np.arange(ends[-1]) + np.repeat(shift, picked)]
 
 
-def _stacks(agg: FeatureAggregator, seqs):
-    """``(lo, hi, agg.stack(seqs[lo:hi]))`` for each ``_runs`` run of ``seqs``, lazily."""
-    for lo, hi in _runs([len(seq) for seq in seqs]):
-        yield lo, hi, agg.stack(seqs[lo:hi])
-
-
-def _instance_sums(state: TrainState, records: list[PairedRecord]) -> np.ndarray:
+def _instance_sums(state: TrainState, data: Dataset) -> np.ndarray:
     """v + w per record from the main encoders, for prototype clustering.
 
-    Both sides are embedded in ``_stacks`` runs; each caption run's sums
-    are written in place into the one [n_records, f] result, so no other
-    array of that size is made.
+    Each image is embedded once. Both sides are embedded in ``_runs``
+    runs; each caption run's sums are written in place into the one
+    [n_records, f] result, so no other array of that size is made.
     """
     model = state.model
-    _, img_seqs, caption_image = _unique_images(records)
-    v = np.vstack([model.vis_agg.forward(*run) for _, _, run in _stacks(model.vis_agg, img_seqs)])
-    sums = np.empty((len(records), v.shape[1]))
-    for lo, hi, run in _stacks(model.txt_agg, [r.caption_features for r in records]):
-        np.add(v[caption_image[lo:hi]], model.txt_agg.forward(*run), out=sums[lo:hi])
+    v = np.empty((len(data.image_ids), EMBED_DIM))
+    for lo, hi, run in _runs(data.image_lengths, data.image_rows):
+        v[lo:hi] = model.vis_agg.forward(*run)
+    sums = np.empty((len(data), EMBED_DIM))
+    for lo, hi, run in _runs(data.caption_lengths, data.caption_rows):
+        np.add(v[data.caption_image[lo:hi]], model.txt_agg.forward(*run), out=sums[lo:hi])
     return sums
 
 
@@ -719,8 +738,8 @@ def _snapshot(state: TrainState) -> dict[str, dict[str, np.ndarray]]:
             "momentum": {name: arr.copy() for name, arr in state.model.encoder_pair.momentum.items()}}
 
 
-def train(cfg: TrainConfig, data: list[PairedRecord],
-          val_data: list[PairedRecord] | None = None) -> tuple[TrainState, list[dict]]:
+def train(cfg: TrainConfig, data: Dataset,
+          val_data: Dataset | None = None) -> tuple[TrainState, list[dict]]:
     """Run the full two-branch loop; returns the final state and per-epoch rows.
 
     Per epoch: cluster the summed instance embeddings into prototypes
@@ -759,10 +778,11 @@ def train(cfg: TrainConfig, data: list[PairedRecord],
         n_batches = 0
         for start in range(0, len(order), cfg.batch_size):
             batch_idx = order[start:start + cfg.batch_size]
-            records = [data[i] for i in batch_idx]
+            images = _gather(data.image_lengths, data.image_rows, data.caption_image[batch_idx])
+            captions = _gather(data.caption_lengths, data.caption_rows, batch_idx)
             labels = labels_all[batch_idx] if labels_all is not None else None
             try:
-                total, parts, pairs = batch_losses(state, records, labels)
+                total, parts, pairs = batch_losses(state, images, captions, labels)
                 backward(total)
                 _adam_update(state)
             except nm.NonFiniteError as e:
@@ -941,30 +961,29 @@ def recalls_from_similarity(scores: np.ndarray | StackedScores,
     return EvalResult(*[100.0 * h / n_img for h in text], *[100.0 * h / n_cap for h in image], rsum)
 
 
-def embed_for_retrieval(state: TrainState, data: list[PairedRecord]):
-    """Instance and concept embeddings for every unique image and caption.
+def embed_for_retrieval(state: TrainState, data: Dataset):
+    """Instance and concept embeddings for every image and caption.
 
     Returns ``(image_ids, caption_image, v, w, vc, wc)``. Each side is
     written in place into one score factor, ``[v | vc]`` for the images
     and ``[w | wc]`` for the captions, and ``v``, ``vc``, ``w`` and
-    ``wc`` are its column views. Sequences are embedded in runs of at
-    most ``EMBED_ROWS`` stacked feature rows (``_stacks``): each caption
-    run is stacked once and read by both caption encoders, and each run's
-    concept query follows its encoders. Besides the two factors, extra
-    memory is O(EMBED_ROWS x d), d the widest feature or embedding row.
+    ``wc`` are its column views. Sequences are embedded in ``_runs`` runs
+    of at most ``EMBED_ROWS`` feature rows, each handed to the encoders
+    as slices of the dataset's row arrays: each caption run is read by
+    both caption encoders, and each run's concept query follows its
+    encoders. Besides the two factors, extra memory is O(EMBED_ROWS x d),
+    d the widest feature or embedding row.
     """
-    if not data:
-        raise ValueError("evaluation split is empty")
     model = state.model
-    image_ids, img_seqs, caption_image = _unique_images(data)
     basis = model.concept_basis()
     f = EMBED_DIM
     factors = []
-    for agg, concept_agg, weight, seqs in (
-            (model.vis_agg, None, "w_visual", img_seqs),
-            (model.txt_agg, model.txt_concept_agg, "w_textual", [r.caption_features for r in data])):
-        factor = np.empty((len(seqs), 2 * f))
-        for lo, hi, run in _stacks(agg, seqs):
+    for agg, concept_agg, weight, lengths, rows in (
+            (model.vis_agg, None, "w_visual", data.image_lengths, data.image_rows),
+            (model.txt_agg, model.txt_concept_agg, "w_textual", data.caption_lengths,
+             data.caption_rows)):
+        factor = np.empty((len(lengths), 2 * f))
+        for lo, hi, run in _runs(lengths, rows):
             inst = agg.forward(*run)
             # the visual concept query is the instance embedding
             query = inst if concept_agg is None else concept_agg.forward(*run)
@@ -972,10 +991,11 @@ def embed_for_retrieval(state: TrainState, data: list[PairedRecord]):
             factor[lo:hi, f:] = model.concept_embed(Matrix(query), basis, weight).value
         factors.append(factor)
     image, caption = factors
-    return image_ids, caption_image, image[:, :f], caption[:, :f], image[:, f:], caption[:, f:]
+    return (data.image_ids, data.caption_image, image[:, :f], caption[:, :f], image[:, f:],
+            caption[:, f:])
 
 
-def evaluate(state: TrainState, data: list[PairedRecord], beta: float | None = None) -> EvalResult:
+def evaluate(state: TrainState, data: Dataset, beta: float | None = None) -> EvalResult:
     """Retrieval recalls under the beta-blend of both branches' cosine similarities.
 
     The blend is scored as ``L @ R.T`` with ``L = [beta*v | (1-beta)*vc]``

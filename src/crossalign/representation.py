@@ -8,9 +8,9 @@ are plain dot products. One plain-numpy pass computes all of that:
 ``FeatureAggregator.aggregate_batch`` wraps it in a single graph node
 with a hand-written VJP for training, and ``FeatureAggregator.forward``
 returns its embeddings with no node for the encoders that take no
-gradient. ``FeatureAggregator.stack`` is the one check and stacking of
-input sequences, and both entry points take its ``(lengths, rows)``, so
-every encoder of one input width reads one stack of a batch. A momentum
+gradient. Both entry points take a batch as ``(lengths, rows)``: the n
+sequences' lengths and their rows stacked one after another, so every
+encoder of one input width reads one pair per batch. A momentum
 copy of the encoder parameters follows the trainable ones by EMA and
 feeds the FIFO memory queue.
 """
@@ -74,38 +74,24 @@ class FeatureAggregator:
             "dec_b2": Matrix(np.ones((1, 1))),
         }
 
-    def stack(self, seqs) -> tuple[np.ndarray, np.ndarray]:
-        """The sequences' lengths, and their rows stacked into one [sum of lengths, d_in] array.
-
-        Each sequence must be a nonempty 2-D array of width ``d_in``.
-        """
-        arrs = [np.asarray(seq, dtype=np.float64) for seq in seqs]
-        if not arrs:
-            raise ValueError("stack needs at least one sequence")
-        for arr in arrs:
-            if arr.ndim != 2 or arr.shape[0] < 1:
-                raise ValueError("each sequence must be a nonempty 2-D array")
-            if arr.shape[1] != self.d_in:
-                raise ValueError(f"sequence feature dim {arr.shape[1]} != aggregator d_in {self.d_in}")
-        # lengths first: the bench counts an encoder call's sequences as len() of its first argument
-        return np.array([a.shape[0] for a in arrs], dtype=np.int64), np.concatenate(arrs)
-
     def forward(self, lengths: np.ndarray, rows: np.ndarray,
                 params: dict[str, np.ndarray] | None = None) -> np.ndarray:
-        """Unit embeddings [n, out_dim] of the n sequences of a ``stack`` result, with no graph node.
+        """Unit embeddings [n, out_dim] of the n sequences of ``(lengths, rows)``, with no graph node.
 
         For encoders that take no gradient: the momentum mirror (its
         arrays as ``params``), clustering and evaluation. ``params`` None
         uses the values of the trainable parameters. The result is
-        bit for bit the value of ``aggregate_batch`` on the same stack,
-        which any aggregator of the same ``d_in`` may make.
+        bit for bit the value of ``aggregate_batch`` on the same pair.
         """
         if params is None:
             params = {k: m.value for k, m in self.p.items()}
         return _forward(lengths, rows, params, self.d_p)[0]
 
     def aggregate_batch(self, lengths: np.ndarray, rows: np.ndarray) -> Matrix:
-        """Embed the n sequences of a ``stack`` result at once as one graph node; returns [n, out_dim].
+        """Embed the n sequences of ``(lengths, rows)`` at once as one graph node; returns [n, out_dim].
+
+        ``lengths`` come first: the bench counts an encoder call's
+        sequences as ``len()`` of its first argument.
 
         The stacked rows are projected with a single matmul; each
         sequence's projected rows are summed with per-position weights and

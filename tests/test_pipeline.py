@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import inspect
 import io
 import json
@@ -24,6 +25,8 @@ from crossalign.numerics import (
     rng_from_seed,
 )
 from crossalign.representation import EncoderPair, FeatureAggregator, MemoryBank
+
+from stacking import stack
 
 
 def reference_recalls(scores, caption_image) -> pl.EvalResult:
@@ -359,8 +362,30 @@ def test_aggregate_batch_is_one_node_over_its_parameters_for_any_batch():
     seqs = [rng.standard_normal((int(rng.integers(1, 6)), 6)) for _ in range(50)]
     params = tuple(agg.p[k] for k in ("proj", "dec_w1", "dec_b1", "dec_w2", "dec_b2"))
     for batch in (seqs[:1], seqs):
-        out = agg.aggregate_batch(*agg.stack(batch))
+        out = agg.aggregate_batch(*stack(batch))
         assert out._parents == params and _graph_nodes(out) == 6
+
+
+def _sequences(lengths, rows) -> list[np.ndarray]:
+    """Each sequence of ``lengths`` as its own view of ``rows``."""
+    return np.split(rows, np.cumsum(lengths)[:-1])
+
+
+def _reorder(data, order) -> pl.Dataset:
+    """The records of ``data`` in ``order`` (which must keep its images in order of first appearance)."""
+    captions = _sequences(data.caption_lengths, data.caption_rows)
+    tokens = np.split(data.token_codes, np.cumsum(data.token_counts)[:-1])
+    return dataclasses.replace(
+        data, pair_ids=data.pair_ids[order], caption_image=data.caption_image[order],
+        caption_lengths=data.caption_lengths[order],
+        caption_rows=np.concatenate([captions[i] for i in order]),
+        token_counts=data.token_counts[order], token_codes=np.concatenate([tokens[i] for i in order]))
+
+
+def _batch(data, index):
+    """The ``(lengths, rows)`` of the images and the captions of records ``index``, as ``train`` gathers them."""
+    return (pl._gather(data.image_lengths, data.image_rows, data.caption_image[index]),
+            pl._gather(data.caption_lengths, data.caption_rows, index))
 
 
 def test_embed_for_retrieval_reuses_image_chunks_exactly():
@@ -372,21 +397,21 @@ def test_embed_for_retrieval_reuses_image_chunks_exactly():
 
     _, caption_image, v, _, vc, _ = pl.embed_for_retrieval(state, val)
 
-    _, img_seqs, want_caption_image = pl._unique_images(val)
+    img_seqs = _sequences(val.image_lengths, val.image_rows)
     basis = model.concept_basis()
     chunks = [img_seqs[i:i + 128] for i in range(0, len(img_seqs), 128)]
     assert len(chunks) == 2
     agg = model.vis_agg
-    want_v = np.vstack([agg.aggregate_batch(*agg.stack(c)).value for c in chunks])
+    want_v = np.vstack([agg.aggregate_batch(*stack(c)).value for c in chunks])
     want_vc = np.vstack([
-        model.concept_embed(agg.aggregate_batch(*agg.stack(c)), basis, "w_visual").value
+        model.concept_embed(agg.aggregate_batch(*stack(c)), basis, "w_visual").value
         for c in chunks])
-    assert np.array_equal(caption_image, want_caption_image)
+    assert caption_image is val.caption_image
     assert np.array_equal(v, want_v)
     assert np.array_equal(vc, want_vc)
 
 
-def test_embed_for_retrieval_stacks_each_row_budget_chunk_once(monkeypatch):
+def test_embed_for_retrieval_hands_each_run_to_the_encoders_as_slices(monkeypatch):
     budget = 30
     monkeypatch.setattr(pl, "EMBED_ROWS", budget)
     world = pl.build_world(4, 0)
@@ -394,82 +419,95 @@ def test_embed_for_retrieval_stacks_each_row_budget_chunk_once(monkeypatch):
                            pl.generate_synthetic(20, 2, 4, seed=1, world=world))
     model = state.model
     val = pl.generate_synthetic(12, 3, 4, seed=2, split="val", world=world)
-    long_caption = rng_from_seed(3).standard_normal((budget + 15, 48))
-    val[7].caption_features = long_caption
-    stacked = []
-    stack = FeatureAggregator.stack
-    monkeypatch.setattr(FeatureAggregator, "stack",
-                        lambda agg, seqs: stacked.append((agg, seqs)) or stack(agg, seqs))
+    lengths = val.caption_lengths.copy()
+    lengths[7] = budget + 15
+    captions = _sequences(val.caption_lengths, val.caption_rows)
+    captions[7] = long_caption = rng_from_seed(3).standard_normal((budget + 15, 48))
+    val = dataclasses.replace(val, caption_lengths=lengths, caption_rows=np.concatenate(captions))
+    runs = []
+    forward = FeatureAggregator.forward
+    monkeypatch.setattr(FeatureAggregator, "forward", lambda agg, lengths, rows, params=None:
+                        runs.append((agg, lengths, rows)) or forward(agg, lengths, rows, params))
 
     _, caption_image, v, w, vc, wc = pl.embed_for_retrieval(state, val)
 
-    img_chunks = [seqs for agg, seqs in stacked if agg is model.vis_agg]
-    cap_chunks = [seqs for agg, seqs in stacked if agg is model.txt_agg]
-    # one stack per chunk: the concept encoder reads the caption encoder's
-    assert len(img_chunks) + len(cap_chunks) == len(stacked)
-    _, img_seqs, _ = pl._unique_images(val)
-    for chunks, seqs in ((img_chunks, img_seqs), (cap_chunks, [r.caption_features for r in val])):
-        flat = [seq for chunk in chunks for seq in chunk]
-        assert len(flat) == len(seqs) and all(a is b for a, b in zip(flat, seqs))
-        rows = [sum(len(seq) for seq in chunk) for chunk in chunks]
-        assert all(n <= budget or len(chunk) == 1 for n, chunk in zip(rows, chunks))
-        # a chunk ends only where its next sequence would take it past the budget
-        assert all(n + len(after[0]) > budget for n, after in zip(rows, chunks[1:]))
-        assert len(chunks) >= 2 and rows[-1] < budget
-    assert any(len(chunk) == 1 and chunk[0] is long_caption for chunk in cap_chunks)
+    img_runs = [run for agg, *run in runs if agg is model.vis_agg]
+    cap_runs = [run for agg, *run in runs if agg is model.txt_agg]
+    concept_runs = [run for agg, *run in runs if agg is model.txt_concept_agg]
+    assert len(img_runs) + len(cap_runs) + len(concept_runs) == len(runs)
+    # the concept encoder reads the caption encoder's very slices
+    assert all(a is c for run, concept in zip(cap_runs, concept_runs) for a, c in zip(run, concept))
+    assert len(concept_runs) == len(cap_runs)
+    for field, modality_runs in (("image", img_runs), ("caption", cap_runs)):
+        all_lengths, all_rows = getattr(val, f"{field}_lengths"), getattr(val, f"{field}_rows")
+        # each run is a pair of views of the dataset's arrays, tiling them in order
+        assert all(lens.base is all_lengths.base and rows.base is all_rows.base
+                   for lens, rows in modality_runs)
+        assert np.array_equal(np.concatenate([lens for lens, _ in modality_runs]), all_lengths)
+        assert _bits(np.concatenate([rows for _, rows in modality_runs])) == _bits(all_rows)
+        sizes = [len(rows) for _, rows in modality_runs]
+        assert all(n <= budget or len(lens) == 1 for n, (lens, _) in zip(sizes, modality_runs))
+        # a run ends only where its next sequence would take it past the budget
+        assert all(n + after[0][0] > budget for n, after in zip(sizes, modality_runs[1:]))
+        assert len(modality_runs) >= 2 and sizes[-1] < budget
+    assert any(len(lens) == 1 and _bits(rows) == _bits(long_caption) for lens, rows in cap_runs)
 
     basis = model.concept_basis()
 
-    def per_chunk(agg, chunks, weight=None):
-        parts = [agg.aggregate_batch(*agg.stack(chunk)) for chunk in chunks]
+    def per_run(agg, modality_runs, weight=None):
+        parts = [agg.aggregate_batch(lens, np.array(rows)) for lens, rows in modality_runs]
         if weight is not None:
             parts = [model.concept_embed(part, basis, weight) for part in parts]
         return np.vstack([part.value for part in parts])
 
-    assert np.array_equal(v, per_chunk(model.vis_agg, img_chunks))
-    assert np.array_equal(w, per_chunk(model.txt_agg, cap_chunks))
-    assert np.array_equal(vc, per_chunk(model.vis_agg, img_chunks, "w_visual"))
-    assert np.array_equal(wc, per_chunk(model.txt_concept_agg, cap_chunks, "w_textual"))
+    assert np.array_equal(v, per_run(model.vis_agg, img_runs))
+    assert np.array_equal(w, per_run(model.txt_agg, cap_runs))
+    assert np.array_equal(vc, per_run(model.vis_agg, img_runs, "w_visual"))
+    assert np.array_equal(wc, per_run(model.txt_concept_agg, cap_runs, "w_textual"))
+    monkeypatch.setattr(FeatureAggregator, "forward", forward)
     assert np.array_equal(pl._instance_sums(state, val), v[caption_image] + w)
-
-
-def test_embed_for_retrieval_names_an_empty_split():
-    with pytest.raises(ValueError, match="^evaluation split is empty$"):
-        pl.embed_for_retrieval(_tiny_state(), [])
 
 
 def test_instance_sums_equal_stacking_the_runs(monkeypatch):
     monkeypatch.setattr(pl, "EMBED_ROWS", 30)
     state = _tiny_state()
     model = state.model
-    val = pl.generate_synthetic(12, 3, 4, seed=2, split="val")
-    val[1], val[5] = val[5], val[1]  # one image's records need not be consecutive
-    _, img_seqs, caption_image = pl._unique_images(val)
-    v = np.vstack([model.vis_agg.forward(*run) for _, _, run in pl._stacks(model.vis_agg, img_seqs)])
-    caption_runs = list(pl._stacks(model.txt_agg, [r.caption_features for r in val]))
-    w = np.vstack([model.txt_agg.forward(*run) for _, _, run in caption_runs])
-    assert len(caption_runs) >= 3
-    # the runs' bounds tile the records in order
-    bounds = [(lo, hi) for lo, hi, _ in caption_runs]
-    assert [lo for lo, _ in bounds] == [0, *(hi for _, hi in bounds[:-1])] and bounds[-1][1] == len(val)
-    assert _bits(pl._instance_sums(state, val)) == _bits(v[caption_image] + w)
+    # one image's records need not be consecutive
+    val = _reorder(pl.generate_synthetic(12, 3, 4, seed=2, split="val"), [0, 5, 2, 3, 4, 1, *range(6, 36)])
+    assert val.caption_image[:6].tolist() == [0, 1, 0, 1, 1, 0]
+    sides = []
+    for agg, field in ((model.vis_agg, "image"), (model.txt_agg, "caption")):
+        runs = list(pl._runs(getattr(val, f"{field}_lengths"), getattr(val, f"{field}_rows")))
+        seqs = _sequences(getattr(val, f"{field}_lengths"), getattr(val, f"{field}_rows"))
+        sides.append(np.vstack([agg.forward(*stack(seqs[lo:hi])) for lo, hi, _ in runs]))
+        # the runs' bounds tile the sequences in order
+        bounds = [(lo, hi) for lo, hi, _ in runs]
+        assert [lo for lo, _ in bounds] == [0, *(hi for _, hi in bounds[:-1])] and bounds[-1][1] == len(seqs)
+    assert len(runs) >= 3
+    v, w = sides
+    assert _bits(pl._instance_sums(state, val)) == _bits(v[val.caption_image] + w)
 
 
-def test_instance_sums_hold_one_result(monkeypatch):
-    # small runs, so that their temporaries do not hide the result's copies
-    monkeypatch.setattr(pl, "EMBED_ROWS", 256)
-    state = _tiny_state()
-    val = _eval_split(2000, 5)
+def _instance_sums_peak(state, val) -> int:
     tracemalloc.start()
     try:
         pl._instance_sums(state, val)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("budget, bound", [(256, 1.6), (pl.EMBED_ROWS, 2.5)],
+                         ids=["small_runs", "default_runs"])
+def test_instance_sums_hold_one_result(budget, bound, monkeypatch):
+    monkeypatch.setattr(pl, "EMBED_ROWS", budget)
+    state = _tiny_state()
+    val = _eval_split(2000, 5)
     result_bytes = len(val) * pl.EMBED_DIM * 8
-    # the result, the image side (a fifth of it) and the runs' temporaries; a second
-    # [n_captions, f] array, as stacking the runs or v[caption_image] + w makes, passes 2x
-    assert peak < 1.6 * result_bytes
+    # small runs: the result, the image side (a fifth of it) and the runs' temporaries; a
+    # second [n_captions, f] array, as stacking the runs or v[caption_image] + w makes, passes 2x.
+    # Default runs: a stacked copy of each run's rows, on top of its temporaries, passes 2.5x
+    assert _instance_sums_peak(state, val) < bound * result_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -489,16 +527,10 @@ def test_evaluate_equals_ranking_the_dense_blend(beta):
     assert pl.evaluate(state, val, beta) == pl.recalls_from_similarity(dense, caption_image)
 
 
-@pytest.mark.parametrize("records, beta, match", [
-    (0, 0.9, "evaluation split is empty"),
-    (10, -0.1, r"beta must lie in \[0, 1\]"),
-    (10, 1.5, r"beta must lie in \[0, 1\]"),
-    (10, float("nan"), r"beta must lie in \[0, 1\]"),
-])
-def test_evaluate_rejects_an_empty_split_and_beta_outside_unit_interval(records, beta, match):
-    val = _eval_split(5, 2)[:records]
-    with pytest.raises(ValueError, match=match):
-        pl.evaluate(_tiny_state(), val, beta)
+@pytest.mark.parametrize("beta", [-0.1, 1.5, float("nan")])
+def test_evaluate_rejects_a_beta_outside_unit_interval(beta):
+    with pytest.raises(ValueError, match=r"^beta must lie in \[0, 1\]$"):
+        pl.evaluate(_tiny_state(), _eval_split(5, 2), beta)
 
 
 def _evaluate_peak(state, val) -> int:
@@ -563,11 +595,13 @@ def test_synthetic_caption_features_project_their_token_latents_in_order():
               for c in range(world.latent_classes) for s in range(world.attrs_per_class)}
     latent.update(zip(pl.DISTRACTOR_TOKENS, world.distractor_latents))
     data = pl.generate_synthetic(30, 3, 4, seed=2, world=world)
-    for r in data:
-        want = np.stack([latent[t] for t in r.caption_tokens]) @ world.proj_txt
-        assert _bits(r.caption_features) == _bits(want)
+    captions = _sequences(data.caption_lengths, data.caption_rows)
+    tokens = np.split(data.vocabulary[data.token_codes], np.cumsum(data.token_counts)[:-1])
+    assert len(captions) == len(tokens) == 90
+    for caption, words in zip(captions, tokens):
+        assert _bits(caption) == _bits(np.stack([latent[t] for t in words]) @ world.proj_txt)
     # the tokens are shuffled: some caption does not end in its distractors
-    assert any(r.caption_tokens[-1].startswith("cls") for r in data)
+    assert any(words[-1].startswith("cls") for words in tokens)
 
 
 @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -0.1])
@@ -597,211 +631,219 @@ def test_synthetic_rejects_an_argument_that_contradicts_the_world(name, given, h
         pl.generate_synthetic(10, 1, seed=0, world=world, **{name: given})
 
 
+FIELDS = [f.name for f in dataclasses.fields(pl.Dataset)]
+
+
+def _assert_equal_datasets(got: pl.Dataset, want: pl.Dataset) -> None:
+    for name in FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
 def test_dataset_round_trip_is_bit_exact(tmp_path):
     data = pl.generate_synthetic(6, 3, 4, seed=2, split="train")
     extremes = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, -5e-324]
-    data[0].image_features[0, :5] = extremes  # shared by the image's three records
-    data[4].caption_features[-1, :5] = extremes
+    image_rows, caption_rows = data.image_rows.copy(), data.caption_rows.copy()
+    image_rows[0, :5] = extremes  # the first image's, which all three of its records show
+    caption_rows[-1, :5] = extremes
+    data = dataclasses.replace(data, image_rows=image_rows, caption_rows=caption_rows)
     path = tmp_path / "train.jsonl"
     pl.save_dataset(data, path)
     loaded = pl.load_dataset(path)
     assert len(loaded) == 18
-    for got, want in zip(loaded, data):
-        assert (got.pair_id, got.image_id, got.caption_tokens) == \
-            (want.pair_id, want.image_id, want.caption_tokens)
-        for name in ("image_features", "caption_features"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == np.float64 and a.shape == b.shape and _bits(a) == _bits(b)
-    assert np.signbit(loaded[1].image_features[0, 0])
+    _assert_equal_datasets(loaded, data)
+    assert np.signbit(loaded.image_rows[0, 0])
+    assert not any(getattr(loaded, name).flags.writeable for name in FIELDS)
 
 
-def test_records_of_one_image_share_its_array(tmp_path):
+# the file generate_synthetic(40, 2, 8, seed=s, split="val", world=build_world(8, 0)) saves as
+SYNTHETIC_FILE_SHA256 = {
+    1: "84dd9cf85c669ba70d3f3731700fac4a433b53313b0c5949d33701d8a3e4f265",
+    2: "bad685d08f8c5fb1448360289ff6986ea7f068155cac36f7bf00158b13013b33",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SYNTHETIC_FILE_SHA256))
+def test_saved_synthetic_file_keeps_its_bytes(seed, tmp_path):
+    # pins both the generator's draws and the stream's layout
     path = tmp_path / "val.jsonl"
-    pl.save_dataset(pl.generate_synthetic(5, 4, 4, seed=3, split="val"), path)
-    loaded = pl.load_dataset(path)
-    by_image: dict[str, set[int]] = {}
-    for r in loaded:
-        by_image.setdefault(r.image_id, set()).add(id(r.image_features))
-    assert len(by_image) == 5 and all(len(ids) == 1 for ids in by_image.values())
-    assert len({id(r.caption_features) for r in loaded}) == 20
+    pl.save_dataset(pl.generate_synthetic(40, 2, 8, seed=seed, split="val", world=pl.build_world(8, 0)),
+                    path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SYNTHETIC_FILE_SHA256[seed]
 
 
-def _interleaved():
+def _interleaved() -> pl.Dataset:
     """Two images' records alternating, then a third image, then the first image again."""
     data = pl.generate_synthetic(3, 3, 4, seed=5, split="val")
-    a, b, c = data[:3], data[3:6], data[6:]
-    records = [a[0], b[0], a[1], b[1], c[0], a[2], c[1]]
-    # an equal copy, not the same array, of image a's features
-    records[2] = dataclasses.replace(a[1], image_features=a[1].image_features.copy())
-    return records
+    return _reorder(data, [0, 3, 1, 4, 6, 2, 7])
 
 
-def test_interleaved_records_round_trip_in_order_and_share_each_image(tmp_path):
+def test_interleaved_records_round_trip_in_order(tmp_path):
+    data = _interleaved()
+    assert data.caption_image.tolist() == [0, 1, 0, 1, 2, 0, 2]
+    path = tmp_path / "val.jsonl"
+    pl.save_dataset(data, path)
+    _assert_equal_datasets(pl.load_dataset(path), data)
+
+
+def test_saved_file_holds_the_ten_arrays_in_field_order(tmp_path):
     data = _interleaved()
     path = tmp_path / "val.jsonl"
     pl.save_dataset(data, path)
-    loaded = pl.load_dataset(path)
-    assert [(r.pair_id, r.image_id, r.caption_tokens) for r in loaded] == \
-        [(r.pair_id, r.image_id, r.caption_tokens) for r in data]
-    for got, want in zip(loaded, data):
-        assert _bits(got.image_features) == _bits(want.image_features)
-        assert _bits(got.caption_features) == _bits(want.caption_features)
-        assert got.image_features is next(r for r in loaded if r.image_id == got.image_id).image_features
-    assert len({id(r.image_features) for r in loaded}) == 3
-    assert not loaded[0].image_features.flags.writeable
+    arrays = dict(zip(FIELDS, _read_stream(path), strict=True))
+    assert FIELDS == ["pair_ids", "image_ids", "caption_image", "image_lengths", "image_rows",
+                      "caption_lengths", "caption_rows", "vocabulary", "token_counts", "token_codes"]
+    for name in FIELDS:
+        assert arrays[name].dtype == getattr(data, name).dtype
+        assert arrays[name].tobytes() == getattr(data, name).tobytes()
 
 
-def test_saved_file_holds_one_image_sequence_per_image(tmp_path):
-    data = _interleaved()
-    path = tmp_path / "val.jsonl"
-    pl.save_dataset(data, path)
-    names = ["pair_ids", "image_ids", "caption_image", "image_lengths", "image_rows",
-             "caption_lengths", "caption_rows", "vocabulary", "token_counts", "token_codes"]
-    arrays = dict(zip(names, _read_stream(path), strict=True))
-    images = [data[0], data[1], data[4]]
-    assert arrays["image_ids"].tolist() == [r.image_id for r in images]
-    assert arrays["caption_image"].tolist() == [0, 1, 0, 1, 2, 0, 2]
-    assert arrays["image_lengths"].tolist() == [len(r.image_features) for r in images]
-    assert _bits(arrays["image_rows"]) == b"".join(_bits(r.image_features) for r in images)
-    assert _bits(arrays["caption_rows"]) == b"".join(_bits(r.caption_features) for r in data)
-    assert arrays["vocabulary"][arrays["token_codes"]].tolist() == \
-        [t for r in data for t in r.caption_tokens]
-
-
-def test_loaded_records_of_one_image_view_its_one_sequence(tmp_path):
-    path = tmp_path / "val.jsonl"
-    data = pl.generate_synthetic(6, 4, 4, seed=3, split="val")
-    pl.save_dataset(data, path)
-    loaded = pl.load_dataset(path)
-    assert len(loaded) == 24
-    images = {id(r.image_features): r.image_features for r in loaded}
-    assert len(images) == 6
-    # the six image sequences fit one chunk, which all of them view
-    assert len({id(_owner(seq)) for seq in images.values()}) == 1
-    assert sum(len(seq) for seq in images.values()) == \
-        sum(len(r.image_features) for r in data[::4])
-
-
-def _owner(arr: np.ndarray) -> np.ndarray:
-    """The array that owns the memory ``arr`` views."""
-    while arr.base is not None:
-        arr = arr.base
-    return arr
-
-
-def test_save_dataset_rejects_images_that_differ_within_an_image_id(tmp_path):
-    image = np.ones((2, 3))
-    image[1, 2] = 0.0
-    # b holds an equal copy of a's features; c's differ from them in the sign of a zero
-    differs = image.copy()
-    differs[1, 2] = -0.0
-    data = [pl.PairedRecord(pair_id, "img", features, ["red"], np.ones((1, 4)))
-            for pair_id, features in (("a", image), ("b", image.copy()), ("c", differs))]
-    path = tmp_path / "dev.jsonl"
-    pl.save_dataset(data[:2], path)
-    assert [r.pair_id for r in pl.load_dataset(path)] == ["a", "b"]
-    with pytest.raises(ValueError, match=r"^record 'c': image_features differ from those of record "
-                                         r"'a', which has the same image_id 'img'$"):
-        pl.save_dataset(data, path)
-    assert not path.exists()
-
-
-def test_save_dataset_rejects_a_duplicate_pair_id(tmp_path):
-    data = pl.generate_synthetic(3, 2, 4, seed=1)
-    data[4].pair_id = data[1].pair_id
-    path = tmp_path / "train.jsonl"
-    with pytest.raises(ValueError, match=rf"^record '{data[1].pair_id}': duplicate pair_id$"):
-        pl.save_dataset(data, path)
-    assert not path.exists()
-
-
-def test_loaded_records_share_their_strings(tmp_path):
-    path = tmp_path / "val.jsonl"
-    pl.save_dataset(pl.generate_synthetic(6, 4, 4, seed=3, split="val"), path)
-    loaded = pl.load_dataset(path)
-    token_ids: dict[str, set[int]] = {}
-    image_ids: dict[str, set[int]] = {}
-    for r in loaded:
-        for t in r.caption_tokens:
-            token_ids.setdefault(t, set()).add(id(t))
-        image_ids.setdefault(r.image_id, set()).add(id(r.image_id))
-    assert sum(len(r.caption_tokens) for r in loaded) > len(token_ids)
-    assert all(len(ids) == 1 for ids in token_ids.values())
-    assert len(image_ids) == 6 and all(len(ids) == 1 for ids in image_ids.values())
-    assert not any(hasattr(r, "__dict__") for r in loaded)
+def _non_ascii() -> pl.Dataset:
+    image = np.arange(6.0).reshape(2, 3) / 7
+    return pl.Dataset(["ñ-1", "ñ-2", "ü-3"], ["画像", "写真"], np.array([0, 0, 1]), np.array([2, 1]),
+                      np.vstack([image, np.ones((1, 3))]), np.array([1, 2, 1]),
+                      np.vstack([np.full((1, 4), -0.5), np.linspace(0, 1, 8).reshape(2, 4),
+                                 np.ones((1, 4))]),
+                      ["naïve", "café", "日本", "straße"], np.array([3, 3, 2]),
+                      np.array([0, 1, 2, 2, 1, 0, 2, 3]))
 
 
 def test_dataset_round_trip_keeps_non_ascii_ids_and_tokens(tmp_path):
-    tokens = ["naïve", "café", "日本"]
-    data = [pl.PairedRecord("ñ-1", "画像", np.ones((2, 3)), tokens, np.ones((1, 4))),
-            pl.PairedRecord("ñ-2", "画像", np.ones((2, 3)), tokens[::-1], np.ones((1, 4)))]
+    data = _non_ascii()
     path = tmp_path / "dev.jsonl"
     pl.save_dataset(data, path)
-    assert [(r.pair_id, r.image_id, r.caption_tokens) for r in pl.load_dataset(path)] == \
-        [(r.pair_id, r.image_id, r.caption_tokens) for r in data]
+    loaded = pl.load_dataset(path)
+    _assert_equal_datasets(loaded, data)
+    tokens = loaded.vocabulary[loaded.token_codes].tolist()
+    assert (loaded.pair_ids.tolist(), loaded.image_ids.tolist(), tokens[:3], tokens[6:]) == \
+        (["ñ-1", "ñ-2", "ü-3"], ["画像", "写真"], ["naïve", "café", "日本"], ["日本", "straße"])
+    # pinned: a change to the stream's layout or the str arrays' encoding shows here
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "8796b38d5b2fac87e77281283c2c98153f790e0084b7d0f4265368ad46f75b6e"
 
 
-@pytest.mark.parametrize("pair_id, tokens", [("a\0", ["red"]), ("a", ["red", 3]), (7, ["red"])],
+def test_a_failed_save_removes_its_file(tmp_path, monkeypatch):
+    path = tmp_path / "dev.jsonl"
+    saved, save = [], np.save
+
+    def failing_save(fh, arr, **kwargs):
+        if len(saved) == 5:
+            raise OSError("No space left on device")
+        saved.append(arr)
+        save(fh, arr, **kwargs)
+
+    monkeypatch.setattr(np, "save", failing_save)
+    with pytest.raises(OSError, match="^No space left on device$"):
+        pl.save_dataset(_non_ascii(), path)
+    assert len(saved) == 5 and not path.exists()
+
+
+def _arrays(**changes) -> dict:
+    """The arguments of ``_non_ascii()``'s dataset by field, with ``changes``."""
+    data = _non_ascii()
+    return {name: getattr(data, name) for name in FIELDS} | changes
+
+
+def test_dataset_rejects_a_duplicate_pair_id():
+    with pytest.raises(ValueError, match="^record 'ñ-1': duplicate pair_id$"):
+        pl.Dataset(**_arrays(pair_ids=["ñ-1", "ñ-2", "ñ-1"]))
+
+
+@pytest.mark.parametrize("field, value", [("pair_ids", ["a\0", "b", "c"]),
+                                          ("vocabulary", ["red", 3, "car", "sky"]),
+                                          ("pair_ids", [7, "b", "c"])],
                          ids=["trailing_nul", "int_token", "int_pair_id"])
-def test_save_dataset_rejects_a_string_a_str_array_would_change(pair_id, tokens, tmp_path):
-    path = tmp_path / "dev.jsonl"
-    data = [pl.PairedRecord(pair_id, "img", np.ones((2, 3)), tokens, np.ones((1, 4)))]
+def test_dataset_rejects_a_string_a_str_array_would_change(field, value):
     with pytest.raises(ValueError, match="^every id and token must be a str that does not end in NUL$"):
-        pl.save_dataset(data, path)
-    assert not path.exists()
+        pl.Dataset(**_arrays(**{field: value}))
 
 
-@pytest.mark.parametrize("pair_id, image_id, match", [
-    ("", "img", r"^dataset array 'pair_ids': entry 0 is empty$"),
-    ("p", "", r"^dataset array 'image_ids': entry 0 is empty$"),
+@pytest.mark.parametrize("field, value, match", [
+    ("pair_ids", ["p", "", "q"], r"^dataset array 'pair_ids': entry 1 is empty$"),
+    ("image_ids", ["", "img"], r"^dataset array 'image_ids': entry 0 is empty$"),
 ], ids=["empty_pair_id", "empty_image_id"])
-def test_save_dataset_rejects_an_empty_id(pair_id, image_id, match, tmp_path):
-    path = tmp_path / "dev.jsonl"
+def test_dataset_rejects_an_empty_id(field, value, match):
     with pytest.raises(ValueError, match=match):
-        pl.save_dataset([pl.PairedRecord(pair_id, image_id, np.ones((2, 3)), [], np.ones((1, 4)))],
-                        path)
-    assert not path.exists()
+        pl.Dataset(**_arrays(**{field: value}))
 
 
-@pytest.mark.parametrize("field, shape, match", [
-    ("image_features", (6,), r"^image 'img': image_features must be \[L, d\] with the first one's "
-                             r"d, got shape \[6\]$"),
-    ("caption_features", (2, 5), r"^record 'q': caption_features must be \[L, d\] with the first "
-                                 r"one's d, got shape \[2, 5\]$"),
-    ("image_features", (0, 3), r"^image 'img': image_features has no rows$"),
-    ("caption_features", (0, 4), r"^record 'q': caption_features has no rows$"),
-], ids=["one_d", "other_width", "no_image_rows", "no_caption_rows"])
-def test_save_dataset_rejects_a_feature_array_of_another_shape(field, shape, match, tmp_path):
-    data = [pl.PairedRecord("p", "img", np.ones((2, 3)), ["red"], np.ones((1, 4))),
-            pl.PairedRecord("q", "other", np.ones((1, 3)), ["car"], np.ones((1, 4)))]
-    record = data[0] if field == "image_features" else data[1]
-    setattr(record, field, np.ones(shape))
-    path = tmp_path / "dev.jsonl"
+@pytest.mark.parametrize("changes, match", [
+    (dict(image_rows=np.ones(6)), r"^dataset array 'image_rows' must be a C-ordered <f8 array of 3 "
+                                  r"rows, as 'image_lengths' sum to, and d >= 1 columns, got float64 "
+                                  r"of shape \(6,\)$"),
+    (dict(caption_rows=np.ones((5, 4))), r"^dataset array 'caption_rows' must be .* of 4 rows, .* got "
+                                         r"float64 of shape \(5, 4\)$"),
+    (dict(caption_rows=np.ones((4, 0))), r"^dataset array 'caption_rows' must be .* got float64 of "
+                                         r"shape \(4, 0\)$"),
+    (dict(image_rows=np.asfortranarray(np.ones((3, 3)))), r"^dataset array 'image_rows' must be a "
+                                                          r"C-ordered"),
+    (dict(image_lengths=np.array([3, 0])), r"^image '写真': image_features has no rows$"),
+    (dict(caption_lengths=np.array([0, 2, 2])), r"^record 'ñ-1': caption_features has no rows$"),
+    (dict(caption_image=np.array([0.0, 0.0, 1.0])), r"^dataset array 'caption_image' must be 1-D of "
+                                                    r"dtype kind 'iu' and length 3, got float64"),
+    (dict(token_codes=np.array([0, 1, 2, 2, 1, 0, 2, 4])), r"^record 'ü-3': token code 4 outside "
+                                                           r"\[0, 3\]$"),
+], ids=["one_d", "other_row_count", "zero_width", "fortran_rows", "no_image_rows", "no_caption_rows",
+        "float_caption_image", "token_code_high"])
+def test_dataset_rejects_arrays_of_another_shape_or_range(changes, match):
     with pytest.raises(ValueError, match=match):
-        pl.save_dataset(data, path)
-    assert not path.exists()
+        pl.Dataset(**_arrays(**changes))
 
 
-def test_save_dataset_rejects_an_empty_dataset(tmp_path):
-    path = tmp_path / "dev.jsonl"
-    with pytest.raises(ValueError, match="^no records to save$"):
-        pl.save_dataset([], path)
-    assert not path.exists()
+def test_dataset_rejects_an_empty_dataset():
+    empty = dict(pair_ids=[], image_ids=[], caption_image=np.zeros(0, int),
+                 image_lengths=np.zeros(0, int), image_rows=np.zeros((0, 3)),
+                 caption_lengths=np.zeros(0, int), caption_rows=np.zeros((0, 4)), vocabulary=[],
+                 token_counts=np.zeros(0, int), token_codes=np.zeros(0, int))
+    with pytest.raises(ValueError, match="^dataset has no records$"):
+        pl.Dataset(**empty)
 
 
-@pytest.mark.parametrize("field, value", [("image_features", np.inf),
-                                          ("caption_features", np.nan)])
-def test_save_dataset_rejects_a_non_finite_feature(field, value, tmp_path):
+@pytest.mark.parametrize("field, value", [("image", np.inf), ("caption", np.nan)])
+def test_dataset_rejects_a_non_finite_feature(field, value):
     data = pl.generate_synthetic(3, 1, 4, seed=1)
-    getattr(data[1], field)[-1, 2] = value
-    path = tmp_path / "train.jsonl"
+    rows = getattr(data, f"{field}_rows").copy()
+    # the last row of the second sequence
+    rows[getattr(data, f"{field}_lengths")[:2].sum() - 1, 2] = value
     # an image is named by its image_id, a caption by its record's pair_id
-    owner = (f"image '{data[1].image_id}'" if field == "image_features"
-             else f"record '{data[1].pair_id}'")
-    with pytest.raises(ValueError, match=rf"^{owner}: {field} contains non-finite values$"):
-        pl.save_dataset(data, path)
-    # the arrays before the bad sequence were written; no part of the file is left to load
-    assert not path.exists()
+    owner = f"image '{data.image_ids[1]}'" if field == "image" else f"record '{data.pair_ids[1]}'"
+    with pytest.raises(ValueError, match=rf"^{owner}: {field}_features contains non-finite values$"):
+        dataclasses.replace(data, **{f"{field}_rows": rows})
+
+
+@pytest.mark.parametrize("budget", [7, 30, 4096])
+def test_dataset_names_a_non_finite_sequence_in_any_run(budget, monkeypatch):
+    # finiteness is checked one EMBED_ROWS run at a time
+    monkeypatch.setattr(pl, "EMBED_ROWS", budget)
+    data = pl.generate_synthetic(20, 3, 4, seed=2)
+    ends = np.cumsum(data.caption_lengths)
+    for i in (0, 17, 41, 59):
+        rows = data.caption_rows.copy()
+        rows[ends[i] - 1, -1] = np.nan
+        with pytest.raises(ValueError, match=rf"^record '{data.pair_ids[i]}': caption_features "
+                                             rf"contains non-finite values$"):
+            dataclasses.replace(data, caption_rows=rows)
+
+
+def test_dataset_holds_its_ints_as_int64():
+    data = pl.generate_synthetic(20, 2, 4, seed=1)
+    narrow = dataclasses.replace(data, image_lengths=data.image_lengths.astype(np.uint32),
+                                 caption_lengths=data.caption_lengths.astype(np.uint64),
+                                 caption_image=data.caption_image.astype(np.int32))
+    assert all(getattr(narrow, name).dtype == np.int64 for name in FIELDS
+               if getattr(data, name).dtype.kind == "i")
+    # the encoders offset rows by the lengths, which unsigned ints would turn into floats
+    state = _tiny_state()
+    assert pl.evaluate(state, narrow) == pl.evaluate(state, data)
+
+
+def test_dataset_arrays_are_read_only_views_of_the_arrays_given():
+    rows = np.ones((3, 3))
+    data = pl.Dataset(**_arrays(image_rows=rows))
+    assert data.image_rows.base is rows and rows.flags.writeable
+    assert not any(getattr(data, name).flags.writeable for name in FIELDS)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        data.image_rows = rows
 
 
 @pytest.mark.parametrize("max_seq_len", [0, -1, 2.5, True])
@@ -983,9 +1025,8 @@ def test_load_dataset_reads_the_hand_written_file_and_takes_max_seq_len(tmp_path
     path = tmp_path / "dev.jsonl"
     path.write_bytes(_file())
     loaded = pl.load_dataset(path, max_seq_len=2)
-    assert [(r.pair_id, r.image_id, r.caption_tokens, len(r.image_features), len(r.caption_features))
-            for r in loaded] == [("a", "img", ["red", "car"], 2, 1), ("b", "img", ["car"], 2, 2),
-                                 ("c", "other", [], 1, 1)]
+    want = _dataset()
+    assert all(np.array_equal(getattr(loaded, name), want[name]) for name in FIELDS)
     with pytest.raises(ValueError, match=r"^image 'img': image_features length 2 outside \[1, 1\]$"):
         pl.load_dataset(path, max_seq_len=1)
 
@@ -994,34 +1035,8 @@ def test_dataset_file_sits_at_the_given_path(tmp_path):
     data = pl.generate_synthetic(3, 2, 4, seed=1)
     for name in ("train.jsonl", "train", "train.npy"):
         pl.save_dataset(data, tmp_path / name)
-        assert [r.pair_id for r in pl.load_dataset(tmp_path / name)] == [r.pair_id for r in data]
+        assert np.array_equal(pl.load_dataset(tmp_path / name).pair_ids, data.pair_ids)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["train", "train.jsonl", "train.npy"]
-
-
-@pytest.mark.parametrize("budget", [7, 30, 4096])
-def test_loaded_sequences_view_chunks_of_at_most_embed_rows(budget, monkeypatch, tmp_path):
-    monkeypatch.setattr(pl, "EMBED_ROWS", budget)
-    data = pl.generate_synthetic(20, 3, 4, seed=2)
-    long_image = rng_from_seed(3).standard_normal((budget + 5, 48)) if budget < 64 else None
-    if long_image is not None:
-        for r in data[6:9]:
-            r.image_features = long_image
-    path = tmp_path / "train.jsonl"
-    pl.save_dataset(data, path)
-    loaded = pl.load_dataset(path)
-    for name in ("image_features", "caption_features"):
-        chunks: dict[int, list[np.ndarray]] = {}
-        for seq in {id(getattr(r, name)): getattr(r, name) for r in loaded}.values():
-            assert not seq.flags.writeable
-            chunks.setdefault(id(_owner(seq)), []).append(seq)
-        for seqs in chunks.values():
-            rows = _owner(seqs[0]).size // seqs[0].shape[1]
-            assert rows == sum(len(seq) for seq in seqs)
-            assert rows <= budget or len(seqs) == 1
-        assert (len(chunks) == 1) == (budget == 4096)
-    if long_image is not None:
-        assert len(loaded[6].image_features) == budget + 5
-        assert loaded[6].image_features.base is not loaded[3].image_features.base
 
 
 def _traced_peak(call) -> tuple[int, int, object]:
@@ -1038,12 +1053,12 @@ def _traced_peak(call) -> tuple[int, int, object]:
 def test_dataset_io_streams_the_row_arrays(tmp_path):
     data = pl.generate_synthetic(200, 5, 4, seed=1)
     path = tmp_path / "val.jsonl"
-    caption_bytes = sum(r.caption_features.nbytes for r in data)
     _, save_peak, _ = _traced_peak(lambda: pl.save_dataset(data, path))
-    # a concatenated caption array alone would reach caption_bytes
-    assert save_peak < caption_bytes / 2
+    # a copy of the caption rows alone would reach their bytes
+    assert save_peak < data.caption_rows.nbytes / 2
     held, load_peak, loaded = _traced_peak(lambda: pl.load_dataset(path))
     assert len(loaded) == 1000
+    # the arrays themselves, and the finiteness check's temporaries of one run
     assert load_peak < held + pl.EMBED_ROWS * 48 * 8
 
 
@@ -1321,10 +1336,9 @@ def test_load_checkpoint_names_an_out_of_range_config_field(name, value, message
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda tmp: pl.build_state(pl.TrainConfig(), []), "training dataset is empty"),
     (lambda tmp: pl.save_checkpoint(tmp / "ckpt.json", _tiny_state(), which="x"),
      "which must be 'best' or 'final'"),
-], ids=["empty_training_set", "unknown_checkpoint_kind"])
+], ids=["unknown_checkpoint_kind"])
 def test_pipeline_names_a_bad_argument(call, message, tmp_path):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(tmp_path)
@@ -1679,7 +1693,7 @@ def _budget_step(instance_loss="dcl"):
     state = pl.build_state(pl.TrainConfig(seed=0, epochs=1, batch_size=8,
                                           instance_loss=instance_loss), data)
     _fill_queue(state, 8)
-    total, parts, _ = pl.batch_losses(state, data[:8], np.arange(8) % 4)
+    total, parts, _ = pl.batch_losses(state, *_batch(data, np.arange(8)), np.arange(8) % 4)
     # the memory and label losses are in the graph
     assert parts["l_mdcl"] != 0.0 and parts["l_pgc"] != 0.0
     return state, total
@@ -1707,17 +1721,31 @@ def test_every_constant_leaf_of_a_training_step_is_a_scalar():
     assert all(m.grad is not None for _, m in model.param_items())
 
 
-def test_one_training_step_stacks_each_modality_once(monkeypatch):
-    data = pl.generate_synthetic(32, 1, 4, seed=1)
-    state = pl.build_state(pl.TrainConfig(seed=0, epochs=1, batch_size=32), data)
-    _fill_queue(state, 32)
-    stacked = []
-    stack = FeatureAggregator.stack
-    monkeypatch.setattr(FeatureAggregator, "stack",
-                        lambda agg, seqs: stacked.append((agg, len(seqs))) or stack(agg, seqs))
-    _, parts, _ = pl.batch_losses(state, data, np.arange(32) % 4)
-    assert all(value != 0.0 for value in parts.values())
-    assert stacked == [(state.model.vis_agg, 32), (state.model.txt_agg, 32)]
+def test_each_training_step_gathers_each_modality_once(monkeypatch):
+    gathered, gather = [], pl._gather
+    monkeypatch.setattr(pl, "_gather", lambda lengths, rows, index:
+                        gathered.append((rows, index.copy())) or gather(lengths, rows, index))
+    data = pl.generate_synthetic(20, 2, 4, seed=5)
+    order = rng_from_seed(0, 12).permutation(len(data))
+    # 40 records in batches of 16, 16 and 8, one epoch
+    pl.train(pl.TrainConfig(seed=0, epochs=1, batch_size=16, k_clusters=4), data)
+    assert len(gathered) == 2 * 3
+    for (image_rows, images), (caption_rows, captions), lo in zip(gathered[::2], gathered[1::2],
+                                                                  (0, 16, 32)):
+        # the batch's captions, then each one's image, both read from the dataset's row arrays
+        assert image_rows is data.image_rows and caption_rows is data.caption_rows
+        assert captions.tolist() == order[lo:lo + 16].tolist()
+        assert images.tolist() == data.caption_image[captions].tolist()
+
+
+def test_gather_stacks_the_sequences_an_index_names():
+    data = _interleaved()
+    captions = _sequences(data.caption_lengths, data.caption_rows)
+    for index in (np.array([3]), np.array([6, 0, 4, 0, 2]), np.arange(7)[::-1]):
+        lengths, rows = pl._gather(data.caption_lengths, data.caption_rows, index)
+        want = stack([captions[i] for i in index])
+        assert lengths.tolist() == want[0].tolist() and _bits(rows) == _bits(want[1])
+        assert rows.flags.c_contiguous
 
 
 def test_the_memory_loss_turns_on_once_a_bank_smaller_than_a_batch_is_full():
@@ -1738,7 +1766,7 @@ def test_batch_losses_total_is_the_weighted_sum_of_its_parts(off):
     state = pl.build_state(cfg, data)
     _fill_queue(state, 8)
     labels = None if "l_pgc" in off else np.arange(8) % 4
-    total, parts, pairs = pl.batch_losses(state, data[:8], labels)
+    total, parts, pairs = pl.batch_losses(state, *_batch(data, np.arange(8)), labels)
     assert list(parts) == ["l_dcl_i", "l_mdcl", "l_dcl_c", "l_pgc"]
     assert all((parts[name] == 0.0) == (name in off) for name in parts)
     assert total.item() == (2.5 * parts["l_dcl_i"] + parts["l_mdcl"] + parts["l_dcl_c"]
@@ -1801,8 +1829,7 @@ def test_a_run_with_no_queue_runs_no_momentum_encoder(bank_capacity, monkeypatch
                                                        (False, "epoch 0, batch 0")])
 def test_train_names_where_a_row_norm_overflows(use_concept_losses, where):
     data = pl.generate_synthetic(33, 1, 4, seed=5)
-    for r in data:
-        r.image_features = r.image_features * 1e200
+    data = dataclasses.replace(data, image_rows=data.image_rows * 1e200)
     cfg = pl.TrainConfig(seed=0, epochs=1, batch_size=16, use_concept_losses=use_concept_losses)
     with pytest.raises(RuntimeError, match=f"{where}: unit_rows: a row norm overflows"):
         pl.train(cfg, data)

@@ -21,6 +21,7 @@ from crossalign.representation import (
 
 from autodiff_ref import l2_normalize_rows
 from gradcheck import grad_check
+from stacking import stack
 
 
 def test_positional_encoding_at_zero():
@@ -142,12 +143,12 @@ def test_aggregate_batch_equals_the_composed_graph_bit_for_bit(kind, seed):
     outs, grads = [], []
     for build in (FeatureAggregator.aggregate_batch, composed_aggregate):
         agg.p = {k: Matrix(m.value) for k, m in agg.p.items()}
-        out = build(agg, *agg.stack(seqs))
+        out = build(agg, *stack(seqs))
         backward(nm.sum_all(out * probe))
         outs.append(out.value.tobytes())
         grads.append([agg.p[k].grad.tobytes() for k in PARAM_NAMES])
     if kind == "small_norm_row":
-        pooled = composed_aggregate(agg, *agg.stack(seqs))._parents[0].value
+        pooled = composed_aggregate(agg, *stack(seqs))._parents[0].value
         assert np.linalg.norm(pooled[1]) < nm._SMALL_NORM
     assert outs[0] == outs[1]
     assert grads[0] == grads[1]
@@ -157,7 +158,7 @@ def test_aggregate_batch_equals_the_composed_graph_bit_for_bit(kind, seed):
 def test_forward_equals_the_node_value_bit_for_bit(kind):
     agg, pair = _pair()
     seqs = _batch(kind, rng_from_seed(24))
-    stacked = agg.stack(seqs)
+    stacked = stack(seqs)
     assert agg.forward(*stacked).tobytes() == agg.aggregate_batch(*stacked).value.tobytes()
     agg.p["proj"] = Matrix(agg.p["proj"].value * 0.5)
     pair.momentum_update(0.7)
@@ -173,7 +174,7 @@ def test_forward_against_loop(seed):
     rng = rng_from_seed(seed, 25)
     agg.p["dec_b1"] = Matrix(rng.standard_normal((1, 4)))
     seqs = [rng.standard_normal((int(rng.integers(1, 7)), 6)) for _ in range(6)]
-    assert np.max(np.abs(agg.forward(*agg.stack(seqs)) - _loop_aggregate(agg, seqs))) <= 1e-12
+    assert np.max(np.abs(agg.forward(*stack(seqs)) - _loop_aggregate(agg, seqs))) <= 1e-12
 
 
 def _train_digest(cfg, data, val) -> str:
@@ -205,7 +206,7 @@ def test_aggregate_identical_features_collapse_to_projection():
     seq = np.tile(feature, (5, 1))
     theta = _composed_pooling_weights(agg, 5, agg.p).value
     assert theta.sum() > 0  # fresh decoder starts near sum pooling
-    out = agg.aggregate_batch(*agg.stack([seq])).value
+    out = agg.aggregate_batch(*stack([seq])).value
     expected = l2_normalize_rows(Matrix(feature.reshape(1, -1)) @ agg.p["proj"]).value
     assert np.max(np.abs(out - expected)) <= 1e-10
 
@@ -213,7 +214,7 @@ def test_aggregate_identical_features_collapse_to_projection():
 def test_aggregate_single_feature():
     agg = _aggregator(seed=3)
     feature = rng_from_seed(4).standard_normal((1, 6))
-    out = agg.aggregate_batch(*agg.stack([feature])).value
+    out = agg.aggregate_batch(*stack([feature])).value
     expected = l2_normalize_rows(Matrix(feature) @ agg.p["proj"]).value
     assert np.max(np.abs(out - expected)) <= 1e-12
 
@@ -233,26 +234,12 @@ def test_aggregate_output_is_unit_norm(seed):
     rng = rng_from_seed(seed, 21)
     agg = _aggregator(seed=seed)
     seqs = [rng.standard_normal((int(rng.integers(1, 7)), 6)) for _ in range(4)]
-    out = agg.aggregate_batch(*agg.stack(seqs)).value
+    out = agg.aggregate_batch(*stack(seqs)).value
     assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) <= 1e-12
 
 
-def test_stack_rejects_empty_input():
-    stack = _aggregator().stack
-    with pytest.raises(ValueError, match="^stack needs at least one sequence"):
-        stack([])
-    for bad in (np.zeros((0, 6)), np.ones(6), np.ones((2, 3, 6))):
-        with pytest.raises(ValueError, match="nonempty 2-D array"):
-            stack([np.ones((2, 6)), bad])
-
-
-def test_stack_rejects_wrong_feature_dim():
-    with pytest.raises(ValueError, match="d_in"):
-        _aggregator().stack([np.ones((3, 5))])
-
-
 def test_forward_rejects_a_stack_of_another_width():
-    stacked = _aggregator(d_in=5).stack([np.ones((3, 5))])
+    stacked = stack([np.ones((3, 5))])
     agg = _aggregator()
     for encode in (agg.forward, agg.aggregate_batch):
         with pytest.raises(ValueError, match="^stacked feature dim 5 != aggregator d_in 6$"):
@@ -291,10 +278,10 @@ def test_non_finite_stage_is_named(stage):
     match = f"^aggregate_batch: {stage} has non-finite entries"
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(nm.NonFiniteError, match=match):
-            agg.forward(*agg.stack([seq]), params)
+            agg.forward(*stack([seq]), params)
         agg.p = {k: Matrix(v) for k, v in params.items()}
         with pytest.raises(nm.NonFiniteError, match=match):
-            agg.aggregate_batch(*agg.stack([seq]))
+            agg.aggregate_batch(*stack([seq]))
 
 
 @pytest.mark.parametrize("name", PARAM_NAMES)
@@ -306,7 +293,7 @@ def test_gradients_flow_through_aggregate(name):
 
     def loss_fn(p):
         agg.p[name] = p
-        return nm.sum_all(agg.aggregate_batch(*agg.stack(seqs)) * probe)
+        return nm.sum_all(agg.aggregate_batch(*stack(seqs)) * probe)
 
     assert grad_check(loss_fn, agg.p[name], h=1e-5) <= 1e-4
 
@@ -315,8 +302,8 @@ def test_batch_and_single_aggregation_agree():
     agg = _aggregator(seed=9)
     rng = rng_from_seed(10)
     seqs = [rng.standard_normal((int(rng.integers(1, 6)), 6)) for _ in range(5)]
-    batched = agg.aggregate_batch(*agg.stack(seqs)).value
-    singles = np.vstack([agg.aggregate_batch(*agg.stack([s])).value for s in seqs])
+    batched = agg.aggregate_batch(*stack(seqs)).value
+    singles = np.vstack([agg.aggregate_batch(*stack([s])).value for s in seqs])
     assert np.max(np.abs(batched - singles)) <= 1e-12
 
 
@@ -382,8 +369,8 @@ def test_momentum_forward_matches_main_after_full_copy():
     agg.p["proj"] = Matrix(agg.p["proj"].value * 0.5)
     pair.momentum_update(0.0)
     seq = rng_from_seed(12).standard_normal((4, 6))
-    main_out = agg.aggregate_batch(*agg.stack([seq])).value
-    mom_out = agg.forward(*agg.stack([seq]), pair.momentum_group("enc"))
+    main_out = agg.aggregate_batch(*stack([seq])).value
+    mom_out = agg.forward(*stack([seq]), pair.momentum_group("enc"))
     assert np.array_equal(main_out, mom_out)
 
 
@@ -393,9 +380,9 @@ def test_momentum_forward_builds_no_graph_node(monkeypatch):
     node = nm.node
     monkeypatch.setattr(nm, "node", lambda *args: built.append(args) or node(*args))
     seq = rng_from_seed(13).standard_normal((3, 6))
-    out = agg.forward(*agg.stack([seq]), pair.momentum_group("enc"))
+    out = agg.forward(*stack([seq]), pair.momentum_group("enc"))
     assert type(out) is np.ndarray and out.shape == (1, 8) and built == []
-    agg.aggregate_batch(*agg.stack([seq]))
+    agg.aggregate_batch(*stack([seq]))
     assert len(built) == 1  # the spy sees the node that the trainable encoder builds
     assert all(m.grad is None for _, m in named_params(pair.groups))
 

@@ -26,10 +26,10 @@ def test_seeded_fingerprint_repeats_byte_for_byte():
                      for _ in range(2))
     assert first == second
     out = json.loads(first)["dcl"]
-    assert sorted(out) == ["momentum", "params", "prototypes", "rows"]
+    assert sorted(out) == ["momentum", "params", "prototypes", "retrieval", "rows"]
     assert [row["epoch"] for row in out["rows"]] == [0, 1]
     assert out["rows"][0]["l_mdcl"] == 0.0 and out["rows"][1]["l_mdcl"] != 0.0
-    assert all(len(out[key]) == 64 for key in ("params", "momentum", "prototypes"))
+    assert all(len(out[key]) == 64 for key in ("params", "momentum", "prototypes", "retrieval"))
 
 
 def test_seeded_fingerprint_digests_the_last_clustering(monkeypatch):
@@ -58,3 +58,20 @@ def test_every_fingerprint_run_builds_its_config():
         assert {key: getattr(cfg, key) for key in changes} == changes, name
     # a run's changes override the script's own keywords
     assert fp.config(pl, fp.RUNS["memory_off"][0]).bank_capacity == 0
+
+
+def test_seeded_fingerprint_digests_the_final_retrieval_embeddings(monkeypatch):
+    fp = _script()
+    embed, seen = pl.embed_for_retrieval, []
+
+    def spy_embed(*args):
+        seen.append(embed(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(pl, "embed_for_retrieval", spy_embed)
+    out = fp.fingerprint(pl, {"dcl": fp.RUNS["dcl"]}, n_train=12, n_val=4, epochs=2, bank_capacity=16)
+    # one embedding per epoch's evaluation, then the script's own of the final state
+    assert len(seen) == 3
+    _, _, v, w, vc, wc = seen[-1]
+    want = hashlib.sha256(b"".join(arr.tobytes() for arr in (v, vc, w, wc))).hexdigest()
+    assert out["dcl"]["retrieval"] == want

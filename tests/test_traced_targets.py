@@ -7,6 +7,7 @@ it, so these checks run with the package's own tests.
 """
 import contextlib
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,8 @@ import pytest
 from crossalign import objective as obj
 from crossalign import pipeline as pl
 from crossalign.representation import FeatureAggregator
+
+from stacking import stack
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -56,7 +59,7 @@ def test_bench_tracer_counts_the_sequences_of_one_encoder_call():
     restore, _ = tracing.install(tracer)
     try:
         agg = FeatureAggregator(4, 3, d_p=4, hidden=2)
-        agg.aggregate_batch(*agg.stack([np.ones((2, 4)), np.ones((1, 4)), np.ones((3, 4))]))
+        agg.aggregate_batch(*stack([np.ones((2, 4)), np.ones((1, 4)), np.ones((3, 4))]))
     finally:
         restore()
     assert FeatureAggregator.aggregate_batch is original
@@ -80,9 +83,9 @@ def test_bench_tracer_counts_the_records_of_one_load(tmp_path):
     path = tmp_path / "data.jsonl"
     pl.save_dataset(pl.generate_synthetic(5, 2, 4, seed=1), path)
     with _traced() as tracer:
-        records = pl.load_dataset(path)
-    assert len(records) == 10
-    assert tracer.counts["pipeline.load_dataset.records"] == len(records)
+        data = pl.load_dataset(path)
+    assert len(data) == 10
+    assert tracer.counts["pipeline.load_dataset.records"] == len(data)
 
 
 def test_bench_tracer_counts_the_lloyd_iterations_of_the_winning_run():
@@ -99,3 +102,17 @@ def test_bench_selftest_passes():
     done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                            "bench/selftest.py"], cwd=root, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_bench_runs_a_workload_end_to_end(trace):
+    # the selftest never generates, saves, loads, trains on and embeds a dataset as run.py does
+    root = TRACING.parent.parent
+    done = subprocess.run([sys.executable, "bench/run.py", "--workload", "train_desk", "--seed", "1",
+                           "--seconds", "0.1", "--trace", str(trace)],
+                          cwd=root, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    out = json.loads(done.stdout.splitlines()[-1])
+    assert out["correct"] is True and out["failed"] == 0, done.stderr
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    assert list(out["metrics"]) == [m["name"] for m in spec["per_layer" if trace else "end_to_end"]]
