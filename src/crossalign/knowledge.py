@@ -1,7 +1,9 @@
 """Concept branch: co-occurrence graph over frequent tokens and soft concept queries.
 
-A vocabulary of the most frequent caption tokens becomes a graph whose
-edges are thresholded conditional co-occurrence probabilities. The
+The most frequent caption tokens become a graph whose edges are
+thresholded conditional co-occurrence probabilities. Captions arrive
+as a dataset holds them, token codes into a vocabulary with a token
+count per caption, and both the ranking and the graph count codes. The
 normalized graph times seeded random concept vectors is a constant
 array, formed once and never a graph leaf; one graph convolution of it
 with a learned weight gives the concept basis. Each modality then
@@ -9,9 +11,6 @@ queries that basis with a learned bilinear score and represents itself
 as the softmax-weighted combination of concept rows, in one graph node.
 """
 from __future__ import annotations
-
-from collections import Counter
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -23,35 +22,45 @@ DEFAULT_STOPLIST = frozenset(
 )
 
 
-def build_vocabulary(corpus: Sequence[Sequence[str]], g: int,
-                     stoplist: Iterable[str] = DEFAULT_STOPLIST) -> list[str]:
-    """The at most ``g`` most frequent non-stop tokens, ties broken lexicographically."""
-    if not corpus:
-        raise ValueError("corpus is empty")
+def build_vocabulary(vocabulary: np.ndarray, token_codes: np.ndarray, g: int) -> np.ndarray:
+    """Indices into ``vocabulary`` of its at most ``g`` most frequent non-stop tokens.
+
+    ``token_codes`` are the corpus's tokens as ``vocabulary`` indices.
+    Ties are broken lexicographically, by code point; a token that never
+    occurs is no concept.
+    """
     if g < 1:
         raise ValueError("need at least one concept")
-    stop = set(stoplist)
-    freq = Counter(tok for caption in corpus for tok in caption if tok not in stop)
-    if not freq:
+    counts = np.bincount(token_codes, minlength=len(vocabulary))
+    counts[np.isin(vocabulary, list(DEFAULT_STOPLIST))] = 0
+    ranked = np.lexsort((vocabulary, -counts))[:g]
+    ranked = ranked[counts[ranked] > 0]
+    if not ranked.size:
         raise ValueError("no non-stop tokens available for the concept vocabulary")
-    ranked = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [tok for tok, _ in ranked[:g]]
+    return ranked
 
 
-def build_cooccurrence(corpus: Sequence[Sequence[str]], concepts: Sequence[str]) -> np.ndarray:
+def build_cooccurrence(token_counts: np.ndarray, token_codes: np.ndarray,
+                       concepts: np.ndarray) -> np.ndarray:
     """Conditional co-occurrence: of the captions that hold concept i, the share that hold j.
 
-    One [captions x concepts] presence matrix P counts each concept at
-    most once per caption; ``P.T @ P`` holds the pair counts off its
-    diagonal and each concept's caption count on it. The diagonal of the
-    result is zero, and so is the row of a concept that never appears.
+    Caption k holds the next ``token_counts[k]`` of ``token_codes``, and
+    ``concepts`` are codes. One [captions x concepts] presence matrix P
+    counts each concept at most once per caption; ``P.T @ P`` holds the
+    pair counts off its diagonal and each concept's caption count on it.
+    The diagonal of the result is zero, and so is the row of a concept
+    that never appears.
     """
-    index = {tok: i for i, tok in enumerate(concepts)}
-    if len(index) != len(concepts):
+    concepts = np.asarray(concepts)
+    if len(np.unique(concepts)) != len(concepts):
         raise ValueError("concept tokens must be unique")
-    presence = np.zeros((len(corpus), len(concepts)))
-    for row, caption in enumerate(corpus):
-        presence[row, [index[t] for t in caption if t in index]] = 1.0
+    # each code's concept column, -1 for a code that is no concept
+    column = np.full(max(concepts.max(initial=-1), token_codes.max(initial=-1)) + 1, -1)
+    column[concepts] = np.arange(len(concepts))
+    caption, col = np.repeat(np.arange(len(token_counts)), token_counts), column[token_codes]
+    hit = col >= 0
+    presence = np.zeros((len(token_counts), len(concepts)))
+    presence[caption[hit], col[hit]] = 1.0
     counts = presence.T @ presence
     appearances = np.diag(counts).copy()
     np.fill_diagonal(counts, 0.0)

@@ -5,6 +5,8 @@ out, one record per caption and each image's sequence once, checked when
 it is built. A dataset file is those ten arrays as a stream of ``.npy``
 arrays, numpy's own format, in field order with no byte after the last;
 an open file handle keeps the caller's path, whatever its suffix.
+``load_dataset`` reads the ten arrays as they are and builds the
+``Dataset``, so every check but its ``max_seq_len`` bound is made once.
 Consumers read rows, not records: a training batch gathers its images'
 and captions' ``(lengths, rows)`` by record index, and clustering and
 retrieval hand the encoders zero-copy slices of the row arrays, one run
@@ -190,29 +192,24 @@ def _in_range(values: np.ndarray, lo: int, hi: int, what: str, owner) -> None:
         raise ValueError(f"{owner(bad[0])}: {what} {values[bad[0]]} outside [{lo}, {hi}]")
 
 
-def _check_shape(field: str, lengths: np.ndarray, dtype, shape: tuple, c_order: bool) -> None:
-    """Raise unless ``{field}_rows`` of ``dtype`` and ``shape`` can hold sequences of ``lengths``, each >= 1.
-
-    That is a C-ordered <f8 array with as many rows as the lengths sum to and at least one column.
-    """
-    total = lengths.sum()
-    # lengths of at least 1 and at most the row count sum to that count without wrapping
-    if not (dtype == "<f8" and c_order and len(shape) == 2 and shape[1] >= 1
-            and lengths.max(initial=0) <= shape[0] == total):
-        raise ValueError(f"dataset array '{field}_rows' must be a C-ordered <f8 array of {total} rows, "
-                         f"as '{field}_lengths' sum to, and d >= 1 columns, got {dtype} of shape {shape}")
-
-
 def _check_rows(field: str, lengths: np.ndarray, rows: np.ndarray, owner) -> None:
     """Raise unless ``rows`` hold the finite, non-empty sequences of ``lengths``; ``owner(i)`` names one.
 
-    Finiteness is checked one ``_runs`` run at a time, so temporaries stay O(EMBED_ROWS x d).
+    ``rows`` must be a C-ordered <f8 array with as many rows as the
+    lengths sum to and at least one column. Finiteness is checked one
+    ``_runs`` run at a time, so temporaries stay O(EMBED_ROWS x d).
     """
     name = f"{field}_features"
     empty = np.flatnonzero(lengths < 1)
     if empty.size:
         raise ValueError(f"{owner(empty[0])}: {name} has no rows")
-    _check_shape(field, lengths, rows.dtype, rows.shape, rows.flags.c_contiguous)
+    total, shape = lengths.sum(), rows.shape
+    # lengths of at least 1 and at most the row count sum to that count without wrapping
+    if not (rows.dtype == "<f8" and rows.flags.c_contiguous and len(shape) == 2 and shape[1] >= 1
+            and lengths.max(initial=0) <= shape[0] == total):
+        raise ValueError(f"dataset array '{field}_rows' must be a C-ordered <f8 array of {total} rows, "
+                         f"as '{field}_lengths' sum to, and d >= 1 columns, got {rows.dtype} of shape "
+                         f"{shape}")
     for lo, _, (run_lengths, run) in _runs(lengths, rows):
         finite = np.isfinite(run)
         if not finite.all():
@@ -434,8 +431,13 @@ def generate_synthetic(n_images: int, captions_per_image: int = 1, latent_classe
 # array streams: dataset files and checkpoints
 # ---------------------------------------------------------------------------
 
-def _header(fh, where: str):
-    """``(shape, fortran_order, dtype)`` of ``fh``'s next .npy header, if the rest of the file holds it."""
+def _load(fh, where: str) -> np.ndarray:
+    """The next .npy array of the stream ``fh``, named ``where`` in errors.
+
+    Refused before any byte of the array is read: a header of another
+    format version than 1.0, a negative dimension, an array larger than
+    the rest of the file and an object array.
+    """
     try:
         if np.lib.format.read_magic(fh) != (1, 0):
             raise ValueError("only .npy format version 1.0 is read")
@@ -446,76 +448,48 @@ def _header(fh, where: str):
         raise ValueError(f"{where}: shape {shape} has a negative dimension")
     if math.prod(shape) * dtype.itemsize > os.fstat(fh.fileno()).st_size - fh.tell():
         raise ValueError(f"{where}: the file ends inside it")
-    return shape, fortran_order, dtype
-
-
-def _load(fh, where: str) -> np.ndarray:
-    """The next .npy array of the stream ``fh``, named ``where`` in errors."""
-    shape, fortran_order, dtype = _header(fh, where)
     if dtype.hasobject:
         raise ValueError(f"{where}: Object arrays cannot be loaded when allow_pickle=False")
     arr = np.fromfile(fh, dtype=dtype, count=math.prod(shape))
     return arr.reshape(shape[::-1]).T if fortran_order else arr.reshape(shape)
 
 
-def save_dataset(data: Dataset, path) -> None:
-    """Write the ten arrays of ``data`` to ``path`` as one stream, in field order.
-
-    A save that fails partway, as on a full disk, removes its file.
-    """
+def _save_stream(path, arrays) -> None:
+    """Write ``arrays`` to ``path`` as one .npy stream; a save that fails partway removes its file."""
     fh = open(path, "wb")
     try:
         with fh:
-            for f in fields(Dataset):
-                np.save(fh, getattr(data, f.name), allow_pickle=False)
+            for arr in arrays:
+                np.save(fh, arr, allow_pickle=False)
     except BaseException:
         os.remove(path)
         raise
 
 
-def _column(fh, name: str, kind: str, size: int | None = None) -> np.ndarray:
-    """Dataset array ``name``: 1-D, of a dtype kind in ``kind``, ``size`` long if given."""
-    arr = _load(fh, f"dataset array {name!r}")
-    _check_column(name, arr, kind, size)
-    return arr
-
-
-def _read_rows(fh, field: str, owners: np.ndarray, label: str, max_seq_len: int):
-    """``{field}_lengths``, each in ``[1, max_seq_len]``, and ``{field}_rows``, read with one ``np.fromfile``.
-
-    ``owners`` names the sequences as ``label``.
-    """
-    lengths = _column(fh, f"{field}_lengths", "iu", len(owners))
-    _in_range(lengths, 1, max_seq_len, f"{field}_features length",
-              lambda i: f"{label} {str(owners[i])!r}")
-    shape, fortran_order, dtype = _header(fh, f"dataset array '{field}_rows'")
-    _check_shape(field, lengths, dtype, shape, not fortran_order)
-    return lengths, np.fromfile(fh, dtype="<f8", count=math.prod(shape)).reshape(shape)
+def save_dataset(data: Dataset, path) -> None:
+    """Write the ten arrays of ``data`` to ``path`` as one stream, in field order."""
+    _save_stream(path, (getattr(data, f.name) for f in fields(Dataset)))
 
 
 def load_dataset(path, max_seq_len: int = 64) -> Dataset:
     """Read a file ``save_dataset`` wrote; errors name the record, the image or the array.
 
-    Each array is checked as it is read, so the first bad one in file
-    order is named, and the ``Dataset`` built from them checks the rest.
+    The reader refuses what is no stream of ten arrays (``_load``'s
+    refusals and bytes after the last array), the ``Dataset`` built from
+    them checks everything else, and a sequence longer than
+    ``max_seq_len`` rows is refused last.
     """
     if type(max_seq_len) is not int or max_seq_len < 1:
         raise ValueError(f"max_seq_len must be a positive int, got {max_seq_len!r}")
     with open(path, "rb") as fh:
-        pair_ids = _column(fh, "pair_ids", "U")
-        if not len(pair_ids):
-            raise ValueError(f"dataset {path} has no records")
-        image_ids = _column(fh, "image_ids", "U")
-        caption_image = _column(fh, "caption_image", "iu", len(pair_ids))
-        images = _read_rows(fh, "image", image_ids, "image", max_seq_len)
-        captions = _read_rows(fh, "caption", pair_ids, "record", max_seq_len)
-        vocabulary = _column(fh, "vocabulary", "U")
-        token_counts = _column(fh, "token_counts", "iu", len(pair_ids))
-        token_codes = _column(fh, "token_codes", "iu")
+        arrays = [_load(fh, f"dataset array {f.name!r}") for f in fields(Dataset)]
         if fh.read(1):
             raise ValueError(f"dataset {path}: bytes follow the last array")
-    return Dataset(pair_ids, image_ids, caption_image, *images, *captions, vocabulary,
-                   token_counts, token_codes)
+    data = Dataset(*arrays)
+    for field, owners, label in (("image", data.image_ids, "image"), ("caption", data.pair_ids, "record")):
+        _in_range(getattr(data, f"{field}_lengths"), 1, max_seq_len, f"{field}_features length",
+                  lambda i: f"{label} {str(owners[i])!r}")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -607,12 +581,11 @@ def _fresh_state(cfg: TrainConfig, model: AlignmentModel) -> TrainState:
 
 def build_state(cfg: TrainConfig, data: Dataset) -> TrainState:
     """Initialize model, optimizer state and queue from a training set."""
-    # each caption's tokens, the one str of their vocabulary entry
-    tokens = np.array(data.vocabulary.tolist(), dtype=object)[data.token_codes].tolist()
-    ends = np.cumsum(data.token_counts).tolist()
-    corpus = [tokens[lo:hi] for lo, hi in zip([0, *ends], ends)]
-    concepts = kn.build_vocabulary(corpus, cfg.concepts)
-    adjacency = kn.binarize(kn.build_cooccurrence(corpus, concepts))
+    # one code per distinct token, since the graph counts tokens and a vocabulary may list one twice
+    vocabulary, distinct = np.unique(data.vocabulary, return_inverse=True)
+    codes = distinct[data.token_codes]
+    concepts = kn.build_vocabulary(vocabulary, codes, cfg.concepts)
+    adjacency = kn.binarize(kn.build_cooccurrence(data.token_counts, codes, concepts))
     inputs = kn.concept_inputs(adjacency, EMBED_DIM, cfg.seed)
     return _fresh_state(cfg, AlignmentModel(cfg, data.image_rows.shape[1], data.caption_rows.shape[1],
                                             inputs))
@@ -1045,10 +1018,8 @@ def save_checkpoint(path, state: TrainState, which: str = "best") -> None:
     header = {"version": CHECKPOINT_VERSION, "epoch": epoch, "config": asdict(state.config),
               "dims": {"d_img": state.model.vis_agg.d_in, "d_txt": state.model.txt_agg.d_in},
               "params": list(params), "momentum": list(momentum)}
-    with open(path, "wb") as fh:
-        np.save(fh, np.array(json.dumps(header)), allow_pickle=False)
-        for arr in (state.model.concept_inputs, *params.values(), *momentum.values()):
-            np.save(fh, np.asarray(arr, dtype="<f8"), allow_pickle=False)
+    floats = (state.model.concept_inputs, *params.values(), *momentum.values())
+    _save_stream(path, [np.array(json.dumps(header)), *(np.asarray(a, dtype="<f8") for a in floats)])
 
 
 def _floats(fh, where: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
@@ -1102,7 +1073,7 @@ def load_checkpoint(path) -> TrainState:
         head = _load(fh, "checkpoint header")
         try:
             header = json.loads(head.item()) if head.dtype.kind == "U" and head.ndim == 0 else None
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:  # a header nested too deep for the decoder
             raise ValueError(f"checkpoint header: {e}") from None
         if type(header) is not dict:
             raise ValueError(f"checkpoint header must be a 0-d str array of a JSON object, got "

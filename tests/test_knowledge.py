@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import inspect
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from crossalign import knowledge
 from crossalign import numerics as nm
 from crossalign import pipeline as pl
 from crossalign.knowledge import (
+    DEFAULT_STOPLIST,
     binarize,
     build_cooccurrence,
     build_vocabulary,
@@ -23,50 +27,53 @@ from autodiff_ref import l2_normalize_rows, softmax_rows
 from gradcheck import grad_check
 
 
-def test_vocabulary_unique_maximum():
-    corpus = [["a", "dog", "runs"], ["a", "dog", "sleeps"]]
-    assert build_vocabulary(corpus, 1, stoplist={"a"}) == ["dog"]
+# ---------------------------------------------------------------------------
+# concept vocabulary and co-occurrence, counted from token codes
+# ---------------------------------------------------------------------------
+
+def _coded(corpus, vocabulary=None):
+    """``(vocabulary, token_counts, token_codes)`` of ``corpus``, lists of tokens, as a dataset holds them.
+
+    ``vocabulary`` defaults to the tokens in order of first appearance; a
+    given one may hold tokens that no caption uses.
+    """
+    if vocabulary is None:
+        vocabulary = list(dict.fromkeys(tok for caption in corpus for tok in caption))
+    code = {tok: i for i, tok in enumerate(vocabulary)}
+    return (np.array(vocabulary, dtype=str), np.array([len(c) for c in corpus], dtype=np.int64),
+            np.array([code[tok] for caption in corpus for tok in caption], dtype=np.int64))
 
 
-def test_vocabulary_exhaustive_is_frequency_sorted():
-    corpus = [["dog", "cat"], ["dog", "bird"], ["dog"]]
-    assert build_vocabulary(corpus, 3, stoplist=set()) == ["dog", "bird", "cat"]
+def _concept_tokens(corpus, g):
+    vocabulary, _, codes = _coded(corpus)
+    return vocabulary[build_vocabulary(vocabulary, codes, g)].tolist()
 
 
-def test_vocabulary_tie_breaks_lexicographically():
-    corpus = [["cat"], ["dog"]]
-    assert build_vocabulary(corpus, 1, stoplist=set()) == ["cat"]
+def _conditional(corpus, concepts):
+    """``build_cooccurrence`` of ``corpus`` for the concept tokens ``concepts``."""
+    vocabulary, counts, codes = _coded(corpus)
+    return build_cooccurrence(counts, codes, [vocabulary.tolist().index(t) for t in concepts])
 
 
-def test_vocabulary_returns_every_token_when_fewer_than_requested():
-    assert build_vocabulary([["dog", "a"], ["dog"]], 5) == ["dog"]
+def _corpus_vocabulary(corpus, g):
+    """The concept tokens as a Counter of the token lists ranks them, ``build_vocabulary``'s reference."""
+    freq = Counter(tok for caption in corpus for tok in caption if tok not in DEFAULT_STOPLIST)
+    if not freq:
+        raise ValueError("no non-stop tokens available for the concept vocabulary")
+    return [tok for tok, _ in sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))[:g]]
 
 
-def test_vocabulary_rejects_a_corpus_of_stop_words():
-    with pytest.raises(ValueError, match="no non-stop tokens"):
-        build_vocabulary([["a", "the"], ["of"]], 3)
-
-
-TOY_CORPUS = [["c1"], ["c1"], ["c1", "c2"], ["c1", "c2"]]
-TOY_CONCEPTS = ["c1", "c2"]
-
-
-def test_cooccurrence_toy_conditionals():
-    # c1 in 4 captions, c2 in 2, both in 2: asymmetric conditionals from symmetric counts
-    conditional = build_cooccurrence(TOY_CORPUS, TOY_CONCEPTS)
-    assert np.array_equal(conditional, np.array([[0.0, 0.5], [1.0, 0.0]]))
-
-
-def test_cooccurrence_isolated_concept_has_zero_row():
-    corpus = [["solo"], ["c1", "c2"], ["c1", "c2"]]
-    concepts = build_vocabulary(corpus, 3, stoplist=set())
-    conditional = build_cooccurrence(corpus, concepts)
-    assert np.all(conditional[concepts.index("solo")] == 0.0)
-
-
-def test_cooccurrence_rejects_repeated_concepts():
-    with pytest.raises(ValueError, match="unique"):
-        build_cooccurrence(TOY_CORPUS, ["c1", "c1"])
+def _corpus_cooccurrence(corpus, concepts):
+    """The conditional co-occurrence, filled one caption at a time: ``build_cooccurrence``'s reference."""
+    index = {tok: i for i, tok in enumerate(concepts)}
+    presence = np.zeros((len(corpus), len(concepts)))
+    for row, caption in enumerate(corpus):
+        presence[row, [index[t] for t in caption if t in index]] = 1.0
+    counts = presence.T @ presence
+    appearances = np.diag(counts).copy()
+    np.fill_diagonal(counts, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(appearances[:, None] > 0, counts / appearances[:, None], 0.0)
 
 
 def _pair_loop_conditional(corpus, concepts):
@@ -86,6 +93,95 @@ def _pair_loop_conditional(corpus, concepts):
         return np.where(appearances[:, None] > 0, counts / appearances[:, None], 0.0)
 
 
+def test_vocabulary_unique_maximum():
+    assert _concept_tokens([["a", "dog", "runs"], ["a", "dog", "sleeps"]], 1) == ["dog"]
+
+
+def test_vocabulary_exhaustive_is_frequency_sorted():
+    assert _concept_tokens([["dog", "cat"], ["dog", "bird"], ["dog"]], 3) == ["dog", "bird", "cat"]
+
+
+def test_vocabulary_tie_breaks_lexicographically():
+    assert _concept_tokens([["dog"], ["cat"]], 1) == ["cat"]
+
+
+def test_vocabulary_ties_break_by_code_point():
+    # "Z" < "e" < "é" < "日" by code point, whatever the order of the vocabulary
+    assert _concept_tokens([["日", "é"], ["e", "Z"]], 4) == ["Z", "e", "é", "日"]
+
+
+def test_vocabulary_returns_every_token_when_fewer_than_requested():
+    assert _concept_tokens([["dog", "a"], ["dog"]], 5) == ["dog"]
+
+
+def test_vocabulary_skips_a_token_that_no_caption_uses():
+    vocabulary, _, codes = _coded([["dog"], ["cat", "dog"]], ["bird", "cat", "dog"])
+    assert build_vocabulary(vocabulary, codes, 3).tolist() == [2, 1]
+
+
+@pytest.mark.parametrize("corpus", [[["a", "the"], ["of"]], [[], []]], ids=["stop_words", "no_tokens"])
+def test_vocabulary_rejects_a_corpus_of_stop_words(corpus):
+    with pytest.raises(ValueError, match="^no non-stop tokens available for the concept vocabulary$"):
+        _concept_tokens(corpus, 3)
+
+
+def test_vocabulary_rejects_no_concepts():
+    with pytest.raises(ValueError, match="^need at least one concept$"):
+        _concept_tokens([["dog"]], 0)
+
+
+# tokens with ties between ASCII and non-ASCII ones; "a", "of" and "the" are stop words
+TOKENS = ["dog", "Dog", "é", "e", "日本", "straße", "zz", "a", "of", "the"]
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=60, deadline=None)
+def test_concepts_equal_the_corpus_reference_on_random_corpora(seed):
+    rng = rng_from_seed(seed, 31)
+    # captions may be empty or repeat a token, and some tokens of the vocabulary no caption uses
+    corpus = [rng.choice(TOKENS, size=int(rng.integers(0, 6))).tolist()
+              for _ in range(int(rng.integers(1, 12)))]
+    vocabulary, counts, codes = _coded(corpus, rng.permutation(TOKENS).tolist())
+    g = int(rng.integers(1, len(TOKENS) + 1))
+    try:
+        want = _corpus_vocabulary(corpus, g)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=f"^{e}$"):
+            build_vocabulary(vocabulary, codes, g)
+        return
+    concepts = build_vocabulary(vocabulary, codes, g)
+    assert vocabulary[concepts].tolist() == want
+    # a concept may also be a code that no caption uses
+    unused = np.setdiff1d(np.arange(len(TOKENS)), codes)
+    if unused.size:
+        concepts, want = np.append(concepts, unused[0]), [*want, str(vocabulary[unused[0]])]
+    conditional = build_cooccurrence(counts, codes, concepts)
+    assert conditional.tobytes() == _corpus_cooccurrence(corpus, want).tobytes()
+    assert np.array_equal(conditional, _pair_loop_conditional(corpus, want))
+
+
+TOY_CORPUS = [["c1"], ["c1"], ["c1", "c2"], ["c1", "c2"]]
+TOY_CONCEPTS = ["c1", "c2"]
+
+
+def test_cooccurrence_toy_conditionals():
+    # c1 in 4 captions, c2 in 2, both in 2: asymmetric conditionals from symmetric counts
+    conditional = _conditional(TOY_CORPUS, TOY_CONCEPTS)
+    assert np.array_equal(conditional, np.array([[0.0, 0.5], [1.0, 0.0]]))
+
+
+def test_cooccurrence_isolated_concept_has_zero_row():
+    corpus = [["solo"], ["c1", "c2"], ["c1", "c2"]]
+    concepts = _concept_tokens(corpus, 3)
+    conditional = _conditional(corpus, concepts)
+    assert np.all(conditional[concepts.index("solo")] == 0.0)
+
+
+def test_cooccurrence_rejects_repeated_concepts():
+    with pytest.raises(ValueError, match="unique"):
+        _conditional(TOY_CORPUS, ["c1", "c1"])
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=40, deadline=None)
 def test_cooccurrence_invariants_on_random_corpora(seed):
@@ -98,20 +194,39 @@ def test_cooccurrence_invariants_on_random_corpora(seed):
     ]
     # some concepts may never appear, and some tokens are not concepts
     concepts = list(rng.permutation(tokens)[:int(rng.integers(1, 7))])
-    conditional = build_cooccurrence(corpus, concepts)
+    vocabulary, counts, codes = _coded(corpus, tokens)
+    conditional = build_cooccurrence(counts, codes, [tokens.index(t) for t in concepts])
     assert np.array_equal(conditional, _pair_loop_conditional(corpus, concepts))
     assert np.all(np.diag(conditional) == 0.0)
     assert np.all(conditional >= 0.0) and np.all(conditional <= 1.0)
 
 
+def test_training_concept_inputs_keep_their_bytes():
+    data = pl.generate_synthetic(300, 2, 8, seed=1, world=pl.build_world(8, 0))
+    inputs = pl.build_state(pl.TrainConfig(), data).model.concept_inputs
+    assert hashlib.sha256(inputs.tobytes()).hexdigest() == (
+        "cebda262a8aabf7d5714d61e693013b5a8932ec9862e63600200671f1f676200")
+
+
+def test_a_token_the_vocabulary_lists_twice_is_one_concept():
+    data = pl.generate_synthetic(30, 2, 4, seed=1)
+    v = len(data.vocabulary)
+    # every token listed twice, and every other occurrence coded as the second copy
+    twice = dataclasses.replace(data, vocabulary=np.concatenate([data.vocabulary, data.vocabulary]),
+                                token_codes=data.token_codes + v * (np.arange(len(data.token_codes)) % 2))
+    cfg = pl.TrainConfig()
+    assert (pl.build_state(cfg, twice).model.concept_inputs.tobytes()
+            == pl.build_state(cfg, data).model.concept_inputs.tobytes())
+
+
 def test_binarize_continues_toy_example():
-    edges = binarize(build_cooccurrence(TOY_CORPUS, TOY_CONCEPTS), 0.6)
+    edges = binarize(_conditional(TOY_CORPUS, TOY_CONCEPTS), 0.6)
     assert edges[0, 1] == 0
     assert edges[1, 0] == 1  # boundary: probability 1.0 >= any threshold
 
 
 def test_binarize_all_zero_above_max():
-    conditional = build_cooccurrence([["c1", "c2"], ["c1"], ["c2"]], ["c1", "c2"])
+    conditional = _conditional([["c1", "c2"], ["c1"], ["c2"]], ["c1", "c2"])
     assert conditional.max() == 0.5
     assert np.all(binarize(conditional, 0.51) == 0)
 

@@ -722,20 +722,24 @@ def test_dataset_round_trip_keeps_non_ascii_ids_and_tokens(tmp_path):
         "8796b38d5b2fac87e77281283c2c98153f790e0084b7d0f4265368ad46f75b6e"
 
 
-def test_a_failed_save_removes_its_file(tmp_path, monkeypatch):
-    path = tmp_path / "dev.jsonl"
-    saved, save = [], np.save
+@pytest.mark.parametrize("save", [lambda path: pl.save_dataset(_non_ascii(), path),
+                                  lambda path: pl.save_checkpoint(path, _tiny_state(), which="final")],
+                         ids=["dataset", "checkpoint"])
+def test_a_failed_save_removes_its_file(save, tmp_path, monkeypatch):
+    path = tmp_path / "saved.npy"
+    saved, np_save = [], np.save
 
     def failing_save(fh, arr, **kwargs):
-        if len(saved) == 5:
+        # the third array: a checkpoint's first parameter, a dataset's caption_image
+        if len(saved) == 2:
             raise OSError("No space left on device")
         saved.append(arr)
-        save(fh, arr, **kwargs)
+        np_save(fh, arr, **kwargs)
 
     monkeypatch.setattr(np, "save", failing_save)
     with pytest.raises(OSError, match="^No space left on device$"):
-        pl.save_dataset(_non_ascii(), path)
-    assert len(saved) == 5 and not path.exists()
+        save(path)
+    assert len(saved) == 2 and not path.exists()
 
 
 def _arrays(**changes) -> dict:
@@ -902,8 +906,88 @@ def _npz(**arrays) -> bytes:
 # with its last three arrays dropped, the file ends in caption_rows
 _TO_CAPTION_ROWS = dict(vocabulary=None, token_counts=None, token_codes=None)
 
-BAD_DATASETS = {
-    # name: (the file's bytes, expected message)
+# name: (the changes to _dataset()'s arrays, expected message); the Dataset of those arrays refuses
+# them, but for too_long, whose length only load_dataset's max_seq_len bounds
+BAD_ARRAYS = {
+    "float_pair_ids": (dict(pair_ids=np.arange(3.0)),
+                       r"^dataset array 'pair_ids' must be 1-D of dtype kind 'U' and length any, "
+                       r"got float64 of shape \(3,\)$"),
+    "bytes_vocabulary": (dict(vocabulary=np.array([b"red", b"car"])),
+                         r"^dataset array 'vocabulary' must be 1-D of dtype kind 'U' .* got \|S3"),
+    "float_caption_image": (dict(caption_image=np.array([0.0, 0.0, 1.0])),
+                            r"^dataset array 'caption_image' must be 1-D of dtype kind 'iu' and "
+                            r"length 3, got float64"),
+    "two_d_lengths": (dict(image_lengths=np.array([[2, 1]])),
+                      r"^dataset array 'image_lengths' must be 1-D .* of shape \(1, 2\)$"),
+    "float32_rows": (dict(caption_rows=np.ones((4, 4), dtype=np.float32)),
+                     r"^dataset array 'caption_rows' must be a C-ordered <f8 array of 4 rows, as "
+                     r"'caption_lengths' sum to, and d >= 1 columns, got float32 of shape \(4, 4\)$"),
+    "big_endian_rows": (dict(image_rows=np.ones((3, 3), dtype=">f8")),
+                        r"^dataset array 'image_rows' must be .* got >f8 of shape \(3, 3\)$"),
+    "fortran_rows": (dict(image_rows=np.asfortranarray(np.ones((3, 3)))),
+                     r"^dataset array 'image_rows' must be a C-ordered"),
+    "one_d_rows": (dict(image_rows=np.ones(3)),
+                   r"^dataset array 'image_rows' must be .* got float64 of shape \(3,\)$"),
+    "zero_width_rows": (dict(caption_rows=np.ones((4, 0))),
+                        r"^dataset array 'caption_rows' must be .* of shape \(4, 0\)$"),
+    "zero_length": (dict(caption_lengths=np.array([1, 0, 3])),
+                    r"^record 'b': caption_features has no rows$"),
+    "negative_length": (dict(image_lengths=np.array([4, -1])),
+                        r"^image 'other': image_features has no rows$"),
+    "too_long": (dict(image_lengths=np.array([65, 1]), image_rows=np.ones((66, 3))),
+                 r"^image 'img': image_features length 65 outside \[1, 64\]$"),
+    "lengths_short": (dict(caption_lengths=np.array([1, 1, 1])),
+                      r"^dataset array 'caption_rows' must be a C-ordered <f8 array of 3 rows, .* "
+                      r"got float64 of shape \(4, 4\)$"),
+    "lengths_long": (dict(image_lengths=np.array([2, 2])),
+                     r"^dataset array 'image_rows' must be a C-ordered <f8 array of 4 rows, .* "
+                     r"got float64 of shape \(3, 3\)$"),
+    "lengths_size": (dict(caption_lengths=np.array([2, 2])),
+                     r"^dataset array 'caption_lengths' must be 1-D of dtype kind 'iu' and length 3, "
+                     r"got int64 of shape \(2,\)$"),
+    "non_finite_caption": (dict(caption_rows=_rows((4, 4), 2)),
+                           r"^record 'b': caption_features contains non-finite values$"),
+    "infinite_caption": (dict(caption_rows=_rows((4, 4), 3, -np.inf)),
+                         r"^record 'c': caption_features contains non-finite values$"),
+    "non_finite_image": (dict(image_rows=_rows((3, 3), 2, np.inf)),
+                         r"^image 'other': image_features contains non-finite values$"),
+    "caption_image_high": (dict(caption_image=np.array([0, 0, 2])),
+                           r"^record 'c': caption_image 2 outside \[0, 1\]$"),
+    "caption_image_negative": (dict(caption_image=np.array([0, -1, 1])),
+                               r"^record 'b': caption_image -1 outside \[0, 1\]$"),
+    "image_named_by_no_record": (dict(caption_image=np.array([0, 0, 0])),
+                                 r"^image 'other': no record names it$"),
+    "images_out_of_order": (dict(caption_image=np.array([1, 1, 0])),
+                            r"^image 'img': no record names it before record 'a', which names a "
+                            r"later image$"),
+    "caption_image_size": (dict(caption_image=np.array([0, 1])),
+                           r"^dataset array 'caption_image' must be .* length 3, got int64 of shape "
+                           r"\(2,\)$"),
+    "token_code_high": (dict(token_codes=np.array([0, 1, 2])),
+                        r"^record 'b': token code 2 outside \[0, 1\]$"),
+    "token_code_negative": (dict(token_codes=np.array([-1, 1, 1])),
+                            r"^record 'a': token code -1 outside \[0, 1\]$"),
+    "token_counts_sum": (dict(token_counts=np.array([2, 1, 1])),
+                         r"^dataset array 'token_counts' must be non-negative and sum to the 3 "
+                         r"entries of 'token_codes'$"),
+    "token_count_negative": (dict(token_counts=np.array([3, 1, -1])),
+                             r"^dataset array 'token_counts' must be non-negative"),
+    # these counts sum to 2**64 + 3, which wraps to the 3 codes
+    "token_count_wraps": (dict(token_counts=np.array([2**62, 2**62, 2**63 + 3], dtype=np.uint64)),
+                          r"^dataset array 'token_counts' must be non-negative"),
+    "duplicate_pair_id": (dict(pair_ids=np.array(["a", "b", "a"])),
+                          r"^record 'a': duplicate pair_id$"),
+    "empty_pair_id": (dict(pair_ids=np.array(["a", "", "c"])),
+                      r"^dataset array 'pair_ids': entry 1 is empty$"),
+    "duplicate_image_id": (dict(image_ids=np.array(["img", "img"])),
+                           r"^image 'img': duplicate image_id$"),
+    "empty_image_id": (dict(image_ids=np.array(["", "other"])),
+                       r"^dataset array 'image_ids': entry 0 is empty$"),
+    "no_records": (dict(pair_ids=np.array([], dtype=str)), r"^dataset has no records$"),
+}
+
+# name: (the file's bytes, expected message); the reader refuses these before any Dataset is built
+BAD_STREAMS = {
     "empty_file": (lambda: b"", r"^dataset array 'pair_ids': EOF: reading magic string, expected 8 "
                                 r"bytes got 0$"),
     "jsonl_file": (lambda: b'{"pair_id": "a"}\n', r"^dataset array 'pair_ids': the magic string is "
@@ -928,88 +1012,16 @@ BAD_DATASETS = {
     "missing_array": (lambda: _file(token_codes=None),
                       r"^dataset array 'token_codes': EOF: reading magic string"),
     "trailing_bytes": (lambda: _file() + b"\0", r"^dataset .*: bytes follow the last array$"),
-    "float_pair_ids": (lambda: _file(pair_ids=np.arange(3.0)),
-                       r"^dataset array 'pair_ids' must be 1-D of dtype kind 'U' and length any, "
-                       r"got float64 of shape \(3,\)$"),
     "object_pair_ids": (lambda: _file(pair_ids=np.array(["a", "b", "c"], dtype=object)),
                         r"^dataset array 'pair_ids': Object arrays cannot be loaded when "
                         r"allow_pickle=False$"),
-    "bytes_vocabulary": (lambda: _file(vocabulary=np.array([b"red", b"car"])),
-                         r"^dataset array 'vocabulary' must be 1-D of dtype kind 'U' .* got \|S3"),
-    "float_caption_image": (lambda: _file(caption_image=np.array([0.0, 0.0, 1.0])),
-                            r"^dataset array 'caption_image' must be 1-D of dtype kind 'iu' and "
-                            r"length 3, got float64"),
-    "two_d_lengths": (lambda: _file(image_lengths=np.array([[2, 1]])),
-                      r"^dataset array 'image_lengths' must be 1-D .* of shape \(1, 2\)$"),
-    "float32_rows": (lambda: _file(caption_rows=np.ones((4, 4), dtype=np.float32)),
-                     r"^dataset array 'caption_rows' must be a C-ordered <f8 array of 4 rows, as "
-                     r"'caption_lengths' sum to, and d >= 1 columns, got float32 of shape \(4, 4\)$"),
-    "big_endian_rows": (lambda: _file(image_rows=np.ones((3, 3), dtype=">f8")),
-                        r"^dataset array 'image_rows' must be .* got >f8 of shape \(3, 3\)$"),
-    "fortran_rows": (lambda: _file(image_rows=np.asfortranarray(np.ones((3, 3)))),
-                     r"^dataset array 'image_rows' must be a C-ordered"),
-    "one_d_rows": (lambda: _file(image_rows=np.ones(3)),
-                   r"^dataset array 'image_rows' must be .* got float64 of shape \(3,\)$"),
-    "zero_width_rows": (lambda: _file(caption_rows=np.ones((4, 0))),
-                        r"^dataset array 'caption_rows' must be .* of shape \(4, 0\)$"),
     "object_rows": (lambda: _file(caption_rows=np.ones((4, 4)).astype(object)),
-                    r"^dataset array 'caption_rows' must be .* got object of shape \(4, 4\)$"),
-    "zero_length": (lambda: _file(caption_lengths=np.array([1, 0, 3])),
-                    r"^record 'b': caption_features length 0 outside \[1, 64\]$"),
-    "negative_length": (lambda: _file(image_lengths=np.array([4, -1])),
-                        r"^image 'other': image_features length -1 outside \[1, 64\]$"),
-    "too_long": (lambda: _file(image_lengths=np.array([65, 1]), image_rows=np.ones((66, 3))),
-                 r"^image 'img': image_features length 65 outside \[1, 64\]$"),
-    "lengths_short": (lambda: _file(caption_lengths=np.array([1, 1, 1])),
-                      r"^dataset array 'caption_rows' must be a C-ordered <f8 array of 3 rows, .* "
-                      r"got float64 of shape \(4, 4\)$"),
-    "lengths_long": (lambda: _file(image_lengths=np.array([2, 2])),
-                     r"^dataset array 'image_rows' must be a C-ordered <f8 array of 4 rows, .* "
-                     r"got float64 of shape \(3, 3\)$"),
-    "lengths_size": (lambda: _file(caption_lengths=np.array([2, 2])),
-                     r"^dataset array 'caption_lengths' must be 1-D of dtype kind 'iu' and length 3, "
-                     r"got int64 of shape \(2,\)$"),
-    "non_finite_caption": (lambda: _file(caption_rows=_rows((4, 4), 2)),
-                           r"^record 'b': caption_features contains non-finite values$"),
-    "infinite_caption": (lambda: _file(caption_rows=_rows((4, 4), 3, -np.inf)),
-                         r"^record 'c': caption_features contains non-finite values$"),
-    "non_finite_image": (lambda: _file(image_rows=_rows((3, 3), 2, np.inf)),
-                         r"^image 'other': image_features contains non-finite values$"),
-    "caption_image_high": (lambda: _file(caption_image=np.array([0, 0, 2])),
-                           r"^record 'c': caption_image 2 outside \[0, 1\]$"),
-    "caption_image_negative": (lambda: _file(caption_image=np.array([0, -1, 1])),
-                               r"^record 'b': caption_image -1 outside \[0, 1\]$"),
-    "image_named_by_no_record": (lambda: _file(caption_image=np.array([0, 0, 0])),
-                                 r"^image 'other': no record names it$"),
-    "images_out_of_order": (lambda: _file(caption_image=np.array([1, 1, 0])),
-                            r"^image 'img': no record names it before record 'a', which names a "
-                            r"later image$"),
-    "caption_image_size": (lambda: _file(caption_image=np.array([0, 1])),
-                           r"^dataset array 'caption_image' must be .* length 3, got int64 of shape "
-                           r"\(2,\)$"),
-    "token_code_high": (lambda: _file(token_codes=np.array([0, 1, 2])),
-                        r"^record 'b': token code 2 outside \[0, 1\]$"),
-    "token_code_negative": (lambda: _file(token_codes=np.array([-1, 1, 1])),
-                            r"^record 'a': token code -1 outside \[0, 1\]$"),
-    "token_counts_sum": (lambda: _file(token_counts=np.array([2, 1, 1])),
-                         r"^dataset array 'token_counts' must be non-negative and sum to the 3 "
-                         r"entries of 'token_codes'$"),
-    "token_count_negative": (lambda: _file(token_counts=np.array([3, 1, -1])),
-                             r"^dataset array 'token_counts' must be non-negative"),
-    # these counts sum to 2**64 + 3, which wraps to the 3 codes
-    "token_count_wraps": (lambda: _file(token_counts=np.array([2**62, 2**62, 2**63 + 3],
-                                                              dtype=np.uint64)),
-                          r"^dataset array 'token_counts' must be non-negative"),
-    "duplicate_pair_id": (lambda: _file(pair_ids=np.array(["a", "b", "a"])),
-                          r"^record 'a': duplicate pair_id$"),
-    "empty_pair_id": (lambda: _file(pair_ids=np.array(["a", "", "c"])),
-                      r"^dataset array 'pair_ids': entry 1 is empty$"),
-    "duplicate_image_id": (lambda: _file(image_ids=np.array(["img", "img"])),
-                           r"^image 'img': duplicate image_id$"),
-    "empty_image_id": (lambda: _file(image_ids=np.array(["", "other"])),
-                       r"^dataset array 'image_ids': entry 0 is empty$"),
-    "no_records": (lambda: _file(pair_ids=np.array([], dtype=str)), r"^dataset .* has no records$"),
+                    r"^dataset array 'caption_rows': Object arrays cannot be loaded when "
+                    r"allow_pickle=False$"),
 }
+
+BAD_DATASETS = {name: (lambda c=changes: _file(**c), match)
+                for name, (changes, match) in BAD_ARRAYS.items()} | BAD_STREAMS
 
 
 @pytest.mark.parametrize("case", sorted(BAD_DATASETS))
@@ -1019,6 +1031,18 @@ def test_load_dataset_rejects_bad_arrays(case, tmp_path):
     path.write_bytes(make())
     with pytest.raises(ValueError, match=match):
         pl.load_dataset(path)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARRAYS.keys() - {"too_long"}))
+def test_dataset_refuses_a_bad_array_as_load_dataset_does(case, tmp_path):
+    changes, _ = BAD_ARRAYS[case]
+    path = tmp_path / "bad.npy"
+    path.write_bytes(_file(**changes))
+    with pytest.raises(ValueError) as loaded:
+        pl.load_dataset(path)
+    with pytest.raises(ValueError) as built:
+        pl.Dataset(**_dataset(**changes))
+    assert str(built.value) == str(loaded.value)
 
 
 def test_load_dataset_reads_the_hand_written_file_and_takes_max_seq_len(tmp_path):
@@ -1158,6 +1182,8 @@ def test_load_checkpoint_names_a_bad_header(edit, match, tmp_path):
     (lambda: np.array(json.dumps([1])),
      r"checkpoint header must be a 0-d str array of a JSON object, got list from <U3 of shape \(\)"),
     (lambda: np.array("{"), "checkpoint header: Expecting property name enclosed in double quotes"),
+    # deeper than the JSON decoder recurses
+    (lambda: np.array("[" * 100_000), "checkpoint header: maximum recursion depth exceeded"),
     (lambda: np.array([json.dumps({"version": 5})]),
      r"checkpoint header must be .* got NoneType from <U\d+ of shape \(1,\)"),
     (lambda: np.array(5), r"checkpoint header must be .* got NoneType from int64 of shape \(\)"),
@@ -1171,7 +1197,7 @@ def test_load_checkpoint_names_a_bad_header(edit, match, tmp_path):
      r"checkpoint header: shape \(-2, -3\) has a negative dimension$"),
     (lambda: _npy_version_2(np.array(json.dumps({"version": 5}))),
      r"checkpoint header: only \.npy format version 1\.0 is read$"),
-], ids=["list", "not_json", "one_d", "int", "object", "huge", "negative_length", "negative_dims",
+], ids=["list", "not_json", "nested_too_deep", "one_d", "int", "object", "huge", "negative_length", "negative_dims",
         "npy_version_2"])
 def test_load_checkpoint_names_a_bad_header_array(head, match, tmp_path):
     path = tmp_path / "ckpt.json"

@@ -104,11 +104,12 @@ def test_bench_selftest_passes():
     assert done.returncode == 0, done.stdout + done.stderr
 
 
-@pytest.mark.parametrize("trace", [0, 1])
-def test_bench_runs_a_workload_end_to_end(trace):
-    # the selftest never generates, saves, loads, trains on and embeds a dataset as run.py does
+@pytest.mark.parametrize("workload, trace", [("train_desk", 0), ("train_desk", 1), ("eval_2k", 0)])
+def test_bench_runs_a_workload_end_to_end(workload, trace):
+    # the selftest never generates, saves, loads, trains on and embeds a dataset as run.py does;
+    # only eval_2k loads a 2000 x 5 file and checks its recalls against the oracle
     root = TRACING.parent.parent
-    done = subprocess.run([sys.executable, "bench/run.py", "--workload", "train_desk", "--seed", "1",
+    done = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
                            "--seconds", "0.1", "--trace", str(trace)],
                           cwd=root, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
